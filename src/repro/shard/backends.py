@@ -10,11 +10,22 @@ in what interleaving core events execute:
   ``inline == single`` and ``mp == single`` proves sharded execution
   equals the unsharded engine.
 * ``inline`` -- cores run sequentially, one whole epoch per core, in
-  core order.  Same process, no parallelism; the cheap default.
+  core order.  Same process, no parallelism; the default, and the
+  fastest sharded backend on every committed measurement.
 * ``mp`` -- one persistent worker process per shard; each worker
   rebuilds its cores from the JSON plan and exchanges only epoch
-  commands and barrier payloads with the parent (never objects), for
-  real wall-clock speedup on multi-core hosts.
+  commands and barrier payloads with the parent (never objects).
+  Slower than ``inline`` wherever it has been measured (perf baseline
+  ``shard.dispatch.10000``: inline.s4 17.9k, mp.s4 4.8k ops/s): the
+  pipe round-trip per epoch outweighs the parallelism.  It exists as
+  the process layout that supervision
+  (:mod:`repro.shard.supervisor`) makes fault-tolerant.
+
+The backend surface (``run_epoch`` / ``collect`` / ``barrier`` /
+``snapshots`` ...) is written once, over a single seam:
+``_broadcast(message) -> replies`` hands one command to every shard
+and returns their replies.  :func:`_execute_command` is the only
+interpreter of those commands, wherever the cores live.
 
 Confluence is why the interleavings agree: cores share no state, and
 every cross-core effect is a JSON payload applied at a barrier in
@@ -28,7 +39,7 @@ import json
 import multiprocessing
 import os
 import traceback
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ShardError
 from repro.shard.core import ShardCore
@@ -41,52 +52,164 @@ __all__ = ["BACKENDS", "InlineBackend", "MpBackend", "SingleBackend",
 
 _EPS = 1e-9
 
+#: The commands that advance a core's history (what a supervisor must
+#: log to rebuild it), each with the field carrying its virtual time.
+_TIME_FIELD = {"epoch": "horizon", "inclusive": "until", "barrier": "time"}
 
-class _InProcessBackend:
-    """Common machinery for the ``single`` and ``inline`` backends."""
+
+def _group_payloads(payloads: List[Dict[str, Any]],
+                    key: Callable[[int], int] = int
+                    ) -> Dict[int, List[Dict[str, Any]]]:
+    """Barrier payloads grouped by ``key(target core)`` -- by the
+    target core itself unless told otherwise -- in arrival order."""
+    grouped: Dict[int, List[Dict[str, Any]]] = {}
+    for payload in payloads:
+        grouped.setdefault(key(payload["target"]), []).append(payload)
+    return grouped
+
+
+def _execute_command(cores: Dict[int, ShardCore], router: ShardRouter,
+                     message: Dict[str, Any],
+                     obs: bool = False) -> Dict[str, Any]:
+    """Run one command against the cores living in this process.
+
+    The only interpreter: the inline backend, every worker main and a
+    degraded supervisor all come through here, so the command
+    semantics -- and therefore the produced histories -- cannot drift
+    between the in-process, the fail-stop and the fault-tolerant
+    protocol.  With ``obs``, epoch/inclusive replies piggyback per-core
+    observability frames and ``collect`` replies carry full span dumps
+    -- pure per-core reads, so the canonical reply content is
+    unchanged.
+    """
+    command = message["cmd"]
+    mine = [cores[core_id] for core_id in sorted(cores)]
+    if command in ("epoch", "inclusive"):
+        time = message[_TIME_FIELD[command]]
+        for core in mine:
+            if command == "epoch":
+                core.run_epoch(time)
+            else:
+                core.run_inclusive(time)
+        reply: Dict[str, Any] = {"payloads": router.drain()}
+        if obs:
+            reply["obs"] = [core.obs_frame(time) for core in mine]
+        return reply
+    if command == "barrier":
+        grouped = _group_payloads(message["payloads"])
+        for core in mine:
+            core.apply_barrier(message["time"],
+                               grouped.get(core.core_id, []))
+        return {"ok": True}
+    if command == "collect":
+        entries = []
+        for core in mine:
+            entry = {"core": core.core_id,
+                     "snapshot": core.snapshot_state(),
+                     "stream": core.stream_entries()}
+            if obs:
+                entry["obs"] = core.obs_dump()
+            entries.append(entry)
+        return {"cores": entries}
+    if command == "stop":
+        return {"ok": True, "stop": True}
+    raise ShardError(f"unknown worker command {command!r}")
+
+
+class _Backend:
+    """The backend surface, written once over ``_broadcast``."""
 
     def __init__(self, plan: ShardPlan, topology: ShardTopology,
                  obs: bool = False) -> None:
         self.plan = plan
         self.topology = topology
         self.obs = bool(obs)
-        self.router = ShardRouter()
-        self.router.install()
-        self.cores = [ShardCore(core_id, plan, self.router, obs=self.obs)
-                      for core_id in range(plan.cores)]
+        self._collected: List[Dict[str, Any]] = []
+        self._obs_frames: List[Dict[str, Any]] = []
+
+    def _broadcast(self, message: Dict[str, Any]) -> List[Dict[str, Any]]:
+        """Hand ``message`` to every shard; one reply per shard."""
+        raise NotImplementedError
+
+    def _run_slice(self, message: Dict[str, Any]) -> None:
+        replies = self._broadcast(message)
+        self._obs_frames = []
+        for reply in replies:
+            self._collected.extend(reply["payloads"])
+            self._obs_frames.extend(reply.get("obs", []))
+
+    def run_epoch(self, horizon: float) -> None:
+        self._run_slice({"cmd": "epoch", "horizon": horizon})
+
+    def run_inclusive(self, until: float) -> None:
+        self._run_slice({"cmd": "inclusive", "until": until})
 
     def collect(self) -> List[Dict[str, Any]]:
-        return self.router.drain()
+        out, self._collected = self._collected, []
+        return out
 
     def collect_obs(self, time: float) -> List[Dict[str, Any]]:
-        """Per-core obs frames for the slice ending at ``time``
-        (JSON-round-tripped like barrier payloads, so in-process and
-        mp runs aggregate byte-identical data)."""
-        if not self.obs:
-            return []
-        return json.loads(json.dumps(
-            [core.obs_frame(time) for core in self.cores]))
+        """Per-core obs frames piggybacked on the last slice's replies
+        (plain data by construction: they crossed a pipe or a JSON
+        round trip; cumulative, so a recovered-and-replayed worker
+        reproduced them bit-exactly)."""
+        out, self._obs_frames = self._obs_frames, []
+        return sorted(out, key=lambda frame: frame["core"])
+
+    def barrier(self, time: float, payloads: List[Dict[str, Any]]) -> None:
+        self._broadcast({"cmd": "barrier", "time": time,
+                         "payloads": payloads})
+
+    # -- observation ----------------------------------------------------------
+
+    def _collect_cores(self) -> List[Dict[str, Any]]:
+        replies = self._broadcast({"cmd": "collect"})
+        cores = [entry for reply in replies for entry in reply["cores"]]
+        cores.sort(key=lambda entry: entry["core"])
+        return cores
 
     def obs_dumps(self) -> List[Dict[str, Any]]:
         """Per-core span dumps for trace stitching."""
         if not self.obs:
             return []
-        return json.loads(json.dumps(
-            [core.obs_dump() for core in self.cores]))
-
-    def barrier(self, time: float, payloads: List[Dict[str, Any]]) -> None:
-        self.router.install()
-        grouped: Dict[int, List[Dict[str, Any]]] = {}
-        for payload in payloads:
-            grouped.setdefault(payload["target"], []).append(payload)
-        for core in self.cores:
-            core.apply_barrier(time, grouped.get(core.core_id, []))
+        return [entry["obs"] for entry in self._collect_cores()]
 
     def snapshots(self) -> List[dict]:
-        return [core.snapshot_state() for core in self.cores]
+        return [entry["snapshot"] for entry in self._collect_cores()]
 
     def streams(self) -> List[List[Dict[str, Any]]]:
-        return [core.stream_entries() for core in self.cores]
+        return [entry["stream"] for entry in self._collect_cores()]
+
+    def local_kernels(self) -> List[Any]:
+        """Kernels living in the parent process (none by default)."""
+        return []
+
+
+class InlineBackend(_Backend):
+    """Cores run sequentially, a whole epoch at a time, in core order."""
+
+    name = "inline"
+
+    def __init__(self, plan: ShardPlan, topology: ShardTopology,
+                 obs: bool = False) -> None:
+        super().__init__(plan, topology, obs=obs)
+        self.router = ShardRouter()
+        self.router.install()
+        self.cores = [ShardCore(core_id, plan, self.router, obs=self.obs)
+                      for core_id in range(plan.cores)]
+
+    def _broadcast(self, message: Dict[str, Any]) -> List[Dict[str, Any]]:
+        self.router.install()
+        reply = _execute_command(self.router.cores, self.router, message,
+                                 obs=self.obs)
+        # Obs data is JSON-round-tripped like barrier payloads, so
+        # in-process and mp runs aggregate byte-identical data.
+        if "obs" in reply:
+            reply["obs"] = json.loads(json.dumps(reply["obs"]))
+        elif self.obs:
+            for entry in reply.get("cores", []):
+                entry["obs"] = json.loads(json.dumps(entry["obs"]))
+        return [reply]
 
     def local_kernels(self) -> List[Any]:
         return [core.kernel for core in self.cores]
@@ -95,25 +218,7 @@ class _InProcessBackend:
         self.router.uninstall()
 
 
-class InlineBackend(_InProcessBackend):
-    """Cores run sequentially, a whole epoch at a time, in core order."""
-
-    name = "inline"
-
-    def run_epoch(self, horizon: float) -> None:
-        self.router.install()
-        for shard in range(self.topology.shards):
-            for core_id in self.topology.cores_of(shard):
-                self.cores[core_id].run_epoch(horizon)
-
-    def run_inclusive(self, until: float) -> None:
-        self.router.install()
-        for shard in range(self.topology.shards):
-            for core_id in self.topology.cores_of(shard):
-                self.cores[core_id].run_inclusive(until)
-
-
-class SingleBackend(_InProcessBackend):
+class SingleBackend(InlineBackend):
     """The oracle: globally time-ordered interleaving of all cores."""
 
     name = "single"
@@ -134,23 +239,21 @@ class SingleBackend(_InProcessBackend):
                 best, best_time = core, next_time
         return best
 
-    def run_epoch(self, horizon: float) -> None:
-        self.router.install()
-        while True:
-            core = self._earliest(horizon, inclusive=False)
-            if core is None:
-                break
-            core.step_one()
-
-    def run_inclusive(self, until: float) -> None:
-        self.router.install()
-        while True:
-            core = self._earliest(until, inclusive=True)
-            if core is None:
-                break
-            core.step_one()
-        for core in self.cores:
-            core.loop.advance_clock(until)
+    def _broadcast(self, message: Dict[str, Any]) -> List[Dict[str, Any]]:
+        # Fire the slice's events in global time order first; the
+        # sequential interpreter then finds none left inside the slice,
+        # so all it does is what every backend does at a slice end:
+        # advance the clocks at a stop point and build the reply.
+        command = message["cmd"]
+        if command in ("epoch", "inclusive"):
+            self.router.install()
+            limit = message[_TIME_FIELD[command]]
+            while True:
+                core = self._earliest(limit, command == "inclusive")
+                if core is None:
+                    break
+                core.step_one()
+        return super()._broadcast(message)
 
 
 # -- multiprocessing backend --------------------------------------------------
@@ -184,58 +287,6 @@ def _build_worker_cores(plan_dict: Dict[str, Any], core_ids: List[int],
     return cores, router
 
 
-def _execute_command(cores: Dict[int, ShardCore], router: ShardRouter,
-                     message: Dict[str, Any],
-                     obs: bool = False) -> Dict[str, Any]:
-    """Run one worker command against this process's cores.
-
-    Shared by the bare and supervised worker mains so the command
-    semantics -- and therefore the produced histories -- cannot drift
-    between the fail-stop and the fault-tolerant protocol.  With
-    ``obs``, epoch/inclusive replies piggyback per-core observability
-    frames and ``collect`` replies carry full span dumps -- pure
-    per-core reads, so the canonical reply content is unchanged.
-    """
-    command = message["cmd"]
-    if command == "epoch":
-        for core_id in sorted(cores):
-            cores[core_id].run_epoch(message["horizon"])
-        reply: Dict[str, Any] = {"payloads": router.drain()}
-        if obs:
-            reply["obs"] = [cores[core_id].obs_frame(message["horizon"])
-                            for core_id in sorted(cores)]
-        return reply
-    if command == "inclusive":
-        for core_id in sorted(cores):
-            cores[core_id].run_inclusive(message["until"])
-        reply = {"payloads": router.drain()}
-        if obs:
-            reply["obs"] = [cores[core_id].obs_frame(message["until"])
-                            for core_id in sorted(cores)]
-        return reply
-    if command == "barrier":
-        grouped: Dict[int, List[Dict[str, Any]]] = {}
-        for payload in message["payloads"]:
-            grouped.setdefault(payload["target"], []).append(payload)
-        for core_id in sorted(cores):
-            cores[core_id].apply_barrier(
-                message["time"], grouped.get(core_id, []))
-        return {"ok": True}
-    if command == "collect":
-        entries = []
-        for core_id in sorted(cores):
-            entry = {"core": core_id,
-                     "snapshot": cores[core_id].snapshot_state(),
-                     "stream": cores[core_id].stream_entries()}
-            if obs:
-                entry["obs"] = cores[core_id].obs_dump()
-            entries.append(entry)
-        return {"cores": entries}
-    if command == "stop":
-        return {"ok": True, "stop": True}
-    raise ShardError(f"unknown worker command {command!r}")
-
-
 def _describe_error(exc: BaseException, command: Optional[str]) -> dict:
     """Worker-side failure description shipped back over the pipe, so
     supervisor logs and ShardError messages name the real cause."""
@@ -247,21 +298,36 @@ def _describe_error(exc: BaseException, command: Optional[str]) -> dict:
     }
 
 
-def _format_worker_error(shard: int, error: Any) -> str:
-    """Render a worker error reply (structured dict or legacy text)."""
-    if isinstance(error, dict):
-        command = error.get("cmd")
-        where = f" running {command!r}" if command else ""
-        return (f"shard worker {shard} failed{where}: "
-                f"{error.get('type', 'Exception')}: "
-                f"{error.get('message', '')}\n"
-                f"{error.get('traceback', '')}")
-    return f"shard worker {shard} failed:\n{error}"
+def _format_worker_error(shard: int, error: Dict[str, Any]) -> str:
+    """Render a worker's structured error reply."""
+    command = error.get("cmd")
+    where = f" running {command!r}" if command else ""
+    return (f"shard worker {shard} failed{where}: "
+            f"{error.get('type', 'Exception')}: "
+            f"{error.get('message', '')}\n"
+            f"{error.get('traceback', '')}")
+
+
+def _recv_pickled(conn: Any) -> Dict[str, Any]:
+    return conn.recv()
+
+
+def _send_pickled(conn: Any, message: Dict[str, Any],
+                  reply: Dict[str, Any]) -> None:
+    conn.send(reply)
+
+
+#: A worker's wire codec: ``recv(conn) -> message`` and
+#: ``send(conn, message, reply)`` (the reply travels with the command
+#: it answers).  Module-level functions, so the pair pickles under the
+#: ``spawn`` start method.
+WorkerCodec = Tuple[Callable[[Any], Dict[str, Any]],
+                    Callable[[Any, Dict[str, Any], Dict[str, Any]], None]]
 
 
 def _worker_main(conn: Any, plan_dict: Dict[str, Any],
-                 core_ids: List[int], sanitize: bool,
-                 obs: bool = False) -> None:
+                 core_ids: List[int], sanitize: bool, obs: bool,
+                 codec: WorkerCodec) -> None:
     """Worker entry point: rebuild this shard's cores from the plan
     and serve epoch/barrier commands until told to stop.
 
@@ -271,69 +337,87 @@ def _worker_main(conn: Any, plan_dict: Dict[str, Any],
     ``REPRO_SANITIZE=1`` -- their own race sanitizer, so barrier
     handoffs are sanitized inside every process.
     """
+    recv, send = codec
     command: Optional[str] = None
     try:
         cores, router = _build_worker_cores(plan_dict, core_ids, sanitize,
                                             obs=obs)
         while True:
-            message = conn.recv()
+            message = recv(conn)
             command = message.get("cmd")
             reply = _execute_command(cores, router, message, obs=obs)
-            conn.send(reply)
+            send(conn, message, reply)
             if reply.get("stop"):
                 break
-    except EOFError:  # parent went away: nothing left to serve
+    except EOFError:  # parent went away (or respawned us): done
         pass
     except BaseException as exc:
+        # Includes a damaged *incoming* message: the command cannot be
+        # trusted, so report and stop serving -- a supervisor treats
+        # the dying worker as a host fault.
         try:
-            conn.send({"error": _describe_error(exc, command)})
+            send(conn, {}, {"error": _describe_error(exc, command)})
         except (OSError, ValueError):
             pass
     finally:
         conn.close()
 
 
-class MpBackend:
+class MpBackend(_Backend):
     """One persistent worker process per shard, payloads over pipes."""
 
     name = "mp"
 
+    _worker_codec: WorkerCodec = (_recv_pickled, _send_pickled)
+
     def __init__(self, plan: ShardPlan, topology: ShardTopology,
                  obs: bool = False) -> None:
-        self.plan = plan
-        self.topology = topology
-        self.obs = bool(obs)
-        self._collected: List[Dict[str, Any]] = []
-        self._obs_frames: List[Dict[str, Any]] = []
+        super().__init__(plan, topology, obs=obs)
+        self._context = multiprocessing.get_context()
+        self._sanitize = bool(os.environ.get("REPRO_SANITIZE"))
         self._workers: List[Any] = []
         self._conns: List[Any] = []
-        context = multiprocessing.get_context()
-        sanitize = bool(os.environ.get("REPRO_SANITIZE"))
         plan_dict = plan.to_dict()
         for shard in range(topology.shards):
-            parent_conn, child_conn = context.Pipe()
-            process = context.Process(
-                target=_worker_main,
-                args=(child_conn, plan_dict, topology.cores_of(shard),
-                      sanitize, self.obs),
-                daemon=True,
-                name=f"repro-shard-{shard}",
-            )
-            process.start()
-            child_conn.close()
+            process, conn = self._spawn_worker(shard, plan_dict)
             self._workers.append(process)
-            self._conns.append(parent_conn)
+            self._conns.append(conn)
+
+    def _spawn_worker(self, shard: int,
+                      plan_dict: Dict[str, Any]) -> Tuple[Any, Any]:
+        parent_conn, child_conn = self._context.Pipe()
+        process = self._context.Process(
+            target=_worker_main,
+            args=(child_conn, plan_dict, self.topology.cores_of(shard),
+                  self._sanitize, self.obs, self._worker_codec),
+            daemon=True,
+            name=f"repro-shard-{shard}",
+        )
+        process.start()
+        child_conn.close()
+        return process, parent_conn
 
     # -- command plumbing -----------------------------------------------------
 
-    def _broadcast(self, message: Dict[str, Any],
-                   per_shard: Optional[List[Dict[str, Any]]] = None
-                   ) -> List[Dict[str, Any]]:
+    def _shard_messages(self, message: Dict[str, Any]
+                        ) -> List[Dict[str, Any]]:
+        """Each shard's copy of ``message``; a barrier's payloads go
+        only to the shard hosting their target core."""
+        shards = range(self.topology.shards)
+        if message["cmd"] != "barrier":
+            return [dict(message) for _ in shards]
+        grouped = _group_payloads(message["payloads"], self.topology.shard_of)
+        return [{**message, "payloads": grouped.get(shard, [])}
+                for shard in shards]
+
+    def _post(self, shard: int, message: Dict[str, Any]) -> None:
+        self._conns[shard].send(message)
+
+    def _broadcast(self, message: Dict[str, Any]) -> List[Dict[str, Any]]:
         """Send to every worker first, then gather replies, so shards
         genuinely run concurrently."""
-        for shard, conn in enumerate(self._conns):
-            payload = dict(message if per_shard is None else per_shard[shard])
-            conn.send(payload)
+        for shard, mine in enumerate(self._shard_messages(message)):
+            self._post(shard, mine)
         replies = []
         for shard, conn in enumerate(self._conns):
             try:
@@ -347,61 +431,7 @@ class MpBackend:
             replies.append(reply)
         return replies
 
-    def run_epoch(self, horizon: float) -> None:
-        replies = self._broadcast({"cmd": "epoch", "horizon": horizon})
-        self._obs_frames = []
-        for reply in replies:
-            self._collected.extend(reply["payloads"])
-            self._obs_frames.extend(reply.get("obs", []))
-
-    def run_inclusive(self, until: float) -> None:
-        replies = self._broadcast({"cmd": "inclusive", "until": until})
-        self._obs_frames = []
-        for reply in replies:
-            self._collected.extend(reply["payloads"])
-            self._obs_frames.extend(reply.get("obs", []))
-
-    def collect(self) -> List[Dict[str, Any]]:
-        out, self._collected = self._collected, []
-        return out
-
-    def collect_obs(self, time: float) -> List[Dict[str, Any]]:
-        """Frames piggybacked on the last slice's replies (already
-        pickled over the pipe, i.e. plain data by construction)."""
-        out, self._obs_frames = self._obs_frames, []
-        return sorted(out, key=lambda frame: frame["core"])
-
-    def obs_dumps(self) -> List[Dict[str, Any]]:
-        if not self.obs:
-            return []
-        return [entry["obs"] for entry in self._collect_cores()]
-
-    def barrier(self, time: float, payloads: List[Dict[str, Any]]) -> None:
-        per_shard: List[Dict[str, Any]] = [
-            {"cmd": "barrier", "time": time, "payloads": []}
-            for _ in self._conns]
-        for payload in payloads:
-            shard = self.topology.shard_of(payload["target"])
-            per_shard[shard]["payloads"].append(payload)
-        self._broadcast({"cmd": "barrier"}, per_shard=per_shard)
-
-    # -- observation ----------------------------------------------------------
-
-    def _collect_cores(self) -> List[Dict[str, Any]]:
-        replies = self._broadcast({"cmd": "collect"})
-        cores = [entry for reply in replies for entry in reply["cores"]]
-        cores.sort(key=lambda entry: entry["core"])
-        return cores
-
-    def snapshots(self) -> List[dict]:
-        return [entry["snapshot"] for entry in self._collect_cores()]
-
-    def streams(self) -> List[List[Dict[str, Any]]]:
-        return [entry["stream"] for entry in self._collect_cores()]
-
-    def local_kernels(self) -> List[Any]:
-        """No kernels live in the parent process under ``mp``."""
-        return []
+    # -- lifecycle ------------------------------------------------------------
 
     #: Host seconds granted to each shutdown stage (stop ack, join,
     #: terminate, kill); a class attribute so tests can shrink it.
@@ -418,12 +448,12 @@ class MpBackend:
         the interpreter at exit.
         """
         timeout = self.close_timeout_s
-        for conn in self._conns:
+        for shard, conn in enumerate(self._conns):
             try:
-                conn.send({"cmd": "stop"})
+                self._post(shard, {"cmd": "stop"})
                 if conn.poll(timeout):
-                    conn.recv()
-            except (OSError, EOFError, BrokenPipeError):
+                    conn.recv_bytes()  # the ack, whatever its codec
+            except (OSError, EOFError):
                 pass
             finally:
                 conn.close()
@@ -439,7 +469,7 @@ class MpBackend:
                 f"close; processes leaked")
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
-        if self._workers:
+        if getattr(self, "_workers", None):
             try:
                 self.close()
             except Exception:

@@ -49,8 +49,6 @@ perturb the simulated history.
 
 from __future__ import annotations
 
-import json
-import multiprocessing
 import os
 import signal
 import time
@@ -59,22 +57,21 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import FrameCorruptError, ShardError
 from repro.shard.backends import (
-    _build_worker_cores,
-    _describe_error,
-    _execute_command,
+    _TIME_FIELD,
+    InlineBackend,
+    MpBackend,
     _format_worker_error,
     _reap_process,
 )
-from repro.shard.core import ShardCore
 from repro.shard.frames import (
     corrupt_frame,
     decode_frame,
     encode_frame,
+    recv_frame,
     send_frame,
 )
 from repro.shard.hostfaults import HostFaultPlan, HostFaultSchedule
 from repro.shard.plan import ShardPlan
-from repro.shard.router import ShardRouter
 from repro.shard.topology import ShardTopology
 
 __all__ = ["SupervisedMpBackend", "SupervisorPolicy"]
@@ -138,17 +135,27 @@ def _wedge_forever() -> None:  # pragma: no cover - runs in worker process
         time.sleep(3600)  # repro: noqa[RPR006] -- injected 'wedge' host fault: this worker must block on wall time forever so the supervisor's heartbeat deadline expires
 
 
-def _apply_reply_faults(faults: List[Dict[str, Any]],
-                        frame: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-    """Damage this reply as the armed host faults demand.
+def _recv_framed(conn: Any) -> Dict[str, Any]:  # pragma: no cover - worker
+    """Worker codec, receiving half: one checksummed command frame.
+    Armed host-fault descriptors ride on the command and make the
+    worker damage itself at the scripted point; a ``kill`` at point
+    ``pre`` fires here, before any of the command's work."""
+    message = recv_frame(conn)
+    for fault in message.get("faults") or []:
+        if fault.get("kind") == "kill" and fault.get("point") == "pre":
+            _self_destruct()
+    return message
 
-    Returns the (possibly corrupted) frame to send, or None when the
-    reply must never arrive (``drop``).  ``kill``/``wedge`` do not
-    return.
-    """
-    for fault in faults:
+
+def _send_framed(conn: Any, message: Dict[str, Any],
+                 reply: Dict[str, Any]) -> None:  # pragma: no cover - worker
+    """Worker codec, sending half: frame ``reply``, damaged as the
+    faults armed on ``message`` demand -- it may never arrive
+    (``drop``), and ``kill``/``wedge`` do not return."""
+    frame: Optional[bytes] = encode_frame(reply)
+    for fault in message.get("faults") or []:
         kind = fault.get("kind")
-        if kind == "kill":
+        if kind == "kill":  # point "pre" never got this far
             _self_destruct()
         elif kind == "wedge":
             _wedge_forever()
@@ -158,98 +165,36 @@ def _apply_reply_faults(faults: List[Dict[str, Any]],
             frame = corrupt_frame(frame)
         elif kind == "slow":
             time.sleep(float(fault.get("delay_s", 0.0)))  # repro: noqa[RPR006] -- injected 'slow' host fault: delays a real worker process on wall time; virtual time is untouched
-    return frame
-
-
-def _supervised_worker_main(conn: Any, plan_dict: Dict[str, Any],
-                            core_ids: List[int], sanitize: bool,
-                            obs: bool = False) -> None:
-    """Framed worker loop: like ``_worker_main`` but every message is a
-    checksummed frame, and armed host-fault descriptors riding on a
-    command make the worker damage itself at the scripted point."""
-    command: Optional[str] = None
-    try:
-        cores, router = _build_worker_cores(plan_dict, core_ids, sanitize,
-                                            obs=obs)
-        while True:
-            message = decode_frame(conn.recv_bytes())
-            command = message.get("cmd")
-            faults = message.get("faults") or []
-            for fault in faults:
-                if fault.get("kind") == "kill" and \
-                        fault.get("point") == "pre":
-                    _self_destruct()
-            reply = _execute_command(cores, router, message, obs=obs)
-            frame = _apply_reply_faults(
-                [fault for fault in faults
-                 if not (fault.get("kind") == "kill"
-                         and fault.get("point") == "pre")],
-                encode_frame(reply))
-            if frame is not None:
-                conn.send_bytes(frame)
-            if reply.get("stop"):
-                break
-    except EOFError:  # supervisor went away (or respawned us): done
-        pass
-    except BaseException as exc:
-        # Includes FrameCorruptError on a damaged *incoming* frame: the
-        # command cannot be trusted, so report and stop serving -- the
-        # supervisor treats the dying worker as a host fault.
-        try:
-            send_frame(conn, {"error": _describe_error(exc, command)})
-        except (OSError, ValueError):
-            pass
-    finally:
-        conn.close()
+    if frame is not None:
+        conn.send_bytes(frame)
 
 
 # -- supervisor side ----------------------------------------------------------
 
 
-class _WorkerHandle:
-    """One shard's live worker process + pipe."""
-
-    __slots__ = ("shard", "process", "conn")
-
-    def __init__(self, shard: int, process: Any, conn: Any) -> None:
-        self.shard = shard
-        self.process = process
-        self.conn = conn
-
-
-class SupervisedMpBackend:
+class SupervisedMpBackend(MpBackend):
     """The mp backend under supervision: heartbeats, checksummed
     frames, respawn-and-replay recovery, and inline degradation.
 
     Drop-in replacement for :class:`~repro.shard.backends.MpBackend`
-    behind :class:`~repro.shard.engine.ShardedEngine` -- same
-    ``run_epoch`` / ``collect`` / ``barrier`` / ``snapshots`` surface,
-    same bit-exact merged history (host faults included).
+    behind :class:`~repro.shard.engine.ShardedEngine` -- the same
+    surface over a ``_broadcast`` that recovers, hence the same
+    bit-exact merged history (host faults included).
     """
 
     name = "mp-supervised"
 
-    #: Host seconds granted to each shutdown stage; see MpBackend.
-    close_timeout_s = 5.0
+    _worker_codec = (_recv_framed, _send_framed)
 
     def __init__(self, plan: ShardPlan, topology: ShardTopology,
                  policy: Optional[SupervisorPolicy] = None,
                  host_faults: Optional[HostFaultPlan] = None,
                  telemetry: Any = None, obs: bool = False) -> None:
-        self.plan = plan
-        self.topology = topology
-        self.policy = policy if policy is not None else SupervisorPolicy()
         if host_faults is not None:
             host_faults.validate_for(topology.shards)
+        self.policy = policy if policy is not None else SupervisorPolicy()
         self.schedule = HostFaultSchedule(host_faults)
         self.telemetry = telemetry
-        self.obs = bool(obs)
-
-        self._context = multiprocessing.get_context()
-        self._sanitize = bool(os.environ.get("REPRO_SANITIZE"))
-        self._plan_dict = plan.to_dict()
-        self._collected: List[Dict[str, Any]] = []
-        self._obs_frames: List[Dict[str, Any]] = []
         #: Committed (fully acknowledged) commands, in issue order --
         #: the recovery log.  Barrier entries keep the *full* payload
         #: list so both per-shard replay and inline degradation can
@@ -268,41 +213,34 @@ class SupervisedMpBackend:
         self.retries = [0] * topology.shards
         self.degraded = False
         self.degrade_reason: Optional[str] = None
-
-        self._mode = "mp"
-        self._cores: Optional[List[ShardCore]] = None
-        self._router: Optional[ShardRouter] = None
-        self._handles: List[_WorkerHandle] = [
-            self._spawn_worker(shard) for shard in range(topology.shards)]
+        #: Where every command goes once the run has degraded.
+        self._inline: Optional[InlineBackend] = None
+        super().__init__(plan, topology, obs=obs)
 
     # -- worker lifecycle -----------------------------------------------------
 
-    def _spawn_worker(self, shard: int) -> _WorkerHandle:
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
-            target=_supervised_worker_main,
-            args=(child_conn, self._plan_dict, self.topology.cores_of(shard),
-                  self._sanitize, self.obs),
-            daemon=True,
-            name=f"repro-shard-sup-{shard}",
-        )
-        process.start()
-        child_conn.close()
-        return _WorkerHandle(shard, process, parent_conn)
+    def _discard_worker(self, shard: int) -> None:
+        """Get rid of a worker whose state is already written off.
 
-    def _kill_worker(self, handle: _WorkerHandle) -> None:
+        SIGKILL first (before the pipe closes, so every discarded
+        worker dies the same way), reap second: waiting for the worker
+        to notice its closed pipe does not work under ``fork``, where
+        later-spawned siblings inherit the parent's end of earlier
+        workers' pipes and a live worker therefore never reads EOF."""
+        self._workers[shard].kill()
         try:
-            handle.conn.close()
+            self._conns[shard].close()
         except OSError:  # pragma: no cover - already torn down
             pass
-        _reap_process(handle.process, self.close_timeout_s)
+        _reap_process(self._workers[shard], self.close_timeout_s)
 
     def _respawn_worker(self, shard: int, attempt: int) -> None:
-        self._kill_worker(self._handles[shard])
+        self._discard_worker(shard)
         backoff = self.policy.backoff_for(attempt)
         if backoff > 0:
             time.sleep(backoff)  # repro: noqa[RPR006] -- supervision backoff is host-level by design: it paces real process respawns and never touches virtual time, so the simulated history is unperturbed
-        self._handles[shard] = self._spawn_worker(shard)
+        self._workers[shard], self._conns[shard] = self._spawn_worker(
+            shard, self.plan.to_dict())
         self.restarts[shard] += 1
         self._event("worker.restart", shard=shard, attempt=attempt)
 
@@ -340,12 +278,24 @@ class SupervisedMpBackend:
 
     # -- framed exchanges with recovery ---------------------------------------
 
+    def _post(self, shard: int, message: Dict[str, Any]) -> None:
+        send_frame(self._conns[shard], message)
+
     def _send(self, shard: int, message: Dict[str, Any]) -> bool:
         try:
-            self._handles[shard].conn.send_bytes(encode_frame(message))
+            self._post(shard, message)
             return True
-        except (OSError, BrokenPipeError, ValueError):
+        except (OSError, ValueError):
             return False
+
+    def _armed(self, shard: int, message: Dict[str, Any],
+               arm: bool) -> Dict[str, Any]:
+        """``message`` plus the host faults due on this shard now
+        (consumed on arming, so a retried command runs clean)."""
+        faults = self.schedule.arm(shard, self._epoch_index) if arm else []
+        if faults:
+            self._event("fault.armed", shard=shard, fault=faults[0]["kind"])
+        return {**message, "faults": faults}
 
     def _await(self, shard: int) -> Tuple[str, Any]:
         """Wait for one framed reply under the heartbeat deadline.
@@ -354,7 +304,7 @@ class SupervisedMpBackend:
         ``hang`` (deadline expired), ``crash`` (pipe died), or
         ``corrupt`` (frame failed its checksum).  A structured worker
         error is deterministic, not a host fault, and raises."""
-        conn = self._handles[shard].conn
+        conn = self._conns[shard]
         deadline = self.policy.deadline_s
         try:
             if not conn.poll(deadline):
@@ -392,24 +342,14 @@ class SupervisedMpBackend:
         replay -- double faults are encoded as a second plan entry
         firing on the *retried* command instead."""
         for command in self._log:
-            message = self._message_for_shard(shard, command)
-            if not self._send(shard, message):
+            if not self._send(shard, self._shard_messages(command)[shard]):
                 return False, "crash: pipe closed during replay"
             status, detail = self._await(shard)
             if status != "ok":
                 return False, f"{status} during replay: {detail}"
         return True, ""
 
-    def _message_for_shard(self, shard: int,
-                           command: Dict[str, Any]) -> Dict[str, Any]:
-        if command["cmd"] == "barrier":
-            mine = [payload for payload in command["payloads"]
-                    if self.topology.shard_of(payload["target"]) == shard]
-            return {"cmd": "barrier", "time": command["time"],
-                    "payloads": mine, "faults": []}
-        return {**command, "faults": []}
-
-    def _finish_exchange(self, shard: int, base_message: Dict[str, Any],
+    def _finish_exchange(self, shard: int, message: Dict[str, Any],
                          arm: bool, in_flight: bool,
                          ) -> Optional[Dict[str, Any]]:
         """Drive one shard's exchange to a committed reply, recovering
@@ -432,60 +372,54 @@ class SupervisedMpBackend:
                     continue
                 need_recovery = False
                 self._event("epoch.retry", shard=shard,
-                            cmd=base_message.get("cmd"), attempt=failures)
+                            cmd=message["cmd"], attempt=failures)
             if in_flight:
                 in_flight = False
                 status, value = self._await(shard)
+            elif self._send(shard, self._armed(shard, message, arm)):
+                status, value = self._await(shard)
             else:
-                faults = (self.schedule.arm(shard, self._epoch_index)
-                          if arm else [])
-                if faults:
-                    self._event("fault.armed", shard=shard,
-                                fault=faults[0]["kind"])
-                message = {**base_message, "faults": faults}
-                if self._send(shard, message):
-                    status, value = self._await(shard)
-                else:
-                    status, value = "crash", "pipe closed on send"
+                status, value = "crash", "pipe closed on send"
             if status == "ok":
                 return value
             failures += 1
             self.retries[shard] += 1
             self._event("fault.detected", shard=shard, failure=status,
                         detail=str(value), attempt=failures,
-                        cmd=base_message.get("cmd"))
+                        cmd=message["cmd"])
             if self._budget_exhausted(shard, failures, status, value):
                 return None
             need_recovery = True
 
-    def _broadcast(self, message: Optional[Dict[str, Any]],
-                   per_shard: Optional[List[Dict[str, Any]]] = None,
-                   arm: bool = False) -> Optional[List[Dict[str, Any]]]:
+    def _broadcast(self, message: Dict[str, Any]) -> List[Dict[str, Any]]:
         """Supervised fan-out: optimistic concurrent first attempt,
-        then per-shard recovery.  None means the run degraded and the
-        caller must re-run the current command on the inline path."""
-        messages: List[Dict[str, Any]] = []
-        in_flight: List[bool] = []
-        for shard in range(self.topology.shards):
-            base = dict(message if per_shard is None else per_shard[shard])
-            faults = self.schedule.arm(shard, self._epoch_index) if arm else []
-            if faults:
-                self._event("fault.armed", shard=shard,
-                            fault=faults[0]["kind"])
-            base["faults"] = faults
-            messages.append(base)
-            # Send to every worker before gathering any reply, so the
-            # shards genuinely run concurrently.
-            in_flight.append(self._send(shard, base))
+        then per-shard recovery.  A run that has degraded -- before or
+        during this command -- executes it on the inline backend."""
+        if self._inline is not None:
+            return self._inline._broadcast(message)
+        command = message["cmd"]
+        arm = command in ("epoch", "inclusive")
+        if arm:
+            self._epoch_index += 1
+        if command in _TIME_FIELD:
+            self._time = message[_TIME_FIELD[command]]
+        messages = self._shard_messages(message)
+        # Send to every worker before gathering any reply, so the
+        # shards genuinely run concurrently.
+        in_flight = [self._send(shard, self._armed(shard, mine, arm))
+                     for shard, mine in enumerate(messages)]
         replies: List[Dict[str, Any]] = []
-        for shard, base in enumerate(messages):
-            reply = self._finish_exchange(
-                shard, {key: value for key, value in base.items()
-                        if key != "faults"},
-                arm=arm, in_flight=in_flight[shard])
-            if reply is None:
-                return None
+        for shard, mine in enumerate(messages):
+            reply = self._finish_exchange(shard, mine, arm, in_flight[shard])
+            if reply is None:  # degraded mid-command; partial replies moot
+                return self._inline._broadcast(message)
             replies.append(reply)
+        if command in _TIME_FIELD:
+            logged = dict(message)
+            if command == "barrier":
+                logged["payloads"] = [dict(payload)
+                                      for payload in message["payloads"]]
+            self._log.append(logged)
         return replies
 
     # -- degradation ----------------------------------------------------------
@@ -493,186 +427,24 @@ class SupervisedMpBackend:
     def _degrade(self, reason: str) -> None:
         """Migrate the entire run to the inline backend mid-run.
 
-        Stops every worker, rebuilds all cores in-process, and replays
-        the committed command log against them.  Legal because engine
-        snapshots exclude backend/shard identity; bit-exact because
-        the log *is* the universe's input history."""
+        Discards every worker, builds an :class:`InlineBackend` (all
+        cores in-process) and replays the committed command log
+        through it.  Legal because engine snapshots exclude
+        backend/shard identity; bit-exact because the log *is* the
+        universe's input history.  ``local_kernels()`` stays empty
+        like the bare mp backend's, so recorder fan-out does not
+        depend on backend fate."""
         self._event("backend.degrade", detail=reason)
         self.degraded = True
         self.degrade_reason = reason
-        for handle in self._handles:
-            self._kill_worker(handle)
-        self._handles = []
-        self._router = ShardRouter()
-        self._router.install()
-        self._cores = [ShardCore(core_id, self.plan, self._router,
-                                 obs=self.obs)
-                       for core_id in range(self.plan.cores)]
-        self._mode = "inline"
+        for shard in range(len(self._workers)):
+            self._discard_worker(shard)
+        self._workers, self._conns = [], []
+        self._inline = InlineBackend(self.plan, self.topology, obs=self.obs)
         for command in self._log:
-            self._apply_inline(command)
-
-    def _apply_inline(self, command: Dict[str, Any]) -> List[Dict[str, Any]]:
-        """Execute one logged command on the in-process cores."""
-        assert self._router is not None and self._cores is not None
-        self._router.install()
-        cmd = command["cmd"]
-        if cmd == "epoch":
-            for core in self._cores:
-                core.run_epoch(command["horizon"])
-            return self._router.drain()
-        if cmd == "inclusive":
-            for core in self._cores:
-                core.run_inclusive(command["until"])
-            return self._router.drain()
-        if cmd == "barrier":
-            grouped: Dict[int, List[Dict[str, Any]]] = {}
-            for payload in command["payloads"]:
-                grouped.setdefault(payload["target"], []).append(payload)
-            for core in self._cores:
-                core.apply_barrier(command["time"],
-                                   grouped.get(core.core_id, []))
-            return []
-        raise ShardError(f"unknown inline command {cmd!r}")
-
-    # -- backend interface ----------------------------------------------------
-
-    def _inline_obs_frames(self, time: float) -> List[Dict[str, Any]]:
-        """Frames from the in-process cores after a degrade (JSON
-        round-tripped to match what the pipe path ships)."""
-        assert self._cores is not None
-        return json.loads(json.dumps(
-            [core.obs_frame(time) for core in self._cores]))
-
-    def _run_slice(self, command: Dict[str, Any]) -> None:
-        """Common path for epoch/inclusive commands."""
-        self._epoch_index += 1
-        slice_time = command.get("horizon", command.get("until"))
-        if self._mode == "inline":
-            self._collected.extend(self._apply_inline(command))
-            if self.obs:
-                self._obs_frames = self._inline_obs_frames(slice_time)
-            return
-        replies = self._broadcast(command, arm=True)
-        if replies is None:  # degraded mid-command; partial replies moot
-            self._collected.extend(self._apply_inline(command))
-            if self.obs:
-                self._obs_frames = self._inline_obs_frames(slice_time)
-            return
-        self._obs_frames = []
-        for reply in replies:
-            self._collected.extend(reply["payloads"])
-            self._obs_frames.extend(reply.get("obs", []))
-        self._log.append(dict(command))
-
-    def run_epoch(self, horizon: float) -> None:
-        self._time = horizon
-        self._run_slice({"cmd": "epoch", "horizon": horizon})
-
-    def run_inclusive(self, until: float) -> None:
-        self._time = until
-        self._run_slice({"cmd": "inclusive", "until": until})
-
-    def collect(self) -> List[Dict[str, Any]]:
-        out, self._collected = self._collected, []
-        return out
-
-    def collect_obs(self, time: float) -> List[Dict[str, Any]]:
-        """Frames from the last committed slice (cumulative, so a
-        recovered-and-replayed worker reproduced them bit-exactly)."""
-        out, self._obs_frames = self._obs_frames, []
-        return sorted(out, key=lambda frame: frame["core"])
-
-    def obs_dumps(self) -> List[Dict[str, Any]]:
-        if not self.obs:
-            return []
-        return [entry["obs"] for entry in self._collect_cores()]
-
-    def barrier(self, time_: float, payloads: List[Dict[str, Any]]) -> None:
-        self._time = time_
-        command = {"cmd": "barrier", "time": time_,
-                   "payloads": [dict(payload) for payload in payloads]}
-        if self._mode == "inline":
-            self._apply_inline(command)
-            return
-        per_shard: List[Dict[str, Any]] = [
-            {"cmd": "barrier", "time": time_, "payloads": []}
-            for _ in range(self.topology.shards)]
-        for payload in payloads:
-            shard = self.topology.shard_of(payload["target"])
-            per_shard[shard]["payloads"].append(payload)
-        replies = self._broadcast(None, per_shard=per_shard)
-        if replies is None:
-            self._apply_inline(command)
-            return
-        self._log.append(command)
-
-    # -- observation ----------------------------------------------------------
-
-    def _collect_cores(self) -> List[Dict[str, Any]]:
-        if self._mode == "inline":
-            assert self._cores is not None
-            entries = []
-            for core in self._cores:
-                entry = {"core": core.core_id,
-                         "snapshot": core.snapshot_state(),
-                         "stream": core.stream_entries()}
-                if self.obs:
-                    entry["obs"] = json.loads(json.dumps(core.obs_dump()))
-                entries.append(entry)
-            return entries
-        replies = self._broadcast({"cmd": "collect"})
-        if replies is None:  # degraded during collection
-            return self._collect_cores()
-        cores = [entry for reply in replies for entry in reply["cores"]]
-        cores.sort(key=lambda entry: entry["core"])
-        return cores
-
-    def snapshots(self) -> List[dict]:
-        return [entry["snapshot"] for entry in self._collect_cores()]
-
-    def streams(self) -> List[List[Dict[str, Any]]]:
-        return [entry["stream"] for entry in self._collect_cores()]
-
-    def local_kernels(self) -> List[Any]:
-        """Empty like the bare mp backend, and kept empty after a
-        degrade so recorder fan-out does not depend on backend fate."""
-        return []
-
-    # -- lifecycle ------------------------------------------------------------
+            self._inline._broadcast(command)
 
     def close(self) -> None:
-        if self._mode == "inline":
-            if self._router is not None:
-                self._router.uninstall()
-            self._cores = None
-            self._router = None
-            return
-        timeout = self.close_timeout_s
-        unkillable: List[int] = []
-        for shard, handle in enumerate(self._handles):
-            try:
-                send_frame(handle.conn, {"cmd": "stop", "faults": []})
-                if handle.conn.poll(timeout):
-                    handle.conn.recv_bytes()
-            except (OSError, EOFError, BrokenPipeError):
-                pass
-            finally:
-                try:
-                    handle.conn.close()
-                except OSError:  # pragma: no cover - already torn down
-                    pass
-            if not _reap_process(handle.process, timeout):  # pragma: no cover
-                unkillable.append(shard)
-        self._handles = []
-        if unkillable:  # pragma: no cover - kernel-level wedge
-            raise ShardError(
-                f"supervised shard worker(s) {unkillable} survived SIGKILL "
-                f"during close; processes leaked")
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        if getattr(self, "_handles", None):
-            try:
-                self.close()
-            except Exception:
-                pass
+        if self._inline is not None:
+            self._inline.close()
+        super().close()

@@ -51,7 +51,7 @@ def test_supervised_close_does_not_hang_on_a_wedged_worker():
     engine.advance(200.0)
     backend = engine._backend
     backend.close_timeout_s = 1.0
-    victim = backend._handles[0].process
+    victim = backend._workers[0]
     os.kill(victim.pid, signal.SIGSTOP)
     engine.close()
     assert not victim.is_alive()

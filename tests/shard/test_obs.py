@@ -78,6 +78,31 @@ def test_recovery_annex_isolated_from_canonical_record():
     assert killed_report["canonical_sha256"] == report["canonical_sha256"]
 
 
+def test_degraded_run_keeps_the_canonical_record():
+    """Budget exhaustion mid-run with obs on: the inline backend the
+    supervisor degrades to rebuilds every obs frame and span from the
+    command log, so nothing canonical may differ from a run that was
+    inline all along."""
+    with ShardedEngine(mix_plan(seed=11, cores=4), shards=2, backend="mp",
+                       supervise=True,
+                       policy=SupervisorPolicy(max_retries=0),
+                       host_faults=HostFaultPlan(
+                           [HostFault("kill", shard=0, epoch=2)]),
+                       obs=True) as engine:
+        engine.advance(UNTIL)
+        assert engine.recovery_summary()["degraded"] is True
+        trace = json.loads(engine.stitched_trace())
+        metrics = engine.aggregated_metrics()
+        slo = engine.slo_report()
+    with ShardedEngine(mix_plan(seed=11, cores=4), shards=2,
+                       backend="inline", obs=True) as engine:
+        engine.advance(UNTIL)
+        want_trace = json.loads(engine.stitched_trace())
+        assert metrics == engine.aggregated_metrics()
+        assert slo == engine.slo_report()
+    assert trace["metadata"]["sha256"] == want_trace["metadata"]["sha256"]
+
+
 def test_observation_does_not_perturb_the_simulation():
     """obs on/off must leave the dispatch stream and final state
     bit-identical -- observation is a read, never an actor."""

@@ -10,6 +10,8 @@ history -- that is the whole contract.
 
 from __future__ import annotations
 
+import signal
+
 import pytest
 
 from repro.checkpoint.statetree import tree_checksum
@@ -248,6 +250,23 @@ def test_degraded_engine_keeps_serving_and_closes_cleanly():
         engine.advance(UNTIL)  # inline mode keeps advancing
         assert engine.merged_stream()
         assert engine.shard_kernels() == []  # stays mp-shaped
+
+
+def test_discarded_workers_are_killed_not_waited_on():
+    """A worker being discarded has no state worth saving, and under
+    ``fork`` a live one never reads EOF from its closed pipe (siblings
+    spawned later hold inherited copies of the parent's end), so
+    waiting for it to exit only burns ``close_timeout_s`` before the
+    terminate rung: every discarded worker must die by SIGKILL."""
+    policy = SupervisorPolicy(max_retries=0, deadline_s=15.0,
+                              backoff_base_s=0.01)
+    fault = HostFaultPlan([HostFault("kill", shard=0, epoch=1)])
+    with ShardedEngine(_plan(), shards=4, backend="mp", supervise=True,
+                       policy=policy, host_faults=fault) as engine:
+        workers = list(engine._backend._workers)  # three stay live
+        engine.advance(UNTIL)
+        assert engine.recovery_summary()["degraded"] is True
+    assert [worker.exitcode for worker in workers] == [-signal.SIGKILL] * 4
 
 
 # -- deterministic errors are not host faults ----------------------------------
