@@ -39,7 +39,7 @@ checks every Nth quantum when that matters.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 from repro.core.tickets import Currency, Ledger, Ticket, TicketHolder
 from repro.errors import InvariantViolation
@@ -153,6 +153,55 @@ def check_currency_graph(ledger: Ledger) -> List[str]:
 # -- family 1: ticket conservation ----------------------------------------
 
 
+def _check_nominal_caches(ledger: Ledger,
+                          holders: Iterable[TicketHolder]) -> List[str]:
+    """Whatever the nominal caches serve must be the bit-identical float
+    the defining sums produce (no tolerance: that is their contract).
+
+    The reference walk below reads none of the audited caches; it only
+    remembers each currency's two sums for the length of this one audit,
+    during which nothing mutates.
+    """
+    issued: Dict[int, float] = {}
+    nominal: Dict[int, float] = {}
+
+    def ticket_value(ticket: Ticket) -> float:
+        currency = ticket.currency
+        if currency.is_base:
+            return ticket.amount
+        key = id(currency)
+        if key not in issued:
+            issued[key] = sum(t.amount for t in currency.issued)
+        if issued[key] <= 0:
+            return 0.0
+        return currency_value(currency) * (ticket.amount / issued[key])
+
+    def currency_value(currency: Currency) -> float:
+        key = id(currency)
+        if key not in nominal:
+            nominal[key] = sum(ticket_value(t) for t in currency.backing)
+        return nominal[key]
+
+    violations: List[str] = []
+    for currency in ledger.currencies():
+        if not currency.is_base and \
+                currency.nominal_base_value() != currency_value(currency):
+            violations.append(
+                f"currency {currency.name!r} cached nominal value "
+                f"{currency.nominal_base_value()!r} != recomputed "
+                f"{currency_value(currency)!r} (stale valuation cache)"
+            )
+    for holder in holders:
+        recomputed = sum(ticket_value(t) for t in holder.tickets)
+        if holder.nominal_funding() != recomputed:
+            violations.append(
+                f"holder {holder.name!r} cached nominal funding "
+                f"{holder.nominal_funding()!r} != recomputed "
+                f"{recomputed!r} (stale valuation cache)"
+            )
+    return violations
+
+
 def check_ticket_conservation(ledger: Ledger) -> List[str]:
     """Client funding sums to the active base issue; caches are coherent."""
     violations: List[str] = []
@@ -176,6 +225,15 @@ def check_ticket_conservation(ledger: Ledger) -> List[str]:
                         f"ticket {ticket!r} funds holder {target.name!r} "
                         f"but is missing from its ticket list"
                     )
+
+    try:
+        violations.extend(_check_nominal_caches(ledger, holders.values()))
+    except RecursionError:
+        # Nominal valuation ignores activation, so unlike base_value()
+        # it never bottoms out on a (tampered-in) funding cycle.
+        violations.append(
+            "nominal valuation does not terminate: the currency funding "
+            "graph has a cycle")
 
     for holder in holders.values():
         for ticket in holder.tickets:

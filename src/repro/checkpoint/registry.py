@@ -266,9 +266,10 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
     "repro.telemetry.probe.Telemetry": {
         "covered": {"tracer", "registry"},
         # Probe wiring is re-attached after restore, never restored
-        # from data (same rule as Kernel.recorder).
+        # from data (same rule as Kernel.recorder); _bound holds
+        # handles into the (covered) registry, re-bound on first use.
         "transient": {"_probes", "_instrumented_policies",
-                      "_observing_checkpoints"},
+                      "_observing_checkpoints", "_bound"},
     },
     "repro.workloads.arrivals.ArrivalProcess": {
         "covered": {"rate_per_s", "prng", "clock_ms", "emitted"},

@@ -33,7 +33,7 @@ create/destroy/fund/unfund/value operations of the minimal kernel
 interface (section 4.3), plus cached valuation ("currency conversions
 can be accelerated by caching values or exchange rates").
 
-Valuation caching happens at two levels, both with **exact**
+Valuation caching happens at three levels, all with **exact**
 invalidation (a cached value is only ever served when a recomputation
 would produce the bit-identical float):
 
@@ -44,7 +44,15 @@ would produce the bit-identical float):
   currency's value or active amount invalidates exactly the holders
   downstream of it, so a draw over N statically funded threads costs N
   cached reads instead of N graph walks, and the tree scheduler can
-  skip untouched members entirely.
+  skip untouched members entirely;
+* the *nominal* (as-if-everything-competed) side -- a currency's
+  :meth:`Currency.issued_amount` and :meth:`Currency.nominal_base_value`
+  and a holder's :meth:`TicketHolder.nominal_funding` -- is cached the
+  same way, but goes stale on **structural** mutations only (ticket
+  create/destroy/``set_amount``, ``fund``/``unfund``, holder
+  attach/detach): activation never moves a nominal value, so telemetry
+  and transfer sizing read blocked threads' worth at cached-read cost.
+  The same downstream walk invalidates both sides.
 """
 
 from __future__ import annotations
@@ -61,8 +69,9 @@ __all__ = ["Ticket", "Currency", "TicketHolder", "Ledger", "FundingTarget",
            "set_funding_cache_enabled", "funding_cache_enabled"]
 
 #: Escape hatch for the perf equivalence suite: with caching disabled,
-#: every funding() call recomputes from the live graph (the pre-cache
-#: behaviour), while the dirty-flag/watcher bookkeeping stays identical.
+#: every funding() and nominal valuation recomputes from the live graph
+#: (the pre-cache behaviour), while the dirty-flag/watcher bookkeeping
+#: stays identical.
 _funding_cache_enabled = True
 
 
@@ -94,7 +103,8 @@ class TicketHolder:
     """
 
     __slots__ = ("name", "tickets", "_competing", "funding_currency",
-                 "_funding_value", "_funding_dirty", "_funding_watcher")
+                 "_funding_value", "_funding_dirty", "_funding_watcher",
+                 "_nominal_value")
 
     def __init__(self, name: str = "holder") -> None:
         self.name = name
@@ -114,17 +124,22 @@ class TicketHolder:
         #: funding is invalidated; the tree scheduler uses it to keep a
         #: dirty set instead of revaluing every member per draw.
         self._funding_watcher: Optional[Callable[["TicketHolder"], None]] = None
+        #: Cached :meth:`nominal_funding`; None while stale (structural
+        #: mutations upstream clear it, activation never does).
+        self._nominal_value: Optional[float] = None
 
     # -- ticket bookkeeping ------------------------------------------------
 
     def _attach(self, ticket: "Ticket") -> None:
         self.tickets.append(ticket)
+        self._nominal_value = None
         self._invalidate_funding()
         if self._competing:
             ticket.activate()
 
     def _detach(self, ticket: "Ticket") -> None:
         self.tickets.remove(ticket)
+        self._nominal_value = None
         self._invalidate_funding()
         if ticket.active:
             ticket.deactivate()
@@ -205,8 +220,14 @@ class TicketHolder:
         Used for reporting, for sizing ticket transfers out of blocked
         threads, and for the release lottery of lottery-scheduled
         mutexes; the CPU lottery itself only sees active tickets.
+        Cached like :meth:`funding`, but only structural mutations
+        invalidate it.
         """
-        return sum(t.nominal_value() for t in self.tickets)
+        value = self._nominal_value
+        if value is None or not _funding_cache_enabled:
+            value = sum(t.nominal_value() for t in self.tickets)
+            self._nominal_value = value
+        return value
 
     def snapshot_state(self) -> dict:
         """Typed state tree for checkpointing (see ``repro.checkpoint``)."""
@@ -272,6 +293,7 @@ class Ticket:
         self.tag = tag
         self._destroyed = False
         currency._issued.append(self)
+        currency._issue_changed()
 
     # -- amount -------------------------------------------------------------
 
@@ -299,6 +321,10 @@ class Ticket:
             # a base-denominated ticket (whose value IS its amount) is
             # exempt from that walk, so cover our own target here.
             self._invalidate_target()
+        # Nominal side, same shape: siblings through the currency's
+        # downstream walk, our own target for the base exemption.
+        self.currency._issue_changed()
+        self._invalidate_target(nominal=True)
         self.currency._ledger._bump_epoch()
 
     # -- funding edges -------------------------------------------------------
@@ -313,6 +339,7 @@ class Ticket:
             self.currency._ledger._check_acyclic(self.currency, target)
             target._backing.append(self)
             self.target = target
+            self._invalidate_target(nominal=True)
             # A backing ticket is active iff the funded currency has
             # active consumers (paper section 4.4).
             if target.active_amount > 0:
@@ -330,6 +357,7 @@ class Ticket:
             self.target._backing.remove(self)
             if self._active:
                 self.deactivate()
+            self._invalidate_target(nominal=True)
             self.target = None
         else:
             holder = self.target
@@ -360,18 +388,24 @@ class Ticket:
         self.currency._adjust_active(-self._amount)
         self._invalidate_target()
 
-    def _invalidate_target(self) -> None:
+    def _invalidate_target(self, nominal: bool = False) -> None:
         """Invalidate whatever this ticket's value flows into.
 
         A holder target's cached funding goes stale directly; a currency
         target's value changed, which cascades to everything funded
-        downstream of it.
+        downstream of it.  ``nominal`` selects the side that moved: the
+        as-if-active valuation (structural mutations) instead of the
+        active one.
         """
         target = self.target
         if target is None:
             return
         if isinstance(target, Currency):
-            target._invalidate_downstream()
+            if nominal:
+                target._nominal_value = None
+            target._invalidate_downstream(nominal)
+        elif nominal:
+            target._nominal_value = None
         else:
             target._invalidate_funding()
 
@@ -416,6 +450,7 @@ class Ticket:
         self.unfund()
         if self in self.currency._issued:
             self.currency._issued.remove(self)
+            self.currency._issue_changed()
         self._destroyed = True
         self.currency._ledger._bump_epoch()
 
@@ -431,7 +466,8 @@ class Currency:
     """A named denomination for tickets (paper sections 3.3 and 4.4)."""
 
     __slots__ = ("name", "is_base", "_ledger", "_backing", "_issued",
-                 "_active_amount", "_cached_value", "_cached_epoch")
+                 "_active_amount", "_cached_value", "_cached_epoch",
+                 "_issued_total", "_nominal_value")
 
     def __init__(self, name: str, ledger: "Ledger", is_base: bool = False) -> None:
         self.name = name
@@ -446,6 +482,9 @@ class Currency:
         # Valuation cache: (ledger epoch, value).
         self._cached_value: Optional[float] = None
         self._cached_epoch = -1
+        # Nominal-side caches; None while stale.
+        self._issued_total: Optional[float] = None
+        self._nominal_value: Optional[float] = None
 
     # -- structure -----------------------------------------------------------
 
@@ -494,13 +533,27 @@ class Currency:
             self._invalidate_downstream()
         self._ledger._bump_epoch()
 
-    def _invalidate_downstream(self) -> None:
+    def _issue_changed(self) -> None:
+        """An issued ticket was created, destroyed or re-sized.
+
+        Every sibling's share of the issue moved, so everything funded
+        downstream is nominally stale -- except under the base currency,
+        whose tickets are worth their face amount whatever the issue
+        (the same exemption as in :meth:`_adjust_active`).
+        """
+        self._issued_total = None
+        if not self.is_base:
+            self._invalidate_downstream(nominal=True)
+
+    def _invalidate_downstream(self, nominal: bool = False) -> None:
         """Invalidate every holder funded (transitively) by this currency.
 
         Walks issued tickets to their targets, descending through
         currency targets; the funding graph is acyclic (enforced by
         :meth:`Ledger._check_acyclic`), and the visited set keeps
-        diamond-shaped funding from re-walking a currency.
+        diamond-shaped funding from re-walking a currency.  With
+        ``nominal`` the walk clears the nominal caches of the holders
+        and currencies it reaches instead of the holders' funding.
         """
         stack: List[Currency] = [self]
         visited = {id(self)}
@@ -513,7 +566,11 @@ class Currency:
                 if isinstance(target, Currency):
                     if id(target) not in visited:
                         visited.add(id(target))
+                        if nominal:
+                            target._nominal_value = None
                         stack.append(target)
+                elif nominal:
+                    target._nominal_value = None
                 else:
                     target._invalidate_funding()
 
@@ -561,7 +618,11 @@ class Currency:
 
     def issued_amount(self) -> float:
         """Sum of the amounts of all issued tickets, active or not."""
-        return sum(t.amount for t in self._issued)
+        total = self._issued_total
+        if total is None or not _funding_cache_enabled:
+            total = sum(t.amount for t in self._issued)
+            self._issued_total = total
+        return total
 
     def nominal_base_value(self) -> float:
         """Value in base units as if the whole funding graph were active.
@@ -572,7 +633,11 @@ class Currency:
         """
         if self.is_base:
             return self.issued_amount()
-        return sum(t.nominal_value() for t in self._backing)
+        value = self._nominal_value
+        if value is None or not _funding_cache_enabled:
+            value = sum(t.nominal_value() for t in self._backing)
+            self._nominal_value = value
+        return value
 
     def destroy(self) -> None:
         """Remove an empty currency from the ledger."""

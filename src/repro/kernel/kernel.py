@@ -209,7 +209,9 @@ class Kernel:
     @property
     def now(self) -> float:
         """Current virtual time in milliseconds."""
-        return self.engine.now
+        # Straight to the clock: one property hop fewer than
+        # ``engine.now`` on a path every dispatch reads several times.
+        return self.engine.clock.now
 
     def run_until(self, time: float) -> None:
         """Advance the whole machine to virtual time ``time``.

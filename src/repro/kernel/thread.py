@@ -16,6 +16,7 @@ special cases.  The thread's *body* is a generator yielding
 from __future__ import annotations
 
 import enum
+from types import MappingProxyType
 from typing import Any, Callable, Generator, List, Optional, TYPE_CHECKING
 
 from repro.core.tickets import Currency, Ledger, Ticket, TicketHolder
@@ -46,6 +47,22 @@ class ThreadState(enum.Enum):
     RUNNING = "running"
     BLOCKED = "blocked"
     EXITED = "exited"
+
+
+#: Legal lifecycle edges, ``state -> states reachable in one step``;
+#: built once, read-only (a mapping proxy over frozensets).
+_LEGAL_TRANSITIONS = MappingProxyType({  # shard: shard-local -- constant rule table
+    ThreadState.CREATED: frozenset({ThreadState.RUNNABLE,
+                                    ThreadState.EXITED}),
+    ThreadState.RUNNABLE: frozenset({ThreadState.RUNNING,
+                                     ThreadState.EXITED}),
+    ThreadState.RUNNING: frozenset({ThreadState.RUNNABLE,
+                                    ThreadState.BLOCKED,
+                                    ThreadState.EXITED}),
+    ThreadState.BLOCKED: frozenset({ThreadState.RUNNABLE,
+                                    ThreadState.EXITED}),
+    ThreadState.EXITED: frozenset(),
+})
 
 
 class ThreadContext:
@@ -186,18 +203,7 @@ class Thread(TicketHolder):
 
     def transition(self, new_state: ThreadState) -> None:
         """Move between lifecycle states, validating the edge."""
-        valid = {
-            ThreadState.CREATED: {ThreadState.RUNNABLE, ThreadState.EXITED},
-            ThreadState.RUNNABLE: {ThreadState.RUNNING, ThreadState.EXITED},
-            ThreadState.RUNNING: {
-                ThreadState.RUNNABLE,
-                ThreadState.BLOCKED,
-                ThreadState.EXITED,
-            },
-            ThreadState.BLOCKED: {ThreadState.RUNNABLE, ThreadState.EXITED},
-            ThreadState.EXITED: set(),
-        }
-        if new_state not in valid[self.state]:
+        if new_state not in _LEGAL_TRANSITIONS[self.state]:
             raise ThreadStateError(
                 f"thread {self.name!r}: illegal transition "
                 f"{self.state.value} -> {new_state.value}"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from repro.errors import ShardError
 from repro.shard.builders import BODY_REGISTRY
@@ -66,34 +66,38 @@ class ShardPlan:
     def add_thread(self, core: int, body: str, name: str, tickets: float,
                    **args: Any) -> "ShardPlan":
         """Append a thread spec (chainable)."""
-        self.threads.append({"core": int(core), "body": body, "name": name,
-                             "tickets": float(tickets), "args": dict(args)})
-        self._validate()
+        spec = {"core": int(core), "body": body, "name": name,
+                "tickets": float(tickets), "args": dict(args)}
+        self._check_thread(spec)
+        self.threads.append(spec)
         return self
 
     def add_channel(self, name: str, home: int) -> "ShardPlan":
         """Append a cross-core channel homed on ``home`` (chainable)."""
-        self.channels.append({"name": name, "home": int(home)})
-        self._validate()
+        spec = {"name": name, "home": int(home)}
+        self._check_channel(spec)
+        self.channels.append(spec)
         return self
 
     def migrate(self, at: float, thread: str, src: int,
                 dst: int) -> "ShardPlan":
         """Script a restart-migration of ``thread`` from ``src`` to
         ``dst`` at virtual time ``at`` (chainable)."""
-        self.ops.append({"op": "migrate", "at": float(at), "thread": thread,
-                         "src": int(src), "dst": int(dst)})
-        self._validate()
+        op = {"op": "migrate", "at": float(at), "thread": thread,
+              "src": int(src), "dst": int(dst)}
+        self._check_op(op)
+        self.ops.append(op)
         return self
 
     def crash(self, at: float, core: int,
               evacuate_to: Optional[int] = None) -> "ShardPlan":
         """Script a core crash at ``at``; restartable threads are
         respawned on ``evacuate_to`` when given (chainable)."""
-        self.ops.append({"op": "crash", "at": float(at), "core": int(core),
-                         "evacuate_to": (None if evacuate_to is None
-                                         else int(evacuate_to))})
-        self._validate()
+        op = {"op": "crash", "at": float(at), "core": int(core),
+              "evacuate_to": (None if evacuate_to is None
+                              else int(evacuate_to))}
+        self._check_op(op)
+        self.ops.append(op)
         return self
 
     # -- validation ----------------------------------------------------------
@@ -102,53 +106,65 @@ class ShardPlan:
         return isinstance(core, int) and 0 <= core < self.cores
 
     def _validate(self) -> None:
+        """The full pass (constructor, hence ``from_dict``); the
+        ``add_*`` helpers check only the entry they append, against the
+        name sets this pass seeds."""
         if self.seed < 1 or self.seed > 2_000_000_000:
             raise ShardError(f"plan seed out of range: {self.seed}")
         if self.cores < 1:
             raise ShardError(f"plan needs at least one core: {self.cores}")
         if self.quantum <= 0 or self.epoch_ms <= 0:
             raise ShardError("quantum and epoch_ms must be positive")
-        names = set()
+        self._thread_names: Set[str] = set()
+        self._channel_names: Set[str] = set()
         for spec in self.threads:
-            if not self._core_ok(spec.get("core")):
-                raise ShardError(f"thread spec on unknown core: {spec!r}")
-            if spec.get("body") not in BODY_REGISTRY:
-                raise ShardError(
-                    f"unregistered body {spec.get('body')!r}; known: "
-                    f"{sorted(BODY_REGISTRY)}")
-            name = spec.get("name")
-            if not name or name in names:
-                raise ShardError(f"thread names must be unique: {spec!r}")
-            names.add(name)
-            if float(spec.get("tickets", 0.0)) <= 0.0:
-                raise ShardError(f"thread needs positive tickets: {spec!r}")
-        channel_names = set()
+            self._check_thread(spec)
         for spec in self.channels:
-            if not self._core_ok(spec.get("home")):
-                raise ShardError(f"channel homed on unknown core: {spec!r}")
-            if not spec.get("name") or spec["name"] in channel_names:
-                raise ShardError(f"channel names must be unique: {spec!r}")
-            channel_names.add(spec["name"])
+            self._check_channel(spec)
         for op in self.ops:
-            kind = op.get("op")
-            if kind not in _OP_KINDS:
-                raise ShardError(f"unknown plan op: {op!r}")
-            if float(op.get("at", -1.0)) < 0.0:
-                raise ShardError(f"op needs a non-negative time: {op!r}")
-            if kind == "migrate":
-                if (op.get("thread") not in names
-                        or not self._core_ok(op.get("src"))
-                        or not self._core_ok(op.get("dst"))):
-                    raise ShardError(f"bad migrate op: {op!r}")
-            else:
-                dst = op.get("evacuate_to")
-                if not self._core_ok(op.get("core")) or (
-                        dst is not None and not self._core_ok(dst)):
-                    raise ShardError(f"bad crash op: {op!r}")
+            self._check_op(op)
         for core, shard in self.placement.items():
             if not self._core_ok(core) or shard < 0:
                 raise ShardError(
                     f"bad placement entry: core={core} shard={shard}")
+
+    def _check_thread(self, spec: Dict[str, Any]) -> None:
+        if not self._core_ok(spec.get("core")):
+            raise ShardError(f"thread spec on unknown core: {spec!r}")
+        if spec.get("body") not in BODY_REGISTRY:
+            raise ShardError(
+                f"unregistered body {spec.get('body')!r}; known: "
+                f"{sorted(BODY_REGISTRY)}")
+        name = spec.get("name")
+        if not name or name in self._thread_names:
+            raise ShardError(f"thread names must be unique: {spec!r}")
+        if float(spec.get("tickets", 0.0)) <= 0.0:
+            raise ShardError(f"thread needs positive tickets: {spec!r}")
+        self._thread_names.add(name)
+
+    def _check_channel(self, spec: Dict[str, Any]) -> None:
+        if not self._core_ok(spec.get("home")):
+            raise ShardError(f"channel homed on unknown core: {spec!r}")
+        if not spec.get("name") or spec["name"] in self._channel_names:
+            raise ShardError(f"channel names must be unique: {spec!r}")
+        self._channel_names.add(spec["name"])
+
+    def _check_op(self, op: Dict[str, Any]) -> None:
+        kind = op.get("op")
+        if kind not in _OP_KINDS:
+            raise ShardError(f"unknown plan op: {op!r}")
+        if float(op.get("at", -1.0)) < 0.0:
+            raise ShardError(f"op needs a non-negative time: {op!r}")
+        if kind == "migrate":
+            if (op.get("thread") not in self._thread_names
+                    or not self._core_ok(op.get("src"))
+                    or not self._core_ok(op.get("dst"))):
+                raise ShardError(f"bad migrate op: {op!r}")
+        else:
+            dst = op.get("evacuate_to")
+            if not self._core_ok(op.get("core")) or (
+                    dst is not None and not self._core_ok(dst)):
+                raise ShardError(f"bad crash op: {op!r}")
 
     # -- derived views -------------------------------------------------------
 

@@ -36,7 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
     from repro.kernel.thread import Thread
 
-from repro.telemetry.registry import MetricRegistry
+from repro.telemetry.registry import (Counter, HistogramInstrument,
+                                      MetricRegistry)
 from repro.telemetry.spans import SpanTracer
 
 __all__ = ["KernelProbe", "Telemetry", "SHARE_BANDS", "share_band"]
@@ -104,10 +105,10 @@ class KernelProbe:
         if thread.runnable_since is not None:
             latency = time - thread.runnable_since
             if latency >= 0:
-                self.telemetry.registry.histogram(
-                    "repro_wake_to_dispatch_ms", LATENCY_BIN_MS,
+                self.telemetry._histogram(
+                    "repro_wake_to_dispatch_ms",
                     {"share": share_band(share)},
-                    help="Runnable-to-dispatch latency by ticket share band.",
+                    "Runnable-to-dispatch latency by ticket share band.",
                 ).record(latency)
         self._open_quantum = self.telemetry.tracer.begin(
             self.track, "quantum", "kernel", time,
@@ -172,6 +173,9 @@ class Telemetry:
                  strict: bool = False) -> None:
         self.tracer = SpanTracer(max_spans=max_spans, strict=strict)
         self.registry = MetricRegistry()
+        #: Instruments already looked up, by (name, *label values): the
+        #: registry renders ``name{labels}`` on first use only.
+        self._bound: Dict[Tuple[str, ...], Any] = {}
         #: (kernel, probe) pairs in attach order.
         self._probes: List[Tuple[Any, KernelProbe]] = []
         self._instrumented_policies: List[Any] = []
@@ -259,10 +263,10 @@ class Telemetry:
             track, "ipc.call" if rpc else "ipc.send", "ipc",
             port.kernel.now, {"port": port.name},
         )
-        self.registry.counter(
+        self._counter(
             "repro_ipc_calls_total" if rpc else "repro_ipc_sends_total",
             {"track": track},
-            help="IPC calls (RPCs)." if rpc else "Asynchronous IPC sends.",
+            "IPC calls (RPCs)." if rpc else "Asynchronous IPC sends.",
         ).inc()
 
     def on_ipc_reply(self, port: Any, request: Any) -> None:
@@ -273,12 +277,12 @@ class Telemetry:
             track, "ipc.rpc", "ipc", request.created_at, now,
             {"port": port.name, "attempts": request.delivery_attempts},
         )
-        self.registry.counter(
+        self._counter(
             "repro_ipc_replies_total", {"track": track},
-            help="RPC replies delivered.").inc()
-        self.registry.histogram(
-            "repro_ipc_rpc_ms", LATENCY_BIN_MS, {"track": track},
-            help="RPC response times (call to reply).",
+            "RPC replies delivered.").inc()
+        self._histogram(
+            "repro_ipc_rpc_ms", {"track": track},
+            "RPC response times (call to reply).",
         ).record(now - request.created_at)
 
     def on_request_complete(self, kernel: "Kernel", service_class: str,
@@ -287,15 +291,14 @@ class Telemetry:
         reply); keyed by service class, not share band, so per-class
         tail latency is readable straight off the histogram."""
         track = self._track_of(kernel)
-        self.registry.counter(
-            "repro_requests_completed_total",
-            {"track": track, "class": service_class},
-            help="Serving requests completed end-to-end.").inc()
-        self.registry.histogram(
-            "repro_request_e2e_ms", LATENCY_BIN_MS,
-            {"track": track, "class": service_class},
-            help="End-to-end request latency (scheduled arrival to "
-                 "reply) by service class.",
+        labels = {"track": track, "class": service_class}
+        self._counter(
+            "repro_requests_completed_total", labels,
+            "Serving requests completed end-to-end.").inc()
+        self._histogram(
+            "repro_request_e2e_ms", labels,
+            "End-to-end request latency (scheduled arrival to "
+            "reply) by service class.",
         ).record(e2e_ms)
 
     def on_ipc_retransmit(self, port: Any, request: Any,
@@ -307,9 +310,9 @@ class Telemetry:
             {"port": port.name, "attempt": request.delivery_attempts,
              "backoff_ms": backoff, "forced": forced},
         )
-        self.registry.counter(
+        self._counter(
             "repro_ipc_retransmits_total", {"track": track},
-            help="IPC retransmissions under injected drops.").inc()
+            "IPC retransmissions under injected drops.").inc()
 
     def on_migration(self, thread: "Thread", source: str, destination: str,
                      time: float, kind: str = "migrate") -> None:
@@ -319,9 +322,9 @@ class Telemetry:
             {"thread": thread.name, "tid": thread.tid,
              "source": source, "destination": destination},
         )
-        self.registry.counter(
+        self._counter(
             "repro_cluster_moves_total", {"kind": kind},
-            help="Threads moved between nodes.").inc()
+            "Threads moved between nodes.").inc()
 
     def on_fault(self, event: Any, detail: str, time: float) -> None:
         """A fault fired: a span over its window (or an instant)."""
@@ -336,9 +339,9 @@ class Telemetry:
         else:
             self.tracer.event("faults", f"fault.{event.kind}", "fault",
                               time, attrs)
-        self.registry.counter(
+        self._counter(
             "repro_faults_total", {"kind": event.kind},
-            help="Fault events applied.").inc()
+            "Fault events applied.").inc()
 
     def on_checkpoint(self, kind: str, time: float, checksum: Optional[str],
                       path: Optional[str]) -> None:
@@ -348,9 +351,9 @@ class Telemetry:
             attrs["checksum"] = checksum
         self.tracer.event("checkpoint", f"checkpoint.{kind}", "checkpoint",
                           time, attrs)
-        self.registry.counter(
+        self._counter(
             "repro_checkpoints_total", {"kind": kind},
-            help="Checkpoint saves and restores.").inc()
+            "Checkpoint saves and restores.").inc()
 
     # -- state ---------------------------------------------------------------
 
@@ -364,7 +367,30 @@ class Telemetry:
 
     # -- internals -----------------------------------------------------------
 
+    def _counter(self, name: str, labels: Dict[str, str],
+                 help: str) -> Counter:
+        """``registry.counter(...)``, looked up once per identity."""
+        key = (name, *labels.values())
+        counter = self._bound.get(key)
+        if counter is None:
+            counter = self._bound[key] = self.registry.counter(
+                name, labels, help=help)
+        return counter
+
+    def _histogram(self, name: str, labels: Dict[str, str],
+                   help: str) -> HistogramInstrument:
+        """``registry.histogram(...)`` at :data:`LATENCY_BIN_MS`, looked
+        up once per identity."""
+        key = (name, *labels.values())
+        histogram = self._bound.get(key)
+        if histogram is None:
+            histogram = self._bound[key] = self.registry.histogram(
+                name, LATENCY_BIN_MS, labels, help=help)
+        return histogram
+
     def _make_draw_hook(self, track: str):
+        labels = {"track": track}
+
         def hook(draw: Dict[str, Any]) -> None:
             winner = draw["winner"]
             self.tracer.event(
@@ -376,19 +402,17 @@ class Telemetry:
                  "fallback": draw["fallback"],
                  "prng_state": draw["prng_state"]},
             )
-            registry = self.registry
-            labels = {"track": track}
-            registry.counter(
+            self._counter(
                 "repro_lottery_draws_total", labels,
-                help="Lotteries held (including fallbacks).").inc()
-            registry.counter(
+                "Lotteries held (including fallbacks).").inc()
+            self._counter(
                 "repro_lottery_examined_total", labels,
-                help="Clients examined while drawing.",
+                "Clients examined while drawing.",
             ).inc(draw["examined"])
             if draw["fallback"]:
-                registry.counter(
+                self._counter(
                     "repro_lottery_fallbacks_total", labels,
-                    help="Zero-funding FIFO fallbacks.").inc()
+                    "Zero-funding FIFO fallbacks.").inc()
 
         return hook
 

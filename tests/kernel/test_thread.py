@@ -56,6 +56,41 @@ class TestLifecycle:
         with pytest.raises(ThreadStateError):
             thread.transition(ThreadState.RUNNABLE)
 
+    #: The nine legal edges; every other (state, new_state) pair of the
+    #: twenty-five is refused.
+    LEGAL = {
+        ("created", "runnable"), ("created", "exited"),
+        ("runnable", "running"), ("runnable", "exited"),
+        ("running", "runnable"), ("running", "blocked"),
+        ("running", "exited"),
+        ("blocked", "runnable"), ("blocked", "exited"),
+    }
+
+    @pytest.mark.parametrize("new_state", list(ThreadState))
+    @pytest.mark.parametrize("state", list(ThreadState))
+    def test_every_state_pair(self, state, new_state):
+        kernel = make_lottery_kernel()
+        thread = make_thread(kernel, name="pair")
+        thread.state = state
+        if (state.value, new_state.value) in self.LEGAL:
+            thread.transition(new_state)
+            assert thread.state is new_state
+        else:
+            with pytest.raises(ThreadStateError) as caught:
+                thread.transition(new_state)
+            assert str(caught.value) == (
+                f"thread 'pair': illegal transition "
+                f"{state.value} -> {new_state.value}")
+            assert thread.state is state
+
+    def test_legal_edge_table_is_read_only(self):
+        from repro.kernel.thread import _LEGAL_TRANSITIONS
+
+        with pytest.raises(TypeError):
+            _LEGAL_TRANSITIONS[ThreadState.EXITED] = frozenset(ThreadState)
+        with pytest.raises(AttributeError):
+            _LEGAL_TRANSITIONS[ThreadState.EXITED].add(ThreadState.RUNNABLE)
+
     def test_unique_tids(self):
         kernel = make_lottery_kernel()
         a = make_thread(kernel, name="a")

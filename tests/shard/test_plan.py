@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+
 import pytest
 
 from repro.errors import ShardError
@@ -24,8 +26,6 @@ def test_plan_rejects_bad_seed_cores_and_grid():
 
 
 def test_plan_rejects_unknown_body_and_core():
-    # add_* appends before validating, so each invalid mutation gets a
-    # fresh plan (the bad spec stays on the plan after the raise).
     with pytest.raises(ShardError, match="unregistered body"):
         ShardPlan(cores=2).add_thread(0, "no-such-body", "t", tickets=10.0)
     with pytest.raises(ShardError, match="unknown core"):
@@ -56,6 +56,88 @@ def test_plan_rejects_bad_ops():
 def test_plan_rejects_bad_placement():
     with pytest.raises(ShardError, match="placement"):
         ShardPlan(cores=2, placement={5: 0})
+
+
+def _rejected(build) -> str:
+    with pytest.raises(ShardError) as caught:
+        build()
+    return str(caught.value)
+
+
+def test_incremental_checks_raise_what_the_full_pass_raises():
+    """Every malformed ``add_*`` is refused with the message the
+    constructor's whole-plan pass gives the same entry, and leaves the
+    plan as it was."""
+    plan = (ShardPlan(cores=2).add_channel("svc", home=0)
+            .add_thread(0, "spin", "a", tickets=10.0))
+    before = plan.checksum()
+    base = plan.to_dict()
+    malformed = [
+        ("threads", "thread spec on unknown core",
+         lambda: plan.add_thread(5, "spin", "t", tickets=1.0)),
+        ("threads", "thread names must be unique",
+         lambda: plan.add_thread(0, "spin", "", tickets=1.0)),
+        ("threads", "thread names must be unique",
+         lambda: plan.add_thread(1, "spin", "a", tickets=1.0)),
+        ("threads", "thread needs positive tickets",
+         lambda: plan.add_thread(1, "spin", "t", tickets=0.0)),
+        ("channels", "channel homed on unknown core",
+         lambda: plan.add_channel("far", home=9)),
+        ("channels", "channel names must be unique",
+         lambda: plan.add_channel("", home=0)),
+        ("channels", "channel names must be unique",
+         lambda: plan.add_channel("svc", home=1)),
+        ("ops", "op needs a non-negative time",
+         lambda: plan.migrate(at=-1.0, thread="a", src=0, dst=1)),
+        ("ops", "bad migrate op",
+         lambda: plan.migrate(at=1.0, thread="ghost", src=0, dst=1)),
+        ("ops", "bad migrate op",
+         lambda: plan.migrate(at=1.0, thread="a", src=0, dst=2)),
+        ("ops", "bad crash op",
+         lambda: plan.crash(at=1.0, core=7)),
+        ("ops", "bad crash op",
+         lambda: plan.crash(at=1.0, core=0, evacuate_to=7)),
+    ]
+    for field, prefix, build in malformed:
+        message = _rejected(build)
+        assert message.startswith(prefix + ": {")
+        assert plan.checksum() == before
+        # The message quotes the rejected entry: graft it onto the
+        # serialized plan and let the full pass judge it.
+        entry = ast.literal_eval(message[len(prefix) + 2:])
+        grafted = dict(base, **{field: base[field] + [entry]})
+        assert _rejected(lambda: ShardPlan.from_dict(grafted)) == message
+    # The two messages that do not end in the entry.
+    nobody = {"core": 0, "body": "nope", "name": "t", "tickets": 1.0,
+              "args": {}}
+    message = _rejected(
+        lambda: plan.add_thread(0, "nope", "t", tickets=1.0))
+    assert message.startswith("unregistered body 'nope'; known: [")
+    assert _rejected(lambda: ShardPlan.from_dict(
+        dict(base, threads=base["threads"] + [nobody]))) == message
+    assert _rejected(lambda: ShardPlan.from_dict(
+        dict(base, ops=[{"op": "teleport", "at": 1.0}]))) \
+        == "unknown plan op: {'op': 'teleport', 'at': 1.0}"
+    assert plan.checksum() == before
+
+
+def test_plan_build_validates_each_spec_once(monkeypatch):
+    """4 000 ``add_thread`` calls run 4 000 per-spec checks, not the
+    4 000 * 4 001 / 2 of re-validating the whole plan per call."""
+    checked = []
+    original = ShardPlan._check_thread
+
+    def counting(plan, spec):
+        checked.append(spec["name"])
+        return original(plan, spec)
+
+    monkeypatch.setattr(ShardPlan, "_check_thread", counting)
+    plan = spin_plan(cores=4, spinners=1_000)
+    assert len(plan.threads) == 4_000
+    assert len(checked) == 4_000
+    # from_dict is the full pass: once over every spec again.
+    ShardPlan.from_dict(plan.to_dict())
+    assert len(checked) == 8_000
 
 
 # -- derived views -----------------------------------------------------------

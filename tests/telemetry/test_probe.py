@@ -162,3 +162,111 @@ class TestDetach:
         assert kernel.recorder is None
         assert kernel.telemetry is None
         assert kernel.policy.draw_hook is None
+
+
+class TestBoundInstruments:
+    """The hub keeps the instruments it looked up; creation stays lazy
+    and handles never outlive their hub's registry."""
+
+    def test_instruments_appear_on_first_use_only(self):
+        kernel = make_lottery_kernel(seed=7)
+        hub = Telemetry()
+        hub.instrument_kernel(kernel)
+        kernel.spawn(spin_body(), "a", tickets=100)
+        kernel.spawn(spin_body(), "b", tickets=100)
+        kernel.run_until(1000)
+        names = set(hub.registry.as_dict())
+        assert 'repro_lottery_draws_total{track="kernel"}' in names
+        assert 'repro_lottery_fallbacks_total{track="kernel"}' not in names
+        # Two equal spinners only ever hold a 50 % share.
+        bands = {name for name in names
+                 if name.startswith("repro_wake_to_dispatch_ms")}
+        assert bands == {'repro_wake_to_dispatch_ms{share="50-100%"}'}
+        # An unfunded thread alone on the queue forces the FIFO
+        # fallback; its counter is created by that first use.
+        lonely = make_lottery_kernel(seed=7)
+        hub.instrument_kernel(lonely, track="lonely")
+        lonely.spawn(spin_body(), "unfunded")
+        lonely.run_until(500)
+        fallbacks = hub.registry.get(
+            "repro_lottery_fallbacks_total", {"track": "lonely"})
+        assert fallbacks is not None
+        assert fallbacks.value == lonely.policy.fallback_selections > 0
+
+    def test_second_hub_after_close_records_into_its_own_registry(self):
+        kernel = make_lottery_kernel(seed=5)
+        port = Port(kernel, "svc")
+
+        def server(ctx):
+            while True:
+                request = yield Receive(port)
+                yield Compute(5.0)
+                yield Reply(request, "ok")
+
+        def client(ctx):
+            while True:
+                yield Call(port, "ping")
+                yield Compute(5.0)
+
+        kernel.spawn(server, "server", tickets=100)
+        kernel.spawn(client, "client", tickets=100)
+        first = Telemetry()
+        first.instrument_kernel(kernel)
+        kernel.run_until(1000)
+        first.close()
+        frozen = first.registry.as_dict()
+        assert frozen['repro_ipc_replies_total{track="kernel"}']["value"] > 0
+
+        second = Telemetry()
+        second.instrument_kernel(kernel)
+        kernel.run_until(2000)
+        assert first.registry.as_dict() == frozen
+        for name in ('repro_dispatches_total{track="kernel"}',
+                     'repro_lottery_draws_total{track="kernel"}',
+                     'repro_ipc_calls_total{track="kernel"}',
+                     'repro_ipc_replies_total{track="kernel"}'):
+            assert second.registry.as_dict()[name]["value"] > 0
+        rpc = second.registry.get("repro_ipc_rpc_ms", {"track": "kernel"})
+        assert rpc is not None and rpc.count > 0
+
+
+class TestBoundedCost:
+    """Work-count guard: a dispatch re-values only what a structural
+    mutation actually touched, not every live thread."""
+
+    @staticmethod
+    def _nominal_evaluations_per_dispatch(monkeypatch, frontends):
+        from dataclasses import replace
+
+        from repro.core.tickets import Ticket
+        from repro.experiments.common import build_machine
+        from repro.serving.arena import ArenaConfig, build_arena
+        from repro.serving.tiers import DEFAULT_CLASSES
+
+        evaluations = [0]
+        original = Ticket.nominal_value
+
+        def counted(ticket):
+            evaluations[0] += 1
+            return original(ticket)
+
+        machine = build_machine(seed=1, quantum=20.0, policy="lottery")
+        Telemetry().instrument_kernel(machine.kernel, track="serving")
+        classes = tuple(replace(spec, frontends=spec.frontends * frontends)
+                        for spec in DEFAULT_CLASSES)
+        arena = build_arena(machine.kernel, ArenaConfig(
+            seed=1, load_factor=1.5, requests_per_class=300,
+            classes=classes))
+        with monkeypatch.context() as patch:
+            patch.setattr(Ticket, "nominal_value", counted)
+            arena.run()
+        return evaluations[0] / machine.kernel.dispatch_count
+
+    def test_nominal_evaluations_per_dispatch_stay_bounded(self, monkeypatch):
+        # Without the nominal caches the probe's share computation
+        # re-valued every live thread on every dispatch: 28.4 per
+        # dispatch on this arena, 64.7 with four times the frontends.
+        stock = self._nominal_evaluations_per_dispatch(monkeypatch, 1)
+        wide = self._nominal_evaluations_per_dispatch(monkeypatch, 4)
+        assert stock <= 10.0
+        assert wide <= 10.0

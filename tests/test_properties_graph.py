@@ -137,3 +137,85 @@ class TestRandomGraphs:
         # in every case each individual A holder's value follows only A.
         a_total = sum(h.funding() for h in holders["A"])
         assert math.isclose(a_total, values["A"], rel_tol=1e-6)
+
+
+def naive_nominal_value(ticket):
+    """``Ticket.nominal_value`` straight from its definition: every sum
+    re-added, nothing remembered (the reference the caches must match
+    bit for bit)."""
+    currency = ticket.currency
+    if currency.is_base:
+        return ticket.amount
+    issued = sum(t.amount for t in currency.issued)
+    if issued <= 0:
+        return 0.0
+    backing = sum(naive_nominal_value(t) for t in currency.backing)
+    return backing * (ticket.amount / issued)
+
+
+class TestNominalCacheDifferential:
+    ACTIONS = ("create", "destroy", "set_amount", "unfund", "fund",
+               "retarget", "start", "stop")
+
+    @given(layer_sizes, st.data())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_cached_nominal_values_equal_the_naive_walk(self, sizes, data):
+        """Any sequence of structural mutations and activation flips,
+        with every cache warmed in between: each holder's cached
+        nominal funding and each currency's cached nominal value are
+        exactly what a from-scratch walk computes."""
+        ledger = Ledger()
+        layers, holders = build_layered_graph(ledger, sizes, data)
+        depth = {ledger.base: -1}
+        for index, layer in enumerate(layers):
+            depth.update((currency, index) for currency in layer)
+
+        def pick(items):
+            return items[data.draw(st.integers(0, len(items) - 1))]
+
+        def pick_target(ticket):
+            # Currencies strictly below the denomination keep the graph
+            # acyclic; holders are always legal.
+            deeper = [c for c in depth if depth[c] > depth[ticket.currency]]
+            return pick(holders + deeper)
+
+        def all_tickets():
+            return [t for c in ledger.currencies() for t in c.issued]
+
+        def check():
+            for holder in holders:
+                assert holder.nominal_funding() == sum(
+                    naive_nominal_value(t) for t in holder.tickets)
+            for currency in depth:
+                if not currency.is_base:
+                    assert currency.nominal_base_value() == sum(
+                        naive_nominal_value(t) for t in currency.backing)
+                assert currency.issued_amount() == sum(
+                    t.amount for t in currency.issued)
+
+        check()
+        for _ in range(data.draw(st.integers(1, 12))):
+            action = data.draw(st.sampled_from(self.ACTIONS))
+            tickets = all_tickets()
+            if action == "create" or not tickets:
+                ticket = ledger.create_ticket(
+                    data.draw(amounts), currency=pick(list(depth)))
+                ticket.fund(pick_target(ticket))
+            elif action == "destroy":
+                pick(tickets).destroy()
+            elif action == "set_amount":
+                pick(tickets).set_amount(
+                    data.draw(st.one_of(st.just(0.0), amounts)))
+            elif action == "unfund":
+                pick(tickets).unfund()
+            elif action in ("fund", "retarget"):
+                ticket = pick(tickets)
+                if action == "retarget" or ticket.target is None:
+                    ticket.unfund()
+                    ticket.fund(pick_target(ticket))
+            elif action == "start":
+                pick(holders).start_competing()
+            else:
+                pick(holders).stop_competing()
+            check()
