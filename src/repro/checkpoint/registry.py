@@ -295,9 +295,11 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
         "covered": {"capacity_rps", "headroom", "burst_s", "buckets"},
         "transient": set(),
     },
-    "repro.serving.stats.LatencyDigest": {
-        "covered": {"bin_ms", "count", "total_ms", "max_ms", "counts"},
-        "transient": set(),
+    "repro.metrics.histogram.Histogram": {
+        # Captured by the serving seams (``serving.stats.digest_state``);
+        # name only labels error messages.
+        "covered": {"bin_width", "count", "total", "max", "counts"},
+        "transient": {"name"},
     },
     "repro.serving.stats.ServingStats": {
         "covered": {"bin_ms", "offered", "shed", "completed", "e2e",

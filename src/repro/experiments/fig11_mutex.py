@@ -15,6 +15,7 @@ from typing import List
 from repro.core.prng import ParkMillerPRNG
 from repro.experiments.common import ExperimentResult, build_machine
 from repro.metrics.histogram import Histogram
+from repro.metrics.stats import mean, stdev
 from repro.sync.mutex import LotteryMutex
 from repro.workloads.synthetic import MutexContender
 
@@ -62,16 +63,18 @@ def run(duration_ms: float = 120_000.0, group_size: int = 4,
     for group_index, group_name in enumerate("AB"):
         group_acquired = 0
         histogram = Histogram(histogram_bin_ms, name=f"group-{group_name}")
+        group_waits: List[float] = []
         for _, thread in groups[group_index]:
             group_acquired += mutex.acquisitions.get(thread.tid, 0)
-            for wait in mutex.waiting_times.get(thread.tid, []):
-                histogram.add(wait)
+            group_waits += mutex.waiting_times.get(thread.tid, [])
+        for wait in group_waits:
+            histogram.record(wait)
         acquisitions.append(group_acquired)
-        waits.append(histogram.mean())
+        waits.append(mean(group_waits))
         histograms.append(histogram)
         result.summary[f"group {group_name} acquisitions"] = group_acquired
         result.summary[f"group {group_name} mean wait (ms)"] = (
-            f"{histogram.mean():.0f} (sd {histogram.stdev():.0f})"
+            f"{waits[-1]:.0f} (sd {stdev(group_waits):.0f})"
         )
 
     for histogram in histograms:

@@ -13,7 +13,7 @@ from repro.serving.admission import AdmissionController, TokenBucket
 from repro.serving.arena import ArenaConfig, ServingArena, build_arena
 from repro.serving.shardplan import serving_plan
 from repro.serving.slo_controller import ClassLatencyProbe, SloController
-from repro.serving.stats import LatencyDigest, ServingStats
+from repro.serving.stats import ServingStats
 from repro.serving.tiers import (DEFAULT_CLASSES, ServiceClassSpec,
                                  ServingRuntime, capacity_rps)
 
@@ -26,7 +26,6 @@ __all__ = [
     "serving_plan",
     "ClassLatencyProbe",
     "SloController",
-    "LatencyDigest",
     "ServingStats",
     "DEFAULT_CLASSES",
     "ServiceClassSpec",

@@ -6,7 +6,7 @@ Two halves:
   :class:`repro.metrics.recorder.SchedulerRecorder`) that attributes
   each wake->dispatch latency sample to a *service class* by thread
   name (``fe:<class>:<n>`` by default) and folds it into a bounded
-  :class:`~repro.serving.stats.LatencyDigest` per class;
+  :class:`~repro.metrics.histogram.Histogram` per class;
 * :class:`SloController` -- a periodic control loop, run as an
   ordinary simulated thread, that compares each class's windowed p99
   against its target and **inflates** the class's lever tickets
@@ -28,8 +28,8 @@ from typing import Any, Dict, List, Optional, TYPE_CHECKING
 from repro.core.tickets import Ticket
 from repro.errors import ReproError
 from repro.kernel.syscalls import Sleep
-from repro.serving.stats import LatencyDigest, ServingStats, \
-    percentile_from_counts
+from repro.metrics.histogram import Histogram
+from repro.serving.stats import ServingStats, digest_state
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.thread import Thread
@@ -59,7 +59,7 @@ class ClassLatencyProbe:
         self.bin_ms = float(bin_ms)
         #: Cumulative per-class wake->dispatch digests (the controller
         #: reads windowed deltas out of these).
-        self.window: Dict[str, LatencyDigest] = {}
+        self.window: Dict[str, Histogram] = {}
         #: id(thread) -> class name ("" = not a serving thread).
         self._by_tid: Dict[int, str] = {}
 
@@ -79,10 +79,10 @@ class ClassLatencyProbe:
             self._by_tid[tid] = cached
         return cached
 
-    def digest(self, service_class: str) -> LatencyDigest:
+    def digest(self, service_class: str) -> Histogram:
         existing = self.window.get(service_class)
         if existing is None:
-            existing = LatencyDigest(self.bin_ms)
+            existing = Histogram(self.bin_ms, f"wake:{service_class}")
             self.window[service_class] = existing
         return existing
 
@@ -119,7 +119,7 @@ class ClassLatencyProbe:
         """Typed state tree for checkpointing (see ``repro.checkpoint``)."""
         return {
             "prefix": self.prefix,
-            "window": {name: digest.snapshot_state()
+            "window": {name: digest_state(digest)
                        for name, digest in sorted(self.window.items())},
         }
 
@@ -143,7 +143,8 @@ class SloClassState:
         self.levers = list(levers)
         self.floor = float(floor)
         self.ceiling = float(ceiling)
-        self.baseline: Dict[int, int] = {}
+        #: Copy of the class digest at the previous control epoch.
+        self.baseline: Optional[Histogram] = None
 
     def amount(self) -> float:
         return self.levers[0].amount
@@ -217,15 +218,14 @@ class SloController:
         for name in sorted(self.classes):
             state = self.classes[name]
             digest = self.probe.digest(name)
-            window = digest.window_since(state.baseline)
-            state.baseline = digest.counts_copy()
-            samples = sum(window.values())
+            window = digest.since(state.baseline)
+            state.baseline = digest.copy()
+            samples = window.count
             old = state.amount()
             if samples < self.min_samples:
                 action, p99, new = "idle", 0.0, old
             else:
-                p99 = percentile_from_counts(
-                    window, digest.bin_ms, 99.0)
+                p99 = window.percentile(99.0)
                 if p99 > state.target_p99_ms:
                     action = "inflate"
                     new = min(state.ceiling, old * self.inflate)

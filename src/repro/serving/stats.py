@@ -1,94 +1,33 @@
 """Bounded per-class latency accounting for the serving arena.
 
 The arena replays millions of requests, so per-request samples cannot
-be kept (:class:`repro.metrics.histogram.Histogram` stores raw values).
-:class:`LatencyDigest` keeps only fixed-width bin counts plus count /
-sum / max scalars -- O(distinct bins) memory regardless of traffic --
-and answers percentiles by the same nearest-rank-over-bins rule as
-:func:`repro.telemetry.aggregate.percentile_from_bins`, returning the
-upper bin edge so two runs that fill identical bins report identical
-quantiles.
+be kept.  Every latency here goes into a
+:class:`repro.metrics.histogram.Histogram` -- the digest the telemetry
+registry and the cross-shard view use too: O(distinct bins) memory
+regardless of traffic, and percentiles resolved to the upper bin edge,
+so two runs that fill identical bins report identical quantiles.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, List
 
-from repro.errors import ReproError
+from repro.metrics.histogram import Histogram
 
-__all__ = ["LatencyDigest", "ServingStats", "percentile_from_counts"]
-
-
-def percentile_from_counts(counts: Dict[int, int], bin_ms: float,
-                           q: float) -> float:
-    """Nearest-rank percentile over ``{bin_index: count}``; upper edge.
-
-    Same convention as ``repro.telemetry.aggregate.percentile_from_bins``
-    so arena digests and telemetry histograms agree bin-for-bin.
-    """
-    total = sum(counts.values())
-    if total == 0:
-        return 0.0
-    rank = max(1, math.ceil(q * total / 100.0))
-    seen = 0
-    for index in sorted(counts):
-        seen += counts[index]
-        if seen >= rank:
-            return (index + 1) * bin_ms
-    return (max(counts) + 1) * bin_ms  # pragma: no cover - defensive
+__all__ = ["ServingStats", "digest_state"]
 
 
-class LatencyDigest:
-    """Fixed-width binned latency accumulator (bounded memory)."""
-
-    def __init__(self, bin_ms: float = 5.0) -> None:
-        if bin_ms <= 0:
-            raise ReproError(f"bin width must be positive: {bin_ms}")
-        self.bin_ms = float(bin_ms)
-        self.count = 0
-        self.total_ms = 0.0
-        self.max_ms = 0.0
-        #: bin index -> sample count; index = floor(latency / bin_ms).
-        self.counts: Dict[int, int] = {}
-
-    def record(self, latency_ms: float) -> None:
-        if latency_ms < 0:
-            return
-        index = int(latency_ms // self.bin_ms)
-        self.counts[index] = self.counts.get(index, 0) + 1
-        self.count += 1
-        self.total_ms += latency_ms
-        if latency_ms > self.max_ms:
-            self.max_ms = latency_ms
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile (upper bin edge); 0.0 when empty."""
-        return percentile_from_counts(self.counts, self.bin_ms, q)
-
-    def mean(self) -> float:
-        return self.total_ms / self.count if self.count else 0.0
-
-    def counts_copy(self) -> Dict[int, int]:
-        """Snapshot of the bin counts (for windowed deltas)."""
-        return dict(self.counts)
-
-    def window_since(self, baseline: Dict[int, int]) -> Dict[int, int]:
-        """Bin counts accumulated since ``baseline`` (a counts_copy)."""
-        return {index: count - baseline.get(index, 0)
-                for index, count in self.counts.items()
-                if count > baseline.get(index, 0)}
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Typed state tree for checkpointing (see ``repro.checkpoint``)."""
-        return {
-            "bin_ms": self.bin_ms,
-            "count": self.count,
-            "total_ms": self.total_ms,
-            "max_ms": self.max_ms,
-            "bins": [[index, self.counts[index]]
-                     for index in sorted(self.counts)],
-        }
+def digest_state(digest: Histogram) -> Dict[str, Any]:
+    """Typed state tree of one latency digest (see ``repro.checkpoint``):
+    bins by index, with the exact running sum and maximum."""
+    return {
+        "bin_ms": digest.bin_width,
+        "count": digest.count,
+        "total_ms": digest.total,
+        "max_ms": digest.max,
+        "bins": [[index, digest.counts[index]]
+                 for index in sorted(digest.counts)],
+    }
 
 
 class ServingStats:
@@ -106,16 +45,16 @@ class ServingStats:
         self.offered: Dict[str, int] = {}
         self.shed: Dict[str, int] = {}
         self.completed: Dict[str, int] = {}
-        self.e2e: Dict[str, LatencyDigest] = {}
-        self.wake: Dict[str, LatencyDigest] = {}
+        self.e2e: Dict[str, Histogram] = {}
+        self.wake: Dict[str, Histogram] = {}
 
     def ensure_class(self, name: str) -> None:
         if name not in self.offered:
             self.offered[name] = 0
             self.shed[name] = 0
             self.completed[name] = 0
-            self.e2e[name] = LatencyDigest(self.bin_ms)
-            self.wake[name] = LatencyDigest(self.bin_ms)
+            self.e2e[name] = Histogram(self.bin_ms, f"e2e:{name}")
+            self.wake[name] = Histogram(self.bin_ms, f"wake:{name}")
 
     # -- recording hooks --------------------------------------------------
 
@@ -167,14 +106,8 @@ class ServingStats:
             self.offered[name] += other.offered[name]
             self.shed[name] += other.shed[name]
             self.completed[name] += other.completed[name]
-            for mine, theirs in ((self.e2e[name], other.e2e[name]),
-                                 (self.wake[name], other.wake[name])):
-                for index, count in theirs.counts.items():
-                    mine.counts[index] = mine.counts.get(index, 0) + count
-                mine.count += theirs.count
-                mine.total_ms += theirs.total_ms
-                if theirs.max_ms > mine.max_ms:
-                    mine.max_ms = theirs.max_ms
+            self.e2e[name].merge(other.e2e[name])
+            self.wake[name].merge(other.wake[name])
 
     def snapshot_state(self) -> Dict[str, Any]:
         """Typed state tree for checkpointing (see ``repro.checkpoint``)."""
@@ -185,8 +118,8 @@ class ServingStats:
                     "offered": self.offered[name],
                     "shed": self.shed[name],
                     "completed": self.completed[name],
-                    "e2e": self.e2e[name].snapshot_state(),
-                    "wake": self.wake[name].snapshot_state(),
+                    "e2e": digest_state(self.e2e[name]),
+                    "wake": digest_state(self.wake[name]),
                 }
                 for name in self.classes()
             },

@@ -22,12 +22,10 @@ for the sharded run report.
 
 from repro.telemetry.aggregate import (
     GlobalMetricsView,
-    MergedHistogram,
     MergedScalar,
     ObsAggregator,
     fairness_summary,
     merge_frames,
-    percentile_from_bins,
 )
 from repro.telemetry.exporters import (
     export_chrome,
@@ -65,7 +63,6 @@ __all__ = [
     "GlobalMetricsView",
     "HistogramInstrument",
     "KernelProbe",
-    "MergedHistogram",
     "MergedScalar",
     "MetricRegistry",
     "ObsAggregator",
@@ -88,7 +85,6 @@ __all__ = [
     "parse_chrome",
     "parse_full_name",
     "parse_jsonl",
-    "percentile_from_bins",
     "render_markdown",
     "sha256_text",
     "share_band",

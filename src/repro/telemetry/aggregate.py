@@ -20,9 +20,11 @@ view at every epoch barrier:
   consecutive slices.
 * :class:`ObsAggregator` stores one slice per barrier in canonical
   ``(time, core)`` order and merges the latest frames into a global
-  registry view: counters and gauges sum, histograms merge bin-wise
-  (same fixed widths on every core), and derived gauges -- global
-  fairness error and ticket-conservation totals -- are appended.
+  registry view: counters and gauges sum, histograms come back as the
+  same :class:`~repro.metrics.histogram.Histogram` digest the cores
+  recorded into and merge bin-wise (one percentile rule, per-core and
+  merged), and derived gauges -- global fairness error and
+  ticket-conservation totals -- are appended.
 
 Everything here is observation-only: aggregation reads frames that the
 cores already produced and never feeds anything back, so a run with
@@ -31,21 +33,20 @@ cores already produced and never feeds anything back, so a run with
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError
-from repro.telemetry.registry import parse_full_name
+from repro.metrics.histogram import Histogram
+from repro.telemetry.registry import HistogramInstrument
 
 __all__ = [
     "FRAME_FORMAT",
     "FRAME_VERSION",
     "GlobalMetricsView",
-    "MergedHistogram",
     "MergedScalar",
     "ObsAggregator",
     "fairness_summary",
     "merge_frames",
-    "percentile_from_bins",
 ]
 
 FRAME_FORMAT = "repro-obs-frame"
@@ -55,28 +56,6 @@ FRAME_VERSION = 1
 #: replay entries and recent completed spans shipped in every frame).
 RING_ENTRIES = 32
 RING_SPANS = 16
-
-
-def percentile_from_bins(bins: List[List[float]], q: float) -> float:
-    """Nearest-rank percentile over merged histogram bins.
-
-    Raw observations do not cross core boundaries (frames carry bins
-    only), so the percentile is resolved to the upper edge of the bin
-    containing the ``q``-th ranked observation -- deterministic and
-    conservative (never under-reports a latency bound).
-    """
-    if not 0 <= q <= 100:
-        raise ReproError(f"percentile out of range: {q}")
-    total = sum(int(count) for _, _, count in bins)
-    if total == 0:
-        return 0.0
-    rank = max(1, int(-(-q * total // 100)))  # ceil(q/100 * total), >= 1
-    seen = 0
-    for _, end, count in bins:
-        seen += int(count)
-        if seen >= rank:
-            return float(end)
-    return float(bins[-1][1])
 
 
 class MergedScalar:
@@ -93,59 +72,6 @@ class MergedScalar:
 
     def snapshot_state(self) -> Dict[str, Any]:
         return {"kind": self.kind, "value": self.value}
-
-
-class _BinView:
-    """Duck-typed ``repro.metrics.Histogram`` over merged bins, so the
-    Prometheus exporter renders global histograms unchanged."""
-
-    __slots__ = ("_bins", "count", "_mean")
-
-    def __init__(self, bins: List[Tuple[float, float, int]], count: int,
-                 mean: float) -> None:
-        self._bins = bins
-        self.count = count
-        self._mean = mean
-
-    def bins(self) -> List[Tuple[float, float, int]]:
-        return list(self._bins)
-
-    def mean(self) -> float:
-        return self._mean
-
-
-class MergedHistogram:
-    """A histogram merged bin-wise across cores."""
-
-    kind = "histogram"
-
-    __slots__ = ("full_name", "help", "histogram")
-
-    def __init__(self, full_name: str, bins: List[Tuple[float, float, int]],
-                 count: int, mean: float, help: str = "") -> None:
-        self.full_name = full_name
-        self.help = help
-        self.histogram = _BinView(bins, count, mean)
-
-    @property
-    def count(self) -> int:
-        return self.histogram.count
-
-    def mean(self) -> float:
-        return self.histogram.mean()
-
-    def percentile(self, q: float) -> float:
-        return percentile_from_bins(
-            [list(b) for b in self.histogram.bins()], q)
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "count": self.count,
-            "mean": self.mean(),
-            "bins": [[start, end, count]
-                     for start, end, count in self.histogram.bins()],
-        }
 
 
 class GlobalMetricsView:
@@ -178,31 +104,28 @@ class GlobalMetricsView:
         return f"<GlobalMetricsView instruments={len(self._instruments)}>"
 
 
-def _merge_histogram(full_name: str,
-                     snapshots: List[Dict[str, Any]]) -> MergedHistogram:
-    bins: Dict[float, List[float]] = {}
-    count = 0
-    weighted = 0.0
-    for snapshot in snapshots:
-        count += int(snapshot["count"])
-        weighted += float(snapshot["mean"]) * int(snapshot["count"])
-        for start, end, n in snapshot["bins"]:
-            slot = bins.setdefault(float(start), [float(start),
-                                                  float(end), 0])
-            slot[2] += int(n)
-    ordered = [(s, e, int(n)) for s, e, n in
-               (bins[key] for key in sorted(bins))]
-    mean = weighted / count if count else 0.0
-    return MergedHistogram(full_name, ordered, count, mean)
+def _fold_histograms(full_name: str,
+                     snapshots: List[Dict[str, Any]]) -> HistogramInstrument:
+    """One instrument from per-core histogram snapshots (core order).
+
+    The mean stays ``sum(mean_i * count_i) / sum(count_i)``; cores that
+    binned the metric at different widths are a wiring bug and raise.
+    """
+    parts = [Histogram.from_snapshot(snapshot, full_name)
+             for snapshot in snapshots]
+    width = next((part.bin_width for part in parts if part.count),
+                 parts[0].bin_width)
+    merged = HistogramInstrument(full_name, width)
+    for part in parts:
+        merged.merge(part)
+    return merged
 
 
 def merge_frames(frames: List[Dict[str, Any]]) -> GlobalMetricsView:
     """Fold per-core frames (canonical core order) into a global view.
 
-    Counters and gauges sum; histograms merge bin-wise (identical fixed
-    widths per instrument on every core, enforced by the per-core
-    registries).  Kind conflicts across cores are wiring bugs and
-    raise.
+    Counters and gauges sum; histograms merge bin-wise.  Kind or
+    bin-width conflicts across cores are wiring bugs and raise.
     """
     grouped: Dict[str, List[Dict[str, Any]]] = {}
     for frame in sorted(frames, key=lambda f: f["core"]):
@@ -217,7 +140,7 @@ def merge_frames(frames: List[Dict[str, Any]]) -> GlobalMetricsView:
                 f"cores: {sorted(kinds)}")
         kind = kinds.pop()
         if kind == "histogram":
-            merged[full_name] = _merge_histogram(full_name, snapshots)
+            merged[full_name] = _fold_histograms(full_name, snapshots)
         else:
             value = 0.0
             for snapshot in snapshots:

@@ -328,18 +328,19 @@ def export_prometheus(registry: Any) -> str:
                 lines.append(f"# HELP {name} {_escape_help(instrument.help)}")
             lines.append(f"# TYPE {name} {instrument.kind}")
         if instrument.kind == "histogram":
-            histogram = instrument.histogram
             cumulative = 0
-            for _, bin_end, count in histogram.bins():
+            for _, bin_end, count in instrument.bins():
                 cumulative += count
                 rendered = _render_labels(labels, ("le", f"{bin_end:g}"))
                 lines.append(f"{name}_bucket{rendered} {cumulative}")
             rendered = _render_labels(labels, ("le", "+Inf"))
-            lines.append(f"{name}_bucket{rendered} {histogram.count}")
-            total = histogram.mean() * histogram.count
+            lines.append(f"{name}_bucket{rendered} {instrument.count}")
+            # Not ``instrument.total``: a merged view only has mean and
+            # count, and a core's own export must print the same bytes.
+            total = instrument.mean() * instrument.count
             lines.append(f"{name}_sum{_render_labels(labels)} {_fmt(total)}")
             lines.append(
-                f"{name}_count{_render_labels(labels)} {histogram.count}")
+                f"{name}_count{_render_labels(labels)} {instrument.count}")
         else:
             lines.append(
                 f"{name}{_render_labels(labels)} {_fmt(instrument.value)}")

@@ -3,9 +3,11 @@
 One :class:`MetricRegistry` per :class:`~repro.telemetry.probe.Telemetry`
 hub collects every instrument the probes record into, keyed by name
 plus a sorted label set (Prometheus-style identity: ``name{k="v"}``).
-Histograms reuse :class:`repro.metrics.histogram.Histogram`, so the
-wake-to-dispatch latency distribution exported here is the same shape
-as the paper's Figure 11 waiting-time histograms.
+A histogram instrument *is* a :class:`repro.metrics.histogram.Histogram`
+(the one fixed-bin digest, with its upper-bin-edge percentile rule), so
+the wake-to-dispatch latency distribution exported here is the same
+shape as the paper's Figure 11 waiting-time histograms and merges
+across cores (:mod:`repro.telemetry.aggregate`) without conversion.
 
 Instruments are deterministic: values derive only from virtual-time
 events, registration order is the call order of the (deterministic)
@@ -93,39 +95,25 @@ class Gauge:
         return {"kind": self.kind, "value": self.value}
 
 
-class HistogramInstrument:
-    """A fixed-bin distribution, wrapping :class:`repro.metrics.Histogram`."""
+class HistogramInstrument(Histogram):
+    """A fixed-bin distribution: the shared digest under a registry
+    identity (``full_name``/``help``/``kind``)."""
 
     kind = "histogram"
 
     def __init__(self, full_name: str, bin_width: float,
                  help: str = "") -> None:
+        super().__init__(bin_width, name=full_name)
         self.full_name = full_name
         self.help = help
-        self.histogram = Histogram(bin_width, name=full_name)
 
-    def record(self, value: float) -> None:
-        """Record one observation (non-negative, per Histogram rules)."""
-        self.histogram.add(value)
-
-    @property
-    def count(self) -> int:
-        return self.histogram.count
-
-    def mean(self) -> float:
-        return self.histogram.mean()
-
-    def percentile(self, q: float) -> float:
-        return self.histogram.percentile(q)
+    # An attribute of this class too, so that a wrapper installed on
+    # ``HistogramInstrument.record`` times the registry's histograms
+    # and not every digest in the process.
+    record = Histogram.record
 
     def snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "count": self.histogram.count,
-            "mean": self.histogram.mean(),
-            "bins": [[start, end, count]
-                     for start, end, count in self.histogram.bins()],
-        }
+        return {"kind": self.kind, **super().snapshot_state()}
 
 
 Instrument = Union[Counter, Gauge, HistogramInstrument]
@@ -153,23 +141,12 @@ class MetricRegistry:
     def histogram(self, name: str, bin_width: float,
                   labels: Optional[Dict[str, str]] = None,
                   help: str = "") -> HistogramInstrument:
-        full_name = render_name(name, labels)
-        existing = self._instruments.get(full_name)
-        if existing is not None:
-            if not isinstance(existing, HistogramInstrument):
-                raise ReproError(
-                    f"metric {full_name!r} is a {existing.kind}, not a "
-                    f"histogram"
-                )
-            if existing.histogram.bin_width != bin_width:
-                raise ReproError(
-                    f"histogram {full_name!r} re-registered with bin "
-                    f"width {bin_width:g} (was "
-                    f"{existing.histogram.bin_width:g})"
-                )
-            return existing
-        instrument = HistogramInstrument(full_name, bin_width, help)
-        self._instruments[full_name] = instrument
+        instrument = self._get_or_create(
+            HistogramInstrument, render_name(name, labels), help, bin_width)
+        if instrument.bin_width != bin_width:
+            raise ReproError(
+                f"histogram {instrument.full_name!r} re-registered with "
+                f"bin width {bin_width:g} (was {instrument.bin_width:g})")
         return instrument
 
     # -- views ---------------------------------------------------------------
@@ -197,7 +174,8 @@ class MetricRegistry:
 
     # -- internals -----------------------------------------------------------
 
-    def _get_or_create(self, cls: type, full_name: str, help: str) -> Any:
+    def _get_or_create(self, cls: type, full_name: str, help: str,
+                       *args: Any) -> Any:
         existing = self._instruments.get(full_name)
         if existing is not None:
             if not isinstance(existing, cls):
@@ -206,7 +184,7 @@ class MetricRegistry:
                     f"{cls.kind}"
                 )
             return existing
-        instrument = cls(full_name, help)
+        instrument = cls(full_name, *args, help)
         self._instruments[full_name] = instrument
         return instrument
 

@@ -31,7 +31,8 @@ Three watchdogs:
   noise, not the scheduler.
 * **latency ceiling** -- the p99 of the wake-to-dispatch latency per
   ticket-share band, computed from the *window delta* of the merged
-  cumulative histogram bins, must stay under ``p99_ceiling_ms``.
+  cumulative digest (``Histogram.since``), must stay under
+  ``p99_ceiling_ms``.
   Windows with fewer than ``min_samples`` observations are skipped
   (a p99 over three points is noise, not a verdict).
 * **starvation** -- a thread that is runnable at both edges of a
@@ -46,7 +47,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError
-from repro.telemetry.aggregate import percentile_from_bins
+from repro.telemetry.aggregate import merge_frames
 from repro.telemetry.registry import parse_full_name
 
 __all__ = ["SloPolicy", "SloEvaluator", "evaluate_slo"]
@@ -80,37 +81,6 @@ class SloPolicy:
             raise ReproError("SLO windows must be >= 1 slice")
         if self.min_samples < 1:
             raise ReproError("min_samples must be >= 1")
-
-
-def _latency_bins(frames: List[Dict[str, Any]]) -> Dict[str, Dict[float, List[float]]]:
-    """band -> {bin start -> [start, end, count]} merged across cores."""
-    merged: Dict[str, Dict[float, List[float]]] = {}
-    for frame in sorted(frames, key=lambda f: f["core"]):
-        for full_name, snapshot in frame.get("metrics", {}).items():
-            if snapshot.get("kind") != "histogram":
-                continue
-            name, labels = parse_full_name(full_name)
-            if name != _LATENCY_METRIC:
-                continue
-            band = labels.get("share", "")
-            bins = merged.setdefault(band, {})
-            for start, end, count in snapshot["bins"]:
-                slot = bins.setdefault(float(start),
-                                       [float(start), float(end), 0])
-                slot[2] += int(count)
-    return merged
-
-
-def _window_delta(now: Dict[float, List[float]],
-                  then: Dict[float, List[float]]) -> List[List[float]]:
-    """Cumulative bins at the window edges -> observations inside it."""
-    delta: List[List[float]] = []
-    for start in sorted(now):
-        start_v, end_v, count = now[start]
-        before = then.get(start, [start_v, end_v, 0])[2]
-        if count - before > 0:
-            delta.append([start_v, end_v, count - before])
-    return delta
 
 
 class SloEvaluator:
@@ -202,22 +172,24 @@ class SloEvaluator:
         window = self.policy.latency_window
         if index < window:
             return 0
-        now = _latency_bins(record["frames"])
-        then = _latency_bins(slices[index - window]["frames"])
+        now = merge_frames(record["frames"])
+        then = merge_frames(slices[index - window]["frames"])
         checks = 0
-        for band in sorted(now):
-            delta = _window_delta(now[band], then.get(band, {}))
-            samples = sum(int(n) for _, _, n in delta)
-            if samples < self.policy.min_samples:
+        for instrument in now.instruments():
+            name, labels = parse_full_name(instrument.full_name)
+            if name != _LATENCY_METRIC or instrument.kind != "histogram":
+                continue
+            delta = instrument.since(then.get(instrument.full_name))
+            if delta.count < self.policy.min_samples:
                 continue
             checks += 1
-            p99 = percentile_from_bins(delta, 99)
+            p99 = delta.percentile(99)
             if p99 > self.policy.p99_ceiling_ms:
                 breaches.append({
                     "rule": "latency.p99", "time": record["time"],
-                    "subject": band, "value": p99,
+                    "subject": labels.get("share", ""), "value": p99,
                     "bound": self.policy.p99_ceiling_ms,
-                    "samples": samples,
+                    "samples": delta.count,
                 })
         return checks
 

@@ -79,6 +79,28 @@ class TestTelemetry:
         assert e2e and sum(i.count for i in e2e) \
             == sum(arena.stats.completed.values())
 
+    def test_prometheus_export_golden(self):
+        """Arena + hub at 1.5x with the SLO loop on, seed 1, 400
+        requests a class.  The histogram ``_sum`` lines carry
+        non-integral means, so the digest also pins that the mean is
+        plain sequential addition: generated on CPython 3.11, and
+        reproduced on 3.12+ only because ``Histogram`` keeps a running
+        total instead of calling the (there compensated) ``sum()``."""
+        from repro.telemetry import Telemetry, export_prometheus, sha256_text
+
+        machine = build_machine(seed=1)
+        hub = Telemetry()
+        hub.instrument_kernel(machine.kernel)
+        arena = build_arena(machine.kernel, ArenaConfig(
+            seed=1, load_factor=1.5, requests_per_class=400, slo=True))
+        arena.run()
+        hub.finalize(machine.now)
+        rpc = hub.registry.get("repro_ipc_rpc_ms", {"track": "kernel"})
+        assert rpc.mean() == 6.461583236321304
+        assert sha256_text(export_prometheus(hub.registry)) == (
+            "f79b85e6a29ed04197cce54803dfec2c"
+            "f97e4e056504048d510bdfdbe7eb1460")
+
     def test_arena_runs_clean_without_a_hub(self):
         arena = _run(requests=50)
         assert sum(arena.stats.completed.values()) > 0

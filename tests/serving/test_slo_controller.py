@@ -32,7 +32,7 @@ class TestClassLatencyProbe:
         probe.on_dispatch(threads[2], 50.0)  # not a class
         digest = probe.digest("gold")
         assert digest.count == 2
-        assert digest.max_ms == 25.0
+        assert digest.max == 25.0
         assert stats.wake["gold"].count == 2
         assert "be" not in probe.window
 

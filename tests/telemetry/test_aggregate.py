@@ -5,16 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ReproError
+from repro.metrics.histogram import Histogram
 from repro.telemetry.aggregate import (
     FRAME_FORMAT,
     FRAME_VERSION,
     GlobalMetricsView,
-    MergedHistogram,
     ObsAggregator,
     fairness_summary,
     merge_frames,
-    percentile_from_bins,
 )
+from repro.telemetry.exporters import export_prometheus
 
 
 def _frame(core, time=500.0, metrics=None, threads=None, shard=None):
@@ -43,19 +43,20 @@ def _hist(bins, count, mean):
     return {"kind": "histogram", "bins": bins, "count": count, "mean": mean}
 
 
-# -- percentile_from_bins ------------------------------------------------------
+# -- percentile over snapshot bins ---------------------------------------------
 
 def test_percentile_resolves_to_upper_bin_edge():
     bins = [[0.0, 10.0, 50], [10.0, 20.0, 49], [20.0, 30.0, 1]]
-    assert percentile_from_bins(bins, 50) == 10.0
-    assert percentile_from_bins(bins, 99) == 20.0
-    assert percentile_from_bins(bins, 100) == 30.0
+    digest = Histogram.from_snapshot(_hist(bins, 100, 9.0))
+    assert digest.percentile(50) == 10.0
+    assert digest.percentile(99) == 20.0
+    assert digest.percentile(100) == 30.0
 
 
 def test_percentile_empty_and_range_checks():
-    assert percentile_from_bins([], 99) == 0.0
+    assert Histogram.from_snapshot(_hist([], 0, 0.0)).percentile(99) == 0.0
     with pytest.raises(ReproError, match="percentile"):
-        percentile_from_bins([[0.0, 1.0, 1]], 101)
+        Histogram.from_snapshot(_hist([[0.0, 1.0, 1]], 1, 0.5)).percentile(101)
 
 
 # -- merge_frames --------------------------------------------------------------
@@ -76,11 +77,37 @@ def test_histograms_merge_bin_wise():
                                          [10.0, 20.0, 2]], 4, 10.0)}),
     ])
     merged = view.get("lat")
-    assert isinstance(merged, MergedHistogram)
+    assert isinstance(merged, Histogram)
     assert merged.count == 8
-    assert merged.histogram.bins() == [(0.0, 10.0, 6), (10.0, 20.0, 2)]
+    assert merged.bins() == [(0.0, 10.0, 6), (10.0, 20.0, 2)]
     assert merged.mean() == pytest.approx(7.5)
     assert merged.percentile(99) == 20.0
+    assert view.as_dict()["lat"] == {
+        "kind": "histogram", "count": 8, "mean": 7.5,
+        "bins": [[0.0, 10.0, 6], [10.0, 20.0, 2]]}
+    assert 'lat_bucket{le="20"} 8\nlat_bucket{le="+Inf"} 8\nlat_sum 60\n' \
+        in export_prometheus(view)
+
+
+def test_histograms_merge_past_cores_that_recorded_nothing():
+    view = merge_frames([
+        _frame(0, metrics={"lat": _hist([], 0, 0.0)}),
+        _frame(1, metrics={"lat": _hist([[10.0, 15.0, 2]], 2, 12.0)}),
+        _frame(2, metrics={"lat": _hist([], 0, 0.0)}),
+    ])
+    assert view.get("lat").bins() == [(10.0, 15.0, 2)]
+    assert merge_frames([_frame(0, metrics={"lat": _hist([], 0, 0.0)})]) \
+        .as_dict()["lat"] == _hist([], 0, 0.0)
+
+
+def test_histogram_bin_width_conflict_across_cores_raises():
+    """Two widths used to interleave into overlapping bins, silently."""
+    with pytest.raises(ReproError, match="'lat' has 10-wide.* 5-wide"):
+        merge_frames([
+            _frame(0, metrics={"lat": _hist([[0.0, 10.0, 4]], 4, 5.0)}),
+            _frame(1, metrics={"lat": _hist([[0.0, 5.0, 1],
+                                             [5.0, 10.0, 1]], 2, 5.0)}),
+        ])
 
 
 def test_kind_conflict_across_cores_raises():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ReproError
+from repro.metrics.histogram import Histogram
 from repro.telemetry.registry import MetricRegistry, render_name
 
 
@@ -61,14 +62,17 @@ class TestInstruments:
         gauge.add(-2.0)
         assert gauge.value == 3.0
 
-    def test_histogram_delegates_to_metrics_histogram(self):
+    def test_histogram_is_the_metrics_histogram(self):
         registry = MetricRegistry()
-        histogram = registry.histogram("h", 5.0)
+        histogram = registry.histogram("h", 5.0, help="latency")
+        assert isinstance(histogram, Histogram)
+        assert (histogram.full_name, histogram.help, histogram.kind) == \
+            ("h", "latency", "histogram")
         for value in (1.0, 6.0, 11.0):
             histogram.record(value)
         assert histogram.count == 3
         assert histogram.mean() == pytest.approx(6.0)
-        assert histogram.percentile(100) == 11.0
+        assert histogram.percentile(100) == 15.0  # upper edge of 11's bin
 
     def test_histogram_rejects_negative_observations(self):
         registry = MetricRegistry()
@@ -92,5 +96,6 @@ class TestExportViews:
         registry.histogram("h", 5.0).record(7.0)
         snapshot = registry.as_dict()
         assert snapshot["c"] == {"kind": "counter", "value": 2.0}
-        assert snapshot["h"]["kind"] == "histogram"
-        assert snapshot["h"]["bins"] == [[5.0, 10.0, 1]]
+        assert snapshot["h"] == {"kind": "histogram", "count": 1,
+                                 "mean": 7.0, "bins": [[5.0, 10.0, 1]]}
+        assert list(snapshot["h"]) == ["kind", "count", "mean", "bins"]
