@@ -57,6 +57,12 @@ _EPS = 1e-9
 _TIME_FIELD = {"epoch": "horizon", "inclusive": "until", "barrier": "time"}
 
 
+#: ``collect``'s ``want`` -> the pure per-core read that answers it.
+_COLLECT_VIEWS = {"snapshot": ShardCore.snapshot_state,
+                  "stream": ShardCore.stream_entries,
+                  "obs": ShardCore.obs_dump}
+
+
 def _group_payloads(payloads: List[Dict[str, Any]],
                     key: Callable[[int], int] = int
                     ) -> Dict[int, List[Dict[str, Any]]]:
@@ -77,10 +83,14 @@ def _execute_command(cores: Dict[int, ShardCore], router: ShardRouter,
     degraded supervisor all come through here, so the command
     semantics -- and therefore the produced histories -- cannot drift
     between the in-process, the fail-stop and the fault-tolerant
-    protocol.  With ``obs``, epoch/inclusive replies piggyback per-core
-    observability frames and ``collect`` replies carry full span dumps
-    -- pure per-core reads, so the canonical reply content is
-    unchanged.
+    protocol.  With ``obs``, epoch/inclusive replies piggyback each
+    core's delta-state obs frame (:meth:`ShardCore.obs_frame`), which
+    moves that core's delta baseline: those two are *logged* commands,
+    so recovery replays them and rebuilds the baseline with the rest of
+    the core.  ``collect`` is not logged and must therefore stay a pure
+    read; it answers one question per call -- ``want`` names the single
+    per-core view (``snapshot`` / ``stream`` / ``obs`` span dump) the
+    reply carries.
     """
     command = message["cmd"]
     mine = [cores[core_id] for core_id in sorted(cores)]
@@ -102,15 +112,10 @@ def _execute_command(cores: Dict[int, ShardCore], router: ShardRouter,
                                grouped.get(core.core_id, []))
         return {"ok": True}
     if command == "collect":
-        entries = []
-        for core in mine:
-            entry = {"core": core.core_id,
-                     "snapshot": core.snapshot_state(),
-                     "stream": core.stream_entries()}
-            if obs:
-                entry["obs"] = core.obs_dump()
-            entries.append(entry)
-        return {"cores": entries}
+        want = message["want"]
+        read = _COLLECT_VIEWS[want]
+        return {"cores": [{"core": core.core_id, want: read(core)}
+                          for core in mine]}
     if command == "stop":
         return {"ok": True, "stop": True}
     raise ShardError(f"unknown worker command {command!r}")
@@ -120,10 +125,12 @@ class _Backend:
     """The backend surface, written once over ``_broadcast``."""
 
     def __init__(self, plan: ShardPlan, topology: ShardTopology,
-                 obs: bool = False) -> None:
+                 obs: bool = False, flight: bool = False) -> None:
         self.plan = plan
         self.topology = topology
         self.obs = bool(obs)
+        #: Armed flight recorder: the cores' obs frames carry rings.
+        self.flight = bool(flight)
         self._collected: List[Dict[str, Any]] = []
         self._obs_frames: List[Dict[str, Any]] = []
 
@@ -149,10 +156,12 @@ class _Backend:
         return out
 
     def collect_obs(self, time: float) -> List[Dict[str, Any]]:
-        """Per-core obs frames piggybacked on the last slice's replies
-        (plain data by construction: they crossed a pipe or a JSON
-        round trip; cumulative, so a recovered-and-replayed worker
-        reproduced them bit-exactly)."""
+        """Per-core delta-state obs frames piggybacked on the last
+        slice's replies, in core order: what crossed the seam, no more
+        (plain data by construction -- a pipe or a JSON round trip).
+        Each holds what changed on its core since the previous
+        *committed* slice command; a recovered worker replayed that
+        log first, so a retried command returns the same delta."""
         out, self._obs_frames = self._obs_frames, []
         return sorted(out, key=lambda frame: frame["core"])
 
@@ -162,23 +171,22 @@ class _Backend:
 
     # -- observation ----------------------------------------------------------
 
-    def _collect_cores(self) -> List[Dict[str, Any]]:
-        replies = self._broadcast({"cmd": "collect"})
+    def _collect_view(self, want: str) -> List[Any]:
+        """One per-core view (see ``_COLLECT_VIEWS``), in core order."""
+        replies = self._broadcast({"cmd": "collect", "want": want})
         cores = [entry for reply in replies for entry in reply["cores"]]
         cores.sort(key=lambda entry: entry["core"])
-        return cores
+        return [entry[want] for entry in cores]
 
     def obs_dumps(self) -> List[Dict[str, Any]]:
         """Per-core span dumps for trace stitching."""
-        if not self.obs:
-            return []
-        return [entry["obs"] for entry in self._collect_cores()]
+        return self._collect_view("obs") if self.obs else []
 
     def snapshots(self) -> List[dict]:
-        return [entry["snapshot"] for entry in self._collect_cores()]
+        return self._collect_view("snapshot")
 
     def streams(self) -> List[List[Dict[str, Any]]]:
-        return [entry["stream"] for entry in self._collect_cores()]
+        return self._collect_view("stream")
 
     def local_kernels(self) -> List[Any]:
         """Kernels living in the parent process (none by default)."""
@@ -191,11 +199,12 @@ class InlineBackend(_Backend):
     name = "inline"
 
     def __init__(self, plan: ShardPlan, topology: ShardTopology,
-                 obs: bool = False) -> None:
-        super().__init__(plan, topology, obs=obs)
+                 obs: bool = False, flight: bool = False) -> None:
+        super().__init__(plan, topology, obs=obs, flight=flight)
         self.router = ShardRouter()
         self.router.install()
-        self.cores = [ShardCore(core_id, plan, self.router, obs=self.obs)
+        self.cores = [ShardCore(core_id, plan, self.router, obs=self.obs,
+                                flight=self.flight)
                       for core_id in range(plan.cores)]
 
     def _broadcast(self, message: Dict[str, Any]) -> List[Dict[str, Any]]:
@@ -206,8 +215,8 @@ class InlineBackend(_Backend):
         # in-process and mp runs aggregate byte-identical data.
         if "obs" in reply:
             reply["obs"] = json.loads(json.dumps(reply["obs"]))
-        elif self.obs:
-            for entry in reply.get("cores", []):
+        elif message.get("want") == "obs":
+            for entry in reply["cores"]:
                 entry["obs"] = json.loads(json.dumps(entry["obs"]))
         return [reply]
 
@@ -272,7 +281,8 @@ def _reap_process(process: Any, timeout: float) -> bool:
 
 
 def _build_worker_cores(plan_dict: Dict[str, Any], core_ids: List[int],
-                        sanitize: bool, obs: bool = False) -> tuple:
+                        sanitize: bool, obs: bool = False,
+                        flight: bool = False) -> tuple:
     """(Re)build a shard's universe inside a worker process."""
     if sanitize:
         os.environ["REPRO_SANITIZE"] = "1"
@@ -282,7 +292,8 @@ def _build_worker_cores(plan_dict: Dict[str, Any], core_ids: List[int],
     plan = ShardPlan.from_dict(plan_dict)
     router = ShardRouter()
     router.install()
-    cores = {core_id: ShardCore(core_id, plan, router, obs=obs)
+    cores = {core_id: ShardCore(core_id, plan, router, obs=obs,
+                                flight=flight)
              for core_id in sorted(core_ids)}
     return cores, router
 
@@ -327,7 +338,7 @@ WorkerCodec = Tuple[Callable[[Any], Dict[str, Any]],
 
 def _worker_main(conn: Any, plan_dict: Dict[str, Any],
                  core_ids: List[int], sanitize: bool, obs: bool,
-                 codec: WorkerCodec) -> None:
+                 flight: bool, codec: WorkerCodec) -> None:
     """Worker entry point: rebuild this shard's cores from the plan
     and serve epoch/barrier commands until told to stop.
 
@@ -341,7 +352,7 @@ def _worker_main(conn: Any, plan_dict: Dict[str, Any],
     command: Optional[str] = None
     try:
         cores, router = _build_worker_cores(plan_dict, core_ids, sanitize,
-                                            obs=obs)
+                                            obs=obs, flight=flight)
         while True:
             message = recv(conn)
             command = message.get("cmd")
@@ -371,8 +382,8 @@ class MpBackend(_Backend):
     _worker_codec: WorkerCodec = (_recv_pickled, _send_pickled)
 
     def __init__(self, plan: ShardPlan, topology: ShardTopology,
-                 obs: bool = False) -> None:
-        super().__init__(plan, topology, obs=obs)
+                 obs: bool = False, flight: bool = False) -> None:
+        super().__init__(plan, topology, obs=obs, flight=flight)
         self._context = multiprocessing.get_context()
         self._sanitize = bool(os.environ.get("REPRO_SANITIZE"))
         self._workers: List[Any] = []
@@ -389,7 +400,8 @@ class MpBackend(_Backend):
         process = self._context.Process(
             target=_worker_main,
             args=(child_conn, plan_dict, self.topology.cores_of(shard),
-                  self._sanitize, self.obs, self._worker_codec),
+                  self._sanitize, self.obs, self.flight,
+                  self._worker_codec),
             daemon=True,
             name=f"repro-shard-{shard}",
         )
@@ -484,11 +496,11 @@ BACKENDS = {
 
 
 def make_backend(name: str, plan: ShardPlan, topology: ShardTopology,
-                 obs: bool = False) -> Any:
+                 obs: bool = False, flight: bool = False) -> Any:
     try:
         factory = BACKENDS[name]
     except KeyError:
         raise ShardError(
             f"unknown shard backend {name!r}; choose from "
             f"{sorted(BACKENDS)}") from None
-    return factory(plan, topology, obs=obs)
+    return factory(plan, topology, obs=obs, flight=flight)

@@ -49,7 +49,8 @@ class ShardCore:
     """A core's full private universe plus its barrier plumbing."""
 
     def __init__(self, core_id: int, plan: ShardPlan,
-                 router: ShardRouter, obs: bool = False) -> None:
+                 router: ShardRouter, obs: bool = False,
+                 flight: bool = False) -> None:
         self.core_id = core_id
         self.plan = plan
         self.router = router
@@ -74,6 +75,19 @@ class ShardCore:
             self.telemetry = Telemetry()
             self.telemetry.instrument_kernel(self.kernel,
                                              track=f"core{core_id}")
+        #: Armed flight recorder: obs frames also carry the ring of
+        #: recent replay entries and spans (a crash bundle is its only
+        #: reader, so an unarmed run ships none).
+        self.flight = bool(flight)
+        #: Baseline of the delta-state obs frames -- what the previous
+        #: frames told the parent: instrument values, thread rows by
+        #: tid, shard counters, and how many replay entries / completed
+        #: spans the rings have covered.
+        self._obs_metrics: Dict[str, Any] = {}
+        self._obs_threads: Dict[int, Dict[str, Any]] = {}
+        self._obs_shard: Dict[str, Any] = {}
+        self._obs_entries = 0
+        self._obs_spans = 0
         router.register(self)
 
         #: Per-source emission counter (stamped into payload ``seq`` by
@@ -263,12 +277,25 @@ class ShardCore:
                  "target": payload["target"]})
 
     def obs_frame(self, time: float) -> Dict[str, Any]:
-        """Cumulative observability frame at a barrier instant.
+        """Delta-state observability frame at a barrier instant.
 
         Plain JSON data only (it rides the worker pipes next to barrier
-        payloads).  Cumulative -- a pure function of this core's
-        history -- so supervisor replay and inline degradation
-        reproduce it bit-exactly and re-observation is idempotent.
+        payloads): the leaves that changed since this core's previous
+        frame -- instrument snapshots, thread rows, shard counters --
+        each with its **new absolute value**, never a difference, so
+        folding frames in order (``ObsAggregator``) rebuilds the
+        cumulative frame exactly (no float is re-derived), folding one
+        twice is harmless, and the first frame is simply a complete
+        one.  ``metrics`` / ``threads`` / ``shard`` are absent when
+        nothing under them moved.  With the flight recorder armed,
+        ``ring`` holds the replay entries and spans completed since the
+        previous frame, at most ``RING_*`` of each.
+
+        Each call moves the baseline, and only the two logged slice
+        commands (``epoch`` / ``inclusive``) call it: a respawned
+        worker or a degraded run replays that log, so its baseline --
+        hence the delta a retried command returns -- is the one the
+        lost worker had at the last committed command.
         """
         from repro.telemetry.aggregate import (
             FRAME_FORMAT,
@@ -277,9 +304,19 @@ class ShardCore:
             RING_SPANS,
         )
 
+        frame: Dict[str, Any] = {
+            "format": FRAME_FORMAT,
+            "version": FRAME_VERSION,
+            "core": self.core_id,
+            "time": float(time),
+        }
+        if self.telemetry is not None:
+            metrics = self.telemetry.registry.changed_since(self._obs_metrics)
+            if metrics:
+                frame["metrics"] = metrics
         threads = []
         for thread in self.kernel.threads:
-            threads.append({
+            row = {
                 "name": thread.name,
                 "tid": thread.tid,
                 "alive": bool(thread.alive),
@@ -288,46 +325,51 @@ class ShardCore:
                 "tickets": float(thread.nominal_funding()),
                 "cpu_ms": float(thread.cpu_time),
                 "dispatches": int(thread.dispatches),
-            })
-        metrics = (self.telemetry.registry.as_dict()
-                   if self.telemetry is not None else {})
-        spans = (self.telemetry.tracer.spans
-                 if self.telemetry is not None else [])
-        return {
-            "format": FRAME_FORMAT,
-            "version": FRAME_VERSION,
-            "core": self.core_id,
-            "time": float(time),
-            "metrics": metrics,
-            "threads": threads,
-            "shard": {
-                "payloads_applied": self.payloads_applied,
-                "migrations_out": self.migrations_out,
-                "evacuations": self.evacuations,
-                "casualties": self.casualties,
-                "ops_skipped": self.ops_skipped,
-                "crashed": self.crashed,
-            },
-            "ring": {
-                "entries": [dict(entry) for entry in
-                            self.recorder.entries[-RING_ENTRIES:]],
-                "spans": [span.to_dict()
-                          for span in spans[-RING_SPANS:]],
-            },
+            }
+            if self._obs_threads.get(thread.tid) != row:
+                self._obs_threads[thread.tid] = row
+                threads.append(row)
+        if threads:
+            frame["threads"] = threads
+        counters = {
+            "payloads_applied": self.payloads_applied,
+            "migrations_out": self.migrations_out,
+            "evacuations": self.evacuations,
+            "casualties": self.casualties,
+            "ops_skipped": self.ops_skipped,
+            "crashed": self.crashed,
         }
+        shard = {key: value for key, value in counters.items()
+                 if self._obs_shard.get(key) != value}
+        if shard:
+            self._obs_shard.update(shard)
+            frame["shard"] = shard
+        if self.flight:
+            entries = self.recorder.entries
+            fresh = min(len(entries) - self._obs_entries, RING_ENTRIES)
+            self._obs_entries = len(entries)
+            ring = {"entries": [dict(entry) for entry in
+                                entries[len(entries) - fresh:]],
+                    "spans": []}
+            if self.telemetry is not None:
+                tracer = self.telemetry.tracer
+                fresh = min(tracer.completed - self._obs_spans, RING_SPANS)
+                self._obs_spans = tracer.completed
+                ring["spans"] = [span.to_dict()
+                                 for span in tracer.tail(fresh)]
+            frame["ring"] = ring
+        return frame
 
     def obs_dump(self) -> Dict[str, Any]:
         """Full span dump for trace stitching (a pure read: the tracer
         is never finalized here, open spans ship with ``end=None``)."""
         if self.telemetry is None:
-            return {"core": self.core_id, "spans": [], "open_spans": [],
-                    "frame": self.obs_frame(self.loop.now)}
+            return {"core": self.core_id, "spans": [], "open_spans": []}
         tracer = self.telemetry.tracer
         return {
             "core": self.core_id,
             "spans": [span.to_dict() for span in tracer.spans],
             "open_spans": [span.to_dict() for span in tracer.open_spans()],
-            "frame": self.obs_frame(self.loop.now),
         }
 
     def stream_entries(self) -> List[Dict[str, Any]]:

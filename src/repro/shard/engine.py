@@ -79,6 +79,10 @@ class ShardedEngine:
     telemetry:
         A :class:`repro.telemetry.Telemetry` hub for recovery counters
         and supervisor trace events (supervised runs only).
+    slo_policy:
+        A :class:`repro.telemetry.slo.SloPolicy` for the watchdogs that
+        judge every slice as it is observed (obs runs only; default
+        thresholds when omitted).
     """
 
     def __init__(self, plan: Any, shards: int = 1,
@@ -89,7 +93,8 @@ class ShardedEngine:
                  host_faults: Any = None,
                  telemetry: Any = None,
                  obs: bool = False,
-                 flight_dir: Optional[str] = None) -> None:
+                 flight_dir: Optional[str] = None,
+                 slo_policy: Any = None) -> None:
         self.plan = (plan if isinstance(plan, ShardPlan)
                      else ShardPlan.from_dict(plan))
         self.epoch_ms = float(epoch_ms if epoch_ms is not None
@@ -103,6 +108,7 @@ class ShardedEngine:
         #: A flight dir implies obs: the recorder rings ride obs frames.
         self.obs_enabled = bool(obs or flight_dir)
         self.flight_dir = flight_dir
+        obs_args = {"obs": self.obs_enabled, "flight": bool(flight_dir)}
         if not supervise and (policy is not None or host_faults is not None):
             raise ShardError(
                 "policy/host_faults require supervise=True: only the "
@@ -117,15 +123,14 @@ class ShardedEngine:
 
             self._backend = SupervisedMpBackend(
                 self.plan, self.topology, policy=policy,
-                host_faults=host_faults, telemetry=telemetry,
-                obs=self.obs_enabled)
+                host_faults=host_faults, telemetry=telemetry, **obs_args)
         else:
             self._backend = make_backend(backend, self.plan, self.topology,
-                                         obs=self.obs_enabled)
+                                         **obs_args)
         if self.obs_enabled:
             from repro.telemetry.aggregate import ObsAggregator
 
-            self._obs: Any = ObsAggregator()
+            self._obs: Any = ObsAggregator(slo_policy)
         else:
             self._obs = None
         self._time = 0.0
@@ -265,19 +270,16 @@ class ShardedEngine:
         """``full name -> snapshot`` of the global registry view."""
         return self.metrics_view().as_dict()
 
-    def slo_report(self, policy: Any = None) -> Dict[str, Any]:
+    def slo_report(self) -> Dict[str, Any]:
         """Deterministic SLO watchdog verdicts over all slices."""
-        from repro.telemetry.slo import evaluate_slo
+        return self._require_obs().slo.report()
 
-        return evaluate_slo(self._require_obs().slices, policy)
-
-    def stitched_trace(self, include_recovery: bool = True,
-                       slo_policy: Any = None) -> str:
+    def stitched_trace(self, include_recovery: bool = True) -> str:
         """One canonical Chrome trace across all cores (JSON text)."""
         from repro.telemetry.stitch import stitched_chrome
 
         obs = self._require_obs()
-        slo = self.slo_report(slo_policy)
+        slo = self.slo_report()
         recovery = (self.recovery_summary()["events"]
                     if include_recovery else [])
         return stitched_chrome(
@@ -287,7 +289,7 @@ class ShardedEngine:
             recovery=recovery,
             end_time=self._time)
 
-    def obs_report(self, slo_policy: Any = None) -> Dict[str, Any]:
+    def obs_report(self) -> Dict[str, Any]:
         """The run report document (canonical section + recovery annex;
         see :mod:`repro.telemetry.obsreport`)."""
         import json as _json
@@ -295,13 +297,13 @@ class ShardedEngine:
         from repro.telemetry.obsreport import build_report
 
         obs = self._require_obs()
-        trace = _json.loads(self.stitched_trace(slo_policy=slo_policy))
+        trace = _json.loads(self.stitched_trace())
         return build_report(
             plan_checksum=self.plan.checksum(),
             time=self._time,
             metrics=self.aggregated_metrics(),
             fairness=obs.fairness(),
-            slo=self.slo_report(slo_policy),
+            slo=self.slo_report(),
             trace_sha256=trace["metadata"]["sha256"],
             slices=len(obs),
             barriers=self._barriers,

@@ -189,7 +189,8 @@ class SupervisedMpBackend(MpBackend):
     def __init__(self, plan: ShardPlan, topology: ShardTopology,
                  policy: Optional[SupervisorPolicy] = None,
                  host_faults: Optional[HostFaultPlan] = None,
-                 telemetry: Any = None, obs: bool = False) -> None:
+                 telemetry: Any = None, obs: bool = False,
+                 flight: bool = False) -> None:
         if host_faults is not None:
             host_faults.validate_for(topology.shards)
         self.policy = policy if policy is not None else SupervisorPolicy()
@@ -215,7 +216,7 @@ class SupervisedMpBackend(MpBackend):
         self.degrade_reason: Optional[str] = None
         #: Where every command goes once the run has degraded.
         self._inline: Optional[InlineBackend] = None
-        super().__init__(plan, topology, obs=obs)
+        super().__init__(plan, topology, obs=obs, flight=flight)
 
     # -- worker lifecycle -----------------------------------------------------
 
@@ -440,7 +441,8 @@ class SupervisedMpBackend(MpBackend):
         for shard in range(len(self._workers)):
             self._discard_worker(shard)
         self._workers, self._conns = [], []
-        self._inline = InlineBackend(self.plan, self.topology, obs=self.obs)
+        self._inline = InlineBackend(self.plan, self.topology, obs=self.obs,
+                                     flight=self.flight)
         for command in self._log:
             self._inline._broadcast(command)
 

@@ -5,23 +5,31 @@ The sharded engine (``repro.shard``) gives every core a private
 deterministic but *local*.  This module folds them into one global
 view at every epoch barrier:
 
-* Each :class:`~repro.shard.core.ShardCore` snapshots an **obs frame**
-  -- its cumulative :class:`~repro.telemetry.registry.MetricRegistry`
-  contents, per-thread accounting, shard counters, and a bounded ring
-  of recent replay entries/spans -- as plain JSON data.  Frames ride
-  the same pipes as barrier payloads under the ``mp`` backends and are
-  JSON-round-tripped in-process, so no object identity ever crosses a
-  core boundary.
-* Frames are **cumulative**, not deltas: a frame is a pure function of
-  the core's history, so supervisor respawn-and-replay recovery (and
-  full inline degradation) reproduces it bit-exactly and re-observing
-  a slice is idempotent.  Deltas, where needed (the SLO sliding
-  windows), are computed on the aggregated side by differencing
-  consecutive slices.
-* :class:`ObsAggregator` stores one slice per barrier in canonical
-  ``(time, core)`` order and merges the latest frames into a global
-  registry view: counters and gauges sum, histograms come back as the
-  same :class:`~repro.metrics.histogram.Histogram` digest the cores
+* Each :class:`~repro.shard.core.ShardCore` answers every slice
+  command with an **obs frame** -- registry instruments, per-thread
+  accounting, shard counters and, when a flight recorder is armed, a
+  bounded ring of recent replay entries/spans -- as plain JSON data.
+  Frames ride the same pipes as barrier payloads under the ``mp``
+  backends and are JSON-round-tripped in-process, so no object identity
+  ever crosses a core boundary.
+* Frames are **delta-state**: a frame lists only the leaves that
+  changed since the core's previous frame, each with its new *absolute*
+  value (a counter's value, a grown bin's count, a whole thread row),
+  never an arithmetic difference.  So what crosses a barrier and what
+  the parent does with it cost what was written in the epoch, not the
+  history; folding is exact (no float is recomputed on this side),
+  folding a frame twice is harmless, and a complete frame is just the
+  delta from nothing -- there is one format.  The core's baseline is
+  part of its replayed state: it moves only on the logged slice
+  commands, so supervisor respawn-and-replay recovery (and full inline
+  degradation) hands a retried command the same delta.
+* :class:`ObsAggregator` folds each frame into **one running
+  cumulative frame per core** and drops it, keeping a four-field index
+  row per slice and feeding the online SLO watchdogs
+  (:mod:`repro.telemetry.slo`), which hold their own short window.
+  The running frames merge into a global registry view: counters and
+  gauges sum, histograms come back as the same
+  :class:`~repro.metrics.histogram.Histogram` digest the cores
   recorded into and merge bin-wise (one percentile rule, per-core and
   merged), and derived gauges -- global fairness error and
   ticket-conservation totals -- are appended.
@@ -33,11 +41,13 @@ cores already produced and never feeds anything back, so a run with
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError
 from repro.metrics.histogram import Histogram
 from repro.telemetry.registry import HistogramInstrument
+from repro.telemetry.slo import SloEvaluator, SloPolicy
 
 __all__ = [
     "FRAME_FORMAT",
@@ -52,8 +62,9 @@ __all__ = [
 FRAME_FORMAT = "repro-obs-frame"
 FRAME_VERSION = 1
 
-#: Default capacity of the per-core flight-recorder rings (recent
-#: replay entries and recent completed spans shipped in every frame).
+#: Capacity of the per-core flight-recorder rings (recent replay
+#: entries and recent completed spans; frames of an armed run carry
+#: what was added since the previous frame, at most this many).
 RING_ENTRIES = 32
 RING_SPANS = 16
 
@@ -252,17 +263,31 @@ def _derived_gauges(frames: List[Dict[str, Any]]) -> List[MergedScalar]:
 
 
 class ObsAggregator:
-    """Per-barrier observability slices and their global merge.
+    """Running per-core cumulative frames, a slice index, and the SLO
+    watchdogs, all fed by :meth:`observe`.
 
-    One slice is recorded per engine slice (epoch or stop point) in
-    canonical order; frames inside a slice are sorted by core -- the
-    ``(time, core)`` merge order of the sharding protocol.  Observing
-    the same slice time again (a stop-point re-run) replaces the slice,
-    keeping observation idempotent.
+    Frames are folded in and dropped: retained are one cumulative
+    frame per core, one ``{seq, time, kind, payloads}`` row per slice,
+    and the evaluator's window.  Inside a running frame a changed
+    thread row or instrument snapshot is *replaced*, never mutated, so
+    the copies :meth:`latest_frames` hands out stay what they were.
+
+    One row is recorded per instant in canonical order, and observing
+    an instant again replaces its row (observation stays idempotent).
+    What outlasts an instant is what an uninterrupted run records
+    there, so that nothing reported depends on how ``advance`` was
+    sliced: a stop point re-observing an epoch barrier refreshes the
+    running frames only (row, payload count and SLO sample stay the
+    barrier's), and a stop point's own row lasts until time moves on.
     """
 
-    def __init__(self) -> None:
-        self._slices: List[Dict[str, Any]] = []
+    def __init__(self, slo_policy: Optional[SloPolicy] = None) -> None:
+        self._rows: List[Dict[str, Any]] = []
+        #: core -> its cumulative frame; thread rows keyed by tid (in
+        #: the core's thread order: threads are only ever appended).
+        self._frames: Dict[int, Dict[str, Any]] = {}
+        #: The online watchdogs (``slo.report()`` is the SLO report).
+        self.slo = SloEvaluator(slo_policy)
 
     # -- recording ------------------------------------------------------------
 
@@ -270,26 +295,58 @@ class ObsAggregator:
                 payloads: int = 0, kind: str = "epoch") -> None:
         if not frames:
             return
-        ordered = sorted(frames, key=lambda frame: frame["core"])
-        record = {"seq": len(self._slices), "time": float(time),
-                  "kind": kind, "payloads": int(payloads),
-                  "frames": ordered}
-        if self._slices and self._slices[-1]["time"] == record["time"]:
-            record["seq"] = self._slices[-1]["seq"]
-            self._slices[-1] = record
-        else:
-            self._slices.append(record)
+        row = {"seq": len(self._rows), "time": float(time),
+               "kind": kind, "payloads": int(payloads)}
+        last = self._rows[-1] if self._rows else None
+        if last is None or (last["kind"] == "epoch"
+                            and last["time"] != row["time"]):
+            self._rows.append(row)
+        elif kind == "epoch" or last["kind"] == "stop":
+            row["seq"] = last["seq"]
+            self._rows[-1] = row
+        for frame in frames:
+            self._fold(frame)
+        self.slo.observe(row["time"], frames, barrier=kind == "epoch")
+
+    def _fold(self, delta: Dict[str, Any]) -> None:
+        frame = self._frames.setdefault(
+            delta["core"], {"metrics": {}, "threads": {}, "shard": {}})
+        for key in ("format", "version", "core", "time"):
+            if key in delta:
+                frame[key] = delta[key]
+        metrics = frame["metrics"]
+        for full_name, snapshot in delta.get("metrics", {}).items():
+            before = metrics.get(full_name)
+            if before is not None and snapshot["kind"] == "histogram":
+                snapshot = {**snapshot, "bins": _fold_bins(
+                    before.get("bins", []), snapshot["bins"])}
+            metrics[full_name] = snapshot
+        for thread in delta.get("threads", ()):
+            frame["threads"][thread["tid"]] = thread
+        frame["shard"].update(delta.get("shard", {}))
+        if "ring" in delta:
+            ring = frame.get("ring", {"entries": [], "spans": []})
+            frame["ring"] = {
+                "entries": (ring["entries"]
+                            + delta["ring"]["entries"])[-RING_ENTRIES:],
+                "spans": (ring["spans"]
+                          + delta["ring"]["spans"])[-RING_SPANS:],
+            }
 
     # -- views ----------------------------------------------------------------
 
     @property
-    def slices(self) -> List[Dict[str, Any]]:
-        return list(self._slices)
+    def rows(self) -> List[Dict[str, Any]]:
+        """The slice index (no frames: they were folded away)."""
+        return list(self._rows)
 
     def latest_frames(self) -> List[Dict[str, Any]]:
-        if not self._slices:
-            return []
-        return list(self._slices[-1]["frames"])
+        """Each core's cumulative frame as of the last observation
+        (canonical core order; copies, safe to keep)."""
+        return [{**frame, "metrics": dict(frame["metrics"]),
+                 "threads": list(frame["threads"].values()),
+                 "shard": dict(frame["shard"])}
+                for _, frame in sorted(self._frames.items())]
 
     def merged_metrics(self) -> GlobalMetricsView:
         return merge_frames(self.latest_frames())
@@ -298,9 +355,13 @@ class ObsAggregator:
         return fairness_summary(self.latest_frames())
 
     def barrier_instants(self) -> List[Dict[str, Any]]:
-        """(time, payloads) per epoch slice, for the stitched trace."""
-        return [{"time": record["time"], "payloads": record["payloads"]}
-                for record in self._slices if record["kind"] == "epoch"]
+        """(time, payloads) per epoch barrier, for the stitched trace.
+        The current instant is left out: its barrier is listed once
+        time has moved past it, whether or not the run stopped there."""
+        now = self._rows[-1]["time"] if self._rows else None
+        return [{"time": row["time"], "payloads": row["payloads"]}
+                for row in self._rows
+                if row["kind"] == "epoch" and row["time"] != now]
 
     def rings(self) -> List[Dict[str, Any]]:
         """Latest per-core flight-recorder rings (canonical core order)."""
@@ -309,8 +370,22 @@ class ObsAggregator:
                 for frame in self.latest_frames()]
 
     def __len__(self) -> int:
-        return len(self._slices)
+        return len(self._rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<ObsAggregator slices={len(self._slices)} "
-                f"cores={len(self.latest_frames())}>")
+        return (f"<ObsAggregator slices={len(self._rows)} "
+                f"cores={len(self._frames)}>")
+
+
+def _fold_bins(bins: List[List[Any]], grown: List[List[Any]]
+               ) -> List[List[Any]]:
+    """A copy of the sorted ``[start, end, n]`` list ``bins`` with each
+    bin of ``grown`` replacing the one at its start, or inserted."""
+    folded = list(bins)
+    for grown_bin in grown:
+        at = bisect_left(folded, grown_bin[:1])
+        if at < len(folded) and folded[at][0] == grown_bin[0]:
+            folded[at] = grown_bin
+        else:
+            folded.insert(at, grown_bin)
+    return folded

@@ -169,6 +169,39 @@ class MetricRegistry:
         return {instrument.full_name: instrument.snapshot_state()
                 for instrument in self.instruments()}
 
+    def changed_since(self, seen: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
+        """full name -> snapshot of each instrument that moved since
+        ``seen`` last came through here (``seen`` is the caller's
+        baseline, empty at first, updated in place).
+
+        Snapshots carry new absolute values, so applying one twice is
+        harmless.  A histogram's lists only the bins that grew, beside
+        its whole ``count`` and ``mean``; with an empty baseline the
+        result is :meth:`as_dict`.
+        """
+        changed: Dict[str, Dict[str, Any]] = {}
+        for full_name, instrument in self._instruments.items():
+            if instrument.kind != "histogram":
+                if seen.get(full_name) != instrument.value:
+                    seen[full_name] = instrument.value
+                    changed[full_name] = instrument.snapshot_state()
+                continue
+            count, counts = seen.get(full_name, (None, {}))
+            if count == instrument.count:
+                continue
+            seen[full_name] = (instrument.count, counts)
+            width = instrument.bin_width
+            grown = []
+            for index in sorted(instrument.counts):
+                n = instrument.counts[index]
+                if counts.get(index) != n:
+                    counts[index] = n
+                    grown.append([index * width, (index + 1) * width, n])
+            changed[full_name] = {"kind": "histogram",
+                                  "count": instrument.count,
+                                  "mean": instrument.mean(), "bins": grown}
+        return changed
+
     def snapshot_state(self) -> Dict[str, Any]:
         return {"instruments": self.as_dict()}
 

@@ -1,10 +1,12 @@
 """Deterministic SLO watchdogs over the aggregated observability stream.
 
-The evaluator walks the :class:`~repro.telemetry.aggregate.ObsAggregator`
-slices (one per epoch barrier, canonical order) with sliding windows
-and emits machine-checkable verdicts.  Everything is a pure function
-of the slices, so two runs of the same plan/seed -- on any backend --
-produce byte-identical breach lists.
+The evaluator is fed the obs frames of one slice at a time (by the
+:class:`~repro.telemetry.aggregate.ObsAggregator` at every barrier, or
+from a list by :func:`evaluate_slo`), judges each slice against sliding
+windows, and emits machine-checkable verdicts.  It keeps a sample of
+the last ``max(window)`` slices and nothing older.  Everything is a
+pure function of the frames, so two runs of the same plan/seed -- on
+any backend -- produce byte-identical breach lists.
 
 Three watchdogs:
 
@@ -43,11 +45,12 @@ Three watchdogs:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.telemetry.aggregate import merge_frames
+from repro.metrics.histogram import Histogram
 from repro.telemetry.registry import parse_full_name
 
 __all__ = ["SloPolicy", "SloEvaluator", "evaluate_slo"]
@@ -83,48 +86,165 @@ class SloPolicy:
             raise ReproError("min_samples must be >= 1")
 
 
+@dataclass(frozen=True)
+class _Sample:
+    """What the watchdogs read of one slice."""
+
+    time: float
+    #: core -> tid -> thread row, rows in the core's thread order.
+    threads: Dict[int, Dict[int, Dict[str, Any]]]
+    #: latency metric full name -> digest merged over the cores.
+    latency: Dict[str, Histogram]
+
+
 class SloEvaluator:
-    """Walks aggregator slices and collects deterministic breaches."""
+    """Judges slices as they are observed; collects deterministic
+    breaches.
+
+    :meth:`observe` takes the frames of a slice -- delta-state or
+    complete, both fold alike (see ``ShardCore.obs_frame``) -- into a
+    running view of what the watchdogs read: the latest row of every
+    thread, and one ``repro_wake_to_dispatch_ms`` digest per band kept
+    merged across cores by adding what each changed bin gained (only
+    bin counts are kept; ``total``/``max`` are not, no verdict reads
+    them).  A slice is committed lazily: :meth:`report` judges the
+    running view as the slice of the current instant, and only when
+    the next instant arrives is the sample taken at this one's barrier
+    judged for good, against the committed samples, of which the last
+    ``max(window)`` are kept.  So observing an instant again replaces
+    its slice, and a stop point -- no barrier -- shows in the report
+    while the run stands there and leaves no slice behind: what is
+    committed is what an uninterrupted run observes.
+    """
 
     def __init__(self, policy: Optional[SloPolicy] = None) -> None:
         self.policy = policy if policy is not None else SloPolicy()
+        self._threads: Dict[int, Dict[int, Dict[str, Any]]] = {}
+        self._latency: Dict[str, Histogram] = {}
+        #: (core, latency metric) -> bin index -> count already merged.
+        self._merged_bins: Dict[Tuple[int, str], Dict[int, int]] = {}
+        self._window: Deque[_Sample] = deque(maxlen=max(
+            self.policy.fairness_window, self.policy.latency_window,
+            self.policy.starvation_window))
+        #: The current instant, and the sample taken at its barrier.
+        self._now: Optional[float] = None
+        self._pending: Optional[_Sample] = None
+        self._committed = 0
+        self._checks = 0
+        self._breaches: List[Dict[str, Any]] = []
+
+    # -- feeding --------------------------------------------------------------
+
+    def observe(self, time: float, frames: List[Dict[str, Any]],
+                barrier: bool = True) -> None:
+        """Fold one slice's frames in; a new instant first commits the
+        previous one's barrier sample.  ``barrier=False`` (a stop
+        point) only refreshes the running view."""
+        if time != self._now and self._pending is not None:
+            self._checks += self._judge(self._pending, self._breaches)
+            self._window.append(self._pending)
+            self._committed += 1
+            self._pending = None
+        for frame in sorted(frames, key=lambda frame: frame["core"]):
+            self._fold(frame)
+        self._now = time
+        if barrier:
+            self._pending = self._sample(time)
 
     def evaluate(self, slices: List[Dict[str, Any]]) -> Dict[str, Any]:
-        breaches: List[Dict[str, Any]] = []
-        checks = 0
-        for index, record in enumerate(slices):
-            checks += self._fairness(index, record, slices, breaches)
-            checks += self._latency(index, record, slices, breaches)
-            checks += self._starvation(index, record, slices, breaches)
+        """Observe ``slices`` (``{"time", "frames"}`` records in
+        canonical order) on top of whatever was observed before, and
+        report."""
+        for record in slices:
+            self.observe(record["time"], record["frames"])
+        return self.report()
+
+    def report(self) -> Dict[str, Any]:
+        """Verdicts over everything observed (the current instant
+        judged as the running view stands; nothing is committed)."""
+        breaches = list(self._breaches)
+        checks = self._checks
+        if self._now is not None:
+            checks += self._judge(self._sample(self._now), breaches)
         breaches.sort(key=lambda b: (b["time"], b["rule"], b["subject"]))
         counts: Dict[str, int] = {}
         for breach in breaches:
             counts[breach["rule"]] = counts.get(breach["rule"], 0) + 1
         return {
             "policy": asdict(self.policy),
-            "slices": len(slices),
+            "slices": self._committed + (self._now is not None),
             "checks": checks,
             "breaches": breaches,
             "counts": counts,
             "ok": not breaches,
         }
 
+    @property
+    def retained(self) -> int:
+        """Samples held: the committed window plus the pending one."""
+        return len(self._window) + (self._pending is not None)
+
+    # -- running view ---------------------------------------------------------
+
+    def _fold(self, frame: Dict[str, Any]) -> None:
+        core = frame["core"]
+        rows = self._threads.setdefault(core, {})
+        for row in frame.get("threads", ()):
+            rows[row["tid"]] = row
+        for full_name, snapshot in frame.get("metrics", {}).items():
+            if snapshot["kind"] != "histogram" or not snapshot["bins"]:
+                continue
+            bins = snapshot["bins"]
+            merged = self._merged_bins.get((core, full_name))
+            if merged is None:
+                if parse_full_name(full_name)[0] != _LATENCY_METRIC:
+                    continue
+                merged = self._merged_bins[(core, full_name)] = {}
+            digest = self._latency.get(full_name)
+            if digest is None:
+                digest = self._latency[full_name] = Histogram(
+                    bins[0][1] - bins[0][0], full_name)
+            width = digest.bin_width
+            for start, end, n in bins:
+                index = round(start / width)
+                if index * width != start or (index + 1) * width != end:
+                    raise ReproError(
+                        f"histogram {full_name!r}: core {core}'s bin "
+                        f"[{start:g}, {end:g}) is not on the {width:g}-wide "
+                        f"grid the other cores use")
+                gained = n - merged.get(index, 0)
+                merged[index] = n
+                digest.counts[index] = digest.counts.get(index, 0) + gained
+                digest.count += gained
+
+    def _sample(self, time: float) -> _Sample:
+        return _Sample(
+            time,
+            {core: dict(rows) for core, rows in self._threads.items()},
+            {name: digest.copy() for name, digest in self._latency.items()})
+
+    def _judge(self, sample: _Sample, breaches: List[Dict[str, Any]]) -> int:
+        return (self._fairness(sample, breaches)
+                + self._latency_ceiling(sample, breaches)
+                + self._starvation(sample, breaches))
+
+    def _back(self, window: int) -> Optional[_Sample]:
+        """The committed sample ``window`` slices before the one being
+        judged (None while the run is younger than that)."""
+        return self._window[-window] if len(self._window) >= window else None
+
     # -- watchdogs ------------------------------------------------------------
 
-    def _fairness(self, index: int, record: Dict[str, Any],
-                  slices: List[Dict[str, Any]],
-                  breaches: List[Dict[str, Any]]) -> int:
-        window = self.policy.fairness_window
-        if index < window:
+    def _fairness(self, now: _Sample, breaches: List[Dict[str, Any]]) -> int:
+        then = self._back(self.policy.fairness_window)
+        if then is None:
             return 0
-        then_threads = {
-            (frame["core"], entry["tid"]): entry
-            for frame in slices[index - window]["frames"]
-            for entry in frame.get("threads", [])}
-        per_core: Dict[int, List[Dict[str, Any]]] = {}
-        for frame in record["frames"]:
-            for entry in frame.get("threads", []):
-                before = then_threads.get((frame["core"], entry["tid"]))
+        checks = 0
+        for core in sorted(now.threads):
+            before_rows = then.threads.get(core, {})
+            competing = []
+            for tid, entry in now.threads[core].items():
+                before = before_rows.get(tid)
                 if before is None or not entry["alive"]:
                     continue
                 if entry["tickets"] <= 0:
@@ -133,15 +253,12 @@ class SloEvaluator:
                 if delta_cpu <= 0 and not (entry["runnable"]
                                            and before["runnable"]):
                     continue  # blocked/idle through the window
-                per_core.setdefault(frame["core"], []).append({
-                    "name": entry["name"], "core": frame["core"],
+                competing.append({
+                    "name": entry["name"],
                     "tickets": entry["tickets"], "delta_cpu": delta_cpu,
                     "delta_dispatches": (entry["dispatches"]
                                          - before["dispatches"]),
                 })
-        checks = 0
-        for core in sorted(per_core):
-            competing = per_core[core]
             total_cpu = sum(t["delta_cpu"] for t in competing)
             total_tickets = sum(t["tickets"] for t in competing)
             total_dispatches = sum(t["delta_dispatches"] for t in competing)
@@ -157,7 +274,7 @@ class SloEvaluator:
                 rel_error = max(0.0, usage - entitlement) / entitlement
                 if rel_error > self.policy.fairness_rel_error_max:
                     breaches.append({
-                        "rule": "fairness.drift", "time": record["time"],
+                        "rule": "fairness.drift", "time": now.time,
                         "subject": thread["name"],
                         "value": rel_error,
                         "bound": self.policy.fairness_rel_error_max,
@@ -166,47 +283,39 @@ class SloEvaluator:
                     })
         return checks
 
-    def _latency(self, index: int, record: Dict[str, Any],
-                 slices: List[Dict[str, Any]],
-                 breaches: List[Dict[str, Any]]) -> int:
-        window = self.policy.latency_window
-        if index < window:
+    def _latency_ceiling(self, now: _Sample,
+                         breaches: List[Dict[str, Any]]) -> int:
+        then = self._back(self.policy.latency_window)
+        if then is None:
             return 0
-        now = merge_frames(record["frames"])
-        then = merge_frames(slices[index - window]["frames"])
         checks = 0
-        for instrument in now.instruments():
-            name, labels = parse_full_name(instrument.full_name)
-            if name != _LATENCY_METRIC or instrument.kind != "histogram":
-                continue
-            delta = instrument.since(then.get(instrument.full_name))
+        for full_name in sorted(now.latency):
+            delta = now.latency[full_name].since(then.latency.get(full_name))
             if delta.count < self.policy.min_samples:
                 continue
             checks += 1
             p99 = delta.percentile(99)
             if p99 > self.policy.p99_ceiling_ms:
                 breaches.append({
-                    "rule": "latency.p99", "time": record["time"],
-                    "subject": labels.get("share", ""), "value": p99,
+                    "rule": "latency.p99", "time": now.time,
+                    "subject": parse_full_name(full_name)[1].get("share", ""),
+                    "value": p99,
                     "bound": self.policy.p99_ceiling_ms,
                     "samples": delta.count,
                 })
         return checks
 
-    def _starvation(self, index: int, record: Dict[str, Any],
-                    slices: List[Dict[str, Any]],
+    def _starvation(self, now: _Sample,
                     breaches: List[Dict[str, Any]]) -> int:
         window = self.policy.starvation_window
-        if index < window:
+        then = self._back(window)
+        if then is None:
             return 0
-        then_threads = {
-            (frame["core"], entry["tid"]): entry
-            for frame in slices[index - window]["frames"]
-            for entry in frame.get("threads", [])}
         checks = 0
-        for frame in record["frames"]:
-            for entry in frame.get("threads", []):
-                before = then_threads.get((frame["core"], entry["tid"]))
+        for core in sorted(now.threads):
+            before_rows = then.threads.get(core, {})
+            for tid, entry in now.threads[core].items():
+                before = before_rows.get(tid)
                 if before is None or not entry["alive"]:
                     continue
                 checks += 1
@@ -215,11 +324,11 @@ class SloEvaluator:
                             and entry["tickets"] > 0)
                 if starving:
                     breaches.append({
-                        "rule": "starvation", "time": record["time"],
+                        "rule": "starvation", "time": now.time,
                         "subject": entry["name"],
                         "value": float(entry["dispatches"]),
                         "bound": float(window),
-                        "core": frame["core"],
+                        "core": core,
                     })
         return checks
 

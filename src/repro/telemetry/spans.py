@@ -194,6 +194,18 @@ class SpanTracer:
         """Completed spans, oldest first (a fresh list)."""
         return list(self._spans)
 
+    @property
+    def completed(self) -> int:
+        """Spans completed so far, evicted ones included (never falls)."""
+        return len(self._spans) + self.dropped_spans
+
+    def tail(self, count: int) -> List[Span]:
+        """The last ``count`` completed spans, oldest first, without
+        copying the buffer (deque ends index in O(1))."""
+        spans = self._spans
+        return [spans[index]
+                for index in range(max(0, len(spans) - count), len(spans))]
+
     def open_spans(self, track: Optional[str] = None) -> List[Span]:
         """Currently open spans (innermost last), optionally per track."""
         if track is not None:

@@ -65,6 +65,26 @@ def test_canonical_outputs_are_golden(backend, shards, faulted):
     assert report["canonical"]["trace_sha256"] == GOLDEN_TRACE
 
 
+@pytest.mark.parametrize("stops", [[500.0, 1_000.0, 1_500.0, UNTIL],
+                                   [1_000.0, UNTIL], [0.0, 1_500.0, UNTIL]],
+                         ids=["four", "two", "from-zero"])
+def test_canonical_outputs_do_not_depend_on_advance_slicing(stops):
+    """A stop point used to replace the epoch slice at its instant, so
+    the barrier vanished from the trace and the report counted another
+    payload total: three slicings, three trace shas."""
+    with ShardedEngine(mix_plan(seed=11, cores=4), shards=2,
+                       backend="inline", obs=True) as engine:
+        for until in stops:
+            engine.advance(until)
+        trace = json.loads(engine.stitched_trace())
+        report = engine.obs_report()
+        instants = engine.obs.barrier_instants()
+    assert [instant["time"] for instant in instants] == [500.0, 1_000.0,
+                                                         1_500.0]
+    assert trace["metadata"]["sha256"] == GOLDEN_TRACE
+    assert report["canonical_sha256"] == GOLDEN_REPORT
+
+
 def test_recovery_annex_isolated_from_canonical_record():
     """Supervisor restarts are reported, but only in the annex."""
     trace, report, _ = _obs_run("inline", 2, False)

@@ -199,11 +199,21 @@ def test_aggregator_orders_frames_and_replaces_same_time_slice():
     assert [f["core"] for f in agg.latest_frames()] == [0, 1]
     assert len(agg) == 1
 
-    # a stop-point re-observation at the same instant replaces, so
-    # supervisor replay keeps observation idempotent.
-    agg.observe(500.0, [_frame(0), _frame(1)], payloads=2, kind="stop")
-    assert len(agg) == 1
-    assert agg.slices[0]["kind"] == "stop"
+    # re-observing an instant replaces its row (idempotent)...
+    agg.observe(500.0, [_frame(0), _frame(1)], payloads=3)
+    assert agg.rows == [{"seq": 0, "time": 500.0, "kind": "epoch",
+                         "payloads": 3}]
+    # ...but a stop point at an epoch barrier only refreshes the
+    # frames: the row stays what an uninterrupted run records there.
+    agg.observe(500.0, [_frame(0, shard={"payloads_applied": 7})],
+                payloads=9, kind="stop")
+    assert agg.rows == [{"seq": 0, "time": 500.0, "kind": "epoch",
+                         "payloads": 3}]
+    assert agg.latest_frames()[0]["shard"] == {"payloads_applied": 7}
+    # the barrier is listed once time has moved past it.
+    assert agg.barrier_instants() == []
+    agg.observe(750.0, [_frame(0, time=750.0)], kind="stop")
+    assert agg.barrier_instants() == [{"time": 500.0, "payloads": 3}]
 
 
 def test_aggregator_barrier_instants_skip_stop_slices():

@@ -99,3 +99,26 @@ class TestExportViews:
         assert snapshot["h"] == {"kind": "histogram", "count": 1,
                                  "mean": 7.0, "bins": [[5.0, 10.0, 1]]}
         assert list(snapshot["h"]) == ["kind", "count", "mean", "bins"]
+
+    def test_changed_since_lists_what_moved_with_absolute_values(self):
+        registry = MetricRegistry()
+        counter, idle = registry.counter("c"), registry.gauge("idle")
+        digest = registry.histogram("h", 5.0)
+        counter.inc(2)
+        digest.record(7.0)
+        seen = {}
+        # from nothing, the delta is the whole registry, zeros included.
+        assert registry.changed_since(seen) == registry.as_dict()
+        assert registry.changed_since(seen) == {}
+        counter.inc()
+        digest.record(8.0)
+        digest.record(21.0)
+        assert registry.changed_since(seen) == {
+            "c": {"kind": "counter", "value": 3.0},
+            "h": {"kind": "histogram", "count": 3, "mean": 12.0,
+                  "bins": [[5.0, 10.0, 2], [20.0, 25.0, 1]]}}
+        idle.set(4.0)
+        idle.set(0.0)  # back where the baseline saw it: nothing to tell
+        registry.counter("late")
+        assert registry.changed_since(seen) == {
+            "late": {"kind": "counter", "value": 0.0}}

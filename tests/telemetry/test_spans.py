@@ -53,6 +53,17 @@ class TestBounds:
         assert tracer.dropped_spans == 2
         assert [s.name for s in tracer.spans] == ["e2", "e3", "e4"]
 
+    def test_tail_and_completed_count_survive_eviction(self):
+        tracer = SpanTracer(max_spans=3)
+        assert tracer.completed == 0 and tracer.tail(2) == []
+        tracer.begin("k", "open", "kernel", 0.0)  # open spans do not count
+        for i in range(5):
+            tracer.event("k", f"e{i}", "kernel", float(i))
+        assert tracer.completed == 5
+        assert [s.name for s in tracer.tail(2)] == ["e3", "e4"]
+        assert tracer.tail(0) == []
+        assert tracer.tail(9) == tracer.spans
+
     def test_strict_mode_raises_instead(self):
         tracer = SpanTracer(max_spans=1, strict=True)
         tracer.event("k", "e0", "kernel", 0.0)
