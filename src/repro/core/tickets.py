@@ -65,32 +65,7 @@ from repro.errors import (
     TicketError,
 )
 
-__all__ = ["Ticket", "Currency", "TicketHolder", "Ledger", "FundingTarget",
-           "set_funding_cache_enabled", "funding_cache_enabled"]
-
-#: Escape hatch for the perf equivalence suite: with caching disabled,
-#: every funding() and nominal valuation recomputes from the live graph
-#: (the pre-cache behaviour), while the dirty-flag/watcher bookkeeping
-#: stays identical.
-_funding_cache_enabled = True
-
-
-def set_funding_cache_enabled(enabled: bool) -> bool:
-    """Toggle holder funding caching; returns the previous setting.
-
-    Test-only seam (see ``tests/perf/test_equivalence.py``): running the
-    same seeded workload with the cache on and off must produce
-    bit-identical dispatch streams and checkpoint checksums.
-    """
-    global _funding_cache_enabled
-    previous = _funding_cache_enabled
-    _funding_cache_enabled = bool(enabled)
-    return previous
-
-
-def funding_cache_enabled() -> bool:
-    """Whether holder funding values are currently served from cache."""
-    return _funding_cache_enabled
+__all__ = ["Ticket", "Currency", "TicketHolder", "Ledger", "FundingTarget"]
 
 
 class TicketHolder:
@@ -198,10 +173,11 @@ class TicketHolder:
         Served from the holder's cache when clean; the recomputation
         below is the defining sum, and invalidation is exact, so the
         cached and recomputed values are bit-identical by construction
-        (proven by the perf equivalence suite against pinned replay
-        checksums).
+        (checked after every generated mutation against a from-scratch
+        walk in ``tests/test_properties_graph.py``, and end to end by
+        the pinned replay checksums of the perf equivalence suite).
         """
-        if self._funding_dirty or not _funding_cache_enabled:
+        if self._funding_dirty:
             # Starts from int 0 exactly like the historical
             # sum()-over-generator so an unfunded holder still reports
             # int 0 in snapshot state trees (canonical JSON
@@ -224,7 +200,7 @@ class TicketHolder:
         invalidate it.
         """
         value = self._nominal_value
-        if value is None or not _funding_cache_enabled:
+        if value is None:
             value = sum(t.nominal_value() for t in self.tickets)
             self._nominal_value = value
         return value
@@ -619,7 +595,7 @@ class Currency:
     def issued_amount(self) -> float:
         """Sum of the amounts of all issued tickets, active or not."""
         total = self._issued_total
-        if total is None or not _funding_cache_enabled:
+        if total is None:
             total = sum(t.amount for t in self._issued)
             self._issued_total = total
         return total
@@ -634,7 +610,7 @@ class Currency:
         if self.is_base:
             return self.issued_amount()
         value = self._nominal_value
-        if value is None or not _funding_cache_enabled:
+        if value is None:
             value = sum(t.nominal_value() for t in self._backing)
             self._nominal_value = value
         return value

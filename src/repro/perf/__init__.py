@@ -1,22 +1,23 @@
 """Deterministic microbenchmark harness (``python -m repro.perf``).
 
-The paper's practicality argument (section 5.1) is quantitative: a
-lottery draw is O(log n) with a tree of partial sums, and total
-scheduling overhead stays within a few percent of an unmodified
-kernel.  This package makes the reproduction's own performance a
-first-class, regression-gated artifact instead of a one-off number:
+The paper separates two kinds of cost (section 5.6): whole-application
+overhead, and the micro cost of a draw, a currency conversion and a
+ticket transfer.  This package times the second kind and gates it
+against a committed baseline; the first kind -- host time per
+dispatched quantum and per served request, layer by layer -- is
+``python3 bench/run.py`` (``bench/``, bounds in ``BENCHMARK.json``),
+and nothing is timed by both:
 
-* :mod:`repro.perf.benchmarks` -- seeded microbenchmarks over the
-  simulator's hot loops (lottery draws, kernel dispatch, IPC
-  ping-pong, currency revaluation, checkpoint capture, trace export)
-  at parameterized scales from tens to tens of thousands of threads;
+* :mod:`repro.perf.benchmarks` -- six seeded microbenchmarks (list and
+  tree lottery draws, currency revaluation, IPC ping-pong with its
+  ticket transfers, checkpoint capture, trace export);
 * :mod:`repro.perf.harness` -- the timing machinery: per-repetition
   wall-clock samples, ops/sec, p50/p95, an environment fingerprint,
   and a host-speed **calibration loop** so scores can be compared
   across machines as ratios rather than raw numbers;
 * :mod:`repro.perf.baseline` -- schema-versioned ``BENCH_perf.json``
   reports, committed baselines, and tolerance-band comparison (the CI
-  ``perf-gate`` job fails when a benchmark regresses beyond the band).
+  ``perf`` job fails when a benchmark regresses beyond the band).
 
 The *workloads* timed here are deterministic (seeded Park-Miller
 streams, virtual time); only the wall-clock duration of executing them

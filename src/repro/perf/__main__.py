@@ -4,12 +4,12 @@ Runs the benchmark suite, writes a schema-versioned ``BENCH_perf.json``,
 and (optionally) gates against a committed baseline:
 
 * ``python -m repro.perf`` -- run everything, write BENCH_perf.json;
-* ``python -m repro.perf --compare benchmarks/baselines/perf_baseline.json
-  --tolerance 0.25`` -- the CI perf-gate invocation: non-zero exit when
-  any benchmark regresses beyond the tolerance band;
-* ``python -m repro.perf --write-baseline benchmarks/baselines/
-  perf_baseline.json`` -- record a fresh baseline (see
-  ``docs/PERFORMANCE.md`` for when that is legitimate);
+* ``python -m repro.perf --compare tests/perf/perf_baseline.json
+  --tolerance 0.25`` -- the CI perf gate: non-zero exit when any
+  benchmark regresses beyond the tolerance band;
+* ``python -m repro.perf --write-baseline tests/perf/perf_baseline.json``
+  -- record a fresh baseline (see ``docs/PERFORMANCE.md`` for when that
+  is legitimate);
 * ``--github-summary`` appends the before/after table as markdown to
   ``$GITHUB_STEP_SUMMARY`` when that variable is set.
 """
@@ -24,7 +24,6 @@ from typing import List, Optional
 from repro.perf.baseline import (
     compare_reports,
     format_comparison_table,
-    format_shard_summary,
     load_report,
     write_report,
 )
@@ -78,10 +77,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         write_report(args.write_baseline, report)
         print(f"baseline written to {args.write_baseline}")
 
-    shard_summary = format_shard_summary(report)
-    if shard_summary:
-        print(shard_summary)
-
     status = 0
     if args.compare:
         baseline = load_report(args.compare)
@@ -90,15 +85,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(format_comparison_table(comparison))
         if not comparison.passed:
             status = 1
-    summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
-    if args.github_summary and summary_path:
-        with open(summary_path, "a", encoding="utf-8") as handle:
-            if args.compare:
+        summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
+        if args.github_summary and summary_path:
+            with open(summary_path, "a", encoding="utf-8") as handle:
                 handle.write(format_comparison_table(comparison,
                                                      markdown=True))
-                handle.write("\n")
-            if shard_summary:
-                handle.write(format_shard_summary(report, markdown=True))
                 handle.write("\n")
     return status
 

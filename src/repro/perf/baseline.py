@@ -1,6 +1,6 @@
 """Baselines and tolerance-band comparison for perf reports.
 
-A committed baseline (``benchmarks/baselines/perf_baseline.json``) is
+A committed baseline (``tests/perf/perf_baseline.json``) is
 an ordinary ``BENCH_perf.json`` produced by ``--write-baseline``.
 Comparison is **normalized-first**: when both reports carry a
 calibration score, each benchmark's ``ops_per_sec /
@@ -21,7 +21,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError
 from repro.perf.harness import CALIBRATION_NAME, PerfReport
@@ -31,7 +31,6 @@ __all__ = [
     "BenchmarkDelta",
     "compare_reports",
     "format_comparison_table",
-    "format_shard_summary",
     "load_report",
     "write_report",
 ]
@@ -176,59 +175,6 @@ def _fmt_ops(value: Optional[float]) -> str:
 
 def _fmt_ratio(value: Optional[float]) -> str:
     return "-" if value is None else f"{value:.2f}x"
-
-
-def format_shard_summary(report: PerfReport, markdown: bool = False) -> str:
-    """Single-loop vs sharded ops/s for the ``shard.dispatch.*`` and
-    ``shard.supervised.*`` families.
-
-    Groups the report's shard benchmarks by workload size and shows
-    each backend/shards variant's throughput as a speedup over that
-    size's ``single`` (one-event-loop oracle) variant -- the number the
-    sharding work exists to move.  Supervised variants share the size
-    group, so their row reads directly as the supervision tax against
-    the bare mp variant.  Returns ``""`` when the report holds no shard
-    benchmarks (e.g. a filtered run).
-    """
-    prefixes = ("shard.dispatch.", "shard.supervised.")
-    groups: Dict[str, List[Any]] = {}
-    for entry in report.results:
-        for prefix in prefixes:
-            if entry.name.startswith(prefix):
-                size = entry.name[len(prefix):].split(".", 1)[0]
-                groups.setdefault(size, []).append(entry)
-    if not groups:
-        return ""
-    header = ("benchmark", "ops/s", "vs single-loop")
-    rows: List[Tuple[str, str, str]] = []
-    for size in sorted(groups, key=lambda text: int(text)):
-        single = next((entry for entry in groups[size]
-                       if entry.name.endswith(".single")), None)
-        for entry in groups[size]:
-            speedup = (None if single is None or single.ops_per_sec <= 0
-                       else entry.ops_per_sec / single.ops_per_sec)
-            rows.append((entry.name, _fmt_ops(entry.ops_per_sec),
-                         _fmt_ratio(speedup)))
-    if markdown:
-        lines = [
-            "### Sharded engine: single-loop vs sharded throughput",
-            "",
-            "| " + " | ".join(header) + " |",
-            "|" + "|".join("---" for _ in header) + "|",
-        ]
-        lines.extend("| " + " | ".join(row) + " |" for row in rows)
-        return "\n".join(lines)
-    widths = [max(len(header[col]), *(len(row[col]) for row in rows))
-              for col in range(len(header))]
-
-    def line(cells) -> str:
-        return "  ".join(cell.ljust(width)
-                         for cell, width in zip(cells, widths)).rstrip()
-
-    out = ["sharded engine: single-loop vs sharded throughput",
-           line(header), line(tuple("-" * width for width in widths))]
-    out.extend(line(row) for row in rows)
-    return "\n".join(out)
 
 
 def format_comparison_table(comparison: BaselineComparison,

@@ -1,13 +1,11 @@
 """Timing machinery for the microbenchmark harness.
 
 A benchmark is a named callable factory: ``setup()`` builds a fresh,
-fully deterministic workload and returns ``(fn, ops)`` -- or
-``(fn, ops, teardown)`` when the workload holds external resources
-such as worker processes -- where calling ``fn()`` performs ``ops``
-hot-loop operations.  The harness times ``fn`` over several
-repetitions (a fresh setup per repetition, so no repetition warms the
-next one's state; teardown runs untimed after each), and summarizes
-the samples as ops/sec plus p50/p95 per-repetition latency.
+fully deterministic workload and returns ``(fn, ops)``, where calling
+``fn()`` performs ``ops`` hot-loop operations.  The harness times
+``fn`` over several repetitions (a fresh setup per repetition, so no
+repetition warms the next one's state), and summarizes the samples as
+ops/sec plus p50/p95 per-repetition latency.
 
 Wall-clock readings happen *around* the workload, never inside it: the
 workloads advance virtual time only, so two hosts run byte-identical
@@ -183,20 +181,8 @@ def _run_one(name: str, params: Dict[str, Any],
     samples: List[float] = []
     ops = 0
     for _ in range(reps):
-        built = setup()
-        # setup() returns (fn, ops) or (fn, ops, teardown); teardown
-        # releases untimed resources -- the shard benchmarks use it to
-        # close multiprocessing workers between repetitions.
-        if len(built) == 3:
-            fn, ops, teardown = built
-        else:
-            fn, ops = built
-            teardown = None
-        try:
-            samples.append(_time_once(fn))
-        finally:
-            if teardown is not None:
-                teardown()
+        fn, ops = setup()
+        samples.append(_time_once(fn))
     best_ms = min(samples)
     ops_per_sec = ops / (best_ms / 1000.0) if best_ms > 0 else float(ops)
     normalized = (None if calibration is None or calibration <= 0

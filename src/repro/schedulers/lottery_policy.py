@@ -33,20 +33,7 @@ from repro.schedulers.base import SchedulingPolicy
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.thread import Thread
 
-__all__ = ["LotteryPolicy", "set_full_refresh"]
-
-#: Escape hatch for the perf equivalence suite: force the tree path to
-#: revalue every member per select (the pre-dirty-tracking behaviour)
-#: instead of only the members whose funding was invalidated.
-_full_refresh = False
-
-
-def set_full_refresh(enabled: bool) -> bool:
-    """Toggle full per-select revaluation; returns the previous setting."""
-    global _full_refresh
-    previous = _full_refresh
-    _full_refresh = bool(enabled)
-    return previous
+__all__ = ["LotteryPolicy"]
 
 
 class LotteryPolicy(SchedulingPolicy):
@@ -157,22 +144,14 @@ class LotteryPolicy(SchedulingPolicy):
         assert structure is not None
         if len(structure) == 0:
             return None
-        if self._tree is not None and not self._static_funding:
-            if _full_refresh:
-                # Escape hatch (perf equivalence suite): revalue every
-                # member, the pre-dirty-tracking behaviour.
-                for member in self._members:  # repro: noqa[RPR010] -- equivalence-test escape hatch
-                    self._tree.set_value(member, member.funding())
-                self._dirty.clear()
-            elif self._dirty:
-                # Only members whose funding actually changed since
-                # their stored value was pushed; Fenwick nodes are pure
-                # functions of the stored values, so skipping unchanged
-                # members leaves the tree bit-identical to a full
-                # refresh.
-                for member in self._dirty:  # repro: noqa[RPR010] -- O(invalidated), not O(n): only watcher-flagged members
-                    self._tree.set_value(member, member.funding())
-                self._dirty.clear()
+        if self._tree is not None and self._dirty:
+            # Only members whose funding actually changed since their
+            # stored value was pushed; Fenwick nodes are pure functions
+            # of the stored values, so skipping unchanged members leaves
+            # the tree bit-identical to revaluing every member.
+            for member in self._dirty:  # repro: noqa[RPR010] -- O(invalidated), not O(n): only watcher-flagged members
+                self._tree.set_value(member, member.funding())
+            self._dirty.clear()
         fallback = False
         examined_before = structure.stats.comparisons
         try:

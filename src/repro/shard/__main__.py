@@ -55,6 +55,8 @@ def _serving(args):
     return serving_plan(seed=args.seed, cores=args.cores)
 
 
+#: Built-in plans by ``--plan`` name, each built from the parsed
+#: ``--seed``/``--cores``; ``repro.telemetry report`` imports this table.
 PLANS = {
     "mix": lambda args: mix_plan(seed=args.seed, cores=args.cores),
     "mix-ops": lambda args: mix_plan(seed=args.seed, cores=args.cores,

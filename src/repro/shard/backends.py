@@ -10,15 +10,15 @@ in what interleaving core events execute:
   ``inline == single`` and ``mp == single`` proves sharded execution
   equals the unsharded engine.
 * ``inline`` -- cores run sequentially, one whole epoch per core, in
-  core order.  Same process, no parallelism; the default, and the
-  fastest sharded backend on every committed measurement.
+  core order.  Same process, no parallelism; the default.
 * ``mp`` -- one persistent worker process per shard; each worker
   rebuilds its cores from the JSON plan and exchanges only epoch
   commands and barrier payloads with the parent (never objects).
-  Slower than ``inline`` wherever it has been measured (perf baseline
-  ``shard.dispatch.10000``: inline.s4 17.9k, mp.s4 4.8k ops/s): the
-  pipe round-trip per epoch outweighs the parallelism.  It exists as
-  the process layout that supervision
+  Measured by ``bench/``'s ``shard_spin_mp`` workload as
+  ``shard.mp_over_inline`` (mp wall / inline wall): 0.75 with two
+  workers pinned to two CPUs, 0.76-1.10 on single passes -- the pipe
+  round-trips per epoch eat most of what the second process returns.
+  It exists as the process layout that supervision
   (:mod:`repro.shard.supervisor`) makes fault-tolerant.
 
 The backend surface (``run_epoch`` / ``collect`` / ``barrier`` /

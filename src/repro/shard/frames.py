@@ -19,10 +19,9 @@ committed barrier.
 Frames are sent with ``send_bytes``/``recv_bytes`` rather than
 ``send``/``recv``: supervision sits on the latency path of every epoch
 exchange, so the pickle wrapper is skipped.  The no-fault supervision
-tax is measured, not budgeted: ``python -m repro.perf --filter shard``
-prints ``shard.supervised.10000.mp.s4`` next to
-``shard.dispatch.10000.mp.s4`` (numbers in ``docs/SHARDING.md``
-section 6, Cost).
+tax has no committed measurement: ``bench/`` times the bare ``mp``
+backend only (``shard_spin_mp``, ``shard_mix_obs``), and the one paired
+reading made so far is quoted in ``docs/SHARDING.md`` section 6, Cost.
 
 Framing doubles as a protocol-level determinism check: the body bytes
 of a frame are a pure function of the message, so a replayed command

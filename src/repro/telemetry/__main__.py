@@ -38,6 +38,9 @@ from repro.telemetry.probe import Telemetry
 
 
 def _report_main(argv: List[str]) -> int:
+    # The one table of built-in plans, shared with ``repro.shard run``.
+    from repro.shard.__main__ import PLANS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.telemetry report",
         description="Aggregate a sharded run's observability plane "
@@ -45,8 +48,7 @@ def _report_main(argv: List[str]) -> int:
     parser.add_argument("--bundle", metavar="PATH",
                         help="verify + summarize a flight-recorder "
                              "bundle instead of running a plan")
-    parser.add_argument("--plan", choices=("mix", "mix-ops", "spin"),
-                        default="mix")
+    parser.add_argument("--plan", choices=sorted(PLANS), default="mix")
     parser.add_argument("--cores", type=int, default=4)
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--until", type=float, default=5000.0)
@@ -85,18 +87,11 @@ def _report_main(argv: List[str]) -> int:
 
     from repro.shard.engine import ShardedEngine
     from repro.shard.hostfaults import load_host_faults
-    from repro.shard.plan import mix_plan, spin_plan
     from repro.telemetry.obsreport import render_markdown
 
     if args.host_faults and not args.supervise:
         parser.error("--host-faults requires --supervise")
-    makers = {
-        "mix": lambda: mix_plan(seed=args.seed, cores=args.cores),
-        "mix-ops": lambda: mix_plan(seed=args.seed, cores=args.cores,
-                                    with_ops=True),
-        "spin": lambda: spin_plan(seed=args.seed, cores=args.cores),
-    }
-    plan = makers[args.plan]()
+    plan = PLANS[args.plan](args)
     host_faults = (load_host_faults(args.host_faults, args.shards)
                    if args.host_faults else None)
     with ShardedEngine(plan, shards=args.shards, backend=args.backend,

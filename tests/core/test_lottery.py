@@ -104,11 +104,19 @@ class TestListLottery:
         values["hog"] = 1000.0
         plain = self.make(values, move_to_front=False)
         mtf = self.make(dict(values), move_to_front=True)
+        by_value = self.make(dict(values), keep_sorted=True)
         for _ in range(2000):
             plain.draw(prng)
             mtf.draw(prng)
+            by_value.draw(prng)
         assert (
             mtf.stats.average_search_length()
+            < plain.stats.average_search_length() / 2
+        )
+        # The paper's other list heuristic (decreasing ticket order)
+        # finds the dominant client first as well.
+        assert (
+            by_value.stats.average_search_length()
             < plain.stats.average_search_length() / 2
         )
 

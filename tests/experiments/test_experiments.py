@@ -2,8 +2,8 @@
 
 Each test runs the corresponding figure's driver at a fraction of the
 paper's duration and asserts the *shape* the paper reports: who wins,
-by roughly what factor, and which invariants hold.  The full-scale
-parameters live in the benchmarks.
+by roughly what factor, and which invariants hold.  The paper-scale
+parameters live in ``repro.experiments.reproduce_all`` (``--full``).
 """
 
 import pytest
@@ -49,6 +49,10 @@ class TestFig4:
         ratio = ex.fig4_rate_accuracy.run_single(5.0, duration_ms=60_000,
                                                  seed=77)
         assert ratio == pytest.approx(5.0, rel=0.25)
+        # The paper's 20:1 x 3-minute check (observed 19.08:1).
+        ratio = ex.fig4_rate_accuracy.run_single(20.0, duration_ms=180_000,
+                                                 seed=2020)
+        assert ratio == pytest.approx(20.0, rel=0.15)
 
 
 class TestFig5:
@@ -57,8 +61,9 @@ class TestFig5:
                                                 window_ms=8_000)
         ratios = [row["ratio"] for row in result.rows]
         assert sum(ratios) / len(ratios) == pytest.approx(2.0, rel=0.2)
-        # Randomized allocation: windows must actually vary.
-        assert max(ratios) != min(ratios)
+        # Randomized allocation: windows must visibly vary.
+        assert max(ratios) > 2.1
+        assert min(ratios) < 1.9
 
 
 class TestFig6:
@@ -87,6 +92,10 @@ class TestFig7:
         ratio_text = result.summary["B:C throughput ratio"]
         ratio = float(ratio_text.split(":")[0])
         assert ratio == pytest.approx(3.0, rel=0.35)
+        # Response times are ordered by funding: A < B < C.
+        response = result.summary["response time ratio"].split("(")[0]
+        _, b_over_a, c_over_a = (float(part) for part in response.split(":"))
+        assert 1.0 < b_over_a < c_over_a
         # Query results are the true planted count.
         assert "[8]" in result.summary["query result (occurrences)"]
 
@@ -110,12 +119,14 @@ class TestFig9:
         value = float(aggregate.split(":")[0])
         assert value == pytest.approx(1.0, abs=0.15)
         # B tasks slow to about half after B3 starts; A tasks do not.
-        b2 = result.summary["B2 rate (before -> after B3)"]
-        factor = float(b2.split("(")[1].split("x")[0])
-        assert factor == pytest.approx(0.5, abs=0.15)
-        a2 = result.summary["A2 rate (before -> after B3)"]
-        factor_a = float(a2.split("(")[1].split("x")[0])
-        assert factor_a == pytest.approx(1.0, abs=0.2)
+        def factor(task):
+            text = result.summary[f"{task} rate (before -> after B3)"]
+            return float(text.split("(")[1].split("x")[0])
+
+        assert factor("B1") == pytest.approx(0.5, abs=0.15)
+        assert factor("B2") == pytest.approx(0.5, abs=0.15)
+        assert factor("A1") == pytest.approx(1.0, abs=0.2)
+        assert factor("A2") == pytest.approx(1.0, abs=0.2)
 
 
 class TestFig11:
@@ -127,7 +138,10 @@ class TestFig11:
         wait = result.summary["waiting time ratio A:B"]
         wait_ratio = float(wait.split(":")[1].split("(")[0])
         assert 1.4 < wait_ratio < 3.0  # paper: 2.11
-        assert result.summary["release lotteries"] > 0
+        assert result.summary["release lotteries"] > 200
+        # Both groups' waiting-time histograms have mass (Figure 11).
+        assert {row["group"] for row in result.rows} \
+            == {"group-A", "group-B"}
 
 
 class TestOverhead:
@@ -137,6 +151,11 @@ class TestOverhead:
         factor = float(text.split("x")[0])
         # "Comparable": within 5x either way on the host.
         assert 0.2 < factor < 5.0
+        # Both policies deliver the same virtual CPU to the workload.
+        iterations = {row["policy"]: row["iterations"]
+                      for row in result.rows}
+        assert iterations["lottery"] == pytest.approx(
+            iterations["timesharing"], rel=0.05)
 
 
 class TestInverseMemory:
@@ -149,6 +168,11 @@ class TestInverseMemory:
         observed = {row["client"]: row["observed_share"]
                     for row in result.rows}
         assert observed["A"] < observed["B"] < observed["C"]
+        # The ticket-blind baseline victimizes uniformly.
+        lru = result.summary["baseline lru eviction shares"]
+        shares = [float(part.split("=")[1])
+                  for part in lru.split("(")[0].strip().split(", ")]
+        assert max(shares) - min(shares) < 0.05
 
 
 class TestDiverseResources:
@@ -157,8 +181,9 @@ class TestDiverseResources:
         disk = result.summary["disk lottery A:B"]
         assert float(disk.split(":")[0]) == pytest.approx(3.0, rel=0.2)
         link = result.summary["link lottery X:Y:Z"]
-        x_over_z = float(link.split(":")[0])
+        x_over_z, y_over_z = (float(part) for part in link.split(":")[:2])
         assert x_over_z == pytest.approx(4.0, rel=0.2)
+        assert y_over_z == pytest.approx(2.0, rel=0.2)
         # Round-robin baselines split evenly.
         rr_rows = [r for r in result.rows
                    if r.get("scheduler") == "round-robin"
@@ -173,6 +198,9 @@ class TestAblations:
         )
         for row in result.rows:
             assert 0.5 < row["ratio"] < 2.0
+        # 4x the lotteries (half the quantum, twice over) ~halves the CV.
+        cv = {row["lotteries"]: row["observed_cv"] for row in result.rows}
+        assert cv[400] < cv[100] / 1.5
 
     def test_lottery_vs_stride(self):
         result = ex.ablations.run_lottery_vs_stride(
@@ -183,6 +211,9 @@ class TestAblations:
         assert max(r["max_error_quanta"] for r in stride_rows) <= 1.5
         assert (lottery_rows[-1]["max_error_quanta"]
                 > stride_rows[-1]["max_error_quanta"])
+        # Lottery error grows with time; stride's stays O(1).
+        assert (lottery_rows[-1]["max_error_quanta"]
+                > lottery_rows[0]["max_error_quanta"])
 
     def test_compensation_ablation(self):
         result = ex.ablations.run_compensation(duration_ms=150_000)

@@ -9,7 +9,8 @@ class TestChecks:
         for figure in ("Figure 1", "Figure 4", "Figure 5", "Figure 6",
                        "Figure 7", "Figure 8", "Figure 9", "Figure 11"):
             assert any(label.startswith(figure) for label in labels)
-        assert len(labels) == 20
+        assert any(label.startswith("Sec. 5.6") for label in labels)
+        assert len(labels) == 21
 
     def test_individual_cheap_checks_pass(self):
         ok, detail = reproduce_all._fig1(quick=True)

@@ -44,5 +44,12 @@ class TestRun:
         result = service_classes.run(duration_ms=250_000)
         assert len(result.rows) == 3
         assert "lottery class spread" in result.summary
-        lottery = next(r for r in result.rows if r["policy"] == "lottery")
+        rows = {row["policy"]: row for row in result.rows}
+        lottery, stride = rows["lottery"], rows["stride"]
         assert lottery["completed"] > 0
+        assert lottery["bronze_slowdown"] / lottery["gold_slowdown"] > 1.5
+        # Stride orders the classes too, deterministically.
+        assert (stride["gold_slowdown"] < stride["silver_slowdown"]
+                < stride["bronze_slowdown"])
+        # Load < 100%: every policy gets through the same jobs.
+        assert len({row["completed"] for row in result.rows}) == 1

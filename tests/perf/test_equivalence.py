@@ -4,18 +4,18 @@ Every optimization this package carries -- the funding cache in
 ``repro.core.tickets``, dirty-member Fenwick refresh in
 ``repro.schedulers.lottery_policy``, the args-based event queue --
 claims to be *bit-exact*: same seed, same dispatch stream, same
-checkpoint state tree.  These tests prove it two ways:
+checkpoint state tree.  The replay-stream and state-tree sha256 of four
+reference runs are pinned to the values the pre-optimization code
+produced; any behavioural drift in the dispatch loop, however subtle,
+changes these digests.
 
-1. **Golden checksums.** The replay-stream and state-tree sha256 of
-   four reference runs are pinned to the values the pre-optimization
-   code produced.  Any behavioural drift in the dispatch loop, however
-   subtle, changes these digests.
-
-2. **Mode cross-check.** The optimizations keep escape hatches
-   (``set_funding_cache_enabled``, ``set_full_refresh``) that force the
-   historical recompute-everything behaviour.  Each reference run is
-   executed in optimized and unoptimized mode and the digests compared;
-   the pair must be identical, not merely "both plausible".
+The goldens say *that* a run drifted, not which cache lied.  The
+independent references are ``TestNominalCacheDifferential``
+(``tests/test_properties_graph.py``: every cached valuation against a
+from-scratch walk after each generated mutation) and
+``TestTreeStoredValues`` (``tests/serving/test_arena.py``: every clean
+tree member's stored value against its live funding after each
+dispatch of the serving arena).
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ import functools
 
 import pytest
 
-import repro.core.tickets as tickets_mod
-import repro.schedulers.lottery_policy as policy_mod
 from repro.checkpoint.capture import capture_tree
 from repro.checkpoint.registry import build_recipe
 from repro.checkpoint.replay import ReplayRecorder
@@ -68,18 +66,6 @@ def _run(recipe: str, args: dict, until: float) -> tuple:
     return stream, state
 
 
-@pytest.fixture
-def unoptimized_mode():
-    """Force the historical slow paths for the duration of a test."""
-    was_cache = tickets_mod.set_funding_cache_enabled(False)
-    was_refresh = policy_mod.set_full_refresh(True)
-    try:
-        yield
-    finally:
-        tickets_mod.set_funding_cache_enabled(was_cache)
-        policy_mod.set_full_refresh(was_refresh)
-
-
 @pytest.mark.parametrize("recipe, args, until, stream, state", GOLDEN,
                          ids=_IDS)
 def test_optimized_run_matches_golden_checksums(recipe, args, until,
@@ -88,35 +74,6 @@ def test_optimized_run_matches_golden_checksums(recipe, args, until,
     got_stream, got_state = _run(recipe, args, until)
     assert got_stream == stream, "dispatch stream diverged"
     assert got_state == state, "checkpoint state tree diverged"
-
-
-@pytest.mark.parametrize("recipe, args, until, stream, state", GOLDEN,
-                         ids=_IDS)
-def test_unoptimized_run_matches_golden_checksums(recipe, args, until,
-                                                  stream, state,
-                                                  unoptimized_mode):
-    """The escape hatches reproduce the same digests (cross-check).
-
-    If this fails while the optimized variant passes, the *escape
-    hatch* regressed; if both fail identically, the goldens themselves
-    need re-pinning after a deliberate behavioural change.
-    """
-    got_stream, got_state = _run(recipe, args, until)
-    assert got_stream == stream, "dispatch stream diverged"
-    assert got_state == state, "checkpoint state tree diverged"
-
-
-def test_mode_toggles_return_previous_value_and_restore():
-    assert tickets_mod.funding_cache_enabled() is True
-    previous = tickets_mod.set_funding_cache_enabled(False)
-    assert previous is True
-    assert tickets_mod.funding_cache_enabled() is False
-    assert tickets_mod.set_funding_cache_enabled(previous) is False
-    assert tickets_mod.funding_cache_enabled() is True
-
-    previous = policy_mod.set_full_refresh(True)
-    assert previous is False
-    assert policy_mod.set_full_refresh(previous) is True
 
 
 def test_funding_cache_invalidates_on_ticket_mutation():
@@ -191,7 +148,7 @@ _SHARD_IDS = ["mix", "mix-ops", "spin-tree"]
 
 @functools.lru_cache(maxsize=None)
 def _golden_plan(plan_items: tuple):
-    """Built once per case: the 10,000-thread plan takes ~15 s."""
+    """Built once per case and shared by its seven backend/shard runs."""
     from repro.shard.plan import mix_plan, spin_plan
 
     kwargs = dict(plan_items)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -183,6 +184,8 @@ def test_format_comparison_table_plain_and_markdown():
 
 # -- suite shape ------------------------------------------------------------
 
+_BASELINE = os.path.join(os.path.dirname(__file__), "perf_baseline.json")
+
 
 def test_benchmark_suite_names_are_unique_and_parameterized():
     from repro.perf.benchmarks import benchmark_suite
@@ -190,10 +193,21 @@ def test_benchmark_suite_names_are_unique_and_parameterized():
     suite = benchmark_suite(quick=False)
     names = [name for name, _, _ in suite]
     assert len(names) == len(set(names))
-    assert "dispatch.tree.10000" in names  # the acceptance benchmark
+    assert "draw.tree.10000" in names  # the section 5.1 O(log n) draw
     for name, params, setup in suite:
         assert isinstance(params, dict)
         assert callable(setup)
+
+
+def test_suite_names_equal_committed_baseline_names():
+    """Every entry is gated and the baseline carries no dead entry."""
+    from repro.perf.benchmarks import benchmark_suite
+
+    baseline = load_report(_BASELINE)
+    gated = [entry.name for entry in baseline.results
+             if entry.name != CALIBRATION_NAME]
+    assert gated == [name for name, _, _ in benchmark_suite()]
+    assert baseline.result(CALIBRATION_NAME) is not None
 
 
 def test_quick_suite_keeps_names_but_shrinks_loops():
@@ -201,22 +215,18 @@ def test_quick_suite_keeps_names_but_shrinks_loops():
 
     full = {name: params for name, params, _ in benchmark_suite(quick=False)}
     quick = {name: params for name, params, _ in benchmark_suite(quick=True)}
-    # Same coverage, smaller loops -- except the mp-backend shard
-    # benchmarks, which are full-mode only (worker startup and pipe
-    # costs dominate a 5-epoch run, making quick scores meaningless
-    # against the full-mode baseline).
-    assert set(quick) == {name for name in full if ".mp." not in name}
+    assert set(quick) == set(full)  # same coverage, smaller loops
     assert quick["draw.list.1000"]["draws"] < full["draw.list.1000"]["draws"]
-    assert (quick["dispatch.tree.10000"]["quanta"]
-            < full["dispatch.tree.10000"]["quanta"])
+    assert quick["ipc.pingpong"]["calls"] < full["ipc.pingpong"]["calls"]
 
 
 def test_dispatch_benchmark_is_deterministic():
-    """Two setups of the same benchmark run identical simulations."""
+    """Two setups of the kernel-driving benchmark run identical
+    simulations."""
     from repro.perf.benchmarks import benchmark_suite
 
     suite = {name: setup for name, _, setup in benchmark_suite(quick=True)}
-    setup = suite["dispatch.list.100"]
+    setup = suite["ipc.pingpong"]
     fn_a, ops_a = setup()
     fn_b, ops_b = setup()
     assert ops_a == ops_b
@@ -277,4 +287,4 @@ def test_cli_list_prints_suite(capsys):
     code = _run_cli(["--list"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "dispatch.tree.10000" in out
+    assert "draw.tree.10000" in out

@@ -64,6 +64,35 @@ class TestShareOrdering:
         assert p99["bronze"] > p99["gold"]
 
 
+class TestTreeStoredValues:
+    """The tree policy revalues only the members their funding watchers
+    flagged; every other queued member's stored value must already be
+    its live funding, or the next draw runs over a stale tree.  The
+    arena moves funding every way the system can: class currencies,
+    RPC ticket transfers, SLO inflation of the backing tickets."""
+
+    @pytest.mark.parametrize("load", [0.7, 1.5])
+    def test_clean_members_store_their_live_funding(self, load):
+        machine = build_machine(seed=2026, quantum=_QUANTUM,
+                                policy="lottery-tree")
+        arena = build_arena(machine.kernel, ArenaConfig(
+            seed=2026, load_factor=load, requests_per_class=150, slo=True))
+        policy = machine.policy
+        checked = 0
+
+        def after_dispatch(kernel, thread, outcome):
+            nonlocal checked
+            for member in policy._members:
+                if member not in policy._dirty:
+                    assert policy._tree.value_of(member) \
+                        == member.funding(), (member.name, kernel.now)
+                    checked += 1
+
+        machine.kernel.invariant_hooks.append(after_dispatch)
+        arena.run()
+        assert checked > 1_000
+
+
 class TestTelemetry:
     def test_request_completions_reach_the_hub(self):
         from repro.telemetry import Telemetry

@@ -40,6 +40,20 @@ def test_run_mode_writes_requested_artifacts(capsys, tmp_path):
     assert prom.read_text().startswith("#")
 
 
+def test_report_accepts_every_plan_shard_run_does(capsys):
+    """One plan table serves both CLIs (``serving`` used to be refused
+    here by a private copy that had drifted)."""
+    from repro.shard.__main__ import PLANS
+
+    for name in sorted(PLANS):
+        code = main(["report", "--plan", name, "--cores", "2", "--until",
+                     "500", "--backend", "inline", "--shards", "2",
+                     "--quiet"])
+        # 0 = SLO policy met, 2 = breached; argparse refusal raises.
+        assert code in (0, 2), name
+        assert "canonical sha256: " in capsys.readouterr().err
+
+
 def test_run_mode_markdown_report(capsys):
     code = main(_RUN)
     out = capsys.readouterr().out
