@@ -254,10 +254,13 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
     },
     "repro.telemetry.spans.SpanTracer": {
         "covered": {"max_spans", "strict", "_next_sid", "dropped_spans"},
-        # The span buffer and per-track stacks are exported (JSONL /
-        # Chrome), not checkpointed; the seam captures their summary
-        # counts so restore-then-trace divergence is still diffable.
-        "transient": {"_spans", "_stacks"},
+        # The span store (sealed chunks, the chunk being filled, the
+        # evicted-head offset, the retained count) and per-track stacks
+        # are exported (JSONL / Chrome), not checkpointed; the seam
+        # captures their summary counts so restore-then-trace divergence
+        # is still diffable.
+        "transient": {"_chunks", "_order", "_filling", "_head", "_size",
+                      "_stacks"},
     },
     "repro.telemetry.registry.MetricRegistry": {
         "covered": {"_instruments"},

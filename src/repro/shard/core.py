@@ -368,7 +368,7 @@ class ShardCore:
         tracer = self.telemetry.tracer
         return {
             "core": self.core_id,
-            "spans": [span.to_dict() for span in tracer.spans],
+            "spans": [span.to_dict() for span in tracer],
             "open_spans": [span.to_dict() for span in tracer.open_spans()],
         }
 

@@ -70,10 +70,10 @@ def export_jsonl(tracer: SpanTracer,
         "kind": "header",
         "format": JSONL_FORMAT,
         "version": JSONL_VERSION,
-        "spans": len(tracer.spans),
+        "spans": len(tracer),
         "dropped_spans": tracer.dropped_spans,
     })]
-    for span in tracer.spans:
+    for span in tracer:
         lines.append(_dumps({"kind": "span", **span.to_dict()}))
     if registry is not None:
         for name, snapshot in registry.as_dict().items():
@@ -129,7 +129,7 @@ def _chrome_events(tracer: SpanTracer) -> List[Dict[str, Any]]:
             "ph": "M", "pid": 0, "tid": index, "ts": 0,
             "name": "thread_name", "args": {"name": track},
         })
-    for span in tracer.spans:
+    for span in tracer:
         tid = tids.setdefault(span.track, len(tids))
         args = {"sid": span.sid, "parent": span.parent, **span.attrs}
         if span.instant:

@@ -36,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
     from repro.kernel.thread import Thread
 
+from repro.kernel.thread import ThreadState
 from repro.telemetry.registry import (Counter, HistogramInstrument,
                                       MetricRegistry)
 from repro.telemetry.spans import SpanTracer
@@ -81,6 +82,8 @@ class KernelProbe:
         self._open_quantum = None
         self._quantum_tid: Optional[int] = None
         self._end_candidate = 0.0
+        #: Wake-to-dispatch histograms by share band, bound on first use.
+        self._latency: Dict[str, HistogramInstrument] = {}
         registry = telemetry.registry
         labels = {"track": track}
         self._dispatches = registry.counter(
@@ -105,11 +108,14 @@ class KernelProbe:
         if thread.runnable_since is not None:
             latency = time - thread.runnable_since
             if latency >= 0:
-                self.telemetry._histogram(
-                    "repro_wake_to_dispatch_ms",
-                    {"share": share_band(share)},
-                    "Runnable-to-dispatch latency by ticket share band.",
-                ).record(latency)
+                band = share_band(share)
+                histogram = self._latency.get(band)
+                if histogram is None:
+                    histogram = self.telemetry._histogram(
+                        "repro_wake_to_dispatch_ms", {"share": band},
+                        "Runnable-to-dispatch latency by ticket share band.")
+                    self._latency[band] = histogram
+                histogram.record(latency)
         self._open_quantum = self.telemetry.tracer.begin(
             self.track, "quantum", "kernel", time,
             {"thread": thread.name, "tid": thread.tid,
@@ -157,10 +163,17 @@ class KernelProbe:
 
     def _share_of(self, thread: "Thread") -> float:
         """Nominal ticket share of the thread among live threads."""
+        # Summed left to right in ``kernel.threads`` order, never kept
+        # as a running total: the rounded share is in the trace digest,
+        # so the float must come out bit-identical.  Reading the cached
+        # value in place of two calls per live thread is most of what a
+        # dispatch used to cost here.
         total = 0.0
+        exited = ThreadState.EXITED
         for other in self.kernel.threads:
-            if other.alive:
-                total += other.nominal_funding()
+            if other.state is not exited:
+                value = other._nominal_value
+                total += other.nominal_funding() if value is None else value
         if total <= 0:
             return 0.0
         return thread.nominal_funding() / total
@@ -173,9 +186,13 @@ class Telemetry:
                  strict: bool = False) -> None:
         self.tracer = SpanTracer(max_spans=max_spans, strict=strict)
         self.registry = MetricRegistry()
-        #: Instruments already looked up, by (name, *label values): the
-        #: registry renders ``name{labels}`` on first use only.
-        self._bound: Dict[Tuple[str, ...], Any] = {}
+        #: What a callback looked up once and needs on every event.  The
+        #: cold callbacks go through ``_counter`` / ``_histogram``, keyed
+        #: by (name, *label values), so the registry renders
+        #: ``name{labels}`` on first use only; the per-event ones keep
+        #: their track name and instruments under whatever they have in
+        #: hand -- the kernel, plus the RPC flag or the service class.
+        self._bound: Dict[Any, Any] = {}
         #: (kernel, probe) pairs in attach order.
         self._probes: List[Tuple[Any, KernelProbe]] = []
         self._instrumented_policies: List[Any] = []
@@ -247,6 +264,7 @@ class Telemetry:
             if kernel.telemetry is self:
                 kernel.telemetry = None
         self._probes.clear()
+        self._bound.clear()
         for policy in self._instrumented_policies:
             policy.draw_hook = None
         self._instrumented_policies.clear()
@@ -258,48 +276,62 @@ class Telemetry:
 
     def on_ipc_send(self, port: Any, request: Any, rpc: bool) -> None:
         """A message or call entered a port (instant event)."""
-        track = self._track_of(port.kernel)
+        kernel = port.kernel
+        bound = self._bound.get((kernel, rpc))
+        if bound is None:
+            track = self._track_of(kernel)
+            bound = self._bound[kernel, rpc] = (track, self._counter(
+                "repro_ipc_calls_total" if rpc else "repro_ipc_sends_total",
+                {"track": track},
+                "IPC calls (RPCs)." if rpc else "Asynchronous IPC sends.",
+            ))
+        track, counter = bound
         self.tracer.event(
             track, "ipc.call" if rpc else "ipc.send", "ipc",
-            port.kernel.now, {"port": port.name},
+            kernel.now, {"port": port.name},
         )
-        self._counter(
-            "repro_ipc_calls_total" if rpc else "repro_ipc_sends_total",
-            {"track": track},
-            "IPC calls (RPCs)." if rpc else "Asynchronous IPC sends.",
-        ).inc()
+        counter.inc()
 
     def on_ipc_reply(self, port: Any, request: Any) -> None:
         """An RPC completed: record its whole lifetime as a span."""
-        track = self._track_of(port.kernel)
-        now = port.kernel.now
+        kernel = port.kernel
+        bound = self._bound.get(kernel)
+        if bound is None:
+            track = self._track_of(kernel)
+            bound = self._bound[kernel] = (
+                track,
+                self._counter("repro_ipc_replies_total", {"track": track},
+                              "RPC replies delivered."),
+                self._histogram("repro_ipc_rpc_ms", {"track": track},
+                                "RPC response times (call to reply)."),
+            )
+        track, replies, rpc_ms = bound
+        now = kernel.now
         self.tracer.complete(
             track, "ipc.rpc", "ipc", request.created_at, now,
             {"port": port.name, "attempts": request.delivery_attempts},
         )
-        self._counter(
-            "repro_ipc_replies_total", {"track": track},
-            "RPC replies delivered.").inc()
-        self._histogram(
-            "repro_ipc_rpc_ms", {"track": track},
-            "RPC response times (call to reply).",
-        ).record(now - request.created_at)
+        replies.inc()
+        rpc_ms.record(now - request.created_at)
 
     def on_request_complete(self, kernel: "Kernel", service_class: str,
                             e2e_ms: float) -> None:
         """A serving-arena request finished end-to-end (arrival to
         reply); keyed by service class, not share band, so per-class
         tail latency is readable straight off the histogram."""
-        track = self._track_of(kernel)
-        labels = {"track": track, "class": service_class}
-        self._counter(
-            "repro_requests_completed_total", labels,
-            "Serving requests completed end-to-end.").inc()
-        self._histogram(
-            "repro_request_e2e_ms", labels,
-            "End-to-end request latency (scheduled arrival to "
-            "reply) by service class.",
-        ).record(e2e_ms)
+        bound = self._bound.get((kernel, service_class))
+        if bound is None:
+            labels = {"track": self._track_of(kernel), "class": service_class}
+            bound = self._bound[kernel, service_class] = (
+                self._counter("repro_requests_completed_total", labels,
+                              "Serving requests completed end-to-end."),
+                self._histogram("repro_request_e2e_ms", labels,
+                                "End-to-end request latency (scheduled "
+                                "arrival to reply) by service class."),
+            )
+        completed, e2e = bound
+        completed.inc()
+        e2e.record(e2e_ms)
 
     def on_ipc_retransmit(self, port: Any, request: Any,
                           backoff: float, forced: bool) -> None:
@@ -390,8 +422,12 @@ class Telemetry:
 
     def _make_draw_hook(self, track: str):
         labels = {"track": track}
+        # Bound by the first draw (and the first fallback), not here: an
+        # instrument appears in the registry when it first counts.
+        draws = examined = fallbacks = None
 
         def hook(draw: Dict[str, Any]) -> None:
+            nonlocal draws, examined, fallbacks
             winner = draw["winner"]
             self.tracer.event(
                 track, "lottery.draw", "scheduler", winner.kernel.now,
@@ -402,17 +438,21 @@ class Telemetry:
                  "fallback": draw["fallback"],
                  "prng_state": draw["prng_state"]},
             )
-            self._counter(
-                "repro_lottery_draws_total", labels,
-                "Lotteries held (including fallbacks).").inc()
-            self._counter(
-                "repro_lottery_examined_total", labels,
-                "Clients examined while drawing.",
-            ).inc(draw["examined"])
+            if draws is None:
+                draws = self._counter(
+                    "repro_lottery_draws_total", labels,
+                    "Lotteries held (including fallbacks).")
+                examined = self._counter(
+                    "repro_lottery_examined_total", labels,
+                    "Clients examined while drawing.")
+            draws.inc()
+            examined.inc(draw["examined"])
             if draw["fallback"]:
-                self._counter(
-                    "repro_lottery_fallbacks_total", labels,
-                    "Zero-funding FIFO fallbacks.").inc()
+                if fallbacks is None:
+                    fallbacks = self._counter(
+                        "repro_lottery_fallbacks_total", labels,
+                        "Zero-funding FIFO fallbacks.")
+                fallbacks.inc()
 
         return hook
 

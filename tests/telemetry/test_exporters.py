@@ -128,9 +128,9 @@ class TestFiles:
 
 
 class TestDeterminism:
-    def _traced_chaos(self, seed=2718, until=30_000.0):
+    def _traced_chaos(self, seed=2718, until=30_000.0, **hub_options):
         handle = build_recipe("chaos-fairness", {"seed": seed})
-        hub = Telemetry()
+        hub = Telemetry(**hub_options)
         hub.instrument_handle(handle)
         handle.advance(until)
         hub.finalize(handle.now)
@@ -147,6 +147,20 @@ class TestDeterminism:
 
     def test_different_seed_diverges(self):
         assert self._traced_chaos(seed=2718) != self._traced_chaos(seed=99)
+
+    def test_export_taken_after_eviction_is_pinned(self):
+        # 15 013 spans through a 5 000-span bound: what is exported is
+        # what survived drop-oldest, sids and parents untouched.  The
+        # digests are those of ``python -m repro.telemetry --max-spans
+        # 5000 --jsonl ... --chrome ...`` when the buffer was still a
+        # deque of Span objects.
+        chrome, jsonl, _ = self._traced_chaos(until=60_000.0, max_spans=5000)
+        header = json.loads(jsonl.splitlines()[0])
+        assert (header["spans"], header["dropped_spans"]) == (5000, 10013)
+        assert sha256_text(jsonl) == ("8bbc147d9fb87a18f161441e1c50ec0f"
+                                      "9bb97b03a2630bb514902cdee2d24ad8")
+        assert sha256_text(chrome) == ("8284bddf043e8d5b6c96606a20c97fd4"
+                                       "db234b02b5350b9c0c3616bfe1540903")
 
 
 class TestPrometheusSanitization:

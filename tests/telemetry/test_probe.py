@@ -5,6 +5,7 @@ from repro.checkpoint.replay import ReplayRecorder
 from repro.kernel.ipc import Port
 from repro.kernel.syscalls import Call, Compute, Receive, Reply
 from repro.telemetry import Telemetry
+from repro.telemetry.spans import Span, SpanTracer
 from tests.conftest import make_lottery_kernel, spin_body
 
 
@@ -270,3 +271,107 @@ class TestBoundedCost:
         wide = self._nominal_evaluations_per_dispatch(monkeypatch, 4)
         assert stock <= 10.0
         assert wide <= 10.0
+
+    def test_hub_looks_an_instrument_up_once_not_once_per_event(
+            self, monkeypatch):
+        # The probe, the draw hook and the IPC / request callbacks keep
+        # the instruments (and track name) they found; before, each
+        # event rebuilt a label dict and a key to find them again:
+        # 9 651 lookups over this run, 1 220 of them by dispatch 214.
+        from repro.experiments.common import build_machine
+        from repro.serving.arena import ArenaConfig, build_arena
+
+        lookups = [0]
+        for name in ("_counter", "_histogram"):
+            original = getattr(Telemetry, name)
+
+            def counted(hub, *args, _original=original):
+                lookups[0] += 1
+                return _original(hub, *args)
+
+            monkeypatch.setattr(Telemetry, name, counted)
+        machine = build_machine(seed=1, quantum=20.0, policy="lottery")
+        Telemetry().instrument_kernel(machine.kernel, track="serving")
+        arena = build_arena(machine.kernel, ArenaConfig(
+            seed=1, load_factor=1.5, requests_per_class=300))
+        until = 0.0
+        while machine.kernel.dispatch_count < 200:
+            until += 50.0
+            arena.run(until)
+        warmed_up = lookups[0]
+        arena.run()
+        assert machine.kernel.dispatch_count > 1500
+        assert 0 < lookups[0] == warmed_up
+
+
+class TestBoundedRetention:
+    """What a completed span costs to keep, and to read back, as
+    deterministic facts (allocation sizes and object counts, no clock)."""
+
+    @staticmethod
+    def _hub_mix(tracer, rounds):
+        """The hub's four shapes per round: a draw (8 attrs), a quantum
+        through begin/end (4), an IPC call (1) and its RPC span (2)."""
+        for index in range(rounds):
+            now = 20.0 * index
+            tracer.event("serving", "lottery.draw", "scheduler", now,
+                         {"winner": "fe:gold:0", "tid": index % 40,
+                          "funding": 100.0 + index % 3,
+                          "total": 1500.0 + index % 7,
+                          "runnable": index % 9, "examined": index % 5,
+                          "fallback": False,
+                          "prng_state": index * 48271 % 2147483647})
+            quantum = tracer.begin("serving", "quantum", "kernel", now,
+                                   {"thread": "fe:gold:0", "tid": index % 40,
+                                    "share": round(1 / (3 + index % 11), 6)})
+            tracer.event("serving", "ipc.call", "ipc", now + 1.0,
+                         {"port": "svc:in:gold"})
+            tracer.complete("serving", "ipc.rpc", "ipc", now, now + 5.0,
+                            {"port": "svc:in:gold", "attempts": 1})
+            tracer.end(quantum, now + 20.0, {"outcome": "preempt"})
+
+    def test_a_retained_span_costs_tens_of_bytes_not_hundreds(self):
+        import tracemalloc
+
+        tracer = SpanTracer()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            self._hub_mix(tracer, 20_000)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tracer) == 80_000
+        # One Span and one attrs dict per span was 404 B; sealed columns
+        # are ~60 B.  The bound leaves room for another interpreter's
+        # object sizes, not for a per-span object.
+        assert retained / len(tracer) <= 120
+
+    def test_readers_materialise_only_what_they_return(self, monkeypatch):
+        from repro.telemetry import spans as spans_module
+
+        tracer = SpanTracer()
+        self._hub_mix(tracer, 12_500)
+        assert len(tracer) == 50_000
+        built = [0]
+
+        class CountedSpan(Span):
+            __slots__ = ()
+
+            def __init__(self, *fields):
+                built[0] += 1
+                super().__init__(*fields)
+
+        monkeypatch.setattr(spans_module, "Span", CountedSpan)
+        assert len(tracer) == 50_000 and tracer.completed == 50_000
+        assert tracer.counts()[("kernel", "quantum")] == 12_500
+        assert tracer.tracks() == ["serving"]
+        assert built[0] == 0
+        tail = tracer.tail(64)
+        assert built[0] == 64
+        assert [span.sid for span in tail] == [
+            span.sid for span in tracer.spans[-64:]]
+        # Deep enough to start inside a sealed chunk: still only the
+        # spans asked for.
+        built[0] = 0
+        assert len(tracer.tail(5_000)) == 5_000 and built[0] == 5_000

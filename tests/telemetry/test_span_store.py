@@ -1,0 +1,267 @@
+"""The chunked span store against the store it replaced.
+
+``_DequeTracer`` is the previous ``SpanTracer`` kept whole as the naive
+reference: every completed span is a ``Span`` object in a deque.  Both
+are driven with the same generated ``begin`` / ``end`` / ``event`` /
+``complete`` / ``finalize`` sequences and must agree on everything a
+reader can see -- values *and* types, since an ``int`` that comes back a
+``float`` (or a ``bool`` an ``int``) changes the exported bytes.
+
+The chunk size is patched down to 4 so that a few dozen operations
+cross several seals, and ``max_spans`` is drawn around its multiples so
+that eviction lands inside the filling chunk, on a chunk boundary and
+several chunks deep.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import deque
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import ReproError
+from repro.telemetry import spans as spans_module
+from repro.telemetry.exporters import export_chrome, export_jsonl
+from repro.telemetry.spans import Span, SpanTracer
+
+CHUNK = 4
+
+
+class _DequeTracer:
+    """The store before chunks: one ``Span`` per completed span."""
+
+    def __init__(self, max_spans=1_000_000, strict=False):
+        self.max_spans, self.strict = max_spans, strict
+        self._spans = deque()
+        self._stacks = {}
+        self._next_sid = 0
+        self.dropped_spans = 0
+
+    def _span(self, parent, track, name, category, start, end, attrs):
+        self._next_sid += 1
+        return Span(sid=self._next_sid - 1, parent=parent, track=track,
+                    name=name, category=category, start=start, end=end,
+                    attrs=dict(attrs or {}))
+
+    def begin(self, track, name, category, start, attrs=None):
+        stack = self._stacks.setdefault(track, [])
+        span = self._span(stack[-1].sid if stack else None, track, name,
+                          category, start, None, attrs)
+        stack.append(span)
+        return span
+
+    def end(self, span, end, attrs=None):
+        if span.end is not None:
+            raise ReproError(f"span {span.sid} ({span.name!r}) already ended")
+        if end < span.start:
+            raise ReproError(f"span {span.sid} would end before it started")
+        span.end = end
+        span.attrs.update(attrs or {})
+        stack = self._stacks.get(span.track, [])
+        if span in stack:
+            stack.remove(span)
+        self._buffer(span)
+        return span
+
+    def event(self, track, name, category, time, attrs=None):
+        stack = self._stacks.get(track, [])
+        span = self._span(stack[-1].sid if stack else None, track, name,
+                          category, time, time, attrs)
+        self._buffer(span)
+        return span
+
+    def complete(self, track, name, category, start, end, attrs=None):
+        if end < start:
+            raise ReproError(f"complete span {name!r} has negative duration")
+        span = self._span(None, track, name, category, start, end, attrs)
+        self._buffer(span)
+        return span
+
+    def finalize(self, time):
+        closed = 0
+        for track in sorted(self._stacks):
+            while self._stacks[track]:
+                span = self._stacks[track][-1]
+                self.end(span, max(time, span.start), {"finalized": True})
+                closed += 1
+        return closed
+
+    def _buffer(self, span):
+        if len(self._spans) >= self.max_spans:
+            if self.strict:
+                raise ReproError("span buffer overflow (strict mode)")
+            self._spans.popleft()
+            self.dropped_spans += 1
+        self._spans.append(span)
+
+    spans = property(lambda self: list(self._spans))
+    completed = property(lambda self: len(self._spans) + self.dropped_spans)
+
+    def tail(self, count):
+        return list(self._spans)[max(0, len(self._spans) - count):]
+
+    def open_spans(self):
+        return [span for track in sorted(self._stacks)
+                for span in self._stacks[track]]
+
+    def tracks(self):
+        seen = [span.track for span in self._spans]
+        seen += [track for track, stack in self._stacks.items() if stack]
+        return list(dict.fromkeys(seen))
+
+    def counts(self):
+        out = {}
+        for span in self._spans:
+            key = (span.category, span.name)
+            out[key] = out.get(key, 0) + 1
+        return out
+
+    def __len__(self):
+        return len(self._spans)
+
+    def __iter__(self):
+        return iter(self._spans)
+
+
+# -- generated inputs ---------------------------------------------------------
+
+#: Every packing edge: ``True`` beside ``1``, ``None``, ints at and
+#: beyond both ends of 64 bits, ``0`` beside ``0.0`` beside ``-0.0``,
+#: infinities, strings, nested containers.  (No NaN: it is unequal to
+#: itself, so ``==`` could not compare it; ``test_nan_...`` covers it.)
+_SCALARS = st.one_of(
+    st.sampled_from([True, False, 0, 1, None, 0.0, -0.0, 1.0, 2.5,
+                     math.inf, -math.inf, 2 ** 63 - 1, 2 ** 63, -2 ** 63,
+                     -2 ** 63 - 1, 10 ** 30, "", "fe:gold:0", "1"]),
+    st.integers(-5, 5), st.floats(-4.0, 4.0, allow_nan=False),
+)
+_VALUES = st.one_of(
+    _SCALARS, st.lists(_SCALARS, max_size=2),
+    st.dictionaries(st.sampled_from(["x", "y"]), _SCALARS, max_size=2))
+#: Two keys, any subset in either order, and few (track, name, category)
+#: triples, one of them favoured: spans of one chunk often share a block,
+#: so a column changes type mid-chunk, while one span name still shows up
+#: with different key sets and key orders.
+_ATTRS = st.one_of(
+    st.none(),
+    st.lists(st.sampled_from(["a", "b"]), unique=True, max_size=2)
+    .flatmap(lambda keys: st.fixed_dictionaries(
+        {key: _VALUES for key in keys})))
+_WHO = st.sampled_from([
+    ("k0", "quantum", "kernel"), ("k0", "quantum", "kernel"),
+    ("k0", "lottery.draw", "kernel"), ("k1", "quantum", "ipc"),
+    ("cluster", "ipc.rpc", "ipc")])
+#: Int- and float-typed instants: ``0`` must not come back ``0.0``.
+_TIMES = st.sampled_from([0, 0.0, -0.0, 1, 1.0, 2.5, 7, 40.0])
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("begin"), _WHO, _TIMES, _ATTRS),
+    st.tuples(st.just("end"), st.integers(0, 7), _TIMES, _ATTRS),
+    st.tuples(st.just("event"), _WHO, _TIMES, _ATTRS),
+    st.tuples(st.just("complete"), _WHO, _TIMES, _TIMES, _ATTRS),
+    st.tuples(st.just("finalize"), _TIMES),
+), max_size=70)
+_BOUNDS = st.sampled_from([1, 7, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+
+
+def _exact(value):
+    """``repr`` tells ``0`` from ``0.0`` from ``-0.0`` and ``True`` from
+    ``1`` at any depth, and a dataclass's shows every field: equal
+    ``repr`` is equal values *and* equal types."""
+    return [repr(item) for item in value] if isinstance(value, list) \
+        else repr(value)
+
+
+def _apply(tracer, begun, op):
+    """Run one operation; ``begun`` is this tracer's spans from
+    ``begin`` (ended or not: ending one twice must fail alike)."""
+    kind = op[0]
+    try:
+        if kind == "begin":
+            _, who, time, attrs = op
+            begun.append(tracer.begin(*who, time, attrs))
+            return _exact(begun[-1])
+        if kind == "end":
+            _, which, time, attrs = op
+            if not begun:
+                return None
+            return _exact(tracer.end(begun[which % len(begun)], time, attrs))
+        if kind == "event":
+            _, who, time, attrs = op
+            return _exact(tracer.event(*who, time, attrs))
+        if kind == "complete":
+            _, who, start, end, attrs = op
+            return _exact(tracer.complete(*who, start, end, attrs))
+        return tracer.finalize(op[1])
+    except ReproError:
+        return "ReproError"
+
+
+def _views(tracer):
+    return {
+        "spans": _exact(tracer.spans),
+        "tails": [_exact(tracer.tail(count)) for count in
+                  (0, 1, 2, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 999)],
+        "len": len(tracer),
+        "completed": tracer.completed,
+        "dropped": tracer.dropped_spans,
+        "tracks": tracer.tracks(),
+        "counts": list(tracer.counts().items()),
+        "open": _exact(tracer.open_spans()),
+        "jsonl": export_jsonl(tracer),
+        "chrome": export_chrome(tracer),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_OPS, max_spans=_BOUNDS, strict=st.booleans())
+def test_chunked_store_reads_back_what_the_deque_did(ops, max_spans, strict):
+    with mock.patch.object(spans_module, "CHUNK_SPANS", CHUNK):
+        old = _DequeTracer(max_spans=max_spans, strict=strict)
+        new = SpanTracer(max_spans=max_spans, strict=strict)
+        old_begun, new_begun = [], []
+        for step, op in enumerate(ops):
+            # Same result, or the same refusal at the same call.
+            assert _apply(new, new_begun, op) == _apply(old, old_begun, op), \
+                (step, op)
+            assert len(new) == len(old)
+            assert _exact(new.tail(3)) == _exact(old.tail(3)), (step, op)
+        assert _views(new) == _views(old)
+        assert new.spans == old.spans
+
+
+def test_strict_raises_at_the_same_call_across_a_seal():
+    with mock.patch.object(spans_module, "CHUNK_SPANS", CHUNK):
+        tracer = SpanTracer(max_spans=CHUNK + 1, strict=True)
+        for index in range(CHUNK + 1):
+            tracer.event("k", "e", "kernel", float(index))
+        with pytest.raises(ReproError, match="overflow"):
+            tracer.event("k", "e", "kernel", 9.0)
+        assert len(tracer) == CHUNK + 1 and tracer.dropped_spans == 0
+
+
+def test_nan_and_signed_zero_survive_a_seal():
+    with mock.patch.object(spans_module, "CHUNK_SPANS", CHUNK):
+        tracers = _DequeTracer(), SpanTracer()
+        for tracer in tracers:
+            for value in (math.nan, -0.0, 0.0, math.inf, 1e308, 5e-324):
+                tracer.event("k", "e", "kernel", 0, {"v": value})
+        old, new = tracers
+        assert len(new._chunks) == 1
+        assert _exact(new.spans) == _exact(old.spans)
+        assert export_jsonl(new) == export_jsonl(old)
+        assert export_chrome(new) == export_chrome(old)
+
+
+def test_a_returned_span_is_the_callers_copy():
+    tracer = SpanTracer()
+    attrs = {"n": 1}
+    span = tracer.event("k", "e", "kernel", 0.0, attrs)
+    attrs["n"] = span.attrs["n"] = 2
+    span.name = "changed"
+    assert tracer.spans[0].attrs == {"n": 1}
+    assert tracer.spans[0].name == "e"
+    assert tracer.spans[0] is not tracer.spans[0]
