@@ -1,7 +1,7 @@
 """Execution backends: single-loop oracle, inline, and multiprocessing.
 
 All three drive the same :class:`~repro.shard.core.ShardCore` objects
-through the same epoch/barrier protocol and differ *only* in where and
+through the same slice-command protocol and differ *only* in where and
 in what interleaving core events execute:
 
 * ``single`` -- one loop repeatedly fires the globally earliest event
@@ -12,14 +12,27 @@ in what interleaving core events execute:
 * ``inline`` -- cores run sequentially, one whole epoch per core, in
   core order.  Same process, no parallelism; the default.
 * ``mp`` -- one persistent worker process per shard; each worker
-  rebuilds its cores from the JSON plan and exchanges only epoch
+  rebuilds its cores from the JSON plan and exchanges only slice
   commands and barrier payloads with the parent (never objects).
   Measured by ``bench/``'s ``shard_spin_mp`` workload as
-  ``shard.mp_over_inline`` (mp wall / inline wall): 0.75 with two
-  workers pinned to two CPUs, 0.76-1.10 on single passes -- the pipe
-  round-trips per epoch eat most of what the second process returns.
-  It exists as the process layout that supervision
-  (:mod:`repro.shard.supervisor`) makes fault-tolerant.
+  ``shard.mp_over_inline`` (mp wall / inline wall, two workers pinned
+  to two CPUs): 0.70-0.97 while every epoch cost two pipe
+  round-trips, 0.48-0.62 now that a quiet window costs one; the
+  break-even grid is in ``docs/SHARDING.md`` section 3.  It is also the process layout that
+  supervision (:mod:`repro.shard.supervisor`) makes fault-tolerant.
+
+One command advances history -- the **slice command** ``epoch``: it
+carries the barrier due where the cores stand (``barrier``: this
+shard's payloads, or None when none is due), a ``horizon`` that may lie
+several instants of the ``epoch_ms`` grid away, and whether to stop
+there ``inclusive``-ly.  The cores apply the carried barrier, then run
+epoch by epoch, barriering *themselves* at every instant the parent
+will not -- which is legal only while nothing is emitted there, and is
+trapped otherwise (the parent's lookahead,
+:meth:`~repro.shard.plan.ShardPlan.quiet_horizon`, is checked, never
+trusted) -- and reply once with what the last epoch emitted.  A barrier
+therefore never costs a round-trip of its own, and a one-epoch window
+*is* the classic epoch/barrier schedule, through the same code.
 
 The backend surface (``run_epoch`` / ``collect`` / ``barrier`` /
 ``snapshots`` ...) is written once, over a single seam:
@@ -39,23 +52,17 @@ import json
 import multiprocessing
 import os
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ShardError
 from repro.shard.core import ShardCore
-from repro.shard.plan import ShardPlan
+from repro.shard.plan import GRID_EPS, ShardPlan, grid_instants, on_grid
 from repro.shard.router import ShardRouter
 from repro.shard.topology import ShardTopology
 
 __all__ = ["BACKENDS", "InlineBackend", "MpBackend", "SingleBackend",
            "make_backend"]
-
-_EPS = 1e-9
-
-#: The commands that advance a core's history (what a supervisor must
-#: log to rebuild it), each with the field carrying its virtual time.
-_TIME_FIELD = {"epoch": "horizon", "inclusive": "until", "barrier": "time"}
-
 
 #: ``collect``'s ``want`` -> the pure per-core read that answers it.
 _COLLECT_VIEWS = {"snapshot": ShardCore.snapshot_state,
@@ -83,34 +90,21 @@ def _execute_command(cores: Dict[int, ShardCore], router: ShardRouter,
     degraded supervisor all come through here, so the command
     semantics -- and therefore the produced histories -- cannot drift
     between the in-process, the fail-stop and the fault-tolerant
-    protocol.  With ``obs``, epoch/inclusive replies piggyback each
-    core's delta-state obs frame (:meth:`ShardCore.obs_frame`), which
-    moves that core's delta baseline: those two are *logged* commands,
-    so recovery replays them and rebuilds the baseline with the rest of
-    the core.  ``collect`` is not logged and must therefore stay a pure
-    read; it answers one question per call -- ``want`` names the single
-    per-core view (``snapshot`` / ``stream`` / ``obs`` span dump) the
-    reply carries.
+    protocol.  ``epoch`` is the slice command (module docstring) and
+    the only one that advances history, hence the only one a supervisor
+    logs.  With ``obs`` its reply piggybacks one list of delta-state
+    obs frames (:meth:`ShardCore.obs_frame`, one per core) per epoch it
+    ran, plus one for an inclusive stop; each frame moves its core's
+    delta baseline, which recovery rebuilds with the rest of the core
+    by replaying the log.  ``collect`` is not logged and must therefore
+    stay a pure read; it answers one question per call -- ``want``
+    names the single per-core view (``snapshot`` / ``stream`` / ``obs``
+    span dump) the reply carries.
     """
     command = message["cmd"]
     mine = [cores[core_id] for core_id in sorted(cores)]
-    if command in ("epoch", "inclusive"):
-        time = message[_TIME_FIELD[command]]
-        for core in mine:
-            if command == "epoch":
-                core.run_epoch(time)
-            else:
-                core.run_inclusive(time)
-        reply: Dict[str, Any] = {"payloads": router.drain()}
-        if obs:
-            reply["obs"] = [core.obs_frame(time) for core in mine]
-        return reply
-    if command == "barrier":
-        grouped = _group_payloads(message["payloads"])
-        for core in mine:
-            core.apply_barrier(message["time"],
-                               grouped.get(core.core_id, []))
-        return {"ok": True}
+    if command == "epoch":
+        return _execute_slice(mine, router, message, obs)
     if command == "collect":
         want = message["want"]
         read = _COLLECT_VIEWS[want]
@@ -119,6 +113,54 @@ def _execute_command(cores: Dict[int, ShardCore], router: ShardRouter,
     if command == "stop":
         return {"ok": True, "stop": True}
     raise ShardError(f"unknown worker command {command!r}")
+
+
+def _execute_slice(mine: List[ShardCore], router: ShardRouter,
+                   message: Dict[str, Any], obs: bool) -> Dict[str, Any]:
+    """The slice command: carried barrier, epochs to the horizon with a
+    barrier of the cores' own wherever the parent holds none, then the
+    inclusive stop if asked for one."""
+    start, horizon = message["start"], message["horizon"]
+    step, inclusive = message["epoch_ms"], message["inclusive"]
+    if not on_grid(horizon, step):
+        raise ShardError(
+            f"slice horizon {horizon} is not on the {step}ms epoch grid "
+            f"the command carries")
+    if message["barrier"] is not None:
+        grouped = _group_payloads(message["barrier"])
+        for core in mine:
+            core.apply_barrier(start, grouped.get(core.core_id, []))
+    emitted: List[Dict[str, Any]] = []
+    frames: List[List[Dict[str, Any]]] = []
+    for end in grid_instants(start, horizon, step):
+        for core in mine:
+            core.run_epoch(end)
+        emitted = router.drain()
+        if obs:
+            frames.append([core.obs_frame(end) for core in mine])
+        if end < horizon - GRID_EPS or inclusive:
+            # The parent merges only what the *last* epoch emits: a
+            # payload found here would reach its target a barrier late.
+            if emitted:
+                first = emitted[0]
+                raise ShardError(
+                    f"core {first['src']} emitted a {first['kind']!r} "
+                    f"payload in the epoch ending at {end}ms, inside "
+                    f"the slice {start}..{horizon}ms the lookahead "
+                    f"called quiet; no barrier is held there to "
+                    f"deliver it")
+            for core in mine:
+                core.apply_barrier(end, [])
+    if inclusive:
+        for core in mine:
+            core.run_inclusive(horizon)
+        emitted = router.drain()
+        if obs:
+            frames.append([core.obs_frame(horizon) for core in mine])
+    reply: Dict[str, Any] = {"payloads": emitted}
+    if obs:
+        reply["obs"] = frames
+    return reply
 
 
 class _Backend:
@@ -131,43 +173,75 @@ class _Backend:
         self.obs = bool(obs)
         #: Armed flight recorder: the cores' obs frames carry rings.
         self.flight = bool(flight)
+        #: The instant every core stands at: the last slice's horizon.
+        self._now = 0.0
+        #: Payloads of the barrier due at ``_now``, riding the next
+        #: slice command; None when none is due (start, after a stop).
+        self._due: Optional[List[Dict[str, Any]]] = None
         self._collected: List[Dict[str, Any]] = []
-        self._obs_frames: List[Dict[str, Any]] = []
+        #: Unread obs frames, one list per epoch (or stop) observed.
+        self._obs_frames: Deque[List[Dict[str, Any]]] = deque()
 
     def _broadcast(self, message: Dict[str, Any]) -> List[Dict[str, Any]]:
         """Hand ``message`` to every shard; one reply per shard."""
         raise NotImplementedError
 
-    def _run_slice(self, message: Dict[str, Any]) -> None:
-        replies = self._broadcast(message)
-        self._obs_frames = []
+    def window_limit(self) -> Optional[int]:
+        """Most epochs the next slice command may cover (None: as many
+        as the plan's lookahead allows)."""
+        return None
+
+    def _run_slice(self, horizon: float, epoch_ms: Optional[float],
+                   inclusive: bool) -> None:
+        replies = self._broadcast({
+            "cmd": "epoch", "start": self._now, "barrier": self._due,
+            "horizon": horizon, "inclusive": inclusive,
+            "epoch_ms": self.plan.epoch_ms if epoch_ms is None else epoch_ms})
+        self._now = horizon
+        self._due = None if inclusive else []
         for reply in replies:
             self._collected.extend(reply["payloads"])
-            self._obs_frames.extend(reply.get("obs", []))
+        # One entry per epoch, every shard's frames of that epoch in it.
+        for shard_frames in zip(*(reply.get("obs", ()) for reply in replies)):
+            self._obs_frames.append(
+                [frame for frames in shard_frames for frame in frames])
 
-    def run_epoch(self, horizon: float) -> None:
-        self._run_slice({"cmd": "epoch", "horizon": horizon})
+    def run_epoch(self, horizon: float,
+                  epoch_ms: Optional[float] = None) -> None:
+        """Run every core to just before ``horizon`` -- one command and
+        one reply however many ``epoch_ms`` instants lie between (the
+        plan's grid when not given); the barrier there is then due."""
+        self._run_slice(horizon, epoch_ms, inclusive=False)
 
-    def run_inclusive(self, until: float) -> None:
-        self._run_slice({"cmd": "inclusive", "until": until})
+    def run_inclusive(self, until: float,
+                      epoch_ms: Optional[float] = None) -> None:
+        """Stop point: as ``run_epoch``, then the events at exactly
+        ``until`` behind a barrier of the cores' own."""
+        self._run_slice(until, epoch_ms, inclusive=True)
 
     def collect(self) -> List[Dict[str, Any]]:
+        """What the last slice's final epoch (or stop) emitted."""
         out, self._collected = self._collected, []
         return out
 
     def collect_obs(self, time: float) -> List[Dict[str, Any]]:
-        """Per-core delta-state obs frames piggybacked on the last
-        slice's replies, in core order: what crossed the seam, no more
-        (plain data by construction -- a pipe or a JSON round trip).
-        Each holds what changed on its core since the previous
-        *committed* slice command; a recovered worker replayed that
-        log first, so a retried command returns the same delta."""
-        out, self._obs_frames = self._obs_frames, []
-        return sorted(out, key=lambda frame: frame["core"])
+        """The per-core delta-state obs frames of the oldest epoch (or
+        stop) not read yet, in core order: what crossed the seam, no
+        more (plain data by construction -- a pipe or a JSON round
+        trip).  Each holds what changed on its core since its previous
+        frame; a recovered worker replayed the committed log first, so
+        a retried command returns the same deltas."""
+        frames = self._obs_frames.popleft() if self._obs_frames else []
+        return sorted(frames, key=lambda frame: frame["core"])
 
     def barrier(self, time: float, payloads: List[Dict[str, Any]]) -> None:
-        self._broadcast({"cmd": "barrier", "time": time,
-                         "payloads": payloads})
+        """Hand over the canonical payloads of the barrier at ``time``,
+        where the cores stand; they ride the next slice command."""
+        if time != self._now:
+            raise ShardError(
+                f"barrier at {time}ms, but the cores stand at "
+                f"{self._now}ms: a barrier follows the slice it closes")
+        self._due = payloads
 
     # -- observation ----------------------------------------------------------
 
@@ -240,25 +314,36 @@ class SingleBackend(InlineBackend):
             if next_time is None:
                 continue
             if inclusive:
-                if next_time > limit + _EPS:
+                if next_time > limit + GRID_EPS:
                     continue
-            elif next_time >= limit - _EPS:
+            elif next_time >= limit - GRID_EPS:
                 continue
             if best_time is None or next_time < best_time:
                 best, best_time = core, next_time
         return best
+
+    def window_limit(self) -> Optional[int]:
+        # The reference takes no lookahead's word: it barriers at every
+        # grid instant, so an unsound window shows up as a digest
+        # mismatch against it instead of being shared with it.
+        return 1
 
     def _broadcast(self, message: Dict[str, Any]) -> List[Dict[str, Any]]:
         # Fire the slice's events in global time order first; the
         # sequential interpreter then finds none left inside the slice,
         # so all it does is what every backend does at a slice end:
         # advance the clocks at a stop point and build the reply.
-        command = message["cmd"]
-        if command in ("epoch", "inclusive"):
+        if message["cmd"] == "epoch":
+            if message["barrier"] is not None:
+                # The carried barrier's applications are events of this
+                # slice: on the agenda before anything fires.
+                super()._broadcast({**message, "horizon": message["start"],
+                                    "inclusive": False})
+                message = {**message, "barrier": None}
             self.router.install()
-            limit = message[_TIME_FIELD[command]]
             while True:
-                core = self._earliest(limit, command == "inclusive")
+                core = self._earliest(message["horizon"],
+                                      message["inclusive"])
                 if core is None:
                     break
                 core.step_one()
@@ -340,7 +425,7 @@ def _worker_main(conn: Any, plan_dict: Dict[str, Any],
                  core_ids: List[int], sanitize: bool, obs: bool,
                  flight: bool, codec: WorkerCodec) -> None:
     """Worker entry point: rebuild this shard's cores from the plan
-    and serve epoch/barrier commands until told to stop.
+    and serve slice commands until told to stop.
 
     Module-level (not a closure) so the function is importable under
     the ``spawn`` start method as well as ``fork``.  Workers carry
@@ -413,13 +498,13 @@ class MpBackend(_Backend):
 
     def _shard_messages(self, message: Dict[str, Any]
                         ) -> List[Dict[str, Any]]:
-        """Each shard's copy of ``message``; a barrier's payloads go
-        only to the shard hosting their target core."""
+        """Each shard's copy of ``message``; a carried barrier's
+        payloads go only to the shard hosting their target core."""
         shards = range(self.topology.shards)
-        if message["cmd"] != "barrier":
+        if message.get("barrier") is None:
             return [dict(message) for _ in shards]
-        grouped = _group_payloads(message["payloads"], self.topology.shard_of)
-        return [{**message, "payloads": grouped.get(shard, [])}
+        grouped = _group_payloads(message["barrier"], self.topology.shard_of)
+        return [{**message, "barrier": grouped.get(shard, [])}
                 for shard in shards]
 
     def _post(self, shard: int, message: Dict[str, Any]) -> None:

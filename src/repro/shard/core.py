@@ -291,11 +291,11 @@ class ShardCore:
         ``ring`` holds the replay entries and spans completed since the
         previous frame, at most ``RING_*`` of each.
 
-        Each call moves the baseline, and only the two logged slice
-        commands (``epoch`` / ``inclusive``) call it: a respawned
-        worker or a degraded run replays that log, so its baseline --
-        hence the delta a retried command returns -- is the one the
-        lost worker had at the last committed command.
+        Each call moves the baseline, and only the logged slice command
+        calls it (once per epoch it runs, once more for a stop): a
+        respawned worker or a degraded run replays that log, so its
+        baseline -- hence the deltas a retried command returns -- is
+        the one the lost worker had at the last committed command.
         """
         from repro.telemetry.aggregate import (
             FRAME_FORMAT,

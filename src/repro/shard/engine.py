@@ -21,6 +21,13 @@ the **epoch barrier protocol**:
    emitted by those events are held in ``pending`` -- part of the
    engine's canonical state -- to be merged into the next epoch's
    barrier, exactly where an uninterrupted run would apply them.
+4. The backend is asked for a *window* of epochs at a time: one slice
+   command runs to the furthest barrier instant before which no
+   payload can be emitted (:meth:`ShardPlan.quiet_horizon` -- static
+   plan data, one epoch wherever it cannot tell), the cores barrier
+   themselves in between, and each barrier's payloads ride the next
+   command.  Epochs stay the unit of history and of observation; the
+   window is only how many of them one round-trip covers.
 
 Because every core is a private universe (own clock, ledger, PRNG
 stream, tid allocator) and payloads are totally ordered data, the
@@ -31,6 +38,7 @@ merged history is independent of shard count, placement, and backend;
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, List, Optional
 
 from repro.errors import (
@@ -39,16 +47,23 @@ from repro.errors import (
     ShardError,
 )
 from repro.shard.backends import make_backend
-from repro.shard.plan import ShardPlan
+from repro.shard.plan import GRID_EPS, ShardPlan, grid_instants, on_grid
 from repro.shard.topology import ShardTopology
 
 __all__ = ["ShardedEngine"]
 
-_EPS = 1e-9
-
 #: Failures that trigger a flight-recorder dump: shard/frame faults,
 #: determinism-race sanitizer traps, and invariant violations.
 _FLIGHT_ERRORS = (ShardError, DeterminismRaceError, InvariantViolation)
+
+
+def _finite(name: str, value: Any) -> float:
+    """``value`` as a float, or a ShardError naming the argument: the
+    horizon is shipped into workers and looped on, so it is checked at
+    the door."""
+    if not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ShardError(f"{name} must be a finite number: {value!r}")
+    return float(value)
 
 
 class ShardedEngine:
@@ -97,8 +112,8 @@ class ShardedEngine:
                  slo_policy: Any = None) -> None:
         self.plan = (plan if isinstance(plan, ShardPlan)
                      else ShardPlan.from_dict(plan))
-        self.epoch_ms = float(epoch_ms if epoch_ms is not None
-                              else self.plan.epoch_ms)
+        self.epoch_ms = _finite("epoch_ms", epoch_ms if epoch_ms is not None
+                                else self.plan.epoch_ms)
         if self.epoch_ms <= 0:
             raise ShardError(f"epoch_ms must be positive: {self.epoch_ms}")
         self.topology = ShardTopology(self.plan.cores, shards,
@@ -147,8 +162,7 @@ class ShardedEngine:
         return self._time
 
     def _require_grid(self, until: float) -> None:
-        quotient = until / self.epoch_ms
-        if abs(quotient - round(quotient)) > 1e-6:
+        if not on_grid(until, self.epoch_ms):
             raise ShardError(
                 f"advance horizon {until} is not on the {self.epoch_ms}ms "
                 f"epoch grid; stop/resume is only bit-exact at barrier "
@@ -168,7 +182,8 @@ class ShardedEngine:
         """Run the universe to virtual time ``until`` (grid-aligned)."""
         if self._closed:
             raise ShardError("sharded engine is closed")
-        if until < self._time - _EPS:
+        until = _finite("advance horizon 'until'", until)
+        if until < self._time - GRID_EPS:
             raise ShardError(
                 f"cannot advance backwards: now={self._time}, "
                 f"asked={until}")
@@ -180,23 +195,35 @@ class ShardedEngine:
             raise
 
     def _advance(self, until: float) -> "ShardedEngine":
-        while self._time < until - _EPS:
-            end = min(self._time + self.epoch_ms, until)
-            self._backend.run_epoch(end)
-            payloads = self._pending + self._backend.collect()
+        while self._time < until - GRID_EPS:
+            # Held stop-point payloads are due at the very next barrier.
+            limit = 1 if self._pending else self._backend.window_limit()
+            if limit == 1:  # nothing to look ahead for (or, the oracle)
+                horizon = next(grid_instants(self._time, until,
+                                             self.epoch_ms))
+            else:
+                horizon = self.plan.quiet_horizon(self._time, until,
+                                                  self.epoch_ms, limit)
+            self._backend.run_epoch(horizon, self.epoch_ms)
+            ordered = self._canonical(self._pending
+                                      + self._backend.collect())
             self._pending = []
-            ordered = self._canonical(payloads)
-            self._backend.barrier(end, ordered)
-            self._barriers += 1
-            if self._tracer is not None:
-                self._trace_epoch(self._time, end, len(ordered))
-            if self._obs is not None:
-                self._obs.observe(end, self._backend.collect_obs(end),
-                                  payloads=len(ordered), kind="epoch")
-            self._time = end
+            if ordered:
+                self._backend.barrier(horizon, ordered)
+            # The cores barriered themselves at the instants between;
+            # account for every epoch as if each had been a round-trip.
+            for end in grid_instants(self._time, horizon, self.epoch_ms):
+                payloads = len(ordered) if end >= horizon - GRID_EPS else 0
+                self._barriers += 1
+                if self._tracer is not None:
+                    self._trace_epoch(self._time, end, payloads)
+                if self._obs is not None:
+                    self._obs.observe(end, self._backend.collect_obs(end),
+                                      payloads=payloads, kind="epoch")
+                self._time = end
         # Stop point: fire barrier applications and events at exactly
         # ``until``; hold what they emit for the next epoch's barrier.
-        self._backend.run_inclusive(until)
+        self._backend.run_inclusive(until, self.epoch_ms)
         self._pending = self._canonical(self._pending
                                         + self._backend.collect())
         if self._obs is not None:

@@ -184,6 +184,17 @@ class HostFaultSchedule:
             return [fault.to_dict()]
         return []
 
+    def clear_run(self, epoch: int) -> Optional[int]:
+        """How many consecutive slices, ``epoch`` first, lie before the
+        next slice any shard has an entry on (None: no later entry).
+        One command may cover that many: a fault always finds its slice
+        at the head of a command, so its coordinates keep their meaning
+        however many fault-free slices a window spans."""
+        if any(fault.epoch == EVERY_EPOCH for fault in self.plan.faults):
+            return 1
+        return min((fault.epoch - epoch for fault in self.plan.faults
+                    if fault.epoch > epoch), default=None)
+
 
 # -- presets ------------------------------------------------------------------
 

@@ -18,12 +18,34 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, Iterator, List, Optional, Set
 
 from repro.errors import ShardError
 from repro.shard.builders import BODY_REGISTRY
 
-__all__ = ["ShardPlan", "mix_plan", "spin_plan"]
+__all__ = ["ShardPlan", "grid_instants", "mix_plan", "on_grid", "spin_plan"]
+
+#: Slack of every "strictly before the barrier" comparison -- the value
+#: ``LoopCore.run_before`` uses, so the lookahead and the event loop
+#: agree on which epoch fires an event.
+GRID_EPS = 1e-9
+
+
+def on_grid(time: float, epoch_ms: float) -> bool:
+    """Whether ``time`` is a barrier instant of the ``epoch_ms`` grid."""
+    quotient = time / epoch_ms
+    return abs(quotient - round(quotient)) <= 1e-6
+
+
+def grid_instants(start: float, horizon: float,
+                  epoch_ms: float) -> Iterator[float]:
+    """The barrier instants in ``(start, horizon]``, by repeated
+    addition from ``start`` -- never ``start + k * epoch_ms``.  They
+    reach core clocks, obs frames and the state tree, so the engine,
+    the lookahead and every worker must walk the very same floats."""
+    while start < horizon - GRID_EPS:
+        start = min(start + epoch_ms, horizon)
+        yield start
 
 #: Offset between per-core Park-Miller streams.  101 is coprime with
 #: the Lehmer modulus 2**31 - 1, so distinct cores get distinct seeds
@@ -184,6 +206,35 @@ class ShardPlan:
             if source == core_id:
                 out.append(op)
         return out
+
+    def quiet_horizon(self, now: float, until: float, epoch_ms: float,
+                      max_epochs: Optional[int] = None) -> float:
+        """Conservative lookahead: the furthest barrier instant in
+        ``(now, until]`` that one slice command may run to -- every
+        epoch before the last one provably emits no cross-core payload,
+        so the cores can barrier themselves at the instants between.
+
+        Sound because payloads have only static origins.  A channel
+        (call, send, reply) can carry traffic in any epoch: the window
+        is one epoch.  A scripted op emits when it fires, at its static
+        ``at``: the window ends at the first instant after it, where
+        the respawn is due.  What an op respawns is a plan body, which
+        reaches another core only through a channel.  ``max_epochs``
+        caps the window for reasons the plan cannot see (held
+        stop-point payloads, a host fault scheduled on a later slice).
+        """
+        if self.channels:
+            max_epochs = 1
+        # An op before ``now`` fired in an earlier epoch; one at ``now``
+        # may have (at a stop) -- counting it costs one short window.
+        due = min((float(op["at"]) for op in self.ops
+                   if float(op["at"]) >= now - GRID_EPS), default=None)
+        end = now
+        for epochs, end in enumerate(grid_instants(now, until, epoch_ms), 1):
+            if epochs == max_epochs or (due is not None
+                                        and due < end - GRID_EPS):
+                break
+        return end
 
     # -- serialization -------------------------------------------------------
 

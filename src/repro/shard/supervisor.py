@@ -15,8 +15,9 @@ layout in a supervisor that *recovers*:
 * on worker crash (SIGKILL/exit), hang (deadline exceeded), or corrupt
   frame, the shard's worker is respawned from the
   :class:`~repro.shard.plan.ShardPlan` and **replayed from the
-  committed command log** -- every epoch horizon and barrier payload
-  the supervisor has already acknowledged.  Because a core's history
+  committed command log** -- every slice command (a window of epochs
+  and the barrier payloads it carried, one entry each) the supervisor
+  has already acknowledged.  Because a core's history
   is a pure function of ``(plan, core_id, barrier payloads received)``
   (the sharding determinism argument, ``docs/SHARDING.md``), replay
   reconstructs the state at the last committed epoch barrier
@@ -57,7 +58,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import FrameCorruptError, ShardError
 from repro.shard.backends import (
-    _TIME_FIELD,
     InlineBackend,
     MpBackend,
     _format_worker_error,
@@ -71,7 +71,7 @@ from repro.shard.frames import (
     send_frame,
 )
 from repro.shard.hostfaults import HostFaultPlan, HostFaultSchedule
-from repro.shard.plan import ShardPlan
+from repro.shard.plan import ShardPlan, grid_instants
 from repro.shard.topology import ShardTopology
 
 __all__ = ["SupervisedMpBackend", "SupervisorPolicy"]
@@ -84,7 +84,7 @@ class SupervisorPolicy:
     shape, but supervises real processes instead of simulated ones).
 
     ``max_retries`` bounds recoveries *per command exchange*; once a
-    single epoch/barrier needs more, the run degrades to the inline
+    single slice command needs more, the run degrades to the inline
     backend (``degrade=True``) or raises.  ``deadline_s`` is the
     per-exchange heartbeat deadline; a worker that does not reply in
     time is declared hung.  Failed attempt ``k`` backs off
@@ -196,14 +196,15 @@ class SupervisedMpBackend(MpBackend):
         self.policy = policy if policy is not None else SupervisorPolicy()
         self.schedule = HostFaultSchedule(host_faults)
         self.telemetry = telemetry
-        #: Committed (fully acknowledged) commands, in issue order --
-        #: the recovery log.  Barrier entries keep the *full* payload
-        #: list so both per-shard replay and inline degradation can
-        #: regroup it.
+        #: Committed (fully acknowledged) slice commands, in issue order
+        #: -- the recovery log, one entry per window.  Each keeps the
+        #: *full* payload list of the barrier it carried, so both
+        #: per-shard replay and inline degradation can regroup it.
         self._log: List[Dict[str, Any]] = []
-        #: Index of the epoch slice currently executing (incremented by
-        #: every epoch/inclusive command; host faults are scheduled in
-        #: these coordinates).
+        #: Index of the slice currently executing: every epoch and
+        #: every inclusive stop counts one, however many a command
+        #: covers (host faults are scheduled in these coordinates, and
+        #: a command's faults are those of its first slice).
         self._epoch_index = -1
         #: Virtual time of the current command (observability only).
         self._time = 0.0
@@ -392,18 +393,23 @@ class SupervisedMpBackend(MpBackend):
                 return None
             need_recovery = True
 
+    def window_limit(self) -> Optional[int]:
+        """A command is armed with the faults of its first slice only,
+        so it stops short of the next slice a fault is scheduled on."""
+        if self._inline is not None:
+            return None
+        return self.schedule.clear_run(self._epoch_index + 1)
+
     def _broadcast(self, message: Dict[str, Any]) -> List[Dict[str, Any]]:
         """Supervised fan-out: optimistic concurrent first attempt,
         then per-shard recovery.  A run that has degraded -- before or
         during this command -- executes it on the inline backend."""
         if self._inline is not None:
             return self._inline._broadcast(message)
-        command = message["cmd"]
-        arm = command in ("epoch", "inclusive")
+        arm = message["cmd"] == "epoch"
         if arm:
             self._epoch_index += 1
-        if command in _TIME_FIELD:
-            self._time = message[_TIME_FIELD[command]]
+            self._time = message["horizon"]
         messages = self._shard_messages(message)
         # Send to every worker before gathering any reply, so the
         # shards genuinely run concurrently.
@@ -415,12 +421,16 @@ class SupervisedMpBackend(MpBackend):
             if reply is None:  # degraded mid-command; partial replies moot
                 return self._inline._broadcast(message)
             replies.append(reply)
-        if command in _TIME_FIELD:
+        if arm:
             logged = dict(message)
-            if command == "barrier":
-                logged["payloads"] = [dict(payload)
-                                      for payload in message["payloads"]]
+            if message["barrier"] is not None:
+                logged["barrier"] = [dict(payload)
+                                     for payload in message["barrier"]]
             self._log.append(logged)
+            # The command's slices after its first: epochs, then a stop.
+            epochs = sum(1 for _ in grid_instants(
+                message["start"], message["horizon"], message["epoch_ms"]))
+            self._epoch_index += epochs + message["inclusive"] - 1
         return replies
 
     # -- degradation ----------------------------------------------------------

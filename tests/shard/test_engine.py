@@ -15,6 +15,23 @@ def test_advance_rejects_off_grid_horizons():
             engine.advance(123.4)
 
 
+@pytest.mark.parametrize("until", [float("nan"), float("inf"),
+                                   float("-inf"), "500", None])
+def test_advance_rejects_horizons_that_are_not_finite_numbers(until):
+    """Named at the door, not a ValueError/OverflowError/TypeError from
+    the grid arithmetic inside (or from a worker looping on it)."""
+    with ShardedEngine(spin_plan(cores=2), shards=2) as engine:
+        with pytest.raises(ShardError, match="'until' must be a finite"):
+            engine.advance(until)
+        assert engine.advance(200.0).now == 200.0  # still usable
+
+
+@pytest.mark.parametrize("epoch_ms", [float("nan"), float("inf"), "100"])
+def test_engine_rejects_an_epoch_that_is_not_a_finite_number(epoch_ms):
+    with pytest.raises(ShardError, match="epoch_ms must be a finite"):
+        ShardedEngine(spin_plan(cores=2), epoch_ms=epoch_ms)
+
+
 def test_advance_rejects_going_backwards():
     with ShardedEngine(spin_plan(cores=2), shards=2) as engine:
         engine.advance(200.0)

@@ -17,7 +17,9 @@ from repro.shard.frames import (
 
 
 def test_round_trip_is_identity():
-    message = {"cmd": "epoch", "horizon": 500.0, "faults": []}
+    message = {"cmd": "epoch", "start": 0.0, "barrier": None,
+               "horizon": 500.0, "epoch_ms": 500.0, "inclusive": False,
+               "faults": []}
     assert decode_frame(encode_frame(message)) == message
 
 
