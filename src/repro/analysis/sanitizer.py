@@ -20,7 +20,9 @@ are checked:
 3. **Run-queue membership** -- no thread is simultaneously blocked and
    runnable, the running thread is off the queue with its tickets
    deactivated (section 4.4), and queue membership matches thread
-   state and ticket activation exactly.
+   state and ticket activation exactly.  Under the tree lottery, every
+   queued member not flagged for revaluation stores its live funding
+   and every Fenwick node is the sum it stands for.
 4. **Compensation lifetime** -- at most one compensation ticket per
    client, granted tickets stay attached to live holders, and the
    running thread holds none (consumed on its next win, section 4.5).
@@ -324,6 +326,37 @@ def check_run_queue(kernel: "Kernel") -> List[str]:
                     f"thread {thread.name!r} has active tickets while off "
                     f"the run queue ({thread.state.value})"
                 )
+
+    tree = getattr(policy, "_tree", None)
+    if tree is not None:
+        violations.extend(_check_tree_lottery(tree, policy._dirty, queued))
+    return violations
+
+
+def _check_tree_lottery(tree, dirty, queued: Iterable["Thread"]) -> List[str]:
+    """The tree lottery draws over *stored* values: they must be live.
+
+    The policy revalues only the members their funding watchers flagged
+    (``dirty``), so every other queued member's stored value must
+    already be its funding, bit for bit, or the next draw runs over a
+    stale tree; and every Fenwick node must be the sum it stands for,
+    the one slot the tree lets lag included (``TreeLottery.audit``).
+    """
+    violations: List[str] = []
+    for thread in queued:
+        if thread not in tree:
+            violations.append(
+                f"thread {thread.name!r} is on the run queue but holds no "
+                f"slot in the lottery tree"
+            )
+        elif thread not in dirty \
+                and tree.value_of(thread) != thread.funding():
+            violations.append(
+                f"thread {thread.name!r} stores {tree.value_of(thread)!r} "
+                f"in the lottery tree but is funded {thread.funding()!r} "
+                f"and was not flagged for revaluation"
+            )
+    violations.extend(f"lottery tree: {found}" for found in tree.audit())
     return violations
 
 

@@ -179,7 +179,7 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
     },
     "repro.sim.events.EventQueue": {
         "covered": {"_seq", "_heap"},
-        "transient": {"_live"},
+        "transient": set(),
     },
     "repro.core.prng.ParkMillerPRNG": {
         "covered": {"_state", "_initial_seed"},

@@ -39,6 +39,16 @@ __all__ = ["hold_lottery", "ListLottery", "TreeLottery", "DrawStats"]
 
 ClientT = TypeVar("ClientT", bound=Hashable)
 
+_INF = float("inf")
+
+
+def _bad_value(client: object, value: object) -> SchedulerError:
+    """The refusal for a value outside ``0 <= value < inf`` (NaN included)."""
+    return SchedulerError(
+        f"lottery value of client {client!r} must be finite and "
+        f"non-negative, got {value!r}"
+    )
+
 
 def hold_lottery(
     entries: Sequence[Tuple[ClientT, float]],
@@ -51,9 +61,9 @@ def hold_lottery(
     procedure with real-valued ticket totals.
     """
     total = 0.0
-    for _, value in entries:
-        if value < 0:
-            raise SchedulerError(f"negative lottery value {value!r}")
+    for client, value in entries:
+        if not 0 <= value < _INF:
+            raise _bad_value(client, value)
         total += value
     if total <= 0:
         raise EmptyLotteryError("lottery held with zero total tickets")
@@ -235,9 +245,26 @@ class TreeLottery(Generic[ClientT]):
     the basis of a distributed lottery scheduler (section 4.2).
 
     Unlike :class:`ListLottery`, values are **stored**, not recomputed
-    per draw: callers must push changes via :meth:`set_value`.  That is
-    the honest cost model of the tree variant -- update O(log n), draw
-    O(log n).
+    per draw: callers must push changes via :meth:`set_value`.  The
+    honest cost model of the tree variant:
+
+    * a draw is O(log n);
+    * a slot whose value *changed* costs one exact O(log^2 n) refresh
+      of the nodes above it (:meth:`_fenwick_refresh`), run when the
+      nodes are next read rather than at the write;
+    * a slot rewritten with the value it had -- a client removed and
+      re-added unchanged, i.e. every preempted thread's dequeue and
+      re-enqueue -- costs nothing.
+
+    ``_values`` is always current; the nodes above **at most one** slot
+    may lag behind it.  A write remembers the slot and the value the
+    nodes still reflect; a write to any other slot and every reader of
+    the nodes :meth:`_settle` first.  Deferring is exact because a
+    refresh is a pure function of the current ``_values`` and every
+    node that reads a slot lies on that slot's own update path, so one
+    refresh after several writes leaves the bits a refresh per write
+    would have.  One lagging slot is all the dispatch cycle needs and
+    keeps the settle a single comparison.
     """
 
     def __init__(self) -> None:
@@ -246,6 +273,10 @@ class TreeLottery(Generic[ClientT]):
         self._clients: List[Optional[ClientT]] = []  # slot -> client
         self._slot_of: dict = {}
         self._free_slots: List[int] = []
+        # The one slot whose nodes may lag (-1: none) and the value
+        # those nodes still reflect.
+        self._lag_slot = -1
+        self._lag_value = 0.0
         self.stats = DrawStats()
 
     # -- membership -----------------------------------------------------------
@@ -254,29 +285,27 @@ class TreeLottery(Generic[ClientT]):
         """Insert a client with an initial ticket value."""
         if client in self._slot_of:
             raise SchedulerError(f"client {client!r} already in lottery")
-        if value < 0:
-            raise SchedulerError(f"negative lottery value {value!r}")
+        if not 0 <= value < _INF:
+            raise _bad_value(client, value)
         if self._free_slots:
             slot = self._free_slots.pop()
             self._clients[slot] = client
-            self._slot_of[client] = slot
-            self._values[slot] = value
-            self._fenwick_refresh(slot)
+            self._store(slot, value)
         else:
             slot = len(self._values)
-            self._values.append(0.0)
+            self._values.append(value)
             self._clients.append(client)
             self._tree.append(0.0)
-            self._rebuild_tail(slot)
-            self._slot_of[client] = slot
-            self._values[slot] = value
+            # The last slot's update path is its own node.  It sums its
+            # child nodes as they are: if one lags, the new node covers
+            # the lagging slot too, lags with it and settles with it.
             self._fenwick_refresh(slot)
+        self._slot_of[client] = slot
 
     def remove(self, client: ClientT) -> None:
         """Withdraw a client; its slot is recycled."""
         slot = self._require_slot(client)
-        self._values[slot] = 0.0
-        self._fenwick_refresh(slot)
+        self._store(slot, 0.0)
         self._clients[slot] = None
         del self._slot_of[client]
         self._free_slots.append(slot)
@@ -290,20 +319,18 @@ class TreeLottery(Generic[ClientT]):
     # -- values ------------------------------------------------------------------
 
     def set_value(self, client: ClientT, value: float) -> None:
-        """Update a client's ticket value (O(log n); no-op if unchanged).
+        """Update a client's ticket value (no-op if unchanged).
 
         Skipping an identical value is bit-exact: every Fenwick node is
         recomputed from the stored values (see :meth:`_fenwick_refresh`),
         so an update that does not change ``_values`` cannot change any
         node either.
         """
-        if value < 0:
-            raise SchedulerError(f"negative lottery value {value!r}")
+        if not 0 <= value < _INF:
+            raise _bad_value(client, value)
         slot = self._require_slot(client)
-        if self._values[slot] == value:
-            return
-        self._values[slot] = value
-        self._fenwick_refresh(slot)
+        if self._values[slot] != value:
+            self._store(slot, value)
 
     def value_of(self, client: ClientT) -> float:
         """Current stored value for a client."""
@@ -311,7 +338,14 @@ class TreeLottery(Generic[ClientT]):
 
     def total(self) -> float:
         """Sum of all clients' stored values."""
-        return self._prefix_sum(len(self._values))
+        self._settle()
+        tree = self._tree
+        total = 0.0
+        index = len(self._values)
+        while index > 0:
+            total += tree[index]
+            index -= index & -index
+        return total
 
     # -- drawing -------------------------------------------------------------------
 
@@ -356,6 +390,35 @@ class TreeLottery(Generic[ClientT]):
             "comparisons": self.stats.comparisons,
         }
 
+    def audit(self) -> List[str]:
+        """Fenwick nodes that are not the sum they stand for.
+
+        Every node must equal its own slot's value plus its child
+        nodes, the lagging slot counted at the value the nodes still
+        reflect.  Reads only -- an audit that settled would hide the
+        reader that forgot to.  O(n).
+        """
+        tree = self._tree
+        values = self._values
+        lag_slot = self._lag_slot
+        violations: List[str] = []
+        for index in range(1, len(tree)):
+            slot = index - 1
+            node = self._lag_value if slot == lag_slot else values[slot]
+            low = index & -index
+            step = 1
+            while step < low:
+                node += tree[index - step]
+                step <<= 1
+            if tree[index] != node:
+                lagging = ("" if lag_slot < 0 else
+                           f" (slot {lag_slot} lags at {self._lag_value!r})")
+                violations.append(
+                    f"Fenwick node {index} holds {tree[index]!r} but slot "
+                    f"{slot} and its child nodes sum to {node!r}{lagging}"
+                )
+        return violations
+
     # -- Fenwick internals -----------------------------------------------------------
 
     def _require_slot(self, client: ClientT) -> int:
@@ -364,15 +427,23 @@ class TreeLottery(Generic[ClientT]):
         except KeyError:
             raise SchedulerError(f"client {client!r} not in lottery") from None
 
-    def _node_sum(self, index: int) -> float:
-        """Exact sum for one Fenwick node: own value + child nodes."""
-        low = index & -index
-        node = self._values[index - 1]
-        step = 1
-        while step < low:
-            node += self._tree[index - step]
-            step <<= 1
-        return node
+    def _store(self, slot: int, value: float) -> None:
+        """Write one slot's value; the nodes above it catch up at the
+        next :meth:`_settle`."""
+        if slot != self._lag_slot:
+            self._settle()
+            self._lag_slot = slot
+            self._lag_value = self._values[slot]
+        self._values[slot] = value
+
+    def _settle(self) -> None:
+        """Make every node current: refresh above the lagging slot,
+        unless it holds the value the nodes already reflect."""
+        slot = self._lag_slot
+        if slot >= 0:
+            self._lag_slot = -1
+            if self._values[slot] != self._lag_value:
+                self._fenwick_refresh(slot)
 
     def _fenwick_refresh(self, slot: int) -> None:
         """Recompute the nodes covering ``slot`` from current values.
@@ -381,25 +452,24 @@ class TreeLottery(Generic[ClientT]):
         float cancellation residue behind once large values are removed
         -- the tree's total would drift away from the sum of the
         surviving values.  Recomputing each affected node bottom-up
-        keeps every node a fresh sum of *current* values, at
-        O(log^2 n) per update (draws stay O(log n)).
+        (own value + child nodes, lowest child first) keeps every node
+        a fresh sum of *current* values, at O(log^2 n) per refresh.
+        This is the one place a node above a slot is rewritten, and
+        only :meth:`_settle` and the append in :meth:`add` come here.
         """
+        tree = self._tree
+        values = self._values
+        size = len(tree)
         index = slot + 1
-        while index < len(self._tree):
-            self._tree[index] = self._node_sum(index)
-            index += index & -index
-
-    def _prefix_sum(self, count: int) -> float:
-        total = 0.0
-        index = count
-        while index > 0:
-            total += self._tree[index]
-            index -= index & -index
-        return total
-
-    def _rebuild_tail(self, slot: int) -> None:
-        """Fix the new Fenwick node's partial sum after an append."""
-        self._tree[slot + 1] = self._node_sum(slot + 1)
+        while index < size:
+            low = index & -index
+            node = values[index - 1]
+            step = 1
+            while step < low:
+                node += tree[index - step]
+                step <<= 1
+            tree[index] = node
+            index += low
 
     def _find_prefix(self, target: float) -> Tuple[int, int]:
         """Smallest slot whose prefix sum exceeds ``target``.
@@ -407,18 +477,18 @@ class TreeLottery(Generic[ClientT]):
         Returns ``(slot, levels_descended)``; the descent is the tree
         traversal of paper Figure 1 generalized to partial sums.
         """
+        tree = self._tree
+        size = len(tree)
         index = 0
         levels = 0
-        bit = 1
-        while bit * 2 <= len(self._tree) - 1:
-            bit *= 2
-        remaining = target
-        while bit > 0:
+        bit = 1 << (size - 1).bit_length() >> 1  # top power of two <= n
+        while bit:
             nxt = index + bit
-            if nxt < len(self._tree):
+            if nxt < size:
                 levels += 1
-                if self._tree[nxt] <= remaining:
-                    remaining -= self._tree[nxt]
+                node = tree[nxt]
+                if node <= target:
+                    target -= node
                     index = nxt
-            bit //= 2
+            bit >>= 1
         return index, max(levels, 1)  # slot is `index` (0-based slot = index)

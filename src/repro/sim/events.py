@@ -73,7 +73,6 @@ class EventQueue:
         # Plain integer counter (not itertools.count) so the scheduling
         # sequence position is part of the observable state tree.
         self._seq = 0
-        self._live = 0
 
     def push(self, time: float, callback: Callable[..., None],
              label: str = "", args: Tuple[Any, ...] = ()) -> Event:
@@ -83,17 +82,14 @@ class EventQueue:
         event = Event(time, self._seq, callback, label, args)
         self._seq += 1
         heapq.heappush(self._heap, event)
-        self._live += 1
         return event
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event, or None if empty."""
         while self._heap:
             event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
-            self._live -= 1
-            return event
+            if not event.cancelled:
+                return event
         return None
 
     def peek_time(self) -> Optional[float]:
@@ -107,13 +103,11 @@ class EventQueue:
         return None
 
     def cancel(self, event: Event) -> None:
-        """Cancel a scheduled event (idempotent)."""
-        if not event.cancelled:
-            event.cancel()
-            self._live -= 1
+        """Cancel a scheduled event (idempotent; harmless once it has fired)."""
+        event.cancel()
 
     def __len__(self) -> int:
-        return max(self._live, 0)
+        return sum(not event.cancelled for event in self._heap)
 
     def __bool__(self) -> bool:
         return self.peek_time() is not None

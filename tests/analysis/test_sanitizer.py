@@ -186,6 +186,42 @@ def test_run_queue_detects_ticket_deactivation_mismatch():
     assert victim.name in messages
 
 
+def _tree_kernel():
+    kernel = make_lottery_kernel(seed=11, use_tree=True)
+    for index in range(6):
+        kernel.spawn(spin_body(), f"t{index}", tickets=100.0 * (index + 1))
+    kernel.run_until(250.0)
+    assert check_run_queue(kernel) == []
+    return kernel
+
+
+def test_run_queue_detects_wrong_fenwick_node():
+    kernel = _tree_kernel()
+    kernel.policy._tree._tree[4] += 1.0
+    messages = "\n".join(check_run_queue(kernel))
+    assert "lottery tree: Fenwick node 4 holds" in messages
+
+
+def test_run_queue_detects_queued_thread_without_a_tree_slot():
+    kernel = _tree_kernel()
+    victim = _runnable_thread(kernel)
+    kernel.policy._tree.remove(victim)  # still a member of the queue
+    messages = "\n".join(check_run_queue(kernel))
+    assert f"thread {victim.name!r} is on the run queue but holds no slot" \
+        in messages
+
+
+def test_run_queue_detects_stale_stored_tree_value():
+    kernel = _tree_kernel()
+    victim = _runnable_thread(kernel)
+    victim.tickets[0].set_amount(999.0)
+    assert check_run_queue(kernel) == []  # flagged for revaluation: fine
+    kernel.policy._dirty.clear()  # the flag is lost, the stored value stale
+    messages = "\n".join(check_run_queue(kernel))
+    assert f"thread {victim.name!r} stores" in messages
+    assert "not flagged for revaluation" in messages
+
+
 # -- family 4: compensation-ticket lifetime --------------------------------
 
 

@@ -55,6 +55,24 @@ def engine():
     return Engine()
 
 
+@pytest.fixture
+def refreshes(monkeypatch):
+    """Slots passed to ``TreeLottery._fenwick_refresh`` -- the one method
+    through which a node above a slot is rewritten -- counted through a
+    class-level wrapper, so every tree any code builds is seen."""
+    from repro.core.lottery import TreeLottery
+
+    calls = []
+    inner = TreeLottery._fenwick_refresh
+
+    def counted(self, slot):
+        calls.append(slot)
+        inner(self, slot)
+
+    monkeypatch.setattr(TreeLottery, "_fenwick_refresh", counted)
+    return calls
+
+
 def make_lottery_kernel(seed: int = 1, quantum: float = 100.0,
                         **policy_kwargs):
     """Engine + ledger + lottery kernel, wired together."""

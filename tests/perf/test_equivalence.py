@@ -15,7 +15,10 @@ independent references are ``TestNominalCacheDifferential``
 from-scratch walk after each generated mutation) and
 ``TestTreeStoredValues`` (``tests/serving/test_arena.py``: every clean
 tree member's stored value against its live funding after each
-dispatch of the serving arena).
+dispatch of the serving arena) and ``TestDeferredSettleDifferential``
+(``tests/core/test_lottery.py``: the tree against the
+refresh-per-write tree it replaced, kept there whole, after every
+generated call).
 """
 
 from __future__ import annotations

@@ -155,3 +155,34 @@ class TestBookkeeping:
         kernel.spawn(spin_body(), "a", tickets=10)
         kernel.run_until(1000)
         assert kernel.policy.draw_stats().draws > 0
+
+
+class TestTreeWorkPerQuantum:
+    """What a dispatch costs the partial-sum tree, as counts (paper
+    section 4.2 promises lg n per lottery).  The winner leaves its slot
+    at dispatch and a preempted thread re-enters the same slot -- the
+    free list is a stack -- with the funding it left with; refreshing
+    the nodes above it at both ends recomputed, twice a quantum, the
+    bits they already held."""
+
+    def test_preempted_spinners_never_refresh_the_tree(self, refreshes):
+        kernel = make_lottery_kernel(seed=3, quantum=10.0, use_tree=True)
+        for index in range(1_000):
+            kernel.spawn(spin_body(7.0), f"spin{index}",
+                         tickets=float(1 + index % 13))
+        assert len(refreshes) == 1_000  # one per appended slot
+        del refreshes[:]
+        kernel.run_until(2_000 * 10.0)
+        assert kernel.dispatch_count == 2_001
+        assert refreshes == []  # 4 001 when every write refreshed
+
+    def test_only_changed_values_refresh_in_the_mixed_recipe(self, refreshes):
+        """The ``lottery-mix-42`` golden run of
+        ``tests/perf/test_equivalence.py`` (blocking and yielding
+        threads, compensation tickets): a refresh is left only where a
+        slot's value really changed between two reads."""
+        from repro.checkpoint.registry import build_recipe
+
+        handle = build_recipe("lottery-mix", {"seed": 42, "use_tree": True})
+        handle.advance(30_000.0)
+        assert len(refreshes) == 715  # 1 055 when every write refreshed

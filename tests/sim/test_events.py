@@ -78,6 +78,22 @@ class TestEventQueue:
         queue.pop()
         assert len(queue) == 3
 
+    def test_cancelling_a_fired_event_leaves_the_count_alone(self):
+        """A second counter beside the heap went negative here and
+        ``pending()`` said 0 with one event still queued."""
+        from repro.sim.engine import Engine
+
+        engine = Engine()
+        fired = engine.call_at(1.0, lambda: None)
+        engine.call_at(5.0, lambda: None)
+        engine.run(until=2.0)
+        engine.cancel(fired)
+        engine.cancel(fired)
+        assert engine.pending() == 1
+        assert engine.snapshot_state()["queue"]["live"] == 1
+        engine.run()
+        assert engine.pending() == 0 and engine.events_processed == 2
+
     def test_labels_preserved(self):
         queue = EventQueue()
         event = queue.push(1.0, lambda: None, label="dispatch")
