@@ -217,9 +217,9 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
         "transient": {"kernel", "_heap", "_removed"},
     },
     "repro.schedulers.lottery_policy.LotteryPolicy": {
-        "covered": {"prng", "_use_tree", "_static_funding",
-                    "_zero_funding_fallback", "lotteries_held",
-                    "fallback_selections", "compensation", "_tree", "_list"},
+        "covered": {"prng", "_use_tree", "_zero_funding_fallback",
+                    "lotteries_held", "fallback_selections", "compensation",
+                    "_tree", "_list"},
         # ledger is captured at the kernel level; _members and _dirty
         # are derived indexes over the active structure (membership and
         # pending revaluations); draw_hook is a telemetry observer,

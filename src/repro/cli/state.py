@@ -41,10 +41,6 @@ class CommandState:
         #: currency name -> principals permitted to inflate (issue into).
         self.inflators: Dict[str, Set[str]] = {Ledger.BASE_NAME: {ROOT_USER}}
         self._ticket_seq = 0
-        #: The live simulation the checkpoint commands operate on: a
-        #: :class:`repro.checkpoint.registry.SimHandle` attached by
-        #: ``chaos`` or ``load``, consumed by ``save`` and ``replay``.
-        self.simulation = None
 
     # -- principals -------------------------------------------------------------
 

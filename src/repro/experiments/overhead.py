@@ -24,8 +24,7 @@ from repro.experiments.common import ExperimentResult, build_machine
 from repro.workloads.database import DatabaseClient, DatabaseServer
 from repro.workloads.dhrystone import DhrystoneTask
 
-__all__ = ["run", "run_dhrystone_overhead", "run_database_overhead",
-           "run_profile", "main"]
+__all__ = ["run", "run_dhrystone_overhead", "run_database_overhead", "main"]
 
 _POLICIES = ("lottery", "timesharing", "round-robin", "stride")
 
@@ -88,52 +87,6 @@ def run_database_overhead(policy: str, clients: int = 5,
     }
 
 
-def run_profile(duration_ms: float = 60_000.0, tasks: int = 3,
-                seed: int = 99) -> ExperimentResult:
-    """The paper's overhead *table*: cost attribution per operation.
-
-    Section 5.1 reports the prototype's per-operation costs (the
-    lottery draw itself, run-queue moves, compensation-ticket
-    updates).  We reproduce the attribution with
-    :class:`repro.telemetry.profiler.ProfiledPolicy`: each policy runs
-    the same Dhrystone mix with every scheduling operation timed on
-    the host clock, and the report splits the total into draw /
-    queue-maintenance / compensation buckets.  Profiling is read-only:
-    the dispatch stream is bit-identical with and without it.
-    """
-    from repro.telemetry.profiler import attach_profiler
-
-    result = ExperimentResult(
-        name="Section 5.1: scheduling-operation cost attribution",
-        params={"duration_ms": duration_ms, "tasks": tasks, "seed": seed},
-    )
-    for policy in _POLICIES:
-        machine = build_machine(seed=seed, policy=policy)
-        profiler = attach_profiler(machine.kernel)
-        for index in range(tasks):
-            workload = DhrystoneTask(f"dhry{index}")
-            machine.kernel.spawn(workload.body, workload.name, tickets=100,
-                                 priority=1)
-        machine.run_until(duration_ms)
-        report = profiler.report()
-        dispatches = machine.kernel.dispatch_count
-        result.rows.append({
-            "policy": policy,
-            "dispatches": dispatches,
-            "draw_us": round(report["draw_us"], 1),
-            "queue_us": round(report["queue_us"], 1),
-            "compensation_us": round(report["compensation_us"], 1),
-            "draw_us_per_select": round(report["draw_us_per_select"], 3),
-        })
-    lottery = next(r for r in result.rows if r["policy"] == "lottery")
-    result.summary["lottery draw cost"] = (
-        f"{lottery['draw_us_per_select']:.3f}us/select over "
-        f"{lottery['dispatches']} dispatches "
-        "(paper: 1000 lotteries in 2.7s on a 25MHz mips)"
-    )
-    return result
-
-
 def run(duration_ms: float = 200_000.0, seed: int = 99) -> ExperimentResult:
     """Reproduce the section 5.6 comparison across policies."""
     result = ExperimentResult(
@@ -169,7 +122,6 @@ def run(duration_ms: float = 200_000.0, seed: int = 99) -> ExperimentResult:
 
 def main() -> None:  # pragma: no cover - CLI convenience
     run().print_report()
-    run_profile().print_report()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -177,9 +177,9 @@ class Kernel:
         """Add an event sink without displacing the existing recorder.
 
         The kernel's single ``recorder`` slot historically forced a
-        choice between :class:`~repro.metrics.recorder.KernelRecorder`,
-        :class:`~repro.kernel.trace.SchedulerTrace`, and the replay or
-        telemetry recorders.  ``attach_recorder`` upgrades the slot to a
+        choice between :class:`~repro.metrics.recorder.KernelRecorder`
+        and the replay or telemetry recorders.  ``attach_recorder``
+        upgrades the slot to a
         :class:`~repro.metrics.recorder.RecorderMux` on demand: the
         first sink occupies the slot directly, a second converts it to a
         fan-out, and further sinks join the mux.  Returns ``sink``.

@@ -5,9 +5,7 @@ from repro.metrics.histogram import Histogram
 from repro.metrics.recorder import (
     RECORDER_EVENT_SURFACE,
     RECORDER_SINKS,
-    KernelEventSink,
     KernelRecorder,
-    NullRecorder,
     RecorderMux,
 )
 from repro.metrics.stats import (
@@ -24,9 +22,7 @@ from repro.metrics.stats import (
 
 __all__ = [
     "Histogram",
-    "KernelEventSink",
     "KernelRecorder",
-    "NullRecorder",
     "RECORDER_EVENT_SURFACE",
     "RECORDER_SINKS",
     "RecorderMux",

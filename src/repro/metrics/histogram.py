@@ -45,8 +45,27 @@ class Histogram:
         whose multiples are exact in binary: 5 ms, 250 ms, ...).
         ``total`` comes back as ``mean * count``, ``max`` as the top
         edge; a tree without bins is an empty digest of unit width.
+        A tree that is not of that shape is refused by name.
         """
+        def number(value: Any) -> bool:
+            return isinstance(value, (int, float)) and math.isfinite(value)
+
+        for field in ("bins", "count", "mean"):
+            if not isinstance(snapshot, dict) or field not in snapshot:
+                raise ReproError(
+                    f"histogram {name!r}: snapshot has no {field!r} field")
         bins = snapshot["bins"]
+        if not isinstance(bins, (list, tuple)) or not (
+                number(snapshot["count"]) and number(snapshot["mean"])):
+            raise ReproError(
+                f"histogram {name!r}: snapshot needs a list of bins and a "
+                f"numeric count and mean: {snapshot!r}")
+        for entry in bins:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 3
+                    and all(map(number, entry))):
+                raise ReproError(
+                    f"histogram {name!r}: bin {entry!r} is not a "
+                    f"[start, end, count] triple of numbers")
         if not bins:
             return Histogram(1.0, name)
         width = bins[0][1] - bins[0][0]

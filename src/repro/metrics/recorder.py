@@ -1,26 +1,27 @@
-"""Kernel activity recorders: the event sink protocol and its sinks.
+"""Kernel activity recorders: the event surface and its sinks.
 
 The kernel reports dispatch/CPU/block/wake/exit events to an optional
-sink.  :class:`KernelEventSink` is the shared protocol every sink
-implements -- :class:`KernelRecorder` (per-thread CPU accounting),
-:class:`~repro.kernel.trace.SchedulerTrace` (typed event log),
+sink (``recorder=None`` is the null sink).
+:data:`RECORDER_EVENT_SURFACE` is the seam every sink implements --
+:class:`KernelRecorder` (per-thread CPU accounting),
 :class:`~repro.checkpoint.replay.ReplayRecorder` (dispatch streams),
-and the :mod:`repro.telemetry` probe all speak it, and
-:class:`RecorderMux` fans one kernel's events out to several of them at
-once so a single run can be traced, accounted, and replayed
-simultaneously.
+the :mod:`repro.telemetry` probe and the serving arena's latency probe
+all speak it, and :class:`RecorderMux` fans one kernel's events out to
+several of them at once so a single run can be traced, accounted, and
+replayed simultaneously.
 
 New sinks must declare the **full** event surface
 (:data:`RECORDER_EVENT_SURFACE`) and register their dotted class path
 in :data:`RECORDER_SINKS`; lint rule RPR009 audits each registered
 class for missing event methods, so a protocol extension cannot leave a
-sink silently deaf to a new event kind.
+sink silently deaf to a new event kind.  A sink that only cares about
+some events implements the rest as no-ops.
 """
 
 from __future__ import annotations
 
-from typing import (Dict, FrozenSet, List, Optional, Protocol, Tuple,
-                    TYPE_CHECKING, runtime_checkable)
+from typing import (Any, Dict, FrozenSet, List, Optional, Tuple,
+                    TYPE_CHECKING)
 
 from repro.errors import ReproError
 from repro.metrics.counters import WindowedCounter
@@ -28,13 +29,16 @@ from repro.metrics.counters import WindowedCounter
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.thread import Thread
 
-__all__ = ["KernelEventSink", "KernelRecorder", "NullRecorder",
-           "RecorderMux", "RECORDER_EVENT_SURFACE", "RECORDER_SINKS"]
+__all__ = ["KernelRecorder", "RecorderMux", "RECORDER_EVENT_SURFACE",
+           "RECORDER_SINKS"]
 
 #: The full event surface of the recorder protocol, in the order the
-#: kernel emits them.  RecorderMux validates sinks against this list at
-#: attach time, and lint rule RPR009 audits the classes registered in
-#: :data:`RECORDER_SINKS` against it statically.
+#: kernel emits them: ``on_dispatch(thread, time)`` (the thread won the
+#: CPU), ``on_cpu(thread, start, duration)`` (it consumed ``duration``
+#: ms from ``start``), ``on_block`` / ``on_wake`` / ``on_exit``
+#: ``(thread, time)``.  RecorderMux validates sinks against this list
+#: at attach time, and lint rule RPR009 audits the classes registered
+#: in :data:`RECORDER_SINKS` against it statically.
 RECORDER_EVENT_SURFACE: Tuple[str, ...] = (
     "on_dispatch", "on_cpu", "on_block", "on_wake", "on_exit",
 )
@@ -46,58 +50,11 @@ RECORDER_EVENT_SURFACE: Tuple[str, ...] = (
 #: silent no-op).  Add new sinks here when introducing them.
 RECORDER_SINKS: FrozenSet[str] = frozenset({
     "repro.metrics.recorder.KernelRecorder",
-    "repro.metrics.recorder.NullRecorder",
     "repro.metrics.recorder.RecorderMux",
-    "repro.kernel.trace.SchedulerTrace",
     "repro.checkpoint.replay.ReplayRecorder",
     "repro.telemetry.probe.KernelProbe",
     "repro.serving.slo_controller.ClassLatencyProbe",
 })
-
-
-@runtime_checkable
-class KernelEventSink(Protocol):
-    """The recorder protocol: everything a kernel reports, typed once.
-
-    Implementations must provide *all five* methods -- a sink that only
-    cares about some events implements the rest as no-ops (see
-    :class:`NullRecorder`).  The protocol is ``runtime_checkable`` so
-    ``isinstance(sink, KernelEventSink)`` verifies the surface.
-    """
-
-    def on_dispatch(self, thread: "Thread", time: float) -> None:
-        """``thread`` won the CPU at virtual ``time``."""
-
-    def on_cpu(self, thread: "Thread", start: float, duration: float) -> None:
-        """``thread`` consumed ``duration`` ms of CPU beginning at ``start``."""
-
-    def on_block(self, thread: "Thread", time: float) -> None:
-        """``thread`` blocked at virtual ``time``."""
-
-    def on_wake(self, thread: "Thread", time: float) -> None:
-        """``thread`` became runnable again at virtual ``time``."""
-
-    def on_exit(self, thread: "Thread", time: float) -> None:
-        """``thread`` terminated at virtual ``time``."""
-
-
-class NullRecorder:
-    """A recorder that ignores everything (explicit no-op sink)."""
-
-    def on_dispatch(self, thread: "Thread", time: float) -> None:
-        pass
-
-    def on_cpu(self, thread: "Thread", start: float, duration: float) -> None:
-        pass
-
-    def on_block(self, thread: "Thread", time: float) -> None:
-        pass
-
-    def on_wake(self, thread: "Thread", time: float) -> None:
-        pass
-
-    def on_exit(self, thread: "Thread", time: float) -> None:
-        pass
 
 
 class KernelRecorder:
@@ -173,7 +130,6 @@ class RecorderMux:
     """Fan one kernel's event stream out to several sinks.
 
     Replaces the "single recorder slot" limitation: a
-    :class:`~repro.kernel.trace.SchedulerTrace`, a
     :class:`KernelRecorder`, a replay recorder, and a telemetry probe
     can all observe the same run.  Sinks are invoked in attach order,
     deterministically; a sink missing part of the event surface is
@@ -182,8 +138,8 @@ class RecorderMux:
 
     __slots__ = ("_sinks", "active")
 
-    def __init__(self, *sinks: KernelEventSink) -> None:
-        self._sinks: List[KernelEventSink] = []
+    def __init__(self, *sinks: Any) -> None:
+        self._sinks: List[Any] = []
         #: False while no sinks are attached.  The kernel emits five
         #: events per quantum whether or not anyone listens; the on_*
         #: fast path below turns an idle mux into a single attribute
@@ -193,11 +149,11 @@ class RecorderMux:
             self.add(sink)
 
     @property
-    def sinks(self) -> List[KernelEventSink]:
+    def sinks(self) -> List[Any]:
         """The attached sinks, in attach order (a fresh list)."""
         return list(self._sinks)
 
-    def add(self, sink: KernelEventSink) -> KernelEventSink:
+    def add(self, sink: Any) -> Any:
         """Attach a sink; validates the full event surface, returns it."""
         missing = [name for name in RECORDER_EVENT_SURFACE
                    if not callable(getattr(sink, name, None))]
@@ -213,7 +169,7 @@ class RecorderMux:
         self.active = True
         return sink
 
-    def remove(self, sink: KernelEventSink) -> None:
+    def remove(self, sink: Any) -> None:
         """Detach a sink (no-op when absent)."""
         try:
             self._sinks.remove(sink)

@@ -51,8 +51,7 @@ class LotteryPolicy(SchedulingPolicy):
         Use the O(log n) partial-sum tree instead of the list.  Stored
         values are kept current by funding-invalidation watchers: a
         select only revalues the members whose funding actually changed
-        since the last draw (``static_funding`` promises values never
-        change off-queue and skips the tracking entirely).
+        since the last draw.
     compensation:
         Grant compensation tickets (section 4.5).  The ablation
         experiment turns this off to reproduce the 1:5 distortion.
@@ -69,14 +68,12 @@ class LotteryPolicy(SchedulingPolicy):
         prng: Optional[ParkMillerPRNG] = None,
         move_to_front: bool = True,
         use_tree: bool = False,
-        static_funding: bool = False,
         compensation: bool = True,
         zero_funding_fallback: bool = True,
     ) -> None:
         self.ledger = ledger
         self.prng = prng if prng is not None else ParkMillerPRNG(1)
         self._use_tree = use_tree
-        self._static_funding = static_funding
         self._zero_funding_fallback = zero_funding_fallback
         self.compensation: Optional[CompensationManager] = (
             CompensationManager(ledger) if compensation else None
@@ -117,8 +114,7 @@ class LotteryPolicy(SchedulingPolicy):
             # after this point need to dirty the member.
             self._tree.add(thread, thread.funding())
             self._members[thread] = None
-            if not self._static_funding:
-                thread.watch_funding(self._mark_dirty)
+            thread.watch_funding(self._mark_dirty)
         else:
             assert self._list is not None
             self._list.add(thread)
@@ -210,7 +206,9 @@ class LotteryPolicy(SchedulingPolicy):
         state.update({
             "prng": self.prng.snapshot_state(),
             "use_tree": self._use_tree,
-            "static_funding": self._static_funding,
+            # Constant: tree members always watch funding.  The key
+            # stays because pinned state trees contain it.
+            "static_funding": False,
             "zero_funding_fallback": self._zero_funding_fallback,
             "lotteries_held": self.lotteries_held,
             "fallback_selections": self.fallback_selections,

@@ -38,7 +38,6 @@ merged history is independent of shard count, placement, and backend;
 from __future__ import annotations
 
 import json
-import math
 from typing import Any, Dict, List, Optional
 
 from repro.errors import (
@@ -47,7 +46,8 @@ from repro.errors import (
     ShardError,
 )
 from repro.shard.backends import make_backend
-from repro.shard.plan import GRID_EPS, ShardPlan, grid_instants, on_grid
+from repro.shard.plan import (GRID_EPS, ShardPlan, finite, grid_instants,
+                              on_grid)
 from repro.shard.topology import ShardTopology
 
 __all__ = ["ShardedEngine"]
@@ -55,15 +55,6 @@ __all__ = ["ShardedEngine"]
 #: Failures that trigger a flight-recorder dump: shard/frame faults,
 #: determinism-race sanitizer traps, and invariant violations.
 _FLIGHT_ERRORS = (ShardError, DeterminismRaceError, InvariantViolation)
-
-
-def _finite(name: str, value: Any) -> float:
-    """``value`` as a float, or a ShardError naming the argument: the
-    horizon is shipped into workers and looped on, so it is checked at
-    the door."""
-    if not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ShardError(f"{name} must be a finite number: {value!r}")
-    return float(value)
 
 
 class ShardedEngine:
@@ -112,8 +103,8 @@ class ShardedEngine:
                  slo_policy: Any = None) -> None:
         self.plan = (plan if isinstance(plan, ShardPlan)
                      else ShardPlan.from_dict(plan))
-        self.epoch_ms = _finite("epoch_ms", epoch_ms if epoch_ms is not None
-                                else self.plan.epoch_ms)
+        self.epoch_ms = finite("epoch_ms", epoch_ms if epoch_ms is not None
+                               else self.plan.epoch_ms)
         if self.epoch_ms <= 0:
             raise ShardError(f"epoch_ms must be positive: {self.epoch_ms}")
         self.topology = ShardTopology(self.plan.cores, shards,
@@ -182,7 +173,7 @@ class ShardedEngine:
         """Run the universe to virtual time ``until`` (grid-aligned)."""
         if self._closed:
             raise ShardError("sharded engine is closed")
-        until = _finite("advance horizon 'until'", until)
+        until = finite("advance horizon 'until'", until)
         if until < self._time - GRID_EPS:
             raise ShardError(
                 f"cannot advance backwards: now={self._time}, "

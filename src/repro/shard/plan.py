@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Any, Dict, Iterator, List, Optional, Set
 
 from repro.errors import ShardError
 from repro.shard.builders import BODY_REGISTRY
 
-__all__ = ["ShardPlan", "grid_instants", "mix_plan", "on_grid", "spin_plan"]
+__all__ = ["ShardPlan", "finite", "grid_instants", "mix_plan", "on_grid",
+           "spin_plan"]
 
 #: Slack of every "strictly before the barrier" comparison -- the value
 #: ``LoopCore.run_before`` uses, so the lookahead and the event loop
@@ -55,6 +57,32 @@ CORE_SEED_STRIDE = 101
 _OP_KINDS = frozenset({"migrate", "crash"})
 
 
+def finite(name: str, value: Any) -> float:
+    """``value`` as a float, or a ShardError naming the field: plans
+    and horizons are shipped into workers and looped on, so they are
+    checked at the door."""
+    if not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ShardError(f"{name} must be a finite number: {value!r}")
+    return float(value)
+
+
+def _integer(name: str, value: Any) -> int:
+    """``value`` if it is an int (not a bool), else a ShardError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ShardError(f"{name} must be an integer: {value!r}")
+    return value
+
+
+def _specs(name: str, entries: Any) -> List[Dict[str, Any]]:
+    """Copies of a list-of-dicts plan field (``None`` is empty)."""
+    if entries is None:
+        return []
+    if not isinstance(entries, (list, tuple)) or not all(
+            isinstance(entry, dict) for entry in entries):
+        raise ShardError(f"plan {name} must be a list of dicts: {entries!r}")
+    return [dict(entry) for entry in entries]
+
+
 class ShardPlan:
     """Validated, JSON-round-trippable description of a multicore run.
 
@@ -72,15 +100,21 @@ class ShardPlan:
                  channels: Optional[List[Dict[str, Any]]] = None,
                  ops: Optional[List[Dict[str, Any]]] = None,
                  placement: Optional[Dict[int, int]] = None) -> None:
-        self.seed = int(seed)
-        self.cores = int(cores)
-        self.quantum = float(quantum)
-        self.epoch_ms = float(epoch_ms)
+        self.seed = _integer("plan seed", seed)
+        self.cores = _integer("plan cores", cores)
+        self.quantum = finite("plan quantum", quantum)
+        self.epoch_ms = finite("plan epoch_ms", epoch_ms)
         self.use_tree = bool(use_tree)
-        self.threads = [dict(spec) for spec in (threads or [])]
-        self.channels = [dict(spec) for spec in (channels or [])]
-        self.ops = [dict(op) for op in (ops or [])]
-        self.placement = {int(k): int(v) for k, v in (placement or {}).items()}
+        self.threads = _specs("threads", threads)
+        self.channels = _specs("channels", channels)
+        self.ops = _specs("ops", ops)
+        try:
+            # JSON keys are strings: ``from_dict`` hands "0" for core 0.
+            self.placement = {int(k): int(v)
+                              for k, v in dict(placement or {}).items()}
+        except (TypeError, ValueError):
+            raise ShardError("plan placement must map core ids to shard "
+                             f"ids: {placement!r}") from None
         self._validate()
 
     # -- construction helpers ------------------------------------------------
@@ -153,32 +187,39 @@ class ShardPlan:
     def _check_thread(self, spec: Dict[str, Any]) -> None:
         if not self._core_ok(spec.get("core")):
             raise ShardError(f"thread spec on unknown core: {spec!r}")
-        if spec.get("body") not in BODY_REGISTRY:
+        body = spec.get("body")
+        if not isinstance(body, str) or body not in BODY_REGISTRY:
             raise ShardError(
-                f"unregistered body {spec.get('body')!r}; known: "
+                f"unregistered body {body!r}; known: "
                 f"{sorted(BODY_REGISTRY)}")
         name = spec.get("name")
-        if not name or name in self._thread_names:
+        if not isinstance(name, str) or not name \
+                or name in self._thread_names:
             raise ShardError(f"thread names must be unique: {spec!r}")
-        if float(spec.get("tickets", 0.0)) <= 0.0:
+        if finite(f"thread {name!r} tickets",
+                  spec.get("tickets", 0.0)) <= 0.0:
             raise ShardError(f"thread needs positive tickets: {spec!r}")
         self._thread_names.add(name)
 
     def _check_channel(self, spec: Dict[str, Any]) -> None:
         if not self._core_ok(spec.get("home")):
             raise ShardError(f"channel homed on unknown core: {spec!r}")
-        if not spec.get("name") or spec["name"] in self._channel_names:
+        name = spec.get("name")
+        if not isinstance(name, str) or not name \
+                or name in self._channel_names:
             raise ShardError(f"channel names must be unique: {spec!r}")
-        self._channel_names.add(spec["name"])
+        self._channel_names.add(name)
 
     def _check_op(self, op: Dict[str, Any]) -> None:
         kind = op.get("op")
-        if kind not in _OP_KINDS:
+        if not isinstance(kind, str) or kind not in _OP_KINDS:
             raise ShardError(f"unknown plan op: {op!r}")
-        if float(op.get("at", -1.0)) < 0.0:
+        if finite(f"{kind} op 'at'", op.get("at", -1.0)) < 0.0:
             raise ShardError(f"op needs a non-negative time: {op!r}")
         if kind == "migrate":
-            if (op.get("thread") not in self._thread_names
+            thread = op.get("thread")
+            if (not isinstance(thread, str)
+                    or thread not in self._thread_names
                     or not self._core_ok(op.get("src"))
                     or not self._core_ok(op.get("dst"))):
                 raise ShardError(f"bad migrate op: {op!r}")
@@ -264,8 +305,7 @@ class ShardPlan:
             threads=data.get("threads"),
             channels=data.get("channels"),
             ops=data.get("ops"),
-            placement={int(k): int(v)
-                       for k, v in (data.get("placement") or {}).items()},
+            placement=data.get("placement"),
         )
 
     def checksum(self) -> str:

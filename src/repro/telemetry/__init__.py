@@ -1,4 +1,4 @@
-"""Deterministic observability: span tracing, metrics, profiling.
+"""Deterministic observability: span tracing and metrics.
 
 The subsystem extends the repo's determinism contract to telemetry:
 every span and metric is a pure function of virtual-time events, so
@@ -45,7 +45,6 @@ from repro.telemetry.flight import (
 )
 from repro.telemetry.obsreport import build_report, render_markdown
 from repro.telemetry.probe import KernelProbe, Telemetry, share_band
-from repro.telemetry.profiler import ProfiledPolicy, attach_profiler
 from repro.telemetry.registry import (
     Counter,
     Gauge,
@@ -66,13 +65,11 @@ __all__ = [
     "MergedScalar",
     "MetricRegistry",
     "ObsAggregator",
-    "ProfiledPolicy",
     "SloEvaluator",
     "SloPolicy",
     "Span",
     "SpanTracer",
     "Telemetry",
-    "attach_profiler",
     "build_bundle",
     "build_report",
     "evaluate_slo",

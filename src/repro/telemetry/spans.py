@@ -39,8 +39,7 @@ keeps its sign), and every export is byte-identical to one taken from a
 buffer of ``Span`` objects -- at about a sixth of the memory (~60 B a
 span against ~400 on the hub's usual mix).
 
-The buffer is bounded with drop-oldest semantics, mirroring
-:class:`~repro.kernel.trace.SchedulerTrace`: completed spans beyond
+The buffer is bounded with drop-oldest semantics: completed spans beyond
 ``max_spans`` evict the oldest completed span and increment
 ``dropped_spans`` (or raise in ``strict`` mode).  Eviction moves an
 offset into the oldest chunk, which is let go when the offset passes

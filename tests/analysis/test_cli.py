@@ -1,5 +1,5 @@
 """Tests for the analysis entry points: ``python -m repro.analysis`` and
-the interactive-shell ``lint`` / ``sanitize`` commands."""
+the interactive-shell ``sanitize`` command."""
 
 from __future__ import annotations
 
@@ -62,21 +62,7 @@ def test_sanitize_runs_are_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-# -- shell commands ---------------------------------------------------------
-
-
-def test_shell_lint_clean():
-    state = CommandState()
-    out = COMMANDS["lint"](state, [SRC_REPRO])
-    assert out.startswith("lint: clean")
-
-
-def test_shell_lint_findings(tmp_path):
-    pkg = tmp_path / "repro" / "core"
-    pkg.mkdir(parents=True)
-    (pkg / "bad.py").write_text("import random\n")
-    out = COMMANDS["lint"](CommandState(), [str(tmp_path)])
-    assert "RPR001" in out and "finding" in out
+# -- shell command ----------------------------------------------------------
 
 
 def test_shell_sanitize_reports_ok():

@@ -398,7 +398,7 @@ def test_rpr008_noqa_suppresses():
 
 def test_rpr009_flags_registered_sink_missing_methods():
     src = """
-    class NullRecorder:
+    class KernelRecorder:
         def on_dispatch(self, thread, time):
             pass
     """
@@ -410,7 +410,7 @@ def test_rpr009_flags_registered_sink_missing_methods():
 
 def test_rpr009_full_surface_is_clean():
     src = """
-    class NullRecorder:
+    class KernelRecorder:
         def on_dispatch(self, thread, time):
             pass
 
@@ -440,7 +440,7 @@ def test_rpr009_ignores_unregistered_classes():
 
 def test_rpr009_inherited_methods_do_not_count():
     src = """
-    class KernelProbe(NullRecorder):
+    class KernelProbe(KernelRecorder):
         def on_dispatch(self, thread, time):
             pass
     """

@@ -146,22 +146,3 @@ class TestAccessControl:
         mkcur(state, ["wallet"])
         state.user = "root"
         mktkt(state, ["5", "wallet"])  # root bypasses the ACL
-
-
-class TestChaosCommand:
-    def test_runs_short_chaos_and_reports_windows(self, state):
-        from repro.cli.commands import chaos
-
-        out = chaos(state, ["2718", "80000"])
-        assert "chaos: seed=2718" in out
-        assert "node-crash node1" in out
-        assert "window @30000ms (node-crash node1):" in out
-        assert "window @60000ms (node-restart node1):" in out
-        assert "reconverged after" in out
-        assert "final_window_error=" in out
-
-    def test_usage_errors(self, state):
-        from repro.cli.commands import chaos
-
-        with pytest.raises(ReproError):
-            chaos(state, ["1", "2", "3"])

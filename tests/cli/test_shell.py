@@ -1,5 +1,6 @@
 """Tests for the command shell."""
 
+from repro.cli.commands import COMMANDS
 from repro.cli.shell import Shell
 
 
@@ -31,7 +32,13 @@ class TestShell:
     def test_help(self):
         shell = Shell()
         output = shell.execute("help")
-        for name in ("mktkt", "mkcur", "fund", "lscur", "fundx"):
+        # The paper's nine (section 4.7) plus the session-ledger audit;
+        # every other subsystem has a ``python -m`` door of its own.
+        assert set(COMMANDS) == {"mktkt", "rmtkt", "mkcur", "rmcur", "fund",
+                                 "unfund", "lstkt", "lscur", "fundx",
+                                 "sanitize"}
+        assert len(output.splitlines()) == 1 + len(COMMANDS)
+        for name in COMMANDS:
             assert name in output
 
     def test_run_script(self):

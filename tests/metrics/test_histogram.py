@@ -163,3 +163,22 @@ class TestSnapshot:
             Histogram.from_snapshot(
                 {"count": 2, "mean": 1.0,
                  "bins": [[0.0, 10.0, 1], [15.0, 20.0, 1]]}, "lat")
+
+    @pytest.mark.parametrize("snapshot, named", [
+        ({}, "no 'bins' field"),
+        ({"bins": [[0.0, 5.0, 1]], "mean": 1.0}, "no 'count' field"),
+        ({"bins": [[0.0, 5.0, 1]], "count": 1}, "no 'mean' field"),
+        (5, "no 'bins' field"),
+        ({"count": 1, "mean": 1.0, "bins": [[0]]}, r"bin \[0\] is not"),
+        ({"count": 1, "mean": 1.0, "bins": [[0.0, 5.0, 1], [5.0]]},
+         r"bin \[5.0\] is not"),
+        ({"count": 1, "mean": 1.0, "bins": [["a", "b", 1]]}, "is not a"),
+        ({"count": 1, "mean": 1.0, "bins": [[0.0, float("nan"), 1]]},
+         "is not a"),
+        ({"count": 1, "mean": 1.0, "bins": 5}, "list of bins"),
+        ({"count": "x", "mean": 1.0, "bins": []}, "numeric count"),
+        ({"count": 1, "mean": None, "bins": []}, "numeric count and mean"),
+    ])
+    def test_malformed_snapshots_are_refused_by_name(self, snapshot, named):
+        with pytest.raises(ReproError, match=f"'lat'.*{named}"):
+            Histogram.from_snapshot(snapshot, "lat")

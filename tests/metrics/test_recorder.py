@@ -1,20 +1,18 @@
 """Direct tests for the kernel recorders."""
 
+import ast
+import importlib
+from pathlib import Path
+
 import pytest
 
 from repro.kernel.syscalls import Compute, Sleep
 from repro.errors import ReproError
-from repro.metrics.recorder import (KernelEventSink, KernelRecorder,
-                                    NullRecorder, RecorderMux)
+from repro.metrics.recorder import (RECORDER_EVENT_SURFACE, RECORDER_SINKS,
+                                    KernelRecorder, RecorderMux)
 from tests.conftest import make_lottery_kernel, spin_body
 
-
-class TestNullRecorder:
-    def test_accepts_all_hooks_silently(self):
-        kernel = make_lottery_kernel()
-        kernel.recorder = NullRecorder()
-        kernel.spawn(spin_body(), "t", tickets=10)
-        kernel.run_until(1000)  # must simply not crash
+SRC_REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 class TestKernelRecorder:
@@ -157,18 +155,48 @@ class TestRecorderMux:
         assert log == [("a", "wake")]  # inactive mux delivers nothing
 
     def test_known_sinks_satisfy_the_protocol(self):
-        from repro.checkpoint.replay import ReplayRecorder
-        from repro.kernel.trace import SchedulerTrace
+        # What RPR009 audits statically: every registered class defines
+        # the whole surface itself, so RecorderMux.add accepts it.
+        for path in sorted(RECORDER_SINKS):
+            module, name = path.rsplit(".", 1)
+            sink_class = getattr(importlib.import_module(module), name)
+            for event in RECORDER_EVENT_SURFACE:
+                assert callable(vars(sink_class).get(event)), (path, event)
 
-        for sink in (KernelRecorder(), NullRecorder(), RecorderMux(),
-                     SchedulerTrace(), ReplayRecorder()):
-            assert isinstance(sink, KernelEventSink)
+
+def _constructed_outside_own_body(tree, wanted, inside=None, found=None):
+    """Names in ``wanted`` that ``tree`` calls outside the class body
+    of the same name."""
+    found = set() if found is None else found
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in wanted and name != inside:
+                found.add(name)
+        scope = node.name if isinstance(node, ast.ClassDef) else inside
+        _constructed_outside_own_body(node, wanted, scope, found)
+    return found
+
+
+def test_every_registered_sink_has_a_reader_under_src():
+    """A class in RECORDER_SINKS earns its place on the seam by being
+    constructed by production code (``KernelProbe`` by
+    ``Telemetry.instrument_kernel``, ``ClassLatencyProbe`` by the
+    arena, ``ReplayRecorder`` by the recipes, ...): a sink only tests
+    build is a copy of the event stream nobody reads."""
+    wanted = {path.rsplit(".", 1)[1] for path in RECORDER_SINKS}
+    found = set()
+    for source in sorted(SRC_REPRO.rglob("*.py")):
+        found |= _constructed_outside_own_body(
+            ast.parse(source.read_text()), wanted)
+    assert wanted - found == set()
 
 
 class TestAttachRecorder:
     def test_slot_upgrades_to_mux_and_back(self):
         kernel = make_lottery_kernel()
-        first = NullRecorder()
+        first = KernelRecorder()
         second = KernelRecorder()
         kernel.attach_recorder(first)
         assert kernel.recorder is first  # single sink: no mux yet
@@ -182,7 +210,7 @@ class TestAttachRecorder:
 
     def test_detach_single_sink_clears_slot(self):
         kernel = make_lottery_kernel()
-        sink = NullRecorder()
+        sink = KernelRecorder()
         kernel.attach_recorder(sink)
         kernel.detach_recorder(sink)
         assert kernel.recorder is None

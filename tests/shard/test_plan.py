@@ -58,6 +58,43 @@ def test_plan_rejects_bad_placement():
         ShardPlan(cores=2, placement={5: 0})
 
 
+_SPIN = {"core": 0, "body": "spin", "name": "a", "tickets": 1.0}
+
+
+@pytest.mark.parametrize("data, named", [
+    ({"cores": "x"}, "plan cores"),
+    ({"cores": None}, "plan cores"),
+    ({"seed": "s"}, "plan seed"),
+    ({"seed": float("nan")}, "plan seed"),
+    ({"quantum": "q"}, "plan quantum"),
+    ({"quantum": float("nan")}, "plan quantum"),
+    ({"epoch_ms": float("inf")}, "plan epoch_ms"),
+    ({"threads": 5}, "plan threads"),
+    ({"threads": [5]}, "plan threads"),
+    ({"channels": [3]}, "plan channels"),
+    ({"ops": 5}, "plan ops"),
+    ({"threads": [dict(_SPIN, tickets="x")]}, "thread 'a' tickets"),
+    ({"threads": [dict(_SPIN, tickets=None)]}, "thread 'a' tickets"),
+    ({"threads": [dict(_SPIN, name=["a"])]}, "thread names"),
+    ({"threads": [dict(_SPIN, body=["spin"])]}, "unregistered body"),
+    ({"channels": [{"name": ["svc"], "home": 0}]}, "channel names"),
+    ({"ops": [{"op": ["crash"]}]}, "unknown plan op"),
+    ({"ops": [{"op": "crash", "at": "x", "core": 0}]}, "crash op 'at'"),
+    ({"threads": [_SPIN], "ops": [{"op": "migrate", "at": 1.0,
+                                   "thread": ["a"], "src": 0, "dst": 0}]},
+     "bad migrate op"),
+    ({"placement": 5}, "plan placement"),
+    ({"placement": {"a": 1}}, "plan placement"),
+    ({"placement": {"0": None}}, "plan placement"),
+])
+def test_from_dict_refuses_malformed_fields_by_name(data, named):
+    """Plans arrive as JSON from files and pipes: a field of the wrong
+    type is a ShardError naming it, never a bare ValueError / TypeError
+    from a constructor three frames down."""
+    with pytest.raises(ShardError, match=named):
+        ShardPlan.from_dict(data)
+
+
 def _rejected(build) -> str:
     with pytest.raises(ShardError) as caught:
         build()
