@@ -11,7 +11,9 @@ are checked:
    all active clients sums to the ledger's active base tickets: value
    enters the system only through base tickets and flows losslessly
    through currencies (paper section 4.4).  Includes valuation-cache
-   coherence and holder/ticket back-reference consistency.
+   coherence -- both sides exact, and on the active side the read gate
+   that decides which invalidation walks may be skipped -- and
+   holder/ticket back-reference consistency.
 2. **Currency graph** -- the funding graph is acyclic (section 3.3),
    every edge is mirrored on both endpoints, each currency's cached
    ``active_amount`` equals the recomputed sum over its active issued
@@ -204,6 +206,79 @@ def _check_nominal_caches(ledger: Ledger,
     return violations
 
 
+def _fresh_funding_walk() -> Callable[[TicketHolder], float]:
+    """``TicketHolder.funding`` from its definition, for one audit.
+
+    Reads no valuation cache and -- unlike ``funding()`` on a dirty
+    holder -- marks no currency read, so auditing a run leaves exactly
+    the walks it would have skipped unaudited to be skipped.  Sums are
+    added in the order the cached paths add them; each currency's
+    backing sum is remembered for the length of the audit only.
+    """
+    backing: Dict[int, float] = {}
+
+    def ticket_value(ticket: Ticket) -> float:
+        if not ticket.active:
+            return 0.0
+        currency = ticket.currency
+        if currency.is_base:
+            return ticket.amount
+        if currency.active_amount <= 0:
+            return 0.0
+        key = id(currency)
+        if key not in backing:
+            backing[key] = sum(ticket_value(t) for t in currency.backing)
+        return backing[key] * (ticket.amount / currency.active_amount)
+
+    def funding(holder: TicketHolder) -> float:
+        total = 0
+        for ticket in holder.tickets:
+            if ticket.active:
+                total = total + ticket_value(ticket)
+        return total
+
+    return funding
+
+
+def _check_funding_caches(holders: Iterable[TicketHolder],
+                          fresh: Dict[int, float]) -> List[str]:
+    """The active side of the valuation caches, audited by peeking.
+
+    A holder whose funding cache is clean must serve the bit-identical
+    float of the from-scratch walk (``fresh``, by holder id), and every
+    currency that value was read through -- the denominations of its
+    active non-base tickets, then up every active backing ticket --
+    must still be marked read: an activation at an unmarked one skips
+    the walk that would have invalidated this holder.  Dirty holders
+    promise nothing and are left dirty.
+    """
+    violations: List[str] = []
+    for holder in holders:
+        if holder._funding_dirty:
+            continue
+        if holder._funding_value != fresh[id(holder)]:
+            violations.append(
+                f"holder {holder.name!r} cached funding "
+                f"{holder._funding_value!r} != recomputed "
+                f"{fresh[id(holder)]!r} (stale valuation cache)"
+            )
+        seen = set()
+        stack = [t.currency for t in holder.tickets if t.active]
+        while stack:
+            currency = stack.pop()
+            if currency.is_base or id(currency) in seen:
+                continue
+            seen.add(id(currency))
+            if not currency._read:
+                violations.append(
+                    f"holder {holder.name!r} caches a funding read through "
+                    f"currency {currency.name!r}, which is not marked read "
+                    f"(its next active-side walk would be skipped)"
+                )
+            stack.extend(t.currency for t in currency.backing if t.active)
+    return violations
+
+
 def check_ticket_conservation(ledger: Ledger) -> List[str]:
     """Client funding sums to the active base issue; caches are coherent."""
     violations: List[str] = []
@@ -252,7 +327,12 @@ def check_ticket_conservation(ledger: Ledger) -> List[str]:
                     f"{'active' if ticket.active else 'inactive'}"
                 )
 
-    total_funding = sum(h.funding() for h in holders.values())
+    # From scratch, not through funding(): that would clean the dirty
+    # holders and mark their currencies read behind the run's back.
+    fresh_funding = _fresh_funding_walk()
+    fresh = {key: fresh_funding(h) for key, h in holders.items()}
+    violations.extend(_check_funding_caches(holders.values(), fresh))
+    total_funding = sum(fresh.values())
     active_base = ledger.base.active_amount
     if not _close(total_funding, active_base):
         violations.append(
@@ -343,6 +423,7 @@ def _check_tree_lottery(tree, dirty, queued: Iterable["Thread"]) -> List[str]:
     the one slot the tree lets lag included (``TreeLottery.audit``).
     """
     violations: List[str] = []
+    fresh_funding = _fresh_funding_walk()
     for thread in queued:
         if thread not in tree:
             violations.append(
@@ -350,11 +431,12 @@ def _check_tree_lottery(tree, dirty, queued: Iterable["Thread"]) -> List[str]:
                 f"slot in the lottery tree"
             )
         elif thread not in dirty \
-                and tree.value_of(thread) != thread.funding():
+                and tree.value_of(thread) != fresh_funding(thread):
             violations.append(
                 f"thread {thread.name!r} stores {tree.value_of(thread)!r} "
-                f"in the lottery tree but is funded {thread.funding()!r} "
-                f"and was not flagged for revaluation"
+                f"in the lottery tree but is funded "
+                f"{fresh_funding(thread)!r} and was not flagged for "
+                f"revaluation"
             )
     violations.extend(f"lottery tree: {found}" for found in tree.audit())
     return violations

@@ -193,9 +193,11 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
                     "ports", "policy", "ledger", "engine"},
         # Observers, fault seams, and hooks are re-wired by the recipe,
         # not restored from data; the instant-syscall handler table is
-        # a pure function of the kernel's bound methods.
+        # a pure function of the kernel's bound methods; clock is the
+        # engine's (captured there).
         "transient": {"recorder", "quantum_jitter", "ipc_faults",
-                      "invariant_hooks", "telemetry", "_instant_handlers"},
+                      "invariant_hooks", "telemetry", "_instant_handlers",
+                      "clock"},
     },
     "repro.kernel.thread.Thread": {
         "covered": {"tid", "task", "state", "priority", "funding_currency",

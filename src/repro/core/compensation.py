@@ -146,6 +146,6 @@ class CompensationManager:
 
     def _revoke(self, holder: TicketHolder) -> None:
         ticket: Optional[Ticket] = self._grants.pop(id(holder), None)
-        self._holders.pop(id(holder), None)
         if ticket is not None:
+            del self._holders[id(holder)]
             ticket.destroy()

@@ -44,7 +44,27 @@ would produce the bit-identical float):
   currency's value or active amount invalidates exactly the holders
   downstream of it, so a draw over N statically funded threads costs N
   cached reads instead of N graph walks, and the tree scheduler can
-  skip untouched members entirely;
+  skip untouched members entirely.  The downstream walk is itself paid
+  only where it can find a clean holder -- the **read gate**.  A
+  derived currency carries one mark, "some holder recomputed its
+  funding through me since my last walk", kept by two rules:
+
+  1. *mark on recompute*: :meth:`TicketHolder.funding`, when it
+     recomputes, marks the denomination of each active non-base ticket
+     it sums and every currency backing that denomination, transitively
+     (the value just cached depends on all of them);
+  2. *clear on visit*: an active-side walk clears the mark on the
+     currency it starts at and on every currency it descends through
+     (every holder below is dirty now, so nothing is cached through
+     them until rule 1 marks them again).
+
+  An activation, deactivation or active re-sizing at an unmarked
+  currency therefore starts no walk at all: no clean holder -- and so
+  no funding watcher waiting to fire -- exists downstream.  The base
+  currency is never marked (its tickets are worth their face amount
+  whatever its active amount).  Observers that call ``funding()``
+  (probes, snapshots) mark what they read and so re-arm walks; they
+  never change a value;
 * the *nominal* (as-if-everything-competed) side -- a currency's
   :meth:`Currency.issued_amount` and :meth:`Currency.nominal_base_value`
   and a holder's :meth:`TicketHolder.nominal_funding` -- is cached the
@@ -52,7 +72,8 @@ would produce the bit-identical float):
   create/destroy/``set_amount``, ``fund``/``unfund``, holder
   attach/detach): activation never moves a nominal value, so telemetry
   and transfer sizing read blocked threads' worth at cached-read cost.
-  The same downstream walk invalidates both sides.
+  The same downstream walk serves both sides; the nominal side is
+  never gated.
 """
 
 from __future__ import annotations
@@ -185,6 +206,10 @@ class TicketHolder:
             total = 0
             for ticket in self.tickets:
                 if ticket._active:
+                    currency = ticket.currency
+                    # Rule 1 of the read gate (module docstring).
+                    if not (currency._read or currency.is_base):
+                        currency._mark_read()
                     total = total + ticket.base_value()
             self._funding_value = total
             self._funding_dirty = False
@@ -284,6 +309,8 @@ class Ticket:
         If the ticket is active the currency's active amount is adjusted
         so the next lottery immediately reflects the new allocation.
         """
+        if self._destroyed:
+            raise TicketError("cannot set_amount on a destroyed ticket")
         if amount < 0:
             raise TicketError(f"ticket amount must be non-negative, got {amount}")
         # See __init__: amounts are real-valued, conservation is
@@ -301,7 +328,7 @@ class Ticket:
         # downstream walk, our own target for the base exemption.
         self.currency._issue_changed()
         self._invalidate_target(nominal=True)
-        self.currency._ledger._bump_epoch()
+        self.currency._ledger._epoch += 1
 
     # -- funding edges -------------------------------------------------------
 
@@ -323,7 +350,7 @@ class Ticket:
         else:
             self.target = target
             target._attach(self)
-        self.currency._ledger._bump_epoch()
+        self.currency._ledger._epoch += 1
 
     def unfund(self) -> None:
         """Withdraw this ticket from whatever it currently funds."""
@@ -339,7 +366,7 @@ class Ticket:
             holder = self.target
             self.target = None
             holder._detach(self)
-        self.currency._ledger._bump_epoch()
+        self.currency._ledger._epoch += 1
 
     # -- activation ----------------------------------------------------------
 
@@ -350,28 +377,45 @@ class Ticket:
 
     def activate(self) -> None:
         """Mark this ticket active and propagate into its denomination."""
-        if self._active:
-            return
-        self._active = True
-        self.currency._adjust_active(self._amount)
-        self._invalidate_target()
+        if self._destroyed:
+            raise TicketError("cannot activate a destroyed ticket")
+        if not self._active:
+            self._active = True
+            self.currency._adjust_active(self._amount)
+            # _invalidate_target(), fused: this and deactivate are the
+            # two mutations every block and wake makes.
+            target = self.target
+            if target is not None:
+                if isinstance(target, Currency):
+                    if target._read:
+                        target._invalidate_downstream()
+                elif not target._funding_dirty:
+                    target._invalidate_funding()
 
     def deactivate(self) -> None:
         """Mark this ticket inactive and propagate into its denomination."""
-        if not self._active:
-            return
-        self._active = False
-        self.currency._adjust_active(-self._amount)
-        self._invalidate_target()
+        if self._destroyed:
+            raise TicketError("cannot deactivate a destroyed ticket")
+        if self._active:
+            self._active = False
+            self.currency._adjust_active(-self._amount)
+            target = self.target
+            if target is not None:
+                if isinstance(target, Currency):
+                    if target._read:
+                        target._invalidate_downstream()
+                elif not target._funding_dirty:
+                    target._invalidate_funding()
 
     def _invalidate_target(self, nominal: bool = False) -> None:
         """Invalidate whatever this ticket's value flows into.
 
         A holder target's cached funding goes stale directly; a currency
         target's value changed, which cascades to everything funded
-        downstream of it.  ``nominal`` selects the side that moved: the
-        as-if-active valuation (structural mutations) instead of the
-        active one.
+        downstream of it -- on the active side only if a funding was
+        read through it since its last walk (the read gate).
+        ``nominal`` selects the side that moved: the as-if-active
+        valuation (structural mutations) instead of the active one.
         """
         target = self.target
         if target is None:
@@ -379,10 +423,12 @@ class Ticket:
         if isinstance(target, Currency):
             if nominal:
                 target._nominal_value = None
-            target._invalidate_downstream(nominal)
+                target._invalidate_downstream(True)
+            elif target._read:
+                target._invalidate_downstream()
         elif nominal:
             target._nominal_value = None
-        else:
+        elif not target._funding_dirty:
             target._invalidate_funding()
 
     # -- valuation -----------------------------------------------------------
@@ -424,11 +470,15 @@ class Ticket:
     def destroy(self) -> None:
         """Remove this ticket from the system entirely (terminal)."""
         self.unfund()
-        if self in self.currency._issued:
+        if self._active:
+            # Activated by hand while funding nothing: unfund had no
+            # edge to deactivate through.
+            self.deactivate()
+        if not self._destroyed:
             self.currency._issued.remove(self)
             self.currency._issue_changed()
-        self._destroyed = True
-        self.currency._ledger._bump_epoch()
+            self._destroyed = True
+        self.currency._ledger._epoch += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "active" if self._active else "inactive"
@@ -443,7 +493,7 @@ class Currency:
 
     __slots__ = ("name", "is_base", "_ledger", "_backing", "_issued",
                  "_active_amount", "_cached_value", "_cached_epoch",
-                 "_issued_total", "_nominal_value")
+                 "_issued_total", "_nominal_value", "_read")
 
     def __init__(self, name: str, ledger: "Ledger", is_base: bool = False) -> None:
         self.name = name
@@ -461,6 +511,10 @@ class Currency:
         # Nominal-side caches; None while stale.
         self._issued_total: Optional[float] = None
         self._nominal_value: Optional[float] = None
+        #: The read gate: True while some holder may have recomputed
+        #: :meth:`TicketHolder.funding` through this currency since its
+        #: last active-side walk.  Never set on the base currency.
+        self._read = False
 
     # -- structure -----------------------------------------------------------
 
@@ -499,15 +553,33 @@ class Currency:
         elif was_active and not now_active:
             for ticket in self._backing:
                 ticket.deactivate()
-        if not self.is_base:
+        if self._read:
             # A derived currency's per-unit value just moved, so every
-            # issued ticket's base value moved with it.  The base
-            # currency is exempt: its per-unit value is constant 1, and
-            # base tickets are worth their face amount regardless of the
-            # base active amount -- this exemption is what keeps a
-            # dispatch over N base-funded threads at O(1) invalidations.
+            # issued ticket's base value moved with it -- which matters
+            # only to holders that read a funding through it.  The base
+            # currency is never marked: its per-unit value is constant
+            # 1 and its tickets are worth their face amount whatever its
+            # active amount -- the exemption that keeps a dispatch over
+            # N base-funded threads at O(1) invalidations.
             self._invalidate_downstream()
-        self._ledger._bump_epoch()
+        self._ledger._epoch += 1
+
+    def _mark_read(self) -> None:
+        """Rule 1 of the read gate: a holder is caching a funding that
+        depends on this currency, hence on every currency backing it.
+
+        A marked currency's backers are already marked (they were when
+        it was, and a walk that clears one clears everything below it),
+        so the climb stops at the first marked currency.
+        """
+        stack = [self]
+        while stack:
+            currency = stack.pop()
+            currency._read = True
+            for ticket in currency._backing:
+                backer = ticket.currency
+                if not (backer._read or backer.is_base):
+                    stack.append(backer)
 
     def _issue_changed(self) -> None:
         """An issued ticket was created, destroyed or re-sized.
@@ -530,11 +602,17 @@ class Currency:
         diamond-shaped funding from re-walking a currency.  With
         ``nominal`` the walk clears the nominal caches of the holders
         and currencies it reaches instead of the holders' funding.
+
+        The active-side walk is rule 2 of the read gate: callers start
+        it only at a currency marked read, and it clears the mark on
+        every currency it visits.
         """
         stack: List[Currency] = [self]
         visited = {id(self)}
         while stack:
             currency = stack.pop()
+            if not nominal:
+                currency._read = False
             for ticket in currency._issued:
                 target = ticket.target
                 if target is None:
@@ -649,14 +727,10 @@ class Ledger:
 
     def __init__(self) -> None:
         self._currencies: Dict[str, Currency] = {}
+        #: Bumped by every mutation; keys the per-currency value cache.
         self._epoch = 0
         self.base = Currency(self.BASE_NAME, self, is_base=True)
         self._currencies[self.BASE_NAME] = self.base
-
-    # -- epochs (valuation-cache invalidation) ---------------------------------
-
-    def _bump_epoch(self) -> None:
-        self._epoch += 1
 
     # -- currency management ----------------------------------------------------
 
@@ -666,7 +740,7 @@ class Ledger:
             raise CurrencyError(f"currency {name!r} already exists")
         currency = Currency(name, self)
         self._currencies[name] = currency
-        self._bump_epoch()
+        self._epoch += 1
         return currency
 
     def currency(self, name: str) -> Currency:
@@ -684,7 +758,7 @@ class Ledger:
         if currency.is_base:
             raise CurrencyError("the base currency cannot be destroyed")
         self._currencies.pop(currency.name, None)
-        self._bump_epoch()
+        self._epoch += 1
 
     # -- ticket management --------------------------------------------------------
 
@@ -705,7 +779,7 @@ class Ledger:
         if currency_obj._ledger is not self:
             raise TicketError("currency belongs to a different ledger")
         ticket = Ticket(currency_obj, amount, tag=tag)
-        self._bump_epoch()
+        self._epoch += 1
         if fund is not None:
             ticket.fund(fund)
         return ticket

@@ -30,6 +30,7 @@ from typing import Any, Deque, List, Optional, TYPE_CHECKING
 from repro.core.tickets import Currency
 from repro.core.transfers import TransferHandle, transfer_funding
 from repro.errors import IpcError
+from repro.kernel.kernel import BLOCK
 from repro.kernel.thread import ThreadState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,12 +54,16 @@ _race_tracker = None
 _shard_router = None
 
 
+#: The no-op seam: stateless, so one instance serves every wake.
+_NO_SEAM = nullcontext()
+
+
 def _race_seam(name: str):
     """Barrier-seam context for legal cross-kernel wakes (no-op when
     the sanitizer is inactive)."""
     if _race_tracker is not None and _race_tracker.active:
         return _race_tracker.seam(name)
-    return nullcontext()
+    return _NO_SEAM
 
 
 class Request:
@@ -88,7 +93,7 @@ class Request:
         self.client = client
         self.transfer: Optional[TransferHandle] = None
         self.transfer_fraction = transfer_fraction
-        self.created_at = port.kernel.now
+        self.created_at = port.kernel.clock.now
         self.replied_at: Optional[float] = None
         self.reply_value: Any = None
         #: Delivery attempts so far (> 1 only under an injected
@@ -106,20 +111,21 @@ class Request:
             raise IpcError("reply to a send-origin message")
         if self.replied_at is not None:
             raise IpcError("request already replied to")
-        self.replied_at = self.port.kernel.now
+        port = self.port
+        self.replied_at = port.kernel.clock.now
         self.reply_value = value
         if self.transfer is not None:
             self.transfer.revoke()
             self.transfer = None
-        self.port._record_response(self.replied_at - self.created_at)
-        telemetry = getattr(self.port.kernel, "telemetry", None)
+        port._record_response(self.replied_at - self.created_at)
+        telemetry = port.kernel.telemetry
         if telemetry is not None:
-            telemetry.on_ipc_reply(self.port, self)
+            telemetry.on_ipc_reply(port, self)
         if self.client.state is ThreadState.EXITED:
             # The caller was killed (node crash / injected fault) while
             # the RPC was in flight: drop the reply on the floor.  The
             # transfer above is still revoked, so no rights leak.
-            self.port.dead_replies += 1
+            port.dead_replies += 1
             return
         # Wake via client.kernel (not port.kernel): the client may have
         # been re-placed on another node while blocked.  Crossing into
@@ -176,7 +182,7 @@ class Port:
         """Asynchronous message; never blocks, transfers nothing."""
         self.messages_sent += 1
         request = Request(self, message, client=None)
-        telemetry = getattr(self.kernel, "telemetry", None)
+        telemetry = self.kernel.telemetry
         if telemetry is not None:
             telemetry.on_ipc_send(self, request, rpc=False)
         self._deliver_or_queue(request)
@@ -188,12 +194,10 @@ class Port:
         Returns the kernel BLOCK sentinel (the caller thread resumes
         with the reply value when the server responds).
         """
-        from repro.kernel.kernel import BLOCK  # local import: cycle guard
-
         self.calls_made += 1
         request = Request(self, message, client=client,
                           transfer_fraction=transfer_fraction)
-        telemetry = getattr(self.kernel, "telemetry", None)
+        telemetry = self.kernel.telemetry
         if telemetry is not None:
             telemetry.on_ipc_send(self, request, rpc=True)
         if self.currency is not None:
@@ -213,8 +217,6 @@ class Port:
         Claims the pending ticket transfer of an already-queued RPC
         (paper: the transfer list checked at receive time).
         """
-        from repro.kernel.kernel import BLOCK  # local import: cycle guard
-
         if self._queue:
             request = self._queue.popleft()
             self._claim_transfer(request, server)
@@ -232,7 +234,7 @@ class Port:
         delivery (dropping it, or rescheduling ``_deliver_now`` after
         a backoff/delay); otherwise delivery happens immediately.
         """
-        faults = getattr(self.kernel, "ipc_faults", None)
+        faults = self.kernel.ipc_faults
         if faults is not None and faults.intercept(self, request):
             return
         self._deliver_now(request)

@@ -118,6 +118,9 @@ class Kernel:
         if context_switch_cost < 0:
             raise KernelError("context_switch_cost must be non-negative")
         self.engine = engine
+        #: The engine's clock, held directly: the dispatch and wake
+        #: paths read ``self.clock.now`` several times per event.
+        self.clock = engine.clock
         self.policy = policy
         self.ledger = ledger if ledger is not None else Ledger()
         self.quantum = float(quantum)
@@ -160,7 +163,7 @@ class Kernel:
         self.dispatch_count = 0
         self.idle_time = 0.0
         self.kills = 0
-        self._idle_since: Optional[float] = engine.now
+        self._idle_since: Optional[float] = self.clock.now
 
         #: Post-quantum hooks ``fn(kernel, thread, outcome)`` run after
         #: every dispatch fully settles (state transition, re-enqueue,
@@ -209,9 +212,7 @@ class Kernel:
     @property
     def now(self) -> float:
         """Current virtual time in milliseconds."""
-        # Straight to the clock: one property hop fewer than
-        # ``engine.now`` on a path every dispatch reads several times.
-        return self.engine.clock.now
+        return self.clock.now
 
     def run_until(self, time: float) -> None:
         """Advance the whole machine to virtual time ``time``.
@@ -289,7 +290,7 @@ class Kernel:
         thread.deliver(value)
         self._make_runnable(thread)
         if self.recorder is not None:
-            self.recorder.on_wake(thread, self.now)
+            self.recorder.on_wake(thread, self.clock.now)
 
     def timer_wake(self, thread: Thread, value: Any = None) -> None:
         """Wake from a timer, tolerating threads killed while asleep.
@@ -305,7 +306,7 @@ class Kernel:
 
     def _make_runnable(self, thread: Thread) -> None:
         thread.transition(ThreadState.RUNNABLE)
-        thread.runnable_since = self.now
+        thread.runnable_since = self.clock.now
         self.policy.enqueue(thread)
         self._schedule_dispatch()
 
@@ -476,10 +477,10 @@ class Kernel:
             self._quantum_size = self.quantum
             self._instant_syscalls = 0
             if self._idle_since is None:
-                self._idle_since = self.now
+                self._idle_since = self.clock.now
             return
         if self._idle_since is not None:
-            self.idle_time += self.now - self._idle_since
+            self.idle_time += self.clock.now - self._idle_since
             self._idle_since = None
         thread.transition(ThreadState.RUNNING)
         self.running = thread
@@ -492,7 +493,7 @@ class Kernel:
         thread.dispatches += 1
         self.dispatch_count += 1
         if self.recorder is not None:
-            self.recorder.on_dispatch(thread, self.now)
+            self.recorder.on_dispatch(thread, self.clock.now)
         if self.context_switch_cost > 0:
             self._inflight = self.engine.call_after(
                 self.context_switch_cost,
@@ -510,10 +511,14 @@ class Kernel:
             syscall = thread.current_syscall
             if syscall is None:
                 syscall = thread.advance()
-            if syscall is None or isinstance(syscall, sc.Exit):
+            # The exact class first: a plain Compute (the common case)
+            # skips the isinstance chain, whose order is unchanged.
+            plain_compute = syscall.__class__ is sc.Compute
+            if not plain_compute and (syscall is None
+                                      or isinstance(syscall, sc.Exit)):
                 self._end_dispatch(thread, "exit")
                 return
-            if isinstance(syscall, sc.Compute):
+            if plain_compute or isinstance(syscall, sc.Compute):
                 thread.current_syscall = syscall
                 if self._quantum_left <= _EPS:
                     self._end_dispatch(thread, "preempt")
@@ -552,7 +557,7 @@ class Kernel:
         self._quantum_left -= run
         thread.cpu_time += run
         if self.recorder is not None:
-            self.recorder.on_cpu(thread, self.now - run, run)
+            self.recorder.on_cpu(thread, self.clock.now - run, run)
         if syscall.remaining <= _EPS:
             thread.current_syscall = None
         if self._quantum_left <= _EPS:
@@ -565,7 +570,7 @@ class Kernel:
         self.running = None
         if outcome in ("preempt", "yield"):
             thread.transition(ThreadState.RUNNABLE)
-            thread.runnable_since = self.now
+            thread.runnable_since = self.clock.now
             self.policy.enqueue(thread)
             self.policy.quantum_end(thread, used, self._quantum_size,
                                     still_runnable=True)
@@ -574,14 +579,14 @@ class Kernel:
             self.policy.quantum_end(thread, used, self._quantum_size,
                                     still_runnable=False)
             if self.recorder is not None:
-                self.recorder.on_block(thread, self.now)
+                self.recorder.on_block(thread, self.clock.now)
         elif outcome == "exit":
             thread.transition(ThreadState.EXITED)
-            thread.exited_at = self.now
+            thread.exited_at = self.clock.now
             thread.stop_competing()
             self.policy.thread_exited(thread)
             if self.recorder is not None:
-                self.recorder.on_exit(thread, self.now)
+                self.recorder.on_exit(thread, self.clock.now)
         else:  # pragma: no cover - defensive
             raise KernelError(f"unknown dispatch outcome {outcome!r}")
         self._schedule_dispatch()

@@ -49,19 +49,17 @@ class ThreadState(enum.Enum):
     EXITED = "exited"
 
 
-#: Legal lifecycle edges, ``state -> states reachable in one step``;
-#: built once, read-only (a mapping proxy over frozensets).
+#: Legal lifecycle edges, ``state value -> states reachable in one
+#: step``.  Keyed by the state's string (hashed in C, where hashing the
+#: enum member runs ``Enum.__hash__`` in Python); tuple membership
+#: tests identity first.  Built once, read-only.
 _LEGAL_TRANSITIONS = MappingProxyType({  # shard: shard-local -- constant rule table
-    ThreadState.CREATED: frozenset({ThreadState.RUNNABLE,
-                                    ThreadState.EXITED}),
-    ThreadState.RUNNABLE: frozenset({ThreadState.RUNNING,
-                                     ThreadState.EXITED}),
-    ThreadState.RUNNING: frozenset({ThreadState.RUNNABLE,
-                                    ThreadState.BLOCKED,
-                                    ThreadState.EXITED}),
-    ThreadState.BLOCKED: frozenset({ThreadState.RUNNABLE,
-                                    ThreadState.EXITED}),
-    ThreadState.EXITED: frozenset(),
+    "created": (ThreadState.RUNNABLE, ThreadState.EXITED),
+    "runnable": (ThreadState.RUNNING, ThreadState.EXITED),
+    "running": (ThreadState.RUNNABLE, ThreadState.BLOCKED,
+                ThreadState.EXITED),
+    "blocked": (ThreadState.RUNNABLE, ThreadState.EXITED),
+    "exited": (),
 })
 
 
@@ -81,7 +79,7 @@ class ThreadContext:
     @property
     def now(self) -> float:
         """Current virtual time in milliseconds."""
-        return self.kernel.now
+        return self.kernel.clock.now
 
 
 class Task:
@@ -167,7 +165,7 @@ class Thread(TicketHolder):
         self.cpu_time = 0.0
         self.dispatches = 0
         self.voluntary_yields = 0
-        self.created_at = kernel.now
+        self.created_at = kernel.clock.now
         self.exited_at: Optional[float] = None
         #: Set when the thread last became runnable; used for
         #: scheduling-latency measurements.
@@ -203,7 +201,7 @@ class Thread(TicketHolder):
 
     def transition(self, new_state: ThreadState) -> None:
         """Move between lifecycle states, validating the edge."""
-        if new_state not in _LEGAL_TRANSITIONS[self.state]:
+        if new_state not in _LEGAL_TRANSITIONS[self.state._value_]:
             raise ThreadStateError(
                 f"thread {self.name!r}: illegal transition "
                 f"{self.state.value} -> {new_state.value}"

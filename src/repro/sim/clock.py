@@ -21,28 +21,27 @@ SECONDS = 1000.0
 
 
 class VirtualClock:
-    """Monotonically non-decreasing virtual time source."""
+    """Monotonically non-decreasing virtual time source.
 
-    __slots__ = ("_now",)
+    ``now`` (milliseconds) is a plain attribute so the per-event paths
+    read it in one hop; :meth:`advance_to` is its only writer.
+    """
+
+    __slots__ = ("now",)
 
     def __init__(self, start: float = 0.0) -> None:
         if start < 0:
             raise SimulationError(f"clock cannot start at negative time {start}")
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in milliseconds."""
-        return self._now
+        self.now = float(start)
 
     def advance_to(self, time: float) -> None:
         """Move the clock forward to ``time`` (backwards is an error)."""
-        if time < self._now - 1e-9:
+        if time < self.now - 1e-9:
             raise SimulationError(
-                f"clock cannot run backwards: at {self._now}, asked for {time}"
+                f"clock cannot run backwards: at {self.now}, asked for {time}"
             )
-        if time > self._now:
-            self._now = time
+        if time > self.now:
+            self.now = time
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VirtualClock(now={self._now:.3f}ms)"
+        return f"VirtualClock(now={self.now:.3f}ms)"

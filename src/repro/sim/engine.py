@@ -19,6 +19,7 @@ payloads it receives -- never of which shard or process executed it.
 
 from __future__ import annotations
 
+from heapq import heappop
 from typing import Any, Callable, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -72,11 +73,14 @@ class LoopCore:
         ``args`` lets hot callers schedule bound methods directly
         instead of allocating a closure per event.
         """
-        if time < self.clock.now - 1e-9:
-            raise SimulationError(
-                f"cannot schedule in the past: now={self.clock.now}, asked={time}"
-            )
-        return self._queue.push(max(time, self.clock.now), callback, label, args)
+        now = self.clock.now
+        if time < now:
+            if time < now - 1e-9:
+                raise SimulationError(
+                    f"cannot schedule in the past: now={now}, asked={time}"
+                )
+            time = now
+        return self._queue.push(time, callback, label, args)
 
     def call_after(
         self, delay: float, callback: Callable[..., None], label: str = "",
@@ -85,13 +89,13 @@ class LoopCore:
         """Schedule ``callback(*args)`` after ``delay`` milliseconds."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.call_at(self.clock.now + delay, callback, label, args)
+        return self._queue.push(self.clock.now + delay, callback, label, args)
 
     def call_soon(self, callback: Callable[..., None], label: str = "",
                   args: Tuple[Any, ...] = ()) -> Event:
         """Schedule ``callback`` at the current instant (after pending
         same-time events already in the queue)."""
-        return self.call_at(self.clock.now, callback, label, args)
+        return self._queue.push(self.clock.now, callback, label, args)
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (idempotent)."""
@@ -107,31 +111,47 @@ class LoopCore:
         measurements over [0, until) are well-defined).  ``max_events``
         is a runaway guard for tests.
         """
+        self._fire_due(None if until is None else until + 1e-9, False,
+                       max_events, "run")
+        if until is not None:
+            self.clock.advance_to(until)
+
+    def _fire_due(self, limit: Optional[float], strict: bool,
+                  max_events: Optional[int], what: str) -> int:
+        """Fire, in order, every live event up to ``limit`` -- strictly
+        before it when ``strict``, the whole agenda when None.
+
+        Reads the agenda's heap directly: one pop per event, taken only
+        once the head is known to be live and due.
+        """
         if self._running:
             raise SimulationError("engine is not reentrant")
         self._running = True
         processed = 0
+        heap = self._queue._heap
+        clock = self.clock
         try:
-            while True:
-                next_time = self._queue.peek_time()
-                if next_time is None:
+            while heap:
+                event = heap[0]
+                if event.cancelled:
+                    heappop(heap)
+                    continue
+                if limit is not None and (event.time >= limit if strict
+                                          else event.time > limit):
                     break
-                if until is not None and next_time > until + 1e-9:
-                    break
-                event = self._queue.pop()
-                assert event is not None
-                self.clock.advance_to(event.time)
+                heappop(heap)
+                clock.advance_to(event.time)
                 event.fire()
                 self.events_processed += 1
                 processed += 1
                 if max_events is not None and processed >= max_events:
                     raise SimulationError(
-                        f"run exceeded max_events={max_events}; likely a livelock"
+                        f"{what} exceeded max_events={max_events}; "
+                        f"likely a livelock"
                     )
-            if until is not None:
-                self.clock.advance_to(until)
         finally:
             self._running = False
+        return processed
 
     # -- epoch execution (sharded engine) ------------------------------------------
 
@@ -163,29 +183,7 @@ class LoopCore:
         advanced to the horizon -- :meth:`advance_clock` does that at
         the barrier.  Returns the number of events fired.
         """
-        if self._running:
-            raise SimulationError("engine is not reentrant")
-        self._running = True
-        processed = 0
-        try:
-            while True:
-                next_time = self._queue.peek_time()
-                if next_time is None or next_time >= horizon - 1e-9:
-                    break
-                event = self._queue.pop()
-                assert event is not None
-                self.clock.advance_to(event.time)
-                event.fire()
-                self.events_processed += 1
-                processed += 1
-                if max_events is not None and processed >= max_events:
-                    raise SimulationError(
-                        f"epoch exceeded max_events={max_events}; "
-                        f"likely a livelock"
-                    )
-        finally:
-            self._running = False
-        return processed
+        return self._fire_due(horizon - 1e-9, True, max_events, "epoch")
 
     def advance_clock(self, time: float) -> None:
         """Advance the core clock to a barrier instant (monotonic)."""

@@ -102,6 +102,99 @@ def test_conservation_detects_activation_mismatch():
     assert "'sleeper'" in messages
 
 
+# -- family 1, active side: exact funding caches and the read gate ----------
+
+
+def _two_level_chain():
+    """base -> upper -> lower -> {reader, sibling}; ``other`` sits
+    under ``upper`` directly, so flipping it moves ``upper``'s
+    per-unit value, and with it everything below."""
+    ledger = Ledger()
+    upper = ledger.create_currency("upper")
+    lower = ledger.create_currency("lower")
+    ledger.create_ticket(100, fund=upper)
+    ledger.create_ticket(40, currency=upper, fund=lower)
+    reader, sibling, other = (TicketHolder(name)
+                              for name in ("reader", "sibling", "other"))
+    ledger.create_ticket(10, currency=lower, fund=reader)
+    ledger.create_ticket(30, currency=lower, fund=sibling)
+    ledger.create_ticket(60, currency=upper, fund=other)
+    reader.start_competing()
+    return ledger, upper, lower, reader, sibling, other
+
+
+def test_funding_audit_is_clean_and_does_not_mutate():
+    ledger, upper, lower, reader, sibling, other = _two_level_chain()
+    assert reader.funding() == 100.0
+    sibling.start_competing()      # a gated walk: reader is dirty again
+    assert reader._funding_dirty and not lower._read and upper._read
+    assert sanitize_ledger(ledger) == []
+    # Peeked, not recomputed: still dirty, nothing marked behind the run.
+    assert reader._funding_dirty and not lower._read
+    assert reader.funding() == 25.0 and lower._read
+    other.start_competing()        # halves upper's per-unit value
+    assert reader.funding() == 10.0
+    assert sanitize_ledger(ledger) == []
+
+
+def test_funding_audit_detects_a_stale_clean_cache():
+    ledger, upper, lower, reader, sibling, other = _two_level_chain()
+    reader.funding()
+    reader._funding_value += 1.0
+    messages = "\n".join(check_ticket_conservation(ledger))
+    assert "holder 'reader' cached funding 101.0 != recomputed 100.0" \
+        in messages
+
+
+def test_read_gate_audit_detects_broken_mark_propagation(monkeypatch):
+    """Rule 1 hand-broken: the recompute marks the denomination but
+    not the currencies backing it."""
+    from repro.core.tickets import Currency
+
+    monkeypatch.setattr(Currency, "_mark_read",
+                        lambda self: setattr(self, "_read", True))
+    ledger, upper, lower, reader, sibling, other = _two_level_chain()
+    reader.funding()
+    messages = "\n".join(check_ticket_conservation(ledger))
+    assert "holder 'reader' caches a funding read through currency " \
+        "'upper', which is not marked read" in messages
+    assert "'lower'" not in messages
+    # What the audit warned of: the walk at ``upper`` is skipped and the
+    # clean cache goes stale.
+    other.start_competing()
+    messages = "\n".join(check_ticket_conservation(ledger))
+    assert "holder 'reader' cached funding 100.0 != recomputed 40.0" \
+        in messages
+
+
+def test_read_gate_audit_detects_broken_clear_on_visit(monkeypatch):
+    """Rule 2 hand-broken: the walk clears the mark where it starts
+    but not on the currencies it visits.  The next recompute then finds
+    ``lower`` still marked and stops climbing below an unmarked
+    ``upper``."""
+    from repro.core.tickets import Currency
+
+    walk = Currency._invalidate_downstream
+
+    def clears_only_its_start(self, nominal=False):
+        marked = [c for c in self._ledger.currencies() if c._read]
+        walk(self, nominal)
+        if not nominal:
+            for currency in marked:
+                currency._read = currency is not self
+
+    monkeypatch.setattr(Currency, "_invalidate_downstream",
+                        clears_only_its_start)
+    ledger, upper, lower, reader, sibling, other = _two_level_chain()
+    reader.funding()
+    other.start_competing()        # walk from upper visits lower
+    assert lower._read and not upper._read
+    reader.funding()
+    messages = "\n".join(check_ticket_conservation(ledger))
+    assert "holder 'reader' caches a funding read through currency " \
+        "'upper', which is not marked read" in messages
+
+
 # -- family 2: currency graph ----------------------------------------------
 
 

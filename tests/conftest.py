@@ -73,6 +73,26 @@ def refreshes(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """Active-side ``Currency._invalidate_downstream`` walks -- each one
+    iterates an issued list -- as the names of the currencies they
+    started at, counted through a class-level wrapper (the nominal
+    side, which activation never triggers, is left out)."""
+    from repro.core.tickets import Currency
+
+    started = []
+    inner = Currency._invalidate_downstream
+
+    def counted(self, nominal=False):
+        if not nominal:
+            started.append(self.name)
+        inner(self, nominal)
+
+    monkeypatch.setattr(Currency, "_invalidate_downstream", counted)
+    return started
+
+
 def make_lottery_kernel(seed: int = 1, quantum: float = 100.0,
                         **policy_kwargs):
     """Engine + ledger + lottery kernel, wired together."""

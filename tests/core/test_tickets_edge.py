@@ -27,6 +27,43 @@ class TestDestroyedTickets:
         ticket.destroy()
         ticket.destroy()
 
+    @pytest.mark.parametrize("operation, call", [
+        ("activate", lambda ticket: ticket.activate()),
+        ("deactivate", lambda ticket: ticket.deactivate()),
+        ("set_amount", lambda ticket: ticket.set_amount(5)),
+    ])
+    def test_destroyed_ticket_refuses_by_name(self, ledger, operation, call):
+        """Each used to succeed silently; ``activate`` left the base
+        active amount at 10 with no active issue behind it."""
+        from repro.analysis.sanitizer import sanitize_ledger
+
+        team = ledger.create_currency("team")
+        ledger.create_ticket(100, fund=team)
+        sibling, holder = TicketHolder("sibling"), TicketHolder("h")
+        ledger.create_ticket(10, currency=team, fund=sibling)
+        ticket = ledger.create_ticket(10, currency=team, fund=holder)
+        sibling.start_competing()
+        ticket.destroy()
+        epoch = ledger.snapshot_state()["epoch"]
+        with pytest.raises(TicketError, match=f"cannot {operation} "
+                                              "(on )?a destroyed ticket"):
+            call(ticket)
+        assert not ticket.active and ticket.amount == 10
+        assert team.active_amount == 10
+        assert sibling.funding() == 100
+        assert ledger.snapshot_state()["epoch"] == epoch
+        assert sanitize_ledger(ledger) == []
+
+    def test_destroy_deactivates_a_hand_activated_orphan(self, ledger):
+        """``unfund`` has no edge to deactivate an unfunded ticket
+        through; destroy must not strand its amount as active."""
+        ticket = ledger.create_ticket(10)
+        ticket.activate()
+        assert ledger.base.active_amount == 10
+        ticket.destroy()
+        assert not ticket.active
+        assert ledger.base.active_amount == 0
+
 
 class TestZeroAmountTickets:
     def test_zero_ticket_is_legal_but_worthless(self, ledger):

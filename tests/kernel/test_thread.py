@@ -86,10 +86,12 @@ class TestLifecycle:
     def test_legal_edge_table_is_read_only(self):
         from repro.kernel.thread import _LEGAL_TRANSITIONS
 
+        # Keyed by the state's string value, rules as tuples.
+        assert set(_LEGAL_TRANSITIONS) == {s.value for s in ThreadState}
         with pytest.raises(TypeError):
-            _LEGAL_TRANSITIONS[ThreadState.EXITED] = frozenset(ThreadState)
+            _LEGAL_TRANSITIONS["exited"] = tuple(ThreadState)
         with pytest.raises(AttributeError):
-            _LEGAL_TRANSITIONS[ThreadState.EXITED].add(ThreadState.RUNNABLE)
+            _LEGAL_TRANSITIONS["exited"].add(ThreadState.RUNNABLE)
 
     def test_unique_tids(self):
         kernel = make_lottery_kernel()

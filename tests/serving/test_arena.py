@@ -94,6 +94,55 @@ class TestTreeStoredValues:
         assert checked > 1_000
 
 
+class TestWorkPerRequest:
+    """What a served request costs each layer, as counts (ROADMAP 5a):
+    deterministic for a seed, so pinned exactly -- a change to the
+    per-request path shows up here as a number before it shows up on
+    the ruler as a time.  Seed 1 at 0.7x, 100 requests a class, every
+    optional sink off (the arena's own latency probe is the recorder);
+    counted from outside, by wrapping the public seams."""
+
+    def test_counts_per_completed_request(self, monkeypatch, walks):
+        from repro.core.tickets import Ledger, Ticket
+        from repro.serving.slo_controller import ClassLatencyProbe
+
+        counts = {"created": 0, "destroyed": 0, "recorder": 0}
+
+        def count(owner, attr, key):
+            inner = getattr(owner, attr)
+
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        count(Ledger, "create_ticket", "created")
+        count(Ticket, "destroy", "destroyed")
+        for event in ("on_dispatch", "on_cpu", "on_block", "on_wake",
+                      "on_exit"):
+            count(ClassLatencyProbe, event, "recorder")
+        machine = build_machine(seed=1, quantum=_QUANTUM, policy="lottery")
+        arena = build_arena(machine.kernel, ArenaConfig(
+            seed=1, load_factor=0.7, requests_per_class=100))
+        built = dict(counts)
+        del walks[:]
+        arena.run()
+        assert sum(arena.stats.completed.values()) == 258
+        # Per completed request: 7.1 events, 3.8 dispatches, 13.5
+        # recorder callbacks, one transfer ticket minted and destroyed
+        # per RPC hop (3.0), and 3.0 active-side ledger walks -- 10.8
+        # before walks were gated on a funding having been read.
+        assert machine.engine.events_processed == 1_835
+        assert machine.kernel.dispatch_count == 993
+        assert counts["recorder"] - built["recorder"] == 3_483
+        assert counts["created"] - built["created"] == 774
+        assert counts["destroyed"] - built["destroyed"] == 771
+        assert len(walks) == 772
+        # The mutation count itself is in state trees; never elided.
+        assert machine.kernel.ledger.snapshot_state()["epoch"] == 7_913
+
+
 class TestTelemetry:
     def test_request_completions_reach_the_hub(self):
         from repro.telemetry import Telemetry

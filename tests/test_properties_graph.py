@@ -170,10 +170,66 @@ def naive_active_value(ticket):
     return backing * (ticket.amount / currency.active_amount)
 
 
-class TestNominalCacheDifferential:
-    ACTIONS = ("create", "destroy", "set_amount", "unfund", "fund",
-               "retarget", "start", "stop")
+ACTIONS = ("create", "destroy", "set_amount", "unfund", "fund",
+           "retarget", "start", "stop")
 
+
+def build_mutable_graph(sizes, data):
+    """A layered graph plus ``mutate()``, which draws and applies one of
+    the eight :data:`ACTIONS` (structural mutations and activation
+    flips) through the public API, keeping the graph acyclic."""
+    ledger = Ledger()
+    layers, holders = build_layered_graph(ledger, sizes, data)
+    depth = {ledger.base: -1}
+    for index, layer in enumerate(layers):
+        depth.update((currency, index) for currency in layer)
+
+    def pick(items):
+        return items[data.draw(st.integers(0, len(items) - 1))]
+
+    def pick_target(ticket):
+        # Currencies strictly below the denomination keep the graph
+        # acyclic; holders are always legal.
+        deeper = [c for c in depth if depth[c] > depth[ticket.currency]]
+        return pick(holders + deeper)
+
+    def mutate():
+        action = data.draw(st.sampled_from(ACTIONS))
+        tickets = [t for c in ledger.currencies() for t in c.issued]
+        if action == "create" or not tickets:
+            ticket = ledger.create_ticket(
+                data.draw(amounts), currency=pick(list(depth)))
+            ticket.fund(pick_target(ticket))
+        elif action == "destroy":
+            pick(tickets).destroy()
+        elif action == "set_amount":
+            pick(tickets).set_amount(
+                data.draw(st.one_of(st.just(0.0), amounts)))
+        elif action == "unfund":
+            pick(tickets).unfund()
+        elif action in ("fund", "retarget"):
+            ticket = pick(tickets)
+            if action == "retarget" or ticket.target is None:
+                ticket.unfund()
+                ticket.fund(pick_target(ticket))
+        elif action == "start":
+            pick(holders).start_competing()
+        else:
+            pick(holders).stop_competing()
+
+    return ledger, holders, list(depth), mutate
+
+
+def naive_funding(holder):
+    """Added left to right as ``funding()`` does: ``sum()`` is
+    compensated on CPython >= 3.12 and may differ in the last bit."""
+    active = 0
+    for ticket in holder.tickets:
+        active = active + naive_active_value(ticket)
+    return active
+
+
+class TestNominalCacheDifferential:
     @given(layer_sizes, st.data())
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -183,36 +239,14 @@ class TestNominalCacheDifferential:
         nominal funding, each currency's cached nominal value and --
         the side lotteries are drawn over -- each holder's cached
         ``funding()`` are exactly what a from-scratch walk computes."""
-        ledger = Ledger()
-        layers, holders = build_layered_graph(ledger, sizes, data)
-        depth = {ledger.base: -1}
-        for index, layer in enumerate(layers):
-            depth.update((currency, index) for currency in layer)
-
-        def pick(items):
-            return items[data.draw(st.integers(0, len(items) - 1))]
-
-        def pick_target(ticket):
-            # Currencies strictly below the denomination keep the graph
-            # acyclic; holders are always legal.
-            deeper = [c for c in depth if depth[c] > depth[ticket.currency]]
-            return pick(holders + deeper)
-
-        def all_tickets():
-            return [t for c in ledger.currencies() for t in c.issued]
+        ledger, holders, currencies, mutate = build_mutable_graph(sizes, data)
 
         def check():
             for holder in holders:
                 assert holder.nominal_funding() == sum(
                     naive_nominal_value(t) for t in holder.tickets)
-                # Added left to right as funding() does: sum() is
-                # compensated on CPython >= 3.12 and may differ in the
-                # last bit.
-                active = 0
-                for ticket in holder.tickets:
-                    active = active + naive_active_value(ticket)
-                assert holder.funding() == active
-            for currency in depth:
+                assert holder.funding() == naive_funding(holder)
+            for currency in currencies:
                 if not currency.is_base:
                     assert currency.nominal_base_value() == sum(
                         naive_nominal_value(t) for t in currency.backing)
@@ -221,26 +255,41 @@ class TestNominalCacheDifferential:
 
         check()
         for _ in range(data.draw(st.integers(1, 12))):
-            action = data.draw(st.sampled_from(self.ACTIONS))
-            tickets = all_tickets()
-            if action == "create" or not tickets:
-                ticket = ledger.create_ticket(
-                    data.draw(amounts), currency=pick(list(depth)))
-                ticket.fund(pick_target(ticket))
-            elif action == "destroy":
-                pick(tickets).destroy()
-            elif action == "set_amount":
-                pick(tickets).set_amount(
-                    data.draw(st.one_of(st.just(0.0), amounts)))
-            elif action == "unfund":
-                pick(tickets).unfund()
-            elif action in ("fund", "retarget"):
-                ticket = pick(tickets)
-                if action == "retarget" or ticket.target is None:
-                    ticket.unfund()
-                    ticket.fund(pick_target(ticket))
-            elif action == "start":
-                pick(holders).start_competing()
-            else:
-                pick(holders).stop_competing()
+            mutate()
             check()
+
+
+class TestSparseReadDifferential:
+    @given(layer_sizes, st.data())
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_sparsely_read_fundings_equal_the_naive_walk(self, sizes, data):
+        """The test above warms every cache after every mutation, so an
+        active-side walk is never skipped across two of them.  Here only
+        a random, often empty, subset of holders reads ``funding()``
+        between mutations: currencies go unread, their walks are
+        skipped, and whoever does read -- everyone, at the end -- must
+        still get the from-scratch value.  A watcher on every holder
+        fires exactly once per clean -> dirty edge."""
+        ledger, holders, _, mutate = build_mutable_graph(sizes, data)
+        fired = []
+        for holder in holders:
+            holder.watch_funding(fired.append)
+
+        def read(holder):
+            assert holder.funding() == naive_funding(holder)
+
+        for _ in range(data.draw(st.integers(1, 25))):
+            clean = [h for h in holders if not h._funding_dirty]
+            del fired[:]
+            mutate()
+            # Only holders that were clean may fire, each at most once,
+            # and exactly those that are dirty now did.
+            assert len(fired) == len(set(map(id, fired)))
+            assert {id(h) for h in fired} \
+                == {id(h) for h in clean if h._funding_dirty}
+            for holder in data.draw(st.lists(st.sampled_from(holders),
+                                             max_size=2, unique_by=id)):
+                read(holder)
+        for holder in holders:
+            read(holder)
