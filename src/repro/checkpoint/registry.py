@@ -260,9 +260,10 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
         # evicted-head offset, the retained count) and per-track stacks
         # are exported (JSONL / Chrome), not checkpointed; the seam
         # captures their summary counts so restore-then-trace divergence
-        # is still diffable.
-        "transient": {"_chunks", "_order", "_filling", "_head", "_size",
-                      "_stacks"},
+        # is still diffable.  The site table is rebuilt by use: a site
+        # is its shape plus handles into that store.
+        "transient": {"_chunks", "_order", "_blocks", "_sites", "_head",
+                      "_size", "_stacks", "_parked"},
     },
     "repro.telemetry.registry.MetricRegistry": {
         "covered": {"_instruments"},

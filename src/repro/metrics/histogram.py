@@ -83,15 +83,25 @@ class Histogram:
         return digest
 
     def record(self, value: float) -> None:
-        """Record one observation (must be non-negative)."""
-        if value < 0:
-            raise ReproError(f"histogram values must be non-negative: {value}")
-        index = int(value // self.bin_width)
-        self.counts[index] = self.counts.get(index, 0) + 1
-        self.count += 1
-        self.total += value
-        if value > self.max:
-            self.max = value
+        """Record one observation (a non-negative, finite number)."""
+        if not value >= 0:  # negative, or NaN
+            raise ReproError(
+                f"histogram {self.name!r}: values must be non-negative: "
+                f"{value}")
+        # Laid out so that an accepted value runs no opcode the ``try``
+        # added (CPython 3.11): the body on the ``try`` line needs no
+        # line marker, and with the rest under ``else`` nothing jumps
+        # over the handler.
+        try: index = int(value // self.bin_width)
+        except (ValueError, OverflowError):
+            raise ReproError(
+                f"histogram {self.name!r}: no bin holds {value}") from None
+        else:
+            self.counts[index] = self.counts.get(index, 0) + 1
+            self.count += 1
+            self.total += value
+            if value > self.max:
+                self.max = value
 
     def mean(self) -> float:
         """Arithmetic mean of the observations (0 when empty)."""

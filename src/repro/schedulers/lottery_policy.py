@@ -98,9 +98,10 @@ class LotteryPolicy(SchedulingPolicy):
         self.lotteries_held = 0
         #: Times the zero-funding FIFO fallback fired.
         self.fallback_selections = 0
-        #: Optional observer called with a dict per lottery draw
-        #: (winner, nominal funding, total at stake, clients examined,
-        #: PRNG position, fallback flag).  Installed by
+        #: Optional observer called once per lottery draw with seven
+        #: positional facts: the winner, its nominal funding, the total
+        #: at stake, the runnable count, the clients examined, the
+        #: fallback flag and the PRNG position.  Installed by
         #: ``repro.telemetry``; must not mutate scheduling state.
         self.draw_hook = None
 
@@ -163,22 +164,17 @@ class LotteryPolicy(SchedulingPolicy):
         if self.draw_hook is not None:
             # Funding totals must be read before dequeue deactivates the
             # winner's tickets; nominal funding is activation-independent.
-            draw = {
-                "winner": winner,
-                "funding": winner.nominal_funding(),
-                "total": structure.total(),
-                "runnable": len(structure),
-                "examined": structure.stats.comparisons - examined_before,
-                "fallback": fallback,
-                "prng_state": self.prng.state,
-            }
+            draw = (winner, winner.nominal_funding(), structure.total(),
+                    len(structure),
+                    structure.stats.comparisons - examined_before, fallback,
+                    self.prng.state)
         self.dequeue(winner)
         if self.compensation is not None:
             # A fresh quantum begins: outstanding compensation expires
             # (section 4.5: "until the thread starts its next quantum").
             self.compensation.on_quantum_start(winner)
         if draw is not None:
-            self.draw_hook(draw)
+            self.draw_hook(*draw)
         return winner
 
     def quantum_end(self, thread: "Thread", used: float, quantum: float,

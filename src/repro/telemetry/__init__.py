@@ -44,7 +44,7 @@ from repro.telemetry.flight import (
     write_bundle,
 )
 from repro.telemetry.obsreport import build_report, render_markdown
-from repro.telemetry.probe import KernelProbe, Telemetry, share_band
+from repro.telemetry.probe import KernelProbe, Telemetry
 from repro.telemetry.registry import (
     Counter,
     Gauge,
@@ -84,7 +84,6 @@ __all__ = [
     "parse_jsonl",
     "render_markdown",
     "sha256_text",
-    "share_band",
     "stitch_trace",
     "stitched_chrome",
     "summarize_bundle",

@@ -41,7 +41,7 @@ from repro.telemetry.registry import (Counter, HistogramInstrument,
                                       MetricRegistry)
 from repro.telemetry.spans import SpanTracer
 
-__all__ = ["KernelProbe", "Telemetry", "SHARE_BANDS", "share_band"]
+__all__ = ["KernelProbe", "Telemetry", "SHARE_BANDS"]
 
 #: Ticket-share bands for the latency histogram: (upper bound, label).
 SHARE_BANDS: Tuple[Tuple[float, str], ...] = (
@@ -54,14 +54,6 @@ SHARE_BANDS: Tuple[Tuple[float, str], ...] = (
 
 #: Bin width (virtual ms) of the latency histograms.
 LATENCY_BIN_MS = 5.0
-
-
-def share_band(share: float) -> str:
-    """Label of the ticket-share band containing ``share`` (0..1)."""
-    for bound, label in SHARE_BANDS:
-        if share < bound:
-            return label
-    return SHARE_BANDS[-1][1]
 
 
 class KernelProbe:
@@ -82,6 +74,11 @@ class KernelProbe:
         self._open_quantum = None
         self._quantum_tid: Optional[int] = None
         self._end_candidate = 0.0
+        #: Files a closed quantum: the span tracer's writer for that one
+        #: shape, bound here so that a close is one call.
+        self._end_quantum = telemetry.tracer.site(
+            track, "quantum", "kernel",
+            ("thread", "tid", "share", "outcome")).end
         #: Wake-to-dispatch histograms by share band, bound on first use.
         self._latency: Dict[str, HistogramInstrument] = {}
         registry = telemetry.registry
@@ -101,14 +98,33 @@ class KernelProbe:
 
     # -- recorder protocol ---------------------------------------------------
 
+    # A counter that goes up by exactly one per event is bumped in
+    # place; an amount that varies goes through ``Counter.inc`` and its
+    # sign check.
+
     def on_dispatch(self, thread: "Thread", time: float) -> None:
-        self.close_open_quantum()
-        self._dispatches.inc()
-        share = self._share_of(thread)
-        if thread.runnable_since is not None:
-            latency = time - thread.runnable_since
+        if self._open_quantum is not None:
+            self._close_quantum(self._end_candidate, "preempt")
+        self._dispatches.value += 1.0
+        # The thread's nominal ticket share among live threads.  Summed
+        # left to right in ``kernel.threads`` order, never kept as a
+        # running total: the rounded share is in the trace digest, so
+        # the float must come out bit-identical.  The cached value is
+        # read in place of two calls per live thread.
+        total = 0.0
+        exited = ThreadState.EXITED
+        for other in self.kernel.threads:
+            if other.state is not exited:
+                value = other._nominal_value
+                total += other.nominal_funding() if value is None else value
+        share = thread.nominal_funding() / total if total > 0 else 0.0
+        since = thread.runnable_since
+        if since is not None:
+            latency = time - since
             if latency >= 0:
-                band = share_band(share)
+                for bound, band in SHARE_BANDS:
+                    if share < bound:
+                        break
                 histogram = self._latency.get(band)
                 if histogram is None:
                     histogram = self.telemetry._histogram(
@@ -130,15 +146,15 @@ class KernelProbe:
             self._end_candidate = max(self._end_candidate, start + duration)
 
     def on_block(self, thread: "Thread", time: float) -> None:
-        self._blocks.inc()
+        self._blocks.value += 1.0
         if self._quantum_tid == thread.tid:
             self._close_quantum(time, "block")
 
     def on_wake(self, thread: "Thread", time: float) -> None:
-        self._wakes.inc()
+        self._wakes.value += 1.0
 
     def on_exit(self, thread: "Thread", time: float) -> None:
-        self._exits.inc()
+        self._exits.value += 1.0
         if self._quantum_tid == thread.tid:
             self._close_quantum(time, "exit")
 
@@ -156,27 +172,7 @@ class KernelProbe:
             return
         self._open_quantum = None
         self._quantum_tid = None
-        self.telemetry.tracer.end(span, max(end, span.start),
-                                  {"outcome": outcome})
-
-    # -- helpers -------------------------------------------------------------
-
-    def _share_of(self, thread: "Thread") -> float:
-        """Nominal ticket share of the thread among live threads."""
-        # Summed left to right in ``kernel.threads`` order, never kept
-        # as a running total: the rounded share is in the trace digest,
-        # so the float must come out bit-identical.  Reading the cached
-        # value in place of two calls per live thread is most of what a
-        # dispatch used to cost here.
-        total = 0.0
-        exited = ThreadState.EXITED
-        for other in self.kernel.threads:
-            if other.state is not exited:
-                value = other._nominal_value
-                total += other.nominal_funding() if value is None else value
-        if total <= 0:
-            return 0.0
-        return thread.nominal_funding() / total
+        self._end_quantum(span, max(end, span.start), outcome)
 
 
 class Telemetry:
@@ -190,8 +186,9 @@ class Telemetry:
         #: cold callbacks go through ``_counter`` / ``_histogram``, keyed
         #: by (name, *label values), so the registry renders
         #: ``name{labels}`` on first use only; the per-event ones keep
-        #: their track name and instruments under whatever they have in
-        #: hand -- the kernel, plus the RPC flag or the service class.
+        #: their span site's writer and their instruments under whatever
+        #: they have in hand -- the kernel, plus the RPC flag or the
+        #: service class.
         self._bound: Dict[Any, Any] = {}
         #: (kernel, probe) pairs in attach order.
         self._probes: List[Tuple[Any, KernelProbe]] = []
@@ -280,17 +277,17 @@ class Telemetry:
         bound = self._bound.get((kernel, rpc))
         if bound is None:
             track = self._track_of(kernel)
-            bound = self._bound[kernel, rpc] = (track, self._counter(
-                "repro_ipc_calls_total" if rpc else "repro_ipc_sends_total",
-                {"track": track},
-                "IPC calls (RPCs)." if rpc else "Asynchronous IPC sends.",
-            ))
-        track, counter = bound
-        self.tracer.event(
-            track, "ipc.call" if rpc else "ipc.send", "ipc",
-            kernel.now, {"port": port.name},
-        )
-        counter.inc()
+            bound = self._bound[kernel, rpc] = (
+                self.tracer.site(track, "ipc.call" if rpc else "ipc.send",
+                                 "ipc", ("port",)).event,
+                self._counter(
+                    "repro_ipc_calls_total" if rpc
+                    else "repro_ipc_sends_total", {"track": track},
+                    "IPC calls (RPCs)." if rpc
+                    else "Asynchronous IPC sends."))
+        event, counter = bound
+        event(kernel.clock.now, port.name)
+        counter.value += 1.0
 
     def on_ipc_reply(self, port: Any, request: Any) -> None:
         """An RPC completed: record its whole lifetime as a span."""
@@ -299,19 +296,18 @@ class Telemetry:
         if bound is None:
             track = self._track_of(kernel)
             bound = self._bound[kernel] = (
-                track,
+                self.tracer.site(track, "ipc.rpc", "ipc",
+                                 ("port", "attempts")).complete,
                 self._counter("repro_ipc_replies_total", {"track": track},
                               "RPC replies delivered."),
                 self._histogram("repro_ipc_rpc_ms", {"track": track},
                                 "RPC response times (call to reply)."),
             )
-        track, replies, rpc_ms = bound
-        now = kernel.now
-        self.tracer.complete(
-            track, "ipc.rpc", "ipc", request.created_at, now,
-            {"port": port.name, "attempts": request.delivery_attempts},
-        )
-        replies.inc()
+        complete, replies, rpc_ms = bound
+        now = kernel.clock.now
+        complete(request.created_at, now, port.name,
+                 request.delivery_attempts)
+        replies.value += 1.0
         rpc_ms.record(now - request.created_at)
 
     def on_request_complete(self, kernel: "Kernel", service_class: str,
@@ -330,7 +326,7 @@ class Telemetry:
                                 "arrival to reply) by service class."),
             )
         completed, e2e = bound
-        completed.inc()
+        completed.value += 1.0
         e2e.record(e2e_ms)
 
     def on_ipc_retransmit(self, port: Any, request: Any,
@@ -422,37 +418,36 @@ class Telemetry:
 
     def _make_draw_hook(self, track: str):
         labels = {"track": track}
+        draw_event = self.tracer.site(
+            track, "lottery.draw", "scheduler",
+            ("winner", "tid", "funding", "total", "runnable", "examined",
+             "fallback", "prng_state")).event
         # Bound by the first draw (and the first fallback), not here: an
         # instrument appears in the registry when it first counts.
-        draws = examined = fallbacks = None
+        draws = examined_total = fallbacks = None
 
-        def hook(draw: Dict[str, Any]) -> None:
-            nonlocal draws, examined, fallbacks
-            winner = draw["winner"]
-            self.tracer.event(
-                track, "lottery.draw", "scheduler", winner.kernel.now,
-                {"winner": winner.name, "tid": winner.tid,
-                 "funding": draw["funding"], "total": draw["total"],
-                 "runnable": draw["runnable"],
-                 "examined": draw["examined"],
-                 "fallback": draw["fallback"],
-                 "prng_state": draw["prng_state"]},
-            )
+        def hook(winner: "Thread", funding: float, total: float,
+                 runnable: int, examined: int, fallback: bool,
+                 prng_state: int) -> None:
+            nonlocal draws, examined_total, fallbacks
+            draw_event(winner.kernel.clock.now, winner.name, winner.tid,
+                       funding, total, runnable, examined, fallback,
+                       prng_state)
             if draws is None:
                 draws = self._counter(
                     "repro_lottery_draws_total", labels,
                     "Lotteries held (including fallbacks).")
-                examined = self._counter(
+                examined_total = self._counter(
                     "repro_lottery_examined_total", labels,
                     "Clients examined while drawing.")
-            draws.inc()
-            examined.inc(draw["examined"])
-            if draw["fallback"]:
+            draws.value += 1.0
+            examined_total.inc(examined)
+            if fallback:
                 if fallbacks is None:
                     fallbacks = self._counter(
                         "repro_lottery_fallbacks_total", labels,
                         "Zero-funding FIFO fallbacks.")
-                fallbacks.inc()
+                fallbacks.value += 1.0
 
         return hook
 

@@ -63,8 +63,9 @@ class Counter:
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be non-negative: counters only go up)."""
-        if amount < 0:
+        """Add ``amount`` (must be non-negative: counters only go up;
+        NaN is refused with the negatives)."""
+        if not amount >= 0:
             raise ReproError(
                 f"counter {self.full_name!r} cannot decrease "
                 f"(inc by {amount})"

@@ -28,7 +28,20 @@ per block; one more sequence per chunk says which block each
 completion went to, so completion order is kept exactly.  The chunk
 being filled keeps its rows as plain objects; every :data:`CHUNK_SPANS`
 completions it is **sealed**: each block becomes one column per row
-position, packed in bulk.  A column's container follows the *exact*
+position, packed in bulk.
+
+A shape is worked out once, not once per span: ``tracer.site(track,
+name, category, keys)`` returns the shape's *site*, the one object that
+writes its rows.  A site lives as long as the tracer; it owns the
+shape's cells in the chunk being filled and joins that chunk (takes the
+next block number) with its first row after each seal, so a shape that
+goes quiet costs a sealed chunk nothing.  Its ``event`` / ``complete``
+/ ``end`` take the attr values positionally, in key order, and are the
+only code that files a row; ``SpanTracer.event`` / ``complete`` /
+``end`` are a site lookup in front of them (plus the :class:`Span` they
+hand back), so a caller that records one shape many times -- the kernel
+probe -- holds the site's bound method and skips the lookup, the attrs
+``dict`` and the ``Span``.  A column's container follows the *exact*
 types of its values: all ``float`` -> ``array('d')``, all ``int``
 within 64 bits -> ``array('q')``, all ``None`` -> nothing, and anything
 else (``bool``, ``str``, ints mixed with floats, ints beyond 64 bits,
@@ -45,7 +58,9 @@ The buffer is bounded with drop-oldest semantics: completed spans beyond
 offset into the oldest chunk, which is let go when the offset passes
 its end, so up to ``CHUNK_SPANS - 1`` evicted rows may still occupy
 memory -- never a reader's view.  Open spans live on the per-track
-stacks and are only buffered once finished.
+stacks and are only buffered once finished.  A track's stack is one
+list for the tracer's whole life -- pushed to and popped from, never
+replaced -- because every site of the track holds it.
 """
 
 from __future__ import annotations
@@ -55,7 +70,8 @@ from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import (Any, Deque, Dict, Iterable, Iterator, List, Optional,
+                    Tuple)
 
 from repro.errors import ReproError
 
@@ -187,6 +203,119 @@ def _replay(chunk: _Chunk, skip: int, sealed: bool) -> Iterator[Span]:
                    dict(zip(keys, values)))
 
 
+class _Site:
+    """The writer of one shape's rows (see "Retention" in the module
+    docstring); get one from :meth:`SpanTracer.site`.
+
+    ``event``, ``complete`` and ``end`` each allocate or take the sid,
+    settle the parent, and file the row.  The filing -- make room, join
+    the chunk, append -- closes all three in the same few lines and
+    not in a routine of its own: a second Python frame per span is the
+    cost a site exists to avoid.  What is rare in it (the bound
+    reached, the first row after a seal, the seal) is the tracer's.
+    """
+
+    __slots__ = ("tracer", "shape", "stack", "number", "cells")
+
+    def __init__(self, tracer: "SpanTracer", shape: _Shape,
+                 stack: List[Span]) -> None:
+        self.tracer = tracer
+        self.shape = shape
+        #: The track's open spans, innermost last (the tracer's list).
+        self.stack = stack
+        #: Block number in the chunk being filled; -1 until it joins.
+        self.number = -1
+        #: This shape's rows in that chunk, end to end.
+        self.cells: List[Any] = []
+
+    def event(self, time: float, *values: Any) -> int:
+        """File an instant at ``time`` under the track's innermost open
+        span; ``values`` are the attr values in key order.  Returns the
+        new span's id."""
+        if time != time:
+            raise ReproError(
+                f"event span {self.shape[1]!r} has no time: time={time:g}ms")
+        tracer = self.tracer
+        sid = tracer._next_sid
+        tracer._next_sid = sid + 1
+        if tracer._size < tracer.max_spans:
+            tracer._size += 1
+        else:
+            tracer._make_room()
+        if self.number < 0:
+            tracer._join(self)
+        order = tracer._order
+        order.append(self.number)
+        stack = self.stack
+        self.cells.extend((sid, stack[-1].sid if stack else None,
+                           time, time, *values))
+        if len(order) == CHUNK_SPANS:
+            tracer._seal()
+        return sid
+
+    def complete(self, start: float, end: float, *values: Any) -> int:
+        """File an already-finished interval; it nests under nothing.
+        Returns the new span's id."""
+        if not end >= start:
+            raise ReproError(
+                f"complete span {self.shape[1]!r} has negative duration: "
+                f"start={start:g}ms, end={end:g}ms"
+            )
+        tracer = self.tracer
+        sid = tracer._next_sid
+        tracer._next_sid = sid + 1
+        if tracer._size < tracer.max_spans:
+            tracer._size += 1
+        else:
+            tracer._make_room()
+        if self.number < 0:
+            tracer._join(self)
+        order = tracer._order
+        order.append(self.number)
+        self.cells.extend((sid, None, start, end, *values))
+        if len(order) == CHUNK_SPANS:
+            tracer._seal()
+        return sid
+
+    def end(self, span: Span, end: float, *trailing: Any) -> None:
+        """Close ``span`` -- open on this site's track, begun with the
+        shape's leading keys -- at ``end`` and file it; ``trailing`` are
+        the values of the keys the end adds."""
+        if span.end is not None:
+            raise ReproError(f"span {span.sid} ({span.name!r}) already ended")
+        if not end >= span.start:
+            raise ReproError(
+                f"span {span.sid} ({span.name!r}) would end before it "
+                f"started: start={span.start:g}ms, end={end:g}ms"
+            )
+        stack = self.stack
+        if stack and stack[-1] is span:
+            stack.pop()
+        else:  # ended out of order -- or never begun here
+            for depth, candidate in enumerate(stack):
+                if candidate is span:
+                    del stack[depth]
+                    break
+            else:
+                raise ReproError(
+                    f"span {span.sid} ({span.name!r}) is not open on this "
+                    f"tracer's track {self.shape[0]!r}")
+        span.end = end
+        tracer = self.tracer
+        if tracer._size < tracer.max_spans:
+            tracer._size += 1
+        else:
+            tracer._make_room()
+        if self.number < 0:
+            tracer._join(self)
+        order = tracer._order
+        order.append(self.number)
+        self.cells.extend((span.sid, span.parent, span.start, end,
+                           *span.attrs.values(), *trailing))
+        if len(order) == CHUNK_SPANS:
+            tracer._seal()
+
+
 class SpanTracer:
     """Collects spans with per-track nesting and a bounded buffer.
 
@@ -206,27 +335,53 @@ class SpanTracer:
         self.strict = strict
         #: Sealed chunks, oldest first, each of exactly CHUNK_SPANS rows.
         self._chunks: Deque[_Chunk] = deque()
-        #: The chunk being filled: completion order, and per shape its
-        #: block number and cells.
+        #: The chunk being filled: completion order, and the sites that
+        #: have joined it, in block-number order.
         self._order: List[int] = []
-        self._filling: Dict[_Shape, Tuple[int, List[Any]]] = {}
+        self._blocks: List[_Site] = []
+        #: Every shape recorded so far -> its site.
+        self._sites: Dict[_Shape, _Site] = {}
         #: Rows at the front of the oldest chunk (the filling one when
         #: none is sealed yet) that the bound has evicted.
         self._head = 0
         #: Spans retained: every row held, less ``_head``.
         self._size = 0
+        #: Open spans per track, innermost last, in first-``begin``
+        #: order of the tracks (``tracks()`` reports it); a track that
+        #: has a site but has begun no span yet keeps its (empty) stack
+        #: in ``_parked``.  Either way a track has one list for life.
         self._stacks: Dict[str, List[Span]] = {}
+        self._parked: Dict[str, List[Span]] = {}
         self._next_sid = 0
         #: Completed spans evicted by the bound.
         self.dropped_spans = 0
 
     # -- recording -----------------------------------------------------------
 
+    def site(self, track: str, name: str, category: str,
+             keys: Iterable[str] = ()) -> _Site:
+        """The writer of spans of this shape: get-or-create, one per
+        ``(track, name, category, *keys)`` for the tracer's life."""
+        shape = (track, name, category, *keys)
+        site = self._sites.get(shape)
+        if site is None:
+            stack = self._stacks.get(track)
+            if stack is None:
+                stack = self._parked.setdefault(track, [])
+            site = self._sites[shape] = _Site(self, shape, stack)
+        return site
+
     def begin(self, track: str, name: str, category: str, start: float,
               attrs: Optional[Dict[str, Any]] = None) -> Span:
         """Open a span; it nests under the track's current open span."""
-        stack = self._stacks.setdefault(track, [])
-        span = Span(self._alloc_sid(), stack[-1].sid if stack else None,
+        if start != start:
+            raise ReproError(f"span {name!r} has no start: start={start:g}ms")
+        stack = self._stacks.get(track)
+        if stack is None:
+            stack = self._stacks[track] = self._parked.pop(track, [])
+        sid = self._next_sid
+        self._next_sid = sid + 1
+        span = Span(sid, stack[-1].sid if stack else None,
                     track, name, category, start, None,
                     dict(attrs) if attrs else {})
         stack.append(span)
@@ -235,41 +390,37 @@ class SpanTracer:
     def end(self, span: Span, end: float,
             attrs: Optional[Dict[str, Any]] = None) -> Span:
         """Close an open span at virtual time ``end`` and buffer it."""
-        if span.end is not None:
-            raise ReproError(f"span {span.sid} ({span.name!r}) already ended")
-        if end < span.start:
-            raise ReproError(
-                f"span {span.sid} ({span.name!r}) would end before it "
-                f"started: start={span.start:g}ms, end={end:g}ms"
-            )
-        span.end = end
-        if attrs:
-            span.attrs.update(attrs)
-        stack = self._stacks.get(span.track, [])
-        if span in stack:
-            stack.remove(span)
-        self._buffer(span.sid, span.parent, span.track, span.name,
-                     span.category, span.start, end, span.attrs)
+        own = span.attrs
+        merged = {**own, **attrs} if attrs else own
+        site = self.site(span.track, span.name, span.category, merged)
+        # The row is read off the span, which takes the end's attrs only
+        # once the end is accepted.
+        span.attrs = merged
+        try:
+            site.end(span, end)
+        finally:
+            span.attrs = own
+        own.update(merged)
         return span
 
     def event(self, track: str, name: str, category: str, time: float,
               attrs: Optional[Dict[str, Any]] = None) -> Span:
         """Record an instant (zero-duration span) on a track."""
-        stack = self._stacks.get(track)
-        return self._record(stack[-1].sid if stack else None, track, name,
-                            category, time, time, attrs)
+        own = dict(attrs) if attrs else {}
+        site = self.site(track, name, category, own)
+        parent = site.stack[-1].sid if site.stack else None
+        return Span(site.event(time, *own.values()), parent, track, name,
+                    category, time, time, own)
 
     def complete(self, track: str, name: str, category: str, start: float,
                  end: float, attrs: Optional[Dict[str, Any]] = None) -> Span:
         """Record an already-finished interval (e.g. an RPC measured at
         reply time).  It does not nest under open spans -- intervals
         reported after the fact may straddle many of them."""
-        if end < start:
-            raise ReproError(
-                f"complete span {name!r} has negative duration: "
-                f"start={start:g}ms, end={end:g}ms"
-            )
-        return self._record(None, track, name, category, start, end, attrs)
+        own = dict(attrs) if attrs else {}
+        site = self.site(track, name, category, own)
+        return Span(site.complete(start, end, *own.values()), None, track,
+                    name, category, start, end, own)
 
     def finalize(self, time: float) -> int:
         """Close every open span at ``time`` (end of a run); returns the
@@ -346,59 +497,38 @@ class SpanTracer:
 
     # -- internals -----------------------------------------------------------
 
-    def _alloc_sid(self) -> int:
-        sid = self._next_sid
-        self._next_sid += 1
-        return sid
-
-    def _record(self, parent: Optional[int], track: str, name: str,
-                category: str, start: float, end: float,
-                attrs: Optional[Dict[str, Any]]) -> Span:
-        """Buffer a span that is complete when first heard of; the
-        caller gets a :class:`Span` of its own to read."""
-        sid = self._alloc_sid()
-        own = dict(attrs) if attrs else {}
-        self._buffer(sid, parent, track, name, category, start, end, own)
-        return Span(sid, parent, track, name, category, start, end, own)
-
-    def _buffer(self, sid: int, parent: Optional[int], track: str, name: str,
-                category: str, start: float, end: float,
-                attrs: Dict[str, Any]) -> None:
-        """Retain a completed span as a row of its shape's block."""
-        if self._size < self.max_spans:
-            self._size += 1
-        elif self.strict:
+    def _make_room(self) -> None:
+        """The buffer is full: refuse the span (strict) or evict the
+        oldest row."""
+        if self.strict:
             raise ReproError(
                 f"span buffer overflow at {self.max_spans} spans "
                 f"(strict mode)"
             )
-        else:
-            self.dropped_spans += 1
-            self._head += 1
-            if self._head == CHUNK_SPANS and self._chunks:
-                self._chunks.popleft()
-                self._head = 0
-        shape = (track, name, category, *attrs)
-        block = self._filling.get(shape)
-        if block is None:
-            block = self._filling[shape] = (len(self._filling), [])
-        order = self._order
-        order.append(block[0])
-        block[1].extend((sid, parent, start, end, *attrs.values()))
-        if len(order) == CHUNK_SPANS:
-            self._seal()
+        self.dropped_spans += 1
+        self._head += 1
+        if self._head == CHUNK_SPANS and self._chunks:
+            self._chunks.popleft()
+            self._head = 0
+
+    def _join(self, site: _Site) -> None:
+        """A site's first row since the last seal: the next block."""
+        site.number = len(self._blocks)
+        self._blocks.append(site)
 
     def _seal(self) -> None:
         """Pack the filling chunk's cells into columns, block by block,
-        and start a new one."""
+        and start a new one, which no site has joined."""
         blocks = []
-        for shape, (_, cells) in self._filling.items():
-            width = len(shape) + 1
-            blocks.append((shape, [_pack(cells[cell::width])
-                                   for cell in range(width)]))
+        for site in self._blocks:
+            cells, width = site.cells, len(site.shape) + 1
+            blocks.append((site.shape, [_pack(cells[cell::width])
+                                        for cell in range(width)]))
+            site.cells = []
+            site.number = -1
         self._chunks.append((array("H", self._order), blocks))
         self._order = []
-        self._filling = {}
+        self._blocks = []
 
     def _chunk_walk(self, skip: int) -> Iterator[Tuple[_Chunk, int, bool]]:
         """``(chunk, rows to pass over, sealed?)`` for each chunk holding
@@ -411,8 +541,7 @@ class SpanTracer:
             offset = 0
         if first > len(chunks):
             return
-        filling = [(shape, cells)
-                   for shape, (_, cells) in self._filling.items()]
+        filling = [(site.shape, site.cells) for site in self._blocks]
         yield (self._order, filling), offset, False
 
     def _from(self, skip: int) -> Iterator[Span]:

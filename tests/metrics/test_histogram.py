@@ -1,5 +1,7 @@
 """Tests for the fixed-bin digest."""
 
+import math
+
 import pytest
 
 from repro.errors import ReproError
@@ -62,6 +64,18 @@ class TestHistogram:
             histogram.record(-1.0)
         with pytest.raises(ReproError):
             histogram.percentile(101)
+
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf,
+        pytest.param(10 ** 400, id="beyond-float")])
+    def test_a_value_no_bin_holds_is_refused_by_name(self, value):
+        histogram = _filled(5.0, [1.0, 7.0], name="wake_ms")
+        with pytest.raises(ReproError, match="'wake_ms'.*(nan|inf|1000)"):
+            histogram.record(value)
+        # Refused whole: nothing counted, summed or binned.
+        assert (histogram.count, histogram.total, histogram.max) \
+            == (2, 8.0, 7.0)
+        assert histogram.counts == {0: 1, 1: 1}
 
 
 class TestEmptyHistogram:

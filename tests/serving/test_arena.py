@@ -143,6 +143,107 @@ class TestWorkPerRequest:
         assert machine.kernel.ledger.snapshot_state()["epoch"] == 7_913
 
 
+class TestHubWorkPerDispatch:
+    """What the telemetry hub does per dispatch on that same arena, as
+    counts: deterministic for a seed, so pinned exactly.  Counted from
+    here, with ``sys.setprofile`` over ``arena.run()`` alone."""
+
+    @staticmethod
+    def _build(hub):
+        machine = build_machine(seed=1, quantum=_QUANTUM, policy="lottery")
+        if hub is not None:
+            hub.instrument_kernel(machine.kernel, track="serving")
+        return machine, build_arena(machine.kernel, ArenaConfig(
+            seed=1, load_factor=0.7, requests_per_class=100))
+
+    @staticmethod
+    def _digest(machine, arena):
+        return tree_checksum({
+            "rows": arena.rows(), "state": arena.snapshot_state(),
+            "dispatches": machine.kernel.dispatch_count,
+            "events": machine.engine.events_processed})
+
+    def test_counts_per_dispatch_and_exported_bytes(self):
+        import os
+        import sys
+        from collections import Counter
+
+        from repro.telemetry import (Telemetry, export_chrome, export_jsonl,
+                                     export_prometheus, sha256_text)
+
+        calls = Counter()
+        package = os.sep + os.path.join("repro", "telemetry") + os.sep
+
+        def profile(frame, event, arg):
+            if event == "call" and package in frame.f_code.co_filename:
+                calls[frame.f_code.co_qualname] += 1
+
+        hub = Telemetry()
+        machine, arena = self._build(hub)
+        sys.setprofile(profile)
+        try:
+            arena.run()
+        finally:
+            sys.setprofile(None)
+        # Observation never perturbs the run.
+        bare = self._build(None)
+        bare[1].run()
+        assert self._digest(machine, arena) == self._digest(*bare)
+        assert machine.kernel.dispatch_count == 993
+        assert machine.engine.events_processed == 1_835
+        # 2.8 spans a dispatch, each filed by its shape's site in one
+        # call: the per-event callbacks never reach the generic
+        # ``event`` / ``complete`` / ``end`` (``begin`` opens the quantum).
+        assert dict(hub.tracer.counts()) == {
+            ("scheduler", "lottery.draw"): 993, ("kernel", "quantum"): 993,
+            ("ipc", "ipc.send"): 258, ("ipc", "ipc.call"): 258,
+            ("ipc", "ipc.rpc"): 258}
+        assert [calls[name] for name in (
+            "SpanTracer.event", "SpanTracer.complete", "SpanTracer.end",
+            "SpanTracer.begin", "_Site.event", "_Site.complete",
+            "_Site.end")] == [0, 0, 0, 993, 1_509, 258, 993]
+        # Only an amount that varies goes through ``Counter.inc``: the
+        # CPU slice (516) and the clients a draw examined (993).
+        assert calls["Counter.inc"] == 1_509
+        # 12.0 Python-level calls into repro/telemetry/* per dispatch
+        # (27 145 a run, 27.3 a dispatch, before spans had sites).
+        assert sum(calls.values()) == 11_898
+        values = {name: tree.get("value", tree.get("count"))
+                  for name, tree in hub.registry.as_dict().items()}
+        assert values == {
+            'repro_blocks_total{track="serving"}': 990,
+            'repro_cpu_ms_total{track="serving"}': 1_290,
+            'repro_dispatches_total{track="serving"}': 993,
+            'repro_exits_total{track="serving"}': 3,
+            'repro_ipc_calls_total{track="serving"}': 258,
+            'repro_ipc_replies_total{track="serving"}': 258,
+            'repro_ipc_rpc_ms{track="serving"}': 258,
+            'repro_ipc_sends_total{track="serving"}': 258,
+            'repro_lottery_draws_total{track="serving"}': 993,
+            'repro_lottery_examined_total{track="serving"}': 1_427,
+            'repro_request_e2e_ms{class="bronze",track="serving"}': 58,
+            'repro_request_e2e_ms{class="gold",track="serving"}': 100,
+            'repro_request_e2e_ms{class="silver",track="serving"}': 100,
+            'repro_requests_completed_total{class="bronze",track="serving"}':
+                58,
+            'repro_requests_completed_total{class="gold",track="serving"}':
+                100,
+            'repro_requests_completed_total{class="silver",track="serving"}':
+                100,
+            'repro_wake_to_dispatch_ms{share="0-5%"}': 630,
+            'repro_wake_to_dispatch_ms{share="10-20%"}': 187,
+            'repro_wake_to_dispatch_ms{share="20-50%"}': 3,
+            'repro_wake_to_dispatch_ms{share="5-10%"}': 173,
+            'repro_wakes_total{track="serving"}': 981,
+        }
+        # The bytes a reader gets, as they were before spans had sites.
+        assert [sha256_text(text)[:16] for text in (
+            export_jsonl(hub.tracer, hub.registry),
+            export_chrome(hub.tracer),
+            export_prometheus(hub.registry))] == [
+            "c155c55763472e49", "11f42ff5848e0170", "398fb80fdc2bf3b5"]
+
+
 class TestTelemetry:
     def test_request_completions_reach_the_hub(self):
         from repro.telemetry import Telemetry

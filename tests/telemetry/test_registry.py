@@ -1,9 +1,12 @@
 """MetricRegistry: identity, kinds, and instrument semantics."""
 
+import math
+
 import pytest
 
 from repro.errors import ReproError
 from repro.metrics.histogram import Histogram
+from repro.telemetry.exporters import export_prometheus
 from repro.telemetry.registry import MetricRegistry, render_name
 
 
@@ -55,6 +58,15 @@ class TestInstruments:
         with pytest.raises(ReproError, match="cannot decrease"):
             counter.inc(-1.0)
 
+    def test_counter_refuses_nan_instead_of_absorbing_it(self):
+        registry = MetricRegistry()
+        counter = registry.counter("c", {"track": "k"})
+        counter.inc(2.0)
+        with pytest.raises(ReproError, match=r'c\{track="k"\}.*nan'):
+            counter.inc(math.nan)
+        assert counter.value == 2.0
+        assert "nan" not in export_prometheus(registry)
+
     def test_gauge_moves_both_ways(self):
         registry = MetricRegistry()
         gauge = registry.gauge("g")
@@ -79,6 +91,14 @@ class TestInstruments:
         histogram = registry.histogram("h", 5.0)
         with pytest.raises(ReproError):
             histogram.record(-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_histogram_refuses_nan_and_inf_by_instrument_name(self, value):
+        registry = MetricRegistry()
+        histogram = registry.histogram("h", 5.0, {"share": "0-5%"})
+        with pytest.raises(ReproError, match=r'h\{share="0-5%"\}'):
+            histogram.record(value)
+        assert histogram.count == 0 and histogram.counts == {}
 
 
 class TestExportViews:

@@ -265,3 +265,127 @@ def test_a_returned_span_is_the_callers_copy():
     assert tracer.spans[0].attrs == {"n": 1}
     assert tracer.spans[0].name == "e"
     assert tracer.spans[0] is not tracer.spans[0]
+
+
+# -- a shape's site against the generic calls ---------------------------------
+
+#: (track, name, category, attr keys): three tracks, one name under two
+#: key sets and two key orders, one shape with no attrs at all.
+_SHAPES = [
+    ("k0", "quantum", "kernel", ("a", "b")),
+    ("k0", "quantum", "kernel", ("b", "a")),
+    ("k0", "lottery.draw", "scheduler", ("a",)),
+    ("k1", "quantum", "kernel", ("a", "b")),
+    ("k1", "ipc.send", "ipc", ()),
+    ("cluster", "ipc.rpc", "ipc", ("b",)),
+]
+_SITE_TIMES = st.sampled_from([0, 0.0, 1, 1.0, 2.5, 7, 40.0, math.nan])
+_SHAPE = st.integers(0, len(_SHAPES) - 1)
+_PAIR = st.tuples(_VALUES, _VALUES)
+#: Every recording op carries ``via_site``: whether the mixed tracer makes
+#: the call on the shape's site or, like the reference, generically.
+#: ``begin`` has no site form; it leaves the keys from ``split`` on to
+#: the ``end``, which looks the span's shape up again.
+_SITE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("begin"), _SHAPE, _SITE_TIMES, _PAIR,
+              st.integers(0, 2)),
+    st.tuples(st.just("end"), st.integers(0, 7), _SITE_TIMES, _PAIR,
+              st.booleans()),
+    st.tuples(st.just("event"), _SHAPE, _SITE_TIMES, _PAIR, st.booleans()),
+    st.tuples(st.just("complete"), _SHAPE, _SITE_TIMES, _SITE_TIMES, _PAIR,
+              st.booleans()),
+    st.tuples(st.just("finalize"), _SITE_TIMES),
+), max_size=40)
+
+
+def _apply_site(tracer, begun, op, shapes, may_use_site):
+    """Run one operation on ``tracer``, through the shape's site when
+    the op says so and ``may_use_site``; True when it was accepted."""
+    kind = op[0]
+    try:
+        if kind == "finalize":
+            tracer.finalize(op[1])
+            return True
+        if kind == "end":
+            _, which, time, values, via_site = op
+            if not begun:
+                return True
+            span, (track, name, category, keys), split = \
+                begun[which % len(begun)]
+            trailing = values[split:len(keys)]
+            if via_site and may_use_site:
+                tracer.site(track, name, category, keys).end(
+                    span, time, *trailing)
+            else:
+                tracer.end(span, time, dict(zip(keys[split:], trailing)))
+            return True
+        track, name, category, keys = shape = shapes[op[1] % len(shapes)]
+        if kind == "begin":
+            _, _, time, values, split = op
+            split = min(split, len(keys))
+            begun.append((tracer.begin(track, name, category, time,
+                                       dict(zip(keys[:split], values))),
+                          shape, split))
+            return True
+        *times, values, via_site = op[2:]
+        values = values[:len(keys)]
+        if via_site and may_use_site:
+            getattr(tracer.site(track, name, category, keys), kind)(
+                *times, *values)
+        else:
+            getattr(tracer, kind)(track, name, category, *times,
+                                  dict(zip(keys, values)))
+        return True
+    except ReproError:
+        return False
+
+
+def _site_views(tracer):
+    return {**_views(tracer), "state": tracer.snapshot_state()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_SITE_OPS, shape_count=st.integers(1, len(_SHAPES)),
+       max_spans=_BOUNDS, strict=st.booleans())
+def test_a_site_files_what_the_generic_call_files(ops, shape_count,
+                                                  max_spans, strict):
+    """Spans recorded through their shape's site (some of them, in any
+    interleaving) read back exactly as when every one goes through
+    ``begin`` / ``end`` / ``event`` / ``complete`` -- after every step,
+    across seals, a site re-joining the next chunk, eviction over a
+    chunk edge and strict overflow."""
+    shapes = _SHAPES[:shape_count]
+    with mock.patch.object(spans_module, "CHUNK_SPANS", CHUNK):
+        generic = SpanTracer(max_spans=max_spans, strict=strict)
+        mixed = SpanTracer(max_spans=max_spans, strict=strict)
+        generic_begun, mixed_begun = [], []
+        for step, op in enumerate(ops):
+            # Accepted by both, or refused by both at the same call.
+            assert _apply_site(mixed, mixed_begun, op, shapes, True) \
+                == _apply_site(generic, generic_begun, op, shapes, False), \
+                (step, op)
+            assert _site_views(mixed) == _site_views(generic), (step, op)
+
+
+def test_a_tracks_stack_is_one_list_for_the_tracers_life():
+    """The sites of a track hold its stack, so the tracer may push and
+    pop but never rebind it: not at the track's first ``begin`` (the
+    site came first), not when ``finalize`` empties it, not when
+    eviction lets a whole chunk go."""
+    with mock.patch.object(spans_module, "CHUNK_SPANS", CHUNK):
+        tracer = SpanTracer(max_spans=CHUNK + 1)
+        site = tracer.site("k", "e", "kernel")
+        stack = site.stack
+        outer = tracer.begin("k", "quantum", "kernel", 0.0)
+        assert stack == [outer] and tracer.open_spans("k") == [outer]
+        assert tracer.site("k", "other", "kernel", ("a",)).stack is stack
+        for index in range(3 * CHUNK):  # seals, then evicts two chunks
+            site.event(float(index))
+        assert tracer.dropped_spans == 2 * CHUNK - 1
+        assert all(span.parent == outer.sid for span in tracer.spans)
+        assert tracer.finalize(50.0) == 1 and stack == []
+        inner = tracer.begin("k", "quantum", "kernel", 60.0)
+        assert stack == [inner]
+        assert site.stack is stack is tracer.site("k", "e", "kernel").stack
+        site.event(61.0)
+        assert tracer.tail(1)[0].parent == inner.sid

@@ -1,8 +1,12 @@
 """SpanTracer: nesting, bounds, finalization."""
 
+import json
+import math
+
 import pytest
 
 from repro.errors import ReproError
+from repro.telemetry.exporters import export_jsonl
 from repro.telemetry.spans import Span, SpanTracer
 
 
@@ -93,6 +97,52 @@ class TestEndValidation:
         tracer = SpanTracer()
         with pytest.raises(ReproError, match="negative duration"):
             tracer.complete("k", "ipc.rpc", "ipc", 10.0, 5.0)
+
+
+    def test_a_time_that_is_not_a_number_is_refused_by_span_name(self):
+        tracer = SpanTracer()
+        nan = math.nan
+        with pytest.raises(ReproError, match="'ipc.rpc'.*end=nan"):
+            tracer.complete("k", "ipc.rpc", "ipc", 1.0, nan)
+        with pytest.raises(ReproError, match="'ipc.rpc'.*start=nan"):
+            tracer.complete("k", "ipc.rpc", "ipc", nan, 1.0)
+        with pytest.raises(ReproError, match="'ipc.send'.*time=nan"):
+            tracer.event("k", "ipc.send", "ipc", nan, {"port": "p"})
+        with pytest.raises(ReproError, match="'quantum'.*start=nan"):
+            tracer.begin("k", "quantum", "kernel", nan)
+        span = tracer.begin("k", "quantum", "kernel", 0.0)
+        with pytest.raises(ReproError, match="'quantum'.*end=nan"):
+            tracer.end(span, nan)
+        # Each refused whole: no sid taken, nothing buffered, the one
+        # begun span still open -- and what is exported stays JSON.
+        assert tracer.snapshot_state()["next_sid"] == 1
+        assert len(tracer) == 0 and tracer.open_spans() == [span]
+        tracer.end(span, 1.0)
+        for line in export_jsonl(tracer).splitlines():
+            json.loads(line, parse_constant=pytest.fail)
+
+    def test_a_span_ends_only_on_the_tracer_that_began_it(self):
+        ours, theirs = SpanTracer(), SpanTracer()
+        span = ours.begin("k", "quantum", "kernel", 0.0)
+        # Same track, same sid, equal field for field -- but not ours.
+        theirs.begin("k", "quantum", "kernel", 0.0)
+        with pytest.raises(ReproError, match="span 0 .'quantum'. is not open"):
+            theirs.end(span, 5.0, {"outcome": "block"})
+        # Refused whole on both sides.
+        assert span.end is None and span.attrs == {}
+        assert len(theirs) == 0 and len(theirs.open_spans()) == 1
+        assert ours.open_spans() == [span]
+        ours.end(span, 5.0)
+        assert ours.finalize(9.0) == 0 and len(ours) == 1
+
+    def test_out_of_order_end_is_still_accepted(self):
+        tracer = SpanTracer()
+        outer = tracer.begin("k", "outer", "kernel", 0.0)
+        inner = tracer.begin("k", "inner", "kernel", 1.0)
+        tracer.end(outer, 2.0)
+        assert tracer.open_spans() == [inner]
+        tracer.end(inner, 3.0)
+        assert [s.name for s in tracer.spans] == ["outer", "inner"]
 
 
 class TestFinalize:
