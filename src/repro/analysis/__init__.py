@@ -1,6 +1,6 @@
 """Correctness tooling for the reproduction (``repro.analysis``).
 
-Four layers keep the simulation honest:
+Three layers keep the simulation honest:
 
 * :mod:`repro.analysis.lint` -- an AST-based determinism lint with
   repo-specific rules (``RPR001``..``RPR013``) flagging nondeterminism
@@ -8,11 +8,6 @@ Four layers keep the simulation honest:
   scheduling paths, float hazards on ticket amounts, mutable default
   arguments, undeclared module-level state, and cross-owner telemetry
   mutation outside the ``shard.barrier`` seam.
-* :mod:`repro.analysis.shardmap` -- a whole-program shard-safety
-  analysis that classifies every mutable location in the deterministic
-  zones as ``shard-local`` or ``barrier-shared`` against the committed
-  ownership spec (``shardmap.toml``) and flags aliasing/ordering
-  hazards (``SH001``..``SH008``) ahead of the multicore shard refactor.
 * :mod:`repro.analysis.races` -- a dynamic determinism-race sanitizer:
   under ``REPRO_SANITIZE=1`` every kernel object is tagged with an
   owner token at attach and cross-owner mutation outside a declared
@@ -23,9 +18,8 @@ Four layers keep the simulation honest:
   after every scheduling quantum.
 
 Command-line front end:
-``python -m repro.analysis {lint,shardmap,sanitize,rules}``.
-See ``docs/ANALYSIS.md`` for the full rule and invariant reference and
-``docs/SHARDMAP.md`` for the generated ownership map.
+``python -m repro.analysis {lint,rules,sanitize}``.
+See ``docs/ANALYSIS.md`` for the full rule and invariant reference.
 """
 
 from repro.analysis.lint import Finding, RULES, Rule, Suppression, \
@@ -35,8 +29,6 @@ from repro.analysis.races import RaceTracker, tracker
 from repro.analysis.report import fingerprint, render_json, render_sarif
 from repro.analysis.sanitizer import InvariantSanitizer, \
     install_autosanitize, sanitize_ledger, uninstall_autosanitize
-from repro.analysis.shardmap import ShardFinding, ShardMap, analyze_tree
-from repro.analysis.shardspec import ShardSpec, SpecError, load_spec
 
 __all__ = [
     "Finding",
@@ -57,10 +49,4 @@ __all__ = [
     "install_autosanitize",
     "sanitize_ledger",
     "uninstall_autosanitize",
-    "ShardFinding",
-    "ShardMap",
-    "analyze_tree",
-    "ShardSpec",
-    "SpecError",
-    "load_spec",
 ]

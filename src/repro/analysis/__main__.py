@@ -4,23 +4,16 @@ Usage::
 
     python -m repro.analysis lint [PATH ...]        # exit 1 on findings
     python -m repro.analysis lint --format sarif --out lint.sarif src/repro
-    python -m repro.analysis lint --baseline lint-baseline.json src/repro
     python -m repro.analysis lint --list-suppressions [PATH ...]
-    python -m repro.analysis shardmap [--spec FILE] [--format text|json|sarif]
-    python -m repro.analysis shardmap --write-doc docs/SHARDMAP.md
     python -m repro.analysis rules                  # rule reference
     python -m repro.analysis sanitize [--quanta N] [--seed S] [--inject]
 
 ``lint`` walks the given files/directories (default ``src/repro``) and
-prints one line per finding.  ``shardmap`` runs the whole-program
-shard-safety analysis: it classifies every mutable location in the
-deterministic zones against ``src/repro/analysis/shardmap.toml`` and
-exits nonzero on any hazard, undeclared, or misclassified location.
-``sanitize`` runs a self-test scenario -- a compute hog, a yielding
-interactive thread, and a sleeper funded through a sub-currency, with
-mid-run ticket inflation -- under full invariant instrumentation;
-``--inject`` deliberately corrupts the ledger mid-run to demonstrate
-(and exit nonzero on) detection.
+prints one line per finding.  ``sanitize`` runs a self-test scenario --
+a compute hog, a yielding interactive thread, and a sleeper funded
+through a sub-currency, with mid-run ticket inflation -- under full
+invariant instrumentation; ``--inject`` deliberately corrupts the ledger
+mid-run to demonstrate (and exit nonzero on) detection.
 """
 
 from __future__ import annotations
@@ -31,8 +24,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.lint import RULES, collect_suppressions, lint_paths
-from repro.analysis.report import (filter_new, load_baseline, render_json,
-                                   render_sarif, write_baseline)
+from repro.analysis.report import render_json, render_sarif
 from repro.analysis.sanitizer import InvariantSanitizer
 from repro.errors import InvariantViolation
 
@@ -59,14 +51,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 1 if missing else 0
 
     findings = lint_paths(args.paths)
-    if args.write_baseline:
-        count = write_baseline(findings, args.write_baseline, tool="repro-lint")
-        print(f"lint: wrote baseline with {count} fingerprint(s) "
-              f"to {args.write_baseline}")
-        return 0
-    if args.baseline:
-        findings = filter_new(findings, load_baseline(args.baseline))
-
     if args.format == "json":
         _emit(render_json(findings, tool="repro-lint"), args.out)
     elif args.format == "sarif":
@@ -76,53 +60,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         for finding in findings:
             print(finding.format())
     if findings:
-        label = "new finding(s)" if args.baseline else "finding(s)"
-        print(f"{len(findings)} {label}", file=sys.stderr)
+        print(f"{len(findings)} finding(s)", file=sys.stderr)
         return 1
     if args.format == "text":
         print(f"lint: clean ({', '.join(str(p) for p in args.paths)})")
-    return 0
-
-
-def _cmd_shardmap(args: argparse.Namespace) -> int:
-    from repro.analysis import shardmap as sm
-    from repro.analysis.shardspec import ShardSpec, SpecError, load_spec
-
-    # --emit-spec bootstraps a skeleton, so it runs against an empty
-    # spec unless one was named explicitly; every other mode requires
-    # the committed spec.
-    try:
-        if not args.emit_spec or args.spec:
-            spec = load_spec(args.spec)
-        else:
-            spec = ShardSpec()
-        shard_map = sm.analyze_tree(Path(args.root), spec=spec)
-    except SpecError as exc:
-        print(f"shardmap: {exc}", file=sys.stderr)
-        return 2
-
-    if args.emit_spec:
-        _emit(sm.render_spec_skeleton(shard_map), args.out)
-        return 0
-    if args.write_doc:
-        Path(args.write_doc).write_text(sm.render_doc(shard_map),
-                                        encoding="utf-8")
-        print(f"shardmap: wrote {args.write_doc}")
-
-    findings = shard_map.findings
-    if args.baseline:
-        findings = filter_new(findings, load_baseline(args.baseline))
-    if args.format == "json":
-        _emit(render_json(findings, tool="repro-shardmap"), args.out)
-    elif args.format == "sarif":
-        meta = {rule_id: meta for rule_id, meta in sm.SHARD_RULES.items()}
-        _emit(render_sarif(findings, tool="repro-shardmap", rule_meta=meta),
-              args.out)
-    else:
-        _emit(sm.render_text(shard_map), args.out)
-    if findings:
-        print(f"{len(findings)} shard-safety finding(s)", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -221,42 +162,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                              default="text", help="output format")
     lint_parser.add_argument("--out", metavar="FILE",
                              help="write the report here instead of stdout")
-    lint_parser.add_argument("--baseline", metavar="FILE",
-                             help="report only findings absent from this "
-                                  "baseline file")
-    lint_parser.add_argument("--write-baseline", metavar="FILE",
-                             help="record current findings as the baseline "
-                                  "and exit 0")
     lint_parser.add_argument("--list-suppressions", action="store_true",
                              help="inventory every active noqa suppression "
                                   "(exit 1 if any lacks a justification)")
     lint_parser.set_defaults(func=_cmd_lint)
-
-    shardmap_parser = commands.add_parser(
-        "shardmap", help="whole-program shard-safety analysis of the "
-                         "deterministic zones")
-    shardmap_parser.add_argument("--root", default="src/repro",
-                                 help="package root to analyze "
-                                      "(default: src/repro)")
-    shardmap_parser.add_argument("--spec", metavar="FILE",
-                                 help="shardmap spec (default: the "
-                                      "committed shardmap.toml)")
-    shardmap_parser.add_argument("--format",
-                                 choices=["text", "json", "sarif"],
-                                 default="text", help="output format")
-    shardmap_parser.add_argument("--out", metavar="FILE",
-                                 help="write the report here instead of "
-                                      "stdout")
-    shardmap_parser.add_argument("--baseline", metavar="FILE",
-                                 help="report only findings absent from "
-                                      "this baseline file")
-    shardmap_parser.add_argument("--write-doc", metavar="FILE",
-                                 help="also render the ownership map as "
-                                      "markdown (docs/SHARDMAP.md)")
-    shardmap_parser.add_argument("--emit-spec", action="store_true",
-                                 help="print a spec skeleton covering every "
-                                      "currently-unknown location")
-    shardmap_parser.set_defaults(func=_cmd_shardmap)
 
     rules_parser = commands.add_parser(
         "rules", help="describe every lint rule and the noqa syntax")

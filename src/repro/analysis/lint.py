@@ -38,18 +38,13 @@ RPR009    a class registered as a recorder sink
           (``repro.metrics.recorder.RECORDER_SINKS``) does not itself
           define the full kernel event surface -- a sink silently deaf
           to an event kind
-RPR010    per-draw linear revaluation: a loop (or comprehension) inside
-          a scheduler ``select()`` calls a ticket valuation
-          (``funding()``/``base_value()``/``nominal_funding()``),
-          making every dispatch O(n) in runnable threads; valuations
-          belong in the funding cache, invalidated on mutation
-RPR011    module-level mutable state (dict/list/set/deque assigned at
-          module scope) in a deterministic zone without an ownership
-          declaration -- neither an inline ``# shard: <classification>
-          -- reason`` marker nor a ``[globals]`` entry in the shardmap
-          spec (``src/repro/analysis/shardmap.toml``); undeclared
-          module state is exactly what the multicore shard refactor
-          cannot partition (see :mod:`repro.analysis.shardmap`)
+RPR011    module-level mutable state in a deterministic zone without
+          an ownership declaration: a dict/list/set/deque assigned at
+          module scope, or a ``global`` statement rebinding a module
+          name from inside a function, whose assignment line carries
+          no inline ``# shard: <classification> -- reason`` marker;
+          undeclared module state is what every core of a sharded run
+          would silently share (inline) or silently fork (mp)
 RPR012    host-concurrency imports (``multiprocessing``,
           ``concurrent.futures``, ``threading``, ``_thread``) inside a
           deterministic zone -- OS-scheduled concurrency is
@@ -203,25 +198,14 @@ RULES: Dict[str, Rule] = {
             None,
         ),
         Rule(
-            "RPR010",
-            "per-draw-linear-revaluation",
-            "ticket valuation called inside a loop in a scheduler "
-            "select()",
-            "read cached holder.funding() outside the loop, or track "
-            "dirty members and revalue only those (see the funding "
-            "cache in repro.core.tickets); a full rescan per draw "
-            "makes every dispatch O(n) in runnable threads",
-            ("schedulers",),
-        ),
-        Rule(
             "RPR011",
             "undeclared-module-state",
-            "module-level mutable container without an ownership "
+            "module-level mutable state without an ownership "
             "declaration in a deterministic zone",
             "add '# shard: shard-local|barrier-shared -- reason' on the "
-            "assignment line, or declare the dotted name under [globals] "
-            "in src/repro/analysis/shardmap.toml; the shard refactor "
-            "cannot partition undeclared module state",
+            "module-level assignment line (or keep the state on an "
+            "object a core owns); cores of a sharded run share or fork "
+            "undeclared module state without anyone deciding which",
             ("sim", "kernel", "schedulers", "core", "distributed"),
         ),
         Rule(
@@ -291,9 +275,6 @@ _ORDER_INSENSITIVE_REDUCERS = frozenset({
 #: Identifier stems that mark an expression as a ticket quantity.
 _AMOUNT_STEMS = ("amount", "ticket", "funding", "bonus")
 
-#: Method names whose call constitutes a ticket valuation (RPR010).
-_VALUATION_METHODS = frozenset({"funding", "base_value", "nominal_funding"})
-
 #: Method names that mutate a telemetry hub (RPR013): registry
 #: instrument writes and tracer lifecycle calls.
 _TELEMETRY_MUTATORS = frozenset({
@@ -311,6 +292,12 @@ _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[([^\]]*)\])?")
 #: by the RPR000 hygiene check and ``--list-suppressions``.
 _NOQA_FULL_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\[([^\]]*)\])?\s*(?:--\s*(\S.*))?")
+
+#: Inline ownership marker for module-level state (RPR011):
+#: ``# shard: shard-local -- constant rule table``.  The justification
+#: after ``--`` is mandatory, same policy as noqa comments.
+_MARKER_RE = re.compile(
+    r"#\s*shard:\s*(shard-local|barrier-shared)\s*(?:--\s*(\S.*))?")
 
 #: Module-scope container constructors that make a global mutable state
 #: for RPR011 purposes.
@@ -362,20 +349,6 @@ def _recorder_surface() -> Tuple[frozenset, Tuple[str, ...]]:
     except Exception:  # pragma: no cover - standalone lint usage
         return frozenset(), ()
     return RECORDER_SINKS, RECORDER_EVENT_SURFACE
-
-
-def _shardmap_globals() -> frozenset:
-    """Dotted names declared under ``[globals]`` in the shardmap spec.
-
-    Lazy (and failure-tolerant) like :func:`_snapshot_coverage`: the
-    linter keeps working on arbitrary files when the committed spec is
-    absent or malformed -- RPR011 then simply requires inline markers.
-    """
-    try:
-        from repro.analysis.shardspec import load_spec
-        return frozenset(load_spec().globals)
-    except Exception:
-        return frozenset()
 
 
 #: Zones exempt from RPR008: the presentation layers, where printing to
@@ -510,8 +483,6 @@ class _Visitor(ast.NodeVisitor):
         self._exempt_comprehensions: set = set()
         #: Loop nesting depth (for the RPR006 retry-loop pattern).
         self._loop_depth = 0
-        #: Nesting depth of ``select`` method definitions (RPR010).
-        self._select_depth = 0
         #: Nesting depth of ``with race_seam("shard.barrier")`` blocks
         #: (RPR013's declared exemption).
         self._seam_depth = 0
@@ -735,7 +706,6 @@ class _Visitor(ast.NodeVisitor):
 
     def visit_For(self, node: ast.For) -> None:
         self._check_iteration(node.iter, node)
-        self._check_per_draw_revaluation(node)
         self._loop_depth += 1
         self.generic_visit(node)
         self._loop_depth -= 1
@@ -744,7 +714,6 @@ class _Visitor(ast.NodeVisitor):
         if id(node) not in self._exempt_comprehensions:
             for generator in node.generators:  # type: ignore[attr-defined]
                 self._check_iteration(generator.iter, node)
-        self._check_per_draw_revaluation(node)
         self.generic_visit(node)
 
     visit_ListComp = _visit_comprehension
@@ -752,39 +721,9 @@ class _Visitor(ast.NodeVisitor):
     visit_DictComp = _visit_comprehension
     visit_GeneratorExp = _visit_comprehension
 
-    # -- RPR010: per-draw linear revaluation -------------------------------
-
-    def _check_per_draw_revaluation(self, node: ast.AST) -> None:
-        """Flag a loop inside a ``select()`` that revalues tickets.
-
-        Walks the loop/comprehension subtree (excluding nested loops,
-        which report themselves) for calls to the valuation methods;
-        one finding per loop, anchored at the loop header.
-        """
-        if self._select_depth == 0 or not self._applies("RPR010"):
-            return
-        inner_loops: set = set()
-        for sub in ast.walk(node):
-            if sub is not node and isinstance(
-                    sub, (ast.For, ast.While, *_COMPREHENSIONS)):
-                inner_loops.update(id(child) for child in ast.walk(sub))
-        for sub in ast.walk(node):
-            if id(sub) in inner_loops:
-                continue
-            if isinstance(sub, ast.Call) and \
-                    isinstance(sub.func, ast.Attribute) and \
-                    sub.func.attr in _VALUATION_METHODS:
-                self._report(
-                    "RPR010", node,
-                    f"ticket valuation .{sub.func.attr}() inside a loop "
-                    f"in select(): every draw rescans the ledger",
-                )
-                return
-
     # -- RPR006: hand-rolled retry loops -----------------------------------
 
     def visit_While(self, node: ast.While) -> None:
-        self._check_per_draw_revaluation(node)
         self._loop_depth += 1
         self.generic_visit(node)
         self._loop_depth -= 1
@@ -876,16 +815,9 @@ class _Visitor(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._check_defaults(node)
-        in_select = node.name == "select"
-        if in_select:
-            self._select_depth += 1
         self.generic_visit(node)
-        if in_select:
-            self._select_depth -= 1
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
+    visit_AsyncFunctionDef = visit_FunctionDef
 
 
 # -- RPR011: undeclared module-level mutable state ---------------------------
@@ -906,17 +838,15 @@ def _is_mutable_container(value: Optional[ast.AST]) -> bool:
 
 def _check_module_state(tree: ast.Module, path: str, zone: Optional[str],
                         lines: Sequence[str]) -> List[Finding]:
-    """RPR011: module-scope mutable containers need an ownership
-    declaration (inline ``# shard:`` marker with a justification, or a
-    ``[globals]`` entry in the shardmap spec)."""
+    """RPR011: module state needs an inline ``# shard:`` marker with a
+    justification on its assignment line -- required of every
+    module-scope mutable container, and of every name a function
+    rebinds through a ``global`` statement."""
     zones = RULES["RPR011"].zones
     assert zones is not None
     if zone is None or zone not in zones:
         return []
-    from repro.analysis.shardspec import MARKER_RE
-
-    module = module_of(path)
-    declared = _shardmap_globals()
+    declared: set = set()
     findings: List[Finding] = []
     for node in tree.body:
         targets: List[ast.expr] = []
@@ -925,28 +855,34 @@ def _check_module_state(tree: ast.Module, path: str, zone: Optional[str],
             targets, value = node.targets, node.value
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
             targets, value = [node.target], node.value
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+        marker = None
+        if 1 <= node.lineno <= len(lines):
+            marker = _MARKER_RE.search(lines[node.lineno - 1])
+        if marker is not None and marker.group(2):
+            declared.update(names)
+            continue
         if not _is_mutable_container(value):
             continue
-        for target in targets:
-            if not isinstance(target, ast.Name):
-                continue
-            name = target.id
+        hint = ("has a '# shard:' marker without a justification"
+                if marker is not None else "has no ownership declaration")
+        for name in names:
             if name.startswith("__") and name.endswith("__"):
                 continue  # __all__ and friends are interface, not state
-            if module is not None and f"{module}.{name}" in declared:
-                continue
-            marker = None
-            if 1 <= node.lineno <= len(lines):
-                marker = MARKER_RE.search(lines[node.lineno - 1])
-            if marker is not None and marker.group(2):
-                continue
-            hint = ("has a '# shard:' marker without a justification"
-                    if marker is not None else
-                    "has no ownership declaration")
             findings.append(Finding(
                 path, node.lineno, node.col_offset, "RPR011",
                 f"module-level mutable container {name!r} {hint} "
                 f"in deterministic zone {zone!r}"))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Global):
+            continue
+        undeclared = [name for name in node.names if name not in declared]
+        if undeclared:
+            findings.append(Finding(
+                path, node.lineno, node.col_offset, "RPR011",
+                f"'global' statement rebinds module state "
+                f"{', '.join(map(repr, undeclared))}, which has no "
+                f"ownership declaration in deterministic zone {zone!r}"))
     return findings
 
 

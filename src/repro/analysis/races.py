@@ -1,19 +1,16 @@
-"""Runtime determinism-race sanitizer (the dynamic half of shardmap).
+"""Runtime determinism-race sanitizer.
 
-The static analyzer (:mod:`repro.analysis.shardmap`) proves where
-cross-shard mutation *could* happen; this module traps where it
-*actually* happens.  Under ``REPRO_SANITIZE=1`` every
-:class:`~repro.kernel.thread.Thread` is tagged with an **owner token**
-(its kernel) at attach time, the kernel dispatch loop pushes its owner
-token for the duration of each scheduling quantum, and every lifecycle
-mutation of a thread checks that the mutating context matches the
-owner.  A mismatch outside a **declared barrier seam** raises
+Lint rule RPR011 keeps module-level state declared; this module traps
+cross-owner mutation of kernel objects where it *actually* happens.
+Under ``REPRO_SANITIZE=1`` every :class:`~repro.kernel.thread.Thread`
+is tagged with an **owner token** (its kernel) at attach time, the
+kernel dispatch loop pushes its owner token for the duration of each
+scheduling quantum, and every lifecycle mutation of a thread checks
+that the mutating context matches the owner.  A mismatch outside a **declared barrier seam** raises
 :class:`~repro.errors.DeterminismRaceError` at the exact mutation
 site -- the dynamic analogue of a data-race report.
 
-Barrier seams are the places cross-owner mutation is *by design*
-(today they synchronize through the shared engine; after the shard
-refactor they become epoch-barrier operations):
+Barrier seams are the places cross-owner mutation is *by design*:
 
 * ``ipc.reply`` -- a server completing an RPC wakes the blocked client,
   which may live on another kernel;
@@ -22,11 +19,14 @@ refactor they become epoch-barrier operations):
 * ``cluster.migrate`` / ``cluster.evacuate`` -- the rebalancer moves a
   thread between nodes (the thread is re-tagged to its new owner);
 * ``cluster.crash`` -- node failure kills or re-places every thread of
-  the dead node.
+  the dead node;
+* ``shard.barrier`` / ``shard.migrate`` / ``shard.crash`` -- the sharded
+  engine applying barrier payloads on the target core, and the
+  kill-here-respawn-there operations that ride them.
 
-The seam list is cross-checked against the committed spec's
-``[[seams]]`` table by the static analyzer (``SH008``), so neither
-side can drift without failing CI.
+:data:`DECLARED_SEAMS` is the one seam table: entering a name outside
+it raises, and ``tests/analysis/test_races.py`` checks it against the
+``race_seam(...)`` call sites in ``src/`` in both directions.
 
 The tracker is deliberately injection-based: activating it assigns the
 singleton into ``_race_tracker`` module globals inside the kernel,
@@ -45,9 +45,9 @@ from repro.errors import DeterminismRaceError
 
 __all__ = ["DECLARED_SEAMS", "OwnerToken", "RaceTracker", "tracker"]
 
-#: Every legal cross-owner mutation seam.  Must match the committed
-#: spec's ``[[seams]]`` table (checked statically via SH008) and the
-#: ``_race_seam(...)`` call sites in the kernel/distributed zones.
+#: Every legal cross-owner mutation seam.  Must match the
+#: ``race_seam(...)`` / ``_race_seam(...)`` call sites under ``src/``
+#: (``test_declared_seams_match_call_sites``).
 DECLARED_SEAMS = frozenset({
     "ipc.reply",
     "ipc.deliver",
@@ -172,8 +172,7 @@ class RaceTracker:
         if name not in DECLARED_SEAMS:
             raise DeterminismRaceError(
                 f"undeclared barrier seam {name!r}; declare it in "
-                f"repro.analysis.races.DECLARED_SEAMS and in the "
-                f"[[seams]] table of shardmap.toml")
+                f"repro.analysis.races.DECLARED_SEAMS")
         self._seam_depth += 1
         try:
             yield

@@ -1,36 +1,27 @@
-"""Shared report formats for the static-analysis tools.
+"""Report formats for the determinism lint.
 
-Both analyzers (:mod:`repro.analysis.lint` and
-:mod:`repro.analysis.shardmap`) emit findings with the same shape --
-``path``, ``line``, ``col``, ``rule_id``, ``message`` -- so the output
-layer lives here once:
+:mod:`repro.analysis.lint` findings -- ``path``, ``line``, ``col``,
+``rule_id``, ``message`` -- render here as:
 
 * ``json``  -- a stable machine-readable envelope for scripting.
 * ``sarif`` -- SARIF 2.1.0, the interchange format code-scanning UIs
-  ingest (the CI ``shard-safety`` job uploads it as an artifact).
-* baselines -- a committed set of finding fingerprints; with
-  ``--baseline`` the CLIs report (and fail on) only findings *not* in
-  the baseline, so a tool can be adopted on a codebase with existing
-  debt without letting new debt in.
+  ingest (the CI ``lint`` job uploads it as an artifact).
 
-Fingerprints hash ``path|rule_id|message`` rather than line numbers, so
-unrelated edits that shift a finding up or down do not churn baselines.
+Both carry a fingerprint hashing ``path|rule_id|message`` rather than
+line numbers, so a consumer tracking findings across commits is not
+churned by unrelated edits that shift one up or down.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 __all__ = [
     "fingerprint",
     "render_json",
     "render_sarif",
-    "load_baseline",
-    "write_baseline",
-    "filter_new",
 ]
 
 #: SARIF schema pinned so consumers can validate.
@@ -46,18 +37,14 @@ def fingerprint(finding) -> str:
 
 
 def _finding_dict(finding) -> dict:
-    entry = {
+    return {
         "path": finding.path,
         "line": finding.line,
-        "col": getattr(finding, "col", 0),
+        "col": finding.col,
         "rule_id": finding.rule_id,
         "message": finding.message,
         "fingerprint": fingerprint(finding),
     }
-    location = getattr(finding, "location", None)
-    if location:
-        entry["location"] = location
-    return entry
 
 
 def render_json(findings: Sequence, tool: str) -> str:
@@ -98,7 +85,7 @@ def render_sarif(findings: Sequence, tool: str,
                     "artifactLocation": {"uri": finding.path},
                     "region": {
                         "startLine": max(finding.line, 1),
-                        "startColumn": getattr(finding, "col", 0) + 1,
+                        "startColumn": finding.col + 1,
                     },
                 },
             }],
@@ -116,31 +103,3 @@ def render_sarif(findings: Sequence, tool: str,
         }],
     }
     return json.dumps(log, indent=2) + "\n"
-
-
-# -- baselines ---------------------------------------------------------------
-
-
-def write_baseline(findings: Sequence, path: Union[str, Path],
-                   tool: str) -> int:
-    """Write the fingerprints of ``findings`` as a baseline file."""
-    prints = sorted({fingerprint(f) for f in findings})
-    document = {"tool": tool, "fingerprints": prints}
-    Path(path).write_text(json.dumps(document, indent=2) + "\n",
-                          encoding="utf-8")
-    return len(prints)
-
-
-def load_baseline(path: Union[str, Path]) -> frozenset:
-    """Read a baseline file back as a fingerprint set."""
-    document = json.loads(Path(path).read_text(encoding="utf-8"))
-    prints = document.get("fingerprints", [])
-    if not isinstance(prints, list):
-        raise ValueError(f"malformed baseline {path}: 'fingerprints' "
-                         f"must be a list")
-    return frozenset(str(p) for p in prints)
-
-
-def filter_new(findings: Iterable, baseline: frozenset) -> List:
-    """Findings whose fingerprint is not in the baseline."""
-    return [f for f in findings if fingerprint(f) not in baseline]

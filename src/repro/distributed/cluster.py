@@ -55,9 +55,8 @@ __all__ = ["ClusterNode", "Cluster"]
 
 #: Injection point for the determinism-race sanitizer (see
 #: :mod:`repro.analysis.races`); assigned by ``tracker.activate()``
-#: under ``REPRO_SANITIZE=1``.  Declared barrier-shared in
-#: ``repro/analysis/shardmap.toml``.
-_race_tracker = None
+#: under ``REPRO_SANITIZE=1``.
+_race_tracker = None  # shard: barrier-shared -- sanitizer injection point: assigned once by tracker.activate(), read-only afterwards
 
 
 def _race_seam(name: str):

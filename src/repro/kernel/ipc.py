@@ -41,17 +41,15 @@ __all__ = ["Port", "Request"]
 
 #: Injection point for the determinism-race sanitizer (see
 #: :mod:`repro.analysis.races`); assigned by ``tracker.activate()``
-#: under ``REPRO_SANITIZE=1``.  Declared barrier-shared in
-#: ``repro/analysis/shardmap.toml``.
-_race_tracker = None
+#: under ``REPRO_SANITIZE=1``.
+_race_tracker = None  # shard: barrier-shared -- sanitizer injection point: assigned once by tracker.activate(), read-only afterwards
 
 #: Injection point for the sharded multicore engine (see
 #: :mod:`repro.shard.router`); assigned by ``ShardRouter.install()``
 #: while a sharded run is executing.  Consulted on the reply/delivery
 #: paths to divert wakes aimed at :class:`RemoteClient` stubs (callers
-#: blocked on another core) into barrier payloads.  Declared
-#: barrier-shared in ``repro/analysis/shardmap.toml``.
-_shard_router = None
+#: blocked on another core) into barrier payloads.
+_shard_router = None  # shard: barrier-shared -- router injection point: assigned by ShardRouter.install() between epochs, read-only during dispatch
 
 
 #: The no-op seam: stateless, so one instance serves every wake.

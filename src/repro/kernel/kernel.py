@@ -32,21 +32,20 @@ __all__ = ["Kernel", "BLOCK", "add_construction_hook",
 #: Process-wide hooks invoked with every newly constructed kernel.
 #: Used by :func:`repro.analysis.sanitizer.install_autosanitize` to
 #: instrument whole test suites without touching call sites.
-_construction_hooks: List[Callable[["Kernel"], None]] = []
+_construction_hooks: List[Callable[["Kernel"], None]] = []  # shard: barrier-shared -- process-wide hook registry (sanitizer attach); mutated only in test/tool setup, never during dispatch
 
 
 #: Injection point for the determinism-race sanitizer (see
 #: :mod:`repro.analysis.races`); assigned by ``tracker.activate()``
-#: under ``REPRO_SANITIZE=1``.  Declared barrier-shared in
-#: ``repro/analysis/shardmap.toml``.
-_race_tracker = None
+#: under ``REPRO_SANITIZE=1``.
+_race_tracker = None  # shard: barrier-shared -- sanitizer injection point: assigned once by tracker.activate(), read-only afterwards
 
 #: Injection point for the sharded multicore engine (see
 #: :mod:`repro.shard.router`); assigned by ``ShardRouter.install()``
 #: while a sharded run is executing.  Guards ``run_until`` against
 #: bypassing epoch barriers and diverts wakes aimed at remote-caller
-#: stubs.  Declared barrier-shared in ``repro/analysis/shardmap.toml``.
-_shard_router = None
+#: stubs.
+_shard_router = None  # shard: barrier-shared -- router injection point: assigned by ShardRouter.install() between epochs, read-only during dispatch
 
 
 def add_construction_hook(hook: Callable[["Kernel"], None]) -> None:

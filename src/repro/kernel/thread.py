@@ -31,9 +31,8 @@ __all__ = ["Thread", "Task", "ThreadState", "ThreadBody", "ThreadContext"]
 #: Injection point for the determinism-race sanitizer: set to the
 #: :data:`repro.analysis.races.tracker` singleton by its ``activate()``
 #: (under ``REPRO_SANITIZE=1``), never imported from here -- the kernel
-#: zone must not depend on the analysis package.  Declared
-#: barrier-shared in ``repro/analysis/shardmap.toml``.
-_race_tracker = None
+#: zone must not depend on the analysis package.
+_race_tracker = None  # shard: barrier-shared -- sanitizer injection point: assigned once by tracker.activate(), read-only afterwards
 
 #: A thread body: called with a ThreadContext, returns a syscall generator.
 ThreadBody = Callable[["ThreadContext"], Generator["Syscall", Any, None]]

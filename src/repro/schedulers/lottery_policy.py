@@ -146,7 +146,8 @@ class LotteryPolicy(SchedulingPolicy):
             # stored value was pushed; Fenwick nodes are pure functions
             # of the stored values, so skipping unchanged members leaves
             # the tree bit-identical to revaluing every member.
-            for member in self._dirty:  # repro: noqa[RPR010] -- O(invalidated), not O(n): only watcher-flagged members
+            # O(invalidated), not O(n): only watcher-flagged members.
+            for member in self._dirty:
                 self._tree.set_value(member, member.funding())
             self._dirty.clear()
         fallback = False

@@ -134,17 +134,24 @@ class HostFaultPlan:
         if not isinstance(data, dict):
             raise ShardError(
                 f"host fault plan must be a dict: {type(data).__name__}")
-        return cls([HostFault.from_dict(entry)
-                    for entry in data.get("faults", [])])
+        faults = data.get("faults", [])
+        if not isinstance(faults, list):
+            raise ShardError(
+                f"host fault plan 'faults' must be a list: "
+                f"{type(faults).__name__}")
+        return cls([HostFault.from_dict(entry) for entry in faults])
 
     @classmethod
     def from_file(cls, path: str) -> "HostFaultPlan":
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
-            except ValueError as exc:
-                raise ShardError(
-                    f"host fault plan {path!r} is not JSON: {exc}") from exc
+        except OSError as exc:
+            raise ShardError(
+                f"host fault plan {path!r} cannot be read: {exc}") from exc
+        except ValueError as exc:
+            raise ShardError(
+                f"host fault plan {path!r} is not JSON: {exc}") from exc
         return cls.from_dict(data)
 
     def __len__(self) -> int:

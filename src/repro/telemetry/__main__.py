@@ -27,6 +27,7 @@ import sys
 from typing import List, Optional
 
 from repro.checkpoint.registry import build_recipe, recipe_names
+from repro.errors import ReproError
 from repro.telemetry.exporters import (
     export_chrome,
     export_jsonl,
@@ -77,12 +78,11 @@ def _report_main(argv: List[str]) -> int:
         from repro.telemetry.flight import load_bundle, summarize_bundle
 
         try:
-            bundle = load_bundle(args.bundle)
-        except Exception as exc:
+            summary = summarize_bundle(load_bundle(args.bundle))
+        except ReproError as exc:
             print(f"INVALID bundle: {exc}", file=sys.stderr)
             return 1
-        print(json.dumps(summarize_bundle(bundle), indent=2,
-                         sort_keys=True))
+        print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
 
     from repro.shard.engine import ShardedEngine

@@ -91,8 +91,15 @@ def write_bundle(directory: str, bundle: Dict[str, Any]) -> str:
 
 def load_bundle(path: str) -> Dict[str, Any]:
     """Read and digest-verify a flight bundle."""
-    with open(path, "r", encoding="utf-8") as handle:
-        bundle = json.load(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            bundle = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ReproError(f"{path}: cannot read flight bundle: {exc}") from exc
+    if not isinstance(bundle, dict):
+        raise ReproError(
+            f"{path}: flight bundle must be a JSON object, got "
+            f"{type(bundle).__name__}")
     if bundle.get("format") != BUNDLE_FORMAT:
         raise ReproError(
             f"{path}: not a {BUNDLE_FORMAT} file "
@@ -109,19 +116,25 @@ def load_bundle(path: str) -> Dict[str, Any]:
 
 def summarize_bundle(bundle: Dict[str, Any]) -> Dict[str, Any]:
     """Small human-facing digest of a (verified) bundle."""
-    rings = bundle.get("rings") or []
-    recovery = bundle.get("recovery") or {}
-    return {
-        "error": bundle["error"]["type"],
-        "message": bundle["error"]["message"],
-        "time": bundle["time"],
-        "plan": bundle["plan"],
-        "cores": len(rings),
-        "ring_entries": sum(len(ring.get("ring", {}).get("entries", []))
-                            for ring in rings),
-        "ring_spans": sum(len(ring.get("ring", {}).get("spans", []))
-                          for ring in rings),
-        "recovery_events": len(recovery.get("events", [])),
-        "degraded": bool(recovery.get("degraded")),
-        "sha256": bundle["sha256"],
-    }
+    try:
+        rings = bundle.get("rings") or []
+        recovery = bundle.get("recovery") or {}
+        return {
+            "error": bundle["error"]["type"],
+            "message": bundle["error"]["message"],
+            "time": bundle["time"],
+            "plan": bundle["plan"],
+            "cores": len(rings),
+            "ring_entries": sum(
+                len(ring.get("ring", {}).get("entries", []))
+                for ring in rings),
+            "ring_spans": sum(
+                len(ring.get("ring", {}).get("spans", []))
+                for ring in rings),
+            "recovery_events": len(recovery.get("events", [])),
+            "degraded": bool(recovery.get("degraded")),
+            "sha256": bundle["sha256"],
+        }
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ReproError(
+            f"flight bundle has a missing or mistyped field: {exc}") from exc

@@ -33,6 +33,13 @@ def test_lint_command_reports_findings(tmp_path, capsys):
     assert "1 finding" in captured.err
 
 
+def test_subcommands_are_exactly_lint_rules_sanitize(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    usage = capsys.readouterr().out
+    assert "{lint,rules,sanitize}" in usage
+
+
 def test_rules_command_lists_every_rule(capsys):
     assert main(["rules"]) == 0
     out = capsys.readouterr().out

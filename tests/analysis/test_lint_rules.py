@@ -11,6 +11,8 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.lint import RULES, lint_paths, lint_source, zone_of
 
 KERNEL_PATH = "repro/kernel/fixture.py"
@@ -449,94 +451,6 @@ def test_rpr009_inherited_methods_do_not_count():
     assert [f.rule_id for f in findings] == ["RPR009"]
 
 
-# -- RPR010: per-draw linear revaluation ------------------------------------
-
-
-def test_rpr010_flags_funding_loop_in_select():
-    src = """
-    class Policy:
-        def select(self):
-            for member in self.members:
-                total += member.funding()
-    """
-    assert "RPR010" in ids(src, SCHED_PATH)
-
-
-def test_rpr010_flags_valuation_comprehension_in_select():
-    src = """
-    class Policy:
-        def select(self):
-            values = [t.base_value() for t in self.tickets]
-            return values
-    """
-    assert "RPR010" in ids(src, SCHED_PATH)
-
-
-def test_rpr010_flags_while_loop_rescan():
-    src = """
-    class Policy:
-        def select(self):
-            index = 0
-            while index < len(self.members):
-                total += self.members[index].nominal_funding()
-                index += 1
-    """
-    assert "RPR010" in ids(src, SCHED_PATH)
-
-
-def test_rpr010_inner_loop_reports_once():
-    src = """
-    class Policy:
-        def select(self):
-            for group in self.groups:
-                for member in group:
-                    total += member.funding()
-    """
-    assert ids(src, SCHED_PATH).count("RPR010") == 1
-
-
-def test_rpr010_valuation_outside_loop_is_clean():
-    src = """
-    class Policy:
-        def select(self):
-            winner = self.tree.draw(self.prng)
-            funding = winner.funding()
-            for member in self.members:
-                member.touch()
-            return winner
-    """
-    assert ids(src, SCHED_PATH) == []
-
-
-def test_rpr010_loop_outside_select_is_clean():
-    src = """
-    class Policy:
-        def rebuild(self):
-            for member in self.members:
-                self.tree.set_value(member, member.funding())
-    """
-    assert ids(src, SCHED_PATH) == []
-
-
-def test_rpr010_exempt_outside_zone():
-    src = """
-    class Exporter:
-        def select(self):
-            return [t.funding() for t in self.threads]
-    """
-    assert ids(src, "repro/metrics/fixture.py") == []
-
-
-def test_rpr010_noqa_suppresses():
-    src = """
-    class Policy:
-        def select(self):
-            for member in self.dirty:  # repro: noqa[RPR010] -- bounded by invalidations
-                self.tree.set_value(member, member.funding())
-    """
-    assert ids(src, SCHED_PATH) == []
-
-
 # -- RPR011: undeclared module-level mutable state --------------------------
 
 
@@ -565,10 +479,73 @@ def test_rpr011_marker_without_reason_does_not_count():
     assert "without a justification" in findings[0].message
 
 
-def test_rpr011_spec_registered_global_is_exempt():
-    # _construction_hooks is declared in src/repro/analysis/shardmap.toml.
-    src = "_construction_hooks = []\n"
-    assert ids(src, "src/repro/kernel/kernel.py") == []
+# The three module-state hazards the retired whole-program analyzer
+# carried as fixture trees (SH001 escaped alias, SH002 shared registry,
+# SH003 global counter), now plain RPR011 inputs.
+REHOMED_HAZARDS = {
+    "escaped_alias": """
+        _current_engine = None
+
+        def install(engine):
+            global _current_engine
+            _current_engine = engine  # the alias every core would share
+        """,
+    "shared_registry": """
+        HANDLERS = {}
+
+        def register(name, handler):
+            HANDLERS[name] = handler
+        """,
+    "global_counter": """
+        _next_id = 0
+
+        def alloc():
+            global _next_id
+            _next_id += 1
+            return _next_id
+        """,
+}
+
+
+@pytest.mark.parametrize("hazard", sorted(REHOMED_HAZARDS))
+def test_rpr011_flags_rehomed_hazard(hazard):
+    assert ids(REHOMED_HAZARDS[hazard]) == ["RPR011"]
+
+
+def test_rpr011_global_statement_names_the_undeclared_state():
+    src = """
+    _a = None  # shard: barrier-shared -- injection point, set once
+    _b = None
+
+    def install(a, b):
+        global _a, _b
+        _a, _b = a, b
+    """
+    findings = lint_source(textwrap.dedent(src), KERNEL_PATH)
+    assert [(f.rule_id, f.line) for f in findings] == [("RPR011", 6)]
+    assert "'_b'" in findings[0].message and "'_a'" not in findings[0].message
+
+
+def test_rpr011_global_of_declared_state_is_clean():
+    src = """
+    _router = None  # shard: barrier-shared -- assigned between epochs only
+
+    def install(router):
+        global _router
+        _router = router
+    """
+    assert ids(src) == []
+
+
+def test_rpr011_global_marker_without_reason_does_not_count():
+    src = """
+    _router = None  # shard: barrier-shared
+
+    def install(router):
+        global _router
+        _router = router
+    """
+    assert ids(src) == ["RPR011"]
 
 
 def test_rpr011_dunder_and_scalars_are_exempt():
@@ -730,28 +707,6 @@ def test_rpr013_fixture_package_findings():
     assert {f.line for f in findings} == {14, 19}
 
 
-def test_rpr013_baseline_adoption_workflow(tmp_path):
-    from repro.analysis.report import (filter_new, load_baseline,
-                                       write_baseline)
-
-    findings = lint_paths([RPR013_FIXTURES])
-    baseline_path = tmp_path / "lint-baseline.json"
-    count = write_baseline(findings, baseline_path, tool="repro-lint")
-    assert count == 2
-    baseline = load_baseline(baseline_path)
-    # adopted: the pre-existing violations no longer fail the run
-    assert filter_new(lint_paths([RPR013_FIXTURES]), baseline) == []
-    # a NEW violation still fails against the same baseline
-    new_file = tmp_path / "repro" / "shard" / "fresh.py"
-    new_file.parent.mkdir(parents=True)
-    new_file.write_text(
-        "def f(core):\n"
-        "    core.telemetry.registry.gauge('g').set(1.0)\n",
-        encoding="utf-8")
-    fresh = filter_new(lint_paths([tmp_path]), baseline)
-    assert [f.rule_id for f in fresh] == ["RPR013"]
-
-
 # -- suppression syntax -----------------------------------------------------
 
 
@@ -843,8 +798,8 @@ def test_finding_format_names_location_and_rule():
 def test_every_rule_has_id_summary_and_fixit():
     assert set(RULES) == {"RPR000", "RPR001", "RPR002", "RPR003",
                           "RPR004", "RPR005", "RPR006", "RPR007",
-                          "RPR008", "RPR009", "RPR010", "RPR011",
-                          "RPR012", "RPR013"}
+                          "RPR008", "RPR009", "RPR011", "RPR012",
+                          "RPR013"}
     for rule in RULES.values():
         assert rule.summary and rule.fixit and rule.slug
 

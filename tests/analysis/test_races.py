@@ -13,6 +13,9 @@ trap-free, which is what lets the full tier-1 suite run under
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.races import DECLARED_SEAMS, RaceTracker
@@ -20,6 +23,8 @@ from repro.distributed.cluster import Cluster
 from repro.errors import DeterminismRaceError
 from repro.kernel.syscalls import Compute, YieldCPU
 from repro.kernel.thread import ThreadState
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture
@@ -193,10 +198,23 @@ def test_clustered_run_with_yields_is_trap_free(race_tracker):
     assert race_tracker.violations == 0
 
 
-def test_declared_seams_match_committed_spec():
-    from repro.analysis.shardspec import load_spec
-
-    assert set(load_spec().seam_names()) == set(DECLARED_SEAMS)
+def test_declared_seams_match_call_sites():
+    """DECLARED_SEAMS is the one seam table: every literal passed to
+    ``race_seam`` / ``_race_seam`` under ``src/`` is declared, and every
+    declared seam has a call site."""
+    used = set()
+    for source in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                getattr(func, "attr", None)
+            first = node.args[0]
+            if name in ("race_seam", "_race_seam") and \
+                    isinstance(first, ast.Constant):
+                used.add(first.value)
+    assert used == set(DECLARED_SEAMS)
 
 
 def test_deactivate_disarms_the_trap(race_tracker):

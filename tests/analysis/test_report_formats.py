@@ -1,5 +1,5 @@
-"""Tests for the shared report layer (JSON / SARIF / baselines) and the
-CLI flags that expose it on both analyzers."""
+"""Tests for the lint report layer (JSON / SARIF) and the CLI flags
+that expose it."""
 
 from __future__ import annotations
 
@@ -8,11 +8,8 @@ from pathlib import Path
 
 from repro.analysis.__main__ import main
 from repro.analysis.lint import Finding, lint_paths
-from repro.analysis.report import (filter_new, fingerprint, load_baseline,
-                                   render_json, render_sarif, write_baseline)
+from repro.analysis.report import fingerprint, render_json, render_sarif
 
-FIXTURES = Path(__file__).resolve().parent / "fixtures" / "shardmap"
-EMPTY_SPEC = str(FIXTURES / "empty.toml")
 SRC_REPRO = str(Path(__file__).resolve().parents[2] / "src" / "repro")
 
 
@@ -68,17 +65,6 @@ def test_render_sarif_is_valid_2_1_0_shape():
     assert "reproAnalysis/v1" in result["partialFingerprints"]
 
 
-# -- baselines ---------------------------------------------------------------
-
-
-def test_baseline_round_trip_filters_known_findings(tmp_path):
-    baseline_file = tmp_path / "baseline.json"
-    known, new = sample_findings()
-    assert write_baseline([known], baseline_file, tool="repro-lint") == 1
-    baseline = load_baseline(baseline_file)
-    assert filter_new([known, new], baseline) == [new]
-
-
 # -- CLI wiring --------------------------------------------------------------
 
 
@@ -105,22 +91,6 @@ def test_lint_format_sarif_to_file(tmp_path, capsys):
     assert log["runs"][0]["results"][0]["ruleId"] == "RPR001"
 
 
-def test_lint_baseline_workflow(tmp_path, capsys):
-    tree = dirty_tree(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    assert main(["lint", "--write-baseline", str(baseline), str(tree)]) == 0
-    # Same findings, now baselined: exit 0, nothing new.
-    assert main(["lint", "--baseline", str(baseline), str(tree)]) == 0
-    # A new hazard appears: only it is reported.
-    (tree / "repro" / "kernel" / "worse.py").write_text("import secrets\n")
-    capsys.readouterr()
-    assert main(["lint", "--baseline", str(baseline), str(tree)]) == 1
-    captured = capsys.readouterr()
-    assert "worse.py" in captured.out
-    assert "bad.py" not in captured.out
-    assert "new finding" in captured.err
-
-
 def test_lint_list_suppressions(tmp_path, capsys):
     pkg = tmp_path / "repro" / "kernel"
     pkg.mkdir(parents=True)
@@ -138,62 +108,6 @@ def test_lint_list_suppressions_flags_missing_justification(tmp_path, capsys):
     (pkg / "a.py").write_text("import random  # repro: noqa\n")
     assert main(["lint", "--list-suppressions", str(tmp_path)]) == 1
     assert "NO JUSTIFICATION" in capsys.readouterr().out
-
-
-def test_shardmap_cli_clean_on_repo(capsys):
-    assert main(["shardmap", "--root", SRC_REPRO]) == 0
-    out = capsys.readouterr().out
-    assert "UNKNOWN: 0" in out
-    assert "clean" in out
-
-
-def test_shardmap_cli_nonzero_on_each_planted_fixture(capsys):
-    for fixture, rule in (("escaped_alias", "SH001"),
-                          ("shared_registry", "SH002"),
-                          ("global_counter", "SH003"),
-                          ("float_order", "SH004")):
-        assert main(["shardmap", "--root", str(FIXTURES / fixture),
-                     "--spec", EMPTY_SPEC]) == 1, fixture
-        captured = capsys.readouterr()
-        assert rule in captured.out, fixture
-        assert "finding" in captured.err
-
-
-def test_shardmap_cli_zero_on_clean_fixture(capsys):
-    assert main(["shardmap", "--root", str(FIXTURES / "clean"),
-                 "--spec", EMPTY_SPEC]) == 0
-
-
-def test_shardmap_cli_sarif_output(tmp_path, capsys):
-    out = tmp_path / "shardmap.sarif"
-    assert main(["shardmap", "--root", str(FIXTURES / "global_counter"),
-                 "--spec", EMPTY_SPEC, "--format", "sarif",
-                 "--out", str(out)]) == 1
-    log = json.loads(out.read_text())
-    assert log["runs"][0]["results"][0]["ruleId"] == "SH003"
-
-
-def test_shardmap_cli_write_doc(tmp_path, capsys):
-    doc = tmp_path / "SHARDMAP.md"
-    assert main(["shardmap", "--root", SRC_REPRO,
-                 "--write-doc", str(doc)]) == 0
-    text = doc.read_text()
-    assert text.startswith("# Shard ownership map")
-    assert "repro.kernel.kernel.Kernel" in text
-
-
-def test_shardmap_cli_emit_spec_bootstraps(tmp_path, capsys):
-    out = tmp_path / "skeleton.toml"
-    assert main(["shardmap", "--root", str(FIXTURES / "shared_registry"),
-                 "--emit-spec", "--out", str(out)]) == 0
-    assert "repro.kernel.registry.HANDLERS" in out.read_text()
-
-
-def test_shardmap_cli_bad_spec_is_exit_2(tmp_path, capsys):
-    bad = tmp_path / "bad.toml"
-    bad.write_text("version = 7\n")
-    assert main(["shardmap", "--root", SRC_REPRO, "--spec", str(bad)]) == 2
-    assert "shardmap:" in capsys.readouterr().err
 
 
 def test_repo_lint_still_clean_via_api():

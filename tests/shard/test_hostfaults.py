@@ -68,6 +68,23 @@ def test_from_file_rejects_non_json(tmp_path):
         HostFaultPlan.from_file(str(path))
 
 
+@pytest.mark.parametrize("data, complaint", [
+    ([], "must be a dict: list"),
+    ({"faults": 3}, "'faults' must be a list: int"),
+    ({"faults": {"kind": "kill"}}, "'faults' must be a list: dict"),
+    ({"faults": ["kill"]}, "host fault must be a dict: str"),
+    ({"faults": [{"kind": "explode", "shard": 0}]}, "explode"),
+])
+def test_from_dict_names_the_malformed_field(data, complaint):
+    with pytest.raises(ShardError, match=complaint):
+        HostFaultPlan.from_dict(data)
+
+
+def test_from_file_names_a_missing_path(tmp_path):
+    with pytest.raises(ShardError, match="absent.json.* cannot be read"):
+        load_host_faults(str(tmp_path / "absent.json"), 2)
+
+
 def test_load_host_faults_resolves_presets_and_paths(tmp_path):
     assert len(load_host_faults("kill-every-epoch", 4)) == 1
     assert len(load_host_faults("chaos", 4)) == 6

@@ -10,6 +10,7 @@ from repro.errors import ReproError, ShardError
 from repro.telemetry.flight import (
     BUNDLE_FORMAT,
     BUNDLE_VERSION,
+    _digest,
     build_bundle,
     load_bundle,
     summarize_bundle,
@@ -76,6 +77,44 @@ def test_load_rejects_foreign_files(tmp_path):
                     encoding="utf-8")
     with pytest.raises(ReproError, match="not a repro-flight-bundle"):
         load_bundle(str(path))
+
+
+def _resealed(**changes):
+    """A bundle edited and re-digested: passes load_bundle's checksum."""
+    body = {key: value for key, value in {**_bundle(), **changes}.items()
+            if key != "sha256" and value is not None}
+    return {**body, "sha256": _digest(body)}
+
+
+@pytest.mark.parametrize("content, complaint", [
+    (None, "cannot read flight bundle"),
+    ("{not json", "cannot read flight bundle"),
+    ("[1, 2]", "must be a JSON object, got list"),
+])
+def test_load_names_the_path_of_a_malformed_file(tmp_path, content,
+                                                 complaint):
+    path = tmp_path / "bundle.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    with pytest.raises(ReproError, match=complaint) as excinfo:
+        load_bundle(str(path))
+    assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("changes, field", [
+    ({"error": None}, "error"),
+    ({"error": {"type": "ShardError"}}, "message"),
+    ({"error": "boom"}, "mistyped"),
+    ({"plan": None}, "plan"),
+    ({"rings": [7]}, "mistyped"),
+])
+def test_summary_names_the_field_of_a_digest_valid_bundle(tmp_path, changes,
+                                                          field):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(_resealed(**changes)), encoding="utf-8")
+    bundle = load_bundle(str(path))  # the digest is right; the shape is not
+    with pytest.raises(ReproError, match=field):
+        summarize_bundle(bundle)
 
 
 def test_summary_counts_rings_and_recovery():

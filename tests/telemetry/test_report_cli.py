@@ -89,6 +89,17 @@ def test_bundle_mode_fails_on_invalid_bundle(tmp_path, capsys):
     assert "nope" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]", "{}"])
+def test_bundle_mode_reports_malformed_files_without_a_traceback(
+        tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_text(content, encoding="utf-8")
+    assert main(["report", "--bundle", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("INVALID bundle: ") and str(bad) in err
+
+
 def test_legacy_flat_invocation_still_works(capsys):
     """The pre-existing ``python -m repro.telemetry`` surface (recipe
     tracing) must keep its contract alongside the new subcommand."""
