@@ -206,7 +206,7 @@ RULES: Dict[str, Rule] = {
             "module-level assignment line (or keep the state on an "
             "object a core owns); cores of a sharded run share or fork "
             "undeclared module state without anyone deciding which",
-            ("sim", "kernel", "schedulers", "core", "distributed"),
+            ("sim", "kernel", "schedulers", "core"),
         ),
         Rule(
             "RPR012",
@@ -218,7 +218,7 @@ RULES: Dict[str, Rule] = {
             "repro.shard (ShardedEngine's mp backend), whose epoch "
             "barriers re-serialize every cross-core effect into a "
             "canonical order",
-            ("sim", "kernel", "schedulers", "core", "distributed"),
+            ("sim", "kernel", "schedulers", "core"),
         ),
         Rule(
             "RPR013",

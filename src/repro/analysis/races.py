@@ -14,15 +14,12 @@ Barrier seams are the places cross-owner mutation is *by design*:
 
 * ``ipc.reply`` -- a server completing an RPC wakes the blocked client,
   which may live on another kernel;
-* ``ipc.deliver`` -- message delivery wakes a receiver that may have
-  been re-placed on another kernel while blocked;
-* ``cluster.migrate`` / ``cluster.evacuate`` -- the rebalancer moves a
-  thread between nodes (the thread is re-tagged to its new owner);
-* ``cluster.crash`` -- node failure kills or re-places every thread of
-  the dead node;
+* ``ipc.deliver`` -- message delivery wakes a receiver on the port's
+  kernel, wherever the sender runs;
 * ``shard.barrier`` / ``shard.migrate`` / ``shard.crash`` -- the sharded
   engine applying barrier payloads on the target core, and the
-  kill-here-respawn-there operations that ride them.
+  kill-here-respawn-there operations that ride them (a moved thread is
+  a new thread, tagged with the kernel that builds it).
 
 :data:`DECLARED_SEAMS` is the one seam table: entering a name outside
 it raises, and ``tests/analysis/test_races.py`` checks it against the
@@ -30,7 +27,7 @@ it raises, and ``tests/analysis/test_races.py`` checks it against the
 
 The tracker is deliberately injection-based: activating it assigns the
 singleton into ``_race_tracker`` module globals inside the kernel,
-thread, IPC, and cluster modules, so the deterministic zones never
+thread, IPC, and shard-router modules, so the deterministic zones never
 import :mod:`repro.analysis` (no import cycles, and the inactive
 per-dispatch cost is one ``is None`` test).
 """
@@ -51,9 +48,6 @@ __all__ = ["DECLARED_SEAMS", "OwnerToken", "RaceTracker", "tracker"]
 DECLARED_SEAMS = frozenset({
     "ipc.reply",
     "ipc.deliver",
-    "cluster.migrate",
-    "cluster.evacuate",
-    "cluster.crash",
     # Sharded multicore engine (repro.shard): barrier payload
     # application on the target core, and the restart-migration /
     # crash-evacuation operations that kill on one core and respawn
@@ -106,14 +100,13 @@ class RaceTracker:
 
     def activate(self) -> None:
         """Arm the tracker and inject it into the deterministic zones."""
-        from repro.distributed import cluster as cluster_module
         from repro.kernel import ipc as ipc_module
         from repro.kernel import kernel as kernel_module
         from repro.kernel import thread as thread_module
         from repro.shard import router as shard_router_module
 
         for module in (kernel_module, thread_module, ipc_module,
-                       cluster_module, shard_router_module):
+                       shard_router_module):
             module._race_tracker = self
         self.active = True
 
@@ -140,10 +133,6 @@ class RaceTracker:
 
     def tag(self, obj: object, kernel: object) -> None:
         """Record ``kernel`` as the owner of ``obj`` (attach time)."""
-        self._owners[id(obj)] = self.token_for(kernel)
-
-    def retag(self, obj: object, kernel: object) -> None:
-        """Transfer ownership (migration/evacuation seams)."""
         self._owners[id(obj)] = self.token_for(kernel)
 
     def owner_of(self, obj: object) -> Optional[OwnerToken]:

@@ -380,8 +380,6 @@ def check_run_queue(kernel: "Kernel") -> List[str]:
             )
 
     for thread in kernel.threads:
-        if thread.kernel is not kernel:
-            continue  # migrated to another cluster node
         on_queue = id(thread) in queued_ids
         if thread.state is ThreadState.RUNNABLE and not on_queue:
             violations.append(

@@ -44,8 +44,8 @@ def main(argv=None) -> int:
         print(f"restored and verified at t={restored.now:g}ms")
     original.advance(args.run_until)
     restored.advance(args.run_until)
-    left = original.components["recorder"].entries
-    right = restored.components["recorder"].entries
+    left = original.stream()
+    right = restored.stream()
     divergence = diff_streams(left, right)
     print(f"continued both runs to t={args.run_until:g}ms "
           f"({len(left)} dispatches)")

@@ -8,9 +8,10 @@ restore-by-re-execution design (see :mod:`repro.checkpoint.registry`).
 * ``lottery-mix`` -- one lottery kernel running heterogeneously funded
   spinners plus a sleeper; the smallest interesting system, used by the
   round-trip property tests.
-* ``chaos-fairness`` -- the chaos experiment's cluster (spinners,
-  pinned victim, armed fault injector); the system the acceptance
-  criterion crashes, restores, and replays.
+* ``chaos-fairness`` -- the sharded engine running the chaos
+  experiment's plan (spinners, a pinned victim, crash/restart ops,
+  barrier-time rebalancing); the system the acceptance criterion
+  crashes, restores, and replays.
 * ``shard-mix`` -- the sharded multicore engine running the kitchen-
   sink ``mix_plan`` (cross-core RPC, optional scripted migration and
   crash); checkpoints taken at epoch barriers restore bit-exact on any
@@ -20,7 +21,7 @@ restore-by-re-execution design (see :mod:`repro.checkpoint.registry`).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 from repro.checkpoint.registry import SimHandle, register_recipe
 from repro.checkpoint.replay import ReplayRecorder
@@ -82,12 +83,21 @@ def lottery_mix(seed: int = 1, quantum: float = 100.0,
 
 
 @register_recipe("chaos-fairness")
-def chaos_fairness(seed: int = 2718, nodes: int = 3,
-                   plan: Optional[Dict[str, Any]] = None) -> SimHandle:
-    """The chaos experiment's cluster (see ``experiments.chaos_fairness``)."""
-    from repro.experiments.chaos_fairness import build_sim
+def chaos_fairness(seed: int = 2718, cores: int = 3) -> SimHandle:
+    """The chaos experiment's plan on the inline sharded engine (see
+    ``experiments.chaos_fairness``); times must land on its 500 ms
+    epoch grid."""
+    from repro.experiments.chaos_fairness import chaos_plan
+    from repro.shard.engine import ShardedEngine
 
-    return build_sim(seed=seed, nodes=nodes, plan=plan)
+    engine = ShardedEngine(chaos_plan(seed=seed, cores=cores))
+    return SimHandle(
+        recipe="chaos-fairness",
+        args={"seed": seed, "cores": cores},
+        engine=engine,
+        components={"sharded": engine},
+        advance=engine.advance,
+    )
 
 
 @register_recipe("shard-mix")

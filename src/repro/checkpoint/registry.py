@@ -25,6 +25,7 @@ checkpoints that miss it.
 
 from __future__ import annotations
 
+import inspect
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.errors import CheckpointError
@@ -87,21 +88,26 @@ class SimHandle:
 
     def kernels(self) -> List[Any]:
         """Every kernel in the system (for the sanitizer gate)."""
-        from repro.distributed.cluster import Cluster
         from repro.kernel.kernel import Kernel
 
         found: List[Any] = []
         for component in self.components.values():
             if isinstance(component, Kernel):
                 found.append(component)
-            elif isinstance(component, Cluster):
-                found.extend(node.kernel for node in component.nodes)
             elif hasattr(component, "shard_kernels"):
                 # Sharded engines expose their in-process kernels (the
                 # mp backend's live in workers and report an empty
                 # list; those sanitize themselves worker-side).
                 found.extend(component.shard_kernels())
         return found
+
+    def stream(self) -> List[Dict[str, Any]]:
+        """The run's dispatch stream: a sharded engine's merged stream,
+        else the ``recorder`` component's entries."""
+        for component in self.components.values():
+            if hasattr(component, "merged_stream"):
+                return component.merged_stream()
+        return self.components["recorder"].entries
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<SimHandle recipe={self.recipe!r} t={self.now:g}ms "
@@ -146,6 +152,12 @@ def build_recipe(name: str, args: Dict[str, Any]) -> SimHandle:
         raise CheckpointError(
             f"unknown recipe {name!r}; registered: {sorted(_RECIPES)}"
         ) from None
+    taken = inspect.signature(builder).parameters
+    unknown = sorted(set(args) - set(taken))
+    if unknown:
+        raise CheckpointError(
+            f"args {unknown} are not parameters of recipe {name!r}; it "
+            f"takes {sorted(taken)}")
     handle = builder(**args)
     if not isinstance(handle, SimHandle):
         raise CheckpointError(
@@ -228,12 +240,6 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
         # forbidden from mutating scheduling state.
         "transient": {"kernel", "ledger", "_members", "_dirty", "draw_hook"},
     },
-    "repro.distributed.cluster.Cluster": {
-        "covered": {"engine", "ledger", "rebalance_period", "migrations",
-                    "migration_rollbacks", "node_crashes", "node_restarts",
-                    "threads_killed", "evacuations", "nodes", "_placement"},
-        "transient": {"recorder", "telemetry"},
-    },
     "repro.iosched.disk.Disk": {
         "covered": {"scheduler", "prng", "tickets", "_head_sector", "_busy",
                     "busy_time", "_queues", "_rr_order", "completed",
@@ -252,7 +258,7 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
     },
     "repro.faults.injector.FaultInjector": {
         "covered": {"plan", "_prng", "applied", "_armed"},
-        "transient": {"cluster", "kernels", "disks", "engine", "telemetry"},
+        "transient": {"kernels", "disks", "engine"},
     },
     "repro.telemetry.spans.SpanTracer": {
         "covered": {"max_spans", "strict", "_next_sid", "dropped_spans"},

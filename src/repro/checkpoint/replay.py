@@ -42,7 +42,7 @@ class ReplayRecorder:
     """Kernel recorder logging the dispatch stream for replay diffing.
 
     Implements the full recorder protocol so it can sit in the single
-    recorder slot of a kernel or cluster; only dispatches enter the
+    recorder slot of a kernel; only dispatches enter the
     stream (they are the decisions), but block/wake/exit transitions
     are counted so two runs can also be compared coarsely.
     """

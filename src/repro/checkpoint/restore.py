@@ -25,7 +25,7 @@ from repro.checkpoint.capture import capture_tree, sanitize_handle
 from repro.checkpoint.registry import SimHandle, build_recipe
 from repro.checkpoint.statetree import (diff_trees, format_mismatches,
                                         read_checkpoint_file)
-from repro.errors import DivergenceError
+from repro.errors import CheckpointError, DivergenceError
 
 __all__ = ["restore", "restore_payload", "verify_against"]
 
@@ -44,9 +44,14 @@ def verify_against(handle: SimHandle, payload: Dict[str, Any]) -> None:
 
 
 def restore_payload(payload: Dict[str, Any], verify: bool = True,
-                    sanitize: bool = True) -> SimHandle:
-    """Rebuild a live system from a validated payload."""
-    handle = build_recipe(payload["recipe"], payload["args"])
+                    sanitize: bool = True,
+                    path: str = "<payload>") -> SimHandle:
+    """Rebuild a live system from a validated payload (read from
+    ``path``, which errors name)."""
+    try:
+        handle = build_recipe(payload["recipe"], payload["args"])
+    except CheckpointError as exc:
+        raise CheckpointError(f"checkpoint {path!r}: {exc}") from None
     handle.advance(payload["time_ms"])
     if verify:
         verify_against(handle, payload)
@@ -64,7 +69,8 @@ def restore(path: str, verify: bool = True, sanitize: bool = True
     payload it was restored from.
     """
     payload = read_checkpoint_file(path)
-    handle = restore_payload(payload, verify=verify, sanitize=sanitize)
+    handle = restore_payload(payload, verify=verify, sanitize=sanitize,
+                             path=path)
     _notify_telemetry("restore", handle.now, payload.get("checksum"), path)
     return handle, payload
 

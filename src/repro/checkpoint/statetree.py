@@ -2,9 +2,9 @@
 
 A *state tree* is the plain-data form of a simulated system: nested
 dicts/lists/scalars produced by the ``snapshot_state()`` seams that
-every stateful component exposes (engine, schedulers, kernel, cluster,
-disks, memory, injector).  This module gives the trees their on-disk
-contract:
+every stateful component exposes (engine, schedulers, kernel, shard
+cores, disks, memory, injector).  This module gives the trees their
+on-disk contract:
 
 * **canonical encoding** -- one byte-exact JSON rendering per tree
   (sorted keys, no whitespace, NaN/Infinity rejected), so checksums and
@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import CheckpointError
 
@@ -181,7 +182,8 @@ def write_checkpoint_file(path: str, payload: Dict[str, Any]) -> None:
 
 
 def read_checkpoint_file(path: str) -> Dict[str, Any]:
-    """Load and *validate* a checkpoint: format, version, checksum.
+    """Load and *validate* a checkpoint: format, version, checksum,
+    and the types of the fields restore acts on.
 
     A file that fails any check raises :class:`CheckpointError`; a
     corrupted checkpoint is never silently loaded.
@@ -221,6 +223,18 @@ def read_checkpoint_file(path: str) -> Dict[str, Any]:
             f"checksum {payload['checksum']!r} != computed {expected!r} "
             f"(file is corrupted or was edited; refusing to load)"
         )
+    # A valid checksum vouches for the bytes, not for who wrote them.
+    if not isinstance(payload["recipe"], str):
+        raise CheckpointError(f"checkpoint {path!r} field 'recipe' must be "
+                              f"a string: {payload['recipe']!r}")
+    if not isinstance(payload["args"], dict):
+        raise CheckpointError(f"checkpoint {path!r} field 'args' must be "
+                              f"an object: {payload['args']!r}")
+    time_ms = payload["time_ms"]
+    if isinstance(time_ms, bool) or not isinstance(time_ms, (int, float)) \
+            or not math.isfinite(time_ms):
+        raise CheckpointError(f"checkpoint {path!r} field 'time_ms' must be "
+                              f"a finite number: {time_ms!r}")
     return payload
 
 

@@ -358,7 +358,12 @@ class TreeLottery(Generic[ClientT]):
         slot, levels = self._find_prefix(winning)
         self.stats.draws += 1
         self.stats.comparisons += levels
-        client = self._clients[slot]
+        try:
+            client = self._clients[slot]
+        except IndexError:
+            # A subnormal total can round ``winning`` up to the total
+            # itself; the descent then runs past the last slot.
+            client = None
         if client is None or self._values[slot] <= 0:
             # Float-boundary fallback: scan for the last funded slot.
             for index in range(len(self._values) - 1, -1, -1):

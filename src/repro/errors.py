@@ -109,7 +109,7 @@ class DeterminismRaceError(ReproError):
     sanitizer, active under ``REPRO_SANITIZE=1``) when code running in
     one kernel's execution context mutates an object owned by another
     kernel without passing through a declared barrier seam (IPC reply
-    or delivery, cluster migration/evacuation/crash).  Such mutations
+    or delivery, shard barrier/migration/crash).  Such mutations
     are exactly the ones that become order-dependent -- and therefore
     break bit-exact replay -- once the engine is sharded.
     """

@@ -1,231 +1,173 @@
-"""Chaos experiment: proportional-share fairness under injected faults.
+"""Chaos experiment: proportional-share fairness under core crashes.
 
 The paper's evaluation (Figures 4 and 9) shows lottery scheduling
 tracking ticket ratios on a healthy machine.  This experiment asks the
-distributed-extension question: does the guarantee *recover* when nodes
-crash and rejoin?  A cluster runs heterogeneously funded spinners while
-a seeded :class:`~repro.faults.plan.FaultPlan` crashes nodes and
-restarts them; after every transition we restart the fairness clock and
-watch the windowed max relative error reconverge below a threshold.
+distributed-extension question: does the guarantee *recover* when cores
+crash and rejoin?  A sharded run (:func:`chaos_plan`) spins
+heterogeneously funded threads on three cores while scripted plan ops
+crash cores and restart them; after every transition we restart the
+fairness clock and watch the windowed max relative error reconverge
+below a threshold.
 
 Mechanics of recovery being measured:
 
-* a crash kills the pinned victim thread on the dead node -- its
-  tickets are reclaimed from the shared ledger, so survivors' global
-  shares grow instantly;
-* unpinned runnable threads are evacuated to the least-funded live
-  node, keeping them schedulable;
-* a restart returns an empty node, and the periodic rebalancer
-  repopulates it, re-equalizing per-node ticket totals.
+* a crash kills the pinned victim thread on the dead core -- its
+  tickets die with it, so survivors' global shares grow instantly;
+* unpinned threads are evacuated (respawned on a surviving core at the
+  next barrier), keeping them schedulable;
+* a restart returns an empty core, and the barrier-time rebalancer
+  repopulates it, re-equalizing per-core ticket totals.
 
-Because every source of randomness (lotteries, fault schedule,
-injector dice) is a seeded Park-Miller stream driven by the shared
-virtual clock, two runs with the same seed and plan produce identical
-fault logs, migration counts, and fairness rows -- asserted by
-``tests/faults/test_chaos.py``.
+Every source of randomness is a seeded per-core Park-Miller stream and
+every cross-core effect a barrier payload, so two runs with the same
+seed produce identical fault logs, move counts and fairness rows --
+asserted by ``tests/faults/test_chaos.py``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Dict, List
 
-from repro.checkpoint.registry import SimHandle
-from repro.checkpoint.replay import ReplayRecorder
-from repro.distributed.cluster import Cluster
+from repro.experiments.cluster_fairness import census, fairness_rows
 from repro.experiments.common import ExperimentResult
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultKind, FaultPlan, FaultPlanBuilder
-from repro.kernel.syscalls import Compute
+from repro.shard.engine import ShardedEngine
+from repro.shard.plan import ShardPlan
 
-__all__ = ["default_plan", "build_sim", "run", "run_variant", "main"]
+__all__ = ["chaos_plan", "run", "run_variant", "main"]
 
 #: Reconvergence criterion: windowed max relative error below this.
 RECONVERGENCE_THRESHOLD = 0.15
 
 #: Nominal fundings for the unpinned spinners (base units).  Kept
-#: fine-grained relative to one node's share of the total (~333) so
-#: every node hosts several threads: a node whose sole thread is always
-#: RUNNING could neither donate nor swap, pinning the rebalancer in a
+#: fine-grained relative to one core's share of the total (~333) so
+#: every core hosts several threads: a core whose sole thread is always
+#: running could neither donate nor swap, pinning the rebalancer in a
 #: skewed state.
 FUNDINGS = (150.0, 150.0, 150.0, 100.0, 100.0, 100.0, 100.0, 80.0, 70.0)
 
-
-def _spinner(chunk_ms: float = 20.0):
-    def body(ctx):
-        while True:
-            yield Compute(chunk_ms)
-
-    return body
-
-
-def default_plan(seed: int) -> FaultPlan:
-    """Three crash/restart pairs spread over a 240 s run.
-
-    The first and last crash hit ``node1`` -- home of the pinned victim
-    thread on the first hit -- so the schedule exercises both the
-    kill-and-reclaim path and the evacuate-and-rebalance path.
-    """
-    return (
-        FaultPlanBuilder(seed)
-        .crash_node("node1", at=30_000.0, restart_after=30_000.0)
-        .crash_node("node2", at=100_000.0, restart_after=30_000.0)
-        .crash_node("node1", at=170_000.0, restart_after=30_000.0)
-        .build()
-    )
+#: (core, time) of each crash; the core restarts RESTART_AFTER_MS later.
+#: The first and last crash hit core 1 -- home of the pinned victim on
+#: the first hit -- so the schedule exercises both the kill path and
+#: the evacuate-and-rebalance path.
+CRASHES = ((1, 30_000.0), (2, 100_000.0), (1, 170_000.0))
+RESTART_AFTER_MS = 30_000.0
 
 
-def _window_error(cluster: Cluster, baseline: Dict[int, float],
-                  elapsed_ms: float) -> float:
-    """Max relative error of CPU received *since the window opened*."""
-    entitlements = cluster._entitlements(elapsed_ms)
-    worst = 0.0
-    for node in cluster.nodes:
-        for thread in node.threads:
-            if not thread.alive:
-                continue
-            entitled = entitlements.get(thread.tid, 0.0)
-            if entitled <= 0:
-                continue
-            observed = thread.cpu_time - baseline.get(thread.tid, 0.0)
-            worst = max(worst, abs(observed - entitled) / entitled)
-    return worst
-
-
-def _snapshot(cluster: Cluster) -> Dict[int, float]:
-    return {
-        thread.tid: thread.cpu_time
-        for node in cluster.nodes
-        for thread in node.threads
-        if thread.alive
-    }
-
-
-def build_sim(seed: int = 2718, nodes: int = 3,
-              plan: Optional[Union[FaultPlan, Dict[str, Any]]] = None
-              ) -> SimHandle:
-    """The chaos system as a checkpointable recipe (``chaos-fairness``).
-
-    Builds the cluster, spawns the funded spinners and the pinned
-    victim, and arms the fault injector -- everything :func:`run_variant`
-    needs before driving time forward.  ``plan`` accepts either a live
-    :class:`FaultPlan` or its :meth:`FaultPlan.to_dict` form, so
-    checkpoints restore custom schedules faithfully.
-    """
-    if isinstance(plan, dict):
-        plan = FaultPlan.from_dict(plan)
-    elif plan is None:
-        plan = default_plan(seed)
-    recorder = ReplayRecorder()
-    cluster = Cluster(nodes=nodes, quantum=20.0, rebalance_period=1000.0,
-                      seed=seed, recorder=recorder)
+def chaos_plan(seed: int = 2718, cores: int = 3) -> ShardPlan:
+    """The chaos universe: spinners dealt round-robin, the pinned
+    victim on core 1, 1 s rebalancing on a 500 ms epoch grid (which
+    divides every op time, so any op time is a valid stop), and the
+    :data:`CRASHES` schedule.  A plan cannot see loads, so every crash
+    evacuates to one fixed core, the lowest-numbered other one (the
+    rebalancer spreads the evacuees from there); on a single core there
+    is none and a crash kills every thread.  Core numbers wrap on
+    machines with fewer than three cores."""
+    plan = ShardPlan(seed=seed, cores=cores, quantum=20.0, epoch_ms=500.0,
+                     rebalance_ms=1000.0)
     for index, funding in enumerate(FUNDINGS):
-        cluster.spawn(_spinner(), f"w{index}", tickets=funding)
-    # A pinned thread on the first crash target: it cannot be evacuated,
-    # so the crash must kill it and reclaim its tickets.
-    cluster.spawn(_spinner(), "victim", tickets=100.0,
-                  node=cluster.nodes[1 % nodes], pinned=True)
-    injector = FaultInjector(plan, cluster=cluster).arm()
-    return SimHandle(
-        recipe="chaos-fairness",
-        args={"seed": seed, "nodes": nodes, "plan": plan.to_dict()},
-        engine=cluster.engine,
-        components={"cluster": cluster, "injector": injector,
-                    "recorder": recorder},
-        advance=cluster.run_until,
-    )
+        plan.add_thread(index % cores, "spin", f"w{index}", tickets=funding,
+                        chunk_ms=20.0)
+    plan.add_thread(1 % cores, "spin", "victim", tickets=100.0,
+                    pinned=True, chunk_ms=20.0)
+    for core, at in CRASHES:
+        core %= cores
+        plan.crash(at, core, evacuate_to=min(
+            (other for other in range(cores) if other != core), default=None))
+        plan.restart(at + RESTART_AFTER_MS, core)
+    return plan
 
 
-def run_variant(seed: int = 2718, nodes: int = 3,
+def run_variant(seed: int = 2718, cores: int = 3,
                 duration_ms: float = 240_000.0,
-                sample_period_ms: float = 5_000.0,
-                plan: Optional[FaultPlan] = None,
-                instrument: Optional[Callable[[Any], Any]] = None
-                ) -> Dict[str, Any]:
+                sample_period_ms: float = 5_000.0) -> Dict[str, Any]:
     """One chaos run; returns raw data for tests and :func:`run`.
 
-    The result dict holds the live ``cluster`` and ``injector`` plus:
-    ``rows`` (windowed error samples), ``windows`` (one record per
-    fairness window with its reconvergence time), ``fault_log`` (the
-    injector's stable application log), and the final window error.
-    ``instrument`` is called with the built handle before time moves
-    (the telemetry attach point: observation only, zero events run).
+    The result dict holds the ``plan`` plus: ``rows`` (windowed error
+    samples), ``windows`` (one record per fairness window with its
+    reconvergence time), ``fault_log`` (one line per op, with what it
+    did), ``counters`` (crashes, restarts, evacuations, casualties and
+    migrations) and the final window error.
     """
-    handle = build_sim(seed=seed, nodes=nodes, plan=plan)
-    if instrument is not None:
-        instrument(handle)
-    cluster: Cluster = handle.components["cluster"]
-    injector: FaultInjector = handle.components["injector"]
-    plan = injector.plan
-
-    transition_kinds = (FaultKind.NODE_CRASH, FaultKind.NODE_RESTART)
-    transitions = {
-        event.time: event
-        for event in plan
-        if event.kind in transition_kinds and event.time < duration_ms
-    }
-    samples = [
-        k * sample_period_ms
-        for k in range(1, int(duration_ms / sample_period_ms) + 1)
-    ]
+    plan = chaos_plan(seed=seed, cores=cores)
+    transitions = {op["at"]: op for op in plan.ops if op["at"] < duration_ms}
+    samples = [k * sample_period_ms
+               for k in range(1, int(duration_ms / sample_period_ms) + 1)]
     checkpoints = sorted(set(samples) | set(transitions) | {duration_ms})
 
     rows: List[Dict[str, Any]] = []
     windows: List[Dict[str, Any]] = [
         {"start_ms": 0.0, "cause": "start", "reconverged_at_ms": None}
     ]
-    baseline = _snapshot(cluster)
-    for checkpoint in checkpoints:
-        cluster.run_until(checkpoint)
-        if checkpoint in transitions:
-            event = transitions[checkpoint]
-            windows.append({
-                "start_ms": checkpoint,
-                "cause": f"{event.kind} {event.target}",
-                "reconverged_at_ms": None,
-            })
-            baseline = _snapshot(cluster)
-            continue
-        window = windows[-1]
-        elapsed = checkpoint - window["start_ms"]
-        if elapsed <= 0:
-            continue
-        error = _window_error(cluster, baseline, elapsed)
-        rows.append({
-            "t_ms": checkpoint,
-            "window_start_ms": window["start_ms"],
-            "live_nodes": len(cluster.alive_nodes),
-            "max_rel_err": error,
-        })
-        if (window["reconverged_at_ms"] is None
-                and error < RECONVERGENCE_THRESHOLD):
-            window["reconverged_at_ms"] = checkpoint
+    fault_log: List[str] = []
+    counters = {"crashes": 0, "restarts": 0}
+    with ShardedEngine(plan) as engine:
+        threads, before = census(engine)
+        baseline = {name: row["cpu_ms"] for name, row in threads.items()}
+        for checkpoint in checkpoints:
+            engine.advance(checkpoint)
+            threads, after = census(engine)
+            if checkpoint in transitions:
+                op = transitions[checkpoint]
+                core = op["core"]
+                was, now = before[core]["crashed"], after[core]["crashed"]
+                if op["op"] == "crash" and now and not was:
+                    counters["crashes"] += 1
+                    detail = " ".join(
+                        f"{key}={after[core][key] - before[core][key]}"
+                        for key in ("evacuations", "casualties"))
+                elif op["op"] == "restart" and was and not now:
+                    counters["restarts"] += 1
+                    detail = "rejoined"
+                else:
+                    detail = "skipped"
+                cause = f"{op['op']} core{core}"
+                fault_log.append(f"t={checkpoint:g} {cause} [{detail}]")
+                windows.append({"start_ms": checkpoint, "cause": cause,
+                                "reconverged_at_ms": None})
+                baseline = {name: row["cpu_ms"]
+                            for name, row in threads.items()}
+            else:
+                window = windows[-1]
+                elapsed = checkpoint - window["start_ms"]
+                live_cores = sum(not shard["crashed"] for shard in after)
+                error = max((row["relative_error"] for row in fairness_rows(
+                    threads, live_cores, elapsed, baseline)), default=0.0)
+                rows.append({
+                    "t_ms": checkpoint,
+                    "window_start_ms": window["start_ms"],
+                    "live_cores": live_cores,
+                    "max_rel_err": error,
+                })
+                if (window["reconverged_at_ms"] is None
+                        and error < RECONVERGENCE_THRESHOLD):
+                    window["reconverged_at_ms"] = checkpoint
+            before = after
+    for key in ("evacuations", "casualties", "migrations_out"):
+        counters[key] = sum(shard[key] for shard in before)
     return {
-        "handle": handle,
-        "cluster": cluster,
-        "injector": injector,
         "plan": plan,
         "rows": rows,
         "windows": windows,
-        "fault_log": injector.applied_log(),
+        "fault_log": fault_log,
+        "counters": counters,
         "final_error": rows[-1]["max_rel_err"] if rows else 0.0,
     }
 
 
-def run(seed: int = 2718, nodes: int = 3, duration_ms: float = 240_000.0,
-        sample_period_ms: float = 5_000.0,
-        plan: Optional[FaultPlan] = None) -> ExperimentResult:
-    """Fairness reconvergence under a seeded crash/restart schedule."""
-    data = run_variant(seed=seed, nodes=nodes, duration_ms=duration_ms,
-                       sample_period_ms=sample_period_ms, plan=plan)
-    cluster: Cluster = data["cluster"]
+def run(seed: int = 2718, cores: int = 3, duration_ms: float = 240_000.0,
+        sample_period_ms: float = 5_000.0) -> ExperimentResult:
+    """Fairness reconvergence under a scripted crash/restart schedule."""
+    data = run_variant(seed=seed, cores=cores, duration_ms=duration_ms,
+                       sample_period_ms=sample_period_ms)
+    counters = data["counters"]
     result = ExperimentResult(
-        name="Chaos: fairness reconvergence under node crashes",
+        name="Chaos: fairness reconvergence under core crashes",
         params={
-            "nodes": nodes,
+            "cores": cores,
             "duration_ms": duration_ms,
             "sample_period_ms": sample_period_ms,
             "threshold": RECONVERGENCE_THRESHOLD,
-            "plan": data["plan"].signature().replace("\n", "; "),
+            "plan": data["plan"].checksum()[:16],
         },
     )
     result.rows = list(data["rows"])
@@ -245,11 +187,11 @@ def run(seed: int = 2718, nodes: int = 3, duration_ms: float = 240_000.0,
                 f"reconverged after "
                 f"{reconverged - window['start_ms']:g} ms"
             )
-    result.summary["migrations"] = cluster.migrations
-    result.summary["evacuations"] = cluster.evacuations
-    result.summary["threads killed"] = cluster.threads_killed
-    result.summary["node crashes/restarts"] = (
-        f"{cluster.node_crashes}/{cluster.node_restarts}"
+    result.summary["migrations"] = counters["migrations_out"]
+    result.summary["evacuations"] = counters["evacuations"]
+    result.summary["casualties"] = counters["casualties"]
+    result.summary["core crashes/restarts"] = (
+        f"{counters['crashes']}/{counters['restarts']}"
     )
     result.summary["final window max relative error"] = (
         f"{data['final_error']:.3f}"

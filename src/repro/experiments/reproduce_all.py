@@ -10,11 +10,11 @@ printing PASS/FAIL plus the measured value -- a compact, self-auditing
 version of EXPERIMENTS.md.
 
 ``--checkpoint-every T`` appends a checkpoint/replay verification: the
-chaos system is run with a crash-and-restore at every T virtual ms
-(each checkpoint is saved, the live system is *discarded*, and the run
-continues from the restored copy), and the final dispatch stream must
-be bit-identical to an uninterrupted reference run -- zero divergence
-(see ``docs/CHECKPOINT.md``).
+chaos system is run with a crash-and-restore at every T virtual ms (a
+multiple of its 500 ms epoch; each checkpoint is saved, the live system
+is *discarded*, and the run continues from the restored copy), and the
+final dispatch stream must be bit-identical to an uninterrupted
+reference run -- zero divergence (see ``docs/CHECKPOINT.md``).
 """
 
 from __future__ import annotations
@@ -301,7 +301,7 @@ def checkpoint_sweep(every_ms: float, duration_ms: float = 60_000.0,
         raise ValueError(f"--checkpoint-every must be positive: {every_ms}")
     reference = build_recipe("chaos-fairness", {"seed": seed})
     reference.advance(duration_ms)
-    expected = reference.components["recorder"].entries
+    expected = reference.stream()
 
     def sweep(workdir: str) -> Tuple[bool, str]:
         live = build_recipe("chaos-fairness", {"seed": seed})
@@ -316,9 +316,7 @@ def checkpoint_sweep(every_ms: float, duration_ms: float = 60_000.0,
             count += 1
             checkpoint_at += every_ms
         live.advance(duration_ms)
-        divergence = diff_streams(
-            expected, live.components["recorder"].entries
-        )
+        divergence = diff_streams(expected, live.stream())
         if divergence is None:
             return True, (f"{count} crash/restore cycles, "
                           f"{len(expected)} dispatches, zero divergence")
@@ -335,28 +333,27 @@ def telemetry_trace(trace_out: str, duration_ms: float = 60_000.0,
                     seed: int = 2718) -> Tuple[bool, str]:
     """Trace a chaos run and export a schema-valid Chrome trace.
 
-    Runs the ``chaos-fairness`` recipe with a
-    :class:`repro.telemetry.Telemetry` hub attached, writes the Chrome
-    trace-event JSON (plus ``.sha256`` sidecar) to ``trace_out``, and
-    validates it against the trace-event schema.  Success means spans
-    were captured and the export is Perfetto-loadable.
+    Runs the chaos plan with the sharded observability plane on, writes
+    the stitched Chrome trace-event JSON (plus ``.sha256`` sidecar) to
+    ``trace_out``, and validates it against the trace-event schema.
+    Success means events were captured and the export is
+    Perfetto-loadable.
     """
-    from repro.checkpoint import build_recipe
-    from repro.telemetry import (Telemetry, export_chrome,
-                                 validate_chrome_trace, write_checksummed)
+    import json
 
-    handle = build_recipe("chaos-fairness", {"seed": seed})
-    hub = Telemetry()
-    hub.instrument_handle(handle)
-    handle.advance(duration_ms)
-    hub.finalize(handle.now)
-    text = export_chrome(hub.tracer)
+    from repro.experiments.chaos_fairness import chaos_plan
+    from repro.shard.engine import ShardedEngine
+    from repro.telemetry import validate_chrome_trace, write_checksummed
+
+    with ShardedEngine(chaos_plan(seed=seed), obs=True) as engine:
+        engine.advance(duration_ms)
+        text = engine.stitched_trace()
     problems = validate_chrome_trace(text)
     digest = write_checksummed(trace_out, text)
-    hub.close()
     if problems:
         return False, f"schema problems: {'; '.join(problems[:3])}"
-    return True, (f"{len(hub.tracer)} spans -> {trace_out} "
+    events = len(json.loads(text)["traceEvents"])
+    return True, (f"{events} events -> {trace_out} "
                   f"sha256={digest[:12]}...")
 
 
@@ -408,8 +405,9 @@ def main() -> None:  # pragma: no cover - CLI convenience
                         help="also verify crash/restore every T virtual ms "
                              "against an uninterrupted reference run")
     parser.add_argument("--trace-out", default=None, metavar="PATH",
-                        help="also trace a chaos run with repro.telemetry "
-                             "and export a Chrome trace-event JSON there")
+                        help="also trace a chaos run with the sharded "
+                             "observability plane and export its "
+                             "stitched Chrome trace there")
     args = parser.parse_args()
     sys.exit(1 if reproduce(quick=not args.full,
                             checkpoint_every=args.checkpoint_every,

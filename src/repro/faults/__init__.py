@@ -4,19 +4,21 @@ The paper's proportional-share guarantees are exercised on a healthy
 substrate; this subsystem makes them survivable.  Three layers:
 
 * :mod:`repro.faults.plan` -- seeded, immutable fault schedules
-  (:class:`FaultPlan`, :class:`FaultPlanBuilder`): node crash/restart,
-  thread kill, clock skew, timer jitter, IPC drop/delay, disk errors;
+  (:class:`FaultPlan`, :class:`FaultPlanBuilder`): thread kill, clock
+  skew, timer jitter, IPC drop/delay, disk errors;
 * :mod:`repro.faults.injector` -- :class:`FaultInjector` applies a plan
-  to a live kernel/cluster/disk through explicit seams, at exact
-  virtual times;
+  to live kernels and disks through explicit seams, at exact virtual
+  times;
 * :mod:`repro.faults.retry` -- bounded, virtual-time exponential
   backoff (:class:`RetryPolicy`, :func:`execute_with_retry`) wired into
-  IPC retransmission, disk resubmission, and cluster migration.
+  IPC retransmission and disk resubmission.
 
 Everything is driven by the discrete-event engine's clock and
 Park-Miller streams, so a chaos run replays bit-for-bit: same seed and
-plan, same migrations, same fault timestamps, same fairness report.
-See ``docs/FAULTS.md`` for the full taxonomy and determinism contract.
+plan, same fault timestamps, same outcome.  Whole cores crashing and
+restarting are ``crash`` / ``restart`` ops of a sharded plan
+(:mod:`repro.shard.plan`).  See ``docs/FAULTS.md`` for the full
+taxonomy and determinism contract.
 """
 
 from repro.faults.injector import FaultInjector, IpcFaultModel

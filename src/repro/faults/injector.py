@@ -6,8 +6,6 @@ explicit seam the target components expose:
 =============  ==========================================================
 Fault          Seam
 =============  ==========================================================
-node-crash     :meth:`repro.distributed.cluster.Cluster.crash_node`
-node-restart   :meth:`repro.distributed.cluster.Cluster.restart_node`
 thread-kill    :meth:`repro.kernel.kernel.Kernel.kill`
 clock-skew     ``Kernel.quantum_jitter`` (quantum-mapping callable)
 timer-jitter   ``Kernel.quantum_jitter`` with a seeded noise stream
@@ -24,15 +22,15 @@ Every application is appended to :attr:`FaultInjector.applied` as a
 under the same plan produce identical logs, which is what the
 determinism tests assert.
 
-Faults that cannot apply (crashing an already-dead node, killing an
-already-exited thread) are recorded as skipped rather than raised:
+Faults that cannot apply (killing an already-exited thread) are
+recorded as skipped rather than raised:
 a chaos schedule races the workload by design, and e.g. the target
 thread finishing first is a legitimate outcome, not a planning error.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.prng import ParkMillerPRNG
 from repro.errors import FaultError, ReproError
@@ -42,7 +40,6 @@ from repro.kernel.kernel import Kernel
 from repro.sim.engine import Engine
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.distributed.cluster import Cluster
     from repro.iosched.disk import Disk, DiskRequest
     from repro.kernel.ipc import Port, Request
     from repro.kernel.thread import Thread
@@ -141,42 +138,28 @@ class FaultInjector:
     ----------
     plan:
         The fault schedule.
-    cluster:
-        Optional :class:`~repro.distributed.cluster.Cluster`; its nodes
-        become named targets (``node0`` ...) and supply the engine.
     kernels:
-        Extra named kernels (for single-machine chaos without a
-        cluster), e.g. ``{"kernel": kernel}``.
+        Named kernels the events target, e.g. ``{"kernel": kernel}``.
     disks:
         Named disks for ``disk-errors`` events.
     engine:
-        Required only when no cluster is given.
+        The event loop the faults fire on.
     """
 
-    def __init__(self, plan: FaultPlan, cluster: Optional["Cluster"] = None,
+    def __init__(self, plan: FaultPlan,
                  kernels: Optional[Dict[str, Kernel]] = None,
                  disks: Optional[Dict[str, "Disk"]] = None,
                  engine: Optional[Engine] = None) -> None:
         self.plan = plan
-        self.cluster = cluster
         self.kernels: Dict[str, Kernel] = dict(kernels or {})
-        if cluster is not None:
-            for node in cluster.nodes:
-                self.kernels.setdefault(node.name, node.kernel)
         self.disks: Dict[str, "Disk"] = dict(disks or {})
-        if engine is not None:
-            self.engine = engine
-        elif cluster is not None:
-            self.engine = cluster.engine
-        else:
-            raise FaultError("injector needs an engine or a cluster")
+        if engine is None:
+            raise FaultError("injector needs an engine")
+        self.engine = engine
         #: (virtual time, description) per applied (or skipped) fault.
         self.applied: List[Tuple[float, str]] = []
         self._prng = ParkMillerPRNG(plan.seed).spawn()
         self._armed = False
-        #: Optional repro.telemetry.probe.Telemetry hub notified per
-        #: applied fault; installed by Telemetry.instrument_injector.
-        self.telemetry = None
 
     # -- arming --------------------------------------------------------------
 
@@ -199,28 +182,14 @@ class FaultInjector:
         try:
             detail = handler(self, event)
         except FaultError:
-            # Misconfiguration (unknown target, no cluster): fail loud.
+            # Misconfiguration (unknown target): fail loud.
             raise
         except ReproError as exc:
-            # A fault that lost its race (node already down, ...) is a
-            # legitimate chaos outcome; record it instead of blowing up
-            # the engine loop.
+            # A fault that lost its race is a legitimate chaos outcome;
+            # record it instead of blowing up the engine loop.
             detail = f"skipped: {exc}"
         self.applied.append(
             (self.engine.now, f"{event.describe(with_time=False)} [{detail}]")
-        )
-        if self.telemetry is not None:
-            self.telemetry.on_fault(event, detail, self.engine.now)
-
-    def _node(self, name: str):
-        if self.cluster is None:
-            raise FaultError(f"no cluster attached; cannot target {name!r}")
-        for node in self.cluster.nodes:
-            if node.name == name:
-                return node
-        raise FaultError(
-            f"unknown node {name!r}; have "
-            f"{[n.name for n in self.cluster.nodes]}"
         )
 
     def _kernel(self, name: str) -> Kernel:
@@ -249,26 +218,11 @@ class FaultInjector:
 
     # -- per-kind handlers ---------------------------------------------------
 
-    def _apply_node_crash(self, event: FaultEvent) -> str:
-        node = self._node(event.target)
-        before_kills = self.cluster.threads_killed
-        before_evac = self.cluster.evacuations
-        self.cluster.crash_node(node)
-        return (f"evacuated={self.cluster.evacuations - before_evac} "
-                f"killed={self.cluster.threads_killed - before_kills}")
-
-    def _apply_node_restart(self, event: FaultEvent) -> str:
-        node = self._node(event.target)
-        self.cluster.restart_node(node)
-        return "rejoined"
-
     def _apply_thread_kill(self, event: FaultEvent) -> str:
         thread = self._find_thread(event.target)
         if thread is None:
             return "skipped: no live thread by that name"
         thread.kernel.kill(thread)
-        if self.cluster is not None:
-            self.cluster._prune_exited()
         return "killed"
 
     def _install_quantum_map(self, kernel: Kernel,
@@ -357,8 +311,6 @@ class FaultInjector:
         return (f"error_rate={rate:g} for {event.params['duration']:g}ms")
 
     _HANDLERS: Dict[str, Callable[["FaultInjector", FaultEvent], str]] = {
-        FaultKind.NODE_CRASH: _apply_node_crash,
-        FaultKind.NODE_RESTART: _apply_node_restart,
         FaultKind.THREAD_KILL: _apply_thread_kill,
         FaultKind.CLOCK_SKEW: _apply_clock_skew,
         FaultKind.TIMER_JITTER: _apply_timer_jitter,

@@ -2,26 +2,23 @@
 
 A :class:`FaultPlan` is an immutable, time-sorted list of
 :class:`FaultEvent` objects -- *when* each fault fires, *what* kind it
-is, and *which* component it targets.  Plans are either written out
-explicitly through the :class:`FaultPlanBuilder`'s declarative methods
-or derived from a Park-Miller stream (:meth:`FaultPlanBuilder.random_crashes`),
-so the same seed always yields the same schedule: a chaos run is an
-ordinary deterministic simulation whose inputs happen to include
-failures.
+is, and *which* component it targets -- written out through the
+:class:`FaultPlanBuilder`'s declarative methods.  Its seed roots the
+injector's own Park-Miller stream (per-fault noise and dice), so a
+chaos run is an ordinary deterministic simulation whose inputs happen
+to include failures.
 
 The plan is pure data.  Applying it to a live system is the job of
 :class:`repro.faults.injector.FaultInjector`, which registers one
 engine callback per event; nothing here touches the kernel.
 
-Fault taxonomy (see ``docs/FAULTS.md``):
+Fault taxonomy (see ``docs/FAULTS.md``; a whole core crashing and
+restarting is a ``crash`` / ``restart`` op of a sharded plan,
+:class:`repro.shard.plan.ShardPlan`):
 
 ==============  =========================================================
 Kind            Meaning
 ==============  =========================================================
-node-crash      a cluster node fails: pinned/blocked threads die (their
-                tickets are reclaimed), unpinned runnable threads are
-                re-placed on the least-funded live node
-node-restart    a crashed node rejoins placement and rebalancing
 thread-kill     one thread is terminated, tickets reclaimed
 clock-skew      a kernel's quantum is scaled by ``factor`` for a window
 timer-jitter    a kernel's quantum gets uniform +/- ``amplitude_ms``
@@ -40,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.prng import ParkMillerPRNG
 from repro.errors import FaultError
 
 __all__ = ["FaultKind", "FaultEvent", "FaultPlan", "FaultPlanBuilder"]
@@ -49,8 +45,6 @@ __all__ = ["FaultKind", "FaultEvent", "FaultPlan", "FaultPlanBuilder"]
 class FaultKind:
     """String constants naming the supported fault kinds."""
 
-    NODE_CRASH = "node-crash"
-    NODE_RESTART = "node-restart"
     THREAD_KILL = "thread-kill"
     CLOCK_SKEW = "clock-skew"
     TIMER_JITTER = "timer-jitter"
@@ -58,8 +52,8 @@ class FaultKind:
     IPC_DELAY = "ipc-delay"
     DISK_ERRORS = "disk-errors"
 
-    ALL = (NODE_CRASH, NODE_RESTART, THREAD_KILL, CLOCK_SKEW, TIMER_JITTER,
-           IPC_DROP, IPC_DELAY, DISK_ERRORS)
+    ALL = (THREAD_KILL, CLOCK_SKEW, TIMER_JITTER, IPC_DROP, IPC_DELAY,
+           DISK_ERRORS)
 
 
 @dataclass(frozen=True)
@@ -186,18 +180,15 @@ class FaultPlanBuilder:
     schedules chain::
 
         plan = (FaultPlanBuilder(seed=7)
-                .crash_node("node1", at=30_000, restart_after=20_000)
-                .drop_ipc("node0", at=10_000, duration=5_000, drop_rate=0.3)
+                .kill_thread("worker", at=30_000)
+                .drop_ipc("kernel", at=10_000, duration=5_000, drop_rate=0.3)
                 .build())
 
-    The builder owns a Park-Miller stream seeded with ``seed``; the
-    ``random_*`` methods draw from it, so generated schedules replay
-    bit-for-bit for a given seed and call sequence.
+    ``seed`` becomes the plan's: it roots the injector's noise streams.
     """
 
     def __init__(self, seed: int = 1) -> None:
         self.seed = int(seed)
-        self._prng = ParkMillerPRNG(self.seed)
         self._events: List[FaultEvent] = []
 
     # -- generic ------------------------------------------------------------
@@ -209,43 +200,6 @@ class FaultPlanBuilder:
         _require(time >= 0, f"fault time must be >= 0: {time}")
         _require(bool(target), "fault target must be non-empty")
         self._events.append(FaultEvent(float(time), kind, target, params))
-        return self
-
-    # -- node lifecycle -----------------------------------------------------
-
-    def crash_node(self, node: str, at: float,
-                   restart_after: Optional[float] = None) -> "FaultPlanBuilder":
-        """Crash ``node`` at ``at``; optionally restart it later."""
-        self.add(at, FaultKind.NODE_CRASH, node)
-        if restart_after is not None:
-            _require(restart_after > 0,
-                     f"restart_after must be positive: {restart_after}")
-            self.add(at + restart_after, FaultKind.NODE_RESTART, node)
-        return self
-
-    def restart_node(self, node: str, at: float) -> "FaultPlanBuilder":
-        """Restart a crashed ``node`` at ``at``."""
-        return self.add(at, FaultKind.NODE_RESTART, node)
-
-    def random_crashes(self, nodes: Sequence[str], count: int,
-                       start: float, end: float,
-                       restart_after: Optional[float] = None
-                       ) -> "FaultPlanBuilder":
-        """``count`` seeded crash(/restart) events over [start, end).
-
-        Crash times are uniform draws from the builder's Park-Miller
-        stream, sorted; victims are drawn uniformly from ``nodes``.
-        The same builder seed reproduces the same schedule.
-        """
-        _require(bool(nodes), "random_crashes needs at least one node")
-        _require(count >= 0, f"count must be >= 0: {count}")
-        _require(end > start >= 0, f"need end > start >= 0: [{start}, {end})")
-        times = sorted(
-            start + self._prng.uniform() * (end - start) for _ in range(count)
-        )
-        for time in times:
-            victim = self._prng.choice(list(nodes))
-            self.crash_node(victim, at=time, restart_after=restart_after)
         return self
 
     # -- threads ------------------------------------------------------------

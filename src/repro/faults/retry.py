@@ -12,13 +12,9 @@ Two drivers are provided:
 * :func:`execute_with_retry` -- generic: call ``operation()`` now and,
   while it returns falsy, again after exponentially growing virtual
   delays.  The operation can return :data:`ABORT` to stop retrying when
-  further attempts cannot succeed (e.g. the migrating thread exited).
+  further attempts cannot succeed (e.g. its target is gone for good).
 * :func:`disk_submit_with_retry` -- resubmit a disk request whose
   completion was failed by an injected I/O-error window.
-
-``Cluster.migrate_with_retry`` wires :func:`execute_with_retry` into
-cluster migration so a migration racing a node crash backs off and
-re-attempts (or aborts) instead of stranding the thread.
 """
 
 from __future__ import annotations

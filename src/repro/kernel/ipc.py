@@ -120,14 +120,14 @@ class Request:
         if telemetry is not None:
             telemetry.on_ipc_reply(port, self)
         if self.client.state is ThreadState.EXITED:
-            # The caller was killed (node crash / injected fault) while
+            # The caller was killed (core crash / injected fault) while
             # the RPC was in flight: drop the reply on the floor.  The
             # transfer above is still revoked, so no rights leak.
             port.dead_replies += 1
             return
-        # Wake via client.kernel (not port.kernel): the client may have
-        # been re-placed on another node while blocked.  Crossing into
-        # the client's kernel is a declared barrier seam.  Under a
+        # Wake via client.kernel (not port.kernel): kernels sharing an
+        # engine may call each other's ports.  Crossing into the
+        # client's kernel is a declared barrier seam.  Under a
         # sharded run the client may be a remote-caller stub whose wake
         # must travel as a barrier payload instead of a direct call.
         with _race_seam("ipc.reply"):
@@ -243,8 +243,8 @@ class Port:
             server = self._receivers.popleft()
             self._claim_transfer(request, server)
             # Wake via server.kernel (not self.kernel): receivers, like
-            # clients, may have been re-placed while blocked.  Crossing
-            # into the receiver's kernel is a declared barrier seam.
+            # clients, may live on another kernel.  Crossing into the
+            # receiver's kernel is a declared barrier seam.
             with _race_seam("ipc.deliver"):
                 router = _shard_router
                 if router is not None and router.intercept_wake(server,

@@ -78,8 +78,8 @@ _INSTANT_SYSCALL_ORDER = (
 
 
 def _timer_wake_owner(thread: Thread) -> None:
-    """Sleep-wakeup trampoline: route through the thread's *current*
-    kernel (it may have migrated since the timer was armed)."""
+    """Sleep-wakeup trampoline: route through the thread's own kernel,
+    resolved when the timer fires."""
     thread.kernel.timer_wake(thread)
 
 
@@ -355,7 +355,7 @@ class Kernel:
         The interrupted compute segment's progress is lost (neither
         CPU time nor syscall progress is credited) and the thread is
         re-enqueued RUNNABLE; no compensation is granted -- the thread
-        did not underuse its quantum voluntarily, its node failed.
+        did not underuse its quantum voluntarily, its machine failed.
         Returns the preempted thread, or None when the CPU was idle.
         """
         thread = self.running
@@ -615,10 +615,8 @@ class Kernel:
         return handler(syscall, thread)
 
     def _sys_sleep(self, syscall: sc.Sleep, thread: Thread) -> Any:
-        # Wake via thread.kernel (resolved at fire time, not here): a
-        # cluster rebalancer may migrate the thread to another node
-        # while it sleeps.  timer_wake (not wake) so the timer fizzles
-        # if a fault kills the sleeper before it fires.
+        # timer_wake (not wake) so the timer fizzles if a fault kills
+        # the sleeper before it fires.
         self.engine.call_after(
             syscall.duration,
             _timer_wake_owner,
@@ -710,8 +708,8 @@ class Kernel:
         Captures the dispatch window, run queue (via the policy seam),
         every thread and task, and in-flight IPC on this kernel's
         ports.  The shared ledger and engine are captured by the
-        top-level ``repro.checkpoint.capture`` (a cluster's kernels
-        share both).  Raises :class:`~repro.errors.KernelError` when
+        top-level ``repro.checkpoint.capture`` (kernels may share
+        both).  Raises :class:`~repro.errors.KernelError` when
         the dispatch window fails :meth:`check_dispatch_window` -- a
         checkpoint must never record a stale in-flight dispatch.
         """

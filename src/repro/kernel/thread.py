@@ -123,14 +123,11 @@ class Thread(TicketHolder):
       decay-usage baseline policies.
     """
 
-    # ``pinned`` is assigned by the cluster layer (node placement) and
-    # read with getattr(..., False); it needs a slot here because
-    # TicketHolder-rooted instances carry no __dict__.
     __slots__ = ("tid", "task", "kernel", "priority", "state", "_context",
                  "_generator", "_started", "_pending_send",
                  "current_syscall", "cpu_time", "dispatches",
                  "voluntary_yields", "created_at", "exited_at",
-                 "runnable_since", "pinned")
+                 "runnable_since")
 
     def __init__(
         self,
@@ -174,7 +171,7 @@ class Thread(TicketHolder):
 
         if _race_tracker is not None and _race_tracker.active:
             # Attach-time ownership: this thread belongs to the kernel
-            # that constructed it until a migration seam re-tags it.
+            # that constructed it.
             _race_tracker.tag(self, kernel)
 
     # -- generator stepping ---------------------------------------------------

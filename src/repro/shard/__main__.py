@@ -37,7 +37,8 @@ import sys
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.checkpoint.statetree import tree_checksum
-from repro.errors import ShardError
+from repro.errors import ReproError, ShardError
+from repro.shard.backends import BACKENDS
 from repro.shard.engine import ShardedEngine
 from repro.shard.hostfaults import (
     HostFaultPlan,
@@ -47,12 +48,19 @@ from repro.shard.hostfaults import (
 from repro.shard.plan import ShardPlan, mix_plan, spin_plan
 from repro.shard.supervisor import SupervisorPolicy
 
+
 def _serving(args):
     # Imported lazily: repro.serving pulls in the arena stack, which
     # plain mix/spin runs never need.
     from repro.serving.shardplan import serving_plan
 
     return serving_plan(seed=args.seed, cores=args.cores)
+
+
+def _chaos(args):
+    from repro.experiments.chaos_fairness import chaos_plan
+
+    return chaos_plan(seed=args.seed, cores=args.cores)
 
 
 #: Built-in plans by ``--plan`` name, each built from the parsed
@@ -63,7 +71,25 @@ PLANS = {
                                      with_ops=True),
     "spin": lambda args: spin_plan(seed=args.seed, cores=args.cores),
     "serving": _serving,
+    "chaos": _chaos,
 }
+
+
+def positive_int(text: str) -> int:
+    """argparse type of a core or shard count."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer: {text!r}")
+    return value
+
+
+def _shard_counts(text: str) -> List[int]:
+    """argparse type of ``--shards``: a comma list of positive ints."""
+    return [positive_int(part) for part in text.split(",")]
 
 
 def _run_combo(plan: ShardPlan, backend: str, shards: int, until: float,
@@ -150,14 +176,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Run or verify the deterministic sharded engine.")
     parser.add_argument("command", choices=("run", "verify"))
     parser.add_argument("--plan", choices=sorted(PLANS), default="mix")
-    parser.add_argument("--cores", type=int, default=4)
+    parser.add_argument("--cores", type=positive_int, default=4)
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--until", type=float, default=5000.0)
     parser.add_argument("--backend", default="inline",
-                        help="backend for 'run' (single/inline/mp)")
+                        choices=sorted(BACKENDS),
+                        help="backend for 'run'")
     parser.add_argument("--backends", default="inline,mp",
                         help="comma list for 'verify'")
-    parser.add_argument("--shards", default="1,2,4",
+    parser.add_argument("--shards", type=_shard_counts, default="1,2,4",
                         help="shard counts: one int for 'run', comma "
                              "list for 'verify'")
     parser.add_argument("--supervise", action="store_true",
@@ -200,7 +227,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(implies --obs)")
     args = parser.parse_args(argv)
 
-    plan = PLANS[args.plan](args)
+    try:
+        plan = PLANS[args.plan](args)
+    except ReproError as exc:
+        parser.error(str(exc))
 
     if args.host_faults and not args.supervise:
         parser.error("--host-faults requires --supervise: only the "
@@ -211,15 +241,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--obs and its output flags apply to 'run' only")
 
     if args.command == "run":
-        shards = int(args.shards.split(",")[0])
-        policy = _policy_from_args(args) if args.supervise else None
-        host_faults = (load_host_faults(args.host_faults, shards)
-                       if args.host_faults else None)
-        stream_sha, state_sha, stream, recovery, obs_out = _run_combo(
-            plan, args.backend, shards, args.until,
-            supervise=args.supervise, policy=policy,
-            host_faults=host_faults, obs=obs,
-            flight_dir=args.flight_dir)
+        shards = args.shards[0]
+        try:
+            policy = _policy_from_args(args) if args.supervise else None
+            host_faults = (load_host_faults(args.host_faults, shards)
+                           if args.host_faults else None)
+            stream_sha, state_sha, stream, recovery, obs_out = _run_combo(
+                plan, args.backend, shards, args.until,
+                supervise=args.supervise, policy=policy,
+                host_faults=host_faults, obs=obs,
+                flight_dir=args.flight_dir)
+        except ReproError as exc:
+            parser.error(str(exc))
         mode = " supervised" if args.supervise else ""
         print(f"plan={args.plan} cores={args.cores} backend={args.backend}"
               f"{mode} shards={shards} until={args.until:g}")
@@ -247,12 +280,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     combos: List[Dict[str, Any]] = []
     for backend in args.backends.split(","):
-        for shard_text in args.shards.split(","):
-            combos.append({"label": f"{backend.strip()}/s{shard_text}",
+        for shards in args.shards:
+            combos.append({"label": f"{backend.strip()}/s{shards}",
                            "backend": backend.strip(),
-                           "shards": int(shard_text)})
+                           "shards": shards})
     if args.supervise:
-        shards = max(int(text) for text in args.shards.split(","))
+        shards = max(args.shards)
         policy = _policy_from_args(args)
         combos.append({"label": f"mp+supervise/s{shards}", "backend": "mp",
                        "shards": shards, "supervise": True,

@@ -32,7 +32,10 @@ trapped otherwise (the parent's lookahead,
 :meth:`~repro.shard.plan.ShardPlan.quiet_horizon`, is checked, never
 trusted) -- and reply once with what the last epoch emitted.  A barrier
 therefore never costs a round-trip of its own, and a one-epoch window
-*is* the classic epoch/barrier schedule, through the same code.
+*is* the classic epoch/barrier schedule, through the same code.  A
+command whose horizon is a rebalance instant also asks for ``loads``:
+each core's :meth:`~repro.shard.core.ShardCore.load`, folded by the
+engine into the moves the next command carries.
 
 The backend surface (``run_epoch`` / ``collect`` / ``barrier`` /
 ``snapshots`` ...) is written once, over a single seam:
@@ -160,6 +163,8 @@ def _execute_slice(mine: List[ShardCore], router: ShardRouter,
     reply: Dict[str, Any] = {"payloads": emitted}
     if obs:
         reply["obs"] = frames
+    if message.get("loads"):
+        reply["loads"] = [core.load() for core in mine]
     return reply
 
 
@@ -179,6 +184,9 @@ class _Backend:
         #: slice command; None when none is due (start, after a stop).
         self._due: Optional[List[Dict[str, Any]]] = None
         self._collected: List[Dict[str, Any]] = []
+        #: The cores' reports of the last slice ending at a rebalance
+        #: instant, until the engine reads them.
+        self._loads: List[Dict[str, Any]] = []
         #: Unread obs frames, one list per epoch (or stop) observed.
         self._obs_frames: Deque[List[Dict[str, Any]]] = deque()
 
@@ -193,14 +201,19 @@ class _Backend:
 
     def _run_slice(self, horizon: float, epoch_ms: Optional[float],
                    inclusive: bool) -> None:
-        replies = self._broadcast({
+        message = {
             "cmd": "epoch", "start": self._now, "barrier": self._due,
             "horizon": horizon, "inclusive": inclusive,
-            "epoch_ms": self.plan.epoch_ms if epoch_ms is None else epoch_ms})
+            "epoch_ms": self.plan.epoch_ms if epoch_ms is None else epoch_ms}
+        rebalance = self.plan.rebalance_ms
+        if rebalance and not inclusive and on_grid(horizon, rebalance):
+            message["loads"] = True
+        replies = self._broadcast(message)
         self._now = horizon
         self._due = None if inclusive else []
         for reply in replies:
             self._collected.extend(reply["payloads"])
+            self._loads.extend(reply.get("loads", ()))
         # One entry per epoch, every shard's frames of that epoch in it.
         for shard_frames in zip(*(reply.get("obs", ()) for reply in replies)):
             self._obs_frames.append(
@@ -223,6 +236,12 @@ class _Backend:
         """What the last slice's final epoch (or stop) emitted."""
         out, self._collected = self._collected, []
         return out
+
+    def loads(self) -> List[Dict[str, Any]]:
+        """The cores' reports at the rebalance instant the last slice
+        ended on, in core order (empty anywhere else)."""
+        out, self._loads = self._loads, []
+        return sorted(out, key=lambda load: load["core"])
 
     def collect_obs(self, time: float) -> List[Dict[str, Any]]:
         """The per-core delta-state obs frames of the oldest epoch (or

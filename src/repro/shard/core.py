@@ -20,21 +20,32 @@ core and emit ``spawn`` payloads:
   a fresh tid from the destination's allocator.  CPU-time progress is
   intentionally lost; what is preserved is the plan-declared identity
   (body, args, name, ticket funding).
-* **crash** -- the core kills every thread; restartable specs are
+* **crash** -- the core kills every thread; unpinned specs are
   re-emitted toward ``evacuate_to`` (possibly on another shard), the
   rest are casualties.  Replies racing toward callers that died this
   way are dropped deterministically on the caller's core.
+* **restart** -- a crashed core rejoins rebalancing, empty.
+
+An op with nothing left to do (its thread gone, its core already down
+or already up) is counted in ``ops_skipped``.
+
+At a rebalance instant the core reports its :meth:`load`; the moves
+the engine decides come back as an ``evict`` payload (applied before
+anything else at the instant, so the thread is still as reported) and
+a ``spawn`` payload on the destination -- a migration decided at the
+barrier instead of scripted in the plan.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from repro.checkpoint.replay import ReplayRecorder
 from repro.core.prng import ParkMillerPRNG
 from repro.core.tickets import Ledger
 from repro.errors import ShardError
 from repro.kernel.kernel import Kernel
+from repro.kernel.thread import ThreadState
 from repro.schedulers.lottery_policy import LotteryPolicy
 from repro.shard.builders import build_body
 from repro.shard.channels import ShardChannel
@@ -103,6 +114,8 @@ class ShardCore:
 
         #: name -> respawnable spec (restart-migration source of truth).
         self._specs: Dict[str, Dict[str, Any]] = {}
+        #: Names of this core's pinned threads (they never leave it).
+        self._pinned: Set[str] = set()
         self.channels: Dict[str, ShardChannel] = {}
 
         # Channels first (bodies resolve them at build time), then
@@ -113,11 +126,13 @@ class ShardCore:
                 self, spec["name"], spec["home"])
         for spec in plan.threads_on(core_id):
             self.spawn_spec(spec)
+            if spec.get("pinned"):
+                self._pinned.add(spec["name"])
+        handlers = {"migrate": self._op_migrate, "crash": self._op_crash,
+                    "restart": self._op_restart}
         for op in plan.ops_on(core_id):
-            handler = (self._op_migrate if op["op"] == "migrate"
-                       else self._op_crash)
-            self.loop.call_at(op["at"], handler, label=f"shard-{op['op']}",
-                              args=(op,))
+            self.loop.call_at(op["at"], handlers[op["op"]],
+                              label=f"shard-{op['op']}", args=(op,))
 
     # -- plan plumbing -------------------------------------------------------
 
@@ -176,6 +191,9 @@ class ShardCore:
             })
 
     def _op_crash(self, op: Dict[str, Any]) -> None:
+        if self.crashed:
+            self.ops_skipped += 1
+            return
         with race_seam("shard.crash"):
             self.crashed = True
             destination = op.get("evacuate_to")
@@ -184,7 +202,8 @@ class ShardCore:
                     continue
                 spec = self._specs.pop(thread.name, None)
                 self.kernel.kill(thread)
-                if destination is not None and spec is not None:
+                if destination is not None and spec is not None \
+                        and thread.name not in self._pinned:
                     self.evacuations += 1
                     self.router.emit({
                         "kind": "spawn",
@@ -197,6 +216,24 @@ class ShardCore:
                     })
                 else:
                     self.casualties += 1
+
+    def _op_restart(self, op: Dict[str, Any]) -> None:
+        if self.crashed:
+            self.crashed = False
+        else:
+            self.ops_skipped += 1
+
+    def load(self) -> Dict[str, Any]:
+        """This core's report at a rebalance instant (a pure read): its
+        ``crashed`` flag and one ``[name, nominal tickets, runnable and
+        not running, pinned]`` row per live thread, in thread order."""
+        runnable = ThreadState.RUNNABLE
+        return {"core": self.core_id, "crashed": self.crashed,
+                "threads": [[thread.name, float(thread.nominal_funding()),
+                             thread.state is runnable,
+                             thread.name in self._pinned]
+                            for thread in self.kernel.threads
+                            if thread.alive]}
 
     # -- epoch execution -------------------------------------------------------
 
@@ -234,12 +271,17 @@ class ShardCore:
         Scheduling (rather than calling) keeps event sequence numbers
         identical between straight runs and stop/resume runs: payload
         applications always sort after the core's own pre-existing
-        events at the barrier time.
+        events at the barrier time.  A rebalance ``evict`` is the one
+        exception, applied here: before any event at the instant, the
+        thread is still what this core reported.
         """
         self.loop.advance_clock(time)
         for payload in payloads:
-            self.loop.call_at(time, self._apply_payload,
-                              label="shard-barrier", args=(payload,))
+            if payload["kind"] == "evict":
+                self._apply_payload(payload)
+            else:
+                self.loop.call_at(time, self._apply_payload,
+                                  label="shard-barrier", args=(payload,))
 
     def _apply_payload(self, payload: Dict[str, Any]) -> None:
         with race_seam("shard.barrier"):
@@ -253,6 +295,8 @@ class ShardCore:
             elif kind == "spawn":
                 with race_seam("shard.migrate"):
                     self.spawn_spec(payload)
+            elif kind == "evict":
+                self._evict(payload["name"])
             else:
                 raise ShardError(f"unknown barrier payload kind {kind!r}")
             self.payloads_applied += 1
@@ -262,6 +306,19 @@ class ShardCore:
                     self.loop.now,
                     {"src": payload["src"], "seq": payload["seq"],
                      "target": self.core_id})
+
+    def _evict(self, name: str) -> None:
+        """The source half of a rebalance move (its spawn rides the
+        same barrier to the destination)."""
+        with race_seam("shard.migrate"):
+            thread = self._find_alive(name)
+            if thread is None:
+                raise ShardError(f"rebalance evicts {name!r} from core "
+                                 f"{self.core_id}, which has no such "
+                                 f"live thread")
+            del self._specs[name]
+            self.kernel.kill(thread)
+            self.migrations_out += 1
 
     # -- observation -----------------------------------------------------------
 

@@ -28,6 +28,11 @@ the **epoch barrier protocol**:
    themselves in between, and each barrier's payloads ride the next
    command.  Epochs stay the unit of history and of observation; the
    window is only how many of them one round-trip covers.
+5. With a plan ``rebalance_ms``, a window also ends at every rebalance
+   instant, where the cores' replies carry their loads.  The engine
+   folds them in core order through :func:`rebalance` and each move
+   joins that instant's barrier as an ``evict`` payload to the source
+   and a ``spawn`` payload to the destination -- no extra round-trip.
 
 Because every core is a private universe (own clock, ledger, PRNG
 stream, tid allocator) and payloads are totally ordered data, the
@@ -38,7 +43,8 @@ merged history is independent of shard count, placement, and backend;
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+import math
+from typing import Any, Collection, Dict, List, Optional, Tuple
 
 from repro.errors import (
     DeterminismRaceError,
@@ -50,11 +56,73 @@ from repro.shard.plan import (GRID_EPS, ShardPlan, finite, grid_instants,
                               on_grid)
 from repro.shard.topology import ShardTopology
 
-__all__ = ["ShardedEngine"]
+__all__ = ["ShardedEngine", "rebalance"]
 
 #: Failures that trigger a flight-recorder dump: shard/frame faults,
 #: determinism-race sanitizer traps, and invariant violations.
 _FLIGHT_ERRORS = (ShardError, DeterminismRaceError, InvariantViolation)
+
+
+def rebalance(loads: List[Dict[str, Any]],
+              sitting_out: Collection[int] = ()
+              ) -> List[Tuple[str, int, int]]:
+    """The moves that even out the cores' ticket totals, as
+    ``(thread name, source core, destination core)``.
+
+    Within a core the local lottery gives a thread ``t / T_core`` of
+    that core's CPU; if every live core holds about ``T_total / N``
+    tickets, that share is the thread's entitlement to the machine's N
+    CPUs -- one big lottery, distributed.  ``loads`` are the cores'
+    reports (:meth:`~repro.shard.core.ShardCore.load`) in core order;
+    crashed cores and those in ``sitting_out`` neither give nor take.
+    Greedy, as long as the richest-poorest gap shrinks: the richest
+    core donates the runnable, unpinned thread that best halves the gap
+    (never one worth the whole gap, which would overshoot and
+    oscillate); when no single thread fits, the pair exchange whose
+    difference best halves it.  A thread moved twice counts once, from
+    where it was reported to where it ends.  A pure function of the
+    reports, so every backend decides the same moves.
+    """
+    placed = {load["core"]: [list(row) for row in load["threads"]]
+              for load in loads
+              if not load["crashed"] and load["core"] not in sitting_out}
+    if len(placed) < 2:
+        return []
+    home = {row[0]: core for core, rows in placed.items() for row in rows}
+
+    def total(core: int) -> float:
+        return math.fsum(row[1] for row in placed[core])
+
+    def movable(core: int) -> List[List[Any]]:
+        return [row for row in placed[core]
+                if row[2] and not row[3] and row[1] > 0]
+
+    def move(row: List[Any], source: int, destination: int) -> None:
+        placed[source].remove(row)
+        placed[destination].append(row)
+
+    for _ in range(len(placed)):
+        ranked = sorted(placed, key=total)
+        poorest, richest = ranked[0], ranked[-1]
+        gap = total(richest) - total(poorest)
+        if gap <= 0:
+            break
+        fits = [row for row in movable(richest) if row[1] < gap]
+        if fits:
+            move(min(fits, key=lambda row: abs(gap / 2 - row[1])),
+                 richest, poorest)
+            continue
+        pairs = [(rich, poor) for rich in movable(richest)
+                 for poor in movable(poorest) if 0 < rich[1] - poor[1] < gap]
+        if not pairs:
+            break
+        rich, poor = min(pairs, key=lambda pair: abs(
+            gap / 2 - (pair[0][1] - pair[1][1])))
+        move(poor, poorest, richest)
+        move(rich, richest, poorest)
+    final = {row[0]: core for core, rows in placed.items() for row in rows}
+    return [(name, core, final[name]) for name, core in home.items()
+            if final[name] != core]
 
 
 class ShardedEngine:
@@ -107,6 +175,11 @@ class ShardedEngine:
                                else self.plan.epoch_ms)
         if self.epoch_ms <= 0:
             raise ShardError(f"epoch_ms must be positive: {self.epoch_ms}")
+        rebalance_ms = self.plan.rebalance_ms
+        if rebalance_ms and not on_grid(rebalance_ms, self.epoch_ms):
+            raise ShardError(
+                f"plan rebalance_ms {rebalance_ms} is not on the "
+                f"{self.epoch_ms}ms epoch grid")
         self.topology = ShardTopology(self.plan.cores, shards,
                                       self.plan.placement)
         self.backend_name = backend
@@ -197,7 +270,8 @@ class ShardedEngine:
                                                   self.epoch_ms, limit)
             self._backend.run_epoch(horizon, self.epoch_ms)
             ordered = self._canonical(self._pending
-                                      + self._backend.collect())
+                                      + self._backend.collect()
+                                      + self._moves(horizon))
             self._pending = []
             if ordered:
                 self._backend.barrier(horizon, ordered)
@@ -224,6 +298,32 @@ class ShardedEngine:
         return self
 
     run = advance
+
+    def _moves(self, time: float) -> List[Dict[str, Any]]:
+        """The rebalance at ``time`` as barrier payloads (none unless
+        the last slice ended on a rebalance instant).  A core with a
+        scripted op due at ``time`` sits the fold out: its op fires
+        before the moves land.  Engine-made payloads carry the source
+        core as ``src`` and a negative ``seq``, which no core emits."""
+        loads = self._backend.loads()
+        if not loads:
+            return []
+        busy = {op["src"] if op["op"] == "migrate" else op["core"]
+                for op in self.plan.ops if abs(op["at"] - time) <= GRID_EPS}
+        specs = {spec["name"]: spec for spec in self.plan.threads}
+        payloads: List[Dict[str, Any]] = []
+        for seq, (name, source, destination) in enumerate(
+                rebalance(loads, busy), 1):
+            spec = specs[name]
+            payloads.append({"kind": "evict", "target": source,
+                             "name": name, "src": source, "seq": -seq})
+            payloads.append({"kind": "spawn", "target": destination,
+                             "body": spec["body"],
+                             "args": dict(spec.get("args") or {}),
+                             "name": name, "tickets": float(spec["tickets"]),
+                             "reason": "rebalance", "src": source,
+                             "seq": -seq})
+        return payloads
 
     # -- observation -----------------------------------------------------------
 

@@ -4,7 +4,9 @@ A :class:`ShardPlan` is the *entire* input of a sharded run: how many
 cores exist, which threads start where (by registered body name, so
 the plan round-trips through JSON and can be shipped to worker
 processes), which cross-core channels exist and where they are homed,
-and which scripted operations (migrations, core crashes) fire when.
+which scripted operations (migrations, core crashes and restarts) fire
+when, and how often -- if at all -- the engine rebalances threads
+across cores (``rebalance_ms``).
 
 Everything downstream -- the single-loop oracle, the inline backend,
 and the multiprocessing backend -- rebuilds the identical universe
@@ -54,7 +56,7 @@ def grid_instants(start: float, horizon: float,
 #: for any root seed the validator accepts.
 CORE_SEED_STRIDE = 101
 
-_OP_KINDS = frozenset({"migrate", "crash"})
+_OP_KINDS = frozenset({"migrate", "crash", "restart"})
 
 
 def finite(name: str, value: Any) -> float:
@@ -88,9 +90,13 @@ class ShardPlan:
 
     Parameters mirror the stored fields; ``threads``, ``channels`` and
     ``ops`` are lists of plain dicts (see the module docstring of
-    :mod:`repro.shard.builders` for thread specs).  ``placement``
-    optionally pins cores to shards (``{core_id: shard}``); unpinned
-    cores use the deterministic ``core_id % shards`` hash.
+    :mod:`repro.shard.builders` for thread specs; a spec may carry
+    ``"pinned": True``, which keeps the thread on its core -- never
+    moved, a casualty when the core crashes).  ``placement`` optionally
+    pins cores to shards (``{core_id: shard}``); unpinned cores use the
+    deterministic ``core_id % shards`` hash.  ``rebalance_ms``, a
+    multiple of ``epoch_ms``, turns on the barrier-time rebalancer (see
+    :func:`repro.shard.engine.rebalance`); None leaves placement static.
     """
 
     def __init__(self, seed: int = 1, cores: int = 1,
@@ -99,11 +105,14 @@ class ShardPlan:
                  threads: Optional[List[Dict[str, Any]]] = None,
                  channels: Optional[List[Dict[str, Any]]] = None,
                  ops: Optional[List[Dict[str, Any]]] = None,
-                 placement: Optional[Dict[int, int]] = None) -> None:
+                 placement: Optional[Dict[int, int]] = None,
+                 rebalance_ms: Optional[float] = None) -> None:
         self.seed = _integer("plan seed", seed)
         self.cores = _integer("plan cores", cores)
         self.quantum = finite("plan quantum", quantum)
         self.epoch_ms = finite("plan epoch_ms", epoch_ms)
+        self.rebalance_ms = (None if rebalance_ms is None
+                             else finite("plan rebalance_ms", rebalance_ms))
         self.use_tree = bool(use_tree)
         self.threads = _specs("threads", threads)
         self.channels = _specs("channels", channels)
@@ -120,10 +129,12 @@ class ShardPlan:
     # -- construction helpers ------------------------------------------------
 
     def add_thread(self, core: int, body: str, name: str, tickets: float,
-                   **args: Any) -> "ShardPlan":
+                   pinned: bool = False, **args: Any) -> "ShardPlan":
         """Append a thread spec (chainable)."""
         spec = {"core": int(core), "body": body, "name": name,
                 "tickets": float(tickets), "args": dict(args)}
+        if pinned:
+            spec["pinned"] = pinned
         self._check_thread(spec)
         self.threads.append(spec)
         return self
@@ -147,11 +158,19 @@ class ShardPlan:
 
     def crash(self, at: float, core: int,
               evacuate_to: Optional[int] = None) -> "ShardPlan":
-        """Script a core crash at ``at``; restartable threads are
+        """Script a core crash at ``at``; unpinned threads are
         respawned on ``evacuate_to`` when given (chainable)."""
         op = {"op": "crash", "at": float(at), "core": int(core),
               "evacuate_to": (None if evacuate_to is None
                               else int(evacuate_to))}
+        self._check_op(op)
+        self.ops.append(op)
+        return self
+
+    def restart(self, at: float, core: int) -> "ShardPlan":
+        """Script the restart of a crashed core at ``at``: it rejoins
+        rebalancing empty (chainable)."""
+        op = {"op": "restart", "at": float(at), "core": int(core)}
         self._check_op(op)
         self.ops.append(op)
         return self
@@ -171,7 +190,14 @@ class ShardPlan:
             raise ShardError(f"plan needs at least one core: {self.cores}")
         if self.quantum <= 0 or self.epoch_ms <= 0:
             raise ShardError("quantum and epoch_ms must be positive")
+        if self.rebalance_ms is not None and (
+                self.rebalance_ms <= 0
+                or not on_grid(self.rebalance_ms, self.epoch_ms)):
+            raise ShardError(
+                f"plan rebalance_ms must be a positive multiple of "
+                f"epoch_ms {self.epoch_ms}: {self.rebalance_ms}")
         self._thread_names: Set[str] = set()
+        self._pinned: Set[str] = set()
         self._channel_names: Set[str] = set()
         for spec in self.threads:
             self._check_thread(spec)
@@ -199,7 +225,13 @@ class ShardPlan:
         if finite(f"thread {name!r} tickets",
                   spec.get("tickets", 0.0)) <= 0.0:
             raise ShardError(f"thread needs positive tickets: {spec!r}")
+        pinned = spec.get("pinned", False)
+        if not isinstance(pinned, bool):
+            raise ShardError(f"thread {name!r} pinned must be a bool: "
+                             f"{pinned!r}")
         self._thread_names.add(name)
+        if pinned:
+            self._pinned.add(name)
 
     def _check_channel(self, spec: Dict[str, Any]) -> None:
         if not self._core_ok(spec.get("home")):
@@ -220,14 +252,15 @@ class ShardPlan:
             thread = op.get("thread")
             if (not isinstance(thread, str)
                     or thread not in self._thread_names
+                    or thread in self._pinned
                     or not self._core_ok(op.get("src"))
                     or not self._core_ok(op.get("dst"))):
                 raise ShardError(f"bad migrate op: {op!r}")
         else:
-            dst = op.get("evacuate_to")
-            if not self._core_ok(op.get("core")) or (
-                    dst is not None and not self._core_ok(dst)):
-                raise ShardError(f"bad crash op: {op!r}")
+            core, dst = op.get("core"), op.get("evacuate_to")
+            if not self._core_ok(core) or (dst is not None and (
+                    dst == core or not self._core_ok(dst))):
+                raise ShardError(f"bad {kind} op: {op!r}")
 
     # -- derived views -------------------------------------------------------
 
@@ -260,7 +293,9 @@ class ShardPlan:
         is one epoch.  A scripted op emits when it fires, at its static
         ``at``: the window ends at the first instant after it, where
         the respawn is due.  What an op respawns is a plan body, which
-        reaches another core only through a channel.  ``max_epochs``
+        reaches another core only through a channel.  A rebalance
+        instant ends a window too: the cores report their loads there,
+        and the moves ride the barrier held at it.  ``max_epochs``
         caps the window for reasons the plan cannot see (held
         stop-point payloads, a host fault scheduled on a later slice).
         """
@@ -270,17 +305,19 @@ class ShardPlan:
         # may have (at a stop) -- counting it costs one short window.
         due = min((float(op["at"]) for op in self.ops
                    if float(op["at"]) >= now - GRID_EPS), default=None)
+        rebalance = self.rebalance_ms
         end = now
         for epochs, end in enumerate(grid_instants(now, until, epoch_ms), 1):
             if epochs == max_epochs or (due is not None
-                                        and due < end - GRID_EPS):
+                                        and due < end - GRID_EPS) or (
+                    rebalance and on_grid(end, rebalance)):
                 break
         return end
 
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
+        data = {
             "seed": self.seed,
             "cores": self.cores,
             "quantum": self.quantum,
@@ -291,6 +328,10 @@ class ShardPlan:
             "ops": [dict(op) for op in self.ops],
             "placement": {str(k): v for k, v in self.placement.items()},
         }
+        # Absent, not null, when off: a static plan keeps its checksum.
+        if self.rebalance_ms is not None:
+            data["rebalance_ms"] = self.rebalance_ms
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ShardPlan":
@@ -306,6 +347,7 @@ class ShardPlan:
             channels=data.get("channels"),
             ops=data.get("ops"),
             placement=data.get("placement"),
+            rebalance_ms=data.get("rebalance_ms"),
         )
 
     def checksum(self) -> str:
@@ -363,5 +405,5 @@ def mix_plan(seed: int = 11, cores: int = 4, quantum: float = 100.0,
                             sleep_ms=30.0)
     if with_ops and cores >= 2:
         plan.migrate(at=1250.0, thread="spin0a", src=0, dst=cores - 1)
-        plan.crash(at=2750.0, core=cores - 1, evacuate_to=1 % cores)
+        plan.crash(at=2750.0, core=cores - 1, evacuate_to=1 % (cores - 1))
     return plan

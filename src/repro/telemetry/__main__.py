@@ -40,7 +40,7 @@ from repro.telemetry.probe import Telemetry
 
 def _report_main(argv: List[str]) -> int:
     # The one table of built-in plans, shared with ``repro.shard run``.
-    from repro.shard.__main__ import PLANS
+    from repro.shard.__main__ import PLANS, positive_int
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.telemetry report",
@@ -50,12 +50,12 @@ def _report_main(argv: List[str]) -> int:
                         help="verify + summarize a flight-recorder "
                              "bundle instead of running a plan")
     parser.add_argument("--plan", choices=sorted(PLANS), default="mix")
-    parser.add_argument("--cores", type=int, default=4)
+    parser.add_argument("--cores", type=positive_int, default=4)
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--until", type=float, default=5000.0)
     parser.add_argument("--backend", default="inline",
                         help="single/inline/mp (default: %(default)s)")
-    parser.add_argument("--shards", type=int, default=2)
+    parser.add_argument("--shards", type=positive_int, default=2)
     parser.add_argument("--supervise", action="store_true",
                         help="supervised mp run (requires --backend mp)")
     parser.add_argument("--host-faults", metavar="PLAN",
@@ -91,16 +91,19 @@ def _report_main(argv: List[str]) -> int:
 
     if args.host_faults and not args.supervise:
         parser.error("--host-faults requires --supervise")
-    plan = PLANS[args.plan](args)
-    host_faults = (load_host_faults(args.host_faults, args.shards)
-                   if args.host_faults else None)
-    with ShardedEngine(plan, shards=args.shards, backend=args.backend,
-                       supervise=args.supervise, host_faults=host_faults,
-                       obs=True) as engine:
-        engine.advance(args.until)
-        report = engine.obs_report()
-        trace = engine.stitched_trace()
-        view = engine.metrics_view()
+    try:
+        plan = PLANS[args.plan](args)
+        host_faults = (load_host_faults(args.host_faults, args.shards)
+                       if args.host_faults else None)
+        with ShardedEngine(plan, shards=args.shards, backend=args.backend,
+                           supervise=args.supervise, host_faults=host_faults,
+                           obs=True) as engine:
+            engine.advance(args.until)
+            report = engine.obs_report()
+            trace = engine.stitched_trace()
+            view = engine.metrics_view()
+    except ReproError as exc:
+        parser.error(str(exc))
     markdown = render_markdown(report)
     if not args.quiet:
         print(markdown, end="")
@@ -133,7 +136,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.telemetry",
         description="Trace a recipe run and export spans/metrics.",
     )
-    parser.add_argument("--recipe", default="chaos-fairness",
+    parser.add_argument("--recipe", default="lottery-mix",
                         help="registered recipe name (default: %(default)s)")
     parser.add_argument("--seed", type=int, default=2718,
                         help="recipe seed (default: %(default)s)")

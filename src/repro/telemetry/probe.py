@@ -8,12 +8,9 @@ them into a running system:
   kernel's recorder mux (quantum spans, wake-to-dispatch latency) and
   installs the lottery policy's ``draw_hook`` (per-draw instants with
   the winner's funding and the total at stake);
-* ``instrument_cluster`` / ``instrument_injector`` set the components'
-  ``telemetry`` slots so migrations, evacuations, and fault windows
-  are reported;
 * ``instrument_handle`` walks a checkpoint recipe's
   :class:`~repro.checkpoint.registry.SimHandle` and instruments every
-  component it recognises, plus checkpoint save/restore notifications
+  kernel in it, plus checkpoint save/restore notifications
   via :mod:`repro.telemetry.hooks`.
 
 Everything recorded is a pure function of virtual-time events, so
@@ -210,30 +207,14 @@ class Telemetry:
         self._probes.append((kernel, probe))
         return probe
 
-    def instrument_cluster(self, cluster: Any) -> None:
-        """Instrument every node's kernel, plus migration reporting."""
-        cluster.telemetry = self
-        for node in cluster.nodes:
-            self.instrument_kernel(node.kernel, track=node.name)
-
-    def instrument_injector(self, injector: Any) -> None:
-        """Report applied faults as ``fault`` spans."""
-        injector.telemetry = self
-
     def instrument_handle(self, handle: Any) -> "Telemetry":
-        """Instrument every recognised component of a recipe's
+        """Instrument every kernel of a recipe's
         :class:`~repro.checkpoint.registry.SimHandle`; returns self."""
-        from repro.distributed.cluster import Cluster
-        from repro.faults.injector import FaultInjector
         from repro.kernel.kernel import Kernel
 
         for name, component in handle.components.items():
-            if isinstance(component, Cluster):
-                self.instrument_cluster(component)
-            elif isinstance(component, Kernel):
+            if isinstance(component, Kernel):
                 self.instrument_kernel(component, track=name)
-            elif isinstance(component, FaultInjector):
-                self.instrument_injector(component)
         self.observe_checkpoints()
         return self
 
@@ -341,35 +322,6 @@ class Telemetry:
         self._counter(
             "repro_ipc_retransmits_total", {"track": track},
             "IPC retransmissions under injected drops.").inc()
-
-    def on_migration(self, thread: "Thread", source: str, destination: str,
-                     time: float, kind: str = "migrate") -> None:
-        """A thread moved between nodes (rebalance or evacuation)."""
-        self.tracer.event(
-            "cluster", f"cluster.{kind}", "cluster", time,
-            {"thread": thread.name, "tid": thread.tid,
-             "source": source, "destination": destination},
-        )
-        self._counter(
-            "repro_cluster_moves_total", {"kind": kind},
-            "Threads moved between nodes.").inc()
-
-    def on_fault(self, event: Any, detail: str, time: float) -> None:
-        """A fault fired: a span over its window (or an instant)."""
-        duration = 0.0
-        params = getattr(event, "params", {}) or {}
-        if isinstance(params.get("duration"), (int, float)):
-            duration = float(params["duration"])
-        attrs = {"target": event.target, "detail": detail}
-        if duration > 0:
-            self.tracer.complete("faults", f"fault.{event.kind}", "fault",
-                                 time, time + duration, attrs)
-        else:
-            self.tracer.event("faults", f"fault.{event.kind}", "fault",
-                              time, attrs)
-        self._counter(
-            "repro_faults_total", {"kind": event.kind},
-            "Fault events applied.").inc()
 
     def on_checkpoint(self, kind: str, time: float, checksum: Optional[str],
                       path: Optional[str]) -> None:

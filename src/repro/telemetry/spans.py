@@ -1,7 +1,7 @@
 """Span-based tracing over virtual time.
 
 A :class:`Span` is a named interval on a *track* (one per kernel, plus
-synthetic tracks such as ``cluster`` or ``checkpoint``), carrying a
+synthetic tracks such as ``faults`` or ``checkpoint``), carrying a
 category, JSON-typed attributes, and an optional parent.  Spans nest:
 each track keeps a stack of open spans, and a span begun while another
 is open becomes its child, so a lottery draw recorded during a quantum
@@ -96,7 +96,7 @@ class Span:
     track: str
     #: Event name, e.g. ``"quantum"`` or ``"lottery.draw"``.
     name: str
-    #: Coarse grouping: kernel, scheduler, ipc, cluster, fault, checkpoint.
+    #: Coarse grouping: kernel, scheduler, ipc, shard, fault, checkpoint.
     category: str
     #: Start time, virtual ms.
     start: float

@@ -591,7 +591,7 @@ def test_rpr012_flags_concurrent_futures_from_import():
 
 def test_rpr012_flags_aliased_import():
     assert ids("import multiprocessing as mp\n",
-               "repro/distributed/fixture.py") == ["RPR012"]
+               "repro/sim/fixture.py") == ["RPR012"]
 
 
 def test_rpr012_shard_zone_is_exempt():

@@ -5,10 +5,10 @@ one kernel, mutated from another kernel's execution context outside a
 declared barrier seam, raises
 :class:`~repro.errors.DeterminismRaceError` -- both when driven
 directly through ``tracker.context`` and when the mutation rides the
-real dispatch path of a running cluster.  The legality tests prove the
-declared seams (IPC wakes, migration, evacuation, crash) stay
-trap-free, which is what lets the full tier-1 suite run under
-``REPRO_SANITIZE=1``.
+real dispatch path of two kernels sharing one engine.  The legality
+tests prove the declared seams (IPC wakes, a sharded run's migration,
+evacuation, crash and rebalancing) stay trap-free, which is what lets
+the full tier-1 suite run under ``REPRO_SANITIZE=1``.
 """
 
 from __future__ import annotations
@@ -19,10 +19,12 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.races import DECLARED_SEAMS, RaceTracker
-from repro.distributed.cluster import Cluster
 from repro.errors import DeterminismRaceError
-from repro.kernel.syscalls import Compute, YieldCPU
+from repro.kernel.syscalls import Compute
 from repro.kernel.thread import ThreadState
+from repro.shard.engine import ShardedEngine
+from repro.sim.engine import Engine
+from tests.conftest import census_at, make_lottery_kernel, shard_plan
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -48,30 +50,37 @@ def spinner(chunk_ms: float = 10.0):
     return body
 
 
-def two_node_cluster():
-    return Cluster(nodes=2, rebalance_period=None)
+def two_kernels(engine=None):
+    engine = Engine() if engine is None else engine
+    return (make_lottery_kernel(1, engine=engine),
+            make_lottery_kernel(102, engine=engine))
+
+
+def incarnations(engine, name):
+    """(kernel, thread) of every thread ``name`` of a sharded run."""
+    return [(kernel, thread) for kernel in engine.shard_kernels()
+            for thread in kernel.threads if thread.name == name]
 
 
 # -- owner tagging -----------------------------------------------------------
 
 
 def test_threads_are_tagged_with_their_kernel(race_tracker):
-    cluster = two_node_cluster()
-    node0, node1 = cluster.nodes
-    thread = cluster.spawn(spinner(), "t", tickets=100, node=node0)
+    kernel0, kernel1 = two_kernels()
+    thread = kernel0.spawn(spinner(), "t", tickets=100)
     owner = race_tracker.owner_of(thread)
-    assert owner is race_tracker.token_for(node0.kernel)
-    assert owner is not race_tracker.token_for(node1.kernel)
+    assert owner is race_tracker.token_for(kernel0)
+    assert owner is not race_tracker.token_for(kernel1)
 
 
 def test_threads_created_before_activation_are_unchecked():
     tracker = RaceTracker()
-    cluster = two_node_cluster()  # spawned while this tracker is inert
-    thread = cluster.spawn(spinner(), "t", tickets=100)
+    kernel0, kernel1 = two_kernels()  # spawned while this tracker is inert
+    thread = kernel0.spawn(spinner(), "t", tickets=100)
     tracker.activate()
     try:
         assert tracker.owner_of(thread) is None
-        with tracker.context(cluster.nodes[1].kernel):
+        with tracker.context(kernel1):
             thread.transition(ThreadState.RUNNING)  # untagged: no trap
     finally:
         tracker.deactivate()
@@ -81,10 +90,9 @@ def test_threads_created_before_activation_are_unchecked():
 
 
 def test_cross_owner_transition_traps(race_tracker):
-    cluster = two_node_cluster()
-    node0, node1 = cluster.nodes
-    victim = cluster.spawn(spinner(), "victim", tickets=100, node=node1)
-    with race_tracker.context(node0.kernel):
+    kernel0, kernel1 = two_kernels()
+    victim = kernel1.spawn(spinner(), "victim", tickets=100)
+    with race_tracker.context(kernel0):
         with pytest.raises(DeterminismRaceError) as exc:
             victim.transition(ThreadState.RUNNING)
     assert "cross-owner" in str(exc.value)
@@ -93,10 +101,9 @@ def test_cross_owner_transition_traps(race_tracker):
 
 
 def test_same_owner_transition_is_legal(race_tracker):
-    cluster = two_node_cluster()
-    node0 = cluster.nodes[0]
-    thread = cluster.spawn(spinner(), "t", tickets=100, node=node0)
-    with race_tracker.context(node0.kernel):
+    kernel0, _ = two_kernels()
+    thread = kernel0.spawn(spinner(), "t", tickets=100)
+    with race_tracker.context(kernel0):
         thread.transition(ThreadState.RUNNING)
     assert race_tracker.violations == 0
     assert race_tracker.checks == 1
@@ -105,18 +112,17 @@ def test_same_owner_transition_is_legal(race_tracker):
 def test_mutation_outside_any_context_is_unchecked(race_tracker):
     # Test harnesses and experiment drivers poke threads directly; with
     # no owner context on the stack that is not a shard-ordering hazard.
-    cluster = two_node_cluster()
-    thread = cluster.spawn(spinner(), "t", tickets=100)
+    kernel0, _ = two_kernels()
+    thread = kernel0.spawn(spinner(), "t", tickets=100)
     thread.transition(ThreadState.RUNNING)
     assert race_tracker.violations == 0
 
 
 def test_declared_seam_permits_cross_owner_mutation(race_tracker):
-    cluster = two_node_cluster()
-    node0, node1 = cluster.nodes
-    victim = cluster.spawn(spinner(), "victim", tickets=100, node=node1)
-    with race_tracker.context(node0.kernel):
-        with race_tracker.seam("cluster.migrate"):
+    kernel0, kernel1 = two_kernels()
+    victim = kernel1.spawn(spinner(), "victim", tickets=100)
+    with race_tracker.context(kernel0):
+        with race_tracker.seam("shard.migrate"):
             victim.transition(ThreadState.RUNNING)
     assert race_tracker.violations == 0
 
@@ -130,20 +136,20 @@ def test_undeclared_seam_name_raises(race_tracker):
 def test_seeded_race_traps_through_real_dispatch(race_tracker):
     """Acceptance: a body on kernel A mutating kernel B's thread mid-
     segment is caught by the wrapped dispatch path itself."""
-    cluster = two_node_cluster()
-    node0, node1 = cluster.nodes
-    victim = cluster.spawn(spinner(), "victim", tickets=100, node=node1)
+    engine = Engine()
+    kernel0, kernel1 = two_kernels(engine)
+    victim = kernel1.spawn(spinner(), "victim", tickets=100)
 
     def evil(ctx):
-        # Runs inside node0's _run_segment context: cross-kernel poke.
+        # Runs inside kernel0's _run_segment context: cross-kernel poke.
         # EXITED is a legal edge from every live state, so the race
         # trap (not the state machine) is what fires.
         victim.transition(ThreadState.EXITED)
         yield Compute(1.0)
 
-    node0.kernel.spawn(evil, "evil", tickets=100)
+    kernel0.spawn(evil, "evil", tickets=100)
     with pytest.raises(DeterminismRaceError, match="cross-owner"):
-        cluster.run_until(1_000)
+        engine.run(until=1_000)
     assert race_tracker.violations == 1
 
 
@@ -151,31 +157,33 @@ def test_seeded_race_traps_through_real_dispatch(race_tracker):
 
 
 def test_migration_retags_owner(race_tracker):
-    cluster = two_node_cluster()
-    node0, node1 = cluster.nodes
-    thread = cluster.spawn(spinner(), "mover", tickets=100, node=node0)
-    assert cluster.migrate(thread, node1)
-    assert race_tracker.owner_of(thread) is \
-        race_tracker.token_for(node1.kernel)
-    # The new owner may mutate; the old owner now traps.
-    with race_tracker.context(node1.kernel):
-        thread.transition(ThreadState.RUNNING)
-        thread.transition(ThreadState.RUNNABLE)
-    with race_tracker.context(node0.kernel):
-        with pytest.raises(DeterminismRaceError):
-            thread.transition(ThreadState.RUNNING)
+    # A sharded migration respawns: the thread arriving on core 1 is a
+    # new one, owned by core 1's kernel; the one left on core 0 is dead.
+    plan = shard_plan(2, (0, "mover", 100.0)).migrate(250.0, "mover", 0, 1)
+    with ShardedEngine(plan) as engine:
+        engine.advance(1_000.0)
+        (kernel0, old), (kernel1, thread) = incarnations(engine, "mover")
+        assert not old.alive and thread.alive
+        assert race_tracker.owner_of(old) is race_tracker.token_for(kernel0)
+        assert race_tracker.owner_of(thread) is \
+            race_tracker.token_for(kernel1)
+        # The new owner may mutate; the old owner traps.
+        with race_tracker.context(kernel1):
+            race_tracker.check(thread)
+        with race_tracker.context(kernel0):
+            with pytest.raises(DeterminismRaceError):
+                race_tracker.check(thread)
 
 
 def test_crash_evacuation_retags_and_stays_trap_free(race_tracker):
-    cluster = two_node_cluster()
-    node0, node1 = cluster.nodes
-    thread = cluster.spawn(spinner(), "survivor", tickets=100, node=node0)
-    cluster.run_until(500)
-    cluster.crash_node(node0)
-    assert race_tracker.owner_of(thread) is \
-        race_tracker.token_for(node1.kernel)
-    cluster.run_until(1_500)
-    assert thread.cpu_time > 0
+    plan = shard_plan(2, (0, "survivor", 100.0)).crash(500.0, 0, 1)
+    with ShardedEngine(plan) as engine:
+        engine.advance(1_500.0)
+        (_, old), (kernel1, thread) = incarnations(engine, "survivor")
+        assert not old.alive
+        assert race_tracker.owner_of(thread) is \
+            race_tracker.token_for(kernel1)
+        assert thread.cpu_time > 0
     assert race_tracker.violations == 0
 
 
@@ -183,17 +191,14 @@ def test_crash_evacuation_retags_and_stays_trap_free(race_tracker):
 
 
 def test_clustered_run_with_yields_is_trap_free(race_tracker):
-    cluster = Cluster(nodes=3, rebalance_period=500.0)
-    for index in range(6):
-        cluster.spawn(spinner(), f"w{index}", tickets=100 * (index + 1))
-
-    def yielder(ctx):
-        while True:
-            yield Compute(5.0)
-            yield YieldCPU()
-
-    cluster.spawn(yielder, "yielder", tickets=200)
-    cluster.run_until(20_000)  # rebalancer migrations included
+    # Skewed spinners and a sleeper, rebalanced every 500 ms.
+    plan = shard_plan(3, *[(0, f"w{index}", 100.0 * (index + 1))
+                           for index in range(6)],
+                      (0, "yielder", 200.0, {"body": "sleeper",
+                                             "sleep_ms": 5.0}),
+                      rebalance_ms=500.0)
+    (_, cores), = census_at(plan, 20_000.0)
+    assert sum(core["migrations_out"] for core in cores) > 0
     assert race_tracker.checks > 0
     assert race_tracker.violations == 0
 
@@ -218,10 +223,9 @@ def test_declared_seams_match_call_sites():
 
 
 def test_deactivate_disarms_the_trap(race_tracker):
-    cluster = two_node_cluster()
-    node0, node1 = cluster.nodes
-    victim = cluster.spawn(spinner(), "victim", tickets=100, node=node1)
+    kernel0, kernel1 = two_kernels()
+    victim = kernel1.spawn(spinner(), "victim", tickets=100)
     race_tracker.deactivate()
-    with race_tracker.context(node0.kernel):
+    with race_tracker.context(kernel0):
         victim.transition(ThreadState.RUNNING)  # inert: no trap
     assert race_tracker.violations == 0

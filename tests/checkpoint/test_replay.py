@@ -69,7 +69,7 @@ def test_chaos_crash_restore_is_bit_identical(tmp_path):
 
     reference = build_recipe("chaos-fairness", {"seed": 2718})
     reference.advance(duration)
-    expected = reference.components["recorder"].entries
+    expected = reference.stream()
 
     crashed = build_recipe("chaos-fairness", {"seed": 2718})
     crashed.advance(crash_at)
@@ -78,7 +78,7 @@ def test_chaos_crash_restore_is_bit_identical(tmp_path):
     del crashed  # the crash: the live system is gone
     restored, _ = restore(path)
     restored.advance(duration)
-    actual = restored.components["recorder"].entries
+    actual = restored.stream()
 
     assert len(expected) > 1_000
     divergence = diff_streams(expected, actual)

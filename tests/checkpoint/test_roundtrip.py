@@ -3,8 +3,8 @@
 Restore re-executes the checkpoint's recipe and diffs the rebuilt state
 tree against the saved one, so a clean ``restore()`` *is* the round-trip
 property: every subsystem the recipe touches (PRNG streams, event queue,
-run queues, tickets, compensation, IPC, memory, disks, cluster
-membership) reconstructed bit-for-bit.
+run queues, tickets, compensation, IPC, memory, disks, sharded cores)
+reconstructed bit-for-bit.
 """
 
 import json
@@ -39,15 +39,16 @@ def test_lottery_mix_round_trip(tmp_path, seed, use_tree):
 @pytest.mark.parametrize("seed", [2718, 9])
 def test_chaos_cluster_round_trip(tmp_path, seed):
     handle = build_recipe("chaos-fairness", {"seed": seed})
-    # Past the first crash (t=30s): dead node, reclaimed tickets,
-    # evacuations and fault log all inside the captured tree.
+    # Past the first crash (t=30s): dead core, its casualty, the
+    # evacuations and the rebalancer's moves all inside the captured
+    # tree.
     handle.advance(35_000.0)
     path = str(tmp_path / "chaos.ckpt")
     save(handle, path)
     restored, _ = restore(path)
     assert diff_trees(capture_tree(handle), capture_tree(restored)) == []
-    cluster = restored.components["cluster"]
-    assert cluster.node_crashes == 1
+    core1 = restored.components["sharded"].snapshot_state()["cores"][1]
+    assert core1["shard"]["crashed"] and core1["shard"]["casualties"] == 1
 
 
 def test_checkpoint_at_every_quantum(tmp_path):
@@ -90,6 +91,23 @@ def test_tampered_state_with_valid_checksum_raises_divergence(tmp_path):
     write_checkpoint_file(path, forged)
     with pytest.raises(DivergenceError, match="dispatch_count"):
         restore(path)
+
+
+@pytest.mark.parametrize("recipe, args, time_ms, named", [
+    ("lottery-mix", [1], 0.0, "field 'args' must be an object"),
+    ("lottery-mix", {"sed": 1}, 0.0, r"args \['sed'\] are not parameters"),
+    ("lottery-mix", {}, "100", "field 'time_ms' must be a finite number"),
+    (["lottery-mix"], {}, 0.0, "field 'recipe' must be a string"),
+])
+def test_valid_checksum_with_malformed_field_is_refused_by_name(
+        tmp_path, recipe, args, time_ms, named):
+    """A re-checksummed file passes integrity; its fields still have to
+    be what restore acts on, or the error names the file and field."""
+    path = str(tmp_path / "forged.ckpt")
+    write_checkpoint_file(path, build_payload(recipe, args, time_ms, {}))
+    with pytest.raises(CheckpointError, match=named) as caught:
+        restore(path)
+    assert repr(path) in str(caught.value)
 
 
 def test_unknown_recipe_is_rejected(tmp_path):

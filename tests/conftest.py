@@ -94,13 +94,36 @@ def walks(monkeypatch):
 
 
 def make_lottery_kernel(seed: int = 1, quantum: float = 100.0,
-                        **policy_kwargs):
-    """Engine + ledger + lottery kernel, wired together."""
-    engine = Engine()
+                        engine=None, **policy_kwargs):
+    """Engine + ledger + lottery kernel, wired together (on ``engine``
+    when given: kernels sharing one virtual clock)."""
+    engine = Engine() if engine is None else engine
     ledger = Ledger()
     policy = LotteryPolicy(ledger, prng=ParkMillerPRNG(seed), **policy_kwargs)
     kernel = Kernel(engine, policy, ledger=ledger, quantum=quantum)
     return kernel
+
+
+def shard_plan(cores, *threads, rebalance_ms=None, seed=7):
+    """A 500 ms-epoch plan of ``(core, name, tickets[, spec])``."""
+    from repro.shard.plan import ShardPlan
+
+    plan = ShardPlan(seed=seed, cores=cores, quantum=100.0, epoch_ms=500.0,
+                     rebalance_ms=rebalance_ms)
+    for core, name, tickets, *extra in threads:
+        kwargs = {"body": "spin", "chunk_ms": 50.0, **(extra or [{}])[0]}
+        plan.add_thread(core, kwargs.pop("body"), name, tickets=tickets,
+                        **kwargs)
+    return plan
+
+
+def census_at(plan, *stops):
+    """``cluster_fairness.census`` of a run of ``plan`` at each stop."""
+    from repro.experiments.cluster_fairness import census
+    from repro.shard.engine import ShardedEngine
+
+    with ShardedEngine(plan) as engine:
+        return [census(engine.advance(stop)) for stop in stops]
 
 
 @pytest.fixture

@@ -194,6 +194,12 @@ class TestTreeLottery:
         assert "b" not in lottery
         assert repr(lottery.snapshot_state()) == before
 
+    def test_subnormal_total_never_runs_past_the_last_slot(self, prng):
+        # ``uniform() * 5e-324`` rounds to 5e-324 for every draw >= 0.5,
+        # a winning value equal to the total.
+        lottery = self.make({"a": 0.0, "b": 5e-324, "c": 0.0})
+        assert {lottery.draw(prng) for _ in range(64)} == {"b"}
+
     def test_total_tracks_updates(self):
         lottery = self.make({"a": 5.0, "b": 3.0})
         assert lottery.total() == pytest.approx(8.0)
@@ -328,7 +334,7 @@ class _EagerTree:
         slot, levels = self._find_prefix(winning)
         self.stats.draws += 1
         self.stats.comparisons += levels
-        client = self._clients[slot]
+        client = self._clients[slot] if slot < len(self._clients) else None
         if client is None or self._values[slot] <= 0:
             # Float-boundary fallback: scan for the last funded slot.
             for index in range(len(self._values) - 1, -1, -1):

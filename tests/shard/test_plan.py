@@ -53,6 +53,14 @@ def test_plan_rejects_bad_ops():
         _seeded_plan().migrate(at=-5.0, thread="a", src=0, dst=1)
 
 
+def test_built_in_crashes_evacuate_elsewhere_on_one_and_two_cores():
+    from repro.experiments.chaos_fairness import chaos_plan
+
+    # Building is the check: a crash evacuating onto itself is refused.
+    mix_plan(cores=2, with_ops=True), chaos_plan(cores=2)
+    assert {op.get("evacuate_to") for op in chaos_plan(cores=1).ops} == {None}
+
+
 def test_plan_rejects_bad_placement():
     with pytest.raises(ShardError, match="placement"):
         ShardPlan(cores=2, placement={5: 0})
@@ -86,6 +94,10 @@ _SPIN = {"core": 0, "body": "spin", "name": "a", "tickets": 1.0}
     ({"placement": 5}, "plan placement"),
     ({"placement": {"a": 1}}, "plan placement"),
     ({"placement": {"0": None}}, "plan placement"),
+    ({"epoch_ms": 500.0, "rebalance_ms": 750.0}, "plan rebalance_ms"),
+    ({"threads": [dict(_SPIN, pinned="yes")]}, "thread 'a' pinned"),
+    ({"cores": 2, "ops": [{"op": "restart", "at": 1.0, "core": 2}]},
+     "bad restart op"),
 ])
 def test_from_dict_refuses_malformed_fields_by_name(data, named):
     """Plans arrive as JSON from files and pipes: a field of the wrong
@@ -134,6 +146,8 @@ def test_incremental_checks_raise_what_the_full_pass_raises():
          lambda: plan.crash(at=1.0, core=7)),
         ("ops", "bad crash op",
          lambda: plan.crash(at=1.0, core=0, evacuate_to=7)),
+        ("ops", "bad crash op",
+         lambda: plan.crash(at=1.0, core=1, evacuate_to=1)),
     ]
     for field, prefix, build in malformed:
         message = _rejected(build)
@@ -206,6 +220,9 @@ def test_plan_round_trips_through_json_dict():
 
     plan = mix_plan(seed=11, cores=4, with_ops=True)
     plan.placement[3] = 0
+    plan.rebalance_ms = 1_000.0
+    plan.restart(at=3_000.0, core=3)
+    plan.add_thread(1, "spin", "p", tickets=5.0, pinned=True)
     data = json.loads(json.dumps(plan.to_dict()))
     rebuilt = ShardPlan.from_dict(data)
     assert rebuilt.to_dict() == plan.to_dict()

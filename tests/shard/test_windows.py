@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.checkpoint.statetree import tree_checksum
 from repro.errors import ShardError
+from repro.experiments.chaos_fairness import chaos_plan
 from repro.shard.engine import ShardedEngine
 from repro.shard.hostfaults import HostFault, HostFaultPlan, kill_every_epoch
 from repro.shard.plan import ShardPlan, mix_plan, spin_plan
@@ -216,6 +217,25 @@ def test_kill_at_every_epoch_means_one_slice_windows():
             if event["kind"] == "fault.armed"] == list(range(6))
 
 
+def test_rebalancing_keeps_windows_and_stops_and_kills_bit_exact():
+    """Each rebalance instant ends a window (loads ride its reply, moves
+    its barrier); stops, pipes and a worker killed every epoch change
+    nothing."""
+    want = _oracle(chaos_plan(), [12_000.0])
+    with ShardedEngine(chaos_plan(), shards=2) as engine:
+        seen = _commands(engine)
+        assert _digests(engine.advance(12_000.0)) == want
+    assert [(m["horizon"], m.get("loads")) for m in seen
+            if m["cmd"] == "epoch" and not m["inclusive"]] \
+        == [(1_000.0 * k, True) for k in range(1, 13)]
+    for stops in ([1_000.0, 12_000.0], [500.0 * k for k in range(1, 25)]):
+        assert _driven(chaos_plan(), stops) == want
+    digests, recovery, _ = _supervised(chaos_plan(), 5_000.0,
+                                       kill_every_epoch(2))
+    assert digests == _oracle(chaos_plan(), [5_000.0])
+    assert recovery["restarts"] == [11, 0]  # ten epochs and the stop
+
+
 def test_a_fault_that_would_sit_mid_window_heads_its_own_command():
     faults = HostFaultPlan([HostFault("kill", shard=0, epoch=7)])
     digests, recovery, log = _supervised(spin_plan(cores=4), 2_000.0, faults)
@@ -275,9 +295,9 @@ def _universes(draw):
     crashable = list(range(1 if rpc else 0, cores))
     for _ in range(draw(st.integers(0, 3))):
         if draw(st.booleans()):
-            plan.crash(at=draw(instants), core=draw(st.sampled_from(crashable)),
-                       evacuate_to=draw(st.one_of(
-                           st.none(), st.integers(0, cores - 1))))
+            core = draw(st.sampled_from(crashable))
+            elsewhere = [None, *(k for k in range(cores) if k != core)]
+            plan.crash(draw(instants), core, draw(st.sampled_from(elsewhere)))
         else:
             name, src = draw(st.sampled_from(spinners))
             plan.migrate(at=draw(instants), thread=name, src=src,

@@ -44,7 +44,7 @@ class TestCheckpointHooks:
 
 class TestRestoreThenTrace:
     def test_restored_handle_can_be_instrumented(self, tmp_path):
-        handle = build_recipe("chaos-fairness", {"seed": 2718})
+        handle = build_recipe("lottery-mix", {"seed": 2718})
         handle.advance(20_000.0)
         path = str(tmp_path / "mid.ckpt")
         save(handle, path)
@@ -61,12 +61,12 @@ class TestRestoreThenTrace:
     def test_traced_restore_matches_traced_original(self, tmp_path):
         """Restoring at T and tracing to T2 sees the same scheduling
         events as a fresh run traced over the same window."""
-        handle = build_recipe("chaos-fairness", {"seed": 2718})
+        handle = build_recipe("lottery-mix", {"seed": 2718})
         handle.advance(15_000.0)
         path = str(tmp_path / "replaytrace.ckpt")
         save(handle, path)
 
-        fresh = build_recipe("chaos-fairness", {"seed": 2718})
+        fresh = build_recipe("lottery-mix", {"seed": 2718})
         fresh.advance(15_000.0)
         hub_fresh = Telemetry().instrument_handle(fresh)
         fresh.advance(30_000.0)

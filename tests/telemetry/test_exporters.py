@@ -128,8 +128,8 @@ class TestFiles:
 
 
 class TestDeterminism:
-    def _traced_chaos(self, seed=2718, until=30_000.0, **hub_options):
-        handle = build_recipe("chaos-fairness", {"seed": seed})
+    def _traced_mix(self, seed=2718, until=30_000.0, **hub_options):
+        handle = build_recipe("lottery-mix", {"seed": seed})
         hub = Telemetry(**hub_options)
         hub.instrument_handle(handle)
         handle.advance(until)
@@ -141,26 +141,26 @@ class TestDeterminism:
         return exports
 
     def test_same_seed_exports_are_byte_identical(self):
-        first = self._traced_chaos()
-        second = self._traced_chaos()
+        first = self._traced_mix()
+        second = self._traced_mix()
         assert first == second
 
     def test_different_seed_diverges(self):
-        assert self._traced_chaos(seed=2718) != self._traced_chaos(seed=99)
+        assert self._traced_mix(seed=2718) != self._traced_mix(seed=99)
 
     def test_export_taken_after_eviction_is_pinned(self):
-        # 15 013 spans through a 5 000-span bound: what is exported is
+        # 10 356 spans through a 5 000-span bound: what is exported is
         # what survived drop-oldest, sids and parents untouched.  The
-        # digests are those of ``python -m repro.telemetry --max-spans
-        # 5000 --jsonl ... --chrome ...`` when the buffer was still a
-        # deque of Span objects.
-        chrome, jsonl, _ = self._traced_chaos(until=60_000.0, max_spans=5000)
+        # digests are those of ``python -m repro.telemetry --recipe
+        # lottery-mix --run-until 300000 --max-spans 5000 --jsonl ...
+        # --chrome ...``.
+        chrome, jsonl, _ = self._traced_mix(until=300_000.0, max_spans=5000)
         header = json.loads(jsonl.splitlines()[0])
-        assert (header["spans"], header["dropped_spans"]) == (5000, 10013)
-        assert sha256_text(jsonl) == ("8bbc147d9fb87a18f161441e1c50ec0f"
-                                      "9bb97b03a2630bb514902cdee2d24ad8")
-        assert sha256_text(chrome) == ("8284bddf043e8d5b6c96606a20c97fd4"
-                                       "db234b02b5350b9c0c3616bfe1540903")
+        assert (header["spans"], header["dropped_spans"]) == (5000, 5356)
+        assert sha256_text(jsonl) == ("0d51eac262883b286821f202ad813510"
+                                      "ec7a5839dfa1ab13cfcf1fc45e24d2b9")
+        assert sha256_text(chrome) == ("abf7d8733702dca4c5e72d914a25faf8"
+                                       "19eb072e94841d725ac26491b7d8bb46")
 
 
 class TestPrometheusSanitization:

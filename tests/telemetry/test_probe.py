@@ -1,9 +1,12 @@
 """KernelProbe + Telemetry hub: spans from live kernels, zero perturbation."""
 
-from repro.checkpoint.registry import build_recipe
+import json
+
 from repro.checkpoint.replay import ReplayRecorder
+from repro.experiments.chaos_fairness import chaos_plan
 from repro.kernel.ipc import Port
 from repro.kernel.syscalls import Call, Compute, Receive, Reply
+from repro.shard.engine import ShardedEngine
 from repro.telemetry import Telemetry
 from repro.telemetry.spans import Span, SpanTracer
 from tests.conftest import make_lottery_kernel, spin_body
@@ -114,19 +117,28 @@ class TestIpcSpans:
 
 class TestClusterAndFaults:
     def test_chaos_run_yields_migration_and_fault_spans(self):
-        handle = build_recipe("chaos-fairness", {"seed": 2718})
-        hub = Telemetry().instrument_handle(handle)
-        handle.advance(120_000.0)
-        hub.finalize(handle.now)
-        counts = hub.tracer.counts()
-        names = {name for _, name in counts}
-        assert any(n.startswith("fault.") for n in names)
-        assert "cluster.evacuate" in names or "cluster.migrate" in names
-        assert ("kernel", "quantum") in counts
-        tracks = hub.tracer.tracks()
-        assert "kernel" not in tracks  # probes use the node names
-        assert len([t for t in tracks if t.startswith("node")]) >= 2
-        hub.close()
+        """The sharded chaos run, observed: per-core quantum spans,
+        rebalance evictions and evacuation respawns in the stitched
+        trace, and the crash fault and its casualty in the obs frames."""
+        def observed(**engine_args):
+            with ShardedEngine(chaos_plan(), obs=True,
+                               **engine_args) as engine:
+                engine.advance(40_000.0)  # past core 1's crash at 30 s
+                return (engine.stitched_trace(),
+                        [frame["shard"] for frame in
+                         engine.obs.latest_frames()])
+
+        trace, shard = observed(backend="single")
+        assert observed(backend="mp", shards=3) == (trace, shard)
+        events = json.loads(trace)["traceEvents"]
+        assert {"quantum", "shard.rx.evict", "shard.rx.spawn",
+                "shard.flow.spawn", "thread_name"} \
+            <= {event["name"] for event in events}
+        assert {"core0", "core1", "core2"} <= {
+            event["args"]["name"] for event in events
+            if event["name"] == "thread_name"}
+        assert (shard[1]["crashed"], shard[1]["casualties"]) == (True, 1)
+        assert shard[1]["evacuations"] >= 1
 
 
 class TestNoPerturbation:
