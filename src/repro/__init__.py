@@ -18,34 +18,7 @@ Quickstart::
 
 from typing import Dict
 
-from repro.core import (
-    CompensationManager,
-    Currency,
-    ErrorDrivenInflator,
-    Ledger,
-    ListLottery,
-    ParkMillerPRNG,
-    Ticket,
-    TicketHolder,
-    TransferHandle,
-    TreeLottery,
-    fastrand,
-    hold_lottery,
-    inverse_lottery,
-    transfer_funding,
-)
-from repro.kernel import Compute, Kernel, Port, Task, Thread
-from repro.schedulers import (
-    FairSharePolicy,
-    FixedPriorityPolicy,
-    LotteryPolicy,
-    RoundRobinPolicy,
-    SchedulingPolicy,
-    StridePolicy,
-    TimesharingPolicy,
-)
-from repro.sim import Engine
-from repro.sync import Condition, LotteryMutex, Mutex, Semaphore
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -85,6 +58,28 @@ __all__ = [
     "__version__",
 ]
 
+__getattr__ = lazy_exports(globals(), {
+    "CompensationManager": ".core.compensation",
+    "ErrorDrivenInflator": ".core.inflation", "inverse_lottery": ".core.inverse",
+    "ListLottery": ".core.lottery", "TreeLottery": ".core.lottery",
+    "hold_lottery": ".core.lottery", "fastrand": ".core.prng",
+    "ParkMillerPRNG": ".core.prng", "Currency": ".core.tickets",
+    "Ledger": ".core.tickets", "Ticket": ".core.tickets",
+    "TicketHolder": ".core.tickets", "TransferHandle": ".core.transfers",
+    "transfer_funding": ".core.transfers", "Kernel": ".kernel.kernel",
+    "Port": ".kernel.ipc", "Compute": ".kernel.syscalls",
+    "Task": ".kernel.thread", "Thread": ".kernel.thread",
+    "SchedulingPolicy": ".schedulers.base",
+    "FairSharePolicy": ".schedulers.fair_share",
+    "LotteryPolicy": ".schedulers.lottery_policy",
+    "FixedPriorityPolicy": ".schedulers.priority",
+    "RoundRobinPolicy": ".schedulers.round_robin",
+    "StridePolicy": ".schedulers.stride",
+    "TimesharingPolicy": ".schedulers.timesharing", "Engine": ".sim.engine",
+    "Condition": ".sync.condition", "LotteryMutex": ".sync.mutex",
+    "Mutex": ".sync.mutex", "Semaphore": ".sync.semaphore",
+})
+
 
 def simulate_shares(
     tickets: Dict[str, float],
@@ -98,6 +93,13 @@ def simulate_shares(
     entry of ``tickets``, lottery-schedules them for ``duration_ms`` of
     virtual time, and returns each thread's observed CPU share.
     """
+    from repro.core.prng import ParkMillerPRNG
+    from repro.core.tickets import Ledger
+    from repro.kernel.kernel import Kernel
+    from repro.kernel.syscalls import Compute
+    from repro.schedulers.lottery_policy import LotteryPolicy
+    from repro.sim.engine import Engine
+
     engine = Engine()
     ledger = Ledger()
     policy = LotteryPolicy(ledger, prng=ParkMillerPRNG(seed))

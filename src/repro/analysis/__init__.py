@@ -22,13 +22,7 @@ Command-line front end:
 See ``docs/ANALYSIS.md`` for the full rule and invariant reference.
 """
 
-from repro.analysis.lint import Finding, RULES, Rule, Suppression, \
-    collect_suppressions, iter_suppressions, lint_file, lint_paths, \
-    lint_source
-from repro.analysis.races import RaceTracker, tracker
-from repro.analysis.report import fingerprint, render_json, render_sarif
-from repro.analysis.sanitizer import InvariantSanitizer, \
-    install_autosanitize, sanitize_ledger, uninstall_autosanitize
+from repro._exports import lazy_exports
 
 __all__ = [
     "Finding",
@@ -50,3 +44,15 @@ __all__ = [
     "sanitize_ledger",
     "uninstall_autosanitize",
 ]
+
+__getattr__ = lazy_exports(globals(), {
+    "Finding": ".lint", "RULES": ".lint", "Rule": ".lint",
+    "Suppression": ".lint", "collect_suppressions": ".lint",
+    "iter_suppressions": ".lint", "lint_file": ".lint", "lint_paths": ".lint",
+    "lint_source": ".lint",
+    "RaceTracker": ".races", "tracker": ".races",
+    "fingerprint": ".report", "render_json": ".report",
+    "render_sarif": ".report",
+    "InvariantSanitizer": ".sanitizer", "install_autosanitize": ".sanitizer",
+    "sanitize_ledger": ".sanitizer", "uninstall_autosanitize": ".sanitizer",
+})

@@ -23,16 +23,7 @@ See ``docs/CHECKPOINT.md`` for the file format, schema versioning
 rules, and the divergence-report format.
 """
 
-from repro.checkpoint.capture import capture_payload, capture_tree, save
-from repro.checkpoint.registry import (SimHandle, build_recipe,
-                                       recipe_names, register_recipe)
-from repro.checkpoint.replay import (Divergence, ReplayRecorder,
-                                     diff_streams, format_divergence,
-                                     read_stream_file, write_stream_file)
-from repro.checkpoint.restore import restore, restore_payload, verify_against
-from repro.checkpoint.statetree import (SCHEMA_VERSION, canonical_json,
-                                        diff_trees, read_checkpoint_file,
-                                        tree_checksum, write_checkpoint_file)
+from repro._exports import lazy_exports
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -58,3 +49,22 @@ __all__ = [
     "read_checkpoint_file",
     "write_checkpoint_file",
 ]
+
+__getattr__ = lazy_exports(globals(), {
+    "capture_payload": ".capture", "capture_tree": ".capture",
+    "save": ".capture",
+    "SimHandle": ".registry", "build_recipe": ".registry",
+    "recipe_names": ".registry", "register_recipe": ".registry",
+    "Divergence": ".replay", "ReplayRecorder": ".replay",
+    "diff_streams": ".replay", "format_divergence": ".replay",
+    "read_stream_file": ".replay", "write_stream_file": ".replay",
+    "restore_payload": ".restore", "verify_against": ".restore",
+    "SCHEMA_VERSION": ".statetree", "canonical_json": ".statetree",
+    "diff_trees": ".statetree", "read_checkpoint_file": ".statetree",
+    "tree_checksum": ".statetree", "write_checkpoint_file": ".statetree",
+})
+
+# ``restore`` is a submodule and its function.  Loading a submodule
+# rebinds the package attribute of its name to the module, so the
+# function is bound here, once the submodule has loaded, not lazily.
+from repro.checkpoint.restore import restore

@@ -15,6 +15,8 @@ import tempfile
 from repro.checkpoint import (build_recipe, diff_streams,
                               format_divergence, recipe_names, restore, save)
 from repro.checkpoint.statetree import checkpoint_summary
+from repro.errors import ReproError
+from repro.shard.__main__ import virtual_ms
 
 
 def main(argv=None) -> int:
@@ -24,9 +26,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--recipe", default="lottery-mix",
                         choices=recipe_names())
-    parser.add_argument("--checkpoint-at", type=float, default=5_000.0,
+    parser.add_argument("--checkpoint-at", type=virtual_ms, default=5_000.0,
                         metavar="MS", help="virtual time of the checkpoint")
-    parser.add_argument("--run-until", type=float, default=10_000.0,
+    parser.add_argument("--run-until", type=virtual_ms, default=10_000.0,
                         metavar="MS", help="virtual time both runs end at")
     parser.add_argument("--report", metavar="PATH", default=None,
                         help="also write the divergence report to this file")
@@ -34,16 +36,19 @@ def main(argv=None) -> int:
     if not args.checkpoint_at < args.run_until:
         parser.error("--checkpoint-at must be before --run-until")
 
-    original = build_recipe(args.recipe, {})
-    original.advance(args.checkpoint_at)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "smoke.ckpt")
-        payload = save(original, path)
-        print(f"saved {checkpoint_summary(payload)}")
-        restored, _ = restore(path)
-        print(f"restored and verified at t={restored.now:g}ms")
-    original.advance(args.run_until)
-    restored.advance(args.run_until)
+    try:
+        original = build_recipe(args.recipe, {})
+        original.advance(args.checkpoint_at)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "smoke.ckpt")
+            payload = save(original, path)
+            print(f"saved {checkpoint_summary(payload)}")
+            restored, _ = restore(path)
+            print(f"restored and verified at t={restored.now:g}ms")
+        original.advance(args.run_until)
+        restored.advance(args.run_until)
+    except ReproError as exc:
+        parser.error(str(exc))
     left = original.stream()
     right = restored.stream()
     divergence = diff_streams(left, right)

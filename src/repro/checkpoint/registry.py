@@ -26,6 +26,7 @@ checkpoints that miss it.
 from __future__ import annotations
 
 import inspect
+import math
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.errors import CheckpointError
@@ -76,6 +77,11 @@ class SimHandle:
 
     def advance(self, until: float) -> None:
         """Run the simulation forward to virtual time ``until``."""
+        if not isinstance(until, (int, float)) or not math.isfinite(until):
+            # NaN passes the backwards check; neither it nor inf is reached.
+            raise CheckpointError(
+                f"advance horizon 'until' must be a finite number: "
+                f"{until!r}")
         if until < self.now:
             raise CheckpointError(
                 f"cannot advance backwards: now={self.now:g}ms, "

@@ -18,8 +18,8 @@ the checkpoint format (versioned, checksummed, atomically written).
 from __future__ import annotations
 
 import json
+import math
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
@@ -36,6 +36,18 @@ __all__ = ["ReplayRecorder", "Divergence", "diff_streams",
 STREAM_VERSION = 1
 
 FORMAT_NAME = "repro-replay-stream"
+
+
+#: (field, what it must hold, test, required) of a stream entry, as
+#: JSON loads it; only a sharded engine's entries carry ``core``.
+_ENTRY_FIELDS = (
+    ("time", "a finite number",
+     lambda v: type(v) in (int, float) and math.isfinite(v), True),
+    ("tid", "an int", lambda v: type(v) is int, True),
+    ("name", "a str", lambda v: type(v) is str, True),
+    ("draw", "an int or null", lambda v: v is None or type(v) is int, True),
+    ("core", "an int", lambda v: type(v) is int, False),
+)
 
 
 class ReplayRecorder:
@@ -159,6 +171,8 @@ def format_divergence(divergence: Optional[Divergence]) -> str:
 
 def write_stream_file(path: str, entries: List[Dict[str, Any]]) -> None:
     """Atomically write a recorded dispatch stream (checksummed)."""
+    import tempfile  # only writers pay for it (it loads random)
+
     payload = {
         "format": FORMAT_NAME,
         "stream_version": STREAM_VERSION,
@@ -207,4 +221,16 @@ def read_stream_file(path: str) -> List[Dict[str, Any]]:
             f"stream {path!r} failed its integrity check (corrupted file;"
             f" refusing to load)"
         )
+    # A valid checksum vouches for the bytes, not for who wrote them.
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise CheckpointError(
+                f"stream {path!r} entry {index} is not an object: {entry!r}")
+        for field, want, test, required in _ENTRY_FIELDS:
+            if field not in entry and not required:
+                continue
+            if field not in entry or not test(entry[field]):
+                raise CheckpointError(
+                    f"stream {path!r} entry {index} field {field!r} must "
+                    f"be {want}: {entry.get(field, '<absent>')!r}")
     return entries

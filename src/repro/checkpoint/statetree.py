@@ -30,7 +30,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 from typing import Any, Dict, List, Tuple
 
 from repro.errors import CheckpointError
@@ -163,6 +162,8 @@ def write_checkpoint_file(path: str, payload: Dict[str, Any]) -> None:
     ``os.replace`` is a same-filesystem atomic rename; a crash at any
     point leaves either the previous file or the complete new one.
     """
+    import tempfile  # only writers pay for it (it loads random)
+
     directory = os.path.dirname(os.path.abspath(path)) or "."
     encoded = json.dumps(payload, sort_keys=True, indent=1,
                          allow_nan=False)

@@ -7,22 +7,7 @@ ticket transfers (sections 3.1/4.6), inflation controllers (sections
 prototype used (Appendix A).
 """
 
-from repro.core.compensation import CompensationManager
-from repro.core.inflation import ErrorDrivenInflator, deflate, inflate, set_share
-from repro.core.inverse import (
-    inverse_lottery,
-    inverse_probabilities,
-    weighted_inverse_lottery,
-)
-from repro.core.multiresource import (
-    BottleneckManager,
-    ResourceBudget,
-    proportional_decide,
-)
-from repro.core.lottery import DrawStats, ListLottery, TreeLottery, hold_lottery
-from repro.core.prng import MODULUS, MULTIPLIER, ParkMillerPRNG, fastrand
-from repro.core.tickets import Currency, Ledger, Ticket, TicketHolder
-from repro.core.transfers import TransferHandle, split_transfer, transfer_funding
+from repro._exports import lazy_exports
 
 __all__ = [
     "BottleneckManager",
@@ -52,3 +37,21 @@ __all__ = [
     "transfer_funding",
     "weighted_inverse_lottery",
 ]
+
+__getattr__ = lazy_exports(globals(), {
+    "CompensationManager": ".compensation",
+    "ErrorDrivenInflator": ".inflation", "deflate": ".inflation",
+    "inflate": ".inflation", "set_share": ".inflation",
+    "inverse_lottery": ".inverse", "inverse_probabilities": ".inverse",
+    "weighted_inverse_lottery": ".inverse",
+    "BottleneckManager": ".multiresource", "ResourceBudget": ".multiresource",
+    "proportional_decide": ".multiresource",
+    "DrawStats": ".lottery", "ListLottery": ".lottery",
+    "TreeLottery": ".lottery", "hold_lottery": ".lottery",
+    "MODULUS": ".prng", "MULTIPLIER": ".prng", "ParkMillerPRNG": ".prng",
+    "fastrand": ".prng",
+    "Currency": ".tickets", "Ledger": ".tickets", "Ticket": ".tickets",
+    "TicketHolder": ".tickets",
+    "TransferHandle": ".transfers", "split_transfer": ".transfers",
+    "transfer_funding": ".transfers",
+})

@@ -26,29 +26,7 @@ ablations                 A2 CV law, A3 lottery-vs-stride, A4 compensation
 ========================  =====================================================
 """
 
-from repro.experiments import (  # noqa: F401 (re-exported driver modules)
-    ablations,
-    chaos_fairness,
-    cluster_fairness,
-    diverse_resources,
-    fig1_walkthrough,
-    fig4_rate_accuracy,
-    fig5_fairness_over_time,
-    fig6_montecarlo,
-    fig7_query_rates,
-    fig8_video_rates,
-    fig9_load_insulation,
-    fig11_mutex,
-    inverse_memory,
-    multiresource,
-    overhead,
-    paging_runtime,
-    quantum_sweep,
-    responsiveness,
-    service_classes,
-    shard_observability,
-)
-from repro.experiments.common import ExperimentResult, Machine, build_machine
+from repro._exports import lazy_exports
 
 __all__ = [
     "ExperimentResult",
@@ -75,3 +53,8 @@ __all__ = [
     "service_classes",
     "shard_observability",
 ]
+
+__getattr__ = lazy_exports(globals(), {
+    "ExperimentResult": ".common", "Machine": ".common",
+    "build_machine": ".common",
+})

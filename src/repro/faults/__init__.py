@@ -21,15 +21,7 @@ restarting are ``crash`` / ``restart`` ops of a sharded plan
 taxonomy and determinism contract.
 """
 
-from repro.faults.injector import FaultInjector, IpcFaultModel
-from repro.faults.plan import FaultEvent, FaultKind, FaultPlan, FaultPlanBuilder
-from repro.faults.retry import (
-    ABORT,
-    RetryPolicy,
-    RetryState,
-    disk_submit_with_retry,
-    execute_with_retry,
-)
+from repro._exports import lazy_exports
 
 __all__ = [
     "ABORT",
@@ -44,3 +36,11 @@ __all__ = [
     "disk_submit_with_retry",
     "execute_with_retry",
 ]
+
+__getattr__ = lazy_exports(globals(), {
+    "FaultInjector": ".injector", "IpcFaultModel": ".injector",
+    "FaultEvent": ".plan", "FaultKind": ".plan", "FaultPlan": ".plan",
+    "FaultPlanBuilder": ".plan",
+    "ABORT": ".retry", "RetryPolicy": ".retry", "RetryState": ".retry",
+    "disk_submit_with_retry": ".retry", "execute_with_retry": ".retry",
+})

@@ -1,7 +1,6 @@
 """I/O-bandwidth generalizations: lottery-scheduled disk and network."""
 
-from repro.iosched.disk import FIFO, LOTTERY, ROUND_ROBIN, Disk, DiskRequest
-from repro.iosched.netport import LinkScheduler, VirtualCircuit
+from repro._exports import lazy_exports
 
 __all__ = [
     "Disk",
@@ -12,3 +11,9 @@ __all__ = [
     "ROUND_ROBIN",
     "VirtualCircuit",
 ]
+
+__getattr__ = lazy_exports(globals(), {
+    "FIFO": ".disk", "LOTTERY": ".disk", "ROUND_ROBIN": ".disk",
+    "Disk": ".disk", "DiskRequest": ".disk",
+    "LinkScheduler": ".netport", "VirtualCircuit": ".netport",
+})

@@ -1,23 +1,6 @@
 """Simulated microkernel: threads, tasks, dispatch loop, and IPC."""
 
-from repro.kernel.ipc import Port, Request
-from repro.kernel.kernel import BLOCK, Kernel
-from repro.kernel.syscalls import (
-    AcquireMutex,
-    Call,
-    Compute,
-    Exit,
-    Receive,
-    ReleaseMutex,
-    Reply,
-    SemaphoreDown,
-    SemaphoreUp,
-    Send,
-    Sleep,
-    Syscall,
-    YieldCPU,
-)
-from repro.kernel.thread import Task, Thread, ThreadContext, ThreadState
+from repro._exports import lazy_exports
 
 __all__ = [
     "AcquireMutex",
@@ -42,3 +25,15 @@ __all__ = [
     "ThreadState",
     "YieldCPU",
 ]
+
+__getattr__ = lazy_exports(globals(), {
+    "Port": ".ipc", "Request": ".ipc",
+    "BLOCK": ".kernel", "Kernel": ".kernel",
+    "AcquireMutex": ".syscalls", "Call": ".syscalls", "Compute": ".syscalls",
+    "Exit": ".syscalls", "Receive": ".syscalls", "ReleaseMutex": ".syscalls",
+    "Reply": ".syscalls", "SemaphoreDown": ".syscalls",
+    "SemaphoreUp": ".syscalls", "Send": ".syscalls", "Sleep": ".syscalls",
+    "Syscall": ".syscalls", "YieldCPU": ".syscalls",
+    "Task": ".thread", "Thread": ".thread", "ThreadContext": ".thread",
+    "ThreadState": ".thread",
+})

@@ -1,15 +1,6 @@
 """Memory management generalization: inverse-lottery page replacement."""
 
-from repro.mem.frames import Frame, FramePool, PageBinding
-from repro.mem.manager import MemoryManager
-from repro.mem.paging import DEFAULT_FAULT_SERVICE_MS, PagedWorkload
-from repro.mem.policies import (
-    FIFOReplacement,
-    InverseLotteryReplacement,
-    LRUReplacement,
-    RandomReplacement,
-    ReplacementPolicy,
-)
+from repro._exports import lazy_exports
 
 __all__ = [
     "FIFOReplacement",
@@ -24,3 +15,12 @@ __all__ = [
     "RandomReplacement",
     "ReplacementPolicy",
 ]
+
+__getattr__ = lazy_exports(globals(), {
+    "Frame": ".frames", "FramePool": ".frames", "PageBinding": ".frames",
+    "MemoryManager": ".manager",
+    "DEFAULT_FAULT_SERVICE_MS": ".paging", "PagedWorkload": ".paging",
+    "FIFOReplacement": ".policies", "InverseLotteryReplacement": ".policies",
+    "LRUReplacement": ".policies", "RandomReplacement": ".policies",
+    "ReplacementPolicy": ".policies",
+})

@@ -25,19 +25,7 @@ varies by host.  Timing itself therefore lives outside the
 deterministic zones and never feeds back into simulation state.
 """
 
-from repro.perf.baseline import (
-    BaselineComparison,
-    compare_reports,
-    format_comparison_table,
-    load_report,
-    write_report,
-)
-from repro.perf.harness import (
-    BenchmarkResult,
-    PerfReport,
-    environment_fingerprint,
-    run_benchmarks,
-)
+from repro._exports import lazy_exports
 
 __all__ = [
     "BenchmarkResult",
@@ -50,3 +38,11 @@ __all__ = [
     "load_report",
     "write_report",
 ]
+
+__getattr__ = lazy_exports(globals(), {
+    "BaselineComparison": ".baseline", "compare_reports": ".baseline",
+    "format_comparison_table": ".baseline", "load_report": ".baseline",
+    "write_report": ".baseline",
+    "BenchmarkResult": ".harness", "PerfReport": ".harness",
+    "environment_fingerprint": ".harness", "run_benchmarks": ".harness",
+})

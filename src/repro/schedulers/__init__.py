@@ -1,12 +1,6 @@
 """Scheduling policies: the lottery and the baselines it is compared to."""
 
-from repro.schedulers.base import SchedulingPolicy
-from repro.schedulers.fair_share import FairSharePolicy
-from repro.schedulers.lottery_policy import LotteryPolicy
-from repro.schedulers.priority import FixedPriorityPolicy
-from repro.schedulers.round_robin import RoundRobinPolicy
-from repro.schedulers.stride import STRIDE1, StridePolicy
-from repro.schedulers.timesharing import TimesharingPolicy
+from repro._exports import lazy_exports
 
 __all__ = [
     "FairSharePolicy",
@@ -18,3 +12,13 @@ __all__ = [
     "StridePolicy",
     "TimesharingPolicy",
 ]
+
+__getattr__ = lazy_exports(globals(), {
+    "SchedulingPolicy": ".base",
+    "FairSharePolicy": ".fair_share",
+    "LotteryPolicy": ".lottery_policy",
+    "FixedPriorityPolicy": ".priority",
+    "RoundRobinPolicy": ".round_robin",
+    "STRIDE1": ".stride", "StridePolicy": ".stride",
+    "TimesharingPolicy": ".timesharing",
+})

@@ -9,13 +9,7 @@ its wake->dispatch p99 breaches target.  ``experiments/serving_tail``
 is the head-to-head harness; ``docs/SERVING.md`` the narrative.
 """
 
-from repro.serving.admission import AdmissionController, TokenBucket
-from repro.serving.arena import ArenaConfig, ServingArena, build_arena
-from repro.serving.shardplan import serving_plan
-from repro.serving.slo_controller import ClassLatencyProbe, SloController
-from repro.serving.stats import ServingStats
-from repro.serving.tiers import (DEFAULT_CLASSES, ServiceClassSpec,
-                                 ServingRuntime, capacity_rps)
+from repro._exports import lazy_exports
 
 __all__ = [
     "AdmissionController",
@@ -32,3 +26,13 @@ __all__ = [
     "ServingRuntime",
     "capacity_rps",
 ]
+
+__getattr__ = lazy_exports(globals(), {
+    "AdmissionController": ".admission", "TokenBucket": ".admission",
+    "ArenaConfig": ".arena", "ServingArena": ".arena", "build_arena": ".arena",
+    "serving_plan": ".shardplan",
+    "ClassLatencyProbe": ".slo_controller", "SloController": ".slo_controller",
+    "ServingStats": ".stats",
+    "DEFAULT_CLASSES": ".tiers", "ServiceClassSpec": ".tiers",
+    "ServingRuntime": ".tiers", "capacity_rps": ".tiers",
+})

@@ -11,16 +11,7 @@ import ``multiprocessing`` (lint rule RPR012 bans concurrency imports
 everywhere else in the zones).
 """
 
-from repro.shard.builders import BODY_REGISTRY, register_body
-from repro.shard.engine import ShardedEngine
-from repro.shard.hostfaults import (
-    HostFault,
-    HostFaultPlan,
-    load_host_faults,
-)
-from repro.shard.plan import ShardPlan, mix_plan, spin_plan
-from repro.shard.supervisor import SupervisedMpBackend, SupervisorPolicy
-from repro.shard.topology import ShardTopology
+from repro._exports import lazy_exports
 
 __all__ = [
     "BODY_REGISTRY",
@@ -36,3 +27,13 @@ __all__ = [
     "register_body",
     "spin_plan",
 ]
+
+__getattr__ = lazy_exports(globals(), {
+    "BODY_REGISTRY": ".builders", "register_body": ".builders",
+    "ShardedEngine": ".engine",
+    "HostFault": ".hostfaults", "HostFaultPlan": ".hostfaults",
+    "load_host_faults": ".hostfaults",
+    "ShardPlan": ".plan", "mix_plan": ".plan", "spin_plan": ".plan",
+    "SupervisedMpBackend": ".supervisor", "SupervisorPolicy": ".supervisor",
+    "ShardTopology": ".topology",
+})

@@ -33,20 +33,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.checkpoint.statetree import tree_checksum
 from repro.errors import ReproError, ShardError
-from repro.shard.backends import BACKENDS
-from repro.shard.engine import ShardedEngine
 from repro.shard.hostfaults import (
     HostFaultPlan,
     kill_every_epoch,
     load_host_faults,
 )
 from repro.shard.plan import ShardPlan, mix_plan, spin_plan
-from repro.shard.supervisor import SupervisorPolicy
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.shard.supervisor import SupervisorPolicy
+
+# The engine, its backends and the supervisor are imported where a plan
+# runs: the other CLIs import PLANS and the argument types from here.
 
 
 def _serving(args):
@@ -76,7 +80,7 @@ PLANS = {
 
 
 def positive_int(text: str) -> int:
-    """argparse type of a core or shard count."""
+    """argparse type of a count (cores, shards, a span bound)."""
     try:
         value = int(text)
     except ValueError:
@@ -84,6 +88,18 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer: {text!r}")
+    return value
+
+
+def virtual_ms(text: str) -> float:
+    """argparse type of a virtual time: finite and non-negative."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value < 0.0:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite, non-negative time in ms: {text!r}")
     return value
 
 
@@ -99,6 +115,8 @@ def _run_combo(plan: ShardPlan, backend: str, shards: int, until: float,
                obs: bool = False, flight_dir: Optional[str] = None,
                ) -> Tuple[str, str, List[Dict[str, Any]], dict,
                           Optional[Dict[str, Any]]]:
+    from repro.shard.engine import ShardedEngine
+
     with ShardedEngine(plan, shards=shards, backend=backend,
                        supervise=supervise, policy=policy,
                        host_faults=host_faults, obs=obs,
@@ -166,11 +184,15 @@ def _recovery_line(summary: dict) -> str:
 
 
 def _policy_from_args(args: argparse.Namespace) -> SupervisorPolicy:
+    from repro.shard.supervisor import SupervisorPolicy
+
     return SupervisorPolicy(max_retries=args.max_retries,
                             deadline_s=args.deadline)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.shard.backends import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.shard",
         description="Run or verify the deterministic sharded engine.")

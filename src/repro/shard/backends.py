@@ -52,7 +52,6 @@ canonical ``(target, src, seq)`` order, so any schedule of the
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import traceback
 from collections import deque
@@ -487,6 +486,8 @@ class MpBackend(_Backend):
 
     def __init__(self, plan: ShardPlan, topology: ShardTopology,
                  obs: bool = False, flight: bool = False) -> None:
+        import multiprocessing  # a cold path: inline runs never load it
+
         super().__init__(plan, topology, obs=obs, flight=flight)
         self._context = multiprocessing.get_context()
         self._sanitize = bool(os.environ.get("REPRO_SANITIZE"))

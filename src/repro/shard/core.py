@@ -81,6 +81,9 @@ class ShardCore:
         self.obs = bool(obs)
         self.telemetry = None
         if self.obs:
+            # obs_frame's module too: loaded when the plane is armed,
+            # not at the first frame, which is inside the run.
+            import repro.telemetry.aggregate  # noqa: F401
             from repro.telemetry.probe import Telemetry
 
             self.telemetry = Telemetry()

@@ -1,7 +1,11 @@
 """Discrete-event simulation substrate (virtual clock, events, engine)."""
 
-from repro.sim.clock import MS, SECONDS, VirtualClock
-from repro.sim.engine import Engine
-from repro.sim.events import Event, EventQueue
+from repro._exports import lazy_exports
 
 __all__ = ["Engine", "Event", "EventQueue", "MS", "SECONDS", "VirtualClock"]
+
+__getattr__ = lazy_exports(globals(), {
+    "MS": ".clock", "SECONDS": ".clock", "VirtualClock": ".clock",
+    "Engine": ".engine",
+    "Event": ".events", "EventQueue": ".events",
+})

@@ -1,7 +1,11 @@
 """Synchronization primitives: standard and lottery-scheduled."""
 
-from repro.sync.condition import Condition
-from repro.sync.mutex import LotteryMutex, Mutex, MutexBase
-from repro.sync.semaphore import Semaphore
+from repro._exports import lazy_exports
 
 __all__ = ["Condition", "LotteryMutex", "Mutex", "MutexBase", "Semaphore"]
+
+__getattr__ = lazy_exports(globals(), {
+    "Condition": ".condition",
+    "LotteryMutex": ".mutex", "Mutex": ".mutex", "MutexBase": ".mutex",
+    "Semaphore": ".semaphore",
+})

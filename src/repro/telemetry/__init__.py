@@ -20,41 +20,7 @@ one-shot trace-a-recipe CLI; and ``python -m repro.telemetry report``
 for the sharded run report.
 """
 
-from repro.telemetry.aggregate import (
-    GlobalMetricsView,
-    MergedScalar,
-    ObsAggregator,
-    fairness_summary,
-    merge_frames,
-)
-from repro.telemetry.exporters import (
-    export_chrome,
-    export_jsonl,
-    export_prometheus,
-    parse_chrome,
-    parse_jsonl,
-    sha256_text,
-    validate_chrome_trace,
-    write_checksummed,
-)
-from repro.telemetry.flight import (
-    build_bundle,
-    load_bundle,
-    summarize_bundle,
-    write_bundle,
-)
-from repro.telemetry.obsreport import build_report, render_markdown
-from repro.telemetry.probe import KernelProbe, Telemetry
-from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    HistogramInstrument,
-    MetricRegistry,
-    parse_full_name,
-)
-from repro.telemetry.slo import SloEvaluator, SloPolicy, evaluate_slo
-from repro.telemetry.spans import Span, SpanTracer
-from repro.telemetry.stitch import stitch_trace, stitched_chrome
+from repro._exports import lazy_exports
 
 __all__ = [
     "Counter",
@@ -91,3 +57,23 @@ __all__ = [
     "write_bundle",
     "write_checksummed",
 ]
+
+__getattr__ = lazy_exports(globals(), {
+    "GlobalMetricsView": ".aggregate", "MergedScalar": ".aggregate",
+    "ObsAggregator": ".aggregate", "fairness_summary": ".aggregate",
+    "merge_frames": ".aggregate",
+    "export_chrome": ".exporters", "export_jsonl": ".exporters",
+    "export_prometheus": ".exporters", "parse_chrome": ".exporters",
+    "parse_jsonl": ".exporters", "sha256_text": ".exporters",
+    "validate_chrome_trace": ".exporters", "write_checksummed": ".exporters",
+    "build_bundle": ".flight", "load_bundle": ".flight",
+    "summarize_bundle": ".flight", "write_bundle": ".flight",
+    "build_report": ".obsreport", "render_markdown": ".obsreport",
+    "KernelProbe": ".probe", "Telemetry": ".probe",
+    "Counter": ".registry", "Gauge": ".registry",
+    "HistogramInstrument": ".registry", "MetricRegistry": ".registry",
+    "parse_full_name": ".registry",
+    "SloEvaluator": ".slo", "SloPolicy": ".slo", "evaluate_slo": ".slo",
+    "Span": ".spans", "SpanTracer": ".spans",
+    "stitch_trace": ".stitch", "stitched_chrome": ".stitch",
+})

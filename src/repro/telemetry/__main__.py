@@ -132,18 +132,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "report":
         return _report_main(argv[1:])
+    from repro.shard.__main__ import positive_int, virtual_ms
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.telemetry",
         description="Trace a recipe run and export spans/metrics.",
     )
     parser.add_argument("--recipe", default="lottery-mix",
+                        choices=recipe_names(),
                         help="registered recipe name (default: %(default)s)")
     parser.add_argument("--seed", type=int, default=2718,
                         help="recipe seed (default: %(default)s)")
-    parser.add_argument("--run-until", type=float, default=60_000.0,
+    parser.add_argument("--run-until", type=virtual_ms, default=60_000.0,
                         metavar="MS",
                         help="virtual deadline in ms (default: %(default)s)")
-    parser.add_argument("--max-spans", type=int, default=1_000_000,
+    parser.add_argument("--max-spans", type=positive_int, default=1_000_000,
                         help="span buffer bound (default: %(default)s)")
     parser.add_argument("--chrome", metavar="PATH",
                         help="write Chrome trace-event JSON (Perfetto)")
@@ -163,11 +166,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(name)
         return 0
 
-    handle = build_recipe(args.recipe, {"seed": args.seed})
-    telemetry = Telemetry(max_spans=args.max_spans)
-    telemetry.instrument_handle(handle)
-    handle.advance(args.run_until)
-    telemetry.finalize(handle.now)
+    try:
+        handle = build_recipe(args.recipe, {"seed": args.seed})
+        telemetry = Telemetry(max_spans=args.max_spans)
+        telemetry.instrument_handle(handle)
+        handle.advance(args.run_until)
+        telemetry.finalize(handle.now)
+    except ReproError as exc:
+        parser.error(str(exc))
 
     tracer, registry = telemetry.tracer, telemetry.registry
     print(f"recipe={args.recipe} seed={args.seed} t={handle.now:g}ms")

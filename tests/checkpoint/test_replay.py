@@ -1,5 +1,7 @@
 """Replay: dispatch-stream recording, diffing, and the chaos crash test."""
 
+import re
+
 import pytest
 
 from repro.checkpoint import (
@@ -59,6 +61,38 @@ def test_stream_file_round_trip_and_corruption(tmp_path):
     text = open(path).read()
     open(path, "w").write(text.replace('"draw": 3', '"draw": 4'))
     with pytest.raises(CheckpointError, match="integrity"):
+        read_stream_file(path)
+
+
+def test_stream_file_keeps_sharded_entries(tmp_path):
+    entries = [{"time": 0, "tid": 1, "name": "a", "draw": None, "core": 2}]
+    path = str(tmp_path / "run.stream")
+    write_stream_file(path, entries)
+    assert read_stream_file(path) == entries
+
+
+_ENTRY = {"time": 1.0, "tid": 2, "name": "x", "draw": 3}
+
+
+@pytest.mark.parametrize("entry, where", [
+    (1, "entry 1 is not an object"),
+    ([_ENTRY], "entry 1 is not an object"),
+    ({**_ENTRY, "time": "x"}, "entry 1 field 'time'"),
+    ({**_ENTRY, "time": True}, "entry 1 field 'time'"),
+    ({k: v for k, v in _ENTRY.items() if k != "tid"}, "entry 1 field 'tid'"),
+    ({**_ENTRY, "tid": 2.0}, "entry 1 field 'tid'"),
+    ({**_ENTRY, "name": 7}, "entry 1 field 'name'"),
+    ({**_ENTRY, "draw": "3"}, "entry 1 field 'draw'"),
+    ({**_ENTRY, "core": None}, "entry 1 field 'core'"),
+])
+def test_stream_file_refuses_entries_that_are_not_dispatches(
+        tmp_path, entry, where):
+    """A valid checksum over a stream that is not dispatch records is
+    refused by name, not left for diff_streams to trip over."""
+    path = str(tmp_path / "run.stream")
+    write_stream_file(path, [_ENTRY, entry])
+    with pytest.raises(CheckpointError,
+                       match=f"{re.escape(path)}.*{re.escape(where)}"):
         read_stream_file(path)
 
 

@@ -107,3 +107,21 @@ def test_legacy_flat_invocation_still_works(capsys):
     out = capsys.readouterr().out
     assert code in (0, None)
     assert out.strip()  # it printed the recipe listing
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--recipe", "bogus"], "--recipe"),
+    (["--run-until", "-5"], "--run-until"),
+    (["--run-until", "nan"], "--run-until"),
+    (["--run-until", "inf"], "--run-until"),
+    (["--max-spans", "0"], "--max-spans"),
+    (["--max-spans", "many"], "--max-spans"),
+    (["--recipe", "chaos-fairness", "--run-until", "100"], "epoch grid"),
+])
+def test_flat_invocation_bad_arguments_are_one_line_usage_errors(
+        argv, named, capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert named in err.splitlines()[-1] and "Traceback" not in err
