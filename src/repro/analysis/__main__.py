@@ -27,6 +27,7 @@ from repro.analysis.lint import RULES, collect_suppressions, lint_paths
 from repro.analysis.report import render_json, render_sarif
 from repro.analysis.sanitizer import InvariantSanitizer
 from repro.errors import InvariantViolation
+from repro.shard.__main__ import positive_int
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -173,7 +174,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     sanitize_parser = commands.add_parser(
         "sanitize", help="run the instrumented self-test scenario")
-    sanitize_parser.add_argument("--quanta", type=int, default=200,
+    sanitize_parser.add_argument("--quanta", type=positive_int, default=200,
                                  help="scheduling quanta to simulate")
     sanitize_parser.add_argument("--seed", type=int, default=1,
                                  help="Park-Miller seed for the lottery")

@@ -20,8 +20,8 @@ RPR004    float hazards on ticket quantities (``float()`` casts and
           ``==``/``!=`` comparisons on amount/ticket/funding values)
 RPR005    mutable default arguments in kernel/scheduler/core/sim APIs
 RPR006    ``time.sleep`` calls or hand-rolled retry loops (a ``while``
-          whose ``try`` handler ``continue``s) instead of the bounded,
-          virtual-time ``repro.faults.retry`` primitives
+          whose ``try`` handler ``continue``s) instead of a retry
+          scheduled on the engine's virtual clock
 RPR007    checkpoint bypass: ``pickle``/``marshal``/``shelve``/``dill``
           imports or ``copy.deepcopy`` calls on kernel objects (live
           objects must go through the typed ``snapshot_state()`` seams,
@@ -163,7 +163,7 @@ RULES: Dict[str, Rule] = {
             "RPR006",
             "ad-hoc-retry",
             "blocking sleep or hand-rolled retry loop",
-            "use repro.faults.retry (RetryPolicy/execute_with_retry): "
+            "schedule the retry on the engine (engine.call_after): "
             "virtual-time backoff replays deterministically, wall-clock "
             "sleeps and unbounded except-continue loops do not",
             None,

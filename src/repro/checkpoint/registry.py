@@ -205,17 +205,16 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
     },
     "repro.kernel.kernel.Kernel": {
         "covered": {"quantum", "context_switch_cost", "running",
-                    "_quantum_left", "_quantum_size", "_dispatch_pending",
+                    "_quantum_left", "_dispatch_pending",
                     "_instant_syscalls", "_inflight", "dispatch_count",
                     "idle_time", "kills", "_idle_since", "tasks", "threads",
                     "ports", "policy", "ledger", "engine"},
-        # Observers, fault seams, and hooks are re-wired by the recipe,
-        # not restored from data; the instant-syscall handler table is
-        # a pure function of the kernel's bound methods; clock is the
-        # engine's (captured there).
-        "transient": {"recorder", "quantum_jitter", "ipc_faults",
-                      "invariant_hooks", "telemetry", "_instant_handlers",
-                      "clock"},
+        # Observers and hooks are re-wired by the recipe, not restored
+        # from data; the instant-syscall handler table is a pure
+        # function of the kernel's bound methods; clock is the engine's
+        # (captured there).
+        "transient": {"recorder", "invariant_hooks", "telemetry",
+                      "_instant_handlers", "clock"},
     },
     "repro.kernel.thread.Thread": {
         "covered": {"tid", "task", "state", "priority", "funding_currency",
@@ -249,8 +248,8 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
     "repro.iosched.disk.Disk": {
         "covered": {"scheduler", "prng", "tickets", "_head_sector", "_busy",
                     "busy_time", "_queues", "_rr_order", "completed",
-                    "bytes_served", "io_errors", "_fifo"},
-        "transient": {"engine", "fault_policy", "seek_ms_per_1000_sectors",
+                    "bytes_served", "_fifo"},
+        "transient": {"engine", "seek_ms_per_1000_sectors",
                       "rotational_ms", "transfer_kb_per_ms"},
     },
     "repro.mem.frames.FramePool": {
@@ -261,10 +260,6 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
         "covered": {"pool", "total_references", "faults", "hits",
                     "evictions"},
         "transient": {"policy"},
-    },
-    "repro.faults.injector.FaultInjector": {
-        "covered": {"plan", "_prng", "applied", "_armed"},
-        "transient": {"kernels", "disks", "engine"},
     },
     "repro.telemetry.spans.SpanTracer": {
         "covered": {"max_spans", "strict", "_next_sid", "dropped_spans"},

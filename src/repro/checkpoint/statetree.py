@@ -3,7 +3,7 @@
 A *state tree* is the plain-data form of a simulated system: nested
 dicts/lists/scalars produced by the ``snapshot_state()`` seams that
 every stateful component exposes (engine, schedulers, kernel, shard
-cores, disks, memory, injector).  This module gives the trees their
+cores, disks, memory).  This module gives the trees their
 on-disk contract:
 
 * **canonical encoding** -- one byte-exact JSON rendering per tree

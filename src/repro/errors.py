@@ -72,17 +72,6 @@ class ExperimentError(ReproError):
     """An experiment was configured with invalid parameters."""
 
 
-class FaultError(ReproError):
-    """A fault plan or injector was misconfigured.
-
-    Raised by :mod:`repro.faults` for malformed fault schedules (bad
-    rates, negative times, unknown fault kinds) and for injector misuse
-    (unknown targets, double arming).  Note that *injected* faults do
-    not raise -- they mutate the simulated system; this error is about
-    the fault-injection machinery itself.
-    """
-
-
 class CheckpointError(ReproError):
     """A checkpoint could not be captured, written, read, or restored.
 

@@ -21,7 +21,7 @@ Mechanics of recovery being measured:
 Every source of randomness is a seeded per-core Park-Miller stream and
 every cross-core effect a barrier payload, so two runs with the same
 seed produce identical fault logs, move counts and fairness rows --
-asserted by ``tests/faults/test_chaos.py``.
+asserted by ``tests/experiments/test_chaos.py``.
 """
 
 from __future__ import annotations

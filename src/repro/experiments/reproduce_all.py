@@ -20,11 +20,13 @@ reference run -- zero divergence (see ``docs/CHECKPOINT.md``).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
 from typing import Callable, List, Optional, Tuple
 
+from repro.errors import ExperimentError
 from repro.experiments import (
     ablations,
     cluster_fairness,
@@ -297,8 +299,13 @@ def checkpoint_sweep(every_ms: float, duration_ms: float = 60_000.0,
     from repro.checkpoint import (build_recipe, diff_streams,
                                   format_divergence, restore, save)
 
-    if every_ms <= 0:
-        raise ValueError(f"--checkpoint-every must be positive: {every_ms}")
+    if not math.isfinite(every_ms) or every_ms <= 0:
+        raise ExperimentError(
+            f"checkpoint_sweep every_ms must be finite and positive: "
+            f"{every_ms}")
+    if every_ms >= duration_ms:
+        return False, (f"0 crash/restore cycles: no checkpoint every "
+                       f"{every_ms:g}ms falls inside a {duration_ms:g}ms run")
     reference = build_recipe("chaos-fairness", {"seed": seed})
     reference.advance(duration_ms)
     expected = reference.stream()
@@ -394,13 +401,15 @@ def reproduce(quick: bool = True,
     return failures
 
 
-def main() -> None:  # pragma: no cover - CLI convenience
+def main() -> None:
+    from repro.shard.__main__ import virtual_ms
+
     parser = argparse.ArgumentParser(
         description="reproduce the paper's evaluation end to end"
     )
     parser.add_argument("--full", action="store_true",
                         help="paper-scale runs (about a minute)")
-    parser.add_argument("--checkpoint-every", type=float, default=None,
+    parser.add_argument("--checkpoint-every", type=virtual_ms, default=None,
                         metavar="T",
                         help="also verify crash/restore every T virtual ms "
                              "against an uninterrupted reference run")
@@ -409,6 +418,9 @@ def main() -> None:  # pragma: no cover - CLI convenience
                              "observability plane and export its "
                              "stitched Chrome trace there")
     args = parser.parse_args()
+    if args.checkpoint_every == 0.0:
+        parser.error("argument --checkpoint-every: expected a positive "
+                     "time in ms: 0")
     sys.exit(1 if reproduce(quick=not args.full,
                             checkpoint_every=args.checkpoint_every,
                             trace_out=args.trace_out) else 0)

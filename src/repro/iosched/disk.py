@@ -33,7 +33,7 @@ class DiskRequest:
     """One I/O request: client, target sector, transfer size in KB."""
 
     __slots__ = ("client", "sector", "size_kb", "submitted_at",
-                 "started_at", "completed_at", "on_complete", "failed")
+                 "started_at", "completed_at", "on_complete")
 
     def __init__(self, client: str, sector: int, size_kb: float,
                  submitted_at: float,
@@ -49,8 +49,6 @@ class DiskRequest:
         self.started_at: Optional[float] = None
         self.completed_at: Optional[float] = None
         self.on_complete = on_complete
-        #: True when an injected I/O-error window failed this request.
-        self.failed = False
 
     @property
     def response_time(self) -> Optional[float]:
@@ -103,15 +101,9 @@ class Disk:
         self._head_sector = 0
         self._busy = False
 
-        #: Fault seam: predicate deciding whether a request fails at
-        #: completion time (installed by repro.faults.injector during
-        #: injected I/O-error windows; None means all requests succeed).
-        self.fault_policy: Optional[Callable[[DiskRequest], bool]] = None
-
         # -- statistics --------------------------------------------------------
         self.completed: Dict[str, List[DiskRequest]] = {}
         self.bytes_served: Dict[str, float] = {}
-        self.io_errors: Dict[str, int] = {}
         self.busy_time = 0.0
 
     # -- client API -----------------------------------------------------------------
@@ -190,18 +182,10 @@ class Disk:
     def _complete(self, request: DiskRequest, service: float) -> None:
         request.completed_at = self.engine.now
         self.busy_time += service
-        if self.fault_policy is not None and self.fault_policy(request):
-            # The spindle time is spent either way, but a failed
-            # request serves no bytes and does not count as completed.
-            request.failed = True
-            self.io_errors[request.client] = (
-                self.io_errors.get(request.client, 0) + 1
-            )
-        else:
-            self.completed.setdefault(request.client, []).append(request)
-            self.bytes_served[request.client] = (
-                self.bytes_served.get(request.client, 0.0) + request.size_kb
-            )
+        self.completed.setdefault(request.client, []).append(request)
+        self.bytes_served[request.client] = (
+            self.bytes_served.get(request.client, 0.0) + request.size_kb
+        )
         if request.on_complete is not None:
             request.on_complete(request)
         self._start_next()
@@ -233,7 +217,6 @@ class Disk:
             "completed": {client: len(done)
                           for client, done in sorted(self.completed.items())},
             "bytes_served": dict(sorted(self.bytes_served.items())),
-            "io_errors": dict(sorted(self.io_errors.items())),
         }
 
     # -- statistics -----------------------------------------------------------------------

@@ -94,8 +94,8 @@ class Request:
         self.created_at = port.kernel.clock.now
         self.replied_at: Optional[float] = None
         self.reply_value: Any = None
-        #: Delivery attempts so far (> 1 only under an injected
-        #: message-drop window with retransmission).
+        #: Deliveries so far (0 until the port hands the request on,
+        #: then 1); the ``attempts`` attribute of ``ipc.rpc`` spans.
         self.delivery_attempts = 0
 
     @property
@@ -120,8 +120,8 @@ class Request:
         if telemetry is not None:
             telemetry.on_ipc_reply(port, self)
         if self.client.state is ThreadState.EXITED:
-            # The caller was killed (core crash / injected fault) while
-            # the RPC was in flight: drop the reply on the floor.  The
+            # The caller was killed (a core crash) while the RPC was
+            # in flight: drop the reply on the floor.  The
             # transfer above is still revoked, so no rights leak.
             port.dead_replies += 1
             return
@@ -183,7 +183,7 @@ class Port:
         telemetry = self.kernel.telemetry
         if telemetry is not None:
             telemetry.on_ipc_send(self, request, rpc=False)
-        self._deliver_or_queue(request)
+        self._deliver(request)
 
     def call(self, client: "Thread", message: Any,
              transfer_fraction: float = 1.0) -> Any:
@@ -204,7 +204,7 @@ class Port:
             request.transfer = transfer_funding(
                 self.kernel.ledger, client, self.currency, transfer_fraction
             )
-        self._deliver_or_queue(request)
+        self._deliver(request)
         return BLOCK
 
     # -- server side -----------------------------------------------------------------
@@ -224,20 +224,8 @@ class Port:
 
     # -- internals -----------------------------------------------------------------------
 
-    def _deliver_or_queue(self, request: Request) -> None:
-        """Delivery entry point; the fault seam sits in front of it.
-
-        During an injected drop/delay window the kernel carries an
-        ``ipc_faults`` model whose ``intercept`` may consume the
-        delivery (dropping it, or rescheduling ``_deliver_now`` after
-        a backoff/delay); otherwise delivery happens immediately.
-        """
-        faults = self.kernel.ipc_faults
-        if faults is not None and faults.intercept(self, request):
-            return
-        self._deliver_now(request)
-
-    def _deliver_now(self, request: Request) -> None:
+    def _deliver(self, request: Request) -> None:
+        """Hand a request to a waiting receiver, or queue it."""
         request.delivery_attempts += 1
         if self._receivers:
             server = self._receivers.popleft()

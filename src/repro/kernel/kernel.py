@@ -125,9 +125,9 @@ class Kernel:
         self.quantum = float(quantum)
         self.context_switch_cost = float(context_switch_cost)
         self.recorder = recorder
-        #: Optional :class:`repro.telemetry.probe.Telemetry` hub; ports,
-        #: policies, and fault models consult it for span/metric events
-        #: beyond the recorder protocol.  Installed by
+        #: Optional :class:`repro.telemetry.probe.Telemetry` hub; ports
+        #: and policies consult it for span/metric events beyond the
+        #: recorder protocol.  Installed by
         #: ``Telemetry.instrument_kernel``, never required.
         self.telemetry: Optional[Any] = None
 
@@ -139,9 +139,6 @@ class Kernel:
         self.ports: List[Any] = []
         self.running: Optional[Thread] = None
         self._quantum_left = 0.0
-        #: The quantum actually granted to the current dispatch (equals
-        #: ``self.quantum`` unless a ``quantum_jitter`` seam adjusts it).
-        self._quantum_size = self.quantum
         self._dispatch_pending = False
         self._instant_syscalls = 0
         self._instant_handlers = self._build_instant_handlers()
@@ -149,14 +146,6 @@ class Kernel:
         #: switch or compute completion); cancelled when the running
         #: thread is killed or forcibly preempted by a fault.
         self._inflight: Optional[Any] = None
-
-        # -- fault seams (see repro.faults) ---------------------------------
-        #: Maps the nominal quantum to the one granted this dispatch
-        #: (clock-skew / timer-jitter injection); None means identity.
-        self.quantum_jitter: Optional[Callable[[float], float]] = None
-        #: Consulted by ports before each delivery (message drop/delay
-        #: windows); see :class:`repro.faults.injector.IpcFaultModel`.
-        self.ipc_faults: Optional[Any] = None
 
         # -- accounting -----------------------------------------------------
         self.dispatch_count = 0
@@ -379,7 +368,7 @@ class Kernel:
         """Tear down the current dispatch entirely (kill/preempt paths).
 
         Cancelling only the in-flight event used to leave the quantum
-        accounting (``_quantum_left``/``_quantum_size``) and the
+        accounting (``_quantum_left``) and the
         instant-syscall counter describing a dispatch that no longer
         exists; a checkpoint taken right after a crash-path preemption
         would then disagree with a clean re-execution of the same
@@ -389,7 +378,6 @@ class Kernel:
         self._cancel_inflight()
         self.running = None
         self._quantum_left = 0.0
-        self._quantum_size = self.quantum
         self._instant_syscalls = 0
 
     def check_dispatch_window(self) -> List[str]:
@@ -473,7 +461,6 @@ class Kernel:
             # leftover quantum behind, and an idle CPU carrying one
             # fails check_dispatch_window (checkpoints would refuse).
             self._quantum_left = 0.0
-            self._quantum_size = self.quantum
             self._instant_syscalls = 0
             if self._idle_since is None:
                 self._idle_since = self.clock.now
@@ -483,11 +470,7 @@ class Kernel:
             self._idle_since = None
         thread.transition(ThreadState.RUNNING)
         self.running = thread
-        quantum = self.quantum
-        if self.quantum_jitter is not None:
-            quantum = max(_EPS, self.quantum_jitter(quantum))
-        self._quantum_size = quantum
-        self._quantum_left = quantum
+        self._quantum_left = self.quantum
         self._instant_syscalls = 0
         thread.dispatches += 1
         self.dispatch_count += 1
@@ -565,17 +548,17 @@ class Kernel:
             self._run_segment_impl(thread)
 
     def _end_dispatch(self, thread: Thread, outcome: str) -> None:
-        used = self._quantum_size - self._quantum_left
+        used = self.quantum - self._quantum_left
         self.running = None
         if outcome in ("preempt", "yield"):
             thread.transition(ThreadState.RUNNABLE)
             thread.runnable_since = self.clock.now
             self.policy.enqueue(thread)
-            self.policy.quantum_end(thread, used, self._quantum_size,
+            self.policy.quantum_end(thread, used, self.quantum,
                                     still_runnable=True)
         elif outcome == "block":
             thread.transition(ThreadState.BLOCKED)
-            self.policy.quantum_end(thread, used, self._quantum_size,
+            self.policy.quantum_end(thread, used, self.quantum,
                                     still_runnable=False)
             if self.recorder is not None:
                 self.recorder.on_block(thread, self.clock.now)
@@ -728,7 +711,7 @@ class Kernel:
             "context_switch_cost": self.context_switch_cost,
             "running": None if self.running is None else self.running.tid,
             "quantum_left": self._quantum_left,
-            "quantum_size": self._quantum_size,
+            "quantum_size": self.quantum,
             "dispatch_pending": self._dispatch_pending,
             "instant_syscalls": self._instant_syscalls,
             "inflight": inflight,

@@ -80,7 +80,7 @@ PLANS = {
 
 
 def positive_int(text: str) -> int:
-    """argparse type of a count (cores, shards, a span bound)."""
+    """argparse type of a count (cores, shards, quanta, a span bound)."""
     try:
         value = int(text)
     except ValueError:

@@ -152,7 +152,7 @@ class ShardChannel:
                           transfer_fraction=0.0)
         self.port.calls_made += 1
         self.calls_applied += 1
-        self.port._deliver_or_queue(request)
+        self.port._deliver(request)
 
     def apply_send(self, payload: Dict[str, Any]) -> None:
         """Home core: enqueue a remote asynchronous message."""

@@ -1,15 +1,16 @@
 """Deterministic host-level fault plans for the supervised mp backend.
 
-``repro.faults`` injects *simulated* faults: node crashes, clock skew
-and IPC loss that exist inside the virtual universe and are part of
-the deterministic history every backend reproduces.  This module is
-the other side of the trust boundary: **host faults** break the real
-machinery that executes the simulation -- worker processes are
-SIGKILLed, wedged, slowed, and their pipe frames corrupted or dropped
--- and the supervised backend's job is to recover so that the
-*simulated* history comes out bit-identical anyway.  The two layers
-never mix: a host fault must not change a single byte of the merged
-replay stream, while a simulated fault is *supposed* to.
+A :class:`~repro.shard.plan.ShardPlan`'s ``crash`` / ``restart`` ops
+are *simulated* faults: core failures that exist inside the virtual
+universe and are part of the deterministic history every backend
+reproduces.  This module is the other side of the trust boundary:
+**host faults** break the real machinery that executes the simulation
+-- worker processes are SIGKILLed, wedged, slowed, and their pipe
+frames corrupted or dropped -- and the supervised backend's job is to
+recover so that the *simulated* history comes out bit-identical
+anyway.  The two layers never mix: a host fault must not change a
+single byte of the merged replay stream, while a simulated fault is
+*supposed* to.
 
 A :class:`HostFaultPlan` is JSON-serializable data, like
 :class:`~repro.shard.plan.ShardPlan`: it schedules faults at

@@ -80,8 +80,7 @@ __all__ = ["SupervisedMpBackend", "SupervisorPolicy"]
 @dataclass(frozen=True)
 class SupervisorPolicy:
     """Recovery budget and heartbeat deadlines (host time, never
-    virtual time -- mirrors :class:`repro.faults.retry.RetryPolicy` in
-    shape, but supervises real processes instead of simulated ones).
+    virtual time: it supervises real processes, not simulated ones).
 
     ``max_retries`` bounds recoveries *per command exchange*; once a
     single slice command needs more, the run degrades to the inline

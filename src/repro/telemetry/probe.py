@@ -310,19 +310,6 @@ class Telemetry:
         completed.value += 1.0
         e2e.record(e2e_ms)
 
-    def on_ipc_retransmit(self, port: Any, request: Any,
-                          backoff: float, forced: bool) -> None:
-        """A dropped delivery was rescheduled (fault window)."""
-        track = self._track_of(port.kernel)
-        self.tracer.event(
-            track, "ipc.retransmit", "ipc", port.kernel.now,
-            {"port": port.name, "attempt": request.delivery_attempts,
-             "backoff_ms": backoff, "forced": forced},
-        )
-        self._counter(
-            "repro_ipc_retransmits_total", {"track": track},
-            "IPC retransmissions under injected drops.").inc()
-
     def on_checkpoint(self, kind: str, time: float, checksum: Optional[str],
                       path: Optional[str]) -> None:
         """A checkpoint was saved or restored (via telemetry hooks)."""

@@ -1,7 +1,7 @@
 """Span-based tracing over virtual time.
 
 A :class:`Span` is a named interval on a *track* (one per kernel, plus
-synthetic tracks such as ``faults`` or ``checkpoint``), carrying a
+a synthetic ``checkpoint`` track), carrying a
 category, JSON-typed attributes, and an optional parent.  Spans nest:
 each track keeps a stack of open spans, and a span begun while another
 is open becomes its child, so a lottery draw recorded during a quantum

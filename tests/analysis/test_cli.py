@@ -62,6 +62,19 @@ def test_sanitize_inject_self_test_detects_corruption(capsys):
     assert "self-test passed" in out
 
 
+@pytest.mark.parametrize("quanta", ["0", "-5"])
+def test_sanitize_refuses_a_quanta_count_below_one(quanta, capsys):
+    # 0 used to report "all invariants held -- 0 checks"; -5 died in
+    # the engine with a negative-delay traceback.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sanitize", "--quanta", quanta])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err
+    assert f"expected a positive integer: '{quanta}'" in captured.err
+    assert "invariants held" not in captured.out
+
+
 def test_sanitize_runs_are_deterministic(capsys):
     main(["sanitize", "--quanta", "30", "--seed", "42"])
     first = capsys.readouterr().out

@@ -1,4 +1,5 @@
-"""ShardedEngine protocol behaviour: grids, stop/resume, guards."""
+"""ShardedEngine protocol behaviour: grids, stop/resume, guards, and
+core crash / restart ops."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import pytest
 from repro.errors import KernelError, ShardError
 from repro.shard.engine import ShardedEngine
 from repro.shard.plan import mix_plan, spin_plan
+from tests.conftest import census_at, shard_plan
 
 
 def test_advance_rejects_off_grid_horizons():
@@ -136,3 +138,43 @@ def test_mp_worker_failure_surfaces_as_shard_error():
             engine._backend.run_epoch(100.0)
     finally:
         engine.close()
+
+
+def node_plan(cores=3, rebalance_ms=500.0):
+    return shard_plan(cores, *[(index % cores, f"w{index}", 100.0)
+                               for index in range(cores * 2)],
+                      rebalance_ms=rebalance_ms)
+
+
+class TestNodeFaults:
+    """Core crash / restart as plan ops, on the inline sharded engine."""
+
+    def test_crash_evacuates_and_restart_rejoins(self):
+        plan = node_plan().crash(1_000.0, 1, evacuate_to=0)
+        (up, _), (down, cores), (back, later) = census_at(
+            plan.restart(3_000.0, 1), 500.0, 1_500.0, 10_000.0)
+        assert 1 in {row["core"] for row in up.values()}
+        assert cores[1]["crashed"] and cores[1]["evacuations"] == 2
+        assert 1 not in {row["core"] for row in down.values()}
+        # The barrier-time rebalancer repopulated the returned core.
+        assert not later[1]["crashed"]
+        assert 1 in {row["core"] for row in back.values()}
+
+    def test_crash_kills_pinned_thread_and_reclaims_tickets(self):
+        plan = node_plan(rebalance_ms=None).add_thread(
+            1, "spin", "victim", tickets=250.0, pinned=True, chunk_ms=20.0)
+        (threads, cores), = census_at(plan.crash(1_000.0, 1, evacuate_to=2),
+                                      2_000.0)
+        assert (cores[1]["casualties"], cores[1]["evacuations"]) == (1, 2)
+        # The victim's 250 tickets died with it; the rest still fund
+        # live threads.
+        assert sum(row["funding"] for row in threads.values()
+                   if row["core"] is not None) == 600.0
+        assert threads["victim"]["core"] is None
+
+    def test_crash_lost_race_is_recorded_not_raised(self):
+        plan = node_plan(cores=2, rebalance_ms=None)
+        plan.crash(1_000.0, 0).crash(1_500.0, 0)  # already down: skipped
+        (_, cores), = census_at(plan, 2_000.0)
+        assert cores[0]["crashed"] and cores[0]["ops_skipped"] == 1
+        assert cores[0]["casualties"] == 2

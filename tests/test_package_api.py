@@ -1,5 +1,8 @@
 """Tests for the top-level package API and error hierarchy."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -33,6 +36,38 @@ class TestPublicSurface:
                          repro.LotteryPolicy, repro.ParkMillerPRNG)
         for part in machine_parts:
             assert callable(part)
+
+
+def _packages_imported_by(path):
+    """The ``repro.<pkg>`` names reached by one file's import statements."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "repro" and len(parts) > 1:
+                yield parts[1]
+
+
+def test_every_subpackage_has_a_caller():
+    """A ``repro.<pkg>`` earns its place by being imported from outside
+    itself (under ``src/``, ``bench/`` or ``examples/``) or by being a
+    ``python -m`` entry point; tests alone do not count."""
+    src = Path(repro.__file__).resolve().parent
+    root = src.parent.parent
+    packages = {path.parent.name for path in src.glob("*/__init__.py")}
+    called = {package for package in packages
+              if (src / package / "__main__.py").exists()}
+    for tree in ("src", "bench", "examples"):
+        for path in (root / tree).rglob("*.py"):
+            parts = path.relative_to(src).parts \
+                if path.is_relative_to(src) else ()
+            called.update(set(_packages_imported_by(path)) - set(parts[:1]))
+    assert sorted(packages - called) == []
 
 
 class TestErrorHierarchy:
