@@ -144,6 +144,21 @@ class RaceTracker:
         """Enter ``kernel``'s execution context (dispatch loop entry)."""
         self._stack.append(self.token_for(kernel))
 
+    def enter(self, kernel: object) -> bool:
+        """Push ``kernel``'s context unless it is already the innermost.
+
+        A kernel's engine callbacks call this as they start; on True
+        they run inside the pushed context and :meth:`pop` after.  A
+        nested entry of the same kernel pushes nothing, which leaves
+        :meth:`check` (it reads only the innermost token) unchanged.
+        """
+        token = self.token_for(kernel)
+        stack = self._stack
+        if stack and stack[-1] is token:
+            return False
+        stack.append(token)
+        return True
+
     def pop(self) -> None:
         self._stack.pop()
 

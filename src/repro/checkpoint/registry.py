@@ -241,9 +241,11 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
                     "_tree", "_list"},
         # ledger is captured at the kernel level; _members and _dirty
         # are derived indexes over the active structure (membership and
-        # pending revaluations); draw_hook is a telemetry observer,
-        # forbidden from mutating scheduling state.
-        "transient": {"kernel", "ledger", "_members", "_dirty", "draw_hook"},
+        # pending revaluations), _mark_dirty is _dirty's bound add;
+        # draw_hook is a telemetry observer, forbidden from mutating
+        # scheduling state.
+        "transient": {"kernel", "ledger", "_members", "_dirty",
+                      "_mark_dirty", "draw_hook"},
     },
     "repro.iosched.disk.Disk": {
         "covered": {"scheduler", "prng", "tickets", "_head_sector", "_busy",

@@ -59,7 +59,8 @@ class CompensationManager:
 
     def on_quantum_start(self, holder: TicketHolder) -> None:
         """Revoke any outstanding compensation when a full quantum begins."""
-        self._revoke(holder)
+        if self._grants:
+            self._revoke(holder)
 
     def on_quantum_end(
         self, holder: TicketHolder, used: float, quantum: float
@@ -74,7 +75,8 @@ class CompensationManager:
             raise SchedulerError(f"quantum must be positive, got {quantum}")
         if used < 0:
             raise SchedulerError(f"negative usage {used}")
-        self._revoke(holder)
+        if self._grants:  # nothing to revoke otherwise: skip the call
+            self._revoke(holder)
         if used < MIN_MEASURABLE_USE:
             # Blocked before consuming measurable CPU: below the clock
             # granularity, no compensation is defined (1/f diverges).

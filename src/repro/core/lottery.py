@@ -50,6 +50,10 @@ def _bad_value(client: object, value: object) -> SchedulerError:
     )
 
 
+def _not_member(client: object) -> SchedulerError:
+    return SchedulerError(f"client {client!r} not in lottery")
+
+
 def hold_lottery(
     entries: Sequence[Tuple[ClientT, float]],
     prng: ParkMillerPRNG,
@@ -258,8 +262,9 @@ class TreeLottery(Generic[ClientT]):
 
     ``_values`` is always current; the nodes above **at most one** slot
     may lag behind it.  A write remembers the slot and the value the
-    nodes still reflect; a write to any other slot and every reader of
-    the nodes :meth:`_settle` first.  Deferring is exact because a
+    nodes still reflect; a write to any other slot (:meth:`_store`) and
+    every reader of the nodes (:meth:`total`, which :meth:`draw` starts
+    with) settle first.  Deferring is exact because a
     refresh is a pure function of the current ``_values`` and every
     node that reads a slot lies on that slot's own update path, so one
     refresh after several writes leaves the bits a refresh per write
@@ -304,7 +309,10 @@ class TreeLottery(Generic[ClientT]):
 
     def remove(self, client: ClientT) -> None:
         """Withdraw a client; its slot is recycled."""
-        slot = self._require_slot(client)
+        try:
+            slot = self._slot_of[client]
+        except KeyError:
+            raise _not_member(client) from None
         self._store(slot, 0.0)
         self._clients[slot] = None
         del self._slot_of[client]
@@ -328,17 +336,27 @@ class TreeLottery(Generic[ClientT]):
         """
         if not 0 <= value < _INF:
             raise _bad_value(client, value)
-        slot = self._require_slot(client)
+        try:
+            slot = self._slot_of[client]
+        except KeyError:
+            raise _not_member(client) from None
         if self._values[slot] != value:
             self._store(slot, value)
 
     def value_of(self, client: ClientT) -> float:
         """Current stored value for a client."""
-        return self._values[self._require_slot(client)]
+        try:
+            return self._values[self._slot_of[client]]
+        except KeyError:
+            raise _not_member(client) from None
 
     def total(self) -> float:
         """Sum of all clients' stored values."""
-        self._settle()
+        slot = self._lag_slot
+        if slot >= 0:  # settle first (see _store)
+            self._lag_slot = -1
+            if self._values[slot] != self._lag_value:
+                self._fenwick_refresh(slot)
         tree = self._tree
         total = 0.0
         index = len(self._values)
@@ -426,29 +444,20 @@ class TreeLottery(Generic[ClientT]):
 
     # -- Fenwick internals -----------------------------------------------------------
 
-    def _require_slot(self, client: ClientT) -> int:
-        try:
-            return self._slot_of[client]
-        except KeyError:
-            raise SchedulerError(f"client {client!r} not in lottery") from None
-
     def _store(self, slot: int, value: float) -> None:
-        """Write one slot's value; the nodes above it catch up at the
-        next :meth:`_settle`."""
-        if slot != self._lag_slot:
-            self._settle()
+        """Write one slot's value; the nodes above it catch up when the
+        next write to another slot, or :meth:`total`, settles them.
+
+        Settling refreshes above the lagging slot, unless it holds the
+        value the nodes already reflect.
+        """
+        lag_slot = self._lag_slot
+        if slot != lag_slot:
+            if lag_slot >= 0 and self._values[lag_slot] != self._lag_value:
+                self._fenwick_refresh(lag_slot)
             self._lag_slot = slot
             self._lag_value = self._values[slot]
         self._values[slot] = value
-
-    def _settle(self) -> None:
-        """Make every node current: refresh above the lagging slot,
-        unless it holds the value the nodes already reflect."""
-        slot = self._lag_slot
-        if slot >= 0:
-            self._lag_slot = -1
-            if self._values[slot] != self._lag_value:
-                self._fenwick_refresh(slot)
 
     def _fenwick_refresh(self, slot: int) -> None:
         """Recompute the nodes covering ``slot`` from current values.
@@ -460,7 +469,7 @@ class TreeLottery(Generic[ClientT]):
         (own value + child nodes, lowest child first) keeps every node
         a fresh sum of *current* values, at O(log^2 n) per refresh.
         This is the one place a node above a slot is rewritten, and
-        only :meth:`_settle` and the append in :meth:`add` come here.
+        only a settle and the append in :meth:`add` come here.
         """
         tree = self._tree
         values = self._values

@@ -92,8 +92,9 @@ class ParkMillerPRNG:
 
     The generator state is the last raw draw; successive calls walk the
     full period-(2**31 - 2) cycle.  All higher-level draws (range
-    reduction, floats, permutations) are built only on :meth:`next_uint`
-    so the underlying stream stays reproducible and testable.
+    reduction, floats, permutations) are built only on the one-step
+    :func:`fastrand`, through :meth:`next_uint` or, in :meth:`uniform`,
+    directly, so the underlying stream stays reproducible and testable.
 
     Parameters
     ----------
@@ -151,7 +152,9 @@ class ParkMillerPRNG:
 
     def uniform(self) -> float:
         """Uniform float on [0, 1)."""
-        return (self.next_uint() - 1) / (MODULUS - 1)
+        # next_uint's step, one frame fewer: every lottery draw lands here.
+        self._state = state = fastrand(self._state)
+        return (state - 1) / (MODULUS - 1)
 
     def expovariate(self, rate: float) -> float:
         """Exponential variate with the given rate (mean ``1/rate``)."""

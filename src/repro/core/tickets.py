@@ -99,7 +99,7 @@ class TicketHolder:
     """
 
     __slots__ = ("name", "tickets", "_competing", "funding_currency",
-                 "_funding_value", "_funding_dirty", "_funding_watcher",
+                 "_funding_value", "_funding_dirty", "funding_watcher",
                  "_nominal_value")
 
     def __init__(self, name: str = "holder") -> None:
@@ -116,10 +116,11 @@ class TicketHolder:
         # the funding graph's dependency edges (see module docstring).
         self._funding_value: float = 0
         self._funding_dirty = True
-        #: Optional observer called with this holder when its cached
-        #: funding is invalidated; the tree scheduler uses it to keep a
-        #: dirty set instead of revaluing every member per draw.
-        self._funding_watcher: Optional[Callable[["TicketHolder"], None]] = None
+        #: Optional (single) observer called with this holder when its
+        #: cached funding is invalidated; the tree scheduler sets it
+        #: while the holder is queued, to keep a dirty set instead of
+        #: revaluing every member per draw.
+        self.funding_watcher: Optional[Callable[["TicketHolder"], None]] = None
         #: Cached :meth:`nominal_funding`; None while stale (structural
         #: mutations upstream clear it, activation never does).
         self._nominal_value: Optional[float] = None
@@ -151,16 +152,8 @@ class TicketHolder:
         """
         if not self._funding_dirty:
             self._funding_dirty = True
-            if self._funding_watcher is not None:
-                self._funding_watcher(self)
-
-    def watch_funding(self, watcher: Callable[["TicketHolder"], None]) -> None:
-        """Install the (single) funding-invalidation observer."""
-        self._funding_watcher = watcher
-
-    def unwatch_funding(self) -> None:
-        """Remove the funding-invalidation observer (idempotent)."""
-        self._funding_watcher = None
+            if self.funding_watcher is not None:
+                self.funding_watcher(self)
 
     # -- activation --------------------------------------------------------
 
@@ -183,7 +176,7 @@ class TicketHolder:
             return
         self._competing = False
         for ticket in self.tickets:
-            if ticket.active:
+            if ticket._active:
                 ticket.deactivate()
 
     # -- valuation ----------------------------------------------------------
@@ -207,8 +200,12 @@ class TicketHolder:
             for ticket in self.tickets:
                 if ticket._active:
                     currency = ticket.currency
+                    if currency.is_base:
+                        # Ticket.base_value of an active base ticket.
+                        total = total + ticket._amount
+                        continue
                     # Rule 1 of the read gate (module docstring).
-                    if not (currency._read or currency.is_base):
+                    if not currency._read:
                         currency._mark_read()
                     total = total + ticket.base_value()
             self._funding_value = total

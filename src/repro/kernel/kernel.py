@@ -415,42 +415,22 @@ class Kernel:
             self._dispatch_pending = True
             self.engine.call_soon(self._dispatch, label="dispatch")
 
+    # The three engine callbacks below are the owner-context entry
+    # points: while one of them (or a continuation it scheduled)
+    # executes, this kernel's owner token is on the race-tracker stack,
+    # so any mutation of another kernel's thread outside a declared seam
+    # traps.  Each reads the tracker as it starts, so one activated
+    # mid-run covers the next event on.  Untracked, an entry point is
+    # one frame; tracked, it re-enters itself once inside the context
+    # ``tracker.enter`` pushed (a nested entry finds it there already).
+
     def _dispatch(self) -> None:
-        # Owner-context entry points: while a dispatch (or one of its
-        # engine-scheduled continuations) executes, this kernel's owner
-        # token is on the race-tracker stack, so any mutation of
-        # another kernel's thread outside a declared seam traps.
         tracker = _race_tracker
-        if tracker is None or not tracker.active:
-            return self._dispatch_impl()
-        tracker.push(self)
-        try:
-            return self._dispatch_impl()
-        finally:
-            tracker.pop()
-
-    def _run_segment(self, thread: Thread) -> None:
-        tracker = _race_tracker
-        if tracker is None or not tracker.active:
-            return self._run_segment_impl(thread)
-        tracker.push(self)
-        try:
-            return self._run_segment_impl(thread)
-        finally:
-            tracker.pop()
-
-    def _segment_done(self, thread: Thread, syscall: sc.Compute,
-                      run: float) -> None:
-        tracker = _race_tracker
-        if tracker is None or not tracker.active:
-            return self._segment_done_impl(thread, syscall, run)
-        tracker.push(self)
-        try:
-            return self._segment_done_impl(thread, syscall, run)
-        finally:
-            tracker.pop()
-
-    def _dispatch_impl(self) -> None:
+        if tracker is not None and tracker.active and tracker.enter(self):
+            try:
+                return self._dispatch()
+            finally:
+                tracker.pop()
         self._dispatch_pending = False
         if self.running is not None:
             return
@@ -484,10 +464,16 @@ class Kernel:
                 args=(thread,),
             )
         else:
-            self._run_segment_impl(thread)
+            self._run_segment(thread)
 
-    def _run_segment_impl(self, thread: Thread) -> None:
+    def _run_segment(self, thread: Thread) -> None:
         """Interpret syscalls until the thread computes, blocks, or stops."""
+        tracker = _race_tracker
+        if tracker is not None and tracker.active and tracker.enter(self):
+            try:
+                return self._run_segment(thread)
+            finally:
+                tracker.pop()
         self._inflight = None
         while True:
             syscall = thread.current_syscall
@@ -530,8 +516,14 @@ class Kernel:
                 return
             thread.deliver(result)
 
-    def _segment_done_impl(self, thread: Thread, syscall: sc.Compute,
-                           run: float) -> None:
+    def _segment_done(self, thread: Thread, syscall: sc.Compute,
+                      run: float) -> None:
+        tracker = _race_tracker
+        if tracker is not None and tracker.active and tracker.enter(self):
+            try:
+                return self._segment_done(thread, syscall, run)
+            finally:
+                tracker.pop()
         if self.running is not thread:  # pragma: no cover - defensive
             raise SimulationError("compute completion for a non-running thread")
         self._inflight = None
@@ -545,7 +537,7 @@ class Kernel:
         if self._quantum_left <= _EPS:
             self._end_dispatch(thread, "preempt")
         else:
-            self._run_segment_impl(thread)
+            self._run_segment(thread)
 
     def _end_dispatch(self, thread: Thread, outcome: str) -> None:
         used = self.quantum - self._quantum_left
@@ -571,7 +563,10 @@ class Kernel:
                 self.recorder.on_exit(thread, self.clock.now)
         else:  # pragma: no cover - defensive
             raise KernelError(f"unknown dispatch outcome {outcome!r}")
-        self._schedule_dispatch()
+        # _schedule_dispatch, inlined: every quantum passes here.
+        if self.running is None and not self._dispatch_pending:
+            self._dispatch_pending = True
+            self.engine.call_soon(self._dispatch, label="dispatch")
         for hook in self.invariant_hooks:
             hook(self, thread, outcome)
 

@@ -121,6 +121,12 @@ class Thread(TicketHolder):
     * ``dispatches`` -- number of lotteries won (times dispatched);
     * ``priority`` -- consulted only by the fixed-priority and
       decay-usage baseline policies.
+
+    Threads hash and compare by identity (the ``object`` defaults, in
+    C), so keying the scheduler's dicts by thread opens no frame.  An
+    identity hash varies between processes; that is safe because the
+    only containers of threads are insertion-ordered (lists, dicts),
+    never iterated sets.
     """
 
     __slots__ = ("tid", "task", "kernel", "priority", "state", "_context",
@@ -267,9 +273,3 @@ class Thread(TicketHolder):
             f"<Thread {self.name!r} tid={self.tid} {self.state.value}"
             f" cpu={self.cpu_time:.1f}ms>"
         )
-
-    def __hash__(self) -> int:
-        return self.tid
-
-    def __eq__(self, other: object) -> bool:
-        return self is other

@@ -94,6 +94,10 @@ class LotteryPolicy(SchedulingPolicy):
         #: value was last pushed (ordered set; tree mode only).  Fed by
         #: the holders' funding watchers, drained by :meth:`select`.
         self._dirty: dict = {}
+        #: The members' funding watcher, one for all: ``setdefault(holder)``
+        #: is the ordered-set add, in C (no frame, nothing allocated per
+        #: enqueue).
+        self._mark_dirty = self._dirty.setdefault
         #: Lotteries actually held (overhead accounting).
         self.lotteries_held = 0
         #: Times the zero-funding FIFO fallback fired.
@@ -115,7 +119,7 @@ class LotteryPolicy(SchedulingPolicy):
             # after this point need to dirty the member.
             self._tree.add(thread, thread.funding())
             self._members[thread] = None
-            thread.watch_funding(self._mark_dirty)
+            thread.funding_watcher = self._mark_dirty
         else:
             assert self._list is not None
             self._list.add(thread)
@@ -126,30 +130,34 @@ class LotteryPolicy(SchedulingPolicy):
             self._members.pop(thread, None)
             # Unhook before stop_competing: the deactivations below must
             # not re-dirty a member that no longer has a tree slot.
-            thread.unwatch_funding()
+            thread.funding_watcher = None
             self._dirty.pop(thread, None)
         else:
             assert self._list is not None
             self._list.remove(thread)
         thread.stop_competing()
 
-    def _mark_dirty(self, holder: "Thread") -> None:
-        self._dirty[holder] = None
-
     def select(self) -> Optional["Thread"]:
-        structure = self._tree if self._tree is not None else self._list
-        assert structure is not None
-        if len(structure) == 0:
-            return None
-        if self._tree is not None and self._dirty:
-            # Only members whose funding actually changed since their
-            # stored value was pushed; Fenwick nodes are pure functions
-            # of the stored values, so skipping unchanged members leaves
-            # the tree bit-identical to revaluing every member.
-            # O(invalidated), not O(n): only watcher-flagged members.
-            for member in self._dirty:
-                self._tree.set_value(member, member.funding())
-            self._dirty.clear()
+        tree = self._tree
+        if tree is not None:
+            if not self._members:
+                return None
+            if self._dirty:
+                # Only members whose funding actually changed since their
+                # stored value was pushed; Fenwick nodes are pure
+                # functions of the stored values, so skipping unchanged
+                # members leaves the tree bit-identical to revaluing
+                # every member.  O(invalidated), not O(n): only
+                # watcher-flagged members.
+                for member in self._dirty:
+                    tree.set_value(member, member.funding())
+                self._dirty.clear()
+            structure = tree
+        else:
+            structure = self._list
+            assert structure is not None
+            if len(structure) == 0:
+                return None
         fallback = False
         examined_before = structure.stats.comparisons
         try:

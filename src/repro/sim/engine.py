@@ -19,14 +19,16 @@ payloads it receives -- never of which shard or process executed it.
 
 from __future__ import annotations
 
-from heapq import heappop
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.clock import VirtualClock
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event, EventQueue, new_event
 
 __all__ = ["Engine", "LoopCore"]
+
+_INF = float("inf")
 
 
 class LoopCore:
@@ -71,31 +73,66 @@ class LoopCore:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``.
 
         ``args`` lets hot callers schedule bound methods directly
-        instead of allocating a closure per event.
+        instead of allocating a closure per event.  A time up to 1e-9 ms
+        in the past is taken as now; NaN and inf are refused.
         """
         now = self.clock.now
-        if time < now:
-            if time < now - 1e-9:
+        if not now <= time < _INF:
+            if not time < _INF or time < now - 1e-9:
                 raise SimulationError(
-                    f"cannot schedule in the past: now={now}, asked={time}"
-                )
+                    f"call_at time must be finite and not in the past: "
+                    f"now={now}, asked={time!r}")
             time = now
-        return self._queue.push(time, callback, label, args)
+        # EventQueue.push, inlined here and in the two below: scheduling
+        # is one frame.
+        queue = self._queue
+        event = new_event(Event)
+        event.time = time
+        event.seq = seq = queue._seq
+        event.callback = callback
+        event.args = args
+        event.cancelled = False
+        event.label = label
+        queue._seq = seq + 1
+        heappush(queue._heap, event)
+        return event
 
     def call_after(
         self, delay: float, callback: Callable[..., None], label: str = "",
         args: Tuple[Any, ...] = (),
     ) -> Event:
         """Schedule ``callback(*args)`` after ``delay`` milliseconds."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self._queue.push(self.clock.now + delay, callback, label, args)
+        if not 0 <= delay < _INF:
+            raise SimulationError(
+                f"call_after delay must be finite and non-negative, "
+                f"got {delay!r}")
+        queue = self._queue
+        event = new_event(Event)
+        event.time = self.clock.now + delay
+        event.seq = seq = queue._seq
+        event.callback = callback
+        event.args = args
+        event.cancelled = False
+        event.label = label
+        queue._seq = seq + 1
+        heappush(queue._heap, event)
+        return event
 
     def call_soon(self, callback: Callable[..., None], label: str = "",
                   args: Tuple[Any, ...] = ()) -> Event:
         """Schedule ``callback`` at the current instant (after pending
         same-time events already in the queue)."""
-        return self._queue.push(self.clock.now, callback, label, args)
+        queue = self._queue
+        event = new_event(Event)
+        event.time = self.clock.now
+        event.seq = seq = queue._seq
+        event.callback = callback
+        event.args = args
+        event.cancelled = False
+        event.label = label
+        queue._seq = seq + 1
+        heappush(queue._heap, event)
+        return event
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (idempotent)."""
@@ -111,6 +148,10 @@ class LoopCore:
         measurements over [0, until) are well-defined).  ``max_events``
         is a runaway guard for tests.
         """
+        if until is not None and until != until:
+            # NaN compares false with every event time: the whole
+            # agenda would fire, forever on a spinner kernel.
+            raise SimulationError("run horizon 'until' must not be NaN")
         self._fire_due(None if until is None else until + 1e-9, False,
                        max_events, "run")
         if until is not None:
@@ -122,7 +163,11 @@ class LoopCore:
         before it when ``strict``, the whole agenda when None.
 
         Reads the agenda's heap directly: one pop per event, taken only
-        once the head is known to be live and due.
+        once the head is known to be live and due.  The clock hop is
+        inline; it needs no backwards check, since nothing is scheduled
+        before now and the heap pops in time order.  An event left just
+        under a barrier (``run_before``'s 1e-9 ms margin) fires without
+        moving the clock back.
         """
         if self._running:
             raise SimulationError("engine is not reentrant")
@@ -136,11 +181,13 @@ class LoopCore:
                 if event.cancelled:
                     heappop(heap)
                     continue
-                if limit is not None and (event.time >= limit if strict
-                                          else event.time > limit):
+                time = event.time
+                if limit is not None and (time >= limit if strict
+                                          else time > limit):
                     break
                 heappop(heap)
-                clock.advance_to(event.time)
+                if time > clock.now:
+                    clock.now = time
                 event.fire()
                 self.events_processed += 1
                 processed += 1
@@ -169,7 +216,9 @@ class LoopCore:
         event = self._queue.pop()
         if event is None:
             return False
-        self.clock.advance_to(event.time)
+        clock = self.clock
+        if event.time > clock.now:
+            clock.now = event.time
         event.fire()
         self.events_processed += 1
         return True
@@ -183,6 +232,8 @@ class LoopCore:
         advanced to the horizon -- :meth:`advance_clock` does that at
         the barrier.  Returns the number of events fired.
         """
+        if horizon != horizon:
+            raise SimulationError("epoch horizon must not be NaN")
         return self._fire_due(horizon - 1e-9, True, max_events, "epoch")
 
     def advance_clock(self, time: float) -> None:

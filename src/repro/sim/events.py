@@ -16,7 +16,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
-__all__ = ["Event", "EventQueue"]
+__all__ = ["Event", "EventQueue", "new_event"]
+
+#: Allocates an :class:`Event` with no slot set (``object.__new__``: C,
+#: no frame); the caller stores every slot.
+new_event = object.__new__
+
+_INF = float("inf")
 
 
 class Event:
@@ -27,22 +33,16 @@ class Event:
     (the kernel dispatch loop) schedule bound methods without allocating
     a lambda per event.  Events order themselves by ``(time, seq)``, so
     the queue's heap holds Event objects directly -- no wrapper tuple
-    per entry.
+    per entry.  ``label`` is a diagnostic tag shown in traces
+    ("dispatch", "compute", ...).
+
+    There is no ``__init__``: a scheduler allocates with
+    ``new_event(Event)`` and stores all six slots itself, so scheduling
+    an event opens no Python frame beyond the scheduler's own
+    (:meth:`EventQueue.push` and ``LoopCore.call_*``).
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "label")
-
-    def __init__(
-        self, time: float, seq: int, callback: Callable[..., None],
-        label: str = "", args: Tuple[Any, ...] = (),
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        #: Diagnostic tag shown in traces ("dispatch", "wakeup", ...).
-        self.label = label
 
     def cancel(self) -> None:
         """Prevent this event from firing (idempotent)."""
@@ -77,9 +77,16 @@ class EventQueue:
     def push(self, time: float, callback: Callable[..., None],
              label: str = "", args: Tuple[Any, ...] = ()) -> Event:
         """Schedule ``callback(*args)`` at absolute virtual ``time``."""
-        if time < 0:
-            raise SimulationError(f"cannot schedule event at negative time {time}")
-        event = Event(time, self._seq, callback, label, args)
+        if not 0 <= time < _INF:
+            raise SimulationError(
+                f"event time must be finite and non-negative, got {time!r}")
+        event = new_event(Event)
+        event.time = time
+        event.seq = self._seq
+        event.callback = callback
+        event.args = args
+        event.cancelled = False
+        event.label = label
         self._seq += 1
         heapq.heappush(self._heap, event)
         return event

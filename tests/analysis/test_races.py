@@ -153,6 +153,31 @@ def test_seeded_race_traps_through_real_dispatch(race_tracker):
     assert race_tracker.violations == 1
 
 
+def test_tracker_activated_mid_run_pushes_the_next_dispatch(race_tracker):
+    """The dispatch entry points read the tracker as each event starts,
+    so one armed between two runs owns the very next quantum: the poke
+    below happens inside kernel0's context and traps."""
+    engine = Engine()
+    kernel0, kernel1 = two_kernels(engine)
+    targets = []
+
+    def evil(ctx):
+        while True:
+            for victim in targets:
+                victim.transition(ThreadState.EXITED)
+            yield Compute(1.0)
+
+    race_tracker.deactivate()
+    kernel0.spawn(evil, "evil", tickets=100)
+    engine.run(until=500)  # untracked: nothing to check yet
+    race_tracker.activate()
+    targets.append(kernel1.spawn(spinner(), "victim", tickets=100))
+    with pytest.raises(DeterminismRaceError, match="cross-owner"):
+        engine.run(until=1_000)
+    assert race_tracker.violations == 1
+    assert engine.now < 502.0  # evil's first compute step after arming
+
+
 # -- ownership transfer at seams ---------------------------------------------
 
 

@@ -1,5 +1,8 @@
 """Tests for the lottery scheduling policy wired into the kernel."""
 
+import sys
+from collections import Counter
+
 import pytest
 
 from repro.core.prng import ParkMillerPRNG
@@ -201,3 +204,45 @@ class TestTreeWorkPerQuantum:
         handle = build_recipe("lottery-mix", {"seed": 42, "use_tree": True})
         handle.advance(30_000.0)
         assert len(refreshes) == 715  # 1 055 when every write refreshed
+
+
+class TestCallsPerDispatch:
+    """The per-quantum path priced as an exact overhead model (paper
+    sections 4.2 and 5.6 measure the scheduler per quantum): Python-level
+    calls per dispatch on the tree spinner kernel of the
+    ``dispatch_wide`` benchmark, counted with ``sys.setprofile`` after
+    warm-up.  73 while every queue push, clock hop, ``Event.__init__``,
+    race-tracker wrapper and ``Thread.__hash__`` was a frame of its own;
+    docs/PERFORMANCE.md section 1 names the frames left and why."""
+
+    def test_a_dispatch_costs_at_most_48_python_calls(self, monkeypatch):
+        import repro.kernel.kernel as kernel_module
+        import repro.kernel.thread as thread_module
+
+        # The model prices the bare path: under REPRO_SANITIZE=1 the
+        # race tracker and the invariant hooks are frames of their own.
+        monkeypatch.setattr(kernel_module, "_race_tracker", None)
+        monkeypatch.setattr(thread_module, "_race_tracker", None)
+        kernel = make_lottery_kernel(seed=3, quantum=10.0, use_tree=True)
+        kernel.invariant_hooks.clear()
+        for index in range(200):
+            kernel.spawn(spin_body(7.0), f"spin{index}",
+                         tickets=float(1 + index % 13))
+        kernel.run_until(500 * 10.0)
+        calls = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[frame.f_code.co_name] += 1
+
+        start = kernel.dispatch_count
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            kernel.run_until(2_500 * 10.0)
+        finally:
+            sys.setprofile(previous)
+        dispatches = kernel.dispatch_count - start
+        assert dispatches == 2_000
+        per_dispatch = sum(calls.values()) / dispatches
+        assert per_dispatch <= 48, sorted(calls.items(), key=lambda kv: -kv[1])

@@ -3,6 +3,10 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim.events import EventQueue
+
+NAN = float("nan")
+INF = float("inf")
 
 
 class TestScheduling:
@@ -107,3 +111,48 @@ class TestRun:
             engine.call_at(42.0, lambda i=i: fired.append(i))
         engine.run()
         assert fired == list(range(20))
+
+
+class TestNonFiniteTimes:
+    """NaN compares false with everything, so it slipped past the
+    negative-delay and in-the-past checks: an event at NaN fired before
+    one due at t=1, and a NaN horizon drained the whole agenda (forever,
+    on a spinner kernel).  Every entry point refuses it by name."""
+
+    @pytest.mark.parametrize("delay", [NAN, INF, -INF])
+    def test_call_after_refuses(self, engine, delay):
+        engine.call_at(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="call_after delay"):
+            engine.call_after(delay, lambda: None)
+        assert engine.pending() == 1
+        assert engine.snapshot_state()["queue"]["seq"] == 1
+
+    @pytest.mark.parametrize("time", [NAN, INF, -INF])
+    def test_call_at_refuses(self, engine, time):
+        with pytest.raises(SimulationError, match="call_at time"):
+            engine.call_at(time, lambda: None)
+        assert engine.pending() == 0
+
+    def test_call_at_still_takes_a_time_just_past_as_now(self, engine):
+        engine.call_after(5.0, lambda: None)
+        engine.run()
+        event = engine.call_at(5.0 - 1e-12, lambda: None)
+        assert event.time == 5.0
+
+    def test_run_refuses_a_nan_horizon(self, engine):
+        fired = []
+        engine.call_at(1.0, lambda: fired.append(1))
+        with pytest.raises(SimulationError, match="until"):
+            engine.run(until=NAN)
+        assert fired == [] and engine.now == 0.0
+
+    def test_run_before_refuses_a_nan_horizon(self, engine):
+        engine.call_at(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="epoch horizon"):
+            engine.run_before(NAN)
+        assert engine.events_processed == 0
+
+    @pytest.mark.parametrize("time", [NAN, INF, -1.0])
+    def test_event_queue_push_refuses(self, time):
+        with pytest.raises(SimulationError, match="finite and non-negative"):
+            EventQueue().push(time, lambda: None)

@@ -274,7 +274,7 @@ class TestSparseReadDifferential:
         ledger, holders, _, mutate = build_mutable_graph(sizes, data)
         fired = []
         for holder in holders:
-            holder.watch_funding(fired.append)
+            holder.funding_watcher = fired.append
 
         def read(holder):
             assert holder.funding() == naive_funding(holder)
