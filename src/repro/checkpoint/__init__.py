@@ -28,9 +28,7 @@ from repro._exports import lazy_exports
 __all__ = [
     "SCHEMA_VERSION",
     "SimHandle",
-    "register_recipe",
     "build_recipe",
-    "recipe_names",
     "capture_tree",
     "capture_payload",
     "save",
@@ -54,7 +52,6 @@ __getattr__ = lazy_exports(globals(), {
     "capture_payload": ".capture", "capture_tree": ".capture",
     "save": ".capture",
     "SimHandle": ".registry", "build_recipe": ".registry",
-    "recipe_names": ".registry", "register_recipe": ".registry",
     "Divergence": ".replay", "ReplayRecorder": ".replay",
     "diff_streams": ".replay", "format_divergence": ".replay",
     "read_stream_file": ".replay", "write_stream_file": ".replay",

@@ -13,7 +13,8 @@ import sys
 import tempfile
 
 from repro.checkpoint import (build_recipe, diff_streams,
-                              format_divergence, recipe_names, restore, save)
+                              format_divergence, restore, save)
+from repro.checkpoint.recipes import RECIPES
 from repro.checkpoint.statetree import checkpoint_summary
 from repro.errors import ReproError
 from repro.shard.__main__ import virtual_ms
@@ -25,7 +26,7 @@ def main(argv=None) -> int:
         description="checkpoint/restore/replay smoke test",
     )
     parser.add_argument("--recipe", default="lottery-mix",
-                        choices=recipe_names())
+                        choices=sorted(RECIPES))
     parser.add_argument("--checkpoint-at", type=virtual_ms, default=5_000.0,
                         metavar="MS", help="virtual time of the checkpoint")
     parser.add_argument("--run-until", type=virtual_ms, default=10_000.0,

@@ -1,35 +1,38 @@
-"""Built-in checkpoint recipes.
+"""Built-in checkpoint recipes: the :data:`RECIPES` table.
 
-Importing this module registers the recipes the CLI and the test suite
-use.  Each builder is deterministic (same args, same universe) and its
-arguments round-trip through JSON -- both are requirements of the
+A checkpoint names its recipe and stores its arguments, so each name
+here, its parameters and their defaults are a file format.  Each
+builder is deterministic (same args, same universe) and its arguments
+round-trip through JSON -- both are requirements of the
 restore-by-re-execution design (see :mod:`repro.checkpoint.registry`).
 
 * ``lottery-mix`` -- one lottery kernel running heterogeneously funded
   spinners plus a sleeper; the smallest interesting system, used by the
   round-trip property tests.
-* ``chaos-fairness`` -- the sharded engine running the chaos
-  experiment's plan (spinners, a pinned victim, crash/restart ops,
-  barrier-time rebalancing); the system the acceptance criterion
-  crashes, restores, and replays.
+* ``chaos-fairness`` -- the sharded engine running the ``chaos`` plan
+  (spinners, a pinned victim, crash/restart ops, barrier-time
+  rebalancing); the system the acceptance criterion crashes, restores,
+  and replays.
 * ``shard-mix`` -- the sharded multicore engine running the kitchen-
-  sink ``mix_plan`` (cross-core RPC, optional scripted migration and
-  crash); checkpoints taken at epoch barriers restore bit-exact on any
-  backend/shard count because the merged stream is placement-invariant
-  (see ``docs/SHARDING.md``).
+  sink ``mix`` plan (cross-core RPC; ``mix-ops`` with ``with_ops``, a
+  scripted migration and crash); checkpoints taken at epoch barriers
+  restore bit-exact on any backend/shard count because the merged
+  stream is placement-invariant (see ``docs/SHARDING.md``).
+
+The two sharded recipes are one builder over
+:data:`repro.shard.plan.PLANS`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.checkpoint.registry import SimHandle, register_recipe
+from repro.checkpoint.registry import SimHandle
 from repro.checkpoint.replay import ReplayRecorder
 
-__all__ = ["lottery_mix", "chaos_fairness", "shard_mix"]
+__all__ = ["RECIPES", "lottery_mix", "chaos_fairness", "shard_mix"]
 
 
-@register_recipe("lottery-mix")
 def lottery_mix(seed: int = 1, quantum: float = 100.0,
                 fundings: Optional[List[float]] = None,
                 use_tree: bool = False,
@@ -82,47 +85,41 @@ def lottery_mix(seed: int = 1, quantum: float = 100.0,
     )
 
 
-@register_recipe("chaos-fairness")
-def chaos_fairness(seed: int = 2718, cores: int = 3) -> SimHandle:
-    """The chaos experiment's plan on the inline sharded engine (see
-    ``experiments.chaos_fairness``); times must land on its 500 ms
-    epoch grid."""
-    from repro.experiments.chaos_fairness import chaos_plan
+def _sharded(recipe: str, plan: str, args: Dict[str, Any], shards: int = 1,
+             backend: str = "inline") -> SimHandle:
+    """A built-in plan on the sharded engine.  ``advance`` goes through
+    :meth:`ShardedEngine.advance`, so restore re-executes epoch by epoch
+    exactly like the original run, and times must land on the plan's
+    epoch grid.  The engine snapshots no shard/backend identity, so a
+    checkpoint written by the mp backend at 4 shards restores (and
+    diffs clean) against an inline rebuild at 1."""
     from repro.shard.engine import ShardedEngine
+    from repro.shard.plan import PLANS
 
-    engine = ShardedEngine(chaos_plan(seed=seed, cores=cores))
-    return SimHandle(
-        recipe="chaos-fairness",
-        args={"seed": seed, "cores": cores},
-        engine=engine,
-        components={"sharded": engine},
-        advance=engine.advance,
-    )
+    engine = ShardedEngine(PLANS[plan](args["seed"], args["cores"]),
+                           shards=shards, backend=backend)
+    return SimHandle(recipe=recipe, args=args, engine=engine,
+                     components={"sharded": engine}, advance=engine.advance)
 
 
-@register_recipe("shard-mix")
+def chaos_fairness(seed: int = 2718, cores: int = 3) -> SimHandle:
+    """The chaos experiment's plan (500 ms epoch grid)."""
+    return _sharded("chaos-fairness", "chaos",
+                    {"seed": seed, "cores": cores})
+
+
 def shard_mix(seed: int = 11, cores: int = 4, shards: int = 2,
               backend: str = "inline", with_ops: bool = False) -> SimHandle:
-    """The sharded engine on ``mix_plan`` (cross-core RPC workload).
+    """The ``mix`` plan, ``mix-ops`` with ``with_ops`` (500 ms grid)."""
+    return _sharded("shard-mix", "mix-ops" if with_ops else "mix",
+                    {"seed": seed, "cores": cores, "shards": shards,
+                     "backend": backend, "with_ops": with_ops},
+                    shards, backend)
 
-    ``advance`` goes through :meth:`ShardedEngine.advance`, so restore
-    re-executes epoch-by-epoch exactly like the original run; times
-    must land on the plan's epoch grid (500 ms for ``mix_plan``).  The
-    engine deliberately snapshots no shard/backend identity, so a
-    checkpoint written by the mp backend at 4 shards restores (and
-    diffs clean) against an inline rebuild at 1 -- that equivalence is
-    the subsystem's core claim.
-    """
-    from repro.shard.engine import ShardedEngine
-    from repro.shard.plan import mix_plan
 
-    plan = mix_plan(seed=seed, cores=cores, with_ops=with_ops)
-    engine = ShardedEngine(plan, shards=shards, backend=backend)
-    return SimHandle(
-        recipe="shard-mix",
-        args={"seed": seed, "cores": cores, "shards": shards,
-              "backend": backend, "with_ops": with_ops},
-        engine=engine,
-        components={"sharded": engine},
-        advance=engine.advance,
-    )
+#: Recipe name -> builder; a checkpoint file names one of these.
+RECIPES: Dict[str, Callable[..., SimHandle]] = {
+    "lottery-mix": lottery_mix,
+    "chaos-fairness": chaos_fairness,
+    "shard-mix": shard_mix,
+}

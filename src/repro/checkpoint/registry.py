@@ -1,4 +1,4 @@
-"""Recipe and snapshot-coverage registries.
+"""Recipe building and the snapshot-coverage table.
 
 **Recipes** make restore possible without pickling live objects.
 Thread bodies are Python generators -- their frames cannot be
@@ -10,11 +10,12 @@ checkpoint time and *proves* the reconstruction by diffing its live
 state tree against the saved one; any mismatch is a divergence, named
 by path.
 
-A recipe is a callable ``build(**args) -> SimHandle`` registered under
-a stable name.  Its arguments must round-trip through JSON, and it must
-be deterministic: same args, same universe.
+A recipe is a callable ``build(**args) -> SimHandle`` entered under a
+stable name in :data:`repro.checkpoint.recipes.RECIPES`.  Its arguments
+must round-trip through JSON, and it must be deterministic: same args,
+same universe.
 
-**Snapshot coverage** is the other registry: for every class with a
+**Snapshot coverage** is the other table: for every class with a
 ``snapshot_state()`` seam, the sets of instance attributes the seam
 captures and those it deliberately leaves out (transient/derived
 state).  The RPR007 lint rule audits each class's actual ``self.x``
@@ -33,10 +34,7 @@ from repro.errors import CheckpointError
 
 __all__ = [
     "SimHandle",
-    "register_recipe",
     "build_recipe",
-    "recipe_names",
-    "ensure_builtin_recipes",
     "SNAPSHOT_COVERAGE",
 ]
 
@@ -47,7 +45,7 @@ class SimHandle:
     Parameters
     ----------
     recipe:
-        Registered recipe name that built this system.
+        Recipe name that built this system.
     args:
         The JSON-serializable arguments the recipe was built with
         (stored verbatim in checkpoints).
@@ -120,43 +118,20 @@ class SimHandle:
                 f"components={sorted(self.components)}>")
 
 
-# -- recipe registry ----------------------------------------------------------
-
-_RECIPES: Dict[str, Callable[..., SimHandle]] = {}
-
-
-def register_recipe(name: str) -> Callable[[Callable[..., SimHandle]],
-                                           Callable[..., SimHandle]]:
-    """Decorator registering a recipe builder under ``name``."""
-
-    def decorate(builder: Callable[..., SimHandle]) -> Callable[..., SimHandle]:
-        if name in _RECIPES:
-            raise CheckpointError(f"recipe {name!r} is already registered")
-        _RECIPES[name] = builder
-        return builder
-
-    return decorate
-
-
-def ensure_builtin_recipes() -> None:
-    """Import the built-in recipe module (idempotent)."""
-    import repro.checkpoint.recipes  # noqa: F401  (registers on import)
-
-
-def recipe_names() -> List[str]:
-    """Registered recipe names, sorted."""
-    ensure_builtin_recipes()
-    return sorted(_RECIPES)
+# -- recipes ------------------------------------------------------------------
 
 
 def build_recipe(name: str, args: Dict[str, Any]) -> SimHandle:
-    """Build a fresh simulation from a registered recipe."""
-    ensure_builtin_recipes()
+    """Build a fresh simulation from the recipe table
+    (:data:`repro.checkpoint.recipes.RECIPES`); ``name`` and ``args``
+    come from a file, so both are checked against it."""
+    from repro.checkpoint.recipes import RECIPES
+
     try:
-        builder = _RECIPES[name]
+        builder = RECIPES[name]
     except KeyError:
         raise CheckpointError(
-            f"unknown recipe {name!r}; registered: {sorted(_RECIPES)}"
+            f"unknown recipe {name!r}; known: {sorted(RECIPES)}"
         ) from None
     taken = inspect.signature(builder).parameters
     unknown = sorted(set(args) - set(taken))
@@ -164,16 +139,10 @@ def build_recipe(name: str, args: Dict[str, Any]) -> SimHandle:
         raise CheckpointError(
             f"args {unknown} are not parameters of recipe {name!r}; it "
             f"takes {sorted(taken)}")
-    handle = builder(**args)
-    if not isinstance(handle, SimHandle):
-        raise CheckpointError(
-            f"recipe {name!r} returned {type(handle).__name__}, "
-            f"expected SimHandle"
-        )
-    return handle
+    return builder(**args)
 
 
-# -- snapshot-coverage registry ----------------------------------------------
+# -- snapshot coverage --------------------------------------------------------
 
 #: dotted class path -> {"covered": attrs the seam captures,
 #:                       "transient": attrs deliberately left out}.

@@ -13,9 +13,9 @@ Channels are homed on their own core, so frontend->backend RPCs keep
 full local semantics including ticket transfers; cross-core traffic is
 not what this plan measures (the ``mix`` plan covers it).
 
-The body factories below are registered in
-:mod:`repro.shard.builders` under ``serving_pump`` /
-``serving_frontend`` / ``serving_backend`` / ``serving_slo``.  Each
+The body factories below are the ``serving_pump`` /
+``serving_frontend`` / ``serving_backend`` / ``serving_slo`` entries of
+:data:`repro.shard.builders.BODY_REGISTRY`, imported at first build.  Each
 core's mutable measurement context (stats, probe, admission) is a
 :class:`~repro.serving.tiers.ServingRuntime` stashed on the
 :class:`~repro.shard.core.ShardCore` at first use; it is measurement
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, TYPE_CHECKING
 
-from repro.kernel.syscalls import Sleep
 from repro.serving.admission import TokenBucket
 from repro.serving.slo_controller import ClassLatencyProbe, SloController
 from repro.serving.stats import ServingStats
@@ -71,7 +70,7 @@ def serving_runtime_for(core: "ShardCore") -> ServingRuntime:
     return runtime
 
 
-# -- registered body factories (see repro.shard.builders) --------------------
+# -- body factories (see repro.shard.builders) -------------------------------
 
 
 def build_shard_pump(core: "ShardCore", args: Dict[str, Any]):
@@ -133,9 +132,7 @@ def build_shard_slo(core: "ShardCore", args: Dict[str, Any]):
                           f"fe:{name}:")
                       for ticket in thread.tickets]
             controller.add_class(name, targets[name], levers)
-        while True:
-            yield Sleep(controller.epoch_ms)
-            controller.control(ctx.now)
+        yield from controller.body()(ctx)
 
     return body
 

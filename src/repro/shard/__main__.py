@@ -1,7 +1,8 @@
 """Sharded-engine CLI: ``python -m repro.shard``.
 
-* ``run`` -- execute a built-in plan on one backend and print the
-  stream/state checksums; ``--supervise`` runs the mp backend under
+* ``run`` -- the one runner of a named plan
+  (:data:`repro.shard.plan.PLANS`): execute it on one backend and print
+  the stream/state checksums; ``--supervise`` runs the mp backend under
   the fault-tolerant supervisor, optionally injecting a deliberate
   ``--host-faults`` plan (preset name or JSON file).  ``--obs`` turns
   on the cross-shard observability plane; ``--trace-out`` writes the
@@ -10,7 +11,8 @@
   aggregated metrics in Prometheus text format, and ``--flight-dir``
   arms the crash flight recorder.  All observability outputs are
   byte-deterministic: same plan/seed on any backend produces
-  sha256-identical canonical artifacts;
+  sha256-identical canonical artifacts.  An observed run that breaches
+  its SLO policy exits 2 (the SLO gate);
 * ``verify`` -- the CI equivalence gate: run the single-loop oracle,
   then every requested ``(backend, shards)`` combination, and compare
   replay-stream and state-tree sha256s bit-for-bit.  With
@@ -18,7 +20,12 @@
   mp run, and a supervised mp run with a worker killed at **every
   epoch barrier** -- both must still be bit-identical to the oracle.
   On divergence, writes a report (first differing entry,
-  per-combination checksums) suitable for upload as a CI artifact.
+  per-combination checksums) suitable for upload as a CI artifact and
+  exits 1.
+
+A bad argument -- including one only the plan, the engine or the
+supervisor policy can judge, such as a horizon off the epoch grid --
+is one usage line and exit 2.
 
 Examples::
 
@@ -27,6 +34,8 @@ Examples::
     python -m repro.shard verify --plan mix --cores 4 --until 5000 \
         --backends inline,mp --shards 1,2,4 --supervise \
         --report divergence.txt
+    python -m repro.shard run --plan chaos --cores 3 --seed 2718 \
+        --until 60000 --obs --trace-out chaos.trace.json
 """
 
 from __future__ import annotations
@@ -44,39 +53,13 @@ from repro.shard.hostfaults import (
     kill_every_epoch,
     load_host_faults,
 )
-from repro.shard.plan import ShardPlan, mix_plan, spin_plan
+from repro.shard.plan import PLANS, ShardPlan
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.shard.supervisor import SupervisorPolicy
 
 # The engine, its backends and the supervisor are imported where a plan
-# runs: the other CLIs import PLANS and the argument types from here.
-
-
-def _serving(args):
-    # Imported lazily: repro.serving pulls in the arena stack, which
-    # plain mix/spin runs never need.
-    from repro.serving.shardplan import serving_plan
-
-    return serving_plan(seed=args.seed, cores=args.cores)
-
-
-def _chaos(args):
-    from repro.experiments.chaos_fairness import chaos_plan
-
-    return chaos_plan(seed=args.seed, cores=args.cores)
-
-
-#: Built-in plans by ``--plan`` name, each built from the parsed
-#: ``--seed``/``--cores``; ``repro.telemetry report`` imports this table.
-PLANS = {
-    "mix": lambda args: mix_plan(seed=args.seed, cores=args.cores),
-    "mix-ops": lambda args: mix_plan(seed=args.seed, cores=args.cores,
-                                     with_ops=True),
-    "spin": lambda args: spin_plan(seed=args.seed, cores=args.cores),
-    "serving": _serving,
-    "chaos": _chaos,
-}
+# runs: the other CLIs import the argument types from here.
 
 
 def positive_int(text: str) -> int:
@@ -135,7 +118,9 @@ def _run_combo(plan: ShardPlan, backend: str, shards: int, until: float,
 
 
 def _write_obs_outputs(args: argparse.Namespace,
-                       obs_out: Dict[str, Any]) -> None:
+                       obs_out: Dict[str, Any]) -> bool:
+    """Print the obs digests, write the requested artifacts; whether
+    the run met its SLO policy."""
     from repro.telemetry.exporters import export_prometheus, write_checksummed
     from repro.telemetry.obsreport import render_markdown
 
@@ -162,6 +147,7 @@ def _write_obs_outputs(args: argparse.Namespace,
         write_checksummed(args.prom_out,
                           export_prometheus(obs_out["view"]))
         print(f"prometheus metrics written to {args.prom_out}")
+    return slo["ok"]
 
 
 def _first_divergence(reference: List[Dict[str, Any]],
@@ -249,11 +235,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(implies --obs)")
     args = parser.parse_args(argv)
 
-    try:
-        plan = PLANS[args.plan](args)
-    except ReproError as exc:
-        parser.error(str(exc))
-
     if args.host_faults and not args.supervise:
         parser.error("--host-faults requires --supervise: only the "
                      "supervised backend recovers from host faults")
@@ -261,20 +242,27 @@ def main(argv: Optional[List[str]] = None) -> int:
                or args.report_md or args.prom_out or args.flight_dir)
     if obs and args.command != "run":
         parser.error("--obs and its output flags apply to 'run' only")
-
-    if args.command == "run":
-        shards = args.shards[0]
-        try:
-            policy = _policy_from_args(args) if args.supervise else None
-            host_faults = (load_host_faults(args.host_faults, shards)
-                           if args.host_faults else None)
+    # 'run' runs one combination; 'verify' runs the single-loop oracle
+    # here and every combination after it.
+    shards = args.shards[0] if args.command == "run" else max(args.shards)
+    try:
+        plan = PLANS[args.plan](args.seed, args.cores)
+        policy = _policy_from_args(args) if args.supervise else None
+        host_faults = (load_host_faults(args.host_faults, shards)
+                       if args.host_faults else None)
+        if args.command == "run":
             stream_sha, state_sha, stream, recovery, obs_out = _run_combo(
                 plan, args.backend, shards, args.until,
                 supervise=args.supervise, policy=policy,
                 host_faults=host_faults, obs=obs,
                 flight_dir=args.flight_dir)
-        except ReproError as exc:
-            parser.error(str(exc))
+        else:
+            ref_stream_sha, ref_state_sha, ref_stream, _, _ = _run_combo(
+                plan, "single", 1, args.until)
+    except ReproError as exc:
+        parser.error(str(exc))
+
+    if args.command == "run":
         mode = " supervised" if args.supervise else ""
         print(f"plan={args.plan} cores={args.cores} backend={args.backend}"
               f"{mode} shards={shards} until={args.until:g}")
@@ -283,13 +271,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"state   {state_sha}")
         if args.supervise:
             print(_recovery_line(recovery))
-        if obs:
-            _write_obs_outputs(args, obs_out)
+        if obs and not _write_obs_outputs(args, obs_out):
+            return 2  # the SLO gate: the run breached its policy
         return 0
 
-    # verify: single-loop oracle first, then every combination.
-    ref_stream_sha, ref_state_sha, ref_stream, _, _ = _run_combo(
-        plan, "single", 1, args.until)
     print(f"single-loop oracle: stream {ref_stream_sha[:16]} "
           f"state {ref_state_sha[:16]} ({len(ref_stream)} entries)")
     failures: List[str] = []
@@ -302,22 +287,19 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     combos: List[Dict[str, Any]] = []
     for backend in args.backends.split(","):
-        for shards in args.shards:
-            combos.append({"label": f"{backend.strip()}/s{shards}",
-                           "backend": backend.strip(),
-                           "shards": shards})
+        for count in args.shards:
+            combos.append({"label": f"{backend.strip()}/s{count}",
+                           "backend": backend.strip(), "shards": count})
     if args.supervise:
-        shards = max(args.shards)
-        policy = _policy_from_args(args)
         combos.append({"label": f"mp+supervise/s{shards}", "backend": "mp",
                        "shards": shards, "supervise": True,
                        "policy": policy})
-        faults = (load_host_faults(args.host_faults, shards)
-                  if args.host_faults else kill_every_epoch(shards))
         combos.append({"label": f"mp+supervise+faults/s{shards}",
                        "backend": "mp", "shards": shards,
                        "supervise": True, "policy": policy,
-                       "host_faults": faults})
+                       "host_faults": (kill_every_epoch(shards)
+                                       if host_faults is None
+                                       else host_faults)})
 
     for combo in combos:
         label = combo["label"]

@@ -12,21 +12,19 @@ A factory receives the owning :class:`repro.shard.core.ShardCore` and
 the spec's ``args`` and returns an ordinary thread body (a generator
 function of ``ctx``).  Factories must derive all behaviour from their
 arguments; anything else would make the universe depend on which
-process built it.
+process built it.  A factory that lives with its subsystem is entered
+as ``"module:attr"`` and imported at its first build, so a plan that
+never names it never loads that subsystem.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
+from importlib import import_module
+from typing import Any, Callable, Dict, Union
 
 from repro.errors import ShardError
 
 __all__ = ["BODY_REGISTRY", "register_body", "build_body"]
-
-#: name -> factory(core, args) -> body(ctx).  Mutated only at import
-#: time by ``@register_body`` (a write-once registry, like the recipe
-#: and sink registries).
-BODY_REGISTRY: Dict[str, Callable[..., Any]] = {}
 
 
 def register_body(name: str) -> Callable[[Callable[..., Any]],
@@ -46,13 +44,15 @@ def build_body(core: Any, spec: Dict[str, Any]) -> Callable[..., Any]:
         factory = BODY_REGISTRY[spec["body"]]
     except KeyError:
         raise ShardError(f"unregistered body {spec.get('body')!r}") from None
+    if isinstance(factory, str):
+        module, _, attr = factory.partition(":")
+        factory = getattr(import_module(module), attr)
     return factory(core, dict(spec.get("args") or {}))
 
 
 # -- built-in bodies ---------------------------------------------------------
 
 
-@register_body("spin")
 def _spin(core: Any, args: Dict[str, Any]) -> Callable[..., Any]:
     """CPU-bound spinner: the fairness workload of the paper's 5.2."""
     from repro.kernel.syscalls import Compute
@@ -66,7 +66,6 @@ def _spin(core: Any, args: Dict[str, Any]) -> Callable[..., Any]:
     return body
 
 
-@register_body("finite_spin")
 def _finite_spin(core: Any, args: Dict[str, Any]) -> Callable[..., Any]:
     """Spinner that exits after ``chunks`` compute bursts."""
     from repro.kernel.syscalls import Compute
@@ -81,7 +80,6 @@ def _finite_spin(core: Any, args: Dict[str, Any]) -> Callable[..., Any]:
     return body
 
 
-@register_body("sleeper")
 def _sleeper(core: Any, args: Dict[str, Any]) -> Callable[..., Any]:
     """Interactive-style thread: short bursts between sleeps."""
     from repro.kernel.syscalls import Compute, Sleep
@@ -97,7 +95,6 @@ def _sleeper(core: Any, args: Dict[str, Any]) -> Callable[..., Any]:
     return body
 
 
-@register_body("rpc_server")
 def _rpc_server(core: Any, args: Dict[str, Any]) -> Callable[..., Any]:
     """Service loop on a channel's home core: receive, work, reply."""
     from repro.kernel.syscalls import Compute, Receive, Reply
@@ -114,7 +111,6 @@ def _rpc_server(core: Any, args: Dict[str, Any]) -> Callable[..., Any]:
     return body
 
 
-@register_body("rpc_client")
 def _rpc_client(core: Any, args: Dict[str, Any]) -> Callable[..., Any]:
     """Client loop: compute, call the service (possibly cross-core),
     optionally sleep.  ``count`` bounds the number of calls (0 = run
@@ -142,36 +138,17 @@ def _rpc_client(core: Any, args: Dict[str, Any]) -> Callable[..., Any]:
     return body
 
 
-# -- serving-arena bodies (see repro.serving.shardplan) -----------------------
-
-
-@register_body("serving_pump")
-def _serving_pump(core: Any, args: Dict[str, Any]) -> Callable[..., Any]:
-    """Open-loop arrival pump for one service class's per-core slice."""
-    from repro.serving.shardplan import build_shard_pump
-
-    return build_shard_pump(core, args)
-
-
-@register_body("serving_frontend")
-def _serving_frontend(core: Any, args: Dict[str, Any]) -> Callable[..., Any]:
-    """Class frontend: ingress receive, parse, backend RPC, record."""
-    from repro.serving.shardplan import build_shard_frontend
-
-    return build_shard_frontend(core, args)
-
-
-@register_body("serving_backend")
-def _serving_backend(core: Any, args: Dict[str, Any]) -> Callable[..., Any]:
-    """Backend pool worker on the channel's home core."""
-    from repro.serving.shardplan import build_shard_backend
-
-    return build_shard_backend(core, args)
-
-
-@register_body("serving_slo")
-def _serving_slo(core: Any, args: Dict[str, Any]) -> Callable[..., Any]:
-    """Per-core SLO controller inflating frontend funding on breach."""
-    from repro.serving.shardplan import build_shard_slo
-
-    return build_shard_slo(core, args)
+#: name -> factory(core, args) -> body(ctx), or the factory's
+#: ``"module:attr"``.  Written only at import time (``@register_body``
+#: adds to it, never replaces an entry).
+BODY_REGISTRY: Dict[str, Union[str, Callable[..., Any]]] = {
+    "spin": _spin,
+    "finite_spin": _finite_spin,
+    "sleeper": _sleeper,
+    "rpc_server": _rpc_server,
+    "rpc_client": _rpc_client,
+    "serving_pump": "repro.serving.shardplan:build_shard_pump",
+    "serving_frontend": "repro.serving.shardplan:build_shard_frontend",
+    "serving_backend": "repro.serving.shardplan:build_shard_backend",
+    "serving_slo": "repro.serving.shardplan:build_shard_slo",
+}

@@ -21,13 +21,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Any, Dict, Iterator, List, Optional, Set
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set
 
 from repro.errors import ShardError
 from repro.shard.builders import BODY_REGISTRY
 
-__all__ = ["ShardPlan", "finite", "grid_instants", "mix_plan", "on_grid",
-           "spin_plan"]
+__all__ = ["PLANS", "ShardPlan", "finite", "grid_instants", "mix_plan",
+           "on_grid", "spin_plan"]
 
 #: Slack of every "strictly before the barrier" comparison -- the value
 #: ``LoopCore.run_before`` uses, so the lookahead and the event loop
@@ -407,3 +407,29 @@ def mix_plan(seed: int = 11, cores: int = 4, quantum: float = 100.0,
         plan.migrate(at=1250.0, thread="spin0a", src=0, dst=cores - 1)
         plan.crash(at=2750.0, core=cores - 1, evacuate_to=1 % (cores - 1))
     return plan
+
+
+def _serving(seed: int, cores: int) -> ShardPlan:
+    # Imported when called: repro.serving pulls in the arena stack,
+    # which the other plans never need.
+    from repro.serving.shardplan import serving_plan
+
+    return serving_plan(seed=seed, cores=cores)
+
+
+def _chaos(seed: int, cores: int) -> ShardPlan:
+    from repro.experiments.chaos_fairness import chaos_plan
+
+    return chaos_plan(seed=seed, cores=cores)
+
+
+#: The built-in plans by name, each built from ``(seed, cores)``: the
+#: one table the shard CLI, the checkpoint recipes and the tests read.
+PLANS: Dict[str, Callable[[int, int], ShardPlan]] = {
+    "mix": lambda seed, cores: mix_plan(seed=seed, cores=cores),
+    "mix-ops": lambda seed, cores: mix_plan(seed=seed, cores=cores,
+                                            with_ops=True),
+    "spin": lambda seed, cores: spin_plan(seed=seed, cores=cores),
+    "serving": _serving,
+    "chaos": _chaos,
+}

@@ -16,8 +16,9 @@ plane** for the sharded engine: barrier-mediated metric aggregation
 
 See ``docs/OBSERVABILITY.md`` for the span model, exporter formats,
 and the Perfetto loading recipe; ``python -m repro.telemetry`` for the
-one-shot trace-a-recipe CLI; and ``python -m repro.telemetry report``
-for the sharded run report.
+one-shot trace-a-recipe CLI; ``python -m repro.shard run --obs`` for
+the sharded run report; and ``python -m repro.telemetry report
+--bundle`` for a flight bundle.
 """
 
 from repro._exports import lazy_exports

@@ -34,7 +34,9 @@ from repro.checkpoint.statetree import tree_checksum
 #: (recipe, args, horizon, stream sha256, state-tree sha256) captured
 #: from the pre-optimization implementation (linear funding recompute,
 #: full Fenwick refresh per draw, tuple-heap event queue), except the
-#: ``chaos-fairness`` row: the sharded chaos plan's own.
+#: ``chaos-fairness`` row, the sharded chaos plan's own, and the
+#: ``shard-mix`` row, captured from the recipe before it was built over
+#: ``repro.shard.plan.PLANS``.
 GOLDEN = [
     ("lottery-mix", {"seed": 1}, 30_000.0,
      "f9bec250fd208e5f77038c91e36f6ee4ef861498a780684eb275608f2323d65e",
@@ -50,6 +52,9 @@ GOLDEN = [
     ("chaos-fairness", {"seed": 2718}, 60_000.0,
      "85e43acebb587bf79b88ca3f8da4b32e3c4f5ae7cff90cfca4d26e37a96f9ab8",
      "c26d8c9bda49a7cf3df978e2c3c86e29b279808f88bb98f3c67ded3ee1d8e88d"),
+    ("shard-mix", {"seed": 11}, 4_000.0,
+     "c940ff5a49d10011cda7ed9d78e35cb3b1cde587390e8bb1600929843ff96152",
+     "b40d8740ebccd408805276c916acf49cb4ad388a8128b56259b7b3ae906c4b1c"),
 ]
 
 _IDS = [f"{recipe}-{args.get('seed')}" for recipe, args, *_ in GOLDEN]

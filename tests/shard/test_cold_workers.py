@@ -1,8 +1,8 @@
 """``mp`` workers started from a cold interpreter (``spawn``,
 ``forkserver``) as well as by ``fork``.
 
-A cold worker re-imports everything it runs: a registry filled only by
-an import side effect (the serving bodies of ``BODY_REGISTRY``) or a
+A cold worker re-imports everything it runs: a body entry resolved by
+import (the ``"module:attr"`` serving bodies of ``BODY_REGISTRY``) or a
 package export that resolves wrongly breaks there first, never under
 ``fork``, which inherits the parent's modules.
 """

@@ -1,4 +1,5 @@
-"""``python -m repro.telemetry report``: the observability front door."""
+"""``python -m repro.telemetry``: ``report --bundle`` and the flat
+recipe-tracing invocation."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import json
 
 import pytest
 
+from repro.checkpoint.recipes import RECIPES
 from repro.errors import ShardError
 from repro.shard.engine import ShardedEngine
 from repro.shard.hostfaults import HostFault, HostFaultPlan
@@ -13,52 +15,15 @@ from repro.shard.plan import mix_plan
 from repro.shard.supervisor import SupervisorPolicy
 from repro.telemetry.__main__ import main
 
-_RUN = ["report", "--plan", "mix", "--cores", "4", "--until", "2000",
-        "--backend", "inline", "--shards", "2"]
 
-
-def test_run_mode_prints_canonical_sha_and_passes(capsys):
-    code = main(_RUN + ["--quiet"])
-    err = capsys.readouterr().err
-    assert code == 0
-    assert "canonical sha256: " in err
-
-
-def test_run_mode_writes_requested_artifacts(capsys, tmp_path):
-    report = tmp_path / "report.json"
-    trace = tmp_path / "trace.json"
-    prom = tmp_path / "metrics.prom"
-    code = main(_RUN + ["--quiet", "--json", str(report),
-                        "--trace", str(trace), "--prom", str(prom)])
-    assert code == 0
-    capsys.readouterr()
-    document = json.loads(report.read_text().rsplit("\n", 2)[0])
-    assert document["canonical"]["slo"]["ok"] is True
-    payload = json.loads(trace.read_text().rsplit("\n", 2)[0])
-    assert (document["canonical"]["trace_sha256"]
-            == payload["metadata"]["sha256"])
-    assert prom.read_text().startswith("#")
-
-
-def test_report_accepts_every_plan_shard_run_does(capsys):
-    """One plan table serves both CLIs (``serving`` used to be refused
-    here by a private copy that had drifted)."""
-    from repro.shard.__main__ import PLANS
-
-    for name in sorted(PLANS):
-        code = main(["report", "--plan", name, "--cores", "2", "--until",
-                     "500", "--backend", "inline", "--shards", "2",
-                     "--quiet"])
-        # 0 = SLO policy met, 2 = breached; argparse refusal raises.
-        assert code in (0, 2), name
-        assert "canonical sha256: " in capsys.readouterr().err
-
-
-def test_run_mode_markdown_report(capsys):
-    code = main(_RUN)
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "# repro observability report" in out.lower() or "|" in out
+def test_report_reads_a_bundle_and_runs_no_plan(capsys):
+    """``report`` only reads a bundle: a plan's observed run is
+    ``python -m repro.shard run --obs`` (``tests/shard/test_cli.py``)."""
+    for argv in (["report"], ["report", "--plan", "mix"]):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+    assert "--bundle" in capsys.readouterr().err
 
 
 def test_bundle_mode_summarizes_flight_bundle(capsys, tmp_path):
@@ -101,12 +66,16 @@ def test_bundle_mode_reports_malformed_files_without_a_traceback(
 
 
 def test_legacy_flat_invocation_still_works(capsys):
-    """The pre-existing ``python -m repro.telemetry`` surface (recipe
-    tracing) must keep its contract alongside the new subcommand."""
-    code = main(["--list-recipes"])
+    """The flat ``python -m repro.telemetry`` surface (recipe tracing)
+    keeps its contract alongside ``report``; its ``--recipe`` choices
+    are the recipe table."""
+    assert main(["--run-until", "1000"]) == 0
+    assert "recipe=lottery-mix seed=2718 t=1000ms" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as caught:
+        main(["--help"])
+    assert caught.value.code == 0
     out = capsys.readouterr().out
-    assert code in (0, None)
-    assert out.strip()  # it printed the recipe listing
+    assert all(name in out for name in RECIPES)
 
 
 @pytest.mark.parametrize("argv, named", [
