@@ -160,11 +160,16 @@ def check_currency_graph(ledger: Ledger) -> List[str]:
 def _check_nominal_caches(ledger: Ledger,
                           holders: Iterable[TicketHolder]) -> List[str]:
     """Whatever the nominal caches serve must be the bit-identical float
-    the defining sums produce (no tolerance: that is their contract).
+    the defining sums produce (no tolerance: that is their contract),
+    and every currency a cached value was read through must still be
+    marked nominal-read, or the next structural mutation there skips the
+    walk that would have cleared it.
 
-    The reference walk below reads none of the audited caches; it only
-    remembers each currency's two sums for the length of this one audit,
-    during which nothing mutates.
+    The caches are peeked, not called: a call would recompute and mark,
+    hiding exactly the walks a run skips.  The reference walk below
+    reads none of the audited caches; it only remembers each currency's
+    two sums for the length of this one audit, during which nothing
+    mutates.
     """
     issued: Dict[int, float] = {}
     nominal: Dict[int, float] = {}
@@ -186,23 +191,39 @@ def _check_nominal_caches(ledger: Ledger,
             nominal[key] = sum(ticket_value(t) for t in currency.backing)
         return nominal[key]
 
+    def unmarked(what: str, tickets: Iterable[Ticket]) -> List[str]:
+        return [f"{what} caches a nominal value read through currency "
+                f"{t.currency.name!r}, which is not marked nominal-read "
+                f"(its next nominal walk would be skipped)"
+                for t in tickets
+                if not (t.currency.is_base or t.currency._nominal_read)]
+
     violations: List[str] = []
     for currency in ledger.currencies():
-        if not currency.is_base and \
-                currency.nominal_base_value() != currency_value(currency):
+        cached = currency._nominal_value
+        if currency.is_base or cached is None:
+            continue
+        if cached != currency_value(currency):
             violations.append(
                 f"currency {currency.name!r} cached nominal value "
-                f"{currency.nominal_base_value()!r} != recomputed "
+                f"{cached!r} != recomputed "
                 f"{currency_value(currency)!r} (stale valuation cache)"
             )
+        violations.extend(unmarked(f"currency {currency.name!r}",
+                                   currency.backing))
     for holder in holders:
+        cached = holder._nominal_value
+        if cached is None:
+            continue
         recomputed = sum(ticket_value(t) for t in holder.tickets)
-        if holder.nominal_funding() != recomputed:
+        if cached != recomputed:
             violations.append(
                 f"holder {holder.name!r} cached nominal funding "
-                f"{holder.nominal_funding()!r} != recomputed "
+                f"{cached!r} != recomputed "
                 f"{recomputed!r} (stale valuation cache)"
             )
+        violations.extend(unmarked(f"holder {holder.name!r}",
+                                   holder.tickets))
     return violations
 
 

@@ -59,7 +59,7 @@ class CompensationManager:
 
     def on_quantum_start(self, holder: TicketHolder) -> None:
         """Revoke any outstanding compensation when a full quantum begins."""
-        if self._grants:
+        if id(holder) in self._grants:
             self._revoke(holder)
 
     def on_quantum_end(
@@ -75,7 +75,7 @@ class CompensationManager:
             raise SchedulerError(f"quantum must be positive, got {quantum}")
         if used < 0:
             raise SchedulerError(f"negative usage {used}")
-        if self._grants:  # nothing to revoke otherwise: skip the call
+        if id(holder) in self._grants:  # nothing to revoke otherwise
             self._revoke(holder)
         if used < MIN_MEASURABLE_USE:
             # Blocked before consuming measurable CPU: below the clock

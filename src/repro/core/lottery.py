@@ -189,7 +189,7 @@ class ListLottery(Generic[ClientT]):
         """
         if not self._clients:
             raise EmptyLotteryError("lottery held with no clients")
-        values = [self._value_of(c) for c in self._clients]
+        values = list(map(self._value_of, self._clients))
         total = sum(values)
         if total <= 0:
             raise EmptyLotteryError("lottery held with zero total funding")

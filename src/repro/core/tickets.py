@@ -72,12 +72,25 @@ would produce the bit-identical float):
   create/destroy/``set_amount``, ``fund``/``unfund``, holder
   attach/detach): activation never moves a nominal value, so telemetry
   and transfer sizing read blocked threads' worth at cached-read cost.
-  The same downstream walk serves both sides; the nominal side is
-  never gated.
+  The same downstream walk serves both sides, and the nominal side has
+  a read gate of its own, a second mark on each currency:
+
+  1. *mark on recompute*: :meth:`TicketHolder.nominal_funding` and
+     :meth:`Currency.nominal_base_value`, when they recompute, mark the
+     denomination of each ticket they sum.  Marking these alone is
+     enough: every nominal cache is exact, so a denomination whose own
+     nominal value is cached has its backers marked already (a walk
+     that clears one of their marks clears that value too);
+  2. *clear on visit*: a nominal walk clears the mark on every currency
+     it visits, all of whose downstream nominal caches it clears.
+
+  A structural mutation at an unmarked currency (its issue, or its
+  backing) therefore walks nowhere: nothing cached depends on it.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter, methodcaller
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
 from repro.errors import (
@@ -87,6 +100,27 @@ from repro.errors import (
 )
 
 __all__ = ["Ticket", "Currency", "TicketHolder", "Ledger", "FundingTarget"]
+
+_INF = float("inf")
+
+#: Allocates a :class:`Ticket` with no slot set (``object.__new__``: C,
+#: no frame); :meth:`Ledger.create_ticket` stores every slot.
+_new_ticket = object.__new__
+
+# The valuation sums below feed ``sum()`` from C: no generator frame per
+# sum, and none per ``amount`` read.  The sum itself is unchanged (same
+# terms, same order, same start), so every float is too.
+_amount_of = attrgetter("_amount")
+_nominal_value_of = methodcaller("nominal_value")
+_base_value_of = methodcaller("base_value")
+
+
+def _bad_amount(amount: object) -> TicketError:
+    """The refusal for an amount outside ``0 <= amount < inf``.  NaN
+    compares false with everything, so a bare ``amount < 0`` would let
+    it through into every lottery total."""
+    return TicketError(
+        f"ticket amount must be finite and non-negative, got {amount!r}")
 
 
 class TicketHolder:
@@ -125,22 +159,6 @@ class TicketHolder:
         #: mutations upstream clear it, activation never does).
         self._nominal_value: Optional[float] = None
 
-    # -- ticket bookkeeping ------------------------------------------------
-
-    def _attach(self, ticket: "Ticket") -> None:
-        self.tickets.append(ticket)
-        self._nominal_value = None
-        self._invalidate_funding()
-        if self._competing:
-            ticket.activate()
-
-    def _detach(self, ticket: "Ticket") -> None:
-        self.tickets.remove(ticket)
-        self._nominal_value = None
-        self._invalidate_funding()
-        if ticket.active:
-            ticket.deactivate()
-
     # -- funding-cache invalidation ----------------------------------------
 
     def _invalidate_funding(self) -> None:
@@ -148,7 +166,8 @@ class TicketHolder:
 
         Idempotent until the next :meth:`funding` call recomputes; the
         watcher therefore fires once per dirty period, which is exactly
-        the granularity a scheduler's dirty set needs.
+        the granularity a scheduler's dirty set needs.  Hot callers
+        test ``_funding_dirty`` first and call only on a clean holder.
         """
         if not self._funding_dirty:
             self._funding_dirty = True
@@ -223,7 +242,11 @@ class TicketHolder:
         """
         value = self._nominal_value
         if value is None:
-            value = sum(t.nominal_value() for t in self.tickets)
+            tickets = self.tickets
+            # Rule 1 of the nominal read gate (module docstring).
+            for ticket in tickets:
+                ticket.currency._nominal_read = True
+            value = sum(map(_nominal_value_of, tickets))
             self._nominal_value = value
         return value
 
@@ -273,25 +296,14 @@ class Ticket:
     holders, section 3.1) and fund exactly one target at a time.  A
     single Ticket may represent any number of logical tickets (paper
     footnote 1): ``amount`` is that multiplicity.
+
+    There is no ``__init__``: :meth:`Ledger.create_ticket` is the mint
+    (``mktkt``), allocating with ``object.__new__`` and storing every
+    slot, so minting a ticket opens no frame beyond its own.
     """
 
     __slots__ = ("currency", "_amount", "target", "_active", "tag",
                  "_destroyed")
-
-    def __init__(self, currency: "Currency", amount: float, tag: str = "") -> None:
-        if amount < 0:
-            raise TicketError(f"ticket amount must be non-negative, got {amount}")
-        self.currency = currency
-        # Amounts are real-valued by design (fractional transfers and
-        # inflation); the sanitizer checks conservation with tolerances.
-        self._amount = float(amount)  # repro: noqa[RPR004] -- real-valued by design
-        self.target: Optional[FundingTarget] = None
-        self._active = False
-        #: Free-form label ("transfer", "compensation", ...) for tracing.
-        self.tag = tag
-        self._destroyed = False
-        currency._issued.append(self)
-        currency._issue_changed()
 
     # -- amount -------------------------------------------------------------
 
@@ -308,13 +320,14 @@ class Ticket:
         """
         if self._destroyed:
             raise TicketError("cannot set_amount on a destroyed ticket")
-        if amount < 0:
-            raise TicketError(f"ticket amount must be non-negative, got {amount}")
-        # See __init__: amounts are real-valued, conservation is
-        # tolerance-checked by the sanitizer.
+        if not 0 <= amount < _INF:
+            raise _bad_amount(amount)
+        # Amounts are real-valued by design (fractional transfers and
+        # inflation); the sanitizer checks conservation with tolerances.
         amount = float(amount)  # repro: noqa[RPR004] -- real-valued by design
+        currency = self.currency
         if self._active:
-            self.currency._adjust_active(amount - self._amount)
+            currency._adjust_active(amount - self._amount)
         self._amount = amount
         if self._active:
             # _adjust_active invalidates downstream of sibling tickets;
@@ -322,10 +335,13 @@ class Ticket:
             # exempt from that walk, so cover our own target here.
             self._invalidate_target()
         # Nominal side, same shape: siblings through the currency's
-        # downstream walk, our own target for the base exemption.
-        self.currency._issue_changed()
+        # downstream walk (every sibling's share of the issue moved;
+        # the base exemption again), our own target for the exemption.
+        currency._issued_total = None
+        if currency._nominal_read and not currency.is_base:
+            currency._invalidate_downstream(True)
         self._invalidate_target(nominal=True)
-        self.currency._ledger._epoch += 1
+        currency._ledger._epoch += 1
 
     # -- funding edges -------------------------------------------------------
 
@@ -335,34 +351,49 @@ class Ticket:
             raise TicketError("cannot fund a destroyed ticket")
         if self.target is not None:
             raise TicketError(f"ticket already funds {self.target!r}; unfund first")
+        ledger = self.currency._ledger
         if isinstance(target, Currency):
-            self.currency._ledger._check_acyclic(self.currency, target)
+            ledger._check_acyclic(self.currency, target)
             target._backing.append(self)
             self.target = target
-            self._invalidate_target(nominal=True)
+            target._nominal_value = None
+            if target._nominal_read:
+                target._invalidate_downstream(True)
             # A backing ticket is active iff the funded currency has
             # active consumers (paper section 4.4).
-            if target.active_amount > 0:
+            if target._active_amount > 0:
                 self.activate()
         else:
             self.target = target
-            target._attach(self)
-        self.currency._ledger._epoch += 1
+            target.tickets.append(self)
+            target._nominal_value = None
+            if not target._funding_dirty:
+                target._invalidate_funding()
+            if target._competing:
+                self.activate()
+        ledger._epoch += 1
 
     def unfund(self) -> None:
         """Withdraw this ticket from whatever it currently funds."""
-        if self.target is None:
+        target = self.target
+        if target is None:
             return
-        if isinstance(self.target, Currency):
-            self.target._backing.remove(self)
+        if isinstance(target, Currency):
+            target._backing.remove(self)
             if self._active:
                 self.deactivate()
-            self._invalidate_target(nominal=True)
+            target._nominal_value = None
+            if target._nominal_read:
+                target._invalidate_downstream(True)
             self.target = None
         else:
-            holder = self.target
             self.target = None
-            holder._detach(self)
+            target.tickets.remove(self)
+            target._nominal_value = None
+            if not target._funding_dirty:
+                target._invalidate_funding()
+            if self._active:
+                self.deactivate()
         self.currency._ledger._epoch += 1
 
     # -- activation ----------------------------------------------------------
@@ -373,12 +404,30 @@ class Ticket:
         return self._active
 
     def activate(self) -> None:
-        """Mark this ticket active and propagate into its denomination."""
+        """Mark this ticket active and propagate into its denomination.
+
+        Carries :meth:`Currency._adjust_active`'s body for a positive
+        change: the active amount only grows here, so only the
+        zero -> non-zero edge can fire (an amount is ``0`` or at least
+        ``1e-9`` after every adjustment).  ``deactivate`` is the mirror.
+        """
         if self._destroyed:
             raise TicketError("cannot activate a destroyed ticket")
         if not self._active:
             self._active = True
-            self.currency._adjust_active(self._amount)
+            currency = self.currency
+            was_active = currency._active_amount > 0
+            amount = currency._active_amount + self._amount
+            if amount < 1e-9:
+                amount = 0.0
+            currency._active_amount = amount
+            if amount > 0 and not was_active:
+                for ticket in currency._backing:
+                    ticket.activate()
+            if currency._read:
+                # The base currency is never marked (_adjust_active).
+                currency._invalidate_downstream()
+            currency._ledger._epoch += 1
             # _invalidate_target(), fused: this and deactivate are the
             # two mutations every block and wake makes.
             target = self.target
@@ -395,7 +444,18 @@ class Ticket:
             raise TicketError("cannot deactivate a destroyed ticket")
         if self._active:
             self._active = False
-            self.currency._adjust_active(-self._amount)
+            currency = self.currency
+            was_active = currency._active_amount > 0
+            amount = currency._active_amount - self._amount
+            if amount < 1e-9:
+                amount = 0.0
+            currency._active_amount = amount
+            if was_active and not amount > 0:
+                for ticket in currency._backing:
+                    ticket.deactivate()
+            if currency._read:
+                currency._invalidate_downstream()
+            currency._ledger._epoch += 1
             target = self.target
             if target is not None:
                 if isinstance(target, Currency):
@@ -409,10 +469,10 @@ class Ticket:
 
         A holder target's cached funding goes stale directly; a currency
         target's value changed, which cascades to everything funded
-        downstream of it -- on the active side only if a funding was
-        read through it since its last walk (the read gate).
-        ``nominal`` selects the side that moved: the as-if-active
-        valuation (structural mutations) instead of the active one.
+        downstream of it -- if a value was read through it since its
+        last walk on that side (the read gates).  ``nominal`` selects
+        the side that moved: the as-if-active valuation (structural
+        mutations) instead of the active one.
         """
         target = self.target
         if target is None:
@@ -420,7 +480,8 @@ class Ticket:
         if isinstance(target, Currency):
             if nominal:
                 target._nominal_value = None
-                target._invalidate_downstream(True)
+                if target._nominal_read:
+                    target._invalidate_downstream(True)
             elif target._read:
                 target._invalidate_downstream()
         elif nominal:
@@ -442,7 +503,7 @@ class Ticket:
         currency = self.currency
         if currency.is_base:
             return self._amount
-        denominator = currency.active_amount
+        denominator = currency._active_amount
         if denominator <= 0:
             return 0.0
         return currency.base_value() * (self._amount / denominator)
@@ -471,11 +532,14 @@ class Ticket:
             # Activated by hand while funding nothing: unfund had no
             # edge to deactivate through.
             self.deactivate()
+        currency = self.currency
         if not self._destroyed:
-            self.currency._issued.remove(self)
-            self.currency._issue_changed()
+            currency._issued.remove(self)
+            currency._issued_total = None
+            if currency._nominal_read and not currency.is_base:
+                currency._invalidate_downstream(True)
             self._destroyed = True
-        self.currency._ledger._epoch += 1
+        currency._ledger._epoch += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "active" if self._active else "inactive"
@@ -490,7 +554,8 @@ class Currency:
 
     __slots__ = ("name", "is_base", "_ledger", "_backing", "_issued",
                  "_active_amount", "_cached_value", "_cached_epoch",
-                 "_issued_total", "_nominal_value", "_read")
+                 "_issued_total", "_nominal_value", "_read",
+                 "_nominal_read")
 
     def __init__(self, name: str, ledger: "Ledger", is_base: bool = False) -> None:
         self.name = name
@@ -512,6 +577,9 @@ class Currency:
         #: :meth:`TicketHolder.funding` through this currency since its
         #: last active-side walk.  Never set on the base currency.
         self._read = False
+        #: The nominal read gate: True while some nominal value may have
+        #: been cached through this currency since its last nominal walk.
+        self._nominal_read = False
 
     # -- structure -----------------------------------------------------------
 
@@ -578,18 +646,6 @@ class Currency:
                 if not (backer._read or backer.is_base):
                     stack.append(backer)
 
-    def _issue_changed(self) -> None:
-        """An issued ticket was created, destroyed or re-sized.
-
-        Every sibling's share of the issue moved, so everything funded
-        downstream is nominally stale -- except under the base currency,
-        whose tickets are worth their face amount whatever the issue
-        (the same exemption as in :meth:`_adjust_active`).
-        """
-        self._issued_total = None
-        if not self.is_base:
-            self._invalidate_downstream(nominal=True)
-
     def _invalidate_downstream(self, nominal: bool = False) -> None:
         """Invalidate every holder funded (transitively) by this currency.
 
@@ -600,15 +656,17 @@ class Currency:
         ``nominal`` the walk clears the nominal caches of the holders
         and currencies it reaches instead of the holders' funding.
 
-        The active-side walk is rule 2 of the read gate: callers start
-        it only at a currency marked read, and it clears the mark on
-        every currency it visits.
+        Each side's walk is rule 2 of its read gate: callers start it
+        only at a currency marked read on that side, and it clears that
+        mark on every currency it visits.
         """
         stack: List[Currency] = [self]
         visited = {id(self)}
         while stack:
             currency = stack.pop()
-            if not nominal:
+            if nominal:
+                currency._nominal_read = False
+            else:
                 currency._read = False
             for ticket in currency._issued:
                 target = ticket.target
@@ -622,7 +680,7 @@ class Currency:
                         stack.append(target)
                 elif nominal:
                     target._nominal_value = None
-                else:
+                elif not target._funding_dirty:
                     target._invalidate_funding()
 
     # -- valuation -----------------------------------------------------------
@@ -640,7 +698,7 @@ class Currency:
         epoch = self._ledger._epoch
         if self._cached_epoch == epoch and self._cached_value is not None:
             return self._cached_value
-        value = sum(t.base_value() for t in self._backing)
+        value = sum(map(_base_value_of, self._backing))
         self._cached_value = value
         self._cached_epoch = epoch
         return value
@@ -671,7 +729,7 @@ class Currency:
         """Sum of the amounts of all issued tickets, active or not."""
         total = self._issued_total
         if total is None:
-            total = sum(t.amount for t in self._issued)
+            total = sum(map(_amount_of, self._issued))
             self._issued_total = total
         return total
 
@@ -686,7 +744,11 @@ class Currency:
             return self.issued_amount()
         value = self._nominal_value
         if value is None:
-            value = sum(t.nominal_value() for t in self._backing)
+            backing = self._backing
+            # Rule 1 of the nominal read gate (module docstring).
+            for ticket in backing:
+                ticket.currency._nominal_read = True
+            value = sum(map(_nominal_value_of, backing))
             self._nominal_value = value
         return value
 
@@ -775,7 +837,26 @@ class Ledger:
             currency_obj = currency
         if currency_obj._ledger is not self:
             raise TicketError("currency belongs to a different ledger")
-        ticket = Ticket(currency_obj, amount, tag=tag)
+        if not 0 <= amount < _INF:
+            raise _bad_amount(amount)
+        ticket = _new_ticket(Ticket)
+        ticket.currency = currency_obj
+        # Amounts are real-valued by design (fractional transfers and
+        # inflation); the sanitizer checks conservation with tolerances.
+        ticket._amount = float(amount)  # repro: noqa[RPR004] -- real-valued by design
+        ticket.target = None
+        ticket._active = False
+        # Free-form label ("transfer", "compensation", ...) for tracing.
+        ticket.tag = tag
+        ticket._destroyed = False
+        currency_obj._issued.append(ticket)
+        # The issue changed: every sibling's share of it moved, so
+        # everything funded downstream is nominally stale -- except
+        # under the base currency, whose tickets are worth their face
+        # amount whatever the issue (the _adjust_active exemption).
+        currency_obj._issued_total = None
+        if currency_obj._nominal_read and not currency_obj.is_base:
+            currency_obj._invalidate_downstream(True)
         self._epoch += 1
         if fund is not None:
             ticket.fund(fund)

@@ -24,7 +24,6 @@ Figure 7's evaluation reports both throughput and response-time ratios.
 from __future__ import annotations
 
 from collections import deque
-from contextlib import nullcontext
 from typing import Any, Deque, List, Optional, TYPE_CHECKING
 
 from repro.core.tickets import Currency
@@ -52,16 +51,11 @@ _race_tracker = None  # shard: barrier-shared -- sanitizer injection point: assi
 _shard_router = None  # shard: barrier-shared -- router injection point: assigned by ShardRouter.install() between epochs, read-only during dispatch
 
 
-#: The no-op seam: stateless, so one instance serves every wake.
-_NO_SEAM = nullcontext()
-
-
 def _race_seam(name: str):
-    """Barrier-seam context for legal cross-kernel wakes (no-op when
-    the sanitizer is inactive)."""
-    if _race_tracker is not None and _race_tracker.active:
-        return _race_tracker.seam(name)
-    return _NO_SEAM
+    """Barrier-seam context for a legal cross-kernel wake.  Entered only
+    while the sanitizer's tracker is armed: unarmed, a wake pays the
+    one check in front of it, not a context."""
+    return _race_tracker.seam(name)
 
 
 class Request:
@@ -125,17 +119,21 @@ class Request:
             # transfer above is still revoked, so no rights leak.
             port.dead_replies += 1
             return
-        # Wake via client.kernel (not port.kernel): kernels sharing an
+        # Under a sharded run the client may be a remote-caller stub
+        # whose wake must travel as a barrier payload instead of a
+        # direct call (a diverted wake mutates no thread).  Otherwise
+        # wake via client.kernel (not port.kernel): kernels sharing an
         # engine may call each other's ports.  Crossing into the
-        # client's kernel is a declared barrier seam.  Under a
-        # sharded run the client may be a remote-caller stub whose wake
-        # must travel as a barrier payload instead of a direct call.
-        with _race_seam("ipc.reply"):
-            router = _shard_router
-            if router is not None and router.intercept_wake(self.client,
-                                                            value):
-                return
-            self.client.kernel.wake(self.client, value)
+        # client's kernel is a declared barrier seam.
+        client = self.client
+        router = _shard_router
+        if router is not None and router.intercept_wake(client, value):
+            return
+        if _race_tracker is not None and _race_tracker.active:
+            with _race_seam("ipc.reply"):
+                client.kernel.wake(client, value)
+        else:
+            client.kernel.wake(client, value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "rpc" if self.is_rpc else "send"
@@ -233,11 +231,14 @@ class Port:
             # Wake via server.kernel (not self.kernel): receivers, like
             # clients, may live on another kernel.  Crossing into the
             # receiver's kernel is a declared barrier seam.
-            with _race_seam("ipc.deliver"):
-                router = _shard_router
-                if router is not None and router.intercept_wake(server,
-                                                                request):
-                    return
+            router = _shard_router
+            if router is not None and router.intercept_wake(server,
+                                                            request):
+                return
+            if _race_tracker is not None and _race_tracker.active:
+                with _race_seam("ipc.deliver"):
+                    server.kernel.wake(server, request)
+            else:
                 server.kernel.wake(server, request)
         else:
             # For RPCs with no waiting server and no server currency, the
@@ -253,10 +254,9 @@ class Port:
         payloads rely on this (their :class:`RemoteClient` stubs are
         not ticket holders, and cores own separate ledgers).
         """
-        if (not request.is_rpc or self.currency is not None
+        if (request.client is None or self.currency is not None
                 or request.transfer_fraction <= 0.0):
             return
-        assert request.client is not None
         if request.transfer is None:
             request.transfer = transfer_funding(
                 self.kernel.ledger, request.client, server,

@@ -21,6 +21,7 @@ strict starve-the-unfunded semantics.
 
 from __future__ import annotations
 
+from operator import methodcaller
 from typing import Optional, TYPE_CHECKING
 
 from repro.core.compensation import CompensationManager
@@ -87,8 +88,10 @@ class LotteryPolicy(SchedulingPolicy):
             self._members: dict = {}
         else:
             self._tree = None
+            # ``funding`` looked up on each thread at each read, as a
+            # lambda would, but with no frame of its own.
             self._list = ListLottery(
-                value_of=lambda t: t.funding(), move_to_front=move_to_front
+                value_of=methodcaller("funding"), move_to_front=move_to_front
             )
         #: Members whose funding was invalidated since their stored tree
         #: value was last pushed (ordered set; tree mode only).  Fed by
@@ -156,7 +159,7 @@ class LotteryPolicy(SchedulingPolicy):
         else:
             structure = self._list
             assert structure is not None
-            if len(structure) == 0:
+            if not structure._clients:  # its __len__, without the frame
                 return None
         fallback = False
         examined_before = structure.stats.comparisons

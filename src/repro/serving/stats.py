@@ -49,6 +49,9 @@ class ServingStats:
         self.wake: Dict[str, Histogram] = {}
 
     def ensure_class(self, name: str) -> None:
+        """Register ``name`` (zero counts, empty digests).  The recording
+        hooks call it only for a class they have not seen, so a record
+        pays one dict lookup for it, not a frame."""
         if name not in self.offered:
             self.offered[name] = 0
             self.shed[name] = 0
@@ -59,20 +62,24 @@ class ServingStats:
     # -- recording hooks --------------------------------------------------
 
     def record_offered(self, name: str) -> None:
-        self.ensure_class(name)
+        if name not in self.offered:
+            self.ensure_class(name)
         self.offered[name] += 1
 
     def record_shed(self, name: str) -> None:
-        self.ensure_class(name)
+        if name not in self.offered:
+            self.ensure_class(name)
         self.shed[name] += 1
 
     def record_completion(self, name: str, e2e_ms: float) -> None:
-        self.ensure_class(name)
+        if name not in self.offered:
+            self.ensure_class(name)
         self.completed[name] += 1
         self.e2e[name].record(e2e_ms)
 
     def record_wake(self, name: str, latency_ms: float) -> None:
-        self.ensure_class(name)
+        if name not in self.offered:
+            self.ensure_class(name)
         self.wake[name].record(latency_ms)
 
     # -- reporting ----------------------------------------------------------

@@ -94,7 +94,7 @@ class LoopCore:
         event.cancelled = False
         event.label = label
         queue._seq = seq + 1
-        heappush(queue._heap, event)
+        heappush(queue._heap, (time, seq, event))
         return event
 
     def call_after(
@@ -108,14 +108,14 @@ class LoopCore:
                 f"got {delay!r}")
         queue = self._queue
         event = new_event(Event)
-        event.time = self.clock.now + delay
+        event.time = time = self.clock.now + delay
         event.seq = seq = queue._seq
         event.callback = callback
         event.args = args
         event.cancelled = False
         event.label = label
         queue._seq = seq + 1
-        heappush(queue._heap, event)
+        heappush(queue._heap, (time, seq, event))
         return event
 
     def call_soon(self, callback: Callable[..., None], label: str = "",
@@ -124,14 +124,14 @@ class LoopCore:
         same-time events already in the queue)."""
         queue = self._queue
         event = new_event(Event)
-        event.time = self.clock.now
+        event.time = time = self.clock.now
         event.seq = seq = queue._seq
         event.callback = callback
         event.args = args
         event.cancelled = False
         event.label = label
         queue._seq = seq + 1
-        heappush(queue._heap, event)
+        heappush(queue._heap, (time, seq, event))
         return event
 
     def cancel(self, event: Event) -> None:
@@ -177,11 +177,10 @@ class LoopCore:
         clock = self.clock
         try:
             while heap:
-                event = heap[0]
+                time, _, event = heap[0]
                 if event.cancelled:
                     heappop(heap)
                     continue
-                time = event.time
                 if limit is not None and (time >= limit if strict
                                           else time > limit):
                     break

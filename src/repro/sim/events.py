@@ -31,10 +31,10 @@ class Event:
     ``args`` are positional arguments delivered to ``callback`` at fire
     time; passing them here instead of closing over them lets hot paths
     (the kernel dispatch loop) schedule bound methods without allocating
-    a lambda per event.  Events order themselves by ``(time, seq)``, so
-    the queue's heap holds Event objects directly -- no wrapper tuple
-    per entry.  ``label`` is a diagnostic tag shown in traces
-    ("dispatch", "compute", ...).
+    a lambda per event.  The queue's heap holds ``(time, seq, event)``
+    entries, so every heap comparison is a tuple comparison in C; ``seq``
+    is unique, so two entries never compare their events.  ``label`` is
+    a diagnostic tag shown in traces ("dispatch", "compute", ...).
 
     There is no ``__init__``: a scheduler allocates with
     ``new_event(Event)`` and stores all six slots itself, so scheduling
@@ -52,11 +52,6 @@ class Event:
         """Invoke the callback with the staged arguments."""
         self.callback(*self.args)
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time:.3f} {self.label or self.callback!r} {state}>"
@@ -66,10 +61,9 @@ class EventQueue:
     """Binary-heap event queue keyed by (time, sequence)."""
 
     def __init__(self) -> None:
-        # Heap of Event objects ordered by Event.__lt__ (time, seq) --
-        # identical firing order to the historical (time, seq, event)
-        # tuples without allocating a wrapper per push.
-        self._heap: List[Event] = []
+        # Heap of (time, seq, event) entries: (time, seq) order, compared
+        # in C.
+        self._heap: List[Tuple[float, int, Event]] = []
         # Plain integer counter (not itertools.count) so the scheduling
         # sequence position is part of the observable state tree.
         self._seq = 0
@@ -88,13 +82,13 @@ class EventQueue:
         event.cancelled = False
         event.label = label
         self._seq += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, event.seq, event))
         return event
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event, or None if empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if not event.cancelled:
                 return event
         return None
@@ -102,11 +96,11 @@ class EventQueue:
     def peek_time(self) -> Optional[float]:
         """Time of the earliest live event without removing it."""
         while self._heap:
-            event = self._heap[0]
+            time, _, event = self._heap[0]
             if event.cancelled:
                 heapq.heappop(self._heap)
                 continue
-            return event.time
+            return time
         return None
 
     def cancel(self, event: Event) -> None:
@@ -114,7 +108,7 @@ class EventQueue:
         event.cancel()
 
     def __len__(self) -> int:
-        return sum(not event.cancelled for event in self._heap)
+        return sum(not event.cancelled for _, _, event in self._heap)
 
     def __bool__(self) -> bool:
         return self.peek_time() is not None
@@ -128,8 +122,8 @@ class EventQueue:
         verification compares after rebuilding a run by re-execution.
         """
         pending = [
-            {"time": event.time, "seq": event.seq, "label": event.label}
-            for event in sorted(self._heap)
+            {"time": time, "seq": seq, "label": event.label}
+            for time, seq, event in sorted(self._heap)
             if not event.cancelled
         ]
         return {"seq": self._seq, "live": len(pending), "pending": pending}

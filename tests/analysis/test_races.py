@@ -178,6 +178,68 @@ def test_tracker_activated_mid_run_pushes_the_next_dispatch(race_tracker):
     assert engine.now < 502.0  # evil's first compute step after arming
 
 
+def _cross_kernel_rpc(requests: int = 6):
+    """A client on kernel0 ``Call``-ing a port on kernel1: two kernels
+    on one engine and one shared ledger (the transfer ticket is minted
+    in the client's currency and funds the server).  The delivery wakes
+    the server from kernel0's context and the reply wakes the client
+    from kernel1's -- the two declared IPC seams."""
+    from repro.core.prng import ParkMillerPRNG
+    from repro.core.tickets import Ledger
+    from repro.kernel.ipc import Port
+    from repro.kernel.kernel import Kernel
+    from repro.kernel.syscalls import Call, Receive, Reply
+    from repro.schedulers.lottery_policy import LotteryPolicy
+
+    engine, ledger = Engine(), Ledger()
+    kernel0, kernel1 = (
+        Kernel(engine, LotteryPolicy(ledger, prng=ParkMillerPRNG(seed)),
+               ledger=ledger, quantum=100.0) for seed in (1, 102))
+    port = Port(kernel1, "svc")
+    replies = []
+
+    def server(ctx):
+        while True:
+            request = yield Receive(port)
+            yield Compute(2.0)
+            yield Reply(request, request.message * 10)
+
+    def client(ctx):
+        for index in range(requests):
+            replies.append((yield Call(port, index)))
+            yield Compute(1.0)
+
+    kernel1.spawn(server, "server", tickets=100)
+    kernel0.spawn(client, "client", tickets=100,
+                  currency=ledger.create_currency("client"))
+    ledger.create_ticket(100, fund=ledger.currency("client"))
+    return engine, replies
+
+
+def test_cross_kernel_rpc_wakes_only_inside_the_ipc_seams(race_tracker):
+    engine, replies = _cross_kernel_rpc()
+    engine.run(until=1_000)
+    assert replies == [0, 10, 20, 30, 40, 50]
+    # Two wakes a request, each checked: a wake that skipped its seam
+    # while armed would trap here instead.
+    assert race_tracker.checks == 28 and race_tracker.violations == 0
+
+
+def test_cross_kernel_rpc_without_the_seams_traps(race_tracker,
+                                                  monkeypatch):
+    """The run above with the seams emptied: each wake is a cross-owner
+    mutation, so an armed wake that skipped its seam would trap too."""
+    from contextlib import nullcontext
+
+    import repro.kernel.ipc as ipc_module
+
+    monkeypatch.setattr(ipc_module, "_race_seam", lambda name: nullcontext())
+    engine, _ = _cross_kernel_rpc()
+    with pytest.raises(DeterminismRaceError, match="cross-owner"):
+        engine.run(until=1_000)
+    assert race_tracker.violations == 1
+
+
 # -- ownership transfer at seams ---------------------------------------------
 
 

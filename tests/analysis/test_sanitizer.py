@@ -20,7 +20,7 @@ from repro.analysis.sanitizer import (
     sanitize_ledger,
     uninstall_autosanitize,
 )
-from repro.core.tickets import Ledger, Ticket, TicketHolder
+from repro.core.tickets import Ledger, TicketHolder
 from repro.errors import InvariantViolation
 from repro.kernel.syscalls import Compute, YieldCPU
 from repro.kernel.thread import ThreadState
@@ -195,6 +195,29 @@ def test_read_gate_audit_detects_broken_clear_on_visit(monkeypatch):
         "'upper', which is not marked read" in messages
 
 
+def test_nominal_audit_peeks_and_detects_a_dropped_mark():
+    """The nominal read gate: a cached nominal value is audited without
+    being read (an unread chain stays unmarked), and one whose mark was
+    dropped behind its back is reported before the skipped walk it
+    leads to makes it stale."""
+    ledger, upper, lower, reader, sibling, other = _two_level_chain()
+    assert sanitize_ledger(ledger) == []
+    assert not (upper._nominal_read or lower._nominal_read)
+    assert reader.nominal_funding() == 10.0
+    assert upper._nominal_read and lower._nominal_read
+    assert sanitize_ledger(ledger) == []
+    upper._nominal_read = False
+    messages = "\n".join(check_ticket_conservation(ledger))
+    assert "currency 'lower' caches a nominal value read through " \
+        "currency 'upper', which is not marked nominal-read" in messages
+    ledger.create_ticket(100, currency=upper)  # upper's issue doubles
+    messages = "\n".join(check_ticket_conservation(ledger))
+    assert "currency 'lower' cached nominal value 40.0 != recomputed " \
+        "20.0" in messages
+    assert "holder 'reader' cached nominal funding 10.0 != recomputed " \
+        "5.0" in messages
+
+
 # -- family 2: currency graph ----------------------------------------------
 
 
@@ -203,7 +226,7 @@ def test_graph_detects_forced_cycle(ledger):
     beta = ledger.create_currency("beta")
     ledger.create_ticket(10, currency=alpha, fund=beta)
     # Force the edge the Ledger's guard would reject: beta -> alpha.
-    rogue = Ticket(beta, 10)
+    rogue = ledger.create_ticket(10, currency=beta)
     alpha._backing.append(rogue)
     rogue.target = alpha
     messages = "\n".join(check_currency_graph(ledger))

@@ -3,11 +3,41 @@
 import pytest
 
 from repro.core.tickets import Ledger, TicketHolder
+from repro.core.transfers import split_transfer
 from repro.errors import (
     CurrencyCycleError,
     CurrencyError,
     TicketError,
 )
+
+
+# The four ways an amount gets minted: a ticket, a resize, a spawned
+# thread's funding and a split transfer's share.
+
+def _create(ledger, amount):
+    ledger.create_ticket(amount)
+
+
+def _resize(ledger, amount):
+    ledger.create_ticket(1.0).set_amount(amount)
+
+
+def _spawn(ledger, amount):
+    from repro.kernel.kernel import Kernel
+    from repro.schedulers.lottery_policy import LotteryPolicy
+    from repro.sim.engine import Engine
+
+    def body(ctx):
+        yield from ()
+
+    kernel = Kernel(Engine(), LotteryPolicy(ledger), ledger=ledger)
+    kernel.spawn(body, "a", tickets=amount)
+
+
+def _split(ledger, weight):
+    source = TicketHolder("source")
+    ledger.create_ticket(10.0, fund=source)
+    split_transfer(ledger, source, [(TicketHolder("server"), weight)])
 
 
 class TestLedgerBasics:
@@ -100,6 +130,32 @@ class TestTicketBasics:
         ticket = ledger.create_ticket(10)
         with pytest.raises(TicketError):
             ticket.set_amount(-1)
+
+    @pytest.mark.parametrize("mint, amount, named", [
+        (_create, float("nan"), "nan"),
+        (_create, float("inf"), "inf"),
+        (_create, float("-inf"), "-inf"),
+        (_create, -1, "-1"),
+        (_resize, float("nan"), "nan"),
+        (_resize, float("inf"), "inf"),
+        (_resize, float("-inf"), "-inf"),
+        (_spawn, float("nan"), "nan"),
+        (_spawn, float("inf"), "inf"),
+        # A NaN weight makes a NaN share; an inf one, inf / inf.
+        (_split, float("nan"), "nan"),
+        (_split, float("inf"), "nan"),
+    ], ids=lambda value: getattr(value, "__name__", None))
+    def test_amount_outside_zero_to_inf_is_refused(self, ledger, mint,
+                                                   amount, named):
+        """NaN compares false with everything, so a bare ``amount < 0``
+        would let it through into every lottery total; inf would make
+        every other ticket worth nothing.  Each mint path refuses it,
+        naming the value, and leaves no such ticket behind."""
+        with pytest.raises(TicketError, match="must be finite and "
+                           f"non-negative, got {named}$"):
+            mint(ledger, amount)
+        assert all(0 <= t.amount < float("inf")
+                   for c in ledger.currencies() for t in c.issued)
 
     def test_wrong_ledger_currency_rejected(self, ledger):
         other = Ledger()

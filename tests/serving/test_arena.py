@@ -143,6 +143,53 @@ class TestWorkPerRequest:
         assert machine.kernel.ledger.snapshot_state()["epoch"] == 7_913
 
 
+class TestCallsPerRequest:
+    """The per-request path priced as an exact overhead model (paper
+    sections 4.4-4.6: activation on every block and wake, compensation
+    on every short quantum, a transfer ticket on every RPC): Python-level
+    calls per offered request on the arena above, counted with
+    ``sys.setprofile`` over ``arena.run()``.  341 while the heap ordered
+    events with ``Event.__lt__``, ticket mint and activation went through
+    helpers of their own and every wake opened a no-op race seam;
+    docs/PERFORMANCE.md section 1 names the frames left and why.  The
+    bound holds on the oldest CPython CI runs: 3.12 inlines
+    comprehensions and reads lower."""
+
+    def test_a_request_costs_at_most_260_python_calls(self, monkeypatch):
+        import sys
+        from collections import Counter
+
+        import repro.kernel.ipc as ipc_module
+        import repro.kernel.kernel as kernel_module
+        import repro.kernel.thread as thread_module
+
+        # The model prices the bare path: under REPRO_SANITIZE=1 the
+        # race tracker and the invariant hooks are frames of their own.
+        for module in (kernel_module, thread_module, ipc_module):
+            monkeypatch.setattr(module, "_race_tracker", None)
+        machine = build_machine(seed=1, quantum=_QUANTUM, policy="lottery")
+        machine.kernel.invariant_hooks.clear()
+        arena = build_arena(machine.kernel, ArenaConfig(
+            seed=1, load_factor=0.7, requests_per_class=100))
+        calls = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[frame.f_code.co_name] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            arena.run()
+        finally:
+            sys.setprofile(previous)
+        offered = sum(arena.stats.offered.values())
+        assert offered == 300
+        assert machine.kernel.dispatch_count == 993
+        per_request = sum(calls.values()) / offered
+        assert per_request <= 260, calls.most_common(40)
+
+
 class TestHubWorkPerDispatch:
     """What the telemetry hub does per dispatch on that same arena, as
     counts: deterministic for a seed, so pinned exactly.  Counted from

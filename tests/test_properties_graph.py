@@ -293,3 +293,41 @@ class TestSparseReadDifferential:
                 read(holder)
         for holder in holders:
             read(holder)
+
+
+class TestSparseNominalReadDifferential:
+    @given(layer_sizes, st.data())
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_sparsely_read_nominal_values_equal_the_naive_walk(self, sizes,
+                                                               data):
+        """The nominal twin of the test above.  Between mutations only a
+        random, often empty, subset of holders reads
+        ``nominal_funding()`` and of currencies ``nominal_base_value()``,
+        so currencies go unread and their nominal walks are skipped;
+        whoever does read -- everyone, at the end -- must still get the
+        from-scratch value."""
+        ledger, holders, currencies, mutate = build_mutable_graph(sizes,
+                                                                  data)
+        derived = [c for c in currencies if not c.is_base]
+
+        def read_holder(holder):
+            assert holder.nominal_funding() == sum(
+                naive_nominal_value(t) for t in holder.tickets)
+
+        def read_currency(currency):
+            assert currency.nominal_base_value() == sum(
+                naive_nominal_value(t) for t in currency.backing)
+
+        for _ in range(data.draw(st.integers(1, 25))):
+            mutate()
+            for holder in data.draw(st.lists(st.sampled_from(holders),
+                                             max_size=2, unique_by=id)):
+                read_holder(holder)
+            for currency in data.draw(st.lists(st.sampled_from(derived),
+                                               max_size=1, unique_by=id)):
+                read_currency(currency)
+        for holder in holders:
+            read_holder(holder)
+        for currency in derived:
+            read_currency(currency)
