@@ -3,11 +3,11 @@
 Three layers keep the simulation honest:
 
 * :mod:`repro.analysis.lint` -- an AST-based determinism lint with
-  repo-specific rules (``RPR001``..``RPR013``) flagging nondeterminism
-  hazards: stdlib RNGs, wall-clock reads, unordered iteration in
+  repo-specific rules (``RULES``) flagging the hazards no other check
+  catches: stdlib RNGs, wall-clock reads, unordered iteration in
   scheduling paths, float hazards on ticket amounts, mutable default
-  arguments, undeclared module-level state, and cross-owner telemetry
-  mutation outside the ``shard.barrier`` seam.
+  arguments, sleeps and retry loops, checkpoint bypasses, library
+  prints, undeclared module-level state, and host concurrency.
 * :mod:`repro.analysis.races` -- a dynamic determinism-race sanitizer:
   under ``REPRO_SANITIZE=1`` every kernel object is tagged with an
   owner token at attach and cross-owner mutation outside a declared
@@ -18,7 +18,7 @@ Three layers keep the simulation honest:
   after every scheduling quantum.
 
 Command-line front end:
-``python -m repro.analysis {lint,rules,sanitize}``.
+``python -m repro.analysis {lint,sanitize}``.
 See ``docs/ANALYSIS.md`` for the full rule and invariant reference.
 """
 
@@ -36,9 +36,6 @@ __all__ = [
     "lint_source",
     "RaceTracker",
     "tracker",
-    "fingerprint",
-    "render_json",
-    "render_sarif",
     "InvariantSanitizer",
     "install_autosanitize",
     "sanitize_ledger",
@@ -51,8 +48,6 @@ __getattr__ = lazy_exports(globals(), {
     "iter_suppressions": ".lint", "lint_file": ".lint", "lint_paths": ".lint",
     "lint_source": ".lint",
     "RaceTracker": ".races", "tracker": ".races",
-    "fingerprint": ".report", "render_json": ".report",
-    "render_sarif": ".report",
     "InvariantSanitizer": ".sanitizer", "install_autosanitize": ".sanitizer",
     "sanitize_ledger": ".sanitizer", "uninstall_autosanitize": ".sanitizer",
 })

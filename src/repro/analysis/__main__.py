@@ -3,42 +3,29 @@
 Usage::
 
     python -m repro.analysis lint [PATH ...]        # exit 1 on findings
-    python -m repro.analysis lint --format sarif --out lint.sarif src/repro
     python -m repro.analysis lint --list-suppressions [PATH ...]
-    python -m repro.analysis rules                  # rule reference
     python -m repro.analysis sanitize [--quanta N] [--seed S] [--inject]
 
 ``lint`` walks the given files/directories (default ``src/repro``) and
-prints one line per finding.  ``sanitize`` runs a self-test scenario --
-a compute hog, a yielding interactive thread, and a sleeper funded
-through a sub-currency, with mid-run ticket inflation -- under full
-invariant instrumentation; ``--inject`` deliberately corrupts the ledger
-mid-run to demonstrate (and exit nonzero on) detection.
+prints one line per finding; the rules are
+:data:`repro.analysis.lint.RULES`, described in ``docs/ANALYSIS.md``.
+``sanitize`` runs a self-test scenario -- a compute hog, a yielding
+interactive thread, and a sleeper funded through a sub-currency, with
+mid-run ticket inflation -- under full invariant instrumentation;
+``--inject`` deliberately corrupts the ledger mid-run to demonstrate
+(and exit nonzero on) detection.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.lint import RULES, collect_suppressions, lint_paths
-from repro.analysis.report import render_json, render_sarif
+from repro.analysis.lint import collect_suppressions, lint_paths
 from repro.analysis.sanitizer import InvariantSanitizer
 from repro.errors import InvariantViolation
 from repro.shard.__main__ import positive_int
-
-
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _lint_rule_meta():
-    return {rule.id: (rule.slug, rule.summary) for rule in RULES.values()}
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -52,30 +39,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 1 if missing else 0
 
     findings = lint_paths(args.paths)
-    if args.format == "json":
-        _emit(render_json(findings, tool="repro-lint"), args.out)
-    elif args.format == "sarif":
-        _emit(render_sarif(findings, tool="repro-lint",
-                           rule_meta=_lint_rule_meta()), args.out)
-    else:
-        for finding in findings:
-            print(finding.format())
+    for finding in findings:
+        print(finding.format())
     if findings:
         print(f"{len(findings)} finding(s)", file=sys.stderr)
         return 1
-    if args.format == "text":
-        print(f"lint: clean ({', '.join(str(p) for p in args.paths)})")
-    return 0
-
-
-def _cmd_rules(args: argparse.Namespace) -> int:
-    for rule in RULES.values():
-        zones = ", ".join(rule.zones) if rule.zones else "all of src/repro"
-        print(f"{rule.id} ({rule.slug})")
-        print(f"    flags: {rule.summary}")
-        print(f"    fix:   {rule.fixit}")
-        print(f"    zones: {zones}")
-    print("suppress with: # repro: noqa[RPRxxx] -- justification")
+    print(f"lint: clean ({', '.join(str(p) for p in args.paths)})")
     return 0
 
 
@@ -159,18 +128,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "lint", help="run the determinism lint over Python sources")
     lint_parser.add_argument("paths", nargs="*", default=["src/repro"],
                              help="files or directories (default: src/repro)")
-    lint_parser.add_argument("--format", choices=["text", "json", "sarif"],
-                             default="text", help="output format")
-    lint_parser.add_argument("--out", metavar="FILE",
-                             help="write the report here instead of stdout")
     lint_parser.add_argument("--list-suppressions", action="store_true",
                              help="inventory every active noqa suppression "
                                   "(exit 1 if any lacks a justification)")
     lint_parser.set_defaults(func=_cmd_lint)
-
-    rules_parser = commands.add_parser(
-        "rules", help="describe every lint rule and the noqa syntax")
-    rules_parser.set_defaults(func=_cmd_rules)
 
     sanitize_parser = commands.add_parser(
         "sanitize", help="run the instrumented self-test scenario")

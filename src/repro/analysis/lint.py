@@ -4,65 +4,9 @@ Every claim this reproduction makes -- bit-for-bit Park-Miller streams,
 exact proportional-share ratios, ticket conservation across currencies
 -- depends on the simulation staying deterministic.  This module walks
 Python sources under ``src/repro`` and flags constructs that threaten
-that property:
-
-========  ==============================================================
-Rule      Hazard
-========  ==============================================================
-RPR001    ``random``/``secrets`` imported instead of ``repro.core.prng``
-RPR002    wall-clock reads (``time.time``, ``datetime.now``, ...) inside
-          the deterministic zones (``sim``, ``kernel``, ``schedulers``,
-          ``core``)
-RPR003    iteration over unordered collections (``set`` literals,
-          ``set()``/``frozenset()`` results, dict views) in scheduling
-          decision paths
-RPR004    float hazards on ticket quantities (``float()`` casts and
-          ``==``/``!=`` comparisons on amount/ticket/funding values)
-RPR005    mutable default arguments in kernel/scheduler/core/sim APIs
-RPR006    ``time.sleep`` calls or hand-rolled retry loops (a ``while``
-          whose ``try`` handler ``continue``s) instead of a retry
-          scheduled on the engine's virtual clock
-RPR007    checkpoint bypass: ``pickle``/``marshal``/``shelve``/``dill``
-          imports or ``copy.deepcopy`` calls on kernel objects (live
-          objects must go through the typed ``snapshot_state()`` seams,
-          see :mod:`repro.checkpoint`); also audits every class in the
-          snapshot-coverage registry -- a ``self.x`` assignment naming
-          an attribute that is neither covered by the class's seam nor
-          declared transient means mutable state was added without a
-          checkpointing decision
-RPR008    bare ``print()`` outside the presentation layers (``cli``,
-          ``experiments``, ``__main__`` entry points) -- library code
-          must report through return values, recorders, or
-          :mod:`repro.telemetry`, not stdout
-RPR009    a class registered as a recorder sink
-          (``repro.metrics.recorder.RECORDER_SINKS``) does not itself
-          define the full kernel event surface -- a sink silently deaf
-          to an event kind
-RPR011    module-level mutable state in a deterministic zone without
-          an ownership declaration: a dict/list/set/deque assigned at
-          module scope, or a ``global`` statement rebinding a module
-          name from inside a function, whose assignment line carries
-          no inline ``# shard: <classification> -- reason`` marker;
-          undeclared module state is what every core of a sharded run
-          would silently share (inline) or silently fork (mp)
-RPR012    host-concurrency imports (``multiprocessing``,
-          ``concurrent.futures``, ``threading``, ``_thread``) inside a
-          deterministic zone -- OS-scheduled concurrency is
-          nondeterministic by construction; the one sanctioned home
-          for worker processes is :mod:`repro.shard`, whose epoch
-          barriers re-serialize every cross-core effect
-RPR013    cross-owner telemetry mutation: a mutator method (``inc``,
-          ``set``, ``record``, ``begin``, ``event``, ...) called
-          through another object's ``.telemetry`` hub (receiver chain
-          contains ``.telemetry`` but is not rooted at ``self``/
-          ``cls``) outside a ``with race_seam("shard.barrier")``
-          block -- every core's :class:`~repro.telemetry.registry.
-          MetricRegistry`/:class:`~repro.telemetry.spans.SpanTracer`
-          is that core's private history; writing into a foreign hub
-          bypasses the barrier-mediated aggregation protocol and makes
-          the "merged metrics are a pure function of per-core
-          histories" claim false
-========  ==============================================================
+that property.  :data:`RULES` is the rule list (one comment per rule
+says what it flags); ``docs/ANALYSIS.md`` gives each rule's zones and
+why it is kept.
 
 A finding on a line can be suppressed with an inline comment::
 
@@ -70,8 +14,9 @@ A finding on a line can be suppressed with an inline comment::
 
 Several IDs may be listed (``# repro: noqa[RPR001,RPR003]``); a bare
 ``# repro: noqa`` suppresses every rule on the line.  Suppressions
-MUST carry a justification after the bracket: a noqa without one is
-itself reported as RPR000 (and that report cannot be suppressed).
+MUST carry a justification after the bracket, name only known rules,
+and silence a finding on their line: any other noqa is itself reported
+as RPR000 (and that report cannot be suppressed).
 ``python -m repro.analysis lint --list-suppressions`` inventories every
 active suppression with its file:line and justification.
 
@@ -96,141 +41,112 @@ __all__ = ["Rule", "RULES", "Finding", "Suppression", "lint_source",
 
 @dataclass(frozen=True)
 class Rule:
-    """A lint rule: identifier, human summary, and fix-it guidance."""
+    """A lint rule: identifier and fix-it guidance."""
 
     id: str
-    slug: str
-    summary: str
     fixit: str
     #: Subpackages of ``repro`` the rule applies to; None means everywhere.
     zones: Optional[Tuple[str, ...]]
 
 
+_DETERMINISTIC_ZONES = ("sim", "kernel", "schedulers", "core")
+
 RULES: Dict[str, Rule] = {
     rule.id: rule
     for rule in (
+        # An unreadable or unparseable file; a bad noqa comment.
         Rule(
             "RPR000",
-            "unparseable-source",
-            "file could not be read or parsed, or a noqa suppression "
-            "carries no justification",
             "fix the syntax error (or path) so the file can be linted; "
-            "for suppressions, append ' -- why' after the noqa bracket",
+            "for suppressions, append ' -- why' after the noqa bracket, "
+            "name only known rule IDs, and delete a noqa that silences "
+            "nothing",
             None,
         ),
+        # Importing stdlib ``random``/``secrets``.
         Rule(
             "RPR001",
-            "nondeterministic-rng",
-            "stdlib 'random'/'secrets' used instead of repro.core.prng",
             "draw from repro.core.prng.ParkMillerPRNG (seeded) so streams "
             "replay bit-for-bit",
             None,
         ),
+        # Wall-clock calls (``time.time``, ``datetime.now``, ...).
         Rule(
             "RPR002",
-            "wall-clock-read",
-            "wall-clock read inside a deterministic zone",
             "use the simulated clock (engine.now / kernel.now); wall time "
             "differs across runs and hosts",
-            ("sim", "kernel", "schedulers", "core"),
+            _DETERMINISTIC_ZONES,
         ),
+        # Iterating a set, a ``set()``/``frozenset()`` result or a dict
+        # view outside an order-insensitive reduction.
         Rule(
             "RPR003",
-            "unordered-iteration",
-            "iteration over an unordered collection in a scheduling "
-            "decision path",
             "iterate a list/deque or wrap in sorted(); set/dict-view order "
             "may vary across runs and interpreters",
-            ("sim", "kernel", "schedulers", "core"),
+            _DETERMINISTIC_ZONES,
         ),
+        # ``float()`` casts and ``==``/``!=`` on ticket quantities.
         Rule(
             "RPR004",
-            "float-ticket-arithmetic",
-            "float hazard on a ticket quantity",
             "keep ticket amounts integral (or tolerance-compare); exact "
             "float equality and lossy casts skew proportional shares",
             ("kernel", "schedulers", "core"),
         ),
+        # Mutable default arguments.
         Rule(
             "RPR005",
-            "mutable-default-argument",
-            "mutable default argument in a kernel/scheduler API",
             "default to None and create the container in the body; shared "
             "defaults leak state between simulations",
-            ("sim", "kernel", "schedulers", "core"),
+            _DETERMINISTIC_ZONES,
         ),
+        # ``time.sleep``; a loop whose ``except`` handler ``continue``s.
         Rule(
             "RPR006",
-            "ad-hoc-retry",
-            "blocking sleep or hand-rolled retry loop",
             "schedule the retry on the engine (engine.call_after): "
             "virtual-time backoff replays deterministically, wall-clock "
             "sleeps and unbounded except-continue loops do not",
             None,
         ),
+        # (a) ``pickle``/``marshal``/``shelve``/``dill`` imports and
+        # ``copy.deepcopy``/``copy.copy`` calls; (b) a ``self.x`` on a class
+        # in ``SNAPSHOT_COVERAGE`` that is neither covered nor transient.
         Rule(
             "RPR007",
-            "checkpoint-bypass",
-            "serialization of live objects bypassing the snapshot seams",
             "checkpoint through snapshot_state() and repro.checkpoint: "
             "pickled/deep-copied kernel objects drag generator frames and "
             "identity-keyed state along and cannot be verified or "
             "versioned",
             None,
         ),
+        # Bare ``print()`` outside ``cli``, ``experiments`` and
+        # ``__main__`` modules.
         Rule(
             "RPR008",
-            "print-in-library",
-            "bare print() outside the presentation layers",
             "return strings (cli commands), use an ExperimentResult "
             "report, or record through repro.telemetry; stdout writes "
             "from library code are invisible to tools and untestable",
             None,
         ),
-        Rule(
-            "RPR009",
-            "incomplete-recorder-sink",
-            "registered recorder sink missing part of the event surface",
-            "define every method in repro.metrics.recorder."
-            "RECORDER_EVENT_SURFACE on the sink class itself (explicit "
-            "no-ops included) so protocol extensions cannot leave a "
-            "sink silently deaf",
-            None,
-        ),
+        # A module-scope mutable container, or a name a function
+        # rebinds through ``global``, without a ``# shard:`` marker.
         Rule(
             "RPR011",
-            "undeclared-module-state",
-            "module-level mutable state without an ownership "
-            "declaration in a deterministic zone",
             "add '# shard: shard-local|barrier-shared -- reason' on the "
             "module-level assignment line (or keep the state on an "
             "object a core owns); cores of a sharded run share or fork "
             "undeclared module state without anyone deciding which",
-            ("sim", "kernel", "schedulers", "core"),
+            _DETERMINISTIC_ZONES,
         ),
+        # ``multiprocessing``/``concurrent``/``threading``/``_thread``
+        # imports (``repro.shard`` is the one home for workers).
         Rule(
             "RPR012",
-            "host-concurrency-import",
-            "host concurrency primitive imported in a deterministic "
-            "zone",
             "OS-scheduled threads/processes interleave "
             "nondeterministically; drive parallelism through "
             "repro.shard (ShardedEngine's mp backend), whose epoch "
             "barriers re-serialize every cross-core effect into a "
             "canonical order",
-            ("sim", "kernel", "schedulers", "core"),
-        ),
-        Rule(
-            "RPR013",
-            "cross-owner-telemetry-mutation",
-            "telemetry mutator called through another object's "
-            ".telemetry hub outside the shard.barrier seam",
-            "per-core MetricRegistry/SpanTracer hubs are owner-private; "
-            "record through the owner's own methods (obs_emit / "
-            "obs_frame), or, for legal barrier-time effects, wrap the "
-            "write in `with race_seam(\"shard.barrier\")` -- the "
-            "declared seam the aggregation protocol already audits",
-            ("shard", "telemetry"),
+            _DETERMINISTIC_ZONES,
         ),
     )
 }
@@ -275,22 +191,8 @@ _ORDER_INSENSITIVE_REDUCERS = frozenset({
 #: Identifier stems that mark an expression as a ticket quantity.
 _AMOUNT_STEMS = ("amount", "ticket", "funding", "bonus")
 
-#: Method names that mutate a telemetry hub (RPR013): registry
-#: instrument writes and tracer lifecycle calls.
-_TELEMETRY_MUTATORS = frozenset({
-    "inc", "add", "set", "record", "begin", "end", "event", "complete",
-    "finalize",
-})
-
-#: The one seam where cross-owner telemetry effects are legal (the
-#: barrier applies payloads into the target core's universe).
-_TELEMETRY_SEAM = "shard.barrier"
-
-_NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[([^\]]*)\])?")
-
-#: The same comment with its (mandatory) justification captured; used
-#: by the RPR000 hygiene check and ``--list-suppressions``.
-_NOQA_FULL_RE = re.compile(
+#: A noqa comment, its rule IDs and its (mandatory) justification.
+_NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\[([^\]]*)\])?\s*(?:--\s*(\S.*))?")
 
 #: Inline ownership marker for module-level state (RPR011):
@@ -335,20 +237,6 @@ def _snapshot_coverage() -> Dict[str, Dict[str, Iterable[str]]]:
     except Exception:  # pragma: no cover - standalone lint usage
         return {}
     return SNAPSHOT_COVERAGE
-
-
-def _recorder_surface() -> Tuple[frozenset, Tuple[str, ...]]:
-    """The metrics package's sink registry (empty if unavailable).
-
-    Lazy for the same reason as :func:`_snapshot_coverage`: the linter
-    must keep working standalone when ``repro.metrics`` is absent.
-    """
-    try:
-        from repro.metrics.recorder import (RECORDER_EVENT_SURFACE,
-                                            RECORDER_SINKS)
-    except Exception:  # pragma: no cover - standalone lint usage
-        return frozenset(), ()
-    return RECORDER_SINKS, RECORDER_EVENT_SURFACE
 
 
 #: Zones exempt from RPR008: the presentation layers, where printing to
@@ -406,20 +294,6 @@ def zone_of(path: Union[str, Path]) -> Optional[str]:
             nxt = parts[index + 1]
             return "" if nxt.endswith(".py") else nxt
     return None
-
-
-def _suppressed(lines: Sequence[str], finding: Finding) -> bool:
-    """True when the finding's physical line carries a matching noqa."""
-    if not 1 <= finding.line <= len(lines):
-        return False
-    match = _NOQA_RE.search(lines[finding.line - 1])
-    if match is None:
-        return False
-    codes = match.group(1)
-    if codes is None:
-        return True
-    wanted = {code.strip().upper() for code in codes.split(",")}
-    return finding.rule_id in wanted
 
 
 def _mentions_amount(node: ast.AST) -> Optional[str]:
@@ -483,9 +357,6 @@ class _Visitor(ast.NodeVisitor):
         self._exempt_comprehensions: set = set()
         #: Loop nesting depth (for the RPR006 retry-loop pattern).
         self._loop_depth = 0
-        #: Nesting depth of ``with race_seam("shard.barrier")`` blocks
-        #: (RPR013's declared exemption).
-        self._seam_depth = 0
 
     # -- plumbing ----------------------------------------------------------
 
@@ -605,72 +476,7 @@ class _Visitor(ast.NodeVisitor):
             if tail in _ORDER_INSENSITIVE_REDUCERS and node.args and \
                     isinstance(node.args[0], _COMPREHENSIONS):
                 self._exempt_comprehensions.add(id(node.args[0]))
-        self._check_cross_owner_telemetry(node)
         self.generic_visit(node)
-
-    # -- RPR013: cross-owner telemetry mutation ----------------------------
-
-    @staticmethod
-    def _is_barrier_seam(item: ast.withitem) -> bool:
-        call = item.context_expr
-        if not isinstance(call, ast.Call) or not call.args:
-            return False
-        func = call.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None)
-        first = call.args[0]
-        return (name == "race_seam" and isinstance(first, ast.Constant)
-                and first.value == _TELEMETRY_SEAM)
-
-    def visit_With(self, node: ast.With) -> None:
-        seam = any(self._is_barrier_seam(item) for item in node.items)
-        if seam:
-            self._seam_depth += 1
-        self.generic_visit(node)
-        if seam:
-            self._seam_depth -= 1
-
-    def _check_cross_owner_telemetry(self, node: ast.Call) -> None:
-        """Flag ``X.telemetry....mutator(...)`` where ``X`` is not the
-        owner (``self``/``cls``) and no barrier seam is declared.
-
-        The walk is syntactic: the receiver chain is unwound through
-        attributes, calls, and subscripts to its base name.  Aliasing
-        the foreign hub into a local first evades the rule -- the same
-        honesty boundary as every other rule here.
-        """
-        if not self._applies("RPR013") or self._seam_depth > 0:
-            return
-        func = node.func
-        if not isinstance(func, ast.Attribute) or \
-                func.attr not in _TELEMETRY_MUTATORS:
-            return
-        parts: List[str] = []
-        cursor: ast.AST = func.value
-        base: Optional[str] = None
-        while True:
-            if isinstance(cursor, ast.Call):
-                cursor = cursor.func
-            elif isinstance(cursor, ast.Attribute):
-                parts.append(cursor.attr)
-                cursor = cursor.value
-            elif isinstance(cursor, ast.Subscript):
-                cursor = cursor.value
-            elif isinstance(cursor, ast.Name):
-                base = cursor.id
-                break
-            else:
-                break
-        if base in (None, "self", "cls"):
-            return
-        if "telemetry" not in parts:
-            return
-        self._report(
-            "RPR013", node,
-            f"telemetry mutator .{func.attr}() reaches through "
-            f"{base}.telemetry -- a foreign core's private hub; route "
-            f"through the owner or the shard.barrier seam",
-        )
 
     def _print_allowed(self) -> bool:
         """Printing is the presentation layers' job; library code may
@@ -770,30 +576,7 @@ class _Visitor(ast.NodeVisitor):
                         f"captured by snapshot_state() nor declared "
                         f"transient in the snapshot-coverage registry",
                     )
-        self._check_recorder_sink(node, module)
         self.generic_visit(node)
-
-    # -- RPR009: recorder sink surface audit -------------------------------
-
-    def _check_recorder_sink(self, node: ast.ClassDef,
-                             module: Optional[str]) -> None:
-        if module is None:
-            return
-        sinks, surface = _recorder_surface()
-        if f"{module}.{node.name}" not in sinks:
-            return
-        defined = {
-            member.name for member in node.body
-            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        missing = [name for name in surface if name not in defined]
-        if missing:
-            self._report(
-                "RPR009", node,
-                f"recorder sink {node.name} does not define event "
-                f"method(s) {', '.join(missing)} (inheriting a no-op "
-                f"is not declaring the surface)",
-            )
 
     # -- RPR005: mutable default arguments ---------------------------------
 
@@ -836,6 +619,22 @@ def _is_mutable_container(value: Optional[ast.AST]) -> bool:
     return False
 
 
+def _module_statements(body: Sequence[ast.stmt]) -> Iterable[ast.stmt]:
+    """Statements that run at module scope: ``body`` and the blocks of
+    its ``if``/``try``/``with``/``for``/``while``/``match`` statements,
+    but not function or class bodies."""
+    for node in body:
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            continue
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.stmt):
+                yield from _module_statements([child])
+            elif isinstance(child, (ast.excepthandler, ast.match_case)):
+                yield from _module_statements(child.body)
+
+
 def _check_module_state(tree: ast.Module, path: str, zone: Optional[str],
                         lines: Sequence[str]) -> List[Finding]:
     """RPR011: module state needs an inline ``# shard:`` marker with a
@@ -848,7 +647,7 @@ def _check_module_state(tree: ast.Module, path: str, zone: Optional[str],
         return []
     declared: set = set()
     findings: List[Finding] = []
-    for node in tree.body:
+    for node in _module_statements(tree.body):
         targets: List[ast.expr] = []
         value: Optional[ast.expr] = None
         if isinstance(node, ast.Assign):
@@ -898,6 +697,10 @@ class Suppression:
     codes: Tuple[str, ...]   # () means a bare noqa (suppresses all rules)
     justification: str       # "" when missing (an RPR000 finding)
 
+    def covers(self, rule_id: str) -> bool:
+        """True when this noqa silences ``rule_id`` on its line."""
+        return not self.codes or rule_id in self.codes
+
     def format(self) -> str:
         codes = ",".join(self.codes) if self.codes else "*"
         note = self.justification or "NO JUSTIFICATION"
@@ -921,7 +724,7 @@ def iter_suppressions(source: str, path: Union[str, Path]) \
         for token in tokens:
             if token.type != tokenize.COMMENT:
                 continue
-            match = _NOQA_FULL_RE.search(token.string)
+            match = _NOQA_RE.search(token.string)
             if match is None:
                 continue
             codes: Tuple[str, ...] = ()
@@ -937,22 +740,33 @@ def iter_suppressions(source: str, path: Union[str, Path]) \
     return suppressions
 
 
-def _suppression_hygiene(source: str, path: Union[str, Path]) \
-        -> List[Finding]:
-    """RPR000 (b): every suppression must explain itself.
+def _apply_suppressions(source: str, path: Union[str, Path],
+                        raw: Sequence[Finding]) -> List[Finding]:
+    """Drop the findings a noqa silences, then add RPR000 (b) for every
+    noqa that carries no justification, names an unknown rule, or
+    silences no finding on its line.
 
-    These findings are appended *after* noqa filtering, so a bare noqa
-    cannot suppress the report about its own missing justification.
+    The RPR000 reports are added *after* filtering, so a noqa cannot
+    suppress the report about itself.
     """
-    findings: List[Finding] = []
-    for suppression in iter_suppressions(source, path):
-        if suppression.justification:
+    by_line = {s.line: s for s in iter_suppressions(source, path)}
+    findings = [f for f in raw if f.line not in by_line
+                or not by_line[f.line].covers(f.rule_id)]
+    for suppression in by_line.values():
+        unknown = [code for code in suppression.codes if code not in RULES]
+        if not suppression.justification:
+            problem = ("carries no justification; append ' -- why this "
+                       "is safe' after the bracket")
+        elif unknown:
+            problem = f"names unknown rule(s) {', '.join(unknown)}"
+        elif not any(f.line == suppression.line
+                     and suppression.covers(f.rule_id) for f in raw):
+            problem = "silences no finding on its line; delete it"
+        else:
             continue
-        codes = ",".join(suppression.codes) if suppression.codes else ""
         findings.append(Finding(
             str(path), suppression.line, 0, "RPR000",
-            f"suppression 'noqa[{codes}]' carries no justification; "
-            f"append ' -- why this is safe' after the bracket"))
+            f"suppression 'noqa[{','.join(suppression.codes)}]' {problem}"))
     return findings
 
 
@@ -965,11 +779,9 @@ def lint_source(source: str, path: Union[str, Path]) -> List[Finding]:
                         "RPR000", f"syntax error: {exc.msg}")]
     visitor = _Visitor(str(path), zone_of(path))
     visitor.visit(tree)
-    lines = source.splitlines()
-    visitor.findings.extend(
-        _check_module_state(tree, str(path), zone_of(path), lines))
-    findings = [f for f in visitor.findings if not _suppressed(lines, f)]
-    findings.extend(_suppression_hygiene(source, path))
+    visitor.findings.extend(_check_module_state(
+        tree, str(path), zone_of(path), source.splitlines()))
+    findings = _apply_suppressions(source, path, visitor.findings)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     return findings
 
@@ -984,35 +796,30 @@ def lint_file(path: Union[str, Path]) -> List[Finding]:
     return lint_source(text, path)
 
 
+def _python_files(paths: Iterable[Union[str, Path]]) -> List[Path]:
+    """Files in ``paths``, directories expanded to their ``*.py``."""
+    files: List[Path] = []
+    for entry in map(Path, paths):
+        files.extend(sorted(entry.rglob("*.py")) if entry.is_dir()
+                     else [entry])
+    return files
+
+
 def lint_paths(paths: Iterable[Union[str, Path]]) -> List[Finding]:
     """Lint files and (recursively) directories of ``*.py`` sources."""
-    findings: List[Finding] = []
-    for entry in paths:
-        entry = Path(entry)
-        if entry.is_dir():
-            for file in sorted(entry.rglob("*.py")):
-                findings.extend(lint_file(file))
-        else:
-            findings.extend(lint_file(entry))
-    return findings
+    return [finding for file in _python_files(paths)
+            for finding in lint_file(file)]
 
 
 def collect_suppressions(paths: Iterable[Union[str, Path]]) \
         -> List[Suppression]:
     """Every noqa suppression under ``paths`` (``--list-suppressions``)."""
     suppressions: List[Suppression] = []
-    files: List[Path] = []
-    for entry in paths:
-        entry = Path(entry)
-        if entry.is_dir():
-            files.extend(sorted(entry.rglob("*.py")))
-        else:
-            files.append(entry)
-    for file in files:
+    for file in _python_files(paths):
         try:
             text = file.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError):
-            text = None  # lint_paths already reports unreadable files
-        if text is not None:
+            pass  # lint_paths already reports unreadable files
+        else:
             suppressions.extend(iter_suppressions(text, file))
     return suppressions

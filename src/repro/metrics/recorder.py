@@ -12,10 +12,10 @@ replayed simultaneously.
 
 New sinks must declare the **full** event surface
 (:data:`RECORDER_EVENT_SURFACE`) and register their dotted class path
-in :data:`RECORDER_SINKS`; lint rule RPR009 audits each registered
-class for missing event methods, so a protocol extension cannot leave a
-sink silently deaf to a new event kind.  A sink that only cares about
-some events implements the rest as no-ops.
+in :data:`RECORDER_SINKS`; a tier-1 test checks that each registered
+class defines every event method itself, so a protocol extension cannot
+leave a sink silently deaf to a new event kind.  A sink that only cares
+about some events implements the rest as no-ops.
 """
 
 from __future__ import annotations
@@ -37,16 +37,15 @@ __all__ = ["KernelRecorder", "RecorderMux", "RECORDER_EVENT_SURFACE",
 #: CPU), ``on_cpu(thread, start, duration)`` (it consumed ``duration``
 #: ms from ``start``), ``on_block`` / ``on_wake`` / ``on_exit``
 #: ``(thread, time)``.  RecorderMux validates sinks against this list
-#: at attach time, and lint rule RPR009 audits the classes registered
-#: in :data:`RECORDER_SINKS` against it statically.
+#: at attach time.
 RECORDER_EVENT_SURFACE: Tuple[str, ...] = (
     "on_dispatch", "on_cpu", "on_block", "on_wake", "on_exit",
 )
 
 #: Dotted class paths of the known recorder sinks.  Every class listed
-#: here is audited by lint rule RPR009: it must *define* each method in
-#: :data:`RECORDER_EVENT_SURFACE` (structural inheritance is not enough
-#: -- a sink that forgets an event must fail the lint, not inherit a
+#: here must *define* each method in :data:`RECORDER_EVENT_SURFACE`
+#: (structural inheritance is not enough -- a sink that forgets an event
+#: must fail ``test_known_sinks_satisfy_the_protocol``, not inherit a
 #: silent no-op).  Add new sinks here when introducing them.
 RECORDER_SINKS: FrozenSet[str] = frozenset({
     "repro.metrics.recorder.KernelRecorder",

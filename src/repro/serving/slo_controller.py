@@ -47,8 +47,7 @@ class ClassLatencyProbe:
     Class attribution is by thread name (``fe:gold:0`` -> ``gold``),
     resolved once per thread and cached by id; threads may also be
     registered explicitly with :meth:`watch`.  Implements the full
-    recorder event surface (audited by lint rule RPR009 via
-    ``RECORDER_SINKS``).
+    recorder event surface (it is listed in ``RECORDER_SINKS``).
     """
 
     def __init__(self, stats: Optional[ServingStats] = None,

@@ -33,20 +33,39 @@ def test_lint_command_reports_findings(tmp_path, capsys):
     assert "1 finding" in captured.err
 
 
-def test_subcommands_are_exactly_lint_rules_sanitize(capsys):
+def test_subcommands_are_exactly_lint_sanitize(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
     usage = capsys.readouterr().out
-    assert "{lint,rules,sanitize}" in usage
+    assert "{lint,sanitize}" in usage
 
 
-def test_rules_command_lists_every_rule(capsys):
-    assert main(["rules"]) == 0
-    out = capsys.readouterr().out
-    for rule_id in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
-                    "RPR006"):
-        assert rule_id in out
-    assert "noqa" in out
+@pytest.mark.parametrize("argv", [["lint", "--format", "json"],
+                                  ["lint", "--out", "lint.sarif"]])
+def test_retired_outputs_are_usage_errors(argv, capsys):
+    # One output format: the findings as text lines on stdout.
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+
+
+def test_lint_list_suppressions(tmp_path, capsys):
+    pkg = tmp_path / "repro" / "kernel"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text(
+        "import random  # repro: noqa[RPR001] -- fixture entropy\n")
+    assert main(["lint", "--list-suppressions", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert "noqa[RPR001] -- fixture entropy" in captured.out
+    assert "0 without justification" in captured.err
+
+
+def test_lint_list_suppressions_flags_missing_justification(tmp_path, capsys):
+    pkg = tmp_path / "repro" / "kernel"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("import random  # repro: noqa\n")
+    assert main(["lint", "--list-suppressions", str(tmp_path)]) == 1
+    assert "NO JUSTIFICATION" in capsys.readouterr().out
 
 
 def test_sanitize_command_clean_run(capsys):

@@ -1,15 +1,14 @@
-"""Unit tests for every determinism-lint rule (RPR001..RPR013).
+"""Unit tests for every determinism-lint rule.
 
 Each rule gets positive fixtures (the hazard is flagged), negative
 fixtures (clean or out-of-zone code is not), and a noqa-suppressed
-fixture.  The closing test asserts the acceptance criterion: the repo's
-own sources lint clean.
+fixture.  That the repo's own sources lint clean is checked once, by
+``test_cli.py::test_lint_command_clean_on_repo``.
 """
 
 from __future__ import annotations
 
 import textwrap
-from pathlib import Path
 
 import pytest
 
@@ -19,7 +18,6 @@ KERNEL_PATH = "repro/kernel/fixture.py"
 SCHED_PATH = "repro/schedulers/fixture.py"
 CORE_PATH = "repro/core/fixture.py"
 EXPERIMENT_PATH = "repro/experiments/fixture.py"
-SRC_REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def ids(source: str, path: str = KERNEL_PATH):
@@ -395,62 +393,6 @@ def test_rpr008_noqa_suppresses():
     assert ids(src) == []
 
 
-# -- RPR009: recorder sink surface audit -------------------------------------
-
-
-def test_rpr009_flags_registered_sink_missing_methods():
-    src = """
-    class KernelRecorder:
-        def on_dispatch(self, thread, time):
-            pass
-    """
-    findings = lint_source(textwrap.dedent(src),
-                           "repro/metrics/recorder.py")
-    assert [f.rule_id for f in findings] == ["RPR009"]
-    assert "on_exit" in findings[0].message
-
-
-def test_rpr009_full_surface_is_clean():
-    src = """
-    class KernelRecorder:
-        def on_dispatch(self, thread, time):
-            pass
-
-        def on_cpu(self, thread, start, duration):
-            pass
-
-        def on_block(self, thread, time):
-            pass
-
-        def on_wake(self, thread, time):
-            pass
-
-        def on_exit(self, thread, time):
-            pass
-    """
-    assert ids(src, "repro/metrics/recorder.py") == []
-
-
-def test_rpr009_ignores_unregistered_classes():
-    src = """
-    class Helper:
-        def on_dispatch(self, thread, time):
-            pass
-    """
-    assert ids(src, "repro/metrics/recorder.py") == []
-
-
-def test_rpr009_inherited_methods_do_not_count():
-    src = """
-    class KernelProbe(KernelRecorder):
-        def on_dispatch(self, thread, time):
-            pass
-    """
-    findings = lint_source(textwrap.dedent(src),
-                           "repro/telemetry/probe.py")
-    assert [f.rule_id for f in findings] == ["RPR009"]
-
-
 # -- RPR011: undeclared module-level mutable state --------------------------
 
 
@@ -561,6 +503,38 @@ def test_rpr011_exempt_outside_deterministic_zones():
     assert ids("CACHE = {}\n", "repro/metrics/fixture.py") == []
 
 
+MODULE_LEVEL_BLOCKS = {
+    "top_level": "_reg = {}\n",
+    "if": "import sys\nif sys.version_info >= (3, 11):\n    _reg = {}\n",
+    "else": "if FAST:\n    pass\nelse:\n    _reg = []\n",
+    "try_except": ("try:\n    import fastpath\nexcept ImportError:\n"
+                   "    _reg = dict()\n"),
+    "with": "with open_table() as table:\n    _reg = set()\n",
+    "for": "for name in NAMES:\n    _reg = {name: 0}\n",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MODULE_LEVEL_BLOCKS))
+def test_rpr011_flags_state_inside_module_level_blocks(shape):
+    findings = lint_source(MODULE_LEVEL_BLOCKS[shape], KERNEL_PATH)
+    assert [f.rule_id for f in findings] == ["RPR011"]
+    assert "'_reg'" in findings[0].message
+
+
+def test_rpr011_blocks_inside_functions_and_classes_are_exempt():
+    src = """
+    if DEBUG:
+        def build():
+            if True:
+                table = {}
+            return table
+
+        class Holder:
+            cache = {}
+    """
+    assert ids(src) == []
+
+
 def test_rpr011_function_locals_are_exempt():
     src = """
     def build():
@@ -613,106 +587,32 @@ def test_rpr012_noqa_requires_justification():
     assert ids(justified) == []
 
 
-# -- RPR013: cross-owner telemetry mutation ---------------------------------
-
-SHARD_PATH = "repro/shard/fixture.py"
-TELEMETRY_PATH = "repro/telemetry/fixture.py"
-
-
-def test_rpr013_flags_foreign_hub_tracer_event():
-    src = """
-    def apply(core, now):
-        core.telemetry.tracer.event("t", "x", "shard", now)
-    """
-    findings = lint_source(textwrap.dedent(src), SHARD_PATH)
-    assert [f.rule_id for f in findings] == ["RPR013"]
-    assert "core.telemetry" in findings[0].message
-
-
-def test_rpr013_flags_registry_write_through_subscript_and_call():
-    src = """
-    def bump(cores, cid):
-        cores[cid].telemetry.registry.counter("n").inc()
-    """
-    assert ids(src, TELEMETRY_PATH) == ["RPR013"]
-
-
-def test_rpr013_own_hub_is_exempt():
-    src = """
-    class Core:
-        def note(self, now):
-            self.telemetry.tracer.event("t", "x", "shard", now)
-    """
-    assert ids(src, SHARD_PATH) == []
-
-
-def test_rpr013_barrier_seam_exempts():
-    src = """
-    from repro.shard.router import race_seam
-
-    def apply(core, now):
-        with race_seam("shard.barrier"):
-            core.telemetry.tracer.event("t", "x", "shard", now)
-    """
-    assert ids(src, SHARD_PATH) == []
-
-
-def test_rpr013_other_seams_do_not_exempt():
-    src = """
-    from repro.shard.router import race_seam
-
-    def apply(core, now):
-        with race_seam("shard.migrate"):
-            core.telemetry.registry.gauge("g").set(1.0)
-    """
-    assert ids(src, SHARD_PATH) == ["RPR013"]
-
-
-def test_rpr013_out_of_zone_is_exempt():
-    src = """
-    def apply(core, now):
-        core.telemetry.tracer.event("t", "x", "shard", now)
-    """
-    assert ids(src, KERNEL_PATH) == []
-    assert ids(src, EXPERIMENT_PATH) == []
-
-
-def test_rpr013_non_mutator_reads_are_exempt():
-    src = """
-    def peek(core):
-        return core.telemetry.registry.as_dict()
-    """
-    assert ids(src, SHARD_PATH) == []
-
-
-def test_rpr013_noqa_requires_justification():
-    line = ('def f(core):\n'
-            '    core.telemetry.tracer.finalize(0.0)'
-            '  # repro: noqa[RPR013]\n')
-    assert ids(line, SHARD_PATH) == ["RPR000"]
-    justified = ('def f(core):\n'
-                 '    core.telemetry.tracer.finalize(0.0)'
-                 '  # repro: noqa[RPR013] -- teardown after joins\n')
-    assert ids(justified, SHARD_PATH) == []
-
-
-RPR013_FIXTURES = Path(__file__).parent / "fixtures" / "lint_rpr013"
-
-
-def test_rpr013_fixture_package_findings():
-    findings = lint_paths([RPR013_FIXTURES])
-    assert [f.rule_id for f in findings] == ["RPR013", "RPR013"]
-    assert all("legacy_probe.py" in f.path for f in findings)
-    # the seam-covered write in the same file is not among them
-    assert {f.line for f in findings} == {14, 19}
-
-
 # -- suppression syntax -----------------------------------------------------
 
 
 def test_noqa_with_wrong_id_does_not_suppress():
     src = "import random  # repro: noqa[RPR002] -- aimed at the wrong rule\n"
-    assert ids(src) == ["RPR001"]
+    # The finding survives, and the noqa that silenced nothing is stale.
+    assert ids(src) == ["RPR000", "RPR001"]
+
+
+def test_noqa_that_silences_nothing_is_rpr000():
+    findings = lint_source("x = 1  # repro: noqa[RPR001] -- because\n",
+                           KERNEL_PATH)
+    assert [f.rule_id for f in findings] == ["RPR000"]
+    assert "silences no finding" in findings[0].message
+    assert ids("x = 1  # repro: noqa -- because\n") == ["RPR000"]
+    # Out of the rule's zone there is nothing to silence either.
+    stamp = "import time\nt = time.time()  # repro: noqa[RPR002] -- why\n"
+    assert ids(stamp, EXPERIMENT_PATH) == ["RPR000"]
+
+
+def test_noqa_naming_an_unknown_rule_is_rpr000():
+    src = "import random  # repro: noqa[RPR001,RPR009] -- retired rule\n"
+    findings = lint_source(src, KERNEL_PATH)
+    # RPR001 is silenced; the retired ID is reported, not ignored.
+    assert [f.rule_id for f in findings] == ["RPR000"]
+    assert "unknown rule(s) RPR009" in findings[0].message
 
 
 def test_bare_noqa_suppresses_every_rule_on_the_line():
@@ -735,6 +635,8 @@ def test_bare_noqa_without_justification_cannot_self_suppress():
 def test_noqa_in_docstring_is_not_a_suppression():
     src = '"""mentions # repro: noqa[RPR001] in prose"""\nimport random\n'
     assert ids(src) == ["RPR001"]
+    # Nor is noqa text in a string on the finding's own line.
+    assert ids('import random; NOTE = "# repro: noqa -- no"\n') == ["RPR001"]
 
 
 def test_noqa_accepts_id_lists():
@@ -795,13 +697,12 @@ def test_finding_format_names_location_and_rule():
     assert "RPR001" in text
 
 
-def test_every_rule_has_id_summary_and_fixit():
+def test_every_rule_has_id_and_fixit():
     assert set(RULES) == {"RPR000", "RPR001", "RPR002", "RPR003",
                           "RPR004", "RPR005", "RPR006", "RPR007",
-                          "RPR008", "RPR009", "RPR011", "RPR012",
-                          "RPR013"}
-    for rule in RULES.values():
-        assert rule.summary and rule.fixit and rule.slug
+                          "RPR008", "RPR011", "RPR012"}
+    for rule_id, rule in RULES.items():
+        assert rule.id == rule_id and rule.fixit
 
 
 def test_rpr000_reports_syntax_error_as_finding():
@@ -825,9 +726,3 @@ def test_lint_paths_walks_directories(tmp_path):
     (pkg / "clean.py").write_text("x = 1\n")
     findings = lint_paths([tmp_path])
     assert [f.rule_id for f in findings] == ["RPR001"]
-
-
-def test_repo_sources_lint_clean():
-    """Acceptance: the reproduction's own sources carry no findings."""
-    findings = lint_paths([SRC_REPRO])
-    assert findings == [], "\n".join(f.format() for f in findings)

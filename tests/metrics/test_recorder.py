@@ -155,8 +155,9 @@ class TestRecorderMux:
         assert log == [("a", "wake")]  # inactive mux delivers nothing
 
     def test_known_sinks_satisfy_the_protocol(self):
-        # What RPR009 audits statically: every registered class defines
-        # the whole surface itself, so RecorderMux.add accepts it.
+        # The one sink-surface guard: every registered class defines the
+        # whole surface itself (an inherited no-op does not count), so
+        # a protocol extension cannot leave a known sink deaf.
         for path in sorted(RECORDER_SINKS):
             module, name = path.rsplit(".", 1)
             sink_class = getattr(importlib.import_module(module), name)
