@@ -64,8 +64,9 @@ class ShardError(ReproError):
 
 class FrameCorruptError(ShardError):
     """A checksummed pipe frame failed validation (bad shape, checksum
-    mismatch, or non-JSON body) -- the supervised mp backend treats
-    this as a host fault and recovers the emitting worker."""
+    mismatch, or a body that does not unpickle to a dict) -- the mp
+    backend treats this as a host fault and recovers the emitting
+    worker."""
 
 
 class ExperimentError(ReproError):

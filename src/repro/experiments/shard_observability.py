@@ -2,7 +2,7 @@
 
 The sharded runtime promises that moving a workload between execution
 backends -- one core inline, N logical cores in-process, N worker
-processes over pipes, or the supervised runtime restarting workers
+processes over pipes, or those processes killed and restarted
 mid-run -- changes *how* the simulation executes but not *what* it
 observes.  This experiment exercises the cross-shard observability
 plane end to end: the same :func:`~repro.shard.plan.mix_plan` workload
@@ -13,10 +13,10 @@ SLO verdict across runs.
 Expected outcome (the tentpole acceptance criterion):
 
 * the canonical report sha256 and the stitched-trace sha256 are
-  byte-identical across all backends, including the supervised run
-  that kills a worker at every epoch barrier;
+  byte-identical across all backends, including the mp run that has a
+  worker killed at every epoch barrier;
 * only the *recovery annex* checksum differs on the faulted run -- the
-  supervisor's restarts are real events and are reported, but they are
+  mp backend's restarts are real events and are reported, but they are
   kept out of the canonical section so fault recovery cannot silently
   perturb the scientific record;
 * the deterministic SLO watchdogs (fairness drift, per-band p99
@@ -27,17 +27,16 @@ Expected outcome (the tentpole acceptance criterion):
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.experiments.common import ExperimentResult
 from repro.shard.engine import ShardedEngine
 from repro.shard.hostfaults import kill_every_epoch
 from repro.shard.plan import mix_plan
-from repro.shard.supervisor import SupervisorPolicy
 
 __all__ = ["BACKENDS", "run", "run_backend", "main"]
 
-#: (label, backend, shards, supervised-with-kill-every-epoch) combos.
+#: (label, backend, shards, mp-with-kill-every-epoch) combos.
 BACKENDS: Sequence[Tuple[str, str, int, bool]] = (
     ("single", "single", 1, False),
     ("inline x2", "inline", 2, False),
@@ -53,9 +52,7 @@ def run_backend(backend: str, shards: int, faulted: bool = False,
     """One obs-enabled run; returns the checksums and the SLO verdict."""
     plan = mix_plan(seed=seed, cores=cores)
     host_faults = kill_every_epoch(shards) if faulted else None
-    policy: Optional[SupervisorPolicy] = None
     with ShardedEngine(plan, shards=shards, backend=backend,
-                       supervise=faulted, policy=policy,
                        host_faults=host_faults, obs=True) as engine:
         engine.advance(until)
         trace = json.loads(engine.stitched_trace())
@@ -67,7 +64,7 @@ def run_backend(backend: str, shards: int, faulted: bool = False,
         "recovery_sha": trace["metadata"]["recovery_sha256"],
         "slo_ok": report["canonical"]["slo"]["ok"],
         "breaches": len(report["canonical"]["slo"]["breaches"]),
-        "restarts": len(recovery.get("restarts") or []),
+        "restarts": sum(recovery["restarts"]),
     }
 
 

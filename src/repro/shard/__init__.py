@@ -20,7 +20,6 @@ __all__ = [
     "ShardPlan",
     "ShardTopology",
     "ShardedEngine",
-    "SupervisedMpBackend",
     "SupervisorPolicy",
     "load_host_faults",
     "mix_plan",
@@ -30,10 +29,10 @@ __all__ = [
 
 __getattr__ = lazy_exports(globals(), {
     "BODY_REGISTRY": ".builders", "register_body": ".builders",
+    "SupervisorPolicy": ".backends",
     "ShardedEngine": ".engine",
     "HostFault": ".hostfaults", "HostFaultPlan": ".hostfaults",
     "load_host_faults": ".hostfaults",
     "ShardPlan": ".plan", "mix_plan": ".plan", "spin_plan": ".plan",
-    "SupervisedMpBackend": ".supervisor", "SupervisorPolicy": ".supervisor",
     "ShardTopology": ".topology",
 })

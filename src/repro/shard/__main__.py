@@ -2,9 +2,9 @@
 
 * ``run`` -- the one runner of a named plan
   (:data:`repro.shard.plan.PLANS`): execute it on one backend and print
-  the stream/state checksums; ``--supervise`` runs the mp backend under
-  the fault-tolerant supervisor, optionally injecting a deliberate
-  ``--host-faults`` plan (preset name or JSON file).  ``--obs`` turns
+  the stream/state checksums, plus the recovery line of an mp run;
+  ``--host-faults`` injects a deliberate host-fault plan (preset name
+  or JSON file) into the mp workers.  ``--obs`` turns
   on the cross-shard observability plane; ``--trace-out`` writes the
   stitched Chrome trace, ``--report-out``/``--report-md`` the
   observability report (JSON / markdown), ``--prom-out`` the
@@ -16,24 +16,24 @@
 * ``verify`` -- the CI equivalence gate: run the single-loop oracle,
   then every requested ``(backend, shards)`` combination, and compare
   replay-stream and state-tree sha256s bit-for-bit.  With
-  ``--supervise`` two extra combinations join the matrix: a supervised
-  mp run, and a supervised mp run with a worker killed at **every
-  epoch barrier** -- both must still be bit-identical to the oracle.
-  On divergence, writes a report (first differing entry,
+  ``--host-faults`` one extra combination joins the matrix: an mp run
+  with that plan injected (``kill-every-epoch``: a worker killed at
+  **every epoch barrier**), which must still be bit-identical to the
+  oracle.  On divergence, writes a report (first differing entry,
   per-combination checksums) suitable for upload as a CI artifact and
   exits 1.
 
 A bad argument -- including one only the plan, the engine or the
-supervisor policy can judge, such as a horizon off the epoch grid --
+supervision policy can judge, such as a horizon off the epoch grid --
 is one usage line and exit 2.
 
 Examples::
 
     python -m repro.shard run --plan mix --cores 4 --backend mp \
-        --shards 4 --until 5000 --supervise --host-faults chaos
+        --shards 4 --until 5000 --host-faults chaos
     python -m repro.shard verify --plan mix --cores 4 --until 5000 \
-        --backends inline,mp --shards 1,2,4 --supervise \
-        --report divergence.txt
+        --backends inline,mp --shards 1,2,4 \
+        --host-faults kill-every-epoch --report divergence.txt
     python -m repro.shard run --plan chaos --cores 3 --seed 2718 \
         --until 60000 --obs --trace-out chaos.trace.json
 """
@@ -48,18 +48,14 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.checkpoint.statetree import tree_checksum
 from repro.errors import ReproError, ShardError
-from repro.shard.hostfaults import (
-    HostFaultPlan,
-    kill_every_epoch,
-    load_host_faults,
-)
+from repro.shard.hostfaults import HostFaultPlan, load_host_faults
 from repro.shard.plan import PLANS, ShardPlan
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.shard.supervisor import SupervisorPolicy
+    from repro.shard.backends import SupervisorPolicy
 
-# The engine, its backends and the supervisor are imported where a plan
-# runs: the other CLIs import the argument types from here.
+# The engine and its backends are imported where a plan runs: the
+# other CLIs import the argument types from here.
 
 
 def positive_int(text: str) -> int:
@@ -92,7 +88,6 @@ def _shard_counts(text: str) -> List[int]:
 
 
 def _run_combo(plan: ShardPlan, backend: str, shards: int, until: float,
-               supervise: bool = False,
                policy: Optional[SupervisorPolicy] = None,
                host_faults: Optional[HostFaultPlan] = None,
                obs: bool = False, flight_dir: Optional[str] = None,
@@ -101,7 +96,7 @@ def _run_combo(plan: ShardPlan, backend: str, shards: int, until: float,
     from repro.shard.engine import ShardedEngine
 
     with ShardedEngine(plan, shards=shards, backend=backend,
-                       supervise=supervise, policy=policy,
+                       policy=policy if backend == "mp" else None,
                        host_faults=host_faults, obs=obs,
                        flight_dir=flight_dir) as engine:
         engine.advance(until)
@@ -170,7 +165,7 @@ def _recovery_line(summary: dict) -> str:
 
 
 def _policy_from_args(args: argparse.Namespace) -> SupervisorPolicy:
-    from repro.shard.supervisor import SupervisorPolicy
+    from repro.shard.backends import SupervisorPolicy
 
     return SupervisorPolicy(max_retries=args.max_retries,
                             deadline_s=args.deadline)
@@ -195,20 +190,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--shards", type=_shard_counts, default="1,2,4",
                         help="shard counts: one int for 'run', comma "
                              "list for 'verify'")
-    parser.add_argument("--supervise", action="store_true",
-                        help="run mp workers under the fault-tolerant "
-                             "supervisor (run: requires --backend mp; "
-                             "verify: adds supervised and "
-                             "killed-every-barrier combinations)")
     parser.add_argument("--max-retries", type=int, default=3,
-                        help="supervisor retry budget per exchange")
+                        help="mp worker recoveries per exchange")
     parser.add_argument("--deadline", type=float, default=30.0,
-                        help="supervisor heartbeat deadline (host "
-                             "seconds) per exchange")
+                        help="host seconds an mp worker has to answer "
+                             "one exchange (a whole quiet window)")
     parser.add_argument("--host-faults", metavar="PLAN",
-                        help="host-fault plan to inject: preset name "
-                             "('kill-every-epoch', 'chaos') or JSON "
-                             "file path (requires --supervise)")
+                        help="host-fault plan to inject into the mp "
+                             "workers: preset name ('kill-every-epoch', "
+                             "'chaos') or JSON file path (run: requires "
+                             "--backend mp; verify: adds the faulted mp "
+                             "combination)")
     parser.add_argument("--report", metavar="PATH",
                         help="divergence report path for 'verify'")
     parser.add_argument("--obs", action="store_true",
@@ -235,9 +227,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(implies --obs)")
     args = parser.parse_args(argv)
 
-    if args.host_faults and not args.supervise:
-        parser.error("--host-faults requires --supervise: only the "
-                     "supervised backend recovers from host faults")
     obs = bool(args.obs or args.trace_out or args.report_out
                or args.report_md or args.prom_out or args.flight_dir)
     if obs and args.command != "run":
@@ -247,13 +236,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     shards = args.shards[0] if args.command == "run" else max(args.shards)
     try:
         plan = PLANS[args.plan](args.seed, args.cores)
-        policy = _policy_from_args(args) if args.supervise else None
+        policy = _policy_from_args(args)
         host_faults = (load_host_faults(args.host_faults, shards)
                        if args.host_faults else None)
         if args.command == "run":
             stream_sha, state_sha, stream, recovery, obs_out = _run_combo(
-                plan, args.backend, shards, args.until,
-                supervise=args.supervise, policy=policy,
+                plan, args.backend, shards, args.until, policy=policy,
                 host_faults=host_faults, obs=obs,
                 flight_dir=args.flight_dir)
         else:
@@ -263,13 +251,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(str(exc))
 
     if args.command == "run":
-        mode = " supervised" if args.supervise else ""
         print(f"plan={args.plan} cores={args.cores} backend={args.backend}"
-              f"{mode} shards={shards} until={args.until:g}")
+              f" shards={shards} until={args.until:g}")
         print(f"entries {len(stream)}")
         print(f"stream  {stream_sha}")
         print(f"state   {state_sha}")
-        if args.supervise:
+        if args.backend == "mp":
             print(_recovery_line(recovery))
         if obs and not _write_obs_outputs(args, obs_out):
             return 2  # the SLO gate: the run breached its policy
@@ -290,25 +277,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         for count in args.shards:
             combos.append({"label": f"{backend.strip()}/s{count}",
                            "backend": backend.strip(), "shards": count})
-    if args.supervise:
-        combos.append({"label": f"mp+supervise/s{shards}", "backend": "mp",
-                       "shards": shards, "supervise": True,
-                       "policy": policy})
-        combos.append({"label": f"mp+supervise+faults/s{shards}",
-                       "backend": "mp", "shards": shards,
-                       "supervise": True, "policy": policy,
-                       "host_faults": (kill_every_epoch(shards)
-                                       if host_faults is None
-                                       else host_faults)})
+    if host_faults is not None:
+        combos.append({"label": f"mp+faults/s{shards}", "backend": "mp",
+                       "shards": shards, "host_faults": host_faults})
 
     for combo in combos:
         label = combo["label"]
         try:  # repro: noqa[RPR006] -- not a retry: each combination runs exactly once; a failing combo is recorded in the divergence report and fails the exit code
             stream_sha, state_sha, stream, recovery, _ = _run_combo(
                 plan, combo["backend"], combo["shards"], args.until,
-                supervise=combo.get("supervise", False),
-                policy=combo.get("policy"),
-                host_faults=combo.get("host_faults"))
+                policy=policy, host_faults=combo.get("host_faults"))
         except ShardError as exc:
             failures.append(f"{label}: {exc}")
             lines.append(f"{label}: ERROR {exc}")
@@ -320,7 +298,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"state {state_sha[:16]} {verdict}")
         lines.append(f"{label}: stream={stream_sha} "
                      f"state={state_sha} {verdict}")
-        if combo.get("supervise"):
+        if combo["backend"] == "mp":
             print(f"{'':>24}  {_recovery_line(recovery)}")
             lines.append(f"{label}: {_recovery_line(recovery)}")
         if not ok:

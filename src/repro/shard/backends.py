@@ -13,13 +13,13 @@ in what interleaving core events execute:
   core order.  Same process, no parallelism; the default.
 * ``mp`` -- one persistent worker process per shard; each worker
   rebuilds its cores from the JSON plan and exchanges only slice
-  commands and barrier payloads with the parent (never objects).
-  Measured by ``bench/``'s ``shard_spin_mp`` workload as
-  ``shard.mp_over_inline`` (mp wall / inline wall, two workers pinned
-  to two CPUs): 0.70-0.97 while every epoch cost two pipe
-  round-trips, 0.48-0.62 now that a quiet window costs one; the
-  break-even grid is in ``docs/SHARDING.md`` section 3.  It is also the process layout that
-  supervision (:mod:`repro.shard.supervisor`) makes fault-tolerant.
+  commands and barrier payloads with the parent (never objects), as
+  checksummed frames under a deadline, and a lost worker is respawned
+  and replayed (:class:`MpBackend`).  Measured by ``bench/``'s
+  ``shard_spin_mp`` workload as ``shard.mp_over_inline`` (mp wall /
+  inline wall, two workers pinned to two CPUs): 0.70-0.97 while every
+  epoch cost two pipe round-trips, 0.48-0.62 once a quiet window cost
+  one; the break-even grid is in ``docs/SHARDING.md`` section 3.
 
 One command advances history -- the **slice command** ``epoch``: it
 carries the barrier due where the cores stand (``barrier``: this
@@ -52,19 +52,28 @@ canonical ``(target, src, seq)`` order, so any schedule of the
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import select
+import signal
+import time
 import traceback
 from collections import deque
+from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.errors import ShardError
+from repro.errors import FrameCorruptError, ShardError
 from repro.shard.core import ShardCore
-from repro.shard.plan import GRID_EPS, ShardPlan, grid_instants, on_grid
+from repro.shard.frames import (corrupt_frame, decode_frame, encode_frame,
+                                recv_frame, send_frame)
+from repro.shard.hostfaults import HostFaultPlan, HostFaultSchedule
+from repro.shard.plan import (GRID_EPS, ShardPlan, finite, grid_instants,
+                              integer, on_grid)
 from repro.shard.router import ShardRouter
 from repro.shard.topology import ShardTopology
 
 __all__ = ["BACKENDS", "InlineBackend", "MpBackend", "SingleBackend",
-           "make_backend"]
+           "SupervisorPolicy", "make_backend"]
 
 #: ``collect``'s ``want`` -> the pure per-core read that answers it.
 _COLLECT_VIEWS = {"snapshot": ShardCore.snapshot_state,
@@ -89,12 +98,11 @@ def _execute_command(cores: Dict[int, ShardCore], router: ShardRouter,
     """Run one command against the cores living in this process.
 
     The only interpreter: the inline backend, every worker main and a
-    degraded supervisor all come through here, so the command
-    semantics -- and therefore the produced histories -- cannot drift
-    between the in-process, the fail-stop and the fault-tolerant
-    protocol.  ``epoch`` is the slice command (module docstring) and
-    the only one that advances history, hence the only one a supervisor
-    logs.  With ``obs`` its reply piggybacks one list of delta-state
+    degraded mp run all come through here, so the command semantics
+    -- and therefore the produced histories -- cannot drift between
+    the in-process and the worker protocol.  ``epoch`` is the slice
+    command (module docstring) and the only one that advances history,
+    hence the only one the mp backend logs for replay.  With ``obs`` its reply piggybacks one list of delta-state
     obs frames (:meth:`ShardCore.obs_frame`, one per core) per epoch it
     ran, plus one for an inclusive stop; each frame moves its core's
     delta baseline, which recovery rebuilds with the rest of the core
@@ -284,6 +292,12 @@ class _Backend:
         """Kernels living in the parent process (none by default)."""
         return []
 
+    def recovery_summary(self) -> Dict[str, Any]:
+        """Host-fate annex: recovery counters and events (observability;
+        not canonical state).  Only mp workers have a fate to report."""
+        return {"degraded": False, "degrade_reason": None, "restarts": [],
+                "retries": [], "faults_armed": 0, "events": []}
+
 
 class InlineBackend(_Backend):
     """Cores run sequentially, a whole epoch at a time, in core order."""
@@ -370,6 +384,53 @@ class SingleBackend(InlineBackend):
 
 # -- multiprocessing backend --------------------------------------------------
 
+#: The longest wait ``poll(2)`` takes (its timeout is an int of ms).
+_MAX_WAIT_S = (2 ** 31 - 1) / 1000.0
+
+
+@dataclass(frozen=True)
+class SupervisorPolicy:
+    """The mp backend's recovery budget and exchange deadline (host
+    time, never virtual time: it supervises real processes, not
+    simulated ones).
+
+    ``max_retries`` bounds recoveries *per command exchange*; once a
+    single slice command needs more, the run degrades to the inline
+    backend (``degrade=True``) or raises.  ``deadline_s`` bounds each
+    exchange -- one command and its reply, however many epochs the
+    command's window covers; a worker that does not reply in time is
+    declared hung.  Failed attempt ``k`` backs off
+    ``min(backoff_base_s * backoff_factor**(k-1), backoff_max_s)``
+    host seconds before the respawn.
+    """
+
+    max_retries: int = 3
+    deadline_s: float = 30.0
+    backoff_base_s: float = 0.05
+    backoff_factor: float = 2.0
+    backoff_max_s: float = 1.0
+    degrade: bool = True
+
+    def __post_init__(self) -> None:
+        if integer("max_retries", self.max_retries) < 0:
+            raise ShardError(f"max_retries must be >= 0: {self.max_retries}")
+        if not 0 < finite("deadline_s", self.deadline_s) <= _MAX_WAIT_S:
+            raise ShardError(f"deadline_s must be positive and at most "
+                             f"{_MAX_WAIT_S:g}: {self.deadline_s}")
+        if (finite("backoff_base_s", self.backoff_base_s) < 0
+                or finite("backoff_max_s", self.backoff_max_s) < 0):
+            raise ShardError("backoff delays must be >= 0")
+        if finite("backoff_factor", self.backoff_factor) < 1:
+            raise ShardError(
+                f"backoff_factor must be >= 1: {self.backoff_factor}")
+
+    def backoff_for(self, attempt: int) -> float:
+        """Host-seconds delay before the ``attempt``-th respawn."""
+        if attempt < 1:
+            raise ShardError(f"attempt is 1-based: {attempt}")
+        return min(self.backoff_base_s * self.backoff_factor ** (attempt - 1),
+                   self.backoff_max_s)
+
 
 def _reap_process(process: Any, timeout: float) -> bool:
     """Join ``process``, escalating terminate -> kill; True when dead."""
@@ -381,6 +442,15 @@ def _reap_process(process: Any, timeout: float) -> bool:
         process.kill()
         process.join(timeout=timeout)
     return not process.is_alive()
+
+
+def _readable(conn: Any, timeout_s: float) -> bool:
+    """Whether ``conn`` holds a reply (or EOF) within ``timeout_s``:
+    ``Connection.poll``'s answer without the selector it builds per
+    call, on the latency path of every exchange."""
+    poller = select.poll()
+    poller.register(conn.fileno(), select.POLLIN)
+    return bool(poller.poll(timeout_s * 1000.0))
 
 
 def _build_worker_cores(plan_dict: Dict[str, Any], core_ids: List[int],
@@ -403,7 +473,7 @@ def _build_worker_cores(plan_dict: Dict[str, Any], core_ids: List[int],
 
 def _describe_error(exc: BaseException, command: Optional[str]) -> dict:
     """Worker-side failure description shipped back over the pipe, so
-    supervisor logs and ShardError messages name the real cause."""
+    recovery logs and ShardError messages name the real cause."""
     return {
         "type": type(exc).__name__,
         "message": str(exc),
@@ -422,26 +492,57 @@ def _format_worker_error(shard: int, error: Dict[str, Any]) -> str:
             f"{error.get('traceback', '')}")
 
 
-def _recv_pickled(conn: Any) -> Dict[str, Any]:
-    return conn.recv()
+def _self_destruct() -> None:  # pragma: no cover - runs in worker process
+    """Die the hard way: SIGKILL leaves no chance to flush or reply."""
+    sigkill = getattr(signal, "SIGKILL", None)
+    if sigkill is not None:
+        os.kill(os.getpid(), sigkill)
+    os._exit(137)
 
 
-def _send_pickled(conn: Any, message: Dict[str, Any],
-                  reply: Dict[str, Any]) -> None:
-    conn.send(reply)
+def _wedge_forever() -> None:  # pragma: no cover - runs in worker process
+    """Injected hang: stop serving until the parent kills us."""
+    while True:
+        time.sleep(3600)  # repro: noqa[RPR006] -- injected 'wedge' host fault: this worker must block on wall time forever so the parent's exchange deadline expires
 
 
-#: A worker's wire codec: ``recv(conn) -> message`` and
-#: ``send(conn, message, reply)`` (the reply travels with the command
-#: it answers).  Module-level functions, so the pair pickles under the
-#: ``spawn`` start method.
-WorkerCodec = Tuple[Callable[[Any], Dict[str, Any]],
-                    Callable[[Any, Dict[str, Any], Dict[str, Any]], None]]
+def _recv_command(conn: Any) -> Dict[str, Any]:  # pragma: no cover - worker
+    """One checksummed command frame.  Armed host-fault descriptors
+    ride on the command and make the worker damage itself at the
+    scripted point; a ``kill`` at point ``pre`` fires here, before any
+    of the command's work."""
+    message = recv_frame(conn)
+    for fault in message.get("faults", ()):
+        if fault["kind"] == "kill" and fault["point"] == "pre":
+            _self_destruct()
+    return message
+
+
+def _send_reply(conn: Any, message: Dict[str, Any],
+                reply: Dict[str, Any]) -> None:  # pragma: no cover - worker
+    """Frame ``reply``, damaged as the faults armed on ``message``
+    demand -- it may never arrive (``drop``), and ``kill``/``wedge``
+    do not return."""
+    frame: Optional[bytes] = encode_frame(reply)
+    for fault in message.get("faults", ()):
+        kind = fault["kind"]
+        if kind == "kill":  # point "pre" never got this far
+            _self_destruct()
+        elif kind == "wedge":
+            _wedge_forever()
+        elif kind == "drop":
+            frame = None
+        elif kind == "corrupt" and frame is not None:
+            frame = corrupt_frame(frame)
+        elif kind == "slow":
+            time.sleep(fault["delay_s"])  # repro: noqa[RPR006] -- injected 'slow' host fault: delays a real worker process on wall time; virtual time is untouched
+    if frame is not None:
+        conn.send_bytes(frame)
 
 
 def _worker_main(conn: Any, plan_dict: Dict[str, Any],
                  core_ids: List[int], sanitize: bool, obs: bool,
-                 flight: bool, codec: WorkerCodec) -> None:
+                 flight: bool) -> None:
     """Worker entry point: rebuild this shard's cores from the plan
     and serve slice commands until told to stop.
 
@@ -451,26 +552,25 @@ def _worker_main(conn: Any, plan_dict: Dict[str, Any],
     ``REPRO_SANITIZE=1`` -- their own race sanitizer, so barrier
     handoffs are sanitized inside every process.
     """
-    recv, send = codec
     command: Optional[str] = None
     try:
         cores, router = _build_worker_cores(plan_dict, core_ids, sanitize,
                                             obs=obs, flight=flight)
         while True:
-            message = recv(conn)
+            message = _recv_command(conn)
             command = message.get("cmd")
             reply = _execute_command(cores, router, message, obs=obs)
-            send(conn, message, reply)
+            _send_reply(conn, message, reply)
             if reply.get("stop"):
                 break
     except EOFError:  # parent went away (or respawned us): done
         pass
     except BaseException as exc:
-        # Includes a damaged *incoming* message: the command cannot be
-        # trusted, so report and stop serving -- a supervisor treats
-        # the dying worker as a host fault.
+        # Includes a damaged *incoming* frame: the command cannot be
+        # trusted, so report and stop serving -- the parent treats the
+        # dying worker as a host fault.
         try:
-            send(conn, {}, {"error": _describe_error(exc, command)})
+            _send_reply(conn, {}, {"error": _describe_error(exc, command)})
         except (OSError, ValueError):
             pass
     finally:
@@ -478,17 +578,73 @@ def _worker_main(conn: Any, plan_dict: Dict[str, Any],
 
 
 class MpBackend(_Backend):
-    """One persistent worker process per shard, payloads over pipes."""
+    """One persistent worker process per shard, supervised.
+
+    Every pipe message is a sha256-checksummed frame
+    (:mod:`repro.shard.frames`), so damaged bytes are detected, not
+    applied; every exchange is bounded by the policy's host-time
+    deadline, so a wedged worker is detected, not waited on forever.
+    On a worker crash (SIGKILL/exit), hang or corrupt frame the
+    shard's worker is respawned from the plan and **replayed from the
+    committed command log** -- every slice command (a window of epochs
+    and the barrier payloads it carried) already acknowledged.  A
+    core's history is a pure function of ``(plan, core id, barrier
+    payloads received)`` (``docs/SHARDING.md`` section 6), so replay
+    rebuilds the state at the last committed barrier bit-exactly.
+    Recoveries per exchange are bounded by a :class:`SupervisorPolicy`
+    with exponential backoff; past the budget the run **degrades**:
+    every worker is stopped, the whole universe is rebuilt in-process
+    from the same log, and the run finishes on the inline path.
+
+    A worker *exception* (a reply carrying a traceback) is not a host
+    fault: deterministic code re-raises on every retry, so it surfaces
+    at once as a :class:`ShardError` naming the real cause.  Host
+    faults can be injected deliberately through a
+    :class:`~repro.shard.hostfaults.HostFaultPlan`: armed descriptors
+    ride on the command frames and the worker damages *itself*.
+
+    This class supervises real operating-system processes, so it is
+    the one place in the shard layer where *host* time appears:
+    deadlines and backoff never touch virtual time.
+    """
 
     name = "mp"
 
-    _worker_codec: WorkerCodec = (_recv_pickled, _send_pickled)
+    #: Host seconds granted to each shutdown stage (stop ack, join,
+    #: terminate, kill); a class attribute so tests can shrink it.
+    close_timeout_s = 5.0
 
     def __init__(self, plan: ShardPlan, topology: ShardTopology,
-                 obs: bool = False, flight: bool = False) -> None:
-        import multiprocessing  # a cold path: inline runs never load it
-
+                 obs: bool = False, flight: bool = False,
+                 policy: Optional[SupervisorPolicy] = None,
+                 host_faults: Optional[HostFaultPlan] = None,
+                 telemetry: Any = None) -> None:
         super().__init__(plan, topology, obs=obs, flight=flight)
+        if host_faults is not None:
+            host_faults.validate_for(topology.shards)
+        self.policy = policy if policy is not None else SupervisorPolicy()
+        self.schedule = HostFaultSchedule(host_faults)
+        self.telemetry = telemetry
+        #: Committed (fully acknowledged) slice commands, in issue order
+        #: -- the recovery log, one entry per window.  Each keeps the
+        #: *full* payload list of the barrier it carried, so both
+        #: per-shard replay and inline degradation can regroup it.
+        self._log: List[Dict[str, Any]] = []
+        #: Index of the slice currently executing: every epoch and
+        #: every inclusive stop counts one, however many a command
+        #: covers (host faults are scheduled in these coordinates, and
+        #: a command's faults are those of its first slice).
+        self._epoch_index = -1
+        #: Virtual time of the current command (observability only).
+        self._time = 0.0
+        # -- recovery bookkeeping (observability; not canonical state) --
+        self.events: List[Dict[str, Any]] = []
+        self.restarts = [0] * topology.shards
+        self.retries = [0] * topology.shards
+        self.degraded = False
+        self.degrade_reason: Optional[str] = None
+        #: Where every command goes once the run has degraded.
+        self._inline: Optional[InlineBackend] = None
         self._context = multiprocessing.get_context()
         self._sanitize = bool(os.environ.get("REPRO_SANITIZE"))
         self._workers: List[Any] = []
@@ -499,14 +655,15 @@ class MpBackend(_Backend):
             self._workers.append(process)
             self._conns.append(conn)
 
+    # -- worker lifecycle -----------------------------------------------------
+
     def _spawn_worker(self, shard: int,
                       plan_dict: Dict[str, Any]) -> Tuple[Any, Any]:
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
             target=_worker_main,
             args=(child_conn, plan_dict, self.topology.cores_of(shard),
-                  self._sanitize, self.obs, self.flight,
-                  self._worker_codec),
+                  self._sanitize, self.obs, self.flight),
             daemon=True,
             name=f"repro-shard-{shard}",
         )
@@ -514,7 +671,65 @@ class MpBackend(_Backend):
         child_conn.close()
         return process, parent_conn
 
-    # -- command plumbing -----------------------------------------------------
+    def _discard_worker(self, shard: int) -> None:
+        """Get rid of a worker whose state is already written off.
+
+        SIGKILL first (before the pipe closes, so every discarded
+        worker dies the same way), reap second: waiting for the worker
+        to notice its closed pipe does not work under ``fork``, where
+        later-spawned siblings inherit the parent's end of earlier
+        workers' pipes and a live worker therefore never reads EOF."""
+        self._workers[shard].kill()
+        try:
+            self._conns[shard].close()
+        except OSError:  # pragma: no cover - already torn down
+            pass
+        _reap_process(self._workers[shard], self.close_timeout_s)
+
+    def _respawn_worker(self, shard: int, attempt: int) -> None:
+        self._discard_worker(shard)
+        backoff = self.policy.backoff_for(attempt)
+        if backoff > 0:
+            time.sleep(backoff)  # repro: noqa[RPR006] -- supervision backoff is host-level by design: it paces real process respawns and never touches virtual time, so the simulated history is unperturbed
+        self._workers[shard], self._conns[shard] = self._spawn_worker(
+            shard, self.plan.to_dict())
+        self.restarts[shard] += 1
+        self._event("worker.restart", shard=shard, attempt=attempt)
+
+    # -- observability --------------------------------------------------------
+
+    def _event(self, kind: str, shard: Optional[int] = None,
+               **attrs: Any) -> None:
+        entry: Dict[str, Any] = {
+            "kind": kind, "time": self._time, "epoch": self._epoch_index,
+            "shard": shard,
+        }
+        entry.update(attrs)
+        self.events.append(entry)
+        if self.telemetry is not None:
+            labels = None if shard is None else {"shard": str(shard)}
+            self.telemetry.registry.counter(
+                f"shard.{kind}", labels,
+                help="mp shard backend recovery event").inc()
+            self.telemetry.tracer.event(
+                track="supervisor", name=f"shard.{kind}", category="shard",
+                time=self._time,
+                attrs={key: value for key, value in entry.items()
+                       if key not in ("kind", "time")})
+
+    def recovery_summary(self) -> Dict[str, Any]:
+        # A per-shard counter is listed only once a shard counted one,
+        # so an undisturbed run reports what every backend does.
+        return {
+            "degraded": self.degraded,
+            "degrade_reason": self.degrade_reason,
+            "restarts": list(self.restarts) if any(self.restarts) else [],
+            "retries": list(self.retries) if any(self.retries) else [],
+            "faults_armed": self.schedule.armed,
+            "events": [dict(event) for event in self.events],
+        }
+
+    # -- framed exchanges with recovery ---------------------------------------
 
     def _shard_messages(self, message: Dict[str, Any]
                         ) -> List[Dict[str, Any]]:
@@ -522,54 +737,201 @@ class MpBackend(_Backend):
         payloads go only to the shard hosting their target core."""
         shards = range(self.topology.shards)
         if message.get("barrier") is None:
-            return [dict(message) for _ in shards]
+            return [message for _ in shards]
         grouped = _group_payloads(message["barrier"], self.topology.shard_of)
         return [{**message, "barrier": grouped.get(shard, [])}
                 for shard in shards]
 
-    def _post(self, shard: int, message: Dict[str, Any]) -> None:
-        self._conns[shard].send(message)
+    def _send(self, shard: int, message: Dict[str, Any]) -> bool:
+        try:
+            send_frame(self._conns[shard], message)
+            return True
+        except (OSError, ValueError):
+            return False
+
+    def _armed(self, shard: int, message: Dict[str, Any],
+               arm: bool) -> Dict[str, Any]:
+        """``message`` plus the host faults due on this shard now
+        (consumed on arming, so a retried command runs clean)."""
+        faults = self.schedule.arm(shard, self._epoch_index) if arm else []
+        if not faults:
+            return message
+        self._event("fault.armed", shard=shard, fault=faults[0]["kind"])
+        return {**message, "faults": faults}
+
+    def _await(self, shard: int) -> Tuple[str, Any]:
+        """Wait for one framed reply under the exchange deadline.
+
+        Returns ``("ok", reply)`` or a failure classification:
+        ``hang`` (deadline expired), ``crash`` (pipe died), or
+        ``corrupt`` (frame failed its checksum).  A structured worker
+        error is deterministic, not a host fault, and raises."""
+        conn = self._conns[shard]
+        deadline = self.policy.deadline_s
+        try:
+            if not _readable(conn, deadline):
+                return "hang", f"no reply within {deadline:g}s"
+            raw = conn.recv_bytes()
+        except (EOFError, OSError):
+            return "crash", "pipe closed"
+        try:
+            reply = decode_frame(raw)
+        except FrameCorruptError as exc:
+            return "corrupt", str(exc)
+        if "error" in reply:
+            raise ShardError(_format_worker_error(shard, reply["error"]))
+        return "ok", reply
+
+    def _budget_exhausted(self, shard: int, failures: int, status: str,
+                          detail: Any) -> bool:
+        """True when the caller should stop retrying because the run
+        degraded; raises instead when degradation is disabled."""
+        if failures <= self.policy.max_retries:
+            return False
+        reason = (f"shard {shard} exhausted its retry budget "
+                  f"({self.policy.max_retries}) at epoch "
+                  f"{self._epoch_index}; last failure {status}: {detail}")
+        if self.policy.degrade:
+            self._degrade(reason)
+            return True
+        raise ShardError(reason)
+
+    def _replay_into_worker(self, shard: int) -> Tuple[bool, str]:
+        """Re-execute the committed log in a fresh worker.
+
+        Replies (including re-emitted barrier payloads) are discarded:
+        they were already committed.  Faults are never armed during
+        replay -- double faults are encoded as a second plan entry
+        firing on the *retried* command instead."""
+        for command in self._log:
+            if not self._send(shard, self._shard_messages(command)[shard]):
+                return False, "crash: pipe closed during replay"
+            status, detail = self._await(shard)
+            if status != "ok":
+                return False, f"{status} during replay: {detail}"
+        return True, ""
+
+    def _finish_exchange(self, shard: int, message: Dict[str, Any],
+                         arm: bool, in_flight: bool,
+                         ) -> Optional[Dict[str, Any]]:
+        """Drive one shard's exchange to a committed reply, recovering
+        as needed; None means the run degraded (reply is moot)."""
+        failures = 0
+        need_recovery = False
+        while True:
+            if need_recovery:
+                self._respawn_worker(shard, failures)
+                ok, detail = self._replay_into_worker(shard)
+                if not ok:
+                    failures += 1
+                    self.retries[shard] += 1
+                    self._event("fault.detected", shard=shard,
+                                failure="replay", detail=detail,
+                                attempt=failures)
+                    if self._budget_exhausted(shard, failures, "replay",
+                                              detail):
+                        return None
+                    continue
+                need_recovery = False
+                self._event("epoch.retry", shard=shard,
+                            cmd=message["cmd"], attempt=failures)
+            if in_flight:
+                in_flight = False
+                status, value = self._await(shard)
+            elif self._send(shard, self._armed(shard, message, arm)):
+                status, value = self._await(shard)
+            else:
+                status, value = "crash", "pipe closed on send"
+            if status == "ok":
+                return value
+            failures += 1
+            self.retries[shard] += 1
+            self._event("fault.detected", shard=shard, failure=status,
+                        detail=str(value), attempt=failures,
+                        cmd=message["cmd"])
+            if self._budget_exhausted(shard, failures, status, value):
+                return None
+            need_recovery = True
+
+    def window_limit(self) -> Optional[int]:
+        """A command is armed with the faults of its first slice only,
+        so it stops short of the next slice a fault is scheduled on."""
+        if self._inline is not None:
+            return None
+        return self.schedule.clear_run(self._epoch_index + 1)
 
     def _broadcast(self, message: Dict[str, Any]) -> List[Dict[str, Any]]:
-        """Send to every worker first, then gather replies, so shards
-        genuinely run concurrently."""
-        for shard, mine in enumerate(self._shard_messages(message)):
-            self._post(shard, mine)
-        replies = []
-        for shard, conn in enumerate(self._conns):
-            try:
-                reply = conn.recv()
-            except EOFError:
-                raise ShardError(
-                    f"shard worker {shard} died mid-command "
-                    f"{message.get('cmd')!r}") from None
-            if "error" in reply:
-                raise ShardError(_format_worker_error(shard, reply["error"]))
+        """Send to every worker before gathering any reply, so the
+        shards genuinely run concurrently, then drive each exchange to
+        a committed reply.  A run that has degraded -- before or during
+        this command -- executes it on the inline backend."""
+        if self._inline is not None:
+            return self._inline._broadcast(message)
+        arm = message["cmd"] == "epoch"
+        if arm:
+            self._epoch_index += 1
+            self._time = message["horizon"]
+        messages = self._shard_messages(message)
+        in_flight = [self._send(shard, self._armed(shard, mine, arm))
+                     for shard, mine in enumerate(messages)]
+        replies: List[Dict[str, Any]] = []
+        for shard, mine in enumerate(messages):
+            reply = self._finish_exchange(shard, mine, arm, in_flight[shard])
+            if reply is None:  # degraded mid-command; partial replies moot
+                return self._inline._broadcast(message)
             replies.append(reply)
+        if arm:
+            # Logged as is: each command is a fresh dict, and neither
+            # the engine nor this backend touches it once sent.
+            self._log.append(message)
+            # The command's slices after its first: epochs, then a stop.
+            epochs = sum(1 for _ in grid_instants(
+                message["start"], message["horizon"], message["epoch_ms"]))
+            self._epoch_index += epochs + message["inclusive"] - 1
         return replies
 
-    # -- lifecycle ------------------------------------------------------------
+    # -- degradation ----------------------------------------------------------
 
-    #: Host seconds granted to each shutdown stage (stop ack, join,
-    #: terminate, kill); a class attribute so tests can shrink it.
-    close_timeout_s = 5.0
+    def _degrade(self, reason: str) -> None:
+        """Migrate the entire run to the inline backend mid-run.
+
+        Discards every worker, builds an :class:`InlineBackend` (all
+        cores in-process) and replays the committed command log
+        through it.  Legal because engine snapshots exclude
+        backend/shard identity; bit-exact because the log *is* the
+        universe's input history.  ``local_kernels()`` stays empty, so
+        recorder fan-out does not depend on backend fate."""
+        self._event("backend.degrade", detail=reason)
+        self.degraded = True
+        self.degrade_reason = reason
+        for shard in range(len(self._workers)):
+            self._discard_worker(shard)
+        self._workers, self._conns = [], []
+        self._inline = InlineBackend(self.plan, self.topology, obs=self.obs,
+                                     flight=self.flight)
+        for command in self._log:
+            self._inline._broadcast(command)
+
+    # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
         """Stop every worker, escalating politely: ``stop`` command ->
         ``terminate`` (SIGTERM) -> ``kill`` (SIGKILL).
 
-        Wedged workers used to hang this method at ``conn.recv()``;
-        the ack wait is now bounded by ``close_timeout_s`` and pipes
-        that died early (EOF/broken) are tolerated.  A worker that
-        survives SIGKILL is reported by shard id instead of hanging
-        the interpreter at exit.
+        The ack wait is bounded by ``close_timeout_s`` and pipes that
+        died early (EOF/broken) are tolerated, so a wedged worker
+        cannot hang this method.  A worker that survives SIGKILL is
+        reported by shard id instead of hanging the interpreter at
+        exit.
         """
+        if self._inline is not None:
+            self._inline.close()
         timeout = self.close_timeout_s
         for shard, conn in enumerate(self._conns):
             try:
-                self._post(shard, {"cmd": "stop"})
-                if conn.poll(timeout):
-                    conn.recv_bytes()  # the ack, whatever its codec
+                if self._send(shard, {"cmd": "stop"}) \
+                        and _readable(conn, timeout):
+                    conn.recv_bytes()  # the ack
             except (OSError, EOFError):
                 pass
             finally:
@@ -601,11 +963,14 @@ BACKENDS = {
 
 
 def make_backend(name: str, plan: ShardPlan, topology: ShardTopology,
-                 obs: bool = False, flight: bool = False) -> Any:
+                 **options: Any) -> Any:
+    """Backend ``name`` over ``plan``; ``options`` are its keywords
+    (``obs``/``flight`` for every backend, the supervision ones for
+    ``mp``)."""
     try:
         factory = BACKENDS[name]
     except KeyError:
         raise ShardError(
             f"unknown shard backend {name!r}; choose from "
             f"{sorted(BACKENDS)}") from None
-    return factory(plan, topology, obs=obs, flight=flight)
+    return factory(plan, topology, **options)

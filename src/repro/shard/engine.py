@@ -139,20 +139,15 @@ class ShardedEngine:
         ``"single"`` (the oracle), ``"inline"`` (default), or ``"mp"``.
     epoch_ms:
         Barrier grid; defaults to the plan's ``epoch_ms``.
-    supervise:
-        Run the ``mp`` backend under the fault-tolerant supervisor
-        (:class:`repro.shard.supervisor.SupervisedMpBackend`):
-        checksummed pipe frames, per-barrier heartbeats, and
-        respawn-and-replay recovery.  Requires ``backend="mp"``.
     policy:
-        A :class:`repro.shard.supervisor.SupervisorPolicy` overriding
-        the default retry budget / deadlines (supervised runs only).
+        A :class:`repro.shard.backends.SupervisorPolicy` overriding the
+        mp backend's retry budget, exchange deadline and backoff.
     host_faults:
         A :class:`repro.shard.hostfaults.HostFaultPlan` of host-level
-        faults to inject deliberately (supervised runs only).
+        faults to inject deliberately into the mp workers.
     telemetry:
-        A :class:`repro.telemetry.Telemetry` hub for recovery counters
-        and supervisor trace events (supervised runs only).
+        A :class:`repro.telemetry.Telemetry` hub for the mp backend's
+        recovery counters and trace events.
     slo_policy:
         A :class:`repro.telemetry.slo.SloPolicy` for the watchdogs that
         judge every slice as it is observed (obs runs only; default
@@ -162,7 +157,6 @@ class ShardedEngine:
     def __init__(self, plan: Any, shards: int = 1,
                  backend: str = "inline",
                  epoch_ms: Optional[float] = None,
-                 supervise: bool = False,
                  policy: Any = None,
                  host_faults: Any = None,
                  telemetry: Any = None,
@@ -183,29 +177,21 @@ class ShardedEngine:
         self.topology = ShardTopology(self.plan.cores, shards,
                                       self.plan.placement)
         self.backend_name = backend
-        self.supervised = bool(supervise)
         #: A flight dir implies obs: the recorder rings ride obs frames.
         self.obs_enabled = bool(obs or flight_dir)
         self.flight_dir = flight_dir
-        obs_args = {"obs": self.obs_enabled, "flight": bool(flight_dir)}
-        if not supervise and (policy is not None or host_faults is not None):
+        options: Dict[str, Any] = {"obs": self.obs_enabled,
+                                   "flight": bool(flight_dir)}
+        if backend == "mp":
+            options.update(policy=policy, host_faults=host_faults,
+                           telemetry=telemetry)
+        elif policy is not None or host_faults is not None:
             raise ShardError(
-                "policy/host_faults require supervise=True: only the "
-                "supervised mp backend recovers from host faults")
-        if supervise:
-            if backend != "mp":
-                raise ShardError(
-                    f"supervise=True requires backend='mp' (got "
-                    f"{backend!r}): supervision recovers worker "
-                    f"*processes*, which only the mp backend has")
-            from repro.shard.supervisor import SupervisedMpBackend
-
-            self._backend = SupervisedMpBackend(
-                self.plan, self.topology, policy=policy,
-                host_faults=host_faults, telemetry=telemetry, **obs_args)
-        else:
-            self._backend = make_backend(backend, self.plan, self.topology,
-                                         **obs_args)
+                f"policy/host_faults apply to backend='mp' only (got "
+                f"{backend!r}): they supervise worker *processes*, "
+                f"which only the mp backend has")
+        self._backend = make_backend(backend, self.plan, self.topology,
+                                     **options)
         if self.obs_enabled:
             from repro.telemetry.aggregate import ObsAggregator
 
@@ -356,13 +342,10 @@ class ShardedEngine:
         return self._backend.local_kernels()
 
     def recovery_summary(self) -> dict:
-        """Supervisor recovery counters and events (observability; not
-        part of the canonical state).  Empty for unsupervised runs."""
-        summary = getattr(self._backend, "recovery_summary", None)
-        if summary is None:
-            return {"degraded": False, "restarts": [], "retries": [],
-                    "faults_armed": 0, "events": []}
-        return summary()
+        """The backend's recovery counters and events (observability;
+        not part of the canonical state).  One shape on every backend,
+        and the same value for every undisturbed run."""
+        return self._backend.recovery_summary()
 
     # -- observability plane ---------------------------------------------------
 
@@ -451,7 +434,6 @@ class ShardedEngine:
                 metrics=metrics,
                 recovery=self.recovery_summary(),
                 context={"backend": self.backend_name,
-                         "supervised": self.supervised,
                          "shards": self.topology.shards,
                          "barriers": self._barriers})
             exc.flight_bundle = write_bundle(self.flight_dir, bundle)

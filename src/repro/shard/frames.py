@@ -1,37 +1,36 @@
-"""Checksummed pipe frames for the supervised mp backend.
+"""Checksummed pipe frames: the one codec of the mp backend.
 
-The bare ``mp`` backend trusts its pipes: whatever ``Connection.recv``
-returns is applied verbatim.  The supervised backend assumes pipes can
-*lie* -- a worker may be killed mid-write, wedge forever, or hand back
-bytes that were damaged in flight -- so every message crossing a
-supervised pipe travels as a **frame**: raw bytes
+The mp backend assumes pipes can *lie* -- a worker may be killed
+mid-write, wedge forever, or hand back bytes that were damaged in
+flight -- so every message crossing a worker pipe, either way, travels
+as a **frame**: raw bytes
 
 ``b"RF1\\n" + sha256(body) + body``
 
-where the body is the canonical JSON text of the message (sorted keys,
-no whitespace) in UTF-8 and the 32-byte digest is sha256 over exactly
-those bytes.  The receiver recomputes the digest before parsing; any
-mismatch -- or any frame that is not shaped like a frame -- raises
-:class:`~repro.errors.FrameCorruptError`, which the supervisor treats
+where the body is exactly what ``Connection.send`` would write for the
+message (``multiprocessing``'s ``ForkingPickler.dumps``) and the
+32-byte digest is sha256 over those bytes.  The receiver recomputes
+the digest *before* it unpickles anything, so a damaged body is never
+unpickled; a mismatch -- or a frame not shaped like a frame, or a body
+that does not unpickle to a dict -- raises
+:class:`~repro.errors.FrameCorruptError`, which the backend treats
 exactly like a worker crash: respawn and replay from the last
 committed barrier.
 
-Frames are sent with ``send_bytes``/``recv_bytes`` rather than
-``send``/``recv``: supervision sits on the latency path of every epoch
-exchange, so the pickle wrapper is skipped.  The no-fault supervision
-tax has no committed measurement: ``bench/`` times the bare ``mp``
-backend only (``shard_spin_mp``, ``shard_mix_obs``), and the one paired
-reading made so far is quoted in ``docs/SHARDING.md`` section 6, Cost.
+Frames go through ``send_bytes``/``recv_bytes``, so the checksum costs
+one sha256 pass over bytes the pickle codec produces anyway.  What the
+whole supervision layer costs an undisturbed run is measured in
+``docs/SHARDING.md`` section 6, Cost.
 
-Framing doubles as a protocol-level determinism check: the body bytes
-of a frame are a pure function of the message, so a replayed command
-produces a byte-identical frame.
+Framing doubles as a protocol-level determinism check: a logged
+command is the same object when it is replayed, so it reframes
+byte-identically.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Dict
 
 from repro.errors import FrameCorruptError
@@ -42,7 +41,7 @@ __all__ = ["FRAME_MAGIC", "FRAME_VERSION", "corrupt_frame", "decode_frame",
 FRAME_VERSION = 1
 
 #: Leads every frame; bumping :data:`FRAME_VERSION` changes it, so a
-#: version skew between supervisor and worker reads as corruption.
+#: version skew between parent and worker reads as corruption.
 FRAME_MAGIC = b"RF%d\n" % FRAME_VERSION
 
 _DIGEST_SIZE = hashlib.sha256().digest_size
@@ -50,9 +49,8 @@ _HEADER_SIZE = len(FRAME_MAGIC) + _DIGEST_SIZE
 
 
 def encode_frame(message: Dict[str, Any]) -> bytes:
-    """Frame ``message`` (must be JSON data) as checksummed bytes."""
-    body = json.dumps(message, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    """Frame ``message`` as checksummed bytes."""
+    body = ForkingPickler.dumps(message)
     return FRAME_MAGIC + hashlib.sha256(body).digest() + body
 
 
@@ -72,11 +70,11 @@ def decode_frame(frame: Any) -> Dict[str, Any]:
             f"pipe frame checksum mismatch: header {digest.hex()[:16]}... "
             f"body {actual.hex()[:16]}...")
     try:
-        message = json.loads(body.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+        message = ForkingPickler.loads(body)
+    except Exception as exc:
         raise FrameCorruptError(
-            f"pipe frame body is not JSON despite a valid checksum: "
-            f"{exc}") from exc
+            f"pipe frame body does not unpickle despite a valid "
+            f"checksum: {type(exc).__name__}: {exc}") from exc
     if not isinstance(message, dict):
         raise FrameCorruptError(
             f"pipe frame body must decode to a dict, got "

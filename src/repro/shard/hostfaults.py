@@ -1,4 +1,4 @@
-"""Deterministic host-level fault plans for the supervised mp backend.
+"""Deterministic host-level fault plans for the mp backend.
 
 A :class:`~repro.shard.plan.ShardPlan`'s ``crash`` / ``restart`` ops
 are *simulated* faults: core failures that exist inside the virtual
@@ -6,7 +6,7 @@ universe and are part of the deterministic history every backend
 reproduces.  This module is the other side of the trust boundary:
 **host faults** break the real machinery that executes the simulation
 -- worker processes are SIGKILLed, wedged, slowed, and their pipe
-frames corrupted or dropped -- and the supervised backend's job is to
+frames corrupted or dropped -- and the mp backend's job is to
 recover so that the *simulated* history comes out bit-identical
 anyway.  The two layers never mix: a host fault must not change a
 single byte of the merged replay stream, while a simulated fault is
@@ -21,7 +21,7 @@ run after run.  Fault kinds:
 ``kill``    the worker SIGKILLs itself; ``point="pre"`` crashes before any
             epoch work, ``point="post"`` (default) after computing the epoch
             but before replying -- a crash mid-epoch with work lost
-``wedge``   the worker stops responding forever (supervisor deadline expiry)
+``wedge``   the worker stops responding forever (exchange deadline expiry)
 ``corrupt`` the worker's reply frame is damaged in flight (checksum reject)
 ``drop``    the worker finishes the epoch but its reply frame never arrives
 ``slow``    the reply is delayed by ``delay_s`` host seconds (recovered
@@ -41,6 +41,7 @@ import json
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ShardError
+from repro.shard.plan import finite, integer
 
 __all__ = ["EVERY_EPOCH", "HOST_FAULT_KINDS", "HostFault", "HostFaultPlan",
            "HostFaultSchedule", "PRESETS", "chaos_plan", "kill_every_epoch",
@@ -62,10 +63,10 @@ class HostFault:
     def __init__(self, kind: str, shard: int, epoch: int,
                  point: str = "post", delay_s: float = 0.0) -> None:
         self.kind = str(kind)
-        self.shard = int(shard)
-        self.epoch = int(epoch)
+        self.shard = integer("host fault shard", shard)
+        self.epoch = integer("host fault epoch", epoch)
         self.point = str(point)
-        self.delay_s = float(delay_s)
+        self.delay_s = finite("host fault delay_s", delay_s)
         if self.kind not in HOST_FAULT_KINDS:
             raise ShardError(
                 f"unknown host fault kind {self.kind!r}; choose from "
@@ -163,7 +164,7 @@ class HostFaultPlan:
 
 
 class HostFaultSchedule:
-    """Runtime arming state over a plan (owned by the supervisor).
+    """Runtime arming state over a plan (owned by the mp backend).
 
     ``arm(shard, epoch)`` consumes and returns at most one not-yet-fired
     entry matching the coordinates; each entry fires once per epoch

@@ -26,8 +26,8 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Set
 from repro.errors import ShardError
 from repro.shard.builders import BODY_REGISTRY
 
-__all__ = ["PLANS", "ShardPlan", "finite", "grid_instants", "mix_plan",
-           "on_grid", "spin_plan"]
+__all__ = ["PLANS", "ShardPlan", "finite", "grid_instants", "integer",
+           "mix_plan", "on_grid", "spin_plan"]
 
 #: Slack of every "strictly before the barrier" comparison -- the value
 #: ``LoopCore.run_before`` uses, so the lookahead and the event loop
@@ -63,12 +63,13 @@ def finite(name: str, value: Any) -> float:
     """``value`` as a float, or a ShardError naming the field: plans
     and horizons are shipped into workers and looped on, so they are
     checked at the door."""
-    if not isinstance(value, (int, float)) or not math.isfinite(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
         raise ShardError(f"{name} must be a finite number: {value!r}")
     return float(value)
 
 
-def _integer(name: str, value: Any) -> int:
+def integer(name: str, value: Any) -> int:
     """``value`` if it is an int (not a bool), else a ShardError."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ShardError(f"{name} must be an integer: {value!r}")
@@ -107,8 +108,8 @@ class ShardPlan:
                  ops: Optional[List[Dict[str, Any]]] = None,
                  placement: Optional[Dict[int, int]] = None,
                  rebalance_ms: Optional[float] = None) -> None:
-        self.seed = _integer("plan seed", seed)
-        self.cores = _integer("plan cores", cores)
+        self.seed = integer("plan seed", seed)
+        self.cores = integer("plan cores", cores)
         self.quantum = finite("plan quantum", quantum)
         self.epoch_ms = finite("plan epoch_ms", epoch_ms)
         self.rebalance_ms = (None if rebalance_ms is None

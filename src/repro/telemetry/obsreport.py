@@ -9,12 +9,12 @@ is:
 * ``canonical`` -- everything that is a pure function of the simulated
   universe (metrics, fairness, SLO verdicts, the canonical trace
   digest).  ``canonical_sha256`` is computed over this section alone,
-  so it is byte-identical across ``single``/``inline``/``mp``/
-  supervised backends of the same plan and seed -- the cross-backend
+  so it is byte-identical across ``single``/``inline``/``mp`` backends
+  of the same plan and seed, workers lost or not -- the cross-backend
   acceptance digest.
-* ``recovery`` -- the supervisor's host-fate annex (restarts, retries,
-  degradation), which legitimately differs between a bare and a
-  fault-injected run of the same universe.
+* ``recovery`` -- the mp backend's host-fate annex (restarts, retries,
+  degradation), which legitimately differs between an undisturbed and
+  a fault-injected run of the same universe.
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ def build_report(*, plan_checksum: str, time: float,
         "canonical": canonical,
         "canonical_sha256": hashlib.sha256(
             _dumps(canonical).encode("utf-8")).hexdigest(),
-        "recovery": recovery or {"degraded": False, "restarts": [],
+        "recovery": recovery or {"degraded": False,
+                                 "degrade_reason": None, "restarts": [],
                                  "retries": [], "faults_armed": 0,
                                  "events": []},
         "context": context or {},
@@ -140,7 +141,7 @@ def render_markdown(document: Dict[str, Any]) -> str:
     lines += ["", "## Recovery timeline", ""]
     events = recovery.get("events", [])
     if not events:
-        lines.append("No recovery events (unsupervised or undisturbed run).")
+        lines.append("No recovery events (undisturbed run).")
     else:
         lines += [
             f"- degraded: {recovery.get('degraded', False)}",

@@ -25,7 +25,7 @@ trace-event payload:
   (``fault.detected``, ``worker.restart``, ``epoch.retry``,
   ``backend.degrade``) are instants on a dedicated recovery process.
   They describe *host* fate, which legitimately differs between
-  supervised and bare runs of the same universe, so the metadata
+  faulted and undisturbed runs of the same universe, so the metadata
   carries two digests: ``sha256`` over the canonical events only
   (identical across backends) and ``recovery_sha256`` over the annex.
 """

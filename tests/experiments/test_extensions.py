@@ -97,3 +97,22 @@ class TestShardObservability:
         assert "supervised+kill x2" in labels  # faulted combo present
         assert any(b == "mp" for _, b, _, _
                    in shard_observability.BACKENDS)
+
+    def test_restarts_are_the_recovery_summarys_sum(self):
+        """The faulted row counts restarts, not shards: the sum of the
+        run's own per-shard counts (one per slice of shard 0 here).
+        An undisturbed mp run counts none, like every other backend."""
+        from repro.experiments import shard_observability
+        from repro.shard.engine import ShardedEngine
+        from repro.shard.hostfaults import kill_every_epoch
+        from repro.shard.plan import mix_plan
+
+        with ShardedEngine(mix_plan(seed=11, cores=4), shards=2,
+                           backend="mp", host_faults=kill_every_epoch(2),
+                           obs=True) as engine:
+            engine.advance(2000.0)
+            restarts = engine.recovery_summary()["restarts"]
+        assert restarts == [5, 0]
+        faulted = shard_observability.run_backend("mp", 2, faulted=True)
+        assert faulted["restarts"] == sum(restarts) == 5
+        assert shard_observability.run_backend("mp", 2)["restarts"] == 0

@@ -76,16 +76,22 @@ def test_verify_records_backend_errors_and_fails(capsys, tmp_path):
     (["run", "--plan", "bogus"], "bogus"),
     (["verify", "--until", "nan"], "finite"),
     (["verify", "--until", "1234.5"], "epoch grid"),
-    (["verify", "--supervise", "--deadline", "0"], "deadline"),
-    (["verify", "--supervise", "--max-retries", "-1"], "max_retries"),
-    (["verify", "--supervise", "--host-faults", "bogus"], "bogus"),
-    (["run", "--backend", "mp", "--supervise", "--host-faults", "bogus"],
-     "bogus"),
+    (["verify", "--deadline", "0"], "deadline"),
+    (["verify", "--max-retries", "-1"], "max_retries"),
+    (["verify", "--host-faults", "bogus"], "bogus"),
+    (["run", "--backend", "mp", "--host-faults", "bogus"], "bogus"),
+    (["run", "--backend", "mp", "--deadline", "inf"], "deadline_s"),
+    (["run", "--backend", "mp", "--deadline", "nan"], "deadline_s"),
+    (["verify", "--deadline=-inf"], "deadline_s"),
+    (["run", "--backend", "mp", "--deadline", "1e9"], "deadline_s"),
+    (["run", "--backend", "mp", "--max-retries", "1.5"], "--max-retries"),
+    (["run", "--backend", "inline", "--host-faults", "chaos"],
+     "backend='mp' only"),
 ])
 def test_bad_arguments_are_one_line_usage_errors(argv, named, capsys):
-    """Bad counts, horizons, backends, plan fields, supervisor policies
-    and host-fault plans, whether argparse, the plan, the engine or the
-    supervisor refuses them: one usage line."""
+    """Bad counts, horizons, backends, plan fields, supervision
+    policies and host-fault plans, whether argparse, the plan, the
+    engine or the policy refuses them: one usage line."""
     with pytest.raises(SystemExit) as caught:
         main(argv)
     assert caught.value.code == 2
@@ -101,13 +107,13 @@ def test_first_divergence_formats_index_and_length():
 
 
 def test_run_supervised_with_host_faults_matches_bare_run(capsys):
-    """The supervised+faulted CLI run prints the same checksums as the
-    unsupervised run of the same plan, plus a recovery line."""
+    """The faulted mp CLI run prints the same checksums as the
+    undisturbed run of the same plan; both print a recovery line."""
     main(["run", "--plan", "mix", "--cores", "2", "--until", "1000",
           "--backend", "mp", "--shards", "2"])
     bare = capsys.readouterr().out
     code = main(["run", "--plan", "mix", "--cores", "2", "--until", "1000",
-                 "--backend", "mp", "--shards", "2", "--supervise",
+                 "--backend", "mp", "--shards", "2",
                  "--host-faults", "kill-every-epoch", "--deadline", "10"])
     supervised = capsys.readouterr().out
     assert code == 0
@@ -116,23 +122,27 @@ def test_run_supervised_with_host_faults_matches_bare_run(capsys):
     sup_sums = [line for line in supervised.splitlines()
                 if line.startswith(("stream", "state"))]
     assert bare_sums == sup_sums
-    assert "recovery:" in supervised and "restarts=" in supervised
+    assert "recovery: restarts=0 retries=0 faults_armed=0" in bare
+    assert "recovery:" in supervised and "restarts=0" not in supervised
 
 
-def test_host_faults_flag_requires_supervise(capsys):
+def test_host_faults_flag_requires_the_mp_backend(capsys):
     with pytest.raises(SystemExit):
-        main(["run", "--backend", "mp", "--host-faults", "chaos"])
-    assert "requires --supervise" in capsys.readouterr().err
+        main(["run", "--backend", "inline", "--host-faults", "chaos"])
+    assert "backend='mp' only" in capsys.readouterr().err
 
 
 def test_verify_supervised_adds_fault_combinations(capsys):
+    """``--host-faults`` on its own adds the one faulted mp combination
+    at the widest shard count."""
     code = main(["verify", "--plan", "mix", "--cores", "2",
                  "--until", "1000", "--backends", "inline",
-                 "--shards", "1,2", "--supervise", "--deadline", "10"])
+                 "--shards", "1,2", "--host-faults", "kill-every-epoch",
+                 "--deadline", "10"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "mp+supervise/s2" in out
-    assert "mp+supervise+faults/s2" in out
+    assert "mp+faults/s2" in out
+    assert "mp/s" not in out
     assert "PASS: all combinations bit-identical" in out
 
 

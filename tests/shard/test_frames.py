@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-import json
+from multiprocessing.reduction import ForkingPickler
 
 import pytest
 
@@ -24,12 +24,16 @@ def test_round_trip_is_identity():
 
 
 def test_frames_are_deterministic():
-    """Same message, same frame bytes -- replayed commands reframe
-    byte-identically (key order must not leak into the body)."""
-    left = encode_frame({"b": 2, "a": 1})
-    right = encode_frame({"a": 1, "b": 2})
-    assert left == right
-    assert left.startswith(FRAME_MAGIC)
+    """A logged command reframes byte-identically when it is replayed,
+    and its body is what ``Connection.send`` would have written."""
+    logged = {"cmd": "epoch", "start": 500.0, "horizon": 1_000.0,
+              "inclusive": False, "epoch_ms": 500.0,
+              "barrier": [{"kind": "spawn", "target": 1, "src": 0,
+                           "seq": 1, "args": {"n": 3}}]}
+    frame = encode_frame(logged)
+    assert encode_frame(logged) == frame
+    assert frame.startswith(FRAME_MAGIC)
+    assert frame.endswith(bytes(ForkingPickler.dumps(logged)))
 
 
 def test_corrupt_frame_is_rejected_by_checksum():
@@ -39,7 +43,7 @@ def test_corrupt_frame_is_rejected_by_checksum():
 
 
 def test_frame_corrupt_error_is_a_shard_error():
-    """The supervisor catches ShardError subtypes uniformly."""
+    """The mp backend catches ShardError subtypes uniformly."""
     assert issubclass(FrameCorruptError, ShardError)
 
 
@@ -63,13 +67,30 @@ def _handmade(body: bytes) -> bytes:
 
 
 def test_valid_checksum_over_non_json_body_is_still_corrupt():
-    with pytest.raises(FrameCorruptError, match="not JSON"):
-        decode_frame(_handmade(b"not json at all"))
+    """Neither the old JSON body nor any other bytes that do not
+    unpickle pass for a message, however valid their digest."""
+    for body in (b"not json at all", b'{"cmd": "stop"}',
+                 bytes(ForkingPickler.dumps({"cmd": "stop"}))[:-3]):
+        with pytest.raises(FrameCorruptError, match="does not unpickle"):
+            decode_frame(_handmade(body))
 
 
-def test_non_dict_json_body_is_rejected():
+@pytest.mark.parametrize("message", [[1, 2, 3], "stop", None, 7])
+def test_non_dict_body_is_rejected(message):
     with pytest.raises(FrameCorruptError, match="dict"):
-        decode_frame(_handmade(json.dumps([1, 2, 3]).encode()))
+        decode_frame(_handmade(bytes(ForkingPickler.dumps(message))))
+
+
+def test_a_damaged_body_is_never_unpickled(monkeypatch):
+    """The digest is checked first: a corrupted frame fails on its
+    checksum without its body reaching the unpickler."""
+    def refuse(*args):
+        raise AssertionError("a damaged body was unpickled")
+
+    frame = corrupt_frame(encode_frame({"cmd": "collect"}))
+    monkeypatch.setattr(ForkingPickler, "loads", refuse)
+    with pytest.raises(FrameCorruptError, match="checksum mismatch"):
+        decode_frame(frame)
 
 
 def test_memoryview_frames_decode():

@@ -74,6 +74,22 @@ def test_from_file_rejects_non_json(tmp_path):
     ({"faults": {"kind": "kill"}}, "'faults' must be a list: dict"),
     ({"faults": ["kill"]}, "host fault must be a dict: str"),
     ({"faults": [{"kind": "explode", "shard": 0}]}, "explode"),
+    ({"faults": [{"kind": "kill", "shard": "x", "epoch": 0}]},
+     "shard must be an integer: 'x'"),
+    ({"faults": [{"kind": "kill", "shard": None, "epoch": 0}]},
+     "shard must be an integer: None"),
+    ({"faults": [{"kind": "kill", "shard": True, "epoch": 0}]},
+     "shard must be an integer: True"),
+    ({"faults": [{"kind": "kill", "shard": 0, "epoch": 1.7}]},
+     "epoch must be an integer: 1.7"),
+    ({"faults": [{"kind": "kill", "shard": 0, "epoch": False}]},
+     "epoch must be an integer: False"),
+    ({"faults": [{"kind": "slow", "shard": 0, "epoch": 0,
+                  "delay_s": float("nan")}]}, "delay_s must be a finite"),
+    ({"faults": [{"kind": "slow", "shard": 0, "epoch": 0,
+                  "delay_s": float("inf")}]}, "delay_s must be a finite"),
+    ({"faults": [{"kind": "slow", "shard": 0, "epoch": 0,
+                  "delay_s": "0.5"}]}, "delay_s must be a finite"),
 ])
 def test_from_dict_names_the_malformed_field(data, complaint):
     with pytest.raises(ShardError, match=complaint):

@@ -13,9 +13,9 @@ from repro.shard.engine import ShardedEngine
 from repro.shard.plan import mix_plan, spin_plan
 
 
-def _mp_engine(supervise=False, **kwargs):
+def _mp_engine(**kwargs):
     return ShardedEngine(spin_plan(seed=3, cores=2), shards=2,
-                         backend="mp", supervise=supervise, **kwargs)
+                         backend="mp", **kwargs)
 
 
 def test_close_does_not_hang_on_a_wedged_worker():
@@ -44,17 +44,6 @@ def test_close_tolerates_an_already_dead_worker():
     workers[1].join(timeout=5.0)
     engine.close()
     assert all(not worker.is_alive() for worker in workers)
-
-
-def test_supervised_close_does_not_hang_on_a_wedged_worker():
-    engine = _mp_engine(supervise=True)
-    engine.advance(200.0)
-    backend = engine._backend
-    backend.close_timeout_s = 1.0
-    victim = backend._workers[0]
-    os.kill(victim.pid, signal.SIGSTOP)
-    engine.close()
-    assert not victim.is_alive()
 
 
 def test_worker_failure_ships_type_and_traceback():

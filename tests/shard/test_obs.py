@@ -3,7 +3,7 @@
 The acceptance criterion for the observability plane is sha-level:
 the aggregated metrics registry, the stitched Chrome trace, and the
 canonical run report must be byte-identical for ``inline`` vs ``mp``
-vs supervised-with-kill-every-epoch at N in {1, 2, 4} shards -- and a
+vs mp-with-kill-every-epoch at N in {1, 2, 4} shards -- and a
 forced worker crash must leave behind a checksum-valid flight bundle.
 The canonical shas below are golden-pinned: a change to any of them is
 a change to the scientific record and must be deliberate.
@@ -18,10 +18,10 @@ import pytest
 
 from repro.checkpoint.statetree import tree_checksum
 from repro.errors import ShardError
+from repro.shard.backends import SupervisorPolicy
 from repro.shard.engine import ShardedEngine
 from repro.shard.hostfaults import HostFault, HostFaultPlan, kill_every_epoch
 from repro.shard.plan import mix_plan
-from repro.shard.supervisor import SupervisorPolicy
 from repro.telemetry.flight import load_bundle, summarize_bundle
 
 # Golden canonical digests for mix_plan(seed=11, cores=4) @ 2000ms.
@@ -35,7 +35,7 @@ EMPTY_RECOVERY = ("4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d"
 
 UNTIL = 2_000.0
 
-#: (backend, shards, supervised-with-kill-every-epoch).
+#: (backend, shards, killed-every-epoch).
 COMBOS = ([("inline", n, False) for n in (1, 2, 4)]
           + [("mp", n, False) for n in (1, 2, 4)]
           + [("mp", n, True) for n in (1, 2, 4)])
@@ -44,7 +44,7 @@ COMBOS = ([("inline", n, False) for n in (1, 2, 4)]
 def _obs_run(backend: str, shards: int, faulted: bool,
              flight_dir=None, policy=None):
     with ShardedEngine(mix_plan(seed=11, cores=4), shards=shards,
-                       backend=backend, supervise=faulted, policy=policy,
+                       backend=backend, policy=policy,
                        host_faults=kill_every_epoch(shards) if faulted
                        else None,
                        obs=True, flight_dir=flight_dir) as engine:
@@ -104,7 +104,6 @@ def test_degraded_run_keeps_the_canonical_record():
     command log, so nothing canonical may differ from a run that was
     inline all along."""
     with ShardedEngine(mix_plan(seed=11, cores=4), shards=2, backend="mp",
-                       supervise=True,
                        policy=SupervisorPolicy(max_retries=0),
                        host_faults=HostFaultPlan(
                            [HostFault("kill", shard=0, epoch=2)]),
@@ -172,7 +171,7 @@ def test_forced_crash_writes_checksum_valid_flight_bundle(tmp_path):
     fault = HostFaultPlan([HostFault("kill", shard=0, epoch=2)])
     with pytest.raises(ShardError) as excinfo:
         with ShardedEngine(mix_plan(seed=11, cores=4), shards=2,
-                           backend="mp", supervise=True,
+                           backend="mp",
                            policy=SupervisorPolicy(max_retries=0,
                                                    degrade=False),
                            host_faults=fault, obs=True,

@@ -22,12 +22,12 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.shard.backends import SupervisorPolicy
 from repro.shard.backends import _execute_command
 from repro.shard.core import ShardCore
 from repro.shard.engine import ShardedEngine
 from repro.shard.hostfaults import HostFault, HostFaultPlan, kill_every_epoch
 from repro.shard.plan import mix_plan, spin_plan
-from repro.shard.supervisor import SupervisorPolicy
 from repro.telemetry.aggregate import (
     FRAME_FORMAT,
     FRAME_VERSION,
@@ -217,13 +217,12 @@ def test_deltas_across_a_pipe_a_kill_every_epoch_and_a_degrade():
     assert piped == want
 
     killed, recovery = _stepwise(_STEPS, shards=2, backend="mp",
-                                 supervise=True,
                                  host_faults=kill_every_epoch(2))
     assert killed == want
     assert sum(recovery["restarts"]) >= 20
 
     degraded, recovery = _stepwise(
-        _STEPS, shards=2, backend="mp", supervise=True,
+        _STEPS, shards=2, backend="mp",
         policy=SupervisorPolicy(max_retries=0),
         host_faults=HostFaultPlan([HostFault("kill", shard=1, epoch=7)]))
     assert degraded == want

@@ -1,8 +1,8 @@
-"""Supervised mp backend: recovery under every host-fault kind, with
+"""Mp backend supervision: recovery under every host-fault kind, with
 bit-exact equivalence against the undisturbed single-loop run.
 
 Every equivalence test follows the acceptance shape: run the universe
-once undisturbed (single-loop oracle), once supervised with faults
+once undisturbed (single-loop oracle), once on mp workers with faults
 injected, and require sha256-identical merged replay streams and final
 state trees.  Host faults must never change a byte of the simulated
 history -- that is the whole contract.
@@ -10,12 +10,15 @@ history -- that is the whole contract.
 
 from __future__ import annotations
 
+import math
+import os
 import signal
 
 import pytest
 
 from repro.checkpoint.statetree import tree_checksum
 from repro.errors import ShardError
+from repro.shard.backends import SupervisorPolicy
 from repro.shard.engine import ShardedEngine
 from repro.shard.hostfaults import (
     HostFault,
@@ -23,7 +26,6 @@ from repro.shard.hostfaults import (
     kill_every_epoch,
 )
 from repro.shard.plan import mix_plan
-from repro.shard.supervisor import SupervisorPolicy
 from repro.telemetry import Telemetry
 
 UNTIL = 1_500.0  # three 500ms epochs: enough for cross-core traffic
@@ -50,7 +52,7 @@ def _oracle():
 
 def _supervised(host_faults=None, policy=FAST, shards=4, telemetry=None):
     engine = ShardedEngine(_plan(), shards=shards, backend="mp",
-                           supervise=True, policy=policy,
+                           policy=policy,
                            host_faults=host_faults, telemetry=telemetry)
     with engine:
         engine.advance(UNTIL)
@@ -71,6 +73,17 @@ def test_policy_validates_its_fields():
         SupervisorPolicy(backoff_factor=0.5)
     with pytest.raises(ShardError, match=">= 0"):
         SupervisorPolicy(backoff_base_s=-1.0)
+    # Not finite: the exchange wait and the backoff sleep cannot take it.
+    for field in ("deadline_s", "backoff_base_s", "backoff_factor",
+                  "backoff_max_s"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ShardError, match=field):
+                SupervisorPolicy(**{field: value})
+    with pytest.raises(ShardError, match="deadline_s"):
+        SupervisorPolicy(deadline_s=1e7)  # past the longest poll(2) wait
+    for retries in (1.5, True, "3", None):
+        with pytest.raises(ShardError, match="max_retries"):
+            SupervisorPolicy(max_retries=retries)
 
 
 def test_policy_backoff_is_exponential_and_capped():
@@ -87,20 +100,18 @@ def test_policy_backoff_is_exponential_and_capped():
 # -- engine wiring guards ------------------------------------------------------
 
 
-def test_supervise_requires_the_mp_backend():
-    with pytest.raises(ShardError, match="requires backend='mp'"):
-        ShardedEngine(_plan(), shards=2, backend="inline", supervise=True)
-
-
-def test_host_faults_require_supervision():
-    with pytest.raises(ShardError, match="require supervise"):
-        ShardedEngine(_plan(), shards=2, backend="mp",
-                      host_faults=kill_every_epoch())
+@pytest.mark.parametrize("backend", ["single", "inline"])
+def test_policy_and_host_faults_require_the_mp_backend(backend):
+    """Only mp has worker processes to supervise: anything else refuses
+    a policy or a host-fault plan instead of ignoring it."""
+    for kwargs in ({"policy": FAST}, {"host_faults": kill_every_epoch()}):
+        with pytest.raises(ShardError, match="backend='mp' only"):
+            ShardedEngine(_plan(), shards=2, backend=backend, **kwargs)
 
 
 def test_out_of_range_fault_plan_is_rejected_at_construction():
     with pytest.raises(ShardError, match="only 2 shard"):
-        ShardedEngine(_plan(), shards=2, backend="mp", supervise=True,
+        ShardedEngine(_plan(), shards=2, backend="mp",
                       host_faults=HostFaultPlan(
                           [HostFault("kill", shard=3, epoch=0)]))
 
@@ -120,6 +131,25 @@ def test_supervised_run_without_faults_matches_oracle():
     stream, state, recovery = _supervised()
     assert (stream, state) == (want_stream, want_state)
     assert sum(recovery["restarts"]) == 0
+    assert recovery["degraded"] is False
+
+
+def test_a_worker_killed_from_outside_between_advances_is_recovered():
+    """No host-fault plan: a plain mp run whose worker is SIGKILLed by
+    someone else between two ``advance`` calls respawns and replays it
+    at the next exchange, and still matches the oracle bit for bit."""
+    want = _oracle()
+    with ShardedEngine(_plan(), shards=2, backend="mp") as engine:
+        engine.advance(500.0)
+        victim = engine._backend._workers[1]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=5.0)
+        engine.advance(UNTIL)
+        got = (tree_checksum(engine.merged_stream()),
+               tree_checksum(engine.snapshot_state()))
+        recovery = engine.recovery_summary()
+    assert got == want
+    assert recovery["restarts"] == [0, 1]
     assert recovery["degraded"] is False
 
 
@@ -232,7 +262,7 @@ def test_budget_exhaustion_degrades_to_inline_bit_exact():
 def test_budget_exhaustion_without_degradation_raises():
     policy = SupervisorPolicy(max_retries=0, deadline_s=15.0,
                               backoff_base_s=0.01, degrade=False)
-    with ShardedEngine(_plan(), shards=4, backend="mp", supervise=True,
+    with ShardedEngine(_plan(), shards=4, backend="mp",
                        policy=policy,
                        host_faults=kill_every_epoch(4)) as engine:
         with pytest.raises(ShardError, match="retry budget"):
@@ -242,7 +272,7 @@ def test_budget_exhaustion_without_degradation_raises():
 def test_degraded_engine_keeps_serving_and_closes_cleanly():
     policy = SupervisorPolicy(max_retries=0, deadline_s=15.0,
                               backoff_base_s=0.01)
-    with ShardedEngine(_plan(), shards=4, backend="mp", supervise=True,
+    with ShardedEngine(_plan(), shards=4, backend="mp",
                        policy=policy,
                        host_faults=kill_every_epoch(4)) as engine:
         engine.advance(500.0)
@@ -261,7 +291,7 @@ def test_discarded_workers_are_killed_not_waited_on():
     policy = SupervisorPolicy(max_retries=0, deadline_s=15.0,
                               backoff_base_s=0.01)
     fault = HostFaultPlan([HostFault("kill", shard=0, epoch=1)])
-    with ShardedEngine(_plan(), shards=4, backend="mp", supervise=True,
+    with ShardedEngine(_plan(), shards=4, backend="mp",
                        policy=policy, host_faults=fault) as engine:
         workers = list(engine._backend._workers)  # three stay live
         engine.advance(UNTIL)
@@ -277,7 +307,7 @@ def test_deterministic_worker_error_is_not_retried():
     retry; it must surface immediately with the real traceback, and
     the recovery machinery must not have burned any restarts."""
     with ShardedEngine(_plan(), shards=2, backend="mp",
-                       supervise=True, policy=FAST) as engine:
+                       policy=FAST) as engine:
         backend = engine._backend
         backend.barrier(0.0, [{"kind": "warp", "target": 1, "src": 0,
                                "seq": 1}])

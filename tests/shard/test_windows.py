@@ -22,10 +22,10 @@ from hypothesis import strategies as st
 from repro.checkpoint.statetree import tree_checksum
 from repro.errors import ShardError
 from repro.experiments.chaos_fairness import chaos_plan
+from repro.shard.backends import SupervisorPolicy
 from repro.shard.engine import ShardedEngine
 from repro.shard.hostfaults import HostFault, HostFaultPlan, kill_every_epoch
 from repro.shard.plan import ShardPlan, mix_plan, spin_plan
-from repro.shard.supervisor import SupervisorPolicy
 from repro.telemetry.spans import SpanTracer
 
 FAST = SupervisorPolicy(max_retries=3, deadline_s=15.0,
@@ -189,7 +189,7 @@ def test_attached_tracer_sees_every_epoch_of_a_window():
 
 
 def _supervised(plan, until, host_faults=None):
-    with ShardedEngine(plan, shards=2, backend="mp", supervise=True,
+    with ShardedEngine(plan, shards=2, backend="mp",
                        policy=FAST, host_faults=host_faults) as engine:
         engine.advance(until)
         return (_digests(engine), engine.recovery_summary(),

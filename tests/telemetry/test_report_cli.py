@@ -9,10 +9,10 @@ import pytest
 
 from repro.checkpoint.recipes import RECIPES
 from repro.errors import ShardError
+from repro.shard.backends import SupervisorPolicy
 from repro.shard.engine import ShardedEngine
 from repro.shard.hostfaults import HostFault, HostFaultPlan
 from repro.shard.plan import mix_plan
-from repro.shard.supervisor import SupervisorPolicy
 from repro.telemetry.__main__ import main
 
 
@@ -31,7 +31,7 @@ def test_bundle_mode_summarizes_flight_bundle(capsys, tmp_path):
     fault = HostFaultPlan([HostFault("kill", shard=0, epoch=1)])
     with pytest.raises(ShardError) as excinfo:
         with ShardedEngine(mix_plan(seed=11, cores=4), shards=2,
-                           backend="mp", supervise=True,
+                           backend="mp",
                            policy=SupervisorPolicy(max_retries=0,
                                                    degrade=False),
                            host_faults=fault, obs=True,
