@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import inspect
 import math
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Union,
+                    get_args, get_origin, get_type_hints)
 
 from repro.errors import CheckpointError
 
@@ -139,7 +140,30 @@ def build_recipe(name: str, args: Dict[str, Any]) -> SimHandle:
         raise CheckpointError(
             f"args {unknown} are not parameters of recipe {name!r}; it "
             f"takes {sorted(taken)}")
+    hints = get_type_hints(builder)
+    for field, value in args.items():
+        if not _conforms(value, hints[field]):
+            raise CheckpointError(
+                f"recipe {name!r} arg {field!r} must be "
+                f"{inspect.formatannotation(hints[field])}: {value!r}")
     return builder(**args)
+
+
+def _conforms(value: Any, hint: Any) -> bool:
+    """Whether a value read from a file is of a recipe parameter's
+    annotated type, exactly: ``True`` is no ``int`` and ``1.5`` none
+    either; a ``float`` is any ``int`` or finite ``float``."""
+    origin = get_origin(hint)
+    if origin is Union:
+        return any(_conforms(value, arm) for arm in get_args(hint))
+    if origin is list:
+        (item,) = get_args(hint)
+        return type(value) is list \
+            and all(_conforms(cell, item) for cell in value)
+    if hint is float:
+        return type(value) is int \
+            or type(value) is float and math.isfinite(value)
+    return hint is Any or type(value) is hint
 
 
 # -- snapshot coverage --------------------------------------------------------

@@ -42,15 +42,27 @@ only code that files a row; ``SpanTracer.event`` / ``complete`` /
 hand back), so a caller that records one shape many times -- the kernel
 probe -- holds the site's bound method and skips the lookup, the attrs
 ``dict`` and the ``Span``.  A column's container follows the *exact*
-types of its values: all ``float`` -> ``array('d')``, all ``int``
-within 64 bits -> ``array('q')``, all ``None`` -> nothing, and anything
-else (``bool``, ``str``, ints mixed with floats, ints beyond 64 bits,
-nested lists or dicts) -> the original objects.  What a reader gets
-back is therefore equal to and of the same type as what was recorded
-(``0`` never returns as ``0.0``, ``True`` never as ``1``, ``-0.0``
-keeps its sign), and every export is byte-identical to one taken from a
-buffer of ``Span`` objects -- at about a sixth of the memory (~60 B a
-span against ~400 on the hub's usual mix).
+types of its values, each kind at its values' width:
+
+* all ``float`` -> ``array('d')``;
+* all ``int`` -> the narrowest signed array whose range, as the
+  platform sizes it, holds every value: ``'b'``, ``'h'``, ``'i'`` or
+  ``'q'``;
+* all ``str`` -> a table of its distinct values and a code per row,
+  one byte each (two bytes past 256 distinct strings);
+* all ``bool`` -> one byte per row, ``0`` or ``1``;
+* all ``None`` -> nothing;
+* anything else (ints mixed with floats, ints beyond 64 bits, a
+  subclass of ``str`` or ``bool``, nested lists or dicts) -> the
+  original objects.
+
+An end column whose cells *are* the start column's -- every instant
+files one time object as both -- is one packed column, stored twice.
+What a reader gets back is therefore equal to and of the same type as
+what was recorded (``0`` never returns as ``0.0``, ``True`` never as
+``1``, ``-0.0`` keeps its sign), and every export is byte-identical to
+one taken from a buffer of ``Span`` objects -- at about a twelfth of
+the memory (~33 B a span against ~400 on the hub's usual mix).
 
 The buffer is bounded with drop-oldest semantics: completed spans beyond
 ``max_spans`` evict the oldest completed span and increment
@@ -70,6 +82,8 @@ from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
+from math import inf
+from operator import is_
 from typing import (Any, Deque, Dict, Iterable, Iterator, List, Optional,
                     Tuple)
 
@@ -79,8 +93,8 @@ __all__ = ["Span", "SpanTracer"]
 
 #: Completed spans per chunk.  A constant, not a setting: large enough
 #: that a chunk's per-block overhead vanishes, small enough that the one
-#: unsealed chunk stays a rounding error.  Block numbers are sealed into
-#: an ``array('H')``, so it must not exceed 65 536.
+#: unsealed chunk stays a rounding error.  Block numbers and string
+#: codes are sealed into two bytes at most, so it must not exceed 65 536.
 CHUNK_SPANS = 4096
 
 
@@ -152,32 +166,61 @@ _Shape = Tuple[str, ...]
 #: A chunk: the block number of each completion in order, and per block
 #: its shape with either its rows end to end in one flat list of cells
 #: (the chunk being filled) or, once sealed, one packed column per cell
-#: of a row.
+#: of a row: an array, a list, ``None`` (every cell ``None``) or, for
+#: strings and bools, a ``(table, codes)`` pair.
 _Chunk = Tuple[Any, List[Tuple[_Shape, Any]]]
 
 
-#: The exact types whose columns pack, with their array codes (a column
-#: of nothing but ``None`` packs to nothing at all).
-_CODES = {float: "d", int: "q", type(None): None}
+#: Signed array codes, narrowest first.  An all-``int`` column takes the
+#: first whose range holds every value -- ``struct``'s own range check
+#: decides, so the widths are the platform's.
+_INT_CODES = ("b", "h", "i", "q")
+#: A bool column's table: its codes are the bools' own ``bytes``.
+_BOOLS = (False, True)
 
 
 def _pack(column: List[Any]) -> Any:
     """The smallest container that gives ``column``'s values back
-    unchanged in value *and* type (see the module docstring).  The
-    arrays are filled through ``struct.pack``, which converts a whole
-    column in one C call where ``array(code, column)`` converts item by
-    item."""
+    unchanged in value *and* type (see the module docstring).  No value
+    is touched by a Python-level loop: the arrays are filled through
+    ``struct.pack``, which converts a whole column in one C call where
+    ``array(code, column)`` converts item by item."""
     kind = type(column[0])
-    if kind not in _CODES \
-            or list(map(type, column)).count(kind) != len(column):
+    if list(map(type, column)).count(kind) != len(column):
         return column
-    code = _CODES[kind]
-    if code is None:
+    rows = len(column)
+    if kind is float:
+        return array("d", struct.pack(f"{rows}d", *column))
+    if kind is int:
+        for code in _INT_CODES:
+            try:
+                return array(code, struct.pack(f"{rows}{code}", *column))
+            except struct.error:  # a value beyond the code's range
+                pass
+        return column  # an int beyond 64 bits
+    if kind is str:
+        # One code per distinct string: a byte, or two bytes past 256
+        # strings, which always suffice -- a chunk has at most
+        # CHUNK_SPANS rows.
+        table = tuple(sorted(set(column)))
+        codes = map(dict(zip(table, range(len(table)))).__getitem__, column)
+        return table, (bytes(codes) if len(table) <= 256
+                       else array("H", struct.pack(f"{rows}H", *codes)))
+    if kind is bool:
+        return _BOOLS, bytes(column)  # False -> 0, True -> 1
+    if kind is type(None):
         return None
-    try:
-        return array(code, struct.pack(f"{len(column)}{code}", *column))
-    except struct.error:  # an int beyond 64 bits
-        return column
+    return column
+
+
+def _cells(column: Any, skip: int) -> Iterator[Any]:
+    """A sealed column's values from row ``skip`` on."""
+    if column is None:
+        return repeat(None)
+    if type(column) is tuple:
+        table, codes = column
+        return map(table.__getitem__, islice(codes, skip, None))
+    return islice(column, skip, None)
 
 
 def _replay(chunk: _Chunk, skip: int, sealed: bool) -> Iterator[Span]:
@@ -188,10 +231,8 @@ def _replay(chunk: _Chunk, skip: int, sealed: bool) -> Iterator[Span]:
     for number, (shape, data) in enumerate(blocks):
         heads.append((shape[0], shape[1], shape[2], shape[3:]))
         if sealed:
-            feeds.append(zip(*(
-                repeat(None) if column is None
-                else islice(column, passed[number], None)
-                for column in data)))
+            feeds.append(zip(*(_cells(column, passed[number])
+                               for column in data)))
         else:
             width = len(shape) + 1
             feeds.append(zip(*[islice(data, passed[number] * width, None)]
@@ -232,9 +273,9 @@ class _Site:
         """File an instant at ``time`` under the track's innermost open
         span; ``values`` are the attr values in key order.  Returns the
         new span's id."""
-        if time != time:
-            raise ReproError(
-                f"event span {self.shape[1]!r} has no time: time={time:g}ms")
+        if not -inf < time < inf:
+            raise ReproError(f"event span {self.shape[1]!r} has no finite "
+                             f"time: time={time:g}ms")
         tracer = self.tracer
         sid = tracer._next_sid
         tracer._next_sid = sid + 1
@@ -256,9 +297,10 @@ class _Site:
     def complete(self, start: float, end: float, *values: Any) -> int:
         """File an already-finished interval; it nests under nothing.
         Returns the new span's id."""
-        if not end >= start:
+        if not -inf < start <= end < inf:
+            problem = "negative duration" if end < start else "no finite time"
             raise ReproError(
-                f"complete span {self.shape[1]!r} has negative duration: "
+                f"complete span {self.shape[1]!r} has {problem}: "
                 f"start={start:g}ms, end={end:g}ms"
             )
         tracer = self.tracer
@@ -283,10 +325,12 @@ class _Site:
         the values of the keys the end adds."""
         if span.end is not None:
             raise ReproError(f"span {span.sid} ({span.name!r}) already ended")
-        if not end >= span.start:
+        if not span.start <= end < inf:
+            problem = ("would end before it started" if end < span.start
+                       else "has no finite end")
             raise ReproError(
-                f"span {span.sid} ({span.name!r}) would end before it "
-                f"started: start={span.start:g}ms, end={end:g}ms"
+                f"span {span.sid} ({span.name!r}) {problem}: "
+                f"start={span.start:g}ms, end={end:g}ms"
             )
         stack = self.stack
         if stack and stack[-1] is span:
@@ -374,8 +418,9 @@ class SpanTracer:
     def begin(self, track: str, name: str, category: str, start: float,
               attrs: Optional[Dict[str, Any]] = None) -> Span:
         """Open a span; it nests under the track's current open span."""
-        if start != start:
-            raise ReproError(f"span {name!r} has no start: start={start:g}ms")
+        if not -inf < start < inf:
+            raise ReproError(
+                f"span {name!r} has no finite start: start={start:g}ms")
         stack = self._stacks.get(track)
         if stack is None:
             stack = self._stacks[track] = self._parked.pop(track, [])
@@ -425,6 +470,8 @@ class SpanTracer:
     def finalize(self, time: float) -> int:
         """Close every open span at ``time`` (end of a run); returns the
         number closed."""
+        if not -inf < time < inf:
+            raise ReproError(f"finalize has no finite time: time={time:g}ms")
         closed = 0
         for track in sorted(self._stacks):
             stack = self._stacks[track]
@@ -522,11 +569,17 @@ class SpanTracer:
         blocks = []
         for site in self._blocks:
             cells, width = site.cells, len(site.shape) + 1
-            blocks.append((site.shape, [_pack(cells[cell::width])
-                                        for cell in range(width)]))
+            starts, ends = cells[2::width], cells[3::width]
+            start = _pack(starts)
+            # By identity, never ``==``, which would take -0.0 for 0.0.
+            end = start if all(map(is_, starts, ends)) else _pack(ends)
+            blocks.append((site.shape, [
+                _pack(cells[0::width]), _pack(cells[1::width]), start, end,
+                *(_pack(cells[cell::width]) for cell in range(4, width))]))
             site.cells = []
             site.number = -1
-        self._chunks.append((array("H", self._order), blocks))
+        self._chunks.append((
+            array("B" if len(blocks) <= 256 else "H", self._order), blocks))
         self._order = []
         self._blocks = []
 

@@ -8,6 +8,7 @@ reconstructed bit-for-bit.
 """
 
 import json
+import math
 
 import pytest
 
@@ -98,6 +99,23 @@ def test_tampered_state_with_valid_checksum_raises_divergence(tmp_path):
     ("lottery-mix", {"sed": 1}, 0.0, r"args \['sed'\] are not parameters"),
     ("lottery-mix", {}, "100", "field 'time_ms' must be a finite number"),
     (["lottery-mix"], {}, 0.0, "field 'recipe' must be a string"),
+    ("lottery-mix", {"seed": "x"}, 0.0,
+     "'lottery-mix' arg 'seed' must be int"),
+    ("lottery-mix", {"seed": 1.5}, 0.0,
+     "'lottery-mix' arg 'seed' must be int"),
+    ("lottery-mix", {"seed": True}, 0.0,
+     "'lottery-mix' arg 'seed' must be int"),
+    ("lottery-mix", {"quantum": "5"}, 0.0,
+     "'lottery-mix' arg 'quantum' must be float"),
+    ("lottery-mix", {"use_tree": "yes"}, 0.0,
+     "'lottery-mix' arg 'use_tree' must be bool"),
+    ("lottery-mix", {"fundings": [400.0, "200"]}, 0.0,
+     r"'lottery-mix' arg 'fundings' must be Optional\[List\[float\]\]"),
+    ("shard-mix", {"seed": "x"}, 0.0, "'shard-mix' arg 'seed' must be int"),
+    ("shard-mix", {"backend": None}, 0.0,
+     "'shard-mix' arg 'backend' must be str"),
+    ("chaos-fairness", {"cores": 2.0}, 0.0,
+     "'chaos-fairness' arg 'cores' must be int"),
 ])
 def test_valid_checksum_with_malformed_field_is_refused_by_name(
         tmp_path, recipe, args, time_ms, named):
@@ -108,6 +126,20 @@ def test_valid_checksum_with_malformed_field_is_refused_by_name(
     with pytest.raises(CheckpointError, match=named) as caught:
         restore(path)
     assert repr(path) in str(caught.value)
+
+
+def test_recipe_args_are_checked_against_their_annotated_types():
+    """An ``int`` where the recipe takes a ``float`` is one (JSON writes
+    ``100.0`` as ``100`` in other tools); ``None`` is an ``Optional``;
+    an infinite ``float`` is not a time or an amount."""
+    handle = build_recipe("lottery-mix", {"seed": 3, "quantum": 100,
+                                          "fundings": [400, 2.5],
+                                          "use_tree": True})
+    assert handle.args["fundings"] == [400.0, 2.5]
+    assert build_recipe("lottery-mix", {"fundings": None}).args[
+        "fundings"] == [400.0, 200.0, 100.0]
+    with pytest.raises(CheckpointError, match="'quantum' must be float: inf"):
+        build_recipe("lottery-mix", {"quantum": math.inf})
 
 
 def test_unknown_recipe_is_rejected(tmp_path):

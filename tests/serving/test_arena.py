@@ -290,6 +290,48 @@ class TestHubWorkPerDispatch:
             export_prometheus(hub.registry))] == [
             "c155c55763472e49", "11f42ff5848e0170", "398fb80fdc2bf3b5"]
 
+    def test_all_of_the_hubs_work_is_at_most_37_frames_a_dispatch(
+            self, monkeypatch):
+        """Every Python frame the hub adds, wherever it runs: the same
+        run hub-on minus hub-off.  36 445 (36.7 a dispatch), two thirds
+        of it outside ``repro/telemetry``: the probe's share walk
+        revalues nominal funding (``Ticket.nominal_value`` 3 784,
+        ``TicketHolder.nominal_funding`` 3 602), the draw hook re-sums
+        the list lottery (``ListLottery.total`` and its generator) and
+        ``RecorderMux`` fans every event out.  docs/PERFORMANCE.md
+        section 1 has the whole decomposition."""
+        import sys
+        from collections import Counter
+
+        import repro.kernel.ipc as ipc_module
+        import repro.kernel.kernel as kernel_module
+        import repro.kernel.thread as thread_module
+        from repro.telemetry import Telemetry
+
+        # The hub's work only: under REPRO_SANITIZE=1 the race tracker
+        # and the invariant hooks are frames of their own.
+        for module in (kernel_module, thread_module, ipc_module):
+            monkeypatch.setattr(module, "_race_tracker", None)
+        frames = {}
+        for hub in (Telemetry(), None):
+            machine, arena = self._build(hub)
+            machine.kernel.invariant_hooks.clear()
+            calls = frames[hub is not None] = Counter()
+
+            def profile(frame, event, arg, calls=calls):
+                if event == "call":
+                    calls[frame.f_code.co_name] += 1
+
+            sys.setprofile(profile)
+            try:
+                arena.run()
+            finally:
+                sys.setprofile(None)
+            assert machine.kernel.dispatch_count == 993
+        added = frames[True].copy()
+        added.subtract(frames[False])
+        assert sum(added.values()) / 993 <= 37.0, added.most_common(20)
+
 
 class TestTelemetry:
     def test_request_completions_reach_the_hub(self):

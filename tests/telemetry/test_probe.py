@@ -355,9 +355,10 @@ class TestBoundedRetention:
             tracemalloc.stop()
         assert len(tracer) == 80_000
         # One Span and one attrs dict per span was 404 B; sealed columns
-        # are ~60 B.  The bound leaves room for another interpreter's
-        # object sizes, not for a per-span object.
-        assert retained / len(tracer) <= 120
+        # were 64 B at 8 B a cell, and are ~33 B at their values' width.
+        # The bound leaves room for another interpreter's object sizes,
+        # not for the int columns back at 8 B a cell (49 B).
+        assert retained / len(tracer) <= 45
 
     def test_readers_materialise_only_what_they_return(self, monkeypatch):
         from repro.telemetry import spans as spans_module

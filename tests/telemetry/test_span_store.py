@@ -15,6 +15,7 @@ several chunks deep.
 
 from __future__ import annotations
 
+import enum
 import math
 from collections import deque
 from unittest import mock
@@ -130,13 +131,16 @@ class _DequeTracer:
 # -- generated inputs ---------------------------------------------------------
 
 #: Every packing edge: ``True`` beside ``1``, ``None``, ints at and
-#: beyond both ends of 64 bits, ``0`` beside ``0.0`` beside ``-0.0``,
-#: infinities, strings, nested containers.  (No NaN: it is unequal to
-#: itself, so ``==`` could not compare it; ``test_nan_...`` covers it.)
+#: beyond both ends of each signed width (8, 16, 32 and 64 bits), ``0``
+#: beside ``0.0`` beside ``-0.0``, infinities, strings, nested
+#: containers.  (No NaN: it is unequal to itself, so ``==`` could not
+#: compare it; ``test_nan_...`` covers it.)
 _SCALARS = st.one_of(
     st.sampled_from([True, False, 0, 1, None, 0.0, -0.0, 1.0, 2.5,
-                     math.inf, -math.inf, 2 ** 63 - 1, 2 ** 63, -2 ** 63,
-                     -2 ** 63 - 1, 10 ** 30, "", "fe:gold:0", "1"]),
+                     math.inf, -math.inf, 127, 128, -128, -129, 32_767,
+                     32_768, 2 ** 31 - 1, 2 ** 31, -2 ** 31 - 1,
+                     2 ** 63 - 1, 2 ** 63, -2 ** 63, -2 ** 63 - 1, 10 ** 30,
+                     "", "fe:gold:0", "1"]),
     st.integers(-5, 5), st.floats(-4.0, 4.0, allow_nan=False),
 )
 _VALUES = st.one_of(
@@ -256,6 +260,60 @@ def test_nan_and_signed_zero_survive_a_seal():
         assert export_chrome(new) == export_chrome(old)
 
 
+class _Name(str):
+    """A ``str`` subclass: equal to a plain string, but not one."""
+
+
+class _Code(enum.IntEnum):
+    """An ``int`` subclass."""
+
+    OK = 0
+
+
+def test_columns_at_their_values_width_read_back_exactly():
+    """At the real chunk size: a string column of more than 256
+    distinct values, string-only and bool-only columns, and an
+    instant-shaped ``complete`` from ``0.0`` to ``-0.0`` (equal, but
+    not the same time) read back as the deque keeps them -- as do a
+    ``str`` subclass and an ``int`` subclass, which stay objects."""
+    rows = spans_module.CHUNK_SPANS
+    tracers = _DequeTracer(), SpanTracer()
+    for tracer in tracers:
+        for index in range(2 * rows + 5):
+            tracer.event("k", "names", "kernel", float(index),
+                         {"name": f"thread{index % 300}"})
+            tracer.event("k", "flags", "kernel", index,
+                         {"on": index % 3 == 0, "off": False})
+            tracer.event("k", "words", "kernel", 2.5,
+                         {"word": ("gold", "silver")[index % 2],
+                          "alias": _Name("gold") if index == 7 else "gold"})
+            tracer.complete("k", "zero", "kernel", 0.0, -0.0,
+                            {"n": index - 129, "exit": _Code.OK})
+    old, new = tracers
+    assert len(new._chunks) == 8
+    assert _exact(new.spans) == _exact(old.spans)
+    assert export_jsonl(new) == export_jsonl(old)
+    assert export_chrome(new) == export_chrome(old)
+    words = [span for span in new.spans if span.name == "words"]
+    zeros = [span for span in new.spans if span.name == "zero"]
+    assert {type(span.attrs["alias"]) for span in words} == {str, _Name}
+    assert {type(span.attrs["exit"]) for span in zeros} == {_Code}
+    assert {(repr(span.start), repr(span.end)) for span in zeros} \
+        == {("0.0", "-0.0")}
+    # Each column took the container its values call for; an instant's
+    # end column is its start column, a 0.0 -> -0.0 span's is not.
+    columns = {shape[1]: data for shape, data in new._chunks[0][1]}
+    table, codes = columns["names"][4]
+    assert len(table) == 300 and codes.typecode == "H"
+    assert columns["flags"][4][1] == bytes(
+        index % 3 == 0 for index in range(rows // 4))
+    assert len(columns["words"][4][0]) == 2
+    assert columns["zero"][4].typecode == "h"
+    assert type(columns["words"][5]) is type(columns["zero"][5]) is list
+    assert columns["names"][2] is columns["names"][3]
+    assert columns["zero"][2] is not columns["zero"][3]
+
+
 def test_a_returned_span_is_the_callers_copy():
     tracer = SpanTracer()
     attrs = {"n": 1}
@@ -279,7 +337,8 @@ _SHAPES = [
     ("k1", "ipc.send", "ipc", ()),
     ("cluster", "ipc.rpc", "ipc", ("b",)),
 ]
-_SITE_TIMES = st.sampled_from([0, 0.0, 1, 1.0, 2.5, 7, 40.0, math.nan])
+_SITE_TIMES = st.sampled_from([0, 0.0, 1, 1.0, 2.5, 7, 40.0, math.nan,
+                               math.inf, -math.inf])
 _SHAPE = st.integers(0, len(_SHAPES) - 1)
 _PAIR = st.tuples(_VALUES, _VALUES)
 #: Every recording op carries ``via_site``: whether the mixed tracer makes
@@ -340,6 +399,11 @@ def _apply_site(tracer, begun, op, shapes, may_use_site):
         return False
 
 
+def _times(op):
+    """The times a recording operation files."""
+    return {"finalize": op[1:2], "complete": op[2:4]}.get(op[0], op[2:3])
+
+
 def _site_views(tracer):
     return {**_views(tracer), "state": tracer.snapshot_state()}
 
@@ -360,10 +424,15 @@ def test_a_site_files_what_the_generic_call_files(ops, shape_count,
         mixed = SpanTracer(max_spans=max_spans, strict=strict)
         generic_begun, mixed_begun = [], []
         for step, op in enumerate(ops):
-            # Accepted by both, or refused by both at the same call.
-            assert _apply_site(mixed, mixed_begun, op, shapes, True) \
+            # Accepted by both, or refused by both at the same call --
+            # always refused when it files a time that is not finite.
+            accepted = _apply_site(mixed, mixed_begun, op, shapes, True)
+            assert accepted \
                 == _apply_site(generic, generic_begun, op, shapes, False), \
                 (step, op)
+            if op[0] != "end" or mixed_begun:
+                assert not accepted \
+                    or all(map(math.isfinite, _times(op))), (step, op)
             assert _site_views(mixed) == _site_views(generic), (step, op)
 
 

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from repro.errors import ReproError
-from repro.telemetry.exporters import export_jsonl
+from repro.telemetry.exporters import export_chrome, export_jsonl
 from repro.telemetry.spans import Span, SpanTracer
 
 
@@ -120,6 +120,49 @@ class TestEndValidation:
         tracer.end(span, 1.0)
         for line in export_jsonl(tracer).splitlines():
             json.loads(line, parse_constant=pytest.fail)
+
+    #: Each writer of a time, and what its refusal names.
+    _WRITERS = {
+        "begin": (lambda t, x: t.begin("k", "quantum", "kernel", x),
+                  "'quantum'.*start={}"),
+        "end": (lambda t, x: t.end(t.begin("k", "quantum", "kernel", 0.0),
+                                   x), "'quantum'.*end={}"),
+        "event": (lambda t, x: t.event("k", "ipc.send", "ipc", x),
+                  "'ipc.send'.*time={}"),
+        "complete start": (
+            lambda t, x: t.complete("k", "ipc.rpc", "ipc", x, 1.0),
+            "'ipc.rpc'.*start={}"),
+        "complete end": (
+            lambda t, x: t.complete("k", "ipc.rpc", "ipc", 1.0, x),
+            "'ipc.rpc'.*end={}"),
+        "site event": (lambda t, x: t.site("k", "ipc.send", "ipc").event(x),
+                       "'ipc.send'.*time={}"),
+        "site complete": (
+            lambda t, x: t.site("k", "ipc.rpc", "ipc").complete(x, x),
+            "'ipc.rpc'.*start={}"),
+        "site end": (
+            lambda t, x: t.site("k", "quantum", "kernel").end(
+                t.begin("k", "quantum", "kernel", 0.0), x),
+            "'quantum'.*end={}"),
+        "finalize": (lambda t, x: t.finalize(x), "finalize.*time={}"),
+    }
+
+    @pytest.mark.parametrize("time", [math.inf, -math.inf],
+                             ids=["inf", "-inf"])
+    @pytest.mark.parametrize("writer", list(_WRITERS))
+    def test_an_infinite_time_is_refused_by_span_name(self, writer, time):
+        """JSON has no infinity: an accepted one would export as
+        ``Infinity``, which parsers and the trace viewer reject."""
+        tracer = SpanTracer()
+        tracer.begin("k", "outer", "kernel", -5.0)
+        write, named = self._WRITERS[writer]
+        with pytest.raises(ReproError, match=named.format(f"{time:g}")):
+            write(tracer, time)
+        assert len(tracer) == 0
+        tracer.finalize(9.0)
+        for line in export_jsonl(tracer).splitlines():
+            json.loads(line, parse_constant=pytest.fail)
+        assert "Infinity" not in export_chrome(tracer)
 
     def test_a_span_ends_only_on_the_tracer_that_began_it(self):
         ours, theirs = SpanTracer(), SpanTracer()
