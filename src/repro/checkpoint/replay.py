@@ -17,13 +17,12 @@ the checkpoint format (versioned, checksummed, atomically written).
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
-from repro.checkpoint.statetree import tree_checksum
+from repro.checkpoint.statetree import (read_json_file, tree_checksum,
+                                        write_json_file)
 from repro.errors import CheckpointError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -171,41 +170,17 @@ def format_divergence(divergence: Optional[Divergence]) -> str:
 
 def write_stream_file(path: str, entries: List[Dict[str, Any]]) -> None:
     """Atomically write a recorded dispatch stream (checksummed)."""
-    import tempfile  # only writers pay for it (it loads random)
-
-    payload = {
+    write_json_file(path, {
         "format": FORMAT_NAME,
         "stream_version": STREAM_VERSION,
         "entries": entries,
         "checksum": tree_checksum(entries),
-    }
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(prefix=".stream-", dir=directory)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, allow_nan=False)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+    }, "stream")
 
 
 def read_stream_file(path: str) -> List[Dict[str, Any]]:
     """Load and validate a stream file; corrupted streams are rejected."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise CheckpointError(f"cannot read stream {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(
-            f"stream {path!r} is not valid JSON: {exc}"
-        ) from exc
+    payload = read_json_file(path, "stream")
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
         raise CheckpointError(f"{path!r} is not a replay stream file")
     if payload.get("stream_version") != STREAM_VERSION:

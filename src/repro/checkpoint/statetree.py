@@ -8,10 +8,11 @@ on-disk contract:
 
 * **canonical encoding** -- one byte-exact JSON rendering per tree
   (sorted keys, no whitespace, NaN/Infinity rejected), so checksums and
-  comparisons are stable across processes and Python versions;
-* **integrity checksum** -- SHA-256 over the canonical payload; a
-  corrupted or hand-edited checkpoint is rejected at load, never
-  silently restored;
+  comparisons are stable across processes and Python versions; one
+  encoder, :func:`canonical_pieces`, yields it in bounded pieces;
+* **integrity checksum** -- SHA-256 fed those pieces, so a digest
+  never holds the whole encoding; a corrupted or hand-edited
+  checkpoint is rejected at load, never silently restored;
 * **structural diff** -- recursive comparison returning the *path* of
   the first mismatch (``state.nodes[1].kernel.running``), which is how
   restore verification and divergence reports name what broke;
@@ -30,7 +31,8 @@ import hashlib
 import json
 import math
 import os
-from typing import Any, Dict, List, Tuple
+import sys
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import CheckpointError
 
@@ -38,6 +40,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "FORMAT_NAME",
     "canonical_json",
+    "canonical_pieces",
     "tree_checksum",
     "diff_trees",
     "format_mismatches",
@@ -56,6 +59,105 @@ _CHECKSUMMED_FIELDS = ("format", "schema_version", "recipe", "args",
                       "time_ms", "state")
 
 
+#: Items of a long list the C encoder renders per call: what bounds a
+#: canonical piece, and so what a digest holds at once.
+_SLICE = 512
+
+#: ``json.dumps`` with the canonical settings, its encoder built once.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                           allow_nan=False).encode
+
+
+def _long(value: Any) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) > _SLICE
+
+
+def _opens(value: Any) -> bool:
+    """Whether the canonical encoder walks ``value`` itself rather than
+    hand it whole to the C encoder: a list longer than a slice, or a
+    dict holding a dict or such a list."""
+    if isinstance(value, dict):
+        return any(isinstance(item, dict) or _long(item)
+                   for item in value.values())
+    return _long(value)
+
+
+def _key(key: Any) -> str:
+    """A dict key as the C encoder renders it: a non-str key through
+    the encoder itself, so bool, float, None and int subclasses (and
+    the refusals) come out exactly as ``json.dumps`` makes them."""
+    if isinstance(key, str):
+        return _encode(key)
+    return _encode({key: None})[1:-6]  # '{' key ':null}'
+
+
+def _parts(tree: Any) -> Iterator[Any]:
+    """The pieces of one opened container, each an encoded ``str`` or
+    a value to open in its place, in canonical order."""
+    if isinstance(tree, dict):
+        sep = "{"
+        for key, value in sorted(tree.items()):
+            head = sep + _key(key) + ":"
+            sep = ","
+            if _opens(value):
+                yield head
+                yield value
+            else:
+                yield head + _encode(value)
+        yield "}"
+        return
+    sep = "["
+    for start in range(0, len(tree), _SLICE):
+        yield sep + _encode(tree[start:start + _SLICE])[1:-1]
+        sep = ","
+    yield "]"
+
+
+def canonical_pieces(tree: Any) -> Iterator[str]:
+    """The canonical encoding of ``tree`` in bounded pieces.
+
+    They concatenate to exactly ``json.dumps(tree, sort_keys=True,
+    separators=(",", ":"), allow_nan=False)``.  A list longer than a
+    slice is encoded one slice of items at a time and a dict holding a
+    dict or such a list one item at a time, walked here with an
+    explicit stack; everything else is one C encoder call.  Refused
+    with :class:`CheckpointError`: NaN or infinity anywhere,
+    unserializable objects, keys of mixed types, circular references
+    and trees nested deeper than the recursion limit.
+    """
+    try:
+        if not _opens(tree):
+            yield _encode(tree)
+            return
+        limit = sys.getrecursionlimit()
+        on_path = {id(tree)}
+        stack = [(id(tree), _parts(tree))]
+        while stack:
+            ident, parts = stack[-1]
+            for part in parts:
+                if isinstance(part, str):
+                    yield part
+                    continue
+                if id(part) in on_path:
+                    raise ValueError("Circular reference detected")
+                if len(stack) >= limit:
+                    raise RecursionError("maximum recursion depth exceeded")
+                on_path.add(id(part))
+                stack.append((id(part), _parts(part)))
+                break
+            else:
+                stack.pop()
+                on_path.discard(ident)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"state tree is not canonically serializable: {exc}"
+        ) from exc
+    except RecursionError as exc:
+        raise CheckpointError(
+            f"state tree is nested too deeply to encode: {exc}"
+        ) from exc
+
+
 def canonical_json(tree: Any) -> str:
     """The one true JSON rendering of a state tree.
 
@@ -63,18 +165,16 @@ def canonical_json(tree: Any) -> str:
     the tree's *value* alone; ``allow_nan=False`` rejects NaN/Infinity,
     which have no portable JSON form and would poison checksums.
     """
-    try:
-        return json.dumps(tree, sort_keys=True, separators=(",", ":"),
-                          allow_nan=False)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(
-            f"state tree is not canonically serializable: {exc}"
-        ) from exc
+    return "".join(canonical_pieces(tree))
 
 
 def tree_checksum(tree: Any) -> str:
-    """SHA-256 hex digest of the canonical encoding."""
-    return hashlib.sha256(canonical_json(tree).encode("utf-8")).hexdigest()
+    """SHA-256 hex digest of the canonical encoding, fed piece by
+    piece: the whole encoding is never held at once."""
+    digest = hashlib.sha256()
+    for piece in canonical_pieces(tree):
+        digest.update(piece.encode("utf-8"))
+    return digest.hexdigest()
 
 
 # -- structural diff ---------------------------------------------------------
@@ -155,22 +255,26 @@ def build_payload(recipe: str, args: Dict[str, Any], time_ms: float,
     return payload
 
 
-def write_checkpoint_file(path: str, payload: Dict[str, Any]) -> None:
-    """Crash-consistent write: temp file, fsync, atomic rename.
+def write_json_file(path: str, payload: Any, what: str,
+                    indent: Optional[int] = None) -> None:
+    """Crash-consistent write of ``payload`` as sorted-key JSON: temp
+    file, fsync, atomic rename.
 
-    The temp file lives in the destination directory so the final
-    ``os.replace`` is a same-filesystem atomic rename; a crash at any
-    point leaves either the previous file or the complete new one.
+    ``json.dump`` writes straight into the temp file, so no whole-file
+    string is ever built.  The temp file lives in the destination
+    directory so the final ``os.replace`` is a same-filesystem atomic
+    rename; a crash at any point leaves either the previous file or
+    the complete new one; a payload that does not serialize raises and
+    leaves no temp file behind.  ``what`` names the temp file.
     """
     import tempfile  # only writers pay for it (it loads random)
 
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    encoded = json.dumps(payload, sort_keys=True, indent=1,
-                         allow_nan=False)
-    fd, tmp_path = tempfile.mkstemp(prefix=".ckpt-", dir=directory)
+    fd, tmp_path = tempfile.mkstemp(prefix=f".{what}-", dir=directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(encoded)
+            json.dump(payload, handle, sort_keys=True, indent=indent,
+                      allow_nan=False)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
@@ -182,6 +286,31 @@ def write_checkpoint_file(path: str, payload: Dict[str, Any]) -> None:
         raise
 
 
+def read_json_file(path: str, what: str) -> Any:
+    """Parse a JSON file; anything that is not readable UTF-8 JSON of
+    sane depth raises :class:`CheckpointError` naming ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise CheckpointError(f"cannot read {what} {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(
+            f"{what} {path!r} is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(
+            f"{what} {path!r} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CheckpointError(
+            f"{what} {path!r} is nested too deeply to parse") from exc
+
+
+def write_checkpoint_file(path: str, payload: Dict[str, Any]) -> None:
+    """Crash-consistent write of a checkpoint (see
+    :func:`write_json_file`)."""
+    write_json_file(path, payload, "checkpoint", indent=1)
+
+
 def read_checkpoint_file(path: str) -> Dict[str, Any]:
     """Load and *validate* a checkpoint: format, version, checksum,
     and the types of the fields restore acts on.
@@ -189,15 +318,7 @@ def read_checkpoint_file(path: str) -> Dict[str, Any]:
     A file that fails any check raises :class:`CheckpointError`; a
     corrupted checkpoint is never silently loaded.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(
-            f"checkpoint {path!r} is not valid JSON: {exc}"
-        ) from exc
+    payload = read_json_file(path, "checkpoint")
     if not isinstance(payload, dict):
         raise CheckpointError(f"checkpoint {path!r} is not a JSON object")
     if payload.get("format") != FORMAT_NAME:
@@ -247,4 +368,5 @@ def checkpoint_summary(payload: Dict[str, Any]) -> str:
 
 
 #: Re-exported for callers that format payload summaries.
-__all__ += ["build_payload", "checkpoint_summary"]
+__all__ += ["build_payload", "checkpoint_summary", "read_json_file",
+            "write_json_file"]

@@ -271,22 +271,35 @@ class _Backend:
 
     # -- observation ----------------------------------------------------------
 
-    def _collect_view(self, want: str) -> List[Any]:
-        """One per-core view (see ``_COLLECT_VIEWS``), in core order."""
+    def _collect_view(self, want: str) -> List[Dict[str, Any]]:
+        """One per-core view (see ``_COLLECT_VIEWS``) as ``{"core": id,
+        want: view}``, in core order."""
         replies = self._broadcast({"cmd": "collect", "want": want})
         cores = [entry for reply in replies for entry in reply["cores"]]
         cores.sort(key=lambda entry: entry["core"])
-        return [entry[want] for entry in cores]
+        return cores
 
     def obs_dumps(self) -> List[Dict[str, Any]]:
         """Per-core span dumps for trace stitching."""
-        return self._collect_view("obs") if self.obs else []
+        if not self.obs:
+            return []
+        return [entry["obs"] for entry in self._collect_view("obs")]
 
     def snapshots(self) -> List[dict]:
-        return self._collect_view("snapshot")
+        return [entry["snapshot"] for entry in self._collect_view("snapshot")]
 
     def streams(self) -> List[List[Dict[str, Any]]]:
-        return self._collect_view("stream")
+        """Per-core replay entries, each stamped with its core id (the
+        second key of the canonical merge order).  The stamped dicts
+        are the parent's own -- unpickled from a worker's reply, or the
+        private copies the in-process ``_broadcast`` hands out -- so a
+        recorder's entries, whose checksum is state, never change."""
+        streams = []
+        for entry in self._collect_view("stream"):
+            for dispatch in entry["stream"]:
+                dispatch["core"] = entry["core"]
+            streams.append(entry["stream"])
+        return streams
 
     def local_kernels(self) -> List[Any]:
         """Kernels living in the parent process (none by default)."""
@@ -324,6 +337,11 @@ class InlineBackend(_Backend):
         elif message.get("want") == "obs":
             for entry in reply["cores"]:
                 entry["obs"] = json.loads(json.dumps(entry["obs"]))
+        elif message.get("want") == "stream":
+            # The parent's private copies, as a worker's reply is.
+            for entry in reply["cores"]:
+                entry["stream"] = [dict(dispatch)
+                                   for dispatch in entry["stream"]]
         return [reply]
 
     def local_kernels(self) -> List[Any]:

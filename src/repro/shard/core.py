@@ -433,10 +433,9 @@ class ShardCore:
         }
 
     def stream_entries(self) -> List[Dict[str, Any]]:
-        """This core's replay entries, stamped with the core id (the
-        second key of the canonical merge order)."""
-        return [{**entry, "core": self.core_id}
-                for entry in self.recorder.entries]
+        """This core's replay entries, the recorder's own dicts (a pure
+        read: the backend stamps ``core`` onto its private copies)."""
+        return self.recorder.entries
 
     def snapshot_state(self) -> dict:
         """Typed state tree for checkpointing (see ``repro.checkpoint``)."""

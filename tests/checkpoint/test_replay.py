@@ -1,5 +1,6 @@
 """Replay: dispatch-stream recording, diffing, and the chaos crash test."""
 
+import json
 import re
 
 import pytest
@@ -13,6 +14,7 @@ from repro.checkpoint import (
     save,
     write_stream_file,
 )
+from repro.checkpoint.statetree import tree_checksum
 from repro.errors import CheckpointError
 
 
@@ -69,6 +71,30 @@ def test_stream_file_keeps_sharded_entries(tmp_path):
     path = str(tmp_path / "run.stream")
     write_stream_file(path, entries)
     assert read_stream_file(path) == entries
+
+
+def test_stream_file_is_the_sorted_json_text(tmp_path):
+    entries = [{"time": 0.5, "tid": 1, "name": "é", "draw": None},
+               {"time": 2.0, "tid": 3, "name": "b", "draw": 7, "core": 1}]
+    path = str(tmp_path / "run.stream")
+    write_stream_file(path, entries)
+    with open(path, "rb") as handle:
+        assert handle.read() == json.dumps({
+            "format": "repro-replay-stream", "stream_version": 1,
+            "entries": entries, "checksum": tree_checksum(entries),
+        }, sort_keys=True, allow_nan=False).encode("utf-8")
+
+
+@pytest.mark.parametrize("body, why", [
+    (b"\xff\xfe{}", "not UTF-8"),
+    (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+], ids=["not-utf8", "deep"])
+def test_a_malformed_stream_file_is_refused_by_name(tmp_path, body, why):
+    path = str(tmp_path / "run.stream")
+    with open(path, "wb") as handle:
+        handle.write(body)
+    with pytest.raises(CheckpointError, match=f"run.stream.*{why}"):
+        read_stream_file(path)
 
 
 _ENTRY = {"time": 1.0, "tid": 2, "name": "x", "draw": 3}

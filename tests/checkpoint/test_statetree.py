@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -130,3 +131,64 @@ def test_missing_fields_are_rejected(tmp_path):
 def test_missing_file_raises_checkpoint_error(tmp_path):
     with pytest.raises(CheckpointError, match="cannot read"):
         read_checkpoint_file(os.path.join(str(tmp_path), "nope.ckpt"))
+
+
+def test_checkpoint_file_is_the_indented_sorted_json_text(tmp_path):
+    payload = build_payload("lottery-mix", {"seed": 3}, 1234.5,
+                            {"kernel": {"queue": [1, 2.5, "é"]}})
+    path = str(tmp_path / "a.ckpt")
+    write_checkpoint_file(path, payload)
+    with open(path, "rb") as handle:
+        assert handle.read() == json.dumps(
+            payload, sort_keys=True, indent=1,
+            allow_nan=False).encode("utf-8")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), object()])
+def test_a_payload_that_does_not_serialize_leaves_no_temp_file(tmp_path,
+                                                               bad):
+    path = str(tmp_path / "a.ckpt")
+    write_checkpoint_file(path, build_payload("lottery-mix", {}, 0.0, {}))
+    with open(path, "rb") as handle:
+        before = handle.read()
+    with pytest.raises((TypeError, ValueError)):
+        write_checkpoint_file(path, {"state": {"x": bad}})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ckpt"]
+    with open(path, "rb") as handle:
+        assert handle.read() == before
+
+
+def test_a_checkpoint_that_is_not_utf8_is_refused_by_name(tmp_path):
+    path = str(tmp_path / "a.ckpt")
+    with open(path, "wb") as handle:
+        handle.write(b"\xff\xfe{}")
+    with pytest.raises(CheckpointError, match="a.ckpt.*not UTF-8"):
+        read_checkpoint_file(path)
+
+
+def test_a_checkpoint_nested_too_deeply_is_refused_by_name(tmp_path):
+    path = str(tmp_path / "a.ckpt")
+    with open(path, "w") as handle:
+        handle.write("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(CheckpointError, match="a.ckpt.*nested too deeply"):
+        read_checkpoint_file(path)
+
+
+def test_the_digest_holds_a_fraction_of_the_encoding():
+    """tree_checksum streams: hashing a 20 000-entry dispatch stream
+    allocates well under its canonical length at peak (the whole
+    string, a UTF-8 copy and the C encoder's chunk list took 3.3x)."""
+    stream = [{"time": 10.0 * index, "tid": index % 500 + 1,
+               "name": f"spin{index % 500}",
+               "draw": index * 16807 % 2147483647, "core": index % 4}
+              for index in range(20_000)]
+    length = len(canonical_json(stream))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        tree_checksum(stream)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * length, (peak, length)

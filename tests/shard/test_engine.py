@@ -97,6 +97,39 @@ def test_merged_stream_is_time_then_core_ordered():
         assert {entry["core"] for entry in stream} == {0, 1, 2, 3}
 
 
+@pytest.mark.parametrize("backend", ["inline", "single"])
+def test_merged_stream_stamps_copies_not_the_recorders(backend):
+    """``core`` goes onto the parent's private copies: a recorder's own
+    entries, whose checksum is state, never carry it."""
+    with ShardedEngine(mix_plan(seed=11, cores=4), shards=2,
+                       backend=backend) as engine:
+        engine.advance(2_000.0)
+        recorders = [core.recorder for core in engine._backend.cores]
+        before = [recorder.snapshot_state() for recorder in recorders]
+        state = engine.snapshot_state()
+        stream = engine.merged_stream()
+        assert stream and all("core" in entry for entry in stream)
+        assert not any("core" in entry for recorder in recorders
+                       for entry in recorder.entries)
+        assert [recorder.snapshot_state()
+                for recorder in recorders] == before
+        assert engine.snapshot_state() == state
+
+
+def test_mp_stream_equals_inline_entry_for_entry():
+    streams = []
+    for backend in ("mp", "inline"):
+        with ShardedEngine(mix_plan(seed=11, cores=4), shards=2,
+                           backend=backend) as engine:
+            engine.advance(2_000.0)
+            streams.append(engine.merged_stream())
+    mp, inline = streams
+    assert len(mp) == len(inline) > 0
+    for got, want in zip(mp, inline):
+        assert [(key, type(value), value) for key, value in got.items()] \
+            == [(key, type(value), value) for key, value in want.items()]
+
+
 def test_epoch_ms_override_changes_barrier_cadence():
     plan = mix_plan(seed=11, cores=4)  # plan grid: 500ms
     with ShardedEngine(plan, shards=2, epoch_ms=250.0) as engine:
