@@ -199,12 +199,14 @@ def report_text(result: ExperimentResult) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
+    from repro.shard.__main__ import positive_int
+
     parser = argparse.ArgumentParser(
         description="Tail latency under open-loop overload.")
     parser.add_argument("--quick", action="store_true",
                         help="PR-gate smoke sizing")
     parser.add_argument("--seed", type=int, default=2026)
-    parser.add_argument("--requests", type=int, default=None,
+    parser.add_argument("--requests", type=positive_int, default=None,
                         help="requests per class (overrides sizing)")
     parser.add_argument("--out", default=None,
                         help="write the report (plus .sha256) here")

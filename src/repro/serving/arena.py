@@ -17,9 +17,11 @@ scheduler underneath, the admission pricing, and the SLO loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
+from repro.errors import ExperimentError
 from repro.kernel.ipc import Port
 from repro.serving.admission import AdmissionController
 from repro.serving.slo_controller import ClassLatencyProbe, SloController
@@ -59,6 +61,16 @@ class ArenaConfig:
     frontend_tickets: float = 100.0
     backend_tickets: float = 50.0
     bin_ms: float = 5.0
+
+    def __post_init__(self) -> None:
+        count, load = self.requests_per_class, self.load_factor
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ExperimentError(
+                f"requests_per_class must be a positive int: {count!r}")
+        if not (isinstance(load, (int, float)) and math.isfinite(load)
+                and load > 0):
+            raise ExperimentError(
+                f"load_factor must be finite and positive: {load!r}")
 
     def capacity_rps(self) -> float:
         return capacity_rps(self.classes)

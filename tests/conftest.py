@@ -12,6 +12,8 @@ to force it off; ``REPRO_SANITIZE_STRIDE=N`` checks every Nth quantum.
 from __future__ import annotations
 
 import os
+import sys
+from collections import Counter
 
 import pytest
 
@@ -91,6 +93,55 @@ def walks(monkeypatch):
 
     monkeypatch.setattr(Currency, "_invalidate_downstream", counted)
     return started
+
+
+@pytest.fixture
+def race_tracker_off(monkeypatch):
+    """The bare kernel path a work count prices: under REPRO_SANITIZE=1
+    the race tracker is a frame of its own at every thread transition
+    (the invariant hooks are too; a test clears its kernels' own)."""
+    import repro.kernel.ipc as ipc_module
+    import repro.kernel.kernel as kernel_module
+    import repro.kernel.thread as thread_module
+
+    for module in (kernel_module, thread_module, ipc_module):
+        monkeypatch.setattr(module, "_race_tracker", None)
+
+
+def count_work(run, *args, lines=False, within=None, qualname=False):
+    """Call ``run(*args)`` and count the Python-level work it does.
+
+    Calls are counted through ``sys.setprofile``, by ``co_name`` (by
+    ``co_qualname`` with ``qualname``), only in files whose path
+    contains ``within`` when that is given.  With ``lines``, line events
+    are counted too, through ``sys.settrace``: a loop inside one frame
+    is invisible to the call count.  Whatever profiler and tracer were
+    installed are put back.  Returns ``(calls, line_events)``.
+    """
+    calls = Counter()
+    line_events = [0]
+    attribute = "co_qualname" if qualname else "co_name"
+
+    def profile(frame, event, arg):
+        if event == "call" and (within is None
+                                or within in frame.f_code.co_filename):
+            calls[getattr(frame.f_code, attribute)] += 1
+
+    def local(frame, event, arg):
+        if event == "line":
+            line_events[0] += 1
+        return local
+
+    previous = sys.getprofile(), sys.gettrace()
+    sys.setprofile(profile)
+    if lines:
+        sys.settrace(lambda frame, event, arg: local)
+    try:
+        run(*args)
+    finally:
+        sys.settrace(previous[1])
+        sys.setprofile(previous[0])
+    return calls, line_events[0]
 
 
 def make_lottery_kernel(seed: int = 1, quantum: float = 100.0,

@@ -1,8 +1,5 @@
 """Tests for the lottery scheduling policy wired into the kernel."""
 
-import sys
-from collections import Counter
-
 import pytest
 
 from repro.core.prng import ParkMillerPRNG
@@ -10,7 +7,7 @@ from repro.core.tickets import Ledger
 from repro.kernel.kernel import Kernel
 from repro.schedulers.lottery_policy import LotteryPolicy
 from repro.sim.engine import Engine
-from tests.conftest import make_lottery_kernel, spin_body
+from tests.conftest import count_work, make_lottery_kernel, spin_body
 
 
 class TestProportionalShares:
@@ -215,33 +212,16 @@ class TestCallsPerDispatch:
     race-tracker wrapper and ``Thread.__hash__`` was a frame of its own;
     docs/PERFORMANCE.md section 1 names the frames left and why."""
 
-    def test_a_dispatch_costs_at_most_48_python_calls(self, monkeypatch):
-        import repro.kernel.kernel as kernel_module
-        import repro.kernel.thread as thread_module
-
-        # The model prices the bare path: under REPRO_SANITIZE=1 the
-        # race tracker and the invariant hooks are frames of their own.
-        monkeypatch.setattr(kernel_module, "_race_tracker", None)
-        monkeypatch.setattr(thread_module, "_race_tracker", None)
+    def test_a_dispatch_costs_at_most_48_python_calls(self,
+                                                      race_tracker_off):
         kernel = make_lottery_kernel(seed=3, quantum=10.0, use_tree=True)
         kernel.invariant_hooks.clear()
         for index in range(200):
             kernel.spawn(spin_body(7.0), f"spin{index}",
                          tickets=float(1 + index % 13))
         kernel.run_until(500 * 10.0)
-        calls = Counter()
-
-        def profile(frame, event, arg):
-            if event == "call":
-                calls[frame.f_code.co_name] += 1
-
         start = kernel.dispatch_count
-        previous = sys.getprofile()
-        sys.setprofile(profile)
-        try:
-            kernel.run_until(2_500 * 10.0)
-        finally:
-            sys.setprofile(previous)
+        calls, _ = count_work(kernel.run_until, 2_500 * 10.0)
         dispatches = kernel.dispatch_count - start
         assert dispatches == 2_000
         per_dispatch = sum(calls.values()) / dispatches

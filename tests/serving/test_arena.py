@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.analysis.sanitizer import check_run_queue
 from repro.checkpoint.statetree import tree_checksum
+from repro.errors import ReproError
 from repro.experiments.common import build_machine
 from repro.serving.arena import ArenaConfig, build_arena
+from tests.conftest import count_work
 
 _QUANTUM = 20.0
 
@@ -155,34 +159,13 @@ class TestCallsPerRequest:
     bound holds on the oldest CPython CI runs: 3.12 inlines
     comprehensions and reads lower."""
 
-    def test_a_request_costs_at_most_260_python_calls(self, monkeypatch):
-        import sys
-        from collections import Counter
-
-        import repro.kernel.ipc as ipc_module
-        import repro.kernel.kernel as kernel_module
-        import repro.kernel.thread as thread_module
-
-        # The model prices the bare path: under REPRO_SANITIZE=1 the
-        # race tracker and the invariant hooks are frames of their own.
-        for module in (kernel_module, thread_module, ipc_module):
-            monkeypatch.setattr(module, "_race_tracker", None)
+    def test_a_request_costs_at_most_260_python_calls(self,
+                                                      race_tracker_off):
         machine = build_machine(seed=1, quantum=_QUANTUM, policy="lottery")
         machine.kernel.invariant_hooks.clear()
         arena = build_arena(machine.kernel, ArenaConfig(
             seed=1, load_factor=0.7, requests_per_class=100))
-        calls = Counter()
-
-        def profile(frame, event, arg):
-            if event == "call":
-                calls[frame.f_code.co_name] += 1
-
-        previous = sys.getprofile()
-        sys.setprofile(profile)
-        try:
-            arena.run()
-        finally:
-            sys.setprofile(previous)
+        calls, _ = count_work(arena.run)
         offered = sum(arena.stats.offered.values())
         assert offered == 300
         assert machine.kernel.dispatch_count == 993
@@ -212,26 +195,14 @@ class TestHubWorkPerDispatch:
 
     def test_counts_per_dispatch_and_exported_bytes(self):
         import os
-        import sys
-        from collections import Counter
 
         from repro.telemetry import (Telemetry, export_chrome, export_jsonl,
                                      export_prometheus, sha256_text)
 
-        calls = Counter()
         package = os.sep + os.path.join("repro", "telemetry") + os.sep
-
-        def profile(frame, event, arg):
-            if event == "call" and package in frame.f_code.co_filename:
-                calls[frame.f_code.co_qualname] += 1
-
         hub = Telemetry()
         machine, arena = self._build(hub)
-        sys.setprofile(profile)
-        try:
-            arena.run()
-        finally:
-            sys.setprofile(None)
+        calls, _ = count_work(arena.run, within=package, qualname=True)
         # Observation never perturbs the run.
         bare = self._build(None)
         bare[1].run()
@@ -291,7 +262,7 @@ class TestHubWorkPerDispatch:
             "c155c55763472e49", "11f42ff5848e0170", "398fb80fdc2bf3b5"]
 
     def test_all_of_the_hubs_work_is_at_most_37_frames_a_dispatch(
-            self, monkeypatch):
+            self, race_tracker_off):
         """Every Python frame the hub adds, wherever it runs: the same
         run hub-on minus hub-off.  36 445 (36.7 a dispatch), two thirds
         of it outside ``repro/telemetry``: the probe's share walk
@@ -300,33 +271,14 @@ class TestHubWorkPerDispatch:
         the list lottery (``ListLottery.total`` and its generator) and
         ``RecorderMux`` fans every event out.  docs/PERFORMANCE.md
         section 1 has the whole decomposition."""
-        import sys
-        from collections import Counter
-
-        import repro.kernel.ipc as ipc_module
-        import repro.kernel.kernel as kernel_module
-        import repro.kernel.thread as thread_module
         from repro.telemetry import Telemetry
 
-        # The hub's work only: under REPRO_SANITIZE=1 the race tracker
-        # and the invariant hooks are frames of their own.
-        for module in (kernel_module, thread_module, ipc_module):
-            monkeypatch.setattr(module, "_race_tracker", None)
+        # The hub's work only, not the sanitizer's.
         frames = {}
         for hub in (Telemetry(), None):
             machine, arena = self._build(hub)
             machine.kernel.invariant_hooks.clear()
-            calls = frames[hub is not None] = Counter()
-
-            def profile(frame, event, arg, calls=calls):
-                if event == "call":
-                    calls[frame.f_code.co_name] += 1
-
-            sys.setprofile(profile)
-            try:
-                arena.run()
-            finally:
-                sys.setprofile(None)
+            frames[hub is not None], _ = count_work(arena.run)
             assert machine.kernel.dispatch_count == 993
         added = frames[True].copy()
         added.subtract(frames[False])
@@ -381,3 +333,17 @@ class TestHorizon:
         slowest = max(100 / config.class_rate_per_s(spec) * 1000.0
                       for spec in config.classes)
         assert config.horizon_ms() >= slowest
+
+
+class TestConfigRefusals:
+    """A bad size is refused by the field's name, not by a traceback
+    from the clock ("cannot run backwards"), the run horizon ("must not
+    be NaN") or a bare ``TypeError``."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("requests_per_class", -3), ("requests_per_class", 0),
+        ("requests_per_class", 2.5), ("load_factor", math.nan),
+        ("load_factor", 0.0)])
+    def test_a_bad_size_names_its_field(self, field, value):
+        with pytest.raises(ReproError, match=f"^{field} must be"):
+            ArenaConfig(**{field: value})

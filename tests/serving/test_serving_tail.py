@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.experiments import serving_tail
 
 
@@ -47,3 +49,13 @@ class TestExperiment:
             assert row["stream_sha"] in text
             assert row["state_sha"] in text
         assert text.endswith("\n")
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("requests", ["-3", "0", "2.5"])
+    def test_requests_must_be_a_positive_int(self, requests, capsys):
+        with pytest.raises(SystemExit) as exited:
+            serving_tail.main(["--requests", requests])
+        assert exited.value.code == 2
+        assert "--requests: expected a positive integer" \
+            in capsys.readouterr().err
