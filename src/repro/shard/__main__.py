@@ -87,6 +87,20 @@ def _shard_counts(text: str) -> List[int]:
     return [positive_int(part) for part in text.split(",")]
 
 
+def _backend_names(text: str) -> List[str]:
+    """argparse type of ``--backends``: a comma list of known backend
+    names, so a typo is a usage error, not a diverged combination."""
+    from repro.shard.backends import BACKENDS
+
+    names = [part.strip() for part in text.split(",")]
+    for name in names:
+        if name not in BACKENDS:
+            raise argparse.ArgumentTypeError(
+                f"unknown backend {name!r} in {text!r} "
+                f"(choose from {', '.join(sorted(BACKENDS))})")
+    return names
+
+
 def _run_combo(plan: ShardPlan, backend: str, shards: int, until: float,
                policy: Optional[SupervisorPolicy] = None,
                host_faults: Optional[HostFaultPlan] = None,
@@ -185,7 +199,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--backend", default="inline",
                         choices=sorted(BACKENDS),
                         help="backend for 'run'")
-    parser.add_argument("--backends", default="inline,mp",
+    parser.add_argument("--backends", type=_backend_names,
+                        default="inline,mp",
                         help="comma list for 'verify'")
     parser.add_argument("--shards", type=_shard_counts, default="1,2,4",
                         help="shard counts: one int for 'run', comma "
@@ -273,10 +288,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     ]
 
     combos: List[Dict[str, Any]] = []
-    for backend in args.backends.split(","):
+    for backend in args.backends:
         for count in args.shards:
-            combos.append({"label": f"{backend.strip()}/s{count}",
-                           "backend": backend.strip(), "shards": count})
+            combos.append({"label": f"{backend}/s{count}",
+                           "backend": backend, "shards": count})
     if host_faults is not None:
         combos.append({"label": f"mp+faults/s{shards}", "backend": "mp",
                        "shards": shards, "host_faults": host_faults})

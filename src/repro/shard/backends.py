@@ -19,7 +19,13 @@ in what interleaving core events execute:
   ``shard_spin_mp`` workload as ``shard.mp_over_inline`` (mp wall /
   inline wall, two workers pinned to two CPUs): 0.70-0.97 while every
   epoch cost two pipe round-trips, 0.48-0.62 once a quiet window cost
-  one; the break-even grid is in ``docs/SHARDING.md`` section 3.
+  one.  It later read 0.73-0.78: after the coordinator had been busy,
+  its first command woke a worker that took the coordinator's own CPU,
+  and the second shard's command waited out that worker's window.
+  Workers in ``SCHED_BATCH`` do not preempt on wakeup
+  (:func:`_enter_batch_class`), so one broadcast starts every shard
+  at once: 0.65-0.68.  The break-even grid is in ``docs/SHARDING.md``
+  section 3.
 
 One command advances history -- the **slice command** ``epoch``: it
 carries the barrier due where the cores stand (``barrier``: this
@@ -558,6 +564,22 @@ def _send_reply(conn: Any, message: Dict[str, Any],
         conn.send_bytes(frame)
 
 
+def _enter_batch_class() -> None:  # pragma: no cover - worker
+    """Put this worker in the host's ``SCHED_BATCH`` class, where a
+    wakeup does not preempt the running task.
+
+    The command that wakes a worker then never takes the CPU from the
+    coordinator halfway through a broadcast: the coordinator writes
+    every shard's command and blocks in ``poll`` before any worker
+    runs, so the shards start together (``docs/SHARDING.md`` section
+    3).  CPU share is unchanged.  Where the host has no such class, or
+    refuses the switch, the worker runs in the class it inherited."""
+    try:
+        os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+    except (AttributeError, OSError):
+        pass
+
+
 def _worker_main(conn: Any, plan_dict: Dict[str, Any],
                  core_ids: List[int], sanitize: bool, obs: bool,
                  flight: bool) -> None:
@@ -570,6 +592,7 @@ def _worker_main(conn: Any, plan_dict: Dict[str, Any],
     ``REPRO_SANITIZE=1`` -- their own race sanitizer, so barrier
     handoffs are sanitized inside every process.
     """
+    _enter_batch_class()
     command: Optional[str] = None
     try:
         cores, router = _build_worker_cores(plan_dict, core_ids, sanitize,

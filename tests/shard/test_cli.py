@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from repro.errors import ShardError
 from repro.shard.__main__ import _first_divergence, main
+from repro.shard.backends import BACKENDS
 from repro.shard.plan import PLANS
 
 from tests.shard.test_obs import GOLDEN_REPORT, GOLDEN_TRACE
@@ -49,7 +51,14 @@ def test_verify_propagates_off_grid_horizon(capsys):
     assert "epoch grid" in err.splitlines()[-1] and "Traceback" not in err
 
 
-def test_verify_records_backend_errors_and_fails(capsys, tmp_path):
+def test_verify_records_backend_errors_and_fails(capsys, tmp_path,
+                                                monkeypatch):
+    """A combination whose backend raises at run time is an ERROR line
+    in the report and fails the gate; the oracle still ran first."""
+    def warp(*args, **kwargs):
+        raise ShardError("warp drive offline")
+
+    monkeypatch.setitem(BACKENDS, "warp", warp)
     report = tmp_path / "divergence.txt"
     code = main(["verify", "--plan", "mix", "--cores", "2",
                  "--until", "1000", "--backends", "inline,warp",
@@ -58,8 +67,26 @@ def test_verify_records_backend_errors_and_fails(capsys, tmp_path):
     assert code == 1
     assert "FAIL" in out
     text = report.read_text()
-    assert "warp/s1: ERROR" in text
+    assert "warp/s1: ERROR warp drive offline" in text
     assert "single-loop oracle" in text
+
+
+@pytest.mark.parametrize("backends, bad", [
+    ("mp,foo", "'foo'"),     # a typo
+    ("inline,,mp", "''"),    # an empty entry
+])
+def test_verify_refuses_unknown_backends_before_running(backends, bad,
+                                                        capsys):
+    """A bad ``--backends`` entry is a usage error naming it, raised
+    by argparse before the oracle or any combination runs -- not a
+    diverged combination after every good one has run."""
+    with pytest.raises(SystemExit) as caught:
+        main(["verify", "--plan", "spin", "--backends", backends])
+    assert caught.value.code == 2
+    captured = capsys.readouterr()
+    last = captured.err.splitlines()[-1]
+    assert "--backends" in last and f"unknown backend {bad}" in last
+    assert captured.out == ""  # nothing ran
 
 
 @pytest.mark.parametrize("argv, named", [
