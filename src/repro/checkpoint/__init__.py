@@ -11,7 +11,7 @@ robustness tool:
   SHA-256-checksummed files written atomically (temp + fsync +
   rename), so a crash mid-save never leaves a torn checkpoint and a
   corrupted file is rejected at load;
-* **restore** (:mod:`repro.checkpoint.restore`) -- re-execute the
+* **restore** (also :mod:`repro.checkpoint.capture`) -- re-execute the
   recorded recipe to the checkpoint time, prove the reconstruction by
   diffing state trees (first mismatched path = divergence), and
   re-validate scheduler invariants before resuming;
@@ -50,18 +50,13 @@ __all__ = [
 
 __getattr__ = lazy_exports(globals(), {
     "capture_payload": ".capture", "capture_tree": ".capture",
-    "save": ".capture",
+    "save": ".capture", "restore": ".capture",
+    "restore_payload": ".capture", "verify_against": ".capture",
     "SimHandle": ".registry", "build_recipe": ".registry",
     "Divergence": ".replay", "ReplayRecorder": ".replay",
     "diff_streams": ".replay", "format_divergence": ".replay",
     "read_stream_file": ".replay", "write_stream_file": ".replay",
-    "restore_payload": ".restore", "verify_against": ".restore",
     "SCHEMA_VERSION": ".statetree", "canonical_json": ".statetree",
     "diff_trees": ".statetree", "read_checkpoint_file": ".statetree",
     "tree_checksum": ".statetree", "write_checkpoint_file": ".statetree",
 })
-
-# ``restore`` is a submodule and its function.  Loading a submodule
-# rebinds the package attribute of its name to the module, so the
-# function is bound here, once the submodule has loaded, not lazily.
-from repro.checkpoint.restore import restore

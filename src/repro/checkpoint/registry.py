@@ -26,7 +26,6 @@ checkpoints that miss it.
 
 from __future__ import annotations
 
-import inspect
 import math
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Union,
                     get_args, get_origin, get_type_hints)
@@ -126,6 +125,8 @@ def build_recipe(name: str, args: Dict[str, Any]) -> SimHandle:
     """Build a fresh simulation from the recipe table
     (:data:`repro.checkpoint.recipes.RECIPES`); ``name`` and ``args``
     come from a file, so both are checked against it."""
+    import inspect
+
     from repro.checkpoint.recipes import RECIPES
 
     try:

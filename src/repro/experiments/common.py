@@ -8,19 +8,15 @@ common plumbing so each experiment stays focused on its scenario.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from importlib import import_module
+from typing import Any, Callable, Dict, List, Sequence
 
 from repro.core.prng import ParkMillerPRNG
 from repro.core.tickets import Ledger
 from repro.errors import ExperimentError
 from repro.kernel.kernel import Kernel
 from repro.schedulers.base import SchedulingPolicy
-from repro.schedulers.fair_share import FairSharePolicy
 from repro.schedulers.lottery_policy import LotteryPolicy
-from repro.schedulers.priority import FixedPriorityPolicy
-from repro.schedulers.round_robin import RoundRobinPolicy
-from repro.schedulers.stride import StridePolicy
-from repro.schedulers.timesharing import TimesharingPolicy
 from repro.sim.engine import Engine
 
 __all__ = ["ExperimentResult", "Machine", "build_machine", "format_table"]
@@ -69,6 +65,13 @@ class Machine:
         self.kernel.run_until(time_ms)
 
 
+def _baseline(module: str, name: str) -> Callable[[Ledger, int], Any]:
+    """A baseline policy's factory; its module loads when first named."""
+    def factory(ledger: Ledger, seed: int) -> Any:
+        return getattr(import_module(f"repro.schedulers.{module}"), name)()
+    return factory
+
+
 _POLICIES = {
     "lottery": lambda ledger, seed: LotteryPolicy(
         ledger, prng=ParkMillerPRNG(seed)
@@ -79,11 +82,11 @@ _POLICIES = {
     "lottery-tree": lambda ledger, seed: LotteryPolicy(
         ledger, prng=ParkMillerPRNG(seed), use_tree=True
     ),
-    "round-robin": lambda ledger, seed: RoundRobinPolicy(),
-    "fixed-priority": lambda ledger, seed: FixedPriorityPolicy(),
-    "timesharing": lambda ledger, seed: TimesharingPolicy(),
-    "fair-share": lambda ledger, seed: FairSharePolicy(),
-    "stride": lambda ledger, seed: StridePolicy(),
+    "round-robin": _baseline("round_robin", "RoundRobinPolicy"),
+    "fixed-priority": _baseline("priority", "FixedPriorityPolicy"),
+    "timesharing": _baseline("timesharing", "TimesharingPolicy"),
+    "fair-share": _baseline("fair_share", "FairSharePolicy"),
+    "stride": _baseline("stride", "StridePolicy"),
 }
 
 

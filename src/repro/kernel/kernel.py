@@ -17,6 +17,7 @@ the prototype's 100 ms-quantum behaviour.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, List, Optional
 
 from repro.core.tickets import Currency, Ledger
@@ -112,10 +113,14 @@ class Kernel:
         context_switch_cost: float = 0.0,
         recorder: Optional[Any] = None,
     ) -> None:
-        if quantum <= 0:
-            raise KernelError(f"quantum must be positive, got {quantum}")
-        if context_switch_cost < 0:
-            raise KernelError("context_switch_cost must be non-negative")
+        # Written so that NaN fails too: ``nan <= 0`` is false.
+        if not 0 < quantum < math.inf:
+            raise KernelError(
+                f"quantum must be positive and finite, got {quantum!r}")
+        if not 0 <= context_switch_cost < math.inf:
+            raise KernelError(
+                f"context_switch_cost must be non-negative and finite, "
+                f"got {context_switch_cost!r}")
         self.engine = engine
         #: The engine's clock, held directly: the dispatch and wake
         #: paths read ``self.clock.now`` several times per event.

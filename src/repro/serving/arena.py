@@ -63,14 +63,32 @@ class ArenaConfig:
     bin_ms: float = 5.0
 
     def __post_init__(self) -> None:
+        def is_int(value: Any) -> bool:
+            return isinstance(value, int) and not isinstance(value, bool)
+
         count, load = self.requests_per_class, self.load_factor
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        if not is_int(self.seed):
+            raise ExperimentError(f"seed must be an int: {self.seed!r}")
+        if not is_int(count) or count < 1:
             raise ExperimentError(
                 f"requests_per_class must be a positive int: {count!r}")
         if not (isinstance(load, (int, float)) and math.isfinite(load)
                 and load > 0):
             raise ExperimentError(
                 f"load_factor must be finite and positive: {load!r}")
+        if not (isinstance(self.classes, tuple) and self.classes and all(
+                isinstance(spec, ServiceClassSpec) for spec in self.classes)):
+            raise ExperimentError(
+                f"classes must be a non-empty tuple of ServiceClassSpec: "
+                f"{self.classes!r}")
+        if not is_int(self.backends) or self.backends < 1:
+            raise ExperimentError(
+                f"backends must be a positive int: {self.backends!r}")
+        fraction = self.transfer_fraction
+        # As ``transfer_funding``: a fraction of the client's rights.
+        if not (isinstance(fraction, (int, float)) and 0 < fraction <= 1):
+            raise ExperimentError(
+                f"transfer_fraction must be in (0, 1]: {fraction!r}")
 
     def capacity_rps(self) -> float:
         return capacity_rps(self.classes)

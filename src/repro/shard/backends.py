@@ -69,7 +69,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import FrameCorruptError, ShardError
-from repro.shard.core import ShardCore
+from repro.shard.builders import body_factory
+from repro.shard.core import ShardCore, load_obs_modules
 from repro.shard.frames import (corrupt_frame, decode_frame, encode_frame,
                                 recv_frame, send_frame)
 from repro.shard.hostfaults import HostFaultPlan, HostFaultSchedule
@@ -495,6 +496,21 @@ def _build_worker_cores(plan_dict: Dict[str, Any], core_ids: List[int],
     return cores, router
 
 
+def _load_worker_modules(plan: ShardPlan, obs: bool,
+                         sanitize: bool) -> None:
+    """Import, in the parent, every module a worker's cores run: each
+    thread body's, the obs plane's and the sanitizers'.  A ``fork``
+    worker then inherits them compiled and imports nothing itself; a
+    ``spawn`` or ``forkserver`` worker imports them cold either way."""
+    for name in {spec["body"] for spec in plan.threads}:
+        body_factory(name)
+    if obs:
+        load_obs_modules()
+    if sanitize:
+        import repro.analysis.races  # noqa: F401
+        import repro.analysis.sanitizer  # noqa: F401
+
+
 def _describe_error(exc: BaseException, command: Optional[str]) -> dict:
     """Worker-side failure description shipped back over the pipe, so
     recovery logs and ShardError messages name the real cause."""
@@ -688,6 +704,7 @@ class MpBackend(_Backend):
         self._inline: Optional[InlineBackend] = None
         self._context = multiprocessing.get_context()
         self._sanitize = bool(os.environ.get("REPRO_SANITIZE"))
+        _load_worker_modules(plan, obs, self._sanitize)
         self._workers: List[Any] = []
         self._conns: List[Any] = []
         plan_dict = plan.to_dict()

@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, Union
 
 from repro.errors import ShardError
 
-__all__ = ["BODY_REGISTRY", "register_body", "build_body"]
+__all__ = ["BODY_REGISTRY", "body_factory", "build_body", "register_body"]
 
 
 def register_body(name: str) -> Callable[[Callable[..., Any]],
@@ -38,16 +38,21 @@ def register_body(name: str) -> Callable[[Callable[..., Any]],
     return decorator
 
 
-def build_body(core: Any, spec: Dict[str, Any]) -> Callable[..., Any]:
-    """Instantiate the body of a thread spec for ``core``."""
+def body_factory(name: Any) -> Callable[..., Any]:
+    """The factory registered under ``name``, its module imported."""
     try:
-        factory = BODY_REGISTRY[spec["body"]]
+        factory = BODY_REGISTRY[name]
     except KeyError:
-        raise ShardError(f"unregistered body {spec.get('body')!r}") from None
+        raise ShardError(f"unregistered body {name!r}") from None
     if isinstance(factory, str):
         module, _, attr = factory.partition(":")
         factory = getattr(import_module(module), attr)
-    return factory(core, dict(spec.get("args") or {}))
+    return factory
+
+
+def build_body(core: Any, spec: Dict[str, Any]) -> Callable[..., Any]:
+    """Instantiate the body of a thread spec for ``core``."""
+    return body_factory(spec.get("body"))(core, dict(spec.get("args") or {}))
 
 
 # -- built-in bodies ---------------------------------------------------------

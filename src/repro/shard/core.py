@@ -53,7 +53,22 @@ from repro.shard.plan import ShardPlan
 from repro.shard.router import ShardRouter, race_seam
 from repro.sim.engine import LoopCore
 
-__all__ = ["ShardCore"]
+__all__ = ["ShardCore", "load_obs_modules"]
+
+
+def load_obs_modules() -> None:
+    """Import every module an obs core runs: the hub, its span store
+    and registry, the recorder mux its probe attaches through, and
+    ``obs_frame``'s module, whose first call is inside the run.
+
+    A core calls this when its plane is armed, and ``MpBackend`` before
+    it starts workers, so that a forked worker inherits them compiled.
+    """
+    import repro.metrics.recorder  # noqa: F401
+    import repro.telemetry.aggregate  # noqa: F401
+    import repro.telemetry.probe  # noqa: F401
+    import repro.telemetry.registry  # noqa: F401
+    import repro.telemetry.spans  # noqa: F401
 
 
 class ShardCore:
@@ -81,9 +96,7 @@ class ShardCore:
         self.obs = bool(obs)
         self.telemetry = None
         if self.obs:
-            # obs_frame's module too: loaded when the plane is armed,
-            # not at the first frame, which is inside the run.
-            import repro.telemetry.aggregate  # noqa: F401
+            load_obs_modules()
             from repro.telemetry.probe import Telemetry
 
             self.telemetry = Telemetry()

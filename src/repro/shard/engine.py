@@ -51,7 +51,6 @@ from repro.errors import (
     InvariantViolation,
     ShardError,
 )
-from repro.shard.backends import make_backend
 from repro.shard.plan import (GRID_EPS, ShardPlan, finite, grid_instants,
                               on_grid)
 from repro.shard.topology import ShardTopology
@@ -190,6 +189,10 @@ class ShardedEngine:
                 f"policy/host_faults apply to backend='mp' only (got "
                 f"{backend!r}): they supervise worker *processes*, "
                 f"which only the mp backend has")
+        # The backend module brings the cores, frames, router and host
+        # faults: an engine is what needs them, not its importer.
+        from repro.shard.backends import make_backend
+
         self._backend = make_backend(backend, self.plan, self.topology,
                                      **options)
         if self.obs_enabled:

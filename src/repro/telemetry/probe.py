@@ -32,11 +32,9 @@ from typing import Any, Dict, List, Optional, TYPE_CHECKING, Tuple
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
     from repro.kernel.thread import Thread
+    from repro.telemetry.registry import Counter, HistogramInstrument
 
 from repro.kernel.thread import ThreadState
-from repro.telemetry.registry import (Counter, HistogramInstrument,
-                                      MetricRegistry)
-from repro.telemetry.spans import SpanTracer
 
 __all__ = ["KernelProbe", "Telemetry", "SHARE_BANDS"]
 
@@ -177,6 +175,11 @@ class Telemetry:
 
     def __init__(self, max_spans: int = 1_000_000,
                  strict: bool = False) -> None:
+        # Loaded with the first hub, not with this module: a run that
+        # never builds one never compiles the span store or registry.
+        from repro.telemetry.registry import MetricRegistry
+        from repro.telemetry.spans import SpanTracer
+
         self.tracer = SpanTracer(max_spans=max_spans, strict=strict)
         self.registry = MetricRegistry()
         #: What a callback looked up once and needs on every event.  The

@@ -2,10 +2,15 @@
 
 import pytest
 
+from repro.core.prng import ParkMillerPRNG
+from repro.core.tickets import Ledger
 from repro.errors import KernelError, SimulationError
+from repro.kernel.kernel import Kernel
 from repro.kernel.syscalls import Compute, Exit, Send, Sleep, YieldCPU
 from repro.kernel.thread import ThreadState
 from repro.metrics.recorder import KernelRecorder
+from repro.schedulers.lottery_policy import LotteryPolicy
+from repro.sim.engine import Engine
 from tests.conftest import make_lottery_kernel, spin_body
 
 
@@ -72,6 +77,20 @@ class TestBasicDispatch:
     def test_spawn_requires_positive_quantum(self):
         with pytest.raises(KernelError):
             make_lottery_kernel(quantum=0)
+
+    @pytest.mark.parametrize("quantum", [float("nan"), float("inf")])
+    def test_non_finite_quantum_is_refused_by_name(self, quantum):
+        # A NaN quantum used to pass ``quantum <= 0`` and hand one
+        # thread the whole CPU without a word.
+        with pytest.raises(KernelError, match="quantum must be positive"):
+            make_lottery_kernel(quantum=quantum)
+
+    @pytest.mark.parametrize("cost", [-1.0, float("nan"), float("inf")])
+    def test_bad_context_switch_cost_is_refused_by_name(self, cost):
+        ledger = Ledger()
+        policy = LotteryPolicy(ledger, prng=ParkMillerPRNG(1))
+        with pytest.raises(KernelError, match="context_switch_cost"):
+            Kernel(Engine(), policy, ledger=ledger, context_switch_cost=cost)
 
 
 class TestYieldAndSleep:

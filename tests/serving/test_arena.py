@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis.sanitizer import check_run_queue
 from repro.checkpoint.statetree import tree_checksum
-from repro.errors import ReproError
+from repro.errors import ExperimentError, ReproError
 from repro.experiments.common import build_machine
 from repro.serving.arena import ArenaConfig, build_arena
 from tests.conftest import count_work
@@ -346,4 +346,19 @@ class TestConfigRefusals:
         ("load_factor", 0.0)])
     def test_a_bad_size_names_its_field(self, field, value):
         with pytest.raises(ReproError, match=f"^{field} must be"):
+            ArenaConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        # A bare ZeroDivisionError from ``capacity_rps``.
+        ("classes", ()),
+        # A bare TypeError from the arrival seeds.
+        ("seed", "x"),
+        # Accepted, and seeded the arrivals with a float.
+        ("seed", 1.5),
+        # Ran and completed none of the offered requests.
+        ("backends", 0),
+        # Accepted; ``transfer_funding`` takes only (0, 1].
+        ("transfer_fraction", -1.0)])
+    def test_a_malformed_field_names_itself(self, field, value):
+        with pytest.raises(ExperimentError, match=f"^{field} must be"):
             ArenaConfig(**{field: value})

@@ -141,9 +141,8 @@ def test_ops_run_is_backend_and_placement_invariant():
 def test_shard_mix_checkpoint_restores_bit_exact(tmp_path):
     """save at an epoch barrier -> restore -> advance: the resumed
     universe is bit-identical to one that never stopped."""
+    from repro.checkpoint.capture import restore, save
     from repro.checkpoint.registry import build_recipe
-    from repro.checkpoint.capture import save
-    from repro.checkpoint.restore import restore
 
     straight = build_recipe("shard-mix",
                             {"seed": 11, "cores": 4, "with_ops": True})

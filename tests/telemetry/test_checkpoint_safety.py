@@ -1,8 +1,7 @@
 """Telemetry across checkpoint save/restore: hooks, seams, regression."""
 
 from repro.checkpoint import build_recipe
-from repro.checkpoint.capture import save
-from repro.checkpoint.restore import restore
+from repro.checkpoint.capture import restore, save
 from repro.telemetry import Telemetry, hooks
 
 

@@ -92,9 +92,9 @@ _EXPORTS = """
 
 def test_every_export_resolves_to_its_defining_object():
     """Read before and after every submodule has loaded, and with every
-    submodule loaded first: a submodule whose name is also a function's
-    (``repro.checkpoint.restore``) must not shadow the function when its
-    import rebinds the package attribute."""
+    submodule loaded first: a submodule whose name is also an export's
+    must not shadow the export when its import rebinds the package
+    attribute."""
     kinds, found = _fresh(_EXPORTS, "exports-first")
     cold_kinds, cold_found = _fresh(_EXPORTS, "submodules-first")
     assert found == [] and cold_found == []
@@ -105,8 +105,10 @@ def test_every_export_resolves_to_its_defining_object():
     ("repro", 3),
     ("repro.checkpoint.statetree", 10),
     ("repro.experiments.common", 30),
-    # What bench/run.py times as set-up of every workload.
-    ("bench.workloads", 60),
+    # What bench/run.py times as set-up of every workload: the count it
+    # loads on CPython 3.11, so that any module it starts loading
+    # again fails here.
+    ("bench.workloads", 42),
 ])
 def test_module_budget(target, budget):
     loaded = _fresh(f"""
@@ -157,6 +159,13 @@ _BUILDS = {
             kernel.spawn(spin, f"spin{index}", tickets=float(1 + index % 13))
         run = lambda: kernel.run_until(5000.0)
     """,
+    "shard-inline": """
+        from repro.shard.engine import ShardedEngine
+        from repro.shard.plan import mix_plan
+        engine = ShardedEngine(mix_plan(11, cores=4), shards=2,
+                               backend="inline")
+        run = lambda: engine.advance(5000.0)
+    """,
     "shard-obs-inline": """
         from repro.shard.engine import ShardedEngine
         from repro.shard.plan import mix_plan
@@ -176,6 +185,31 @@ def test_a_run_imports_no_module(build):
         print(json.dumps(sorted(set(sys.modules) - before)))
     """))
     assert new == []
+
+
+#: Modules that only some runs call: the shard backend (and with it the
+#: cores, frames and router), the hub's span store and registry, the
+#: checkpoint recipe and restore path, and the baseline policies.
+_ON_FIRST_USE = ("repro.shard.backends", "repro.telemetry.spans",
+                 "repro.checkpoint.registry", "repro.schedulers.fair_share",
+                 "repro.schedulers.priority", "repro.schedulers.round_robin",
+                 "repro.schedulers.stride", "repro.schedulers.timesharing")
+
+
+@pytest.mark.parametrize("build", ["arena", "shard-inline", "tree-lottery"])
+def test_a_run_loads_only_what_it_calls(build):
+    """Built and run, a hub-off arena, a tree-lottery kernel and an
+    obs-off sharded engine load none of the modules they never call
+    (the engine calls its backend)."""
+    loaded = _fresh(textwrap.dedent(_BUILDS[build]) + textwrap.dedent("""
+        import json, sys
+        run()
+        print(json.dumps(sorted(sys.modules)))
+    """))
+    unused = [name for name in _ON_FIRST_USE if name in loaded
+              and not (build == "shard-inline"
+                       and name == "repro.shard.backends")]
+    assert unused == []
 
 
 def test_an_obs_core_loads_its_frame_module_when_built():
