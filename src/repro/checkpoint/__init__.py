@@ -1,8 +1,8 @@
 """Crash-consistent checkpoint/restore with bit-exact replay.
 
-The determinism contract (``docs/DETERMINISM.md``) makes every run a
-pure function of its seeds.  This package turns that property into a
-robustness tool:
+The determinism contract (docs/CHECKPOINT.md, "The determinism
+contract") makes every run a pure function of its seeds.  This package
+turns that property into a robustness tool:
 
 * **capture** (:mod:`repro.checkpoint.capture`) -- walk every
   subsystem's ``snapshot_state()`` seam into a typed, JSON-serializable

@@ -12,11 +12,11 @@ accepted -- the same gate restore applies before resuming.
 
 Thread bodies are generator frames and cannot be deserialized, so
 ``restore`` does not patch live objects from data.  Instead it exploits
-the determinism contract (``docs/DETERMINISM.md``): the checkpoint
-names the recipe and arguments that built the system, restore
-re-executes that recipe to the checkpoint's virtual time, and then
-*proves* the reconstruction by capturing the rebuilt system's state
-tree and diffing it against the saved one.  Any mismatch -- a code
+the determinism contract (docs/CHECKPOINT.md, "The determinism
+contract"): the checkpoint names the recipe and arguments that built
+the system, restore re-executes that recipe to the checkpoint's
+virtual time, and then *proves* the reconstruction by capturing the
+rebuilt system's state tree and diffing it against the saved one.  Any mismatch -- a code
 change since the checkpoint was taken, a non-deterministic recipe, a
 corrupted state -- surfaces as :class:`~repro.errors.DivergenceError`
 naming the first divergent path, instead of a silently different

@@ -3,12 +3,12 @@
 **Recipes** make restore possible without pickling live objects.
 Thread bodies are Python generators -- their frames cannot be
 serialized -- but the whole simulation is a pure function of its seeds
-(see ``docs/DETERMINISM.md``), so a checkpoint stores *how the system
-was built* (a recipe name plus JSON-serializable arguments) alongside
-the captured state tree.  Restore re-executes the recipe to the
-checkpoint time and *proves* the reconstruction by diffing its live
-state tree against the saved one; any mismatch is a divergence, named
-by path.
+(see docs/CHECKPOINT.md, "The determinism contract"), so a checkpoint
+stores *how the system was built* (a recipe name plus JSON-serializable
+arguments) alongside the captured state tree.  Restore re-executes the
+recipe to the checkpoint time and *proves* the reconstruction by
+diffing its live state tree against the saved one; any mismatch is a
+divergence, named by path.
 
 A recipe is a callable ``build(**args) -> SimHandle`` entered under a
 stable name in :data:`repro.checkpoint.recipes.RECIPES`.  Its arguments
@@ -178,8 +178,10 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
     "repro.sim.engine.Engine": {
         "covered": {"events_processed", "_next_tid"},
         # clock/_queue are captured through their own seams; trace_hook
-        # is an observer, not state.
-        "transient": {"clock", "_queue", "trace_hook", "_running"},
+        # is an observer, not state; _bound/_stop describe only the run
+        # in progress.
+        "transient": {"clock", "_queue", "trace_hook", "_running",
+                      "_bound", "_stop"},
     },
     "repro.sim.engine.LoopCore": {
         # The mechanics Engine inherits; same coverage story.  core_id
@@ -187,7 +189,7 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
         # sharded engine's core list encodes it), not evolving state.
         "covered": {"events_processed", "_next_tid"},
         "transient": {"clock", "_queue", "trace_hook", "_running",
-                      "core_id"},
+                      "_bound", "_stop", "core_id"},
     },
     "repro.sim.events.EventQueue": {
         "covered": {"_seq", "_heap"},

@@ -420,8 +420,8 @@ class Kernel:
             self._dispatch_pending = True
             self.engine.call_soon(self._dispatch, label="dispatch")
 
-    # The three engine callbacks below are the owner-context entry
-    # points: while one of them (or a continuation it scheduled)
+    # The two engine callbacks below are the owner-context entry
+    # points: while one of them (or a continuation it runs in place)
     # executes, this kernel's owner token is on the race-tracker stack,
     # so any mutation of another kernel's thread outside a declared seam
     # traps.  Each reads the tracker as it starts, so one activated
@@ -436,51 +436,68 @@ class Kernel:
                 return self._dispatch()
             finally:
                 tracker.pop()
-        self._dispatch_pending = False
-        if self.running is not None:
-            return
-        thread = self.policy.select()
-        if thread is None:
-            # CPU idles; the next _make_runnable re-arms the dispatcher.
-            # Normalize the dispatch window: a block mid-quantum leaves
-            # leftover quantum behind, and an idle CPU carrying one
-            # fails check_dispatch_window (checkpoints would refuse).
-            self._quantum_left = 0.0
-            self._instant_syscalls = 0
-            if self._idle_since is None:
-                self._idle_since = self.clock.now
-            return
-        if self._idle_since is not None:
-            self.idle_time += self.clock.now - self._idle_since
-            self._idle_since = None
-        thread.transition(ThreadState.RUNNING)
-        self.running = thread
-        self._quantum_left = self.quantum
-        self._instant_syscalls = 0
-        thread.dispatches += 1
-        self.dispatch_count += 1
-        if self.recorder is not None:
-            self.recorder.on_dispatch(thread, self.clock.now)
-        if self.context_switch_cost > 0:
-            self._inflight = self.engine.call_after(
-                self.context_switch_cost,
-                self._run_segment,
-                label="context-switch",
-                args=(thread,),
-            )
-        else:
-            self._run_segment(thread)
-
-    def _run_segment(self, thread: Thread) -> None:
-        """Interpret syscalls until the thread computes, blocks, or stops."""
-        tracker = _race_tracker
-        if tracker is not None and tracker.active and tracker.enter(self):
-            try:
-                return self._run_segment(thread)
-            finally:
-                tracker.pop()
-        self._inflight = None
+        # One pass a dispatch: a quantum that ends with nothing else due
+        # first loops back here instead of scheduling the next one.
         while True:
+            self._dispatch_pending = False
+            if self.running is not None:
+                return
+            thread = self.policy.select()
+            if thread is None:
+                # CPU idles; the next _make_runnable re-arms the
+                # dispatcher.  Normalize the dispatch window: a block
+                # mid-quantum leaves leftover quantum behind, and an idle
+                # CPU carrying one fails check_dispatch_window
+                # (checkpoints would refuse).
+                self._quantum_left = 0.0
+                self._instant_syscalls = 0
+                if self._idle_since is None:
+                    self._idle_since = self.clock.now
+                return
+            if self._idle_since is not None:
+                self.idle_time += self.clock.now - self._idle_since
+                self._idle_since = None
+            thread.transition(ThreadState.RUNNING)
+            self.running = thread
+            self._quantum_left = self.quantum
+            self._instant_syscalls = 0
+            thread.dispatches += 1
+            self.dispatch_count += 1
+            if self.recorder is not None:
+                self.recorder.on_dispatch(thread, self.clock.now)
+            if self.context_switch_cost > 0:
+                # A segment that computes nothing, done after the switch.
+                self._inflight = self.engine.call_after(
+                    self.context_switch_cost,
+                    self._segment_done,
+                    label="context-switch",
+                    args=(thread, None, 0.0),
+                )
+                return
+            if not self._segment(thread):
+                return
+
+    def _segment(self, thread: Thread, done: Optional[sc.Compute] = None,
+                 run: float = 0.0) -> bool:
+        """Interpret syscalls until the thread computes past what can run
+        in place, blocks, or stops; True when the next dispatch is the
+        caller's to run in place.  ``done`` is a compute segment of
+        ``run`` ms just finished, on the agenda or in place: the loop
+        credits it first either way."""
+        self._inflight = None
+        engine = self.engine
+        while True:
+            if done is not None:
+                done.remaining -= run
+                self._quantum_left -= run
+                thread.cpu_time += run
+                if self.recorder is not None:
+                    self.recorder.on_cpu(thread, self.clock.now - run, run)
+                if done.remaining <= _EPS:
+                    thread.current_syscall = None
+                if self._quantum_left <= _EPS:
+                    return self._end_dispatch(thread, "preempt")
+                done = None
             syscall = thread.current_syscall
             if syscall is None:
                 syscall = thread.advance()
@@ -489,25 +506,27 @@ class Kernel:
             plain_compute = syscall.__class__ is sc.Compute
             if not plain_compute and (syscall is None
                                       or isinstance(syscall, sc.Exit)):
-                self._end_dispatch(thread, "exit")
-                return
+                return self._end_dispatch(thread, "exit")
             if plain_compute or isinstance(syscall, sc.Compute):
                 thread.current_syscall = syscall
                 if self._quantum_left <= _EPS:
-                    self._end_dispatch(thread, "preempt")
-                    return
+                    return self._end_dispatch(thread, "preempt")
                 run = min(syscall.remaining, self._quantum_left)
-                self._inflight = self.engine.call_after(
-                    run,
-                    self._segment_done,
-                    label="compute",
-                    args=(thread, syscall, run),
-                )
-                return
+                # The completion fires here when nothing else is due
+                # first; otherwise it goes on the agenda.
+                if not engine.continue_in_place(self.clock.now + run):
+                    self._inflight = engine.call_after(
+                        run,
+                        self._segment_done,
+                        label="compute",
+                        args=(thread, syscall, run),
+                    )
+                    return False
+                done = syscall
+                continue
             if isinstance(syscall, sc.YieldCPU):
                 thread.voluntary_yields += 1
-                self._end_dispatch(thread, "yield")
-                return
+                return self._end_dispatch(thread, "yield")
             # Instantaneous (zero-CPU) syscalls.
             self._instant_syscalls += 1
             if self._instant_syscalls > _MAX_INSTANT_SYSCALLS:
@@ -517,11 +536,10 @@ class Kernel:
                 )
             result = self._handle_instant(syscall, thread)
             if result is BLOCK:
-                self._end_dispatch(thread, "block")
-                return
+                return self._end_dispatch(thread, "block")
             thread.deliver(result)
 
-    def _segment_done(self, thread: Thread, syscall: sc.Compute,
+    def _segment_done(self, thread: Thread, syscall: Optional[sc.Compute],
                       run: float) -> None:
         tracker = _race_tracker
         if tracker is not None and tracker.active and tracker.enter(self):
@@ -531,20 +549,12 @@ class Kernel:
                 tracker.pop()
         if self.running is not thread:  # pragma: no cover - defensive
             raise SimulationError("compute completion for a non-running thread")
-        self._inflight = None
-        syscall.remaining -= run
-        self._quantum_left -= run
-        thread.cpu_time += run
-        if self.recorder is not None:
-            self.recorder.on_cpu(thread, self.clock.now - run, run)
-        if syscall.remaining <= _EPS:
-            thread.current_syscall = None
-        if self._quantum_left <= _EPS:
-            self._end_dispatch(thread, "preempt")
-        else:
-            self._run_segment(thread)
+        if self._segment(thread, syscall, run):
+            self._dispatch()
 
-    def _end_dispatch(self, thread: Thread, outcome: str) -> None:
+    def _end_dispatch(self, thread: Thread, outcome: str) -> bool:
+        """Settle a finished quantum; True when the next dispatch is to
+        run in place (the caller loops into ``_dispatch``)."""
         used = self.quantum - self._quantum_left
         self.running = None
         if outcome in ("preempt", "yield"):
@@ -568,12 +578,18 @@ class Kernel:
                 self.recorder.on_exit(thread, self.clock.now)
         else:  # pragma: no cover - defensive
             raise KernelError(f"unknown dispatch outcome {outcome!r}")
-        # _schedule_dispatch, inlined: every quantum passes here.
+        # _schedule_dispatch, inlined: every quantum passes here.  The
+        # decision is taken where the push would be, so an event a hook
+        # schedules at this instant still sorts after the dispatch.
+        again = False
         if self.running is None and not self._dispatch_pending:
             self._dispatch_pending = True
-            self.engine.call_soon(self._dispatch, label="dispatch")
+            again = self.engine.continue_in_place(self.clock.now)
+            if not again:
+                self.engine.call_soon(self._dispatch, label="dispatch")
         for hook in self.invariant_hooks:
             hook(self, thread, outcome)
+        return again
 
     # -- instantaneous syscall handlers ----------------------------------------------------
 

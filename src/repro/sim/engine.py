@@ -20,6 +20,7 @@ payloads it receives -- never of which shard or process executed it.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from math import nextafter
 from typing import Any, Callable, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -46,6 +47,10 @@ class LoopCore:
         self.core_id = core_id
         self._queue = EventQueue()
         self._running = False
+        # The strict time bound and event-count stop of the run in
+        # progress (see continue_in_place); -inf between runs.
+        self._bound = -_INF
+        self._stop = _INF
         #: Number of events processed (overhead accounting).
         self.events_processed = 0
         # Thread-id allocator.  Scoped to the core (not the process)
@@ -146,33 +151,41 @@ class LoopCore:
         ``until`` stops the run once the next event lies strictly beyond
         that horizon (the clock is advanced *to* the horizon so
         measurements over [0, until) are well-defined).  ``max_events``
-        is a runaway guard for tests.
+        is a runaway guard for tests: the run raises when one more due
+        event than that would fire.
         """
-        if until is not None and until != until:
-            # NaN compares false with every event time: the whole
-            # agenda would fire, forever on a spinner kernel.
-            raise SimulationError("run horizon 'until' must not be NaN")
-        self._fire_due(None if until is None else until + 1e-9, False,
-                       max_events, "run")
+        if until is not None and not -_INF < until < _INF:
+            # NaN would fire the whole agenda, forever on a spinner
+            # kernel; inf would park the clock where nothing later can
+            # be scheduled or checkpointed.
+            raise SimulationError(
+                f"run horizon 'until' must be finite, got {until!r}")
+        bound = _INF if until is None else nextafter(until + 1e-9, _INF)
+        self._fire_due(bound, max_events, "run")
         if until is not None:
             self.clock.advance_to(until)
 
-    def _fire_due(self, limit: Optional[float], strict: bool,
-                  max_events: Optional[int], what: str) -> int:
-        """Fire, in order, every live event up to ``limit`` -- strictly
-        before it when ``strict``, the whole agenda when None.
+    def _fire_due(self, bound: float, max_events: Optional[int],
+                  what: str) -> int:
+        """Fire, in order, every live event strictly before ``bound``.
 
         Reads the agenda's heap directly: one pop per event, taken only
         once the head is known to be live and due.  The clock hop is
         inline; it needs no backwards check, since nothing is scheduled
         before now and the heap pops in time order.  An event left just
         under a barrier (``run_before``'s 1e-9 ms margin) fires without
-        moving the clock back.
+        moving the clock back.  ``bound`` and the event budget stay on
+        the core while this runs, for :meth:`continue_in_place`.
         """
         if self._running:
             raise SimulationError("engine is not reentrant")
+        if max_events is not None and max_events < 0:
+            raise SimulationError(
+                f"{what} max_events must be non-negative, got {max_events!r}")
         self._running = True
-        processed = 0
+        start = n = self.events_processed
+        self._bound = bound
+        self._stop = stop = _INF if max_events is None else start + max_events
         heap = self._queue._heap
         clock = self.clock
         try:
@@ -181,23 +194,46 @@ class LoopCore:
                 if event.cancelled:
                     heappop(heap)
                     continue
-                if limit is not None and (time >= limit if strict
-                                          else time > limit):
+                if time >= bound:
                     break
-                heappop(heap)
-                if time > clock.now:
-                    clock.now = time
-                event.fire()
-                self.events_processed += 1
-                processed += 1
-                if max_events is not None and processed >= max_events:
+                if n >= stop:
                     raise SimulationError(
                         f"{what} exceeded max_events={max_events}; "
                         f"likely a livelock"
                     )
+                heappop(heap)
+                if time > clock.now:
+                    clock.now = time
+                event.fire()
+                # Re-read: continuations fired in place count themselves.
+                self.events_processed = n = self.events_processed + 1
         finally:
             self._running = False
-        return processed
+            self._bound = -_INF
+        return self.events_processed - start
+
+    def continue_in_place(self, time: float) -> bool:
+        """Let the firing callback run its own follow-up at ``time``
+        itself, in place of scheduling it; False means schedule it.
+
+        Granted only inside :meth:`run` or :meth:`run_before` (never
+        :meth:`step`), and only when the follow-up would be the very
+        next event fired: strictly before the agenda head (a same-time
+        tie goes by ``seq``, and the follow-up's would be the newest),
+        inside the run's horizon and inside its event budget.  Call it
+        where the push would be; it moves ``seq``, ``events_processed``
+        and the clock exactly as that push and the pop after the
+        current callback returns would.
+        """
+        heap = self._queue._heap
+        if not (time < self._bound and (not heap or time < heap[0][0])
+                and self.events_processed + 1 < self._stop):
+            return False
+        self._queue._seq += 1
+        self.events_processed += 1
+        if time > self.clock.now:
+            self.clock.now = time
+        return True
 
     # -- epoch execution (sharded engine) ------------------------------------------
 
@@ -231,9 +267,10 @@ class LoopCore:
         advanced to the horizon -- :meth:`advance_clock` does that at
         the barrier.  Returns the number of events fired.
         """
-        if horizon != horizon:
-            raise SimulationError("epoch horizon must not be NaN")
-        return self._fire_due(horizon - 1e-9, True, max_events, "epoch")
+        if not -_INF < horizon < _INF:
+            raise SimulationError(
+                f"epoch horizon must be finite, got {horizon!r}")
+        return self._fire_due(horizon - 1e-9, max_events, "epoch")
 
     def advance_clock(self, time: float) -> None:
         """Advance the core clock to a barrier instant (monotonic)."""

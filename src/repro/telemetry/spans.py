@@ -9,8 +9,8 @@ appears inside that quantum in the trace viewer.
 
 All timestamps are **virtual milliseconds** from the discrete-event
 engine -- never the host clock -- so two runs of the same seed produce
-byte-identical traces (the determinism contract of
-``docs/DETERMINISM.md`` extends to observability).  Span ids are
+byte-identical traces (the determinism contract, docs/CHECKPOINT.md
+"The determinism contract", extends to observability).  Span ids are
 allocated at *begin* time from a per-tracer counter seeded at zero
 (an instant or an after-the-fact interval takes its id when recorded),
 which the same contract makes reproducible; the buffer itself is in

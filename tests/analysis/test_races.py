@@ -29,20 +29,6 @@ from tests.conftest import census_at, make_lottery_kernel, shard_plan
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 
-@pytest.fixture
-def race_tracker():
-    """A fresh, active tracker; restores whatever was active before."""
-    import repro.kernel.thread as thread_module
-
-    previous = thread_module._race_tracker
-    fresh = RaceTracker()
-    fresh.activate()
-    yield fresh
-    fresh.deactivate()
-    if previous is not None and previous.active:
-        previous.activate()
-
-
 def spinner(chunk_ms: float = 10.0):
     def body(ctx):
         while True:
@@ -141,7 +127,7 @@ def test_seeded_race_traps_through_real_dispatch(race_tracker):
     victim = kernel1.spawn(spinner(), "victim", tickets=100)
 
     def evil(ctx):
-        # Runs inside kernel0's _run_segment context: cross-kernel poke.
+        # Runs inside kernel0's _segment context: cross-kernel poke.
         # EXITED is a legal edge from every live state, so the race
         # trap (not the state machine) is what fires.
         victim.transition(ThreadState.EXITED)

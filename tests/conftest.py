@@ -108,6 +108,22 @@ def race_tracker_off(monkeypatch):
         monkeypatch.setattr(module, "_race_tracker", None)
 
 
+@pytest.fixture
+def race_tracker():
+    """A fresh, active determinism-race tracker; restores whatever was
+    active before."""
+    import repro.kernel.thread as thread_module
+    from repro.analysis.races import RaceTracker
+
+    previous = thread_module._race_tracker
+    fresh = RaceTracker()
+    fresh.activate()
+    yield fresh
+    fresh.deactivate()
+    if previous is not None and previous.active:
+        previous.activate()
+
+
 def count_work(run, *args, lines=False, within=None, qualname=False):
     """Call ``run(*args)`` and count the Python-level work it does.
 

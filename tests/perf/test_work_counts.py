@@ -199,7 +199,7 @@ ROWS = {
         _currency_deep, "revaluation", 53.00, 372.0,
         {"epoch": 1_088, "leaf": 253.7313432835821}),
     "ipc.pingpong": (
-        _ipc_pingpong, "RPC", 130.01, 1_050.1,
+        _ipc_pingpong, "RPC", 120.02, 967.15,
         {"rpcs": 399, "transfers": 399, "dispatches": 803, "epoch": 8_810}),
     "checkpoint.capture.300": (
         _checkpoint_capture, "captured thread", 15.12, 70.64,

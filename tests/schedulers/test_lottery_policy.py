@@ -209,20 +209,43 @@ class TestCallsPerDispatch:
     calls per dispatch on the tree spinner kernel of the
     ``dispatch_wide`` benchmark, counted with ``sys.setprofile`` after
     warm-up.  73 while every queue push, clock hop, ``Event.__init__``,
-    race-tracker wrapper and ``Thread.__hash__`` was a frame of its own;
-    docs/PERFORMANCE.md section 1 names the frames left and why."""
+    race-tracker wrapper and ``Thread.__hash__`` was a frame of its own,
+    40.5 while every compute completion and dispatch went through the
+    agenda; docs/PERFORMANCE.md section 1 names the frames left and
+    why."""
 
-    def test_a_dispatch_costs_at_most_48_python_calls(self,
-                                                      race_tracker_off):
+    #: The reading (32.6) + 10 %.
+    BOUND = 35.9
+
+    @staticmethod
+    def per_dispatch(through_agenda=False):
         kernel = make_lottery_kernel(seed=3, quantum=10.0, use_tree=True)
         kernel.invariant_hooks.clear()
+        if through_agenda:
+            # Every follow-up scheduled, as before continuations ran
+            # in place; the stand-in's own frames are not counted.
+            kernel.engine.continue_in_place = lambda time: False
         for index in range(200):
             kernel.spawn(spin_body(7.0), f"spin{index}",
                          tickets=float(1 + index % 13))
         kernel.run_until(500 * 10.0)
         start = kernel.dispatch_count
         calls, _ = count_work(kernel.run_until, 2_500 * 10.0)
+        calls.pop("<lambda>", None)
         dispatches = kernel.dispatch_count - start
         assert dispatches == 2_000
-        per_dispatch = sum(calls.values()) / dispatches
-        assert per_dispatch <= 48, sorted(calls.items(), key=lambda kv: -kv[1])
+        return sum(calls.values()) / dispatches, calls
+
+    def test_a_dispatch_costs_at_most_35_9_python_calls(self,
+                                                        race_tracker_off):
+        per_dispatch, calls = self.per_dispatch()
+        assert per_dispatch <= self.BOUND, \
+            sorted(calls.items(), key=lambda kv: -kv[1])
+
+    def test_the_bound_fails_the_agenda_round_trips(self, race_tracker_off):
+        """Every follow-up through the agenda read 40.5 before; forced
+        there now it reads 41.5, one more ``_segment`` entry for a
+        quantum-ending completion's accounting.  Both fail the bound."""
+        per_dispatch, _ = self.per_dispatch(through_agenda=True)
+        assert 40.5 <= per_dispatch < 42
+        assert 40.5 > self.BOUND

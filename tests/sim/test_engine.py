@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim.engine import Engine
 from repro.sim.events import EventQueue
 
 NAN = float("nan")
@@ -84,6 +85,39 @@ class TestRun:
         with pytest.raises(SimulationError):
             engine.run(max_events=100)
 
+    def test_max_events_takes_exactly_that_many(self, engine):
+        fired = []
+        engine.call_at(1.0, lambda: fired.append(1))
+        engine.call_at(2.0, lambda: fired.append(2))
+        engine.run(max_events=2)
+        assert fired == [1, 2] and engine.events_processed == 2
+
+    def test_max_events_raises_before_the_one_past_it(self, engine):
+        fired = []
+        for t in (1.0, 2.0, 3.0):
+            engine.call_at(t, lambda t=t: fired.append(t))
+        with pytest.raises(SimulationError, match="max_events=2"):
+            engine.run(max_events=2)
+        assert fired == [1.0, 2.0] and engine.pending() == 1
+
+    def test_max_events_zero_fires_nothing(self, engine):
+        engine.run(max_events=0)
+        fired = []
+        engine.call_at(1.0, lambda: fired.append(1))
+        with pytest.raises(SimulationError, match="max_events=0"):
+            engine.run(max_events=0)
+        assert fired == [] and engine.events_processed == 0
+        assert engine.run_before(1.0, max_events=0) == 0
+
+    @pytest.mark.parametrize("run", ["run", "run_before"])
+    def test_a_negative_budget_is_refused(self, engine, run):
+        engine.call_at(1.0, lambda: None)
+        with pytest.raises(SimulationError,
+                           match="max_events must be non-negative"):
+            getattr(engine, run)(*(() if run == "run" else (5.0,)),
+                                 max_events=-1)
+        assert engine.events_processed == 0 and engine.pending() == 1
+
     def test_not_reentrant(self, engine):
         def nested():
             engine.run()
@@ -152,7 +186,110 @@ class TestNonFiniteTimes:
             engine.run_before(NAN)
         assert engine.events_processed == 0
 
+    @pytest.mark.parametrize("horizon", [INF, -INF])
+    def test_run_refuses_an_infinite_horizon(self, engine, horizon):
+        """``run(until=inf)`` drained the agenda and parked the clock at
+        inf: the next ``call_after`` was queued at inf, and the state
+        tree could no longer be checksummed."""
+        from repro.checkpoint.statetree import tree_checksum
+
+        engine.call_at(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="'until' must be finite"):
+            engine.run(until=horizon)
+        assert engine.now == 0.0 and engine.events_processed == 0
+        engine.run(until=2.0)
+        engine.call_after(1.0, lambda: None)
+        assert len(tree_checksum(engine.snapshot_state())) == 64
+
+    @pytest.mark.parametrize("horizon", [INF, -INF])
+    def test_run_before_refuses_an_infinite_horizon(self, engine, horizon):
+        engine.call_at(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="epoch horizon must be "
+                                                  "finite"):
+            engine.run_before(horizon)
+        assert engine.events_processed == 0
+
     @pytest.mark.parametrize("time", [NAN, INF, -1.0])
     def test_event_queue_push_refuses(self, time):
         with pytest.raises(SimulationError, match="finite and non-negative"):
             EventQueue().push(time, lambda: None)
+
+
+class TestContinueInPlace:
+    """A callback that fires its own follow-up in place leaves the core
+    exactly as scheduling it would: same clock, ``seq``,
+    ``events_processed`` and firing order, checked against a twin core
+    that always schedules."""
+
+    @staticmethod
+    def chain(engine, times, fired, in_place):
+        """Fire at each of ``times`` in turn, each from the one before."""
+
+        def hop(index):
+            fired.append((index, engine.now))
+            if index + 1 < len(times):
+                nxt = times[index + 1]
+                if in_place and engine.continue_in_place(nxt):
+                    return hop(index + 1)
+                engine.call_at(nxt, hop, args=(index + 1,))
+
+        engine.call_at(times[0], hop, args=(0,))
+
+    def twins(self, times, *others):
+        """The chain on a core that continues in place and on one that
+        always schedules, each with ``others`` already on the agenda."""
+        cores, logs = [], []
+        for in_place in (True, False):
+            engine, fired = Engine(), []
+            self.chain(engine, times, fired, in_place)
+            for time in others:
+                engine.call_at(time, fired.append, args=(("other", time),))
+            cores.append(engine)
+            logs.append(fired)
+        return cores, logs
+
+    def test_a_free_run_continues_every_hop(self):
+        (fast, slow), (a, b) = self.twins([1.0, 2.0, 3.5, 3.5])
+        fast.run(until=10.0)
+        slow.run(until=10.0)
+        assert a == b == [(0, 1.0), (1, 2.0), (2, 3.5), (3, 3.5)]
+        assert fast.snapshot_state() == slow.snapshot_state()
+
+    @pytest.mark.parametrize("other", [2.0, 2.5, 1.0])
+    def test_an_event_due_first_or_at_the_same_time_wins(self, other):
+        (fast, slow), (a, b) = self.twins([1.0, 2.0, 3.0], other)
+        fast.run()
+        slow.run()
+        assert a == b
+        assert fast.snapshot_state() == slow.snapshot_state()
+
+    @pytest.mark.parametrize("until", [1.0, 2.0, 2.5])
+    def test_the_horizon_stops_a_continuation(self, until):
+        (fast, slow), (a, b) = self.twins([1.0, 2.0, 3.0])
+        fast.run(until=until)
+        slow.run(until=until)
+        assert a == b and fast.pending() == slow.pending() == 1
+        assert fast.snapshot_state() == slow.snapshot_state()
+
+    @pytest.mark.parametrize("horizon", [2.0, 2.0 + 1e-9, 3.0])
+    def test_the_epoch_horizon_is_strict(self, horizon):
+        (fast, slow), (a, b) = self.twins([1.0, 2.0, 3.0])
+        assert fast.run_before(horizon) == slow.run_before(horizon)
+        assert a == b
+        assert fast.snapshot_state() == slow.snapshot_state()
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_continuations_count_against_max_events(self, budget):
+        (fast, slow), (a, b) = self.twins([1.0, 2.0, 3.0, 4.0])
+        for engine in (fast, slow):
+            with pytest.raises(SimulationError, match="max_events"):
+                engine.run(max_events=budget)
+        assert a == b and len(a) == budget
+        assert fast.snapshot_state() == slow.snapshot_state()
+
+    def test_never_outside_a_run(self, engine):
+        assert not engine.continue_in_place(1.0)
+        engine.call_at(1.0, lambda: None)
+        engine.step()
+        assert not engine.continue_in_place(2.0)
+        assert engine.snapshot_state()["queue"]["seq"] == 1
