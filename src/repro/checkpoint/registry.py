@@ -206,11 +206,12 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
                     "idle_time", "kills", "_idle_since", "tasks", "threads",
                     "ports", "policy", "ledger", "engine"},
         # Observers and hooks are re-wired by the recipe, not restored
-        # from data; the instant-syscall handler table is a pure
-        # function of the kernel's bound methods; clock is the engine's
-        # (captured there).
-        "transient": {"recorder", "invariant_hooks", "telemetry",
-                      "_instant_handlers", "clock"},
+        # from data (the _on_* events are resolved from the recorder);
+        # the instant-syscall handler table is a pure function of the
+        # kernel's bound methods; clock is the engine's (captured there).
+        "transient": {"recorder", "_recorder", "_on_dispatch", "_on_cpu",
+                      "_on_block", "_on_wake", "_on_exit", "invariant_hooks",
+                      "telemetry", "_instant_handlers", "clock"},
     },
     "repro.kernel.thread.Thread": {
         "covered": {"tid", "task", "state", "priority", "funding_currency",

@@ -58,6 +58,9 @@ class ReplayRecorder:
     are counted so two runs can also be compared coarsely.
     """
 
+    #: Recorder events the kernel need not call.
+    ignored_events = ("on_cpu",)
+
     def __init__(self) -> None:
         self.entries: List[Dict[str, Any]] = []
         self.blocks = 0

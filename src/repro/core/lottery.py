@@ -142,6 +142,9 @@ class ListLottery(Generic[ClientT]):
         self._keep_sorted = keep_sorted
         self._clients: List[ClientT] = []
         self.stats = DrawStats()
+        #: The last draw's values, in the order it left the list: what
+        #: :meth:`total` would sum (the draw hook sums these instead).
+        self._drawn: List[float] = []
 
     # -- membership -----------------------------------------------------------
 
@@ -189,7 +192,7 @@ class ListLottery(Generic[ClientT]):
         """
         if not self._clients:
             raise EmptyLotteryError("lottery held with no clients")
-        values = list(map(self._value_of, self._clients))
+        values = self._drawn = list(map(self._value_of, self._clients))
         total = sum(values)
         if total <= 0:
             raise EmptyLotteryError("lottery held with zero total funding")
@@ -198,7 +201,7 @@ class ListLottery(Generic[ClientT]):
                 range(len(self._clients)), key=values.__getitem__, reverse=True
             )
             self._clients = [self._clients[i] for i in order]
-            values = [values[i] for i in order]
+            values = self._drawn = [values[i] for i in order]
         winning = prng.uniform() * total
         accumulated = 0.0
         winner_index = -1
@@ -221,6 +224,7 @@ class ListLottery(Generic[ClientT]):
         if self._move_to_front and winner_index > 0:
             del self._clients[winner_index]
             self._clients.insert(0, winner)
+            values.insert(0, values.pop(winner_index))
         return winner
 
     def snapshot_state(self, key: Callable[[ClientT], object] = repr) -> dict:

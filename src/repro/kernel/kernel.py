@@ -18,7 +18,8 @@ the prototype's 100 ms-quantum behaviour.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, List, Optional
+from functools import partial
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.core.tickets import Currency, Ledger
 from repro.errors import KernelError, SimulationError
@@ -27,8 +28,35 @@ from repro.kernel.thread import Task, Thread, ThreadBody, ThreadState
 from repro.schedulers.base import SchedulingPolicy
 from repro.sim.engine import Engine
 
-__all__ = ["Kernel", "BLOCK", "add_construction_hook",
-           "remove_construction_hook"]
+__all__ = ["Kernel", "BLOCK", "RECORDER_EVENTS", "add_construction_hook",
+           "remove_construction_hook", "resolve_recorder_events"]
+
+#: The recorder events, in the order the kernel emits them:
+#: ``on_dispatch(thread, time)`` (the thread won the CPU),
+#: ``on_cpu(thread, start, duration)`` (it consumed ``duration`` ms from
+#: ``start``), ``on_block`` / ``on_wake`` / ``on_exit`` ``(thread,
+#: time)``.  :mod:`repro.metrics.recorder` has the sinks.
+RECORDER_EVENTS = ("on_dispatch", "on_cpu", "on_block", "on_wake", "on_exit")
+
+
+def resolve_recorder_events(sinks: Sequence[Any]) -> List[Any]:
+    """Per event of :data:`RECORDER_EVENTS`, what emitting it calls:
+    None when no sink listens, the one listener's bound method, or a
+    fan-out over the listeners in ``sinks`` order.  A sink names the
+    events it does not listen to in ``ignored_events``, class data."""
+    resolved: List[Any] = []
+    for event in RECORDER_EVENTS:
+        listeners = tuple(getattr(sink, event) for sink in sinks
+                          if event not in getattr(sink, "ignored_events", ()))
+        resolved.append(None if not listeners else listeners[0]
+                        if len(listeners) == 1
+                        else partial(_fan_out, listeners))
+    return resolved
+
+
+def _fan_out(listeners: Sequence[Callable[..., None]], *args: Any) -> None:
+    for listener in listeners:
+        listener(*args)
 
 #: Process-wide hooks invoked with every newly constructed kernel.
 #: Used by :func:`repro.analysis.sanitizer.install_autosanitize` to
@@ -129,7 +157,7 @@ class Kernel:
         self.ledger = ledger if ledger is not None else Ledger()
         self.quantum = float(quantum)
         self.context_switch_cost = float(context_switch_cost)
-        self.recorder = recorder
+        self.recorder = recorder  # resolves the five events
         #: Optional :class:`repro.telemetry.probe.Telemetry` hub; ports
         #: and policies consult it for span/metric events beyond the
         #: recorder protocol.  Installed by
@@ -169,36 +197,53 @@ class Kernel:
 
     # -- recorder fan-out ------------------------------------------------------
 
+    @property
+    def recorder(self) -> Optional[Any]:
+        """The event sink: None, one sink, or a
+        :class:`~repro.metrics.recorder.RecorderMux` of several."""
+        return self._recorder
+
+    @recorder.setter
+    def recorder(self, sink: Optional[Any]) -> None:
+        # Resolved at wiring time: an event calls only its listeners.
+        self._recorder = sink
+        resolved = getattr(sink, "resolved_events", None)  # a mux's own
+        if resolved is None:
+            resolved = resolve_recorder_events(() if sink is None else (sink,))
+        (self._on_dispatch, self._on_cpu, self._on_block, self._on_wake,
+         self._on_exit) = resolved
+
     def attach_recorder(self, sink: Any) -> Any:
         """Add an event sink without displacing the existing recorder.
 
-        The kernel's single ``recorder`` slot historically forced a
-        choice between :class:`~repro.metrics.recorder.KernelRecorder`
-        and the replay or telemetry recorders.  ``attach_recorder``
-        upgrades the slot to a
-        :class:`~repro.metrics.recorder.RecorderMux` on demand: the
-        first sink occupies the slot directly, a second converts it to a
-        fan-out, and further sinks join the mux.  Returns ``sink``.
+        The first sink occupies the ``recorder`` slot directly, a second
+        converts it to a :class:`~repro.metrics.recorder.RecorderMux`,
+        and further sinks join the mux; either way the surface is
+        validated and the events re-resolved.  Returns ``sink``.
         """
         from repro.metrics.recorder import RecorderMux
 
-        if self.recorder is None:
-            # Validate the surface even for the single-sink fast path.
-            self.recorder = RecorderMux(sink).sinks[0]
-        elif isinstance(self.recorder, RecorderMux):
-            self.recorder.add(sink)
+        current = self.recorder
+        if current is None:
+            RecorderMux(sink)  # validates the surface
+            self.recorder = sink
+        elif isinstance(current, RecorderMux):
+            current.add(sink)
+            self.recorder = current
         else:
-            self.recorder = RecorderMux(self.recorder, sink)
+            self.recorder = RecorderMux(current, sink)
         return sink
 
     def detach_recorder(self, sink: Any) -> None:
         """Remove a sink attached via :meth:`attach_recorder` (no-op if absent)."""
         from repro.metrics.recorder import RecorderMux
 
-        if self.recorder is sink:
+        current = self.recorder
+        if current is sink:
             self.recorder = None
-        elif isinstance(self.recorder, RecorderMux):
-            self.recorder.remove(sink)
+        elif isinstance(current, RecorderMux):
+            current.remove(sink)
+            self.recorder = current
 
     # -- time ------------------------------------------------------------------
 
@@ -282,8 +327,8 @@ class Kernel:
             )
         thread.deliver(value)
         self._make_runnable(thread)
-        if self.recorder is not None:
-            self.recorder.on_wake(thread, self.clock.now)
+        if self._on_wake is not None:
+            self._on_wake(thread, self.clock.now)
 
     def timer_wake(self, thread: Thread, value: Any = None) -> None:
         """Wake from a timer, tolerating threads killed while asleep.
@@ -336,8 +381,8 @@ class Kernel:
             for ticket in list(thread.tickets):
                 ticket.destroy()
         self.kills += 1
-        if self.recorder is not None:
-            self.recorder.on_exit(thread, self.now)
+        if self._on_exit is not None:
+            self._on_exit(thread, self.now)
         self._schedule_dispatch()
         for hook in self.invariant_hooks:
             hook(self, thread, "kill")
@@ -463,8 +508,8 @@ class Kernel:
             self._instant_syscalls = 0
             thread.dispatches += 1
             self.dispatch_count += 1
-            if self.recorder is not None:
-                self.recorder.on_dispatch(thread, self.clock.now)
+            if self._on_dispatch is not None:
+                self._on_dispatch(thread, self.clock.now)
             if self.context_switch_cost > 0:
                 # A segment that computes nothing, done after the switch.
                 self._inflight = self.engine.call_after(
@@ -491,8 +536,8 @@ class Kernel:
                 done.remaining -= run
                 self._quantum_left -= run
                 thread.cpu_time += run
-                if self.recorder is not None:
-                    self.recorder.on_cpu(thread, self.clock.now - run, run)
+                if self._on_cpu is not None:
+                    self._on_cpu(thread, self.clock.now - run, run)
                 if done.remaining <= _EPS:
                     thread.current_syscall = None
                 if self._quantum_left <= _EPS:
@@ -567,15 +612,15 @@ class Kernel:
             thread.transition(ThreadState.BLOCKED)
             self.policy.quantum_end(thread, used, self.quantum,
                                     still_runnable=False)
-            if self.recorder is not None:
-                self.recorder.on_block(thread, self.clock.now)
+            if self._on_block is not None:
+                self._on_block(thread, self.clock.now)
         elif outcome == "exit":
             thread.transition(ThreadState.EXITED)
             thread.exited_at = self.clock.now
             thread.stop_competing()
             self.policy.thread_exited(thread)
-            if self.recorder is not None:
-                self.recorder.on_exit(thread, self.clock.now)
+            if self._on_exit is not None:
+                self._on_exit(thread, self.clock.now)
         else:  # pragma: no cover - defensive
             raise KernelError(f"unknown dispatch outcome {outcome!r}")
         # _schedule_dispatch, inlined: every quantum passes here.  The

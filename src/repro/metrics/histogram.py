@@ -16,16 +16,23 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 
-__all__ = ["Histogram"]
+__all__ = ["Histogram", "checked_width"]
+
+
+def checked_width(width: float, name: str = "histogram") -> float:
+    """``width`` as a bin width: positive and finite, or refused by
+    ``name`` (written so that NaN fails too: ``nan <= 0`` is false)."""
+    if not 0 < width < math.inf:
+        raise ReproError(
+            f"{name}: bin width must be positive and finite: {width}")
+    return width
 
 
 class Histogram:
     """Mergeable digest over fixed-width bins, bounded in memory."""
 
     def __init__(self, bin_width: float, name: str = "histogram") -> None:
-        if bin_width <= 0:
-            raise ReproError(f"bin width must be positive: {bin_width}")
-        self.bin_width = bin_width
+        self.bin_width = checked_width(bin_width, f"histogram {name!r}")
         self.name = name
         self.count = 0
         #: Added to in arrival order: plain IEEE addition, whichever way

@@ -6,16 +6,21 @@ sink (``recorder=None`` is the null sink).
 :class:`KernelRecorder` (per-thread CPU accounting),
 :class:`~repro.checkpoint.replay.ReplayRecorder` (dispatch streams),
 the :mod:`repro.telemetry` probe and the serving arena's latency probe
-all speak it, and :class:`RecorderMux` fans one kernel's events out to
-several of them at once so a single run can be traced, accounted, and
-replayed simultaneously.
+all speak it, and :class:`RecorderMux` holds several of them for one
+kernel so a single run can be traced, accounted, and replayed
+simultaneously.
 
 New sinks must declare the **full** event surface
 (:data:`RECORDER_EVENT_SURFACE`) and register their dotted class path
 in :data:`RECORDER_SINKS`; a tier-1 test checks that each registered
 class defines every event method itself, so a protocol extension cannot
 leave a sink silently deaf to a new event kind.  A sink that only cares
-about some events implements the rest as no-ops.
+about some events implements the rest as no-ops and names them in its
+class's ``ignored_events`` (a tuple of event names, which imports
+nothing): the kernel resolves each event when its sinks are wired
+(:func:`~repro.kernel.kernel.resolve_recorder_events`), so an ignored
+event costs the sink nothing, and an event no sink listens to costs
+the kernel one attribute test.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from typing import (Any, Dict, FrozenSet, List, Optional, Tuple,
                     TYPE_CHECKING)
 
 from repro.errors import ReproError
+from repro.kernel.kernel import RECORDER_EVENTS, resolve_recorder_events
 from repro.metrics.counters import WindowedCounter
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -33,14 +39,9 @@ __all__ = ["KernelRecorder", "RecorderMux", "RECORDER_EVENT_SURFACE",
            "RECORDER_SINKS"]
 
 #: The full event surface of the recorder protocol, in the order the
-#: kernel emits them: ``on_dispatch(thread, time)`` (the thread won the
-#: CPU), ``on_cpu(thread, start, duration)`` (it consumed ``duration``
-#: ms from ``start``), ``on_block`` / ``on_wake`` / ``on_exit``
-#: ``(thread, time)``.  RecorderMux validates sinks against this list
-#: at attach time.
-RECORDER_EVENT_SURFACE: Tuple[str, ...] = (
-    "on_dispatch", "on_cpu", "on_block", "on_wake", "on_exit",
-)
+#: kernel emits them (:data:`repro.kernel.kernel.RECORDER_EVENTS`).
+#: RecorderMux validates sinks against this list at attach time.
+RECORDER_EVENT_SURFACE: Tuple[str, ...] = RECORDER_EVENTS
 
 #: Dotted class paths of the known recorder sinks.  Every class listed
 #: here must *define* each method in :data:`RECORDER_EVENT_SURFACE`
@@ -126,24 +127,27 @@ class KernelRecorder:
 
 
 class RecorderMux:
-    """Fan one kernel's event stream out to several sinks.
+    """Several sinks on one kernel's event stream.
 
     Replaces the "single recorder slot" limitation: a
     :class:`KernelRecorder`, a replay recorder, and a telemetry probe
-    can all observe the same run.  Sinks are invoked in attach order,
+    can all observe the same run.  Sinks hear an event in attach order,
     deterministically; a sink missing part of the event surface is
     rejected at :meth:`add` time (fail at wiring, not mid-simulation).
+    Each event is resolved over the sinks whenever they change
+    (:attr:`resolved_events`), and a kernel calls the resolution, not
+    the mux: the ``on_*`` methods serve a caller holding the mux itself.
     """
 
-    __slots__ = ("_sinks", "active")
+    __slots__ = ("_sinks", "active", "resolved_events")
 
     def __init__(self, *sinks: Any) -> None:
         self._sinks: List[Any] = []
-        #: False while no sinks are attached.  The kernel emits five
-        #: events per quantum whether or not anyone listens; the on_*
-        #: fast path below turns an idle mux into a single attribute
-        #: check instead of an iteration over an empty list.
+        #: False while no sinks are attached.
         self.active = False
+        #: Per event of the surface, in its order: None (no sink
+        #: listens), the one listener, or a fan-out over the listeners.
+        self.resolved_events: List[Any] = resolve_recorder_events(())
         for sink in sinks:
             self.add(sink)
 
@@ -165,51 +169,43 @@ class RecorderMux:
         if sink is self:
             raise ReproError("a RecorderMux cannot contain itself")
         self._sinks.append(sink)
-        self.active = True
+        self._resolve()
         return sink
 
     def remove(self, sink: Any) -> None:
         """Detach a sink (no-op when absent)."""
-        try:
+        if sink in self._sinks:
             self._sinks.remove(sink)
-        except ValueError:
-            pass
+            self._resolve()
+
+    def _resolve(self) -> None:
         self.active = bool(self._sinks)
+        self.resolved_events = resolve_recorder_events(self._sinks)
 
     def __len__(self) -> int:
         return len(self._sinks)
 
     # -- kernel recorder interface ------------------------------------------
 
+    def _emit(self, index: int, *args: Any) -> None:
+        emit = self.resolved_events[index]
+        if emit is not None:
+            emit(*args)
+
     def on_dispatch(self, thread: "Thread", time: float) -> None:
-        if not self.active:
-            return
-        for sink in self._sinks:
-            sink.on_dispatch(thread, time)
+        self._emit(0, thread, time)
 
     def on_cpu(self, thread: "Thread", start: float, duration: float) -> None:
-        if not self.active:
-            return
-        for sink in self._sinks:
-            sink.on_cpu(thread, start, duration)
+        self._emit(1, thread, start, duration)
 
     def on_block(self, thread: "Thread", time: float) -> None:
-        if not self.active:
-            return
-        for sink in self._sinks:
-            sink.on_block(thread, time)
+        self._emit(2, thread, time)
 
     def on_wake(self, thread: "Thread", time: float) -> None:
-        if not self.active:
-            return
-        for sink in self._sinks:
-            sink.on_wake(thread, time)
+        self._emit(3, thread, time)
 
     def on_exit(self, thread: "Thread", time: float) -> None:
-        if not self.active:
-            return
-        for sink in self._sinks:
-            sink.on_exit(thread, time)
+        self._emit(4, thread, time)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         names = [type(sink).__name__ for sink in self._sinks]

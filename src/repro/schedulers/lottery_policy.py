@@ -176,8 +176,15 @@ class LotteryPolicy(SchedulingPolicy):
         if self.draw_hook is not None:
             # Funding totals must be read before dequeue deactivates the
             # winner's tickets; nominal funding is activation-independent.
-            draw = (winner, winner.nominal_funding(), structure.total(),
-                    len(structure),
+            funding = winner.nominal_funding()
+            if fallback or tree is not None:
+                total, runnable = structure.total(), len(structure)
+            else:
+                # The list draw's own values, summed in list order as
+                # ``total()`` would sum them: the same floats, not re-read.
+                drawn = structure._drawn
+                total, runnable = sum(drawn), len(drawn)
+            draw = (winner, funding, total, runnable,
                     structure.stats.comparisons - examined_before, fallback,
                     self.prng.state)
         self.dequeue(winner)

@@ -3,10 +3,11 @@
 Two halves:
 
 * :class:`ClassLatencyProbe` -- a recorder sink (the same protocol as
-  :class:`repro.metrics.recorder.SchedulerRecorder`) that attributes
+  :class:`repro.metrics.recorder.KernelRecorder`) that attributes
   each wake->dispatch latency sample to a *service class* by thread
   name (``fe:<class>:<n>`` by default) and folds it into a bounded
-  :class:`~repro.metrics.histogram.Histogram` per class;
+  :class:`~repro.metrics.histogram.Histogram` per class -- the arena
+  stats' ``wake`` digest of that class, when it has stats;
 * :class:`SloController` -- a periodic control loop, run as an
   ordinary simulated thread, that compares each class's windowed p99
   against its target and **inflates** the class's lever tickets
@@ -23,12 +24,13 @@ itself.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from repro.core.tickets import Ticket
 from repro.errors import ReproError
 from repro.kernel.syscalls import Sleep
-from repro.metrics.histogram import Histogram
+from repro.metrics.histogram import Histogram, checked_width
 from repro.serving.stats import ServingStats, digest_state
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,14 +50,24 @@ class ClassLatencyProbe:
     resolved once per thread and cached by id; threads may also be
     registered explicitly with :meth:`watch`.  Implements the full
     recorder event surface (it is listed in ``RECORDER_SINKS``).
+    With ``stats``, a class's digest is the stats' ``wake`` digest of
+    that class, so each sample is recorded once; ``bin_ms`` must then
+    be the stats' own.
     """
+
+    #: Recorder events the kernel need not call.
+    ignored_events = ("on_cpu", "on_block", "on_wake")
 
     def __init__(self, stats: Optional[ServingStats] = None,
                  prefix: str = FRONTEND_PREFIX,
                  bin_ms: float = 5.0) -> None:
+        self.bin_ms = checked_width(float(bin_ms), "class latency probe")
+        if stats is not None and stats.bin_ms != self.bin_ms:
+            raise ReproError(
+                f"class latency probe: bin_ms {self.bin_ms} differs from "
+                f"its stats' {stats.bin_ms}; they share the wake digests")
         self.stats = stats
         self.prefix = prefix
-        self.bin_ms = float(bin_ms)
         #: Cumulative per-class wake->dispatch digests (the controller
         #: reads windowed deltas out of these).
         self.window: Dict[str, Histogram] = {}
@@ -88,7 +100,9 @@ class ClassLatencyProbe:
     # -- recorder event surface -------------------------------------------
 
     def on_dispatch(self, thread: "Thread", time: float) -> None:
-        service_class = self._class_of(thread)
+        service_class = self._by_tid.get(id(thread))
+        if service_class is None:
+            service_class = self._class_of(thread)
         if not service_class:
             return
         runnable_since = thread.runnable_since
@@ -97,9 +111,16 @@ class ClassLatencyProbe:
         latency = time - runnable_since
         if latency < 0:
             return
-        self.digest(service_class).record(latency)
-        if self.stats is not None:
-            self.stats.record_wake(service_class, latency)
+        digest = self.window.get(service_class)
+        if digest is None or not digest.count:  # the class's first sample
+            stats = self.stats
+            if stats is None:
+                digest = self.digest(service_class)
+            else:  # the stats' digest; one the controller made is empty
+                if service_class not in stats.offered:
+                    stats.ensure_class(service_class)
+                digest = self.window[service_class] = stats.wake[service_class]
+        digest.record(latency)
 
     def on_cpu(self, thread: "Thread", start: float, duration: float) -> None:
         pass
@@ -182,11 +203,17 @@ class SloController:
                  inflate: float = 1.3,
                  deflate: float = 0.85,
                  comfort: float = 0.5) -> None:
-        if epoch_ms <= 0:
-            raise ReproError(f"epoch must be positive: {epoch_ms}")
-        if inflate <= 1.0 or not 0.0 < deflate < 1.0:
+        # Written so that NaN fails too: ``nan <= 0`` is false.
+        if not 0 < epoch_ms < math.inf:
             raise ReproError(
-                f"need inflate > 1 > deflate > 0: {inflate}, {deflate}")
+                f"epoch_ms must be positive and finite: {epoch_ms}")
+        if not (1.0 < inflate < math.inf and 0.0 < deflate < 1.0):
+            raise ReproError(
+                f"need finite inflate > 1 > deflate > 0: {inflate}, "
+                f"{deflate}")
+        if not 0 <= comfort < math.inf:
+            raise ReproError(
+                f"comfort must be non-negative and finite: {comfort}")
         self.probe = probe
         self.epoch_ms = float(epoch_ms)
         self.min_samples = int(min_samples)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.metrics.histogram import Histogram
+from repro.metrics.histogram import Histogram, checked_width
 
 __all__ = ["ServingStats", "digest_state"]
 
@@ -41,7 +41,7 @@ class ServingStats:
     """
 
     def __init__(self, bin_ms: float = 5.0) -> None:
-        self.bin_ms = float(bin_ms)
+        self.bin_ms = checked_width(float(bin_ms), "serving stats")
         self.offered: Dict[str, int] = {}
         self.shed: Dict[str, int] = {}
         self.completed: Dict[str, int] = {}

@@ -203,10 +203,19 @@ class _Backend:
         self._loads: List[Dict[str, Any]] = []
         #: Unread obs frames, one list per epoch (or stop) observed.
         self._obs_frames: Deque[List[Dict[str, Any]]] = deque()
+        #: The caller's work to overlap with the slice being sent.
+        self._meanwhile: Optional[Callable[[], None]] = None
 
     def _broadcast(self, message: Dict[str, Any]) -> List[Dict[str, Any]]:
         """Hand ``message`` to every shard; one reply per shard."""
         raise NotImplementedError
+
+    def _overlap(self) -> None:
+        """Run the slice's ``meanwhile`` once, before any reply is
+        awaited: in process first, under ``mp`` while workers run."""
+        meanwhile, self._meanwhile = self._meanwhile, None
+        if meanwhile is not None:
+            meanwhile()
 
     def window_limit(self) -> Optional[int]:
         """Most epochs the next slice command may cover (None: as many
@@ -214,7 +223,8 @@ class _Backend:
         return None
 
     def _run_slice(self, horizon: float, epoch_ms: Optional[float],
-                   inclusive: bool) -> None:
+                   inclusive: bool,
+                   meanwhile: Optional[Callable[[], None]]) -> None:
         message = {
             "cmd": "epoch", "start": self._now, "barrier": self._due,
             "horizon": horizon, "inclusive": inclusive,
@@ -222,6 +232,7 @@ class _Backend:
         rebalance = self.plan.rebalance_ms
         if rebalance and not inclusive and on_grid(horizon, rebalance):
             message["loads"] = True
+        self._meanwhile = meanwhile
         replies = self._broadcast(message)
         self._now = horizon
         self._due = None if inclusive else []
@@ -233,18 +244,19 @@ class _Backend:
             self._obs_frames.append(
                 [frame for frames in shard_frames for frame in frames])
 
-    def run_epoch(self, horizon: float,
-                  epoch_ms: Optional[float] = None) -> None:
+    def run_epoch(self, horizon: float, epoch_ms: Optional[float] = None,
+                  meanwhile: Optional[Callable[[], None]] = None) -> None:
         """Run every core to just before ``horizon`` -- one command and
         one reply however many ``epoch_ms`` instants lie between (the
-        plan's grid when not given); the barrier there is then due."""
-        self._run_slice(horizon, epoch_ms, inclusive=False)
+        plan's grid when not given); the barrier there is then due.
+        ``meanwhile`` is work to overlap with the command (``_overlap``)."""
+        self._run_slice(horizon, epoch_ms, False, meanwhile)
 
-    def run_inclusive(self, until: float,
-                      epoch_ms: Optional[float] = None) -> None:
+    def run_inclusive(self, until: float, epoch_ms: Optional[float] = None,
+                      meanwhile: Optional[Callable[[], None]] = None) -> None:
         """Stop point: as ``run_epoch``, then the events at exactly
         ``until`` behind a barrier of the cores' own."""
-        self._run_slice(until, epoch_ms, inclusive=True)
+        self._run_slice(until, epoch_ms, True, meanwhile)
 
     def collect(self) -> List[Dict[str, Any]]:
         """What the last slice's final epoch (or stop) emitted."""
@@ -334,6 +346,7 @@ class InlineBackend(_Backend):
                       for core_id in range(plan.cores)]
 
     def _broadcast(self, message: Dict[str, Any]) -> List[Dict[str, Any]]:
+        self._overlap()
         self.router.install()
         reply = _execute_command(self.router.cores, self.router, message,
                                  obs=self.obs)
@@ -386,6 +399,7 @@ class SingleBackend(InlineBackend):
         return 1
 
     def _broadcast(self, message: Dict[str, Any]) -> List[Dict[str, Any]]:
+        self._overlap()
         # Fire the slice's events in global time order first; the
         # sequential interpreter then finds none left inside the slice,
         # so all it does is what every backend does at a slice end:
@@ -920,10 +934,12 @@ class MpBackend(_Backend):
 
     def _broadcast(self, message: Dict[str, Any]) -> List[Dict[str, Any]]:
         """Send to every worker before gathering any reply, so the
-        shards genuinely run concurrently, then drive each exchange to
-        a committed reply.  A run that has degraded -- before or during
-        this command -- executes it on the inline backend."""
+        shards -- and ``_overlap`` -- genuinely run concurrently, then
+        drive each exchange to a committed reply.  A run that has
+        degraded -- before or during this command -- executes it on the
+        inline backend."""
         if self._inline is not None:
+            self._overlap()
             return self._inline._broadcast(message)
         arm = message["cmd"] == "epoch"
         if arm:
@@ -932,6 +948,7 @@ class MpBackend(_Backend):
         messages = self._shard_messages(message)
         in_flight = [self._send(shard, self._armed(shard, mine, arm))
                      for shard, mine in enumerate(messages)]
+        self._overlap()
         replies: List[Dict[str, Any]] = []
         for shard, mine in enumerate(messages):
             reply = self._finish_exchange(shard, mine, arm, in_flight[shard])

@@ -205,6 +205,9 @@ class ShardedEngine:
         self._barriers = 0
         self._pending: List[Dict[str, Any]] = []
         self._tracer: Any = None
+        #: ``(end, payloads)`` of the epochs run but not yet folded into
+        #: the obs plane, oldest first: the next command's ``meanwhile``.
+        self._unobserved: List[Tuple[float, int]] = []
         self._closed = False
 
     # -- time -----------------------------------------------------------------
@@ -243,8 +246,10 @@ class ShardedEngine:
         self._require_grid(until)
         try:
             return self._advance(until)
-        except _FLIGHT_ERRORS as exc:
-            self._flight_dump(exc)
+        except BaseException as exc:
+            self._observe()  # what ran is folded before anyone looks
+            if isinstance(exc, _FLIGHT_ERRORS):
+                self._flight_dump(exc)
             raise
 
     def _advance(self, until: float) -> "ShardedEngine":
@@ -257,7 +262,7 @@ class ShardedEngine:
             else:
                 horizon = self.plan.quiet_horizon(self._time, until,
                                                   self.epoch_ms, limit)
-            self._backend.run_epoch(horizon, self.epoch_ms)
+            self._backend.run_epoch(horizon, self.epoch_ms, self._observe)
             ordered = self._canonical(self._pending
                                       + self._backend.collect()
                                       + self._moves(horizon))
@@ -272,12 +277,11 @@ class ShardedEngine:
                 if self._tracer is not None:
                     self._trace_epoch(self._time, end, payloads)
                 if self._obs is not None:
-                    self._obs.observe(end, self._backend.collect_obs(end),
-                                      payloads=payloads, kind="epoch")
+                    self._unobserved.append((end, payloads))
                 self._time = end
         # Stop point: fire barrier applications and events at exactly
         # ``until``; hold what they emit for the next epoch's barrier.
-        self._backend.run_inclusive(until, self.epoch_ms)
+        self._backend.run_inclusive(until, self.epoch_ms, self._observe)
         self._pending = self._canonical(self._pending
                                         + self._backend.collect())
         if self._obs is not None:
@@ -285,6 +289,15 @@ class ShardedEngine:
                               payloads=len(self._pending), kind="stop")
         self._time = until
         return self
+
+    def _observe(self) -> None:
+        """Fold the epochs run but not yet observed, in run order.  The
+        next slice's command runs this, so under ``mp`` slice N is
+        folded and judged while the workers run slice N+1."""
+        epochs, self._unobserved = self._unobserved, []
+        for end, payloads in epochs:
+            self._obs.observe(end, self._backend.collect_obs(end),
+                              payloads=payloads, kind="epoch")
 
     run = advance
 

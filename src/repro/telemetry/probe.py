@@ -69,11 +69,12 @@ class KernelProbe:
         self._open_quantum = None
         self._quantum_tid: Optional[int] = None
         self._end_candidate = 0.0
-        #: Files a closed quantum: the span tracer's writer for that one
-        #: shape, bound here so that a close is one call.
-        self._end_quantum = telemetry.tracer.site(
-            track, "quantum", "kernel",
-            ("thread", "tid", "share", "outcome")).end
+        #: Open and file a quantum: the span tracer's writer for that
+        #: one shape, bound here so that each is one call.
+        quantum = telemetry.tracer.site(
+            track, "quantum", "kernel", ("thread", "tid", "share", "outcome"))
+        self._begin_quantum = quantum.begin
+        self._end_quantum = quantum.end
         #: Wake-to-dispatch histograms by share band, bound on first use.
         self._latency: Dict[str, HistogramInstrument] = {}
         registry = telemetry.registry
@@ -98,8 +99,11 @@ class KernelProbe:
     # sign check.
 
     def on_dispatch(self, thread: "Thread", time: float) -> None:
-        if self._open_quantum is not None:
-            self._close_quantum(self._end_candidate, "preempt")
+        span = self._open_quantum
+        if span is not None:  # preempted: close at its last CPU slice
+            self._open_quantum = None
+            self._end_quantum(span, max(self._end_candidate, span.start),
+                              "preempt")
         self._dispatches.value += 1.0
         # The thread's nominal ticket share among live threads.  Summed
         # left to right in ``kernel.threads`` order, never kept as a
@@ -112,7 +116,8 @@ class KernelProbe:
             if other.state is not exited:
                 value = other._nominal_value
                 total += other.nominal_funding() if value is None else value
-        share = thread.nominal_funding() / total if total > 0 else 0.0
+        value = thread._nominal_value  # the walk just cached it
+        share = value / total if total > 0 else 0.0
         since = thread.runnable_since
         if since is not None:
             latency = time - since
@@ -127,11 +132,9 @@ class KernelProbe:
                         "Runnable-to-dispatch latency by ticket share band.")
                     self._latency[band] = histogram
                 histogram.record(latency)
-        self._open_quantum = self.telemetry.tracer.begin(
-            self.track, "quantum", "kernel", time,
-            {"thread": thread.name, "tid": thread.tid,
-             "share": round(share, 6)},
-        )
+        self._open_quantum = self._begin_quantum(
+            time, {"thread": thread.name, "tid": thread.tid,
+                   "share": round(share, 6)})
         self._quantum_tid = thread.tid
         self._end_candidate = time
 
@@ -142,8 +145,11 @@ class KernelProbe:
 
     def on_block(self, thread: "Thread", time: float) -> None:
         self._blocks.value += 1.0
-        if self._quantum_tid == thread.tid:
-            self._close_quantum(time, "block")
+        span = self._open_quantum
+        if span is not None and self._quantum_tid == thread.tid:
+            # ``_close_quantum``, without its frame: most quanta end here.
+            self._open_quantum = self._quantum_tid = None
+            self._end_quantum(span, max(time, span.start), "block")
 
     def on_wake(self, thread: "Thread", time: float) -> None:
         self._wakes.value += 1.0

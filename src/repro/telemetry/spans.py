@@ -269,6 +269,24 @@ class _Site:
         #: This shape's rows in that chunk, end to end.
         self.cells: List[Any] = []
 
+    def begin(self, start: float, attrs: Dict[str, Any]) -> Span:
+        """Open a span of this shape at ``start`` under the track's
+        innermost open span, owning ``attrs`` (the leading keys')."""
+        if not -inf < start < inf:
+            raise ReproError(f"span {self.shape[1]!r} has no finite start: "
+                             f"start={start:g}ms")
+        stack = self.stack
+        tracer = self.tracer
+        parked = tracer._parked
+        if parked and self.shape[0] in parked:  # the track's first begin
+            tracer._stacks[self.shape[0]] = parked.pop(self.shape[0])
+        sid = tracer._next_sid
+        tracer._next_sid = sid + 1
+        span = Span(sid, stack[-1].sid if stack else None, *self.shape[:3],
+                    start, None, attrs)
+        stack.append(span)
+        return span
+
     def event(self, time: float, *values: Any) -> int:
         """File an instant at ``time`` under the track's innermost open
         span; ``values`` are the attr values in key order.  Returns the
@@ -418,19 +436,8 @@ class SpanTracer:
     def begin(self, track: str, name: str, category: str, start: float,
               attrs: Optional[Dict[str, Any]] = None) -> Span:
         """Open a span; it nests under the track's current open span."""
-        if not -inf < start < inf:
-            raise ReproError(
-                f"span {name!r} has no finite start: start={start:g}ms")
-        stack = self._stacks.get(track)
-        if stack is None:
-            stack = self._stacks[track] = self._parked.pop(track, [])
-        sid = self._next_sid
-        self._next_sid = sid + 1
-        span = Span(sid, stack[-1].sid if stack else None,
-                    track, name, category, start, None,
-                    dict(attrs) if attrs else {})
-        stack.append(span)
-        return span
+        own = dict(attrs) if attrs else {}
+        return self.site(track, name, category, own).begin(start, own)
 
     def end(self, span: Span, end: float,
             attrs: Optional[Dict[str, Any]] = None) -> Span:

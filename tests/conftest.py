@@ -11,6 +11,7 @@ to force it off; ``REPRO_SANITIZE_STRIDE=N`` checks every Nth quantum.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from collections import Counter
@@ -133,6 +134,12 @@ def count_work(run, *args, lines=False, within=None, qualname=False):
     are counted too, through ``sys.settrace``: a loop inside one frame
     is invisible to the call count.  Whatever profiler and tracer were
     installed are put back.  Returns ``(calls, line_events)``.
+
+    The count is a pure function of the code under ``run``: garbage
+    left by earlier code is collected first, and the cyclic collector
+    is paused while ``run`` runs (then restored as found), so no
+    finalizer of an unrelated object -- ``MpBackend.__del__``, say --
+    is counted with it.
     """
     calls = Counter()
     line_events = [0]
@@ -149,6 +156,9 @@ def count_work(run, *args, lines=False, within=None, qualname=False):
         return local
 
     previous = sys.getprofile(), sys.gettrace()
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
     sys.setprofile(profile)
     if lines:
         sys.settrace(lambda frame, event, arg: local)
@@ -157,6 +167,8 @@ def count_work(run, *args, lines=False, within=None, qualname=False):
     finally:
         sys.settrace(previous[1])
         sys.setprofile(previous[0])
+        if collecting:
+            gc.enable()
     return calls, line_events[0]
 
 

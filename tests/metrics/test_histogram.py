@@ -65,6 +65,13 @@ class TestHistogram:
         with pytest.raises(ReproError):
             histogram.percentile(101)
 
+    @pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_width_is_refused_by_name(self, width):
+        # NaN used to be accepted and to fail only at the first record
+        # ("no bin holds 3.0"); inf reported p99 = inf.
+        with pytest.raises(ReproError, match="'wake_ms'.*bin width"):
+            Histogram(width, "wake_ms")
+
     @pytest.mark.parametrize("value", [
         math.nan, math.inf, -math.inf,
         pytest.param(10 ** 400, id="beyond-float")])

@@ -125,8 +125,8 @@ class TestRecorderMux:
 
     def test_empty_mux_short_circuits_without_touching_sink_list(self):
         # Regression: an attached-but-empty mux used to iterate its
-        # empty sink list once per kernel event.  The `active` flag
-        # must gate every on_* method before the list is touched.
+        # empty sink list once per kernel event.  Every on_* method
+        # reads the events resolved at add/remove, never the list.
         class Exploding(list):
             def __iter__(self):
                 raise AssertionError("sink list iterated while inactive")
@@ -192,6 +192,69 @@ def test_every_registered_sink_has_a_reader_under_src():
         found |= _constructed_outside_own_body(
             ast.parse(source.read_text()), wanted)
     assert wanted - found == set()
+
+
+class TestResolvedEvents:
+    """The kernel resolves each event when its sinks are wired: a sink
+    is called only for the events it does not declare ignored."""
+
+    class _Partial:
+        ignored_events = ("on_cpu", "on_wake")
+
+        def __init__(self):
+            self.heard = set()
+
+        def on_dispatch(self, thread, time):
+            self.heard.add("on_dispatch")
+
+        def on_cpu(self, thread, start, duration):
+            raise AssertionError("on_cpu is ignored")
+
+        def on_block(self, thread, time):
+            self.heard.add("on_block")
+
+        def on_wake(self, thread, time):
+            raise AssertionError("on_wake is ignored")
+
+        def on_exit(self, thread, time):
+            self.heard.add("on_exit")
+
+    @staticmethod
+    def _run(kernel, until):
+        def napper(ctx):
+            for _ in range(5):
+                yield Compute(10.0)
+                yield Sleep(30.0)
+
+        kernel.spawn(napper, f"n{until}", tickets=10)
+        kernel.spawn(spin_body(), f"s{until}", tickets=10)
+        kernel.run_until(until)
+
+    def test_ignored_events_are_never_delivered(self):
+        kernel = make_lottery_kernel(seed=4)
+        partial, full = self._Partial(), KernelRecorder()
+        kernel.recorder = partial  # a direct assignment resolves too
+        assert (kernel._on_cpu, kernel._on_wake) == (None, None)
+        self._run(kernel, 1_000.0)
+        kernel.recorder = None
+        kernel.attach_recorder(partial)
+        kernel.attach_recorder(full)
+        assert kernel._on_cpu == full.on_cpu  # the one listener, no mux
+        self._run(kernel, 2_000.0)
+        kernel.detach_recorder(full)
+        assert kernel._on_cpu is None and kernel._on_wake is None
+        self._run(kernel, 3_000.0)
+        assert partial.heard == {"on_dispatch", "on_block", "on_exit"}
+        assert full.wakes and full.cpu
+
+    def test_a_mux_resolves_over_exactly_its_listeners(self):
+        first, second = self._Partial(), KernelRecorder()
+        mux = RecorderMux(first, second)
+        cpu, wake = mux.resolved_events[1], mux.resolved_events[3]
+        assert cpu == second.on_cpu and wake == second.on_wake
+        mux.remove(second)
+        assert mux.resolved_events[1] is None
+        mux.on_cpu(None, 0.0, 1.0)  # nobody listens: first is not called
 
 
 class TestAttachRecorder:

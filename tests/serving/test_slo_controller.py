@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.tickets import Ledger
@@ -42,6 +44,31 @@ class TestClassLatencyProbe:
         probe.watch(thread, "silver")
         probe.on_dispatch(thread, 12.0)
         assert probe.digest("silver").count == 1
+
+    def test_a_class_has_one_wake_digest(self):
+        """With stats, the probe's window is the stats' wake digest of
+        the class: a sample is recorded once, and the controller's
+        early look at a class with no samples yet does not split it."""
+        stats = ServingStats()
+        probe = ClassLatencyProbe(stats)
+        assert probe.digest("gold").count == 0  # the controller, early
+        thread = _FakeThread("fe:gold:0", 10.0)
+        probe.on_dispatch(thread, 35.0)
+        probe.on_dispatch(thread, 40.0)
+        assert probe.digest("gold") is stats.wake["gold"]
+        assert (stats.wake["gold"].count, stats.wake["gold"].total) \
+            == (2, 55.0)
+
+    @pytest.mark.parametrize("bin_ms", [math.nan, math.inf, 0.0])
+    def test_a_bad_width_is_refused_at_construction(self, bin_ms):
+        with pytest.raises(ReproError, match="class latency probe"):
+            ClassLatencyProbe(bin_ms=bin_ms)
+        with pytest.raises(ReproError, match="serving stats"):
+            ServingStats(bin_ms=bin_ms)
+
+    def test_a_width_other_than_the_stats_is_refused(self):
+        with pytest.raises(ReproError, match="share the wake digests"):
+            ClassLatencyProbe(ServingStats(bin_ms=5.0), bin_ms=10.0)
 
     def test_exit_drops_the_id_cache(self):
         probe = ClassLatencyProbe()
@@ -116,6 +143,14 @@ class TestSloController:
         _feed(probe, 10.0, 10)
         controller.control(200.0)  # met target after breach
         assert controller.recovery_epoch("gold") == 2
+
+    @pytest.mark.parametrize("parameter", ["epoch_ms", "inflate", "comfort"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_a_non_finite_parameter_is_refused_by_name(self, parameter,
+                                                       value):
+        # ``nan <= 0`` is false: NaN used to pass every check.
+        with pytest.raises(ReproError, match=parameter):
+            SloController(ClassLatencyProbe(), **{parameter: value})
 
     def test_duplicate_class_is_an_error(self):
         controller, _, _ = _controller()
