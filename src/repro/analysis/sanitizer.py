@@ -11,9 +11,10 @@ are checked:
    all active clients sums to the ledger's active base tickets: value
    enters the system only through base tickets and flows losslessly
    through currencies (paper section 4.4).  Includes valuation-cache
-   coherence -- both sides exact, and on the active side the read gate
-   that decides which invalidation walks may be skipped -- and
-   holder/ticket back-reference consistency.
+   coherence -- both sides exact, and every currency a cached value
+   was read through still cached, the walk gate that decides which
+   invalidation walks may be skipped -- and holder/ticket
+   back-reference consistency.
 2. **Currency graph** -- the funding graph is acyclic (section 3.3),
    every edge is mirrored on both endpoints, each currency's cached
    ``active_amount`` equals the recomputed sum over its active issued
@@ -43,7 +44,8 @@ checks every Nth quantum when that matters.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
+                    Tuple)
 
 from repro.core.tickets import Currency, Ledger, Ticket, TicketHolder
 from repro.errors import InvariantViolation
@@ -161,12 +163,12 @@ def _check_nominal_caches(ledger: Ledger,
                           holders: Iterable[TicketHolder]) -> List[str]:
     """Whatever the nominal caches serve must be the bit-identical float
     the defining sums produce (no tolerance: that is their contract),
-    and every currency a cached value was read through must still be
-    marked nominal-read, or the next structural mutation there skips the
-    walk that would have cleared it.
+    and every currency a cached value was read through must still cache
+    its own nominal value, or the next structural mutation there skips
+    the walk that would have cleared it.
 
-    The caches are peeked, not called: a call would recompute and mark,
-    hiding exactly the walks a run skips.  The reference walk below
+    The caches are peeked, not called: a call would recompute and
+    cache, hiding exactly the walks a run skips.  The reference walk below
     reads none of the audited caches; it only remembers each currency's
     two sums for the length of this one audit, during which nothing
     mutates.
@@ -191,12 +193,13 @@ def _check_nominal_caches(ledger: Ledger,
             nominal[key] = sum(ticket_value(t) for t in currency.backing)
         return nominal[key]
 
-    def unmarked(what: str, tickets: Iterable[Ticket]) -> List[str]:
+    def uncached(what: str, tickets: Iterable[Ticket]) -> List[str]:
         return [f"{what} caches a nominal value read through currency "
-                f"{t.currency.name!r}, which is not marked nominal-read "
+                f"{t.currency.name!r}, whose nominal value is not cached "
                 f"(its next nominal walk would be skipped)"
                 for t in tickets
-                if not (t.currency.is_base or t.currency._nominal_read)]
+                if t.currency._nominal_value is None
+                and not t.currency.is_base]
 
     violations: List[str] = []
     for currency in ledger.currencies():
@@ -209,7 +212,7 @@ def _check_nominal_caches(ledger: Ledger,
                 f"{cached!r} != recomputed "
                 f"{currency_value(currency)!r} (stale valuation cache)"
             )
-        violations.extend(unmarked(f"currency {currency.name!r}",
+        violations.extend(uncached(f"currency {currency.name!r}",
                                    currency.backing))
     for holder in holders:
         cached = holder._nominal_value
@@ -222,21 +225,29 @@ def _check_nominal_caches(ledger: Ledger,
                 f"{cached!r} != recomputed "
                 f"{recomputed!r} (stale valuation cache)"
             )
-        violations.extend(unmarked(f"holder {holder.name!r}",
+        violations.extend(uncached(f"holder {holder.name!r}",
                                    holder.tickets))
     return violations
 
 
-def _fresh_funding_walk() -> Callable[[TicketHolder], float]:
-    """``TicketHolder.funding`` from its definition, for one audit.
+def _fresh_valuation() -> Tuple[Callable[[TicketHolder], float],
+                                Callable[[Currency], float]]:
+    """``TicketHolder.funding`` and ``Currency.base_value`` from their
+    definitions, for one audit.
 
-    Reads no valuation cache and -- unlike ``funding()`` on a dirty
-    holder -- marks no currency read, so auditing a run leaves exactly
-    the walks it would have skipped unaudited to be skipped.  Sums are
-    added in the order the cached paths add them; each currency's
-    backing sum is remembered for the length of the audit only.
+    Reads no valuation cache and -- unlike either method on a stale
+    cache -- fills none, so auditing a run leaves every walk it would
+    skip to be skipped.  Sums are added in the order the cached paths
+    add them; each currency's backing sum is remembered for the length
+    of the audit only.
     """
     backing: Dict[int, float] = {}
+
+    def currency_value(currency: Currency) -> float:
+        key = id(currency)
+        if key not in backing:
+            backing[key] = sum(ticket_value(t) for t in currency.backing)
+        return backing[key]
 
     def ticket_value(ticket: Ticket) -> float:
         if not ticket.active:
@@ -246,10 +257,8 @@ def _fresh_funding_walk() -> Callable[[TicketHolder], float]:
             return ticket.amount
         if currency.active_amount <= 0:
             return 0.0
-        key = id(currency)
-        if key not in backing:
-            backing[key] = sum(ticket_value(t) for t in currency.backing)
-        return backing[key] * (ticket.amount / currency.active_amount)
+        return currency_value(currency) * (ticket.amount
+                                           / currency.active_amount)
 
     def funding(holder: TicketHolder) -> float:
         total = 0
@@ -258,45 +267,55 @@ def _fresh_funding_walk() -> Callable[[TicketHolder], float]:
                 total = total + ticket_value(ticket)
         return total
 
-    return funding
+    return funding, currency_value
 
 
-def _check_funding_caches(holders: Iterable[TicketHolder],
-                          fresh: Dict[int, float]) -> List[str]:
+def _check_active_caches(ledger: Ledger, holders: Iterable[TicketHolder],
+                         fresh: Dict[int, float],
+                         currency_value: Callable[[Currency], float]
+                         ) -> List[str]:
     """The active side of the valuation caches, audited by peeking.
 
-    A holder whose funding cache is clean must serve the bit-identical
-    float of the from-scratch walk (``fresh``, by holder id), and every
-    currency that value was read through -- the denominations of its
-    active non-base tickets, then up every active backing ticket --
-    must still be marked read: an activation at an unmarked one skips
-    the walk that would have invalidated this holder.  Dirty holders
-    promise nothing and are left dirty.
+    A cached currency value or holder funding must be the bit-identical
+    float of the from-scratch walk (``fresh`` by holder id, and
+    ``currency_value``), and the denomination of every active non-base
+    ticket it sums must still cache its value: a mutation at an
+    uncached currency walks nowhere, so it would leave this cache
+    stale.  Stale caches promise nothing and are left stale.
     """
+    def uncached(what: str, tickets: Iterable[Ticket]) -> List[str]:
+        return [f"{what} read through currency {t.currency.name!r}, "
+                f"whose value is not cached (its next active-side walk "
+                f"would be skipped)"
+                for t in tickets
+                if t.active and t.currency._value is None
+                and not t.currency.is_base]
+
     violations: List[str] = []
-    for holder in holders:
-        if holder._funding_dirty:
+    for currency in ledger.currencies():
+        cached = currency._value
+        if cached is None:
             continue
-        if holder._funding_value != fresh[id(holder)]:
+        if cached != currency_value(currency):
             violations.append(
-                f"holder {holder.name!r} cached funding "
-                f"{holder._funding_value!r} != recomputed "
-                f"{fresh[id(holder)]!r} (stale valuation cache)"
+                f"currency {currency.name!r} cached base value "
+                f"{cached!r} != recomputed "
+                f"{currency_value(currency)!r} (stale valuation cache)"
             )
-        seen = set()
-        stack = [t.currency for t in holder.tickets if t.active]
-        while stack:
-            currency = stack.pop()
-            if currency.is_base or id(currency) in seen:
-                continue
-            seen.add(id(currency))
-            if not currency._read:
-                violations.append(
-                    f"holder {holder.name!r} caches a funding read through "
-                    f"currency {currency.name!r}, which is not marked read "
-                    f"(its next active-side walk would be skipped)"
-                )
-            stack.extend(t.currency for t in currency.backing if t.active)
+        violations.extend(uncached(
+            f"currency {currency.name!r} caches a base value",
+            currency.backing))
+    for holder in holders:
+        cached = holder._funding
+        if cached is None:
+            continue
+        if cached != fresh[id(holder)]:
+            violations.append(
+                f"holder {holder.name!r} cached funding {cached!r} != "
+                f"recomputed {fresh[id(holder)]!r} (stale valuation cache)"
+            )
+        violations.extend(uncached(f"holder {holder.name!r} caches a funding",
+                                   holder.tickets))
     return violations
 
 
@@ -306,14 +325,6 @@ def check_ticket_conservation(ledger: Ledger) -> List[str]:
     holders: Dict[int, TicketHolder] = {}
 
     for currency in ledger.currencies():
-        if not currency.is_base:
-            recomputed = sum(t.base_value() for t in currency.backing)
-            if not _close(currency.base_value(), recomputed):
-                violations.append(
-                    f"currency {currency.name!r} cached base value "
-                    f"{currency.base_value():g} != recomputed {recomputed:g} "
-                    f"(stale valuation cache)"
-                )
         for ticket in currency.issued:
             target = ticket.target
             if isinstance(target, TicketHolder):
@@ -348,11 +359,12 @@ def check_ticket_conservation(ledger: Ledger) -> List[str]:
                     f"{'active' if ticket.active else 'inactive'}"
                 )
 
-    # From scratch, not through funding(): that would clean the dirty
-    # holders and mark their currencies read behind the run's back.
-    fresh_funding = _fresh_funding_walk()
+    # From scratch, not through funding() or base_value(): those would
+    # fill stale caches, and so open walk gates, behind the run's back.
+    fresh_funding, currency_value = _fresh_valuation()
     fresh = {key: fresh_funding(h) for key, h in holders.items()}
-    violations.extend(_check_funding_caches(holders.values(), fresh))
+    violations.extend(_check_active_caches(ledger, holders.values(), fresh,
+                                           currency_value))
     total_funding = sum(fresh.values())
     active_base = ledger.base.active_amount
     if not _close(total_funding, active_base):
@@ -442,7 +454,7 @@ def _check_tree_lottery(tree, dirty, queued: Iterable["Thread"]) -> List[str]:
     the one slot the tree lets lag included (``TreeLottery.audit``).
     """
     violations: List[str] = []
-    fresh_funding = _fresh_funding_walk()
+    fresh_funding = _fresh_valuation()[0]
     for thread in queued:
         if thread not in tree:
             violations.append(

@@ -33,59 +33,32 @@ create/destroy/fund/unfund/value operations of the minimal kernel
 interface (section 4.3), plus cached valuation ("currency conversions
 can be accelerated by caching values or exchange rates").
 
-Valuation caching happens at three levels, all with **exact**
-invalidation (a cached value is only ever served when a recomputation
-would produce the bit-identical float):
+Valuation is cached on two sides: the *active* side (a currency's
+:meth:`Currency.base_value`, a holder's :meth:`TicketHolder.funding`)
+and the *nominal*, as-if-everything-competed side
+(:meth:`Currency.nominal_base_value`,
+:meth:`TicketHolder.nominal_funding`), which telemetry, mutex release
+lotteries and transfer sizing read for blocked threads.  Every cache is
+a value or ``None`` (stale), a cached value is exact -- bit-identical to
+a recomputation -- and one rule keeps it so:
 
-* each currency caches its base value per ledger epoch (any mutation
-  bumps the epoch);
-* each holder caches its :meth:`TicketHolder.funding`, invalidated
-  along the funding graph's actual dependency edges -- a mutation of a
-  currency's value or active amount invalidates exactly the holders
-  downstream of it, so a draw over N statically funded threads costs N
-  cached reads instead of N graph walks, and the tree scheduler can
-  skip untouched members entirely.  The downstream walk is itself paid
-  only where it can find a clean holder -- the **read gate**.  A
-  derived currency carries one mark, "some holder recomputed its
-  funding through me since my last walk", kept by two rules:
+* recomputing a value caches every currency it reads through (a
+  holder's funding reads each active ticket's denomination, whose value
+  reads the denominations of its active backing tickets, up to the
+  base);
+* a mutation that moves what a currency's issued tickets are worth
+  walks downstream from it, clearing the cache of every currency it
+  visits, the one it starts at included, and of every holder it
+  reaches (a holder's ``funding_watcher`` fires on that edge).
 
-  1. *mark on recompute*: :meth:`TicketHolder.funding`, when it
-     recomputes, marks the denomination of each active non-base ticket
-     it sums and every currency backing that denomination, transitively
-     (the value just cached depends on all of them);
-  2. *clear on visit*: an active-side walk clears the mark on the
-     currency it starts at and on every currency it descends through
-     (every holder below is dirty now, so nothing is cached through
-     them until rule 1 marks them again).
-
-  An activation, deactivation or active re-sizing at an unmarked
-  currency therefore starts no walk at all: no clean holder -- and so
-  no funding watcher waiting to fire -- exists downstream.  The base
-  currency is never marked (its tickets are worth their face amount
-  whatever its active amount).  Observers that call ``funding()``
-  (probes, snapshots) mark what they read and so re-arm walks; they
-  never change a value;
-* the *nominal* (as-if-everything-competed) side -- a currency's
-  :meth:`Currency.issued_amount` and :meth:`Currency.nominal_base_value`
-  and a holder's :meth:`TicketHolder.nominal_funding` -- is cached the
-  same way, but goes stale on **structural** mutations only (ticket
-  create/destroy/``set_amount``, ``fund``/``unfund``, holder
-  attach/detach): activation never moves a nominal value, so telemetry
-  and transfer sizing read blocked threads' worth at cached-read cost.
-  The same downstream walk serves both sides, and the nominal side has
-  a read gate of its own, a second mark on each currency:
-
-  1. *mark on recompute*: :meth:`TicketHolder.nominal_funding` and
-     :meth:`Currency.nominal_base_value`, when they recompute, mark the
-     denomination of each ticket they sum.  Marking these alone is
-     enough: every nominal cache is exact, so a denomination whose own
-     nominal value is cached has its backers marked already (a walk
-     that clears one of their marks clears that value too);
-  2. *clear on visit*: a nominal walk clears the mark on every currency
-     it visits, all of whose downstream nominal caches it clears.
-
-  A structural mutation at an unmarked currency (its issue, or its
-  backing) therefore walks nowhere: nothing cached depends on it.
+Nothing downstream is therefore cached through an uncached currency,
+so a cached value is its own walk gate: a mutation at an uncached
+currency walks nowhere, and a walk descends only into cached
+currencies.  The base currency never caches a value (a base ticket is
+worth its face amount whatever the base active amount), so activating
+N base-funded threads starts no walk at all.  Activation moves only the
+active side; structural mutations (ticket create/destroy/``set_amount``,
+``fund``/``unfund``) move the nominal side too.
 """
 
 from __future__ import annotations
@@ -133,8 +106,7 @@ class TicketHolder:
     """
 
     __slots__ = ("name", "tickets", "_competing", "funding_currency",
-                 "_funding_value", "_funding_dirty", "funding_watcher",
-                 "_nominal_value")
+                 "_funding", "funding_watcher", "_nominal_value")
 
     def __init__(self, name: str = "holder") -> None:
         self.name = name
@@ -146,10 +118,8 @@ class TicketHolder:
         #: :mod:`repro.core.transfers` when sizing a transfer out of a
         #: blocked holder; kernel threads set it to the task currency.
         self.funding_currency: Optional["Currency"] = None
-        # Funding cache: recomputed lazily, invalidated exactly along
-        # the funding graph's dependency edges (see module docstring).
-        self._funding_value: float = 0
-        self._funding_dirty = True
+        #: Cached :meth:`funding`; None while stale (module docstring).
+        self._funding: Optional[float] = None
         #: Optional (single) observer called with this holder when its
         #: cached funding is invalidated; the tree scheduler sets it
         #: while the holder is queued, to keep a dirty set instead of
@@ -162,15 +132,15 @@ class TicketHolder:
     # -- funding-cache invalidation ----------------------------------------
 
     def _invalidate_funding(self) -> None:
-        """Mark the cached funding stale and notify the watcher.
+        """Drop the cached funding and notify the watcher.
 
         Idempotent until the next :meth:`funding` call recomputes; the
-        watcher therefore fires once per dirty period, which is exactly
+        watcher therefore fires once per stale period, which is exactly
         the granularity a scheduler's dirty set needs.  Hot callers
-        test ``_funding_dirty`` first and call only on a clean holder.
+        test ``_funding`` first and call only on a cached holder.
         """
-        if not self._funding_dirty:
-            self._funding_dirty = True
+        if self._funding is not None:
+            self._funding = None
             if self.funding_watcher is not None:
                 self.funding_watcher(self)
 
@@ -203,14 +173,14 @@ class TicketHolder:
     def funding(self) -> float:
         """Total base-unit value of this holder's active tickets.
 
-        Served from the holder's cache when clean; the recomputation
-        below is the defining sum, and invalidation is exact, so the
-        cached and recomputed values are bit-identical by construction
+        Served from the holder's cache while it holds a value; the
+        recomputation below is the defining sum, and invalidation is
+        exact, so the cached and recomputed values are bit-identical
         (checked after every generated mutation against a from-scratch
         walk in ``tests/test_properties_graph.py``, and end to end by
         the pinned replay checksums of the perf equivalence suite).
         """
-        if self._funding_dirty:
+        if self._funding is None:
             # Starts from int 0 exactly like the historical
             # sum()-over-generator so an unfunded holder still reports
             # int 0 in snapshot state trees (canonical JSON
@@ -218,18 +188,13 @@ class TicketHolder:
             total = 0
             for ticket in self.tickets:
                 if ticket._active:
-                    currency = ticket.currency
-                    if currency.is_base:
+                    if ticket.currency.is_base:
                         # Ticket.base_value of an active base ticket.
                         total = total + ticket._amount
-                        continue
-                    # Rule 1 of the read gate (module docstring).
-                    if not currency._read:
-                        currency._mark_read()
-                    total = total + ticket.base_value()
-            self._funding_value = total
-            self._funding_dirty = False
-        return self._funding_value
+                    else:
+                        total = total + ticket.base_value()
+            self._funding = total
+        return self._funding
 
     def nominal_funding(self) -> float:
         """Base-unit value as if the whole funding graph were active.
@@ -240,15 +205,9 @@ class TicketHolder:
         Cached like :meth:`funding`, but only structural mutations
         invalidate it.
         """
-        value = self._nominal_value
-        if value is None:
-            tickets = self.tickets
-            # Rule 1 of the nominal read gate (module docstring).
-            for ticket in tickets:
-                ticket.currency._nominal_read = True
-            value = sum(map(_nominal_value_of, tickets))
-            self._nominal_value = value
-        return value
+        if self._nominal_value is None:
+            self._nominal_value = sum(map(_nominal_value_of, self.tickets))
+        return self._nominal_value
 
     def snapshot_state(self) -> dict:
         """Typed state tree for checkpointing (see ``repro.checkpoint``)."""
@@ -326,19 +285,16 @@ class Ticket:
         # inflation); the sanitizer checks conservation with tolerances.
         amount = float(amount)  # repro: noqa[RPR004] -- real-valued by design
         currency = self.currency
+        # On each side every sibling's share moved (the currency's walk)
+        # and our own value too, which that walk misses where the
+        # currency caches nothing -- always under the base currency.
         if self._active:
             currency._adjust_active(amount - self._amount)
         self._amount = amount
         if self._active:
-            # _adjust_active invalidates downstream of sibling tickets;
-            # a base-denominated ticket (whose value IS its amount) is
-            # exempt from that walk, so cover our own target here.
             self._invalidate_target()
-        # Nominal side, same shape: siblings through the currency's
-        # downstream walk (every sibling's share of the issue moved;
-        # the base exemption again), our own target for the exemption.
         currency._issued_total = None
-        if currency._nominal_read and not currency.is_base:
+        if currency._nominal_value is not None:
             currency._invalidate_downstream(True)
         self._invalidate_target(nominal=True)
         currency._ledger._epoch += 1
@@ -353,12 +309,20 @@ class Ticket:
             raise TicketError(f"ticket already funds {self.target!r}; unfund first")
         ledger = self.currency._ledger
         if isinstance(target, Currency):
+            if target._ledger is not ledger:
+                raise TicketError(
+                    f"cannot fund currency {target.name!r} of a different "
+                    "ledger")
             ledger._check_acyclic(self.currency, target)
             target._backing.append(self)
             self.target = target
-            target._nominal_value = None
-            if target._nominal_read:
+            # Both sums gained a term: an inactive one adds nothing to
+            # the active value, but a first one turns an empty sum's
+            # int 0 into 0.0, which state trees tell apart.
+            if target._nominal_value is not None:
                 target._invalidate_downstream(True)
+            if target._value is not None:
+                target._invalidate_downstream()
             # A backing ticket is active iff the funded currency has
             # active consumers (paper section 4.4).
             if target._active_amount > 0:
@@ -367,7 +331,7 @@ class Ticket:
             self.target = target
             target.tickets.append(self)
             target._nominal_value = None
-            if not target._funding_dirty:
+            if target._funding is not None:
                 target._invalidate_funding()
             if target._competing:
                 self.activate()
@@ -382,15 +346,17 @@ class Ticket:
             target._backing.remove(self)
             if self._active:
                 self.deactivate()
-            target._nominal_value = None
-            if target._nominal_read:
+            # As in fund: the last term gone turns 0.0 back into int 0.
+            if target._nominal_value is not None:
                 target._invalidate_downstream(True)
+            if target._value is not None:
+                target._invalidate_downstream()
             self.target = None
         else:
             self.target = None
             target.tickets.remove(self)
             target._nominal_value = None
-            if not target._funding_dirty:
+            if target._funding is not None:
                 target._invalidate_funding()
             if self._active:
                 self.deactivate()
@@ -424,8 +390,7 @@ class Ticket:
             if amount > 0 and not was_active:
                 for ticket in currency._backing:
                     ticket.activate()
-            if currency._read:
-                # The base currency is never marked (_adjust_active).
+            if currency._value is not None:
                 currency._invalidate_downstream()
             currency._ledger._epoch += 1
             # _invalidate_target(), fused: this and deactivate are the
@@ -433,9 +398,9 @@ class Ticket:
             target = self.target
             if target is not None:
                 if isinstance(target, Currency):
-                    if target._read:
+                    if target._value is not None:
                         target._invalidate_downstream()
-                elif not target._funding_dirty:
+                elif target._funding is not None:
                     target._invalidate_funding()
 
     def deactivate(self) -> None:
@@ -453,15 +418,15 @@ class Ticket:
             if was_active and not amount > 0:
                 for ticket in currency._backing:
                     ticket.deactivate()
-            if currency._read:
+            if currency._value is not None:
                 currency._invalidate_downstream()
             currency._ledger._epoch += 1
             target = self.target
             if target is not None:
                 if isinstance(target, Currency):
-                    if target._read:
+                    if target._value is not None:
                         target._invalidate_downstream()
-                elif not target._funding_dirty:
+                elif target._funding is not None:
                     target._invalidate_funding()
 
     def _invalidate_target(self, nominal: bool = False) -> None:
@@ -469,24 +434,23 @@ class Ticket:
 
         A holder target's cached funding goes stale directly; a currency
         target's value changed, which cascades to everything funded
-        downstream of it -- if a value was read through it since its
-        last walk on that side (the read gates).  ``nominal`` selects
-        the side that moved: the as-if-active valuation (structural
-        mutations) instead of the active one.
+        downstream of it -- if it caches a value on that side (module
+        docstring).  ``nominal`` selects the side that moved: the
+        as-if-active valuation (structural mutations) instead of the
+        active one.
         """
         target = self.target
         if target is None:
             return
         if isinstance(target, Currency):
             if nominal:
-                target._nominal_value = None
-                if target._nominal_read:
+                if target._nominal_value is not None:
                     target._invalidate_downstream(True)
-            elif target._read:
+            elif target._value is not None:
                 target._invalidate_downstream()
         elif nominal:
             target._nominal_value = None
-        elif not target._funding_dirty:
+        elif target._funding is not None:
             target._invalidate_funding()
 
     # -- valuation -----------------------------------------------------------
@@ -503,10 +467,14 @@ class Ticket:
         currency = self.currency
         if currency.is_base:
             return self._amount
+        # Read before the share test: whatever caches this value must
+        # find the denomination cached too, even where a clamped active
+        # amount makes the share 0 (module docstring).
+        value = currency.base_value()
         denominator = currency._active_amount
         if denominator <= 0:
             return 0.0
-        return currency.base_value() * (self._amount / denominator)
+        return value * (self._amount / denominator)
 
     def nominal_value(self) -> float:
         """Value in base units as if the entire funding graph were active.
@@ -520,10 +488,11 @@ class Ticket:
         currency = self.currency
         if currency.is_base:
             return self._amount
+        value = currency.nominal_base_value()  # read first, as base_value
         issued = currency.issued_amount()
         if issued <= 0:
             return 0.0
-        return currency.nominal_base_value() * (self._amount / issued)
+        return value * (self._amount / issued)
 
     def destroy(self) -> None:
         """Remove this ticket from the system entirely (terminal)."""
@@ -536,7 +505,7 @@ class Ticket:
         if not self._destroyed:
             currency._issued.remove(self)
             currency._issued_total = None
-            if currency._nominal_read and not currency.is_base:
+            if currency._nominal_value is not None:
                 currency._invalidate_downstream(True)
             self._destroyed = True
         currency._ledger._epoch += 1
@@ -553,9 +522,8 @@ class Currency:
     """A named denomination for tickets (paper sections 3.3 and 4.4)."""
 
     __slots__ = ("name", "is_base", "_ledger", "_backing", "_issued",
-                 "_active_amount", "_cached_value", "_cached_epoch",
-                 "_issued_total", "_nominal_value", "_read",
-                 "_nominal_read")
+                 "_active_amount", "_value", "_issued_total",
+                 "_nominal_value")
 
     def __init__(self, name: str, ledger: "Ledger", is_base: bool = False) -> None:
         self.name = name
@@ -567,19 +535,11 @@ class Currency:
         self._issued: List[Ticket] = []
         #: Sum of amounts of currently active issued tickets.
         self._active_amount = 0.0
-        # Valuation cache: (ledger epoch, value).
-        self._cached_value: Optional[float] = None
-        self._cached_epoch = -1
-        # Nominal-side caches; None while stale.
+        # Valuation caches, None while stale; the base currency never
+        # fills either value (module docstring).
+        self._value: Optional[float] = None
         self._issued_total: Optional[float] = None
         self._nominal_value: Optional[float] = None
-        #: The read gate: True while some holder may have recomputed
-        #: :meth:`TicketHolder.funding` through this currency since its
-        #: last active-side walk.  Never set on the base currency.
-        self._read = False
-        #: The nominal read gate: True while some nominal value may have
-        #: been cached through this currency since its last nominal walk.
-        self._nominal_read = False
 
     # -- structure -----------------------------------------------------------
 
@@ -618,69 +578,45 @@ class Currency:
         elif was_active and not now_active:
             for ticket in self._backing:
                 ticket.deactivate()
-        if self._read:
+        if self._value is not None:
             # A derived currency's per-unit value just moved, so every
-            # issued ticket's base value moved with it -- which matters
-            # only to holders that read a funding through it.  The base
-            # currency is never marked: its per-unit value is constant
-            # 1 and its tickets are worth their face amount whatever its
-            # active amount -- the exemption that keeps a dispatch over
-            # N base-funded threads at O(1) invalidations.
+            # issued ticket's base value moved with it.
             self._invalidate_downstream()
         self._ledger._epoch += 1
-
-    def _mark_read(self) -> None:
-        """Rule 1 of the read gate: a holder is caching a funding that
-        depends on this currency, hence on every currency backing it.
-
-        A marked currency's backers are already marked (they were when
-        it was, and a walk that clears one clears everything below it),
-        so the climb stops at the first marked currency.
-        """
-        stack = [self]
-        while stack:
-            currency = stack.pop()
-            currency._read = True
-            for ticket in currency._backing:
-                backer = ticket.currency
-                if not (backer._read or backer.is_base):
-                    stack.append(backer)
 
     def _invalidate_downstream(self, nominal: bool = False) -> None:
         """Invalidate every holder funded (transitively) by this currency.
 
-        Walks issued tickets to their targets, descending through
-        currency targets; the funding graph is acyclic (enforced by
-        :meth:`Ledger._check_acyclic`), and the visited set keeps
-        diamond-shaped funding from re-walking a currency.  With
-        ``nominal`` the walk clears the nominal caches of the holders
-        and currencies it reaches instead of the holders' funding.
-
-        Each side's walk is rule 2 of its read gate: callers start it
-        only at a currency marked read on that side, and it clears that
-        mark on every currency it visits.
+        Clears this currency's value on the chosen side (``nominal``:
+        the as-if-active one), then walks issued tickets to their
+        targets: a holder's cache on that side is cleared, and a
+        currency target is cleared and descended into only while it
+        caches a value -- nothing below an uncached currency is cached
+        through it (module docstring).  Clearing before descending also
+        keeps diamond-shaped funding from re-walking a currency.
         """
+        if nominal:
+            self._nominal_value = None
+        else:
+            self._value = None
         stack: List[Currency] = [self]
-        visited = {id(self)}
         while stack:
             currency = stack.pop()
-            if nominal:
-                currency._nominal_read = False
-            else:
-                currency._read = False
             for ticket in currency._issued:
                 target = ticket.target
                 if target is None:
                     continue
                 if isinstance(target, Currency):
-                    if id(target) not in visited:
-                        visited.add(id(target))
-                        if nominal:
+                    if nominal:
+                        if target._nominal_value is not None:
                             target._nominal_value = None
+                            stack.append(target)
+                    elif target._value is not None:
+                        target._value = None
                         stack.append(target)
                 elif nominal:
                     target._nominal_value = None
-                elif not target._funding_dirty:
+                elif target._funding is not None:
                     target._invalidate_funding()
 
     # -- valuation -----------------------------------------------------------
@@ -690,18 +626,14 @@ class Currency:
 
         The base currency is worth its active amount (each base ticket is
         worth its face value); every other currency is worth the sum of
-        its backing tickets' base values.  Results are cached per ledger
-        epoch, invalidated by any funding/activation mutation.
+        its backing tickets' base values, cached until a walk clears it
+        (module docstring).
         """
         if self.is_base:
             return self._active_amount
-        epoch = self._ledger._epoch
-        if self._cached_epoch == epoch and self._cached_value is not None:
-            return self._cached_value
-        value = sum(map(_base_value_of, self._backing))
-        self._cached_value = value
-        self._cached_epoch = epoch
-        return value
+        if self._value is None:
+            self._value = sum(map(_base_value_of, self._backing))
+        return self._value
 
     def exchange_rate(self, other: "Currency") -> float:
         """Base value of one unit of ``self`` per one unit of ``other``.
@@ -742,15 +674,9 @@ class Currency:
         """
         if self.is_base:
             return self.issued_amount()
-        value = self._nominal_value
-        if value is None:
-            backing = self._backing
-            # Rule 1 of the nominal read gate (module docstring).
-            for ticket in backing:
-                ticket.currency._nominal_read = True
-            value = sum(map(_nominal_value_of, backing))
-            self._nominal_value = value
-        return value
+        if self._nominal_value is None:
+            self._nominal_value = sum(map(_nominal_value_of, self._backing))
+        return self._nominal_value
 
     def destroy(self) -> None:
         """Remove an empty currency from the ledger."""
@@ -786,7 +712,7 @@ class Ledger:
 
     def __init__(self) -> None:
         self._currencies: Dict[str, Currency] = {}
-        #: Bumped by every mutation; keys the per-currency value cache.
+        #: Bumped by every mutation (state trees and checkpoints carry it).
         self._epoch = 0
         self.base = Currency(self.BASE_NAME, self, is_base=True)
         self._currencies[self.BASE_NAME] = self.base
@@ -851,11 +777,9 @@ class Ledger:
         ticket._destroyed = False
         currency_obj._issued.append(ticket)
         # The issue changed: every sibling's share of it moved, so
-        # everything funded downstream is nominally stale -- except
-        # under the base currency, whose tickets are worth their face
-        # amount whatever the issue (the _adjust_active exemption).
+        # everything funded downstream is nominally stale.
         currency_obj._issued_total = None
-        if currency_obj._nominal_read and not currency_obj.is_base:
+        if currency_obj._nominal_value is not None:
             currency_obj._invalidate_downstream(True)
         self._epoch += 1
         if fund is not None:

@@ -102,7 +102,7 @@ def test_conservation_detects_activation_mismatch():
     assert "'sleeper'" in messages
 
 
-# -- family 1, active side: exact funding caches and the read gate ----------
+# -- family 1, active side: exact funding caches and the walk gate ---------
 
 
 def _two_level_chain():
@@ -126,12 +126,14 @@ def _two_level_chain():
 def test_funding_audit_is_clean_and_does_not_mutate():
     ledger, upper, lower, reader, sibling, other = _two_level_chain()
     assert reader.funding() == 100.0
-    sibling.start_competing()      # a gated walk: reader is dirty again
-    assert reader._funding_dirty and not lower._read and upper._read
+    assert lower._value == 100.0 and upper._value == 100.0  # read through
+    sibling.start_competing()      # a walk from lower: reader is stale
+    assert reader._funding is None and lower._value is None
+    assert upper._value == 100.0
     assert sanitize_ledger(ledger) == []
-    # Peeked, not recomputed: still dirty, nothing marked behind the run.
-    assert reader._funding_dirty and not lower._read
-    assert reader.funding() == 25.0 and lower._read
+    # Peeked, not recomputed: nothing cached behind the run.
+    assert reader._funding is None and lower._value is None
+    assert reader.funding() == 25.0 and lower._value == 100.0
     other.start_competing()        # halves upper's per-unit value
     assert reader.funding() == 10.0
     assert sanitize_ledger(ledger) == []
@@ -140,76 +142,92 @@ def test_funding_audit_is_clean_and_does_not_mutate():
 def test_funding_audit_detects_a_stale_clean_cache():
     ledger, upper, lower, reader, sibling, other = _two_level_chain()
     reader.funding()
-    reader._funding_value += 1.0
+    reader._funding += 1.0
     messages = "\n".join(check_ticket_conservation(ledger))
     assert "holder 'reader' cached funding 101.0 != recomputed 100.0" \
         in messages
 
 
 def test_read_gate_audit_detects_broken_mark_propagation(monkeypatch):
-    """Rule 1 hand-broken: the recompute marks the denomination but
-    not the currencies backing it."""
-    from repro.core.tickets import Currency
+    """A recompute hand-broken not to cache a currency it reads through:
+    ``Ticket.base_value`` skipping the denomination when its clamped
+    active amount makes the share 0.  The audit names the uncached
+    currency before the walk it skips leaves the funding stale."""
+    from repro.core.tickets import Ticket
 
-    monkeypatch.setattr(Currency, "_mark_read",
-                        lambda self: setattr(self, "_read", True))
-    ledger, upper, lower, reader, sibling, other = _two_level_chain()
-    reader.funding()
+    def skips_a_zero_share(self):
+        if not self._active:
+            return 0.0
+        currency = self.currency
+        if currency.is_base:
+            return self._amount
+        if currency._active_amount <= 0:
+            return 0.0
+        return currency.base_value() * (self._amount
+                                         / currency._active_amount)
+
+    monkeypatch.setattr(Ticket, "base_value", skips_a_zero_share)
+    ledger = Ledger()
+    clamped = ledger.create_currency("clamped")
+    ledger.create_ticket(100, fund=clamped)
+    dust, heavy = TicketHolder("dust"), TicketHolder("heavy")
+    ledger.create_ticket(5e-10, currency=clamped, fund=dust)
+    ledger.create_ticket(10, currency=clamped, fund=heavy)
+    dust.start_competing()         # 5e-10 clamps to an active amount of 0
+    assert dust.funding() == 0.0
     messages = "\n".join(check_ticket_conservation(ledger))
-    assert "holder 'reader' caches a funding read through currency " \
-        "'upper', which is not marked read" in messages
-    assert "'lower'" not in messages
-    # What the audit warned of: the walk at ``upper`` is skipped and the
-    # clean cache goes stale.
-    other.start_competing()
+    assert "holder 'dust' caches a funding read through currency " \
+        "'clamped', whose value is not cached" in messages
+    # What the audit warned of: activating ``heavy`` crosses zero at an
+    # uncached currency, walks nowhere, and the cache goes stale.
+    heavy.start_competing()
     messages = "\n".join(check_ticket_conservation(ledger))
-    assert "holder 'reader' cached funding 100.0 != recomputed 40.0" \
-        in messages
+    assert "holder 'dust' cached funding 0.0 != recomputed" in messages
 
 
 def test_read_gate_audit_detects_broken_clear_on_visit(monkeypatch):
-    """Rule 2 hand-broken: the walk clears the mark where it starts
-    but not on the currencies it visits.  The next recompute then finds
-    ``lower`` still marked and stops climbing below an unmarked
-    ``upper``."""
+    """A walk hand-broken to clear only the currency it starts at: the
+    currencies it descends through keep their values, now stale, with
+    an uncached one above them."""
     from repro.core.tickets import Currency
 
     walk = Currency._invalidate_downstream
 
     def clears_only_its_start(self, nominal=False):
-        marked = [c for c in self._ledger.currencies() if c._read]
+        kept = {c: c._value for c in self._ledger.currencies()}
         walk(self, nominal)
-        if not nominal:
-            for currency in marked:
-                currency._read = currency is not self
+        for currency, value in kept.items():
+            if currency is not self:
+                currency._value = value
 
     monkeypatch.setattr(Currency, "_invalidate_downstream",
                         clears_only_its_start)
     ledger, upper, lower, reader, sibling, other = _two_level_chain()
     reader.funding()
     other.start_competing()        # walk from upper visits lower
-    assert lower._read and not upper._read
-    reader.funding()
+    assert lower._value == 100.0 and upper._value is None
     messages = "\n".join(check_ticket_conservation(ledger))
-    assert "holder 'reader' caches a funding read through currency " \
-        "'upper', which is not marked read" in messages
+    assert "currency 'lower' cached base value 100.0 != recomputed 40.0" \
+        in messages
+    assert "currency 'lower' caches a base value read through currency " \
+        "'upper', whose value is not cached" in messages
 
 
 def test_nominal_audit_peeks_and_detects_a_dropped_mark():
-    """The nominal read gate: a cached nominal value is audited without
-    being read (an unread chain stays unmarked), and one whose mark was
-    dropped behind its back is reported before the skipped walk it
-    leads to makes it stale."""
+    """The nominal walk gate: a cached nominal value is audited without
+    being read (an unread chain stays uncached), and one read through a
+    currency whose own nominal value was dropped behind its back is
+    reported before the skipped walk it leads to makes it stale."""
     ledger, upper, lower, reader, sibling, other = _two_level_chain()
     assert sanitize_ledger(ledger) == []
-    assert not (upper._nominal_read or lower._nominal_read)
+    assert upper._nominal_value is None and lower._nominal_value is None
     assert reader.nominal_funding() == 10.0
-    assert upper._nominal_read and lower._nominal_read
+    assert upper._nominal_value == 100.0 and lower._nominal_value == 40.0
     assert sanitize_ledger(ledger) == []
-    upper._nominal_read = False
+    upper._nominal_value = None
     messages = "\n".join(check_ticket_conservation(ledger))
     assert "currency 'lower' caches a nominal value read through " \
-        "currency 'upper', which is not marked nominal-read" in messages
+        "currency 'upper', whose nominal value is not cached" in messages
     ledger.create_ticket(100, currency=upper)  # upper's issue doubles
     messages = "\n".join(check_ticket_conservation(ledger))
     assert "currency 'lower' cached nominal value 40.0 != recomputed " \

@@ -77,23 +77,36 @@ def refreshes(monkeypatch):
 
 
 @pytest.fixture
-def walks(monkeypatch):
-    """Active-side ``Currency._invalidate_downstream`` walks -- each one
-    iterates an issued list -- as the names of the currencies they
-    started at, counted through a class-level wrapper (the nominal
-    side, which activation never triggers, is left out)."""
+def _walk_starts(monkeypatch):
+    """``Currency._invalidate_downstream`` walks -- each one iterates an
+    issued list -- as the names of the currencies they started at, one
+    list a side (``False`` active, ``True`` nominal), counted through a
+    class-level wrapper."""
     from repro.core.tickets import Currency
 
-    started = []
+    started = {False: [], True: []}
     inner = Currency._invalidate_downstream
 
     def counted(self, nominal=False):
-        if not nominal:
-            started.append(self.name)
+        started[nominal].append(self.name)
         inner(self, nominal)
 
     monkeypatch.setattr(Currency, "_invalidate_downstream", counted)
     return started
+
+
+@pytest.fixture
+def walks(_walk_starts):
+    """Active-side walks: a derived currency's per-unit value moved
+    while it cached a value."""
+    return _walk_starts[False]
+
+
+@pytest.fixture
+def nominal_walks(_walk_starts):
+    """Nominal-side walks: a structural mutation at a currency that
+    cached a nominal value."""
+    return _walk_starts[True]
 
 
 @pytest.fixture

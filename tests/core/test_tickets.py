@@ -163,6 +163,21 @@ class TestTicketBasics:
         with pytest.raises(TicketError):
             ledger.create_ticket(10, currency=foreign)
 
+    def test_funding_a_currency_of_another_ledger_is_refused(self, ledger):
+        """Value would leak across ledgers: a holder of the foreign
+        currency would be funded by issue its own ledger never counts
+        (its ``total_active_base()`` stays 0)."""
+        other = Ledger()
+        foreign = other.create_currency("foreign")
+        ticket = ledger.create_ticket(100)
+        with pytest.raises(TicketError, match="'foreign' of a different"):
+            ticket.fund(foreign)
+        assert ticket.target is None and foreign.backing == []
+        holder = TicketHolder("h")
+        other.create_ticket(10, currency=foreign, fund=holder)
+        holder.start_competing()
+        assert holder.funding() == 0.0 == other.total_active_base()
+
 
 class TestActivationPropagation:
     def test_holder_competing_activates_tickets(self, ledger):
@@ -314,6 +329,21 @@ class TestValuation:
         assert alice.base_value() == pytest.approx(500)
         backing.set_amount(900)
         assert alice.base_value() == pytest.approx(900)
+
+    def test_funding_read_through_a_clamped_currency_follows_it(self, ledger):
+        """An active amount below 1e-9 clamps to 0, so the share of a
+        5e-10 ticket reads 0.0; the value cached for it must still go
+        stale when a sibling's activation gives the currency a real
+        active amount and the ticket a real share."""
+        dusty = ledger.create_currency("dusty")
+        ledger.create_ticket(100, fund=dusty)
+        dust, heavy = TicketHolder("dust"), TicketHolder("heavy")
+        ledger.create_ticket(5e-10, currency=dusty, fund=dust)
+        ledger.create_ticket(10, currency=dusty, fund=heavy)
+        dust.start_competing()
+        assert dusty.active_amount == 0.0 and dust.funding() == 0.0
+        heavy.start_competing()    # the clamped 5e-10 stays lost: 10.0
+        assert dust.funding() == 100.0 * (5e-10 / 10.0) == 5e-09
 
 
 class TestCycleDetection:

@@ -90,9 +90,9 @@ def _currency_deep():
     sibling.start_competing()
 
     def rounds(count):
-        # Inflate and revalue: every set_amount invalidates the
-        # valuation caches down the chain, every funding() call
-        # rebuilds them.
+        # Inflate and revalue: every set_amount clears the leaf
+        # currency's value and both fundings, and the funding() calls
+        # recompute only those -- the 19 levels above stay cached.
         for index in range(count):
             leaf_ticket.set_amount(100.0 + (index % 7))
             holder.funding()
@@ -196,10 +196,10 @@ ROWS = {
         _draw_tree, "draw", 5.001, 162.83,
         {"draws": 1_001, "levels": 13_679, "next": 3_565}),
     "currency.deep.20": (
-        _currency_deep, "revaluation", 53.00, 372.0,
+        _currency_deep, "revaluation", 15.00, 112.0,
         {"epoch": 1_088, "leaf": 253.7313432835821}),
     "ipc.pingpong": (
-        _ipc_pingpong, "RPC", 120.02, 967.15,
+        _ipc_pingpong, "RPC", 120.02, 941.15,
         {"rpcs": 399, "transfers": 399, "dispatches": 803, "epoch": 8_810}),
     "checkpoint.capture.300": (
         _checkpoint_capture, "captured thread", 15.12, 70.64,

@@ -179,9 +179,9 @@ class TestTreeWorkPerQuantum:
     def test_base_funded_spinners_never_walk_the_ledger(self, walks):
         """The same run seen from the ledger: a base ticket is worth its
         face amount whatever the base active amount, so the base
-        currency is never marked read and (de)activating a base-funded
+        currency never caches a value and (de)activating a base-funded
         thread at every dispatch and re-enqueue starts no invalidation
-        walk -- the ``dispatch_wide`` bypass of the read gate."""
+        walk -- the ``dispatch_wide`` bypass of the walk gate."""
         kernel = make_lottery_kernel(seed=3, quantum=10.0, use_tree=True)
         for index in range(200):
             kernel.spawn(spin_body(7.0), f"spin{index}",
@@ -189,7 +189,7 @@ class TestTreeWorkPerQuantum:
         kernel.run_until(500 * 10.0)
         assert kernel.dispatch_count == 501
         assert walks == []
-        assert not kernel.ledger.base._read
+        assert kernel.ledger.base._value is None
 
     def test_only_changed_values_refresh_in_the_mixed_recipe(self, refreshes):
         """The ``lottery-mix-42`` golden run of

@@ -106,7 +106,8 @@ class TestWorkPerRequest:
     optional sink off (the arena's own latency probe is the recorder);
     counted from outside, by wrapping the public seams."""
 
-    def test_counts_per_completed_request(self, monkeypatch, walks):
+    def test_counts_per_completed_request(self, monkeypatch, walks,
+                                          nominal_walks):
         from repro.core.tickets import Ledger, Ticket
         from repro.serving.slo_controller import ClassLatencyProbe
 
@@ -130,20 +131,22 @@ class TestWorkPerRequest:
         arena = build_arena(machine.kernel, ArenaConfig(
             seed=1, load_factor=0.7, requests_per_class=100))
         built = dict(counts)
-        del walks[:]
+        del walks[:], nominal_walks[:]
         arena.run()
         assert sum(arena.stats.completed.values()) == 258
         # Per completed request: 7.1 events, 3.8 dispatches, 3.9
         # recorder callbacks (13.5 while the probe heard the events it
         # ignores), one transfer ticket minted and destroyed per RPC
-        # hop (3.0), and 3.0 active-side ledger walks -- 10.8 before
-        # walks were gated on a funding having been read.
+        # hop (3.0), 3.0 active-side ledger walks -- 10.8 before walks
+        # were gated on a funding having been read -- and 1.0 nominal
+        # walk (2.0 before that side was gated too).
         assert machine.engine.events_processed == 1_835
         assert machine.kernel.dispatch_count == 993
         assert counts["recorder"] - built["recorder"] == 996
         assert counts["created"] - built["created"] == 774
         assert counts["destroyed"] - built["destroyed"] == 771
         assert len(walks) == 772
+        assert len(nominal_walks) == 258
         # The mutation count itself is in state trees; never elided.
         assert machine.kernel.ledger.snapshot_state()["epoch"] == 7_913
 
@@ -153,11 +156,12 @@ class TestCallsPerRequest:
     sections 4.4-4.6: activation on every block and wake, compensation
     on every short quantum, a transfer ticket on every RPC): Python-level
     calls per offered request on the arena above, counted with
-    ``sys.setprofile`` over ``arena.run()``: 213.0.  341 while the heap
+    ``sys.setprofile`` over ``arena.run()``: 211.3.  341 while the heap
     ordered events with ``Event.__lt__``, ticket mint and activation went
     through helpers of their own and every wake opened a no-op race
     seam; 229.6 while the latency probe heard the events it ignores and
-    recorded every wake sample twice.  docs/PERFORMANCE.md section 1
+    recorded every wake sample twice; 213.0 while a funding recompute
+    marked the currencies it read through.  docs/PERFORMANCE.md section 1
     names the frames left and why.  The bound holds on the oldest
     CPython CI runs: 3.12 inlines comprehensions and reads lower."""
 
@@ -265,7 +269,8 @@ class TestHubWorkPerDispatch:
             export_prometheus(hub.registry))] == [
             "c155c55763472e49", "11f42ff5848e0170", "398fb80fdc2bf3b5"]
 
-    #: The reading (25.9 frames a dispatch) + 10 %.  Before recorder
+    #: The reading (25.9 frames a dispatch; 26.2 since a nominal walk
+    #: clears the currency it starts at) + 10 %.  Before recorder
     #: events were resolved at wiring time it read 36.7, which fails it.
     BOUND = 28.5
 
