@@ -304,7 +304,8 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
         "transient": set(),
     },
     "repro.serving.admission.AdmissionController": {
-        "covered": {"capacity_rps", "headroom", "burst_s", "buckets"},
+        # The state tree also carries the HEADROOM and BURST_S constants.
+        "covered": {"capacity_rps", "buckets"},
         "transient": set(),
     },
     "repro.metrics.histogram.Histogram": {
@@ -314,15 +315,16 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
         "transient": {"name"},
     },
     "repro.serving.stats.ServingStats": {
-        "covered": {"bin_ms", "offered", "shed", "completed", "e2e",
-                    "wake"},
+        # The state tree also carries the BIN_MS constant.
+        "covered": {"offered", "shed", "completed", "e2e", "wake"},
         "transient": set(),
     },
     "repro.serving.slo_controller.ClassLatencyProbe": {
-        "covered": {"prefix", "window"},
+        # The state tree also carries the FRONTEND_PREFIX constant.
+        "covered": {"window"},
         # stats is shared measurement plumbing (captured as its own
         # object); the id-keyed attribution cache is rebuilt on replay.
-        "transient": {"stats", "bin_ms", "_by_tid"},
+        "transient": {"stats", "_by_tid"},
     },
     "repro.serving.slo_controller.SloClassState": {
         "covered": {"name", "target_p99_ms", "floor", "ceiling"},
@@ -331,8 +333,9 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
         "transient": {"levers", "baseline"},
     },
     "repro.serving.slo_controller.SloController": {
-        "covered": {"epoch_ms", "epochs", "min_samples", "inflate",
-                    "deflate", "comfort", "classes"},
+        # The state tree also carries the INFLATE, DEFLATE and COMFORT
+        # constants.
+        "covered": {"epoch_ms", "epochs", "min_samples", "classes"},
         "transient": {"probe", "history"},
     },
 }

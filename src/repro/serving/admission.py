@@ -14,21 +14,31 @@ policies, runs, and shard placements.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping
+import math
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.errors import ReproError
 
-__all__ = ["TokenBucket", "AdmissionController"]
+__all__ = ["TokenBucket", "AdmissionController", "admission_rates"]
+
+#: Admission provisions this multiple of the CPU capacity, divided
+#: among the classes by ticket share.
+HEADROOM = 1.2
+#: Seconds of a class's admission rate its bucket holds as burst.
+BURST_S = 0.5
 
 
 class TokenBucket:
     """Analytic token bucket clocked by scheduled arrival instants."""
 
     def __init__(self, rate_per_s: float, burst: float) -> None:
-        if rate_per_s <= 0:
-            raise ReproError(f"refill rate must be positive: {rate_per_s}")
-        if burst < 1.0:
-            raise ReproError(f"burst must admit at least one: {burst}")
+        # ``nan < inf`` is false, so NaN fails both checks.
+        if not 0 < rate_per_s < math.inf:
+            raise ReproError(
+                f"refill rate must be positive and finite: {rate_per_s}")
+        if not 1.0 <= burst < math.inf:
+            raise ReproError(
+                f"burst must be finite and admit at least one: {burst}")
         self.rate_per_s = float(rate_per_s)
         self.burst = float(burst)
         self.tokens = float(burst)
@@ -68,33 +78,43 @@ class TokenBucket:
         }
 
 
-class AdmissionController:
-    """Per-class token buckets priced by ticket share of capacity.
+def admission_rates(capacity_rps: float, shares: Mapping[str, float]
+                    ) -> Dict[str, Tuple[float, float]]:
+    """Each class's ``(rate_per_s, burst)``, by class name.
 
-    ``capacity_rps * headroom`` requests/second of admission are
+    ``capacity_rps * HEADROOM`` requests/second of admission are
     divided among the classes in proportion to their ticket amounts:
     a class holding p% of tickets may sustain p% of the provisioned
-    admission rate, with ``burst_s`` seconds of that rate as burst
-    allowance.
+    admission rate, with ``BURST_S`` seconds of that rate (at least
+    one request) as burst allowance.  The single-kernel arena and the
+    sharded serving plan both price admission here.
     """
+    if not 0 < capacity_rps < math.inf:
+        raise ReproError(
+            f"capacity must be positive and finite: {capacity_rps}")
+    if not shares:
+        raise ReproError("admission needs at least one class")
+    total = float(sum(shares.values()))
+    if not 0 < total < math.inf:
+        raise ReproError(
+            f"ticket shares must sum positive and finite: {total}")
+    rates = {}
+    for name in sorted(shares):
+        rate = capacity_rps * HEADROOM * float(shares[name]) / total
+        rates[name] = (rate, max(1.0, rate * BURST_S))
+    return rates
 
-    def __init__(self, capacity_rps: float, shares: Mapping[str, float],
-                 headroom: float = 1.2, burst_s: float = 0.5) -> None:
-        if capacity_rps <= 0:
-            raise ReproError(f"capacity must be positive: {capacity_rps}")
-        if not shares:
-            raise ReproError("admission controller needs at least one class")
-        total = float(sum(shares.values()))
-        if total <= 0:
-            raise ReproError(f"ticket shares must sum positive: {total}")
+
+class AdmissionController:
+    """Per-class token buckets priced by :func:`admission_rates`."""
+
+    def __init__(self, capacity_rps: float,
+                 shares: Mapping[str, float]) -> None:
         self.capacity_rps = float(capacity_rps)
-        self.headroom = float(headroom)
-        self.burst_s = float(burst_s)
-        self.buckets: Dict[str, TokenBucket] = {}
-        for name in sorted(shares):
-            rate = capacity_rps * headroom * float(shares[name]) / total
-            burst = max(1.0, rate * burst_s)
-            self.buckets[name] = TokenBucket(rate, burst)
+        self.buckets: Dict[str, TokenBucket] = {
+            name: TokenBucket(rate, burst)
+            for name, (rate, burst)
+            in admission_rates(capacity_rps, shares).items()}
 
     def admit(self, name: str, at_ms: float) -> bool:
         """Admit/shed one request of class ``name`` arriving at ``at_ms``."""
@@ -118,8 +138,10 @@ class AdmissionController:
         """Typed state tree for checkpointing (see ``repro.checkpoint``)."""
         return {
             "capacity_rps": self.capacity_rps,
-            "headroom": self.headroom,
-            "burst_s": self.burst_s,
+            # Constants; the keys stay because pinned state trees
+            # contain them.
+            "headroom": HEADROOM,
+            "burst_s": BURST_S,
             "buckets": {name: bucket.snapshot_state()
                         for name, bucket in sorted(self.buckets.items())},
         }

@@ -9,7 +9,8 @@ scheduling policy from ``experiments.common`` can sit underneath):
   abstraction doing the fan-out);
 * one ingress port, one arrival pump, and N frontends per class;
 * a shared backend port with a worker pool funded in base;
-* optionally an admission controller and an SLO feedback thread.
+* a ticket-priced admission controller at every pump, and optionally
+  an SLO feedback thread.
 
 The arena measures; it never decides.  All policy lives in the
 scheduler underneath, the admission pricing, and the SLO loop.
@@ -24,9 +25,11 @@ from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 from repro.errors import ExperimentError
 from repro.kernel.ipc import Port
 from repro.serving.admission import AdmissionController
-from repro.serving.slo_controller import ClassLatencyProbe, SloController
+from repro.serving.slo_controller import SloController
 from repro.serving.stats import ServingStats
-from repro.serving.tiers import (DEFAULT_CLASSES, ServiceClassSpec,
+from repro.serving.tiers import (ARRIVAL_SEED_STRIDE, BACKEND_TICKETS,
+                                 DEFAULT_CLASSES, FRONTEND_TICKETS,
+                                 PUMP_TICKETS, ServiceClassSpec,
                                  ServingRuntime, backend_body, capacity_rps,
                                  frontend_body, pump_body)
 from repro.workloads.arrivals import make_arrivals
@@ -36,9 +39,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ArenaConfig", "ServingArena", "build_arena"]
 
-#: Per-class arrival streams are decorrelated from each other and from
-#: the kernel's own seed by this prime stride.
-_CLASS_SEED_STRIDE = 7919
+#: Workers in the shared backend pool.
+BACKENDS = 3
 
 
 @dataclass(frozen=True)
@@ -49,18 +51,8 @@ class ArenaConfig:
     load_factor: float = 1.0
     requests_per_class: int = 500
     classes: Tuple[ServiceClassSpec, ...] = DEFAULT_CLASSES
-    backends: int = 3
-    transfer_fraction: float = 1.0
-    admission: bool = True
-    admission_headroom: float = 1.2
-    admission_burst_s: float = 0.5
     slo: bool = False
-    slo_epoch_ms: float = 250.0
     slo_min_samples: int = 20
-    pump_tickets: float = 50.0
-    frontend_tickets: float = 100.0
-    backend_tickets: float = 50.0
-    bin_ms: float = 5.0
 
     def __post_init__(self) -> None:
         def is_int(value: Any) -> bool:
@@ -81,14 +73,10 @@ class ArenaConfig:
             raise ExperimentError(
                 f"classes must be a non-empty tuple of ServiceClassSpec: "
                 f"{self.classes!r}")
-        if not is_int(self.backends) or self.backends < 1:
+        if not is_int(self.slo_min_samples) or self.slo_min_samples < 0:
             raise ExperimentError(
-                f"backends must be a positive int: {self.backends!r}")
-        fraction = self.transfer_fraction
-        # As ``transfer_funding``: a fraction of the client's rights.
-        if not (isinstance(fraction, (int, float)) and 0 < fraction <= 1):
-            raise ExperimentError(
-                f"transfer_fraction must be in (0, 1]: {fraction!r}")
+                f"slo_min_samples must be a non-negative int: "
+                f"{self.slo_min_samples!r}")
 
     def capacity_rps(self) -> float:
         return capacity_rps(self.classes)
@@ -116,12 +104,11 @@ class ServingArena:
     def __init__(self, kernel: "Kernel", config: ArenaConfig) -> None:
         self.kernel = kernel
         self.config = config
-        self.runtime = ServingRuntime(
-            kernel, ServingStats(bin_ms=config.bin_ms))
-        self.probe = ClassLatencyProbe(
-            self.runtime.stats, bin_ms=config.bin_ms)
-        self.runtime.probe = self.probe
-        self.admission: Optional[AdmissionController] = None
+        self.runtime = ServingRuntime(kernel)
+        self.probe = self.runtime.probe
+        self.admission = AdmissionController(
+            config.capacity_rps(),
+            {spec.name: spec.tickets for spec in config.classes})
         self.controller: Optional[SloController] = None
         self.levers: Dict[str, Any] = {}
         self._build()
@@ -130,17 +117,10 @@ class ServingArena:
 
     def _build(self) -> None:
         kernel, config = self.kernel, self.config
-        kernel.attach_recorder(self.probe)
-        if config.admission:
-            self.admission = AdmissionController(
-                config.capacity_rps(),
-                {spec.name: spec.tickets for spec in config.classes},
-                headroom=config.admission_headroom,
-                burst_s=config.admission_burst_s)
+        admission = self.admission
         if config.slo:
             self.controller = SloController(
-                self.probe, epoch_ms=config.slo_epoch_ms,
-                min_samples=config.slo_min_samples)
+                self.probe, min_samples=config.slo_min_samples)
         backend = Port(kernel, "svc:backend")
         for index, spec in enumerate(config.classes):
             currency = kernel.ledger.create_currency(spec.name)
@@ -150,34 +130,30 @@ class ServingArena:
             ingress = Port(kernel, f"svc:in:{spec.name}")
             process = make_arrivals(
                 spec.arrival_kind,
-                config.seed + _CLASS_SEED_STRIDE * (index + 1),
-                self.config.class_rate_per_s(spec),
+                config.seed + ARRIVAL_SEED_STRIDE * (index + 1),
+                config.class_rate_per_s(spec),
                 **dict(spec.arrival_params))
-            admit = None
-            if self.admission is not None:
-                controller = self.admission
-                admit = (lambda at_ms, _name=spec.name:
-                         controller.admit(_name, at_ms))
             kernel.spawn(
                 pump_body(self.runtime, spec.name, process, ingress,
-                          config.requests_per_class, admit),
-                f"pump:{spec.name}", tickets=config.pump_tickets)
+                          config.requests_per_class,
+                          lambda at_ms, _name=spec.name:
+                          admission.admit(_name, at_ms)),
+                f"pump:{spec.name}", tickets=PUMP_TICKETS)
             for worker in range(spec.frontends):
                 kernel.spawn(
                     frontend_body(self.runtime, spec.name, ingress,
-                                  backend, spec.front_ms, spec.back_ms,
-                                  config.transfer_fraction),
+                                  backend, spec.front_ms, spec.back_ms),
                     f"fe:{spec.name}:{worker}",
-                    tickets=config.frontend_tickets, currency=currency)
+                    tickets=FRONTEND_TICKETS, currency=currency)
             if self.controller is not None:
                 self.controller.add_class(
                     spec.name, spec.target_p99_ms, [backing])
-        for worker in range(config.backends):
+        for worker in range(BACKENDS):
             kernel.spawn(backend_body(backend), f"be:{worker}",
-                         tickets=config.backend_tickets)
+                         tickets=BACKEND_TICKETS)
         if self.controller is not None:
             kernel.spawn(self.controller.body(), "slo:controller",
-                         tickets=config.pump_tickets)
+                         tickets=PUMP_TICKETS)
 
     # -- execution and reporting -------------------------------------------
 
@@ -199,9 +175,8 @@ class ServingArena:
         state: Dict[str, Any] = {
             "stats": self.stats.snapshot_state(),
             "probe": self.probe.snapshot_state(),
+            "admission": self.admission.snapshot_state(),
         }
-        if self.admission is not None:
-            state["admission"] = self.admission.snapshot_state()
         if self.controller is not None:
             state["slo"] = self.controller.snapshot_state()
         return state

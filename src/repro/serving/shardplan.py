@@ -1,8 +1,9 @@
 """Serving arena on the sharded multicore engine.
 
 ``serving_plan`` partitions the arena across cores: each core runs a
-complete, core-local service stack -- per-class pumps, frontends, a
-backend pool, and (optionally) an SLO controller -- with the class
+complete, core-local service stack -- per-class pumps behind
+ticket-priced admission, frontends, a backend pool, and (optionally)
+an SLO controller -- with the class
 arrival streams split per core by **derived seeds**, so every core
 replays its own decorrelated slice of the offered load and the merged
 event stream stays a pure function of the plan (the canonical barrier
@@ -26,13 +27,14 @@ from __future__ import annotations
 
 from typing import Any, Dict, TYPE_CHECKING
 
-from repro.serving.admission import TokenBucket
-from repro.serving.slo_controller import ClassLatencyProbe, SloController
-from repro.serving.stats import ServingStats
-from repro.serving.tiers import (DEFAULT_CLASSES, ServingRuntime,
-                                 backend_body, capacity_rps, frontend_body,
-                                 pump_body)
-from repro.shard.plan import ShardPlan
+from repro.errors import ShardError
+from repro.serving.admission import TokenBucket, admission_rates
+from repro.serving.slo_controller import SLO_EPOCH_MS, SloController
+from repro.serving.tiers import (ARRIVAL_SEED_STRIDE, BACKEND_TICKETS,
+                                 DEFAULT_CLASSES, PUMP_TICKETS,
+                                 ServingRuntime, backend_body, capacity_rps,
+                                 frontend_body, pump_body)
+from repro.shard.plan import ShardPlan, finite, integer
 from repro.workloads.arrivals import make_arrivals
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,10 +49,16 @@ __all__ = [
     "build_shard_slo",
 ]
 
-#: Decorrelates a core's per-class arrival streams from each other,
-#: from other cores', and from the cores' own scheduling PRNGs
-#: (``core_seed = seed + 101 * core``).
-_STREAM_SEED_STRIDE = 7919
+#: Offered load on every core, as a multiple of its capacity.
+LOAD_FACTOR = 1.5
+#: Backend pool workers on each core.
+CORE_BACKENDS = 2
+#: Scheduling quantum of every core (ms).
+QUANTUM_MS = 20.0
+#: Control windows with fewer wake samples than this leave the levers
+#: alone: admission sheds most bronze load at overload, so a core's
+#: windows see few bronze dispatches.
+SLO_MIN_SAMPLES = 10
 
 
 def serving_runtime_for(core: "ShardCore") -> ServingRuntime:
@@ -62,32 +70,45 @@ def serving_runtime_for(core: "ShardCore") -> ServingRuntime:
     """
     runtime = getattr(core, "serving_runtime", None)
     if runtime is None:
-        runtime = ServingRuntime(core.kernel, ServingStats())
-        probe = ClassLatencyProbe(runtime.stats)
-        core.kernel.attach_recorder(probe)
-        runtime.probe = probe
-        core.serving_runtime = runtime
+        runtime = core.serving_runtime = ServingRuntime(core.kernel)
     return runtime
 
 
 # -- body factories (see repro.shard.builders) -------------------------------
+#
+# Thread args are plan data (JSON), so each factory checks the ones it
+# reads and refuses a malformed one by its field name; ``build_body``
+# adds the thread's name.
+
+
+def _count(args: Dict[str, Any], key: str) -> int:
+    value = integer(key, args[key])
+    if value < 0:
+        raise ShardError(f"{key} must be non-negative: {value!r}")
+    return value
+
+
+def _real(args: Dict[str, Any], key: str, positive: bool) -> float:
+    value = finite(key, args[key])
+    if value < 0 or (positive and value == 0):
+        raise ShardError(f"{key} must be "
+                         f"{'positive' if positive else 'non-negative'}: "
+                         f"{value!r}")
+    return value
 
 
 def build_shard_pump(core: "ShardCore", args: Dict[str, Any]):
     """``serving_pump``: one class's open-loop arrival slice."""
     runtime = serving_runtime_for(core)
     process = make_arrivals(
-        str(args["kind"]), int(args["seed"]), float(args["rate_per_s"]),
+        str(args["kind"]), int(args["seed"]),
+        _real(args, "rate_per_s", True),
         **dict(args.get("params") or {}))
-    admit = None
-    admit_rate = float(args.get("admit_rate_per_s", 0.0))
-    if admit_rate > 0:
-        bucket = TokenBucket(admit_rate,
-                             float(args.get("admit_burst", 1.0)))
-        admit = bucket.admit
+    bucket = TokenBucket(_real(args, "admit_rate_per_s", True),
+                         _real(args, "admit_burst", True))
     return pump_body(runtime, str(args["cls"]), process,
                      core.channel(str(args["channel"])),
-                     int(args["count"]), admit)
+                     _count(args, "count"), bucket.admit)
 
 
 def build_shard_frontend(core: "ShardCore", args: Dict[str, Any]):
@@ -97,9 +118,8 @@ def build_shard_frontend(core: "ShardCore", args: Dict[str, Any]):
         runtime, str(args["cls"]),
         core.channel(str(args["ingress"])),
         core.channel(str(args["backend"])),
-        float(args.get("front_ms", 0.5)),
-        float(args.get("back_ms", 4.5)),
-        float(args.get("transfer_fraction", 1.0)))
+        _real(args, "front_ms", False), _real(args, "back_ms", False),
+        _real(args, "transfer_fraction", False))
 
 
 def build_shard_backend(core: "ShardCore", args: Dict[str, Any]):
@@ -117,9 +137,8 @@ def build_shard_slo(core: "ShardCore", args: Dict[str, Any]):
     """
     runtime = serving_runtime_for(core)
     controller = SloController(
-        runtime.probe,
-        epoch_ms=float(args.get("epoch_ms", 250.0)),
-        min_samples=int(args.get("min_samples", 10)))
+        runtime.probe, epoch_ms=_real(args, "epoch_ms", True),
+        min_samples=_count(args, "min_samples"))
     targets = {str(name): float(target)
                for name, target in dict(args["targets"]).items()}
     core.serving_slo = controller
@@ -141,60 +160,52 @@ def build_shard_slo(core: "ShardCore", args: Dict[str, Any]):
 
 
 def serving_plan(seed: int = 2026, cores: int = 2,
-                 load_factor: float = 1.5,
                  requests_per_class: int = 200,
-                 frontends: int = 2, backends: int = 2,
-                 quantum: float = 20.0, epoch_ms: float = 250.0,
-                 slo: bool = False,
-                 admission: bool = True) -> ShardPlan:
+                 slo: bool = False) -> ShardPlan:
     """Exemplar plan: the serving arena partitioned across ``cores``.
 
     ``requests_per_class`` is *per core*: each core pumps its own
     derived-seed slice of every class at the single-core offered rate,
     so total offered load scales with the core count exactly as
-    capacity does.
+    capacity does.  A core's barrier epoch is its SLO control epoch.
     """
-    plan = ShardPlan(seed=seed, cores=cores, quantum=quantum,
-                     epoch_ms=epoch_ms)
+    plan = ShardPlan(seed=seed, cores=cores, quantum=QUANTUM_MS,
+                     epoch_ms=SLO_EPOCH_MS)
     classes = DEFAULT_CLASSES
     core_capacity = capacity_rps(classes)
+    admission = admission_rates(
+        core_capacity, {spec.name: spec.tickets for spec in classes})
     for core in range(cores):
         backend_channel = f"svc-be-c{core}"
         plan.add_channel(backend_channel, home=core)
         for index, spec in enumerate(classes):
             ingress = f"svc-in-{spec.name}-c{core}"
             plan.add_channel(ingress, home=core)
-            rate = load_factor * core_capacity * spec.weight
-            admit_rate = 0.0
-            admit_burst = 1.0
-            if admission:
-                total = sum(s.tickets for s in classes)
-                admit_rate = (core_capacity * 1.2
-                              * spec.tickets / total)
-                admit_burst = max(1.0, admit_rate * 0.5)
+            admit_rate, admit_burst = admission[spec.name]
             plan.add_thread(
-                core, "serving_pump", f"pump:{spec.name}@c{core}", 50.0,
-                cls=spec.name, kind=spec.arrival_kind,
-                seed=seed + _STREAM_SEED_STRIDE * (
+                core, "serving_pump", f"pump:{spec.name}@c{core}",
+                PUMP_TICKETS, cls=spec.name, kind=spec.arrival_kind,
+                seed=seed + ARRIVAL_SEED_STRIDE * (
                     1 + index + core * len(classes)),
-                rate_per_s=rate, count=requests_per_class,
+                rate_per_s=LOAD_FACTOR * core_capacity * spec.weight,
+                count=requests_per_class,
                 channel=ingress, params=dict(spec.arrival_params),
                 admit_rate_per_s=admit_rate, admit_burst=admit_burst)
-            for worker in range(frontends):
+            for worker in range(spec.frontends):
                 plan.add_thread(
                     core, "serving_frontend",
                     f"fe:{spec.name}:c{core}w{worker}", spec.tickets,
                     cls=spec.name, ingress=ingress,
                     backend=backend_channel, front_ms=spec.front_ms,
                     back_ms=spec.back_ms, transfer_fraction=1.0)
-        for worker in range(backends):
+        for worker in range(CORE_BACKENDS):
             plan.add_thread(core, "serving_backend",
-                            f"be:c{core}w{worker}", 50.0,
+                            f"be:c{core}w{worker}", BACKEND_TICKETS,
                             channel=backend_channel)
         if slo:
             plan.add_thread(
-                core, "serving_slo", f"slo:c{core}", 50.0,
+                core, "serving_slo", f"slo:c{core}", PUMP_TICKETS,
                 targets={spec.name: spec.target_p99_ms
                          for spec in classes},
-                epoch_ms=epoch_ms, min_samples=10)
+                epoch_ms=SLO_EPOCH_MS, min_samples=SLO_MIN_SAMPLES)
     return plan

@@ -5,7 +5,7 @@ Two halves:
 * :class:`ClassLatencyProbe` -- a recorder sink (the same protocol as
   :class:`repro.metrics.recorder.KernelRecorder`) that attributes
   each wake->dispatch latency sample to a *service class* by thread
-  name (``fe:<class>:<n>`` by default) and folds it into a bounded
+  name (``fe:<class>:<n>``) and folds it into a bounded
   :class:`~repro.metrics.histogram.Histogram` per class -- the arena
   stats' ``wake`` digest of that class, when it has stats;
 * :class:`SloController` -- a periodic control loop, run as an
@@ -30,8 +30,8 @@ from typing import Any, Dict, List, Optional, TYPE_CHECKING
 from repro.core.tickets import Ticket
 from repro.errors import ReproError
 from repro.kernel.syscalls import Sleep
-from repro.metrics.histogram import Histogram, checked_width
-from repro.serving.stats import ServingStats, digest_state
+from repro.metrics.histogram import Histogram
+from repro.serving.stats import BIN_MS, ServingStats, digest_state
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.thread import Thread
@@ -42,49 +42,49 @@ __all__ = ["ClassLatencyProbe", "SloController", "SloClassState"]
 #: ``fe:<class>:<index>``.
 FRONTEND_PREFIX = "fe:"
 
+#: Virtual milliseconds between control epochs (the arena's controller
+#: thread and each sharded plan core's alike).
+SLO_EPOCH_MS = 250.0
+#: Multiplier on a lever after a breaching epoch, and after a
+#: comfortable one: multiplicative increase converges geometrically.
+INFLATE = 1.3
+DEFLATE = 0.85
+#: A window p99 under ``COMFORT * target`` counts as comfortable; the
+#: band between it and the target keeps the loop from oscillating.
+COMFORT = 0.5
+#: A lever's ceiling, as a multiple of its amount at registration
+#: (which is its floor).
+CEILING_FACTOR = 16.0
+
 
 class ClassLatencyProbe:
     """Recorder sink folding wake->dispatch latency into class digests.
 
     Class attribution is by thread name (``fe:gold:0`` -> ``gold``),
-    resolved once per thread and cached by id; threads may also be
-    registered explicitly with :meth:`watch`.  Implements the full
+    resolved once per thread and cached by id.  Implements the full
     recorder event surface (it is listed in ``RECORDER_SINKS``).
     With ``stats``, a class's digest is the stats' ``wake`` digest of
-    that class, so each sample is recorded once; ``bin_ms`` must then
-    be the stats' own.
+    that class, so each sample is recorded once.
     """
 
     #: Recorder events the kernel need not call.
     ignored_events = ("on_cpu", "on_block", "on_wake")
 
-    def __init__(self, stats: Optional[ServingStats] = None,
-                 prefix: str = FRONTEND_PREFIX,
-                 bin_ms: float = 5.0) -> None:
-        self.bin_ms = checked_width(float(bin_ms), "class latency probe")
-        if stats is not None and stats.bin_ms != self.bin_ms:
-            raise ReproError(
-                f"class latency probe: bin_ms {self.bin_ms} differs from "
-                f"its stats' {stats.bin_ms}; they share the wake digests")
+    def __init__(self, stats: Optional[ServingStats] = None) -> None:
         self.stats = stats
-        self.prefix = prefix
         #: Cumulative per-class wake->dispatch digests (the controller
         #: reads windowed deltas out of these).
         self.window: Dict[str, Histogram] = {}
         #: id(thread) -> class name ("" = not a serving thread).
         self._by_tid: Dict[int, str] = {}
 
-    def watch(self, thread: "Thread", service_class: str) -> None:
-        """Explicitly attribute ``thread`` to ``service_class``."""
-        self._by_tid[id(thread)] = service_class
-
     def _class_of(self, thread: "Thread") -> str:
         tid = id(thread)
         cached = self._by_tid.get(tid)
         if cached is None:
             name = thread.name
-            if name.startswith(self.prefix):
-                cached = name[len(self.prefix):].split(":", 1)[0]
+            if name.startswith(FRONTEND_PREFIX):
+                cached = name[len(FRONTEND_PREFIX):].split(":", 1)[0]
             else:
                 cached = ""
             self._by_tid[tid] = cached
@@ -93,7 +93,7 @@ class ClassLatencyProbe:
     def digest(self, service_class: str) -> Histogram:
         existing = self.window.get(service_class)
         if existing is None:
-            existing = Histogram(self.bin_ms, f"wake:{service_class}")
+            existing = Histogram(BIN_MS, f"wake:{service_class}")
             self.window[service_class] = existing
         return existing
 
@@ -138,7 +138,9 @@ class ClassLatencyProbe:
     def snapshot_state(self) -> Dict[str, Any]:
         """Typed state tree for checkpointing (see ``repro.checkpoint``)."""
         return {
-            "prefix": self.prefix,
+            # A constant; the key stays because pinned state trees
+            # contain it.
+            "prefix": FRONTEND_PREFIX,
             "window": {name: digest_state(digest)
                        for name, digest in sorted(self.window.items())},
         }
@@ -148,21 +150,24 @@ class SloClassState:
     """Per-class controller bookkeeping (target, lever, window base)."""
 
     def __init__(self, name: str, target_p99_ms: float,
-                 levers: List[Ticket], floor: float,
-                 ceiling: float) -> None:
-        if target_p99_ms <= 0:
+                 levers: List[Ticket]) -> None:
+        # ``nan < inf`` is false, so NaN fails both checks.
+        if not 0 < target_p99_ms < math.inf:
             raise ReproError(
-                f"SLO target must be positive: {target_p99_ms}")
+                f"SLO target must be positive and finite: {target_p99_ms}")
         if not levers:
             raise ReproError(f"class {name!r} has no lever tickets")
-        if floor <= 0 or ceiling < floor:
+        floor = levers[0].amount
+        if not 0 < floor < math.inf:
             raise ReproError(
-                f"bad lever bounds for {name!r}: [{floor}, {ceiling}]")
+                f"lever amount of {name!r} must be positive and finite: "
+                f"{floor}")
         self.name = name
         self.target_p99_ms = float(target_p99_ms)
         self.levers = list(levers)
+        #: The lever's amount at registration, and its ceiling.
         self.floor = float(floor)
-        self.ceiling = float(ceiling)
+        self.ceiling = self.floor * CEILING_FACTOR
         #: Copy of the class digest at the previous control epoch.
         self.baseline: Optional[Histogram] = None
 
@@ -190,53 +195,37 @@ class SloController:
 
     Each control epoch the controller takes the delta of a class's
     wake->dispatch bins since the previous epoch, computes the window
-    p99, and multiplies the class's lever tickets by ``inflate`` on a
-    breach (clamped to ``ceiling``) or ``deflate`` once p99 falls below
-    ``comfort * target`` (clamped back to ``floor``).  Multiplicative
-    increase converges geometrically; the comfort band keeps the loop
-    from oscillating around the target.
+    p99, and multiplies the class's lever tickets by ``INFLATE`` on a
+    breach (clamped to its ceiling) or ``DEFLATE`` once p99 falls below
+    ``COMFORT * target`` (clamped back to its floor).
     """
 
     def __init__(self, probe: ClassLatencyProbe,
-                 epoch_ms: float = 500.0,
-                 min_samples: int = 20,
-                 inflate: float = 1.3,
-                 deflate: float = 0.85,
-                 comfort: float = 0.5) -> None:
+                 epoch_ms: float = SLO_EPOCH_MS,
+                 min_samples: int = 20) -> None:
         # Written so that NaN fails too: ``nan <= 0`` is false.
         if not 0 < epoch_ms < math.inf:
             raise ReproError(
                 f"epoch_ms must be positive and finite: {epoch_ms}")
-        if not (1.0 < inflate < math.inf and 0.0 < deflate < 1.0):
+        if not (isinstance(min_samples, int)
+                and not isinstance(min_samples, bool) and min_samples >= 0):
             raise ReproError(
-                f"need finite inflate > 1 > deflate > 0: {inflate}, "
-                f"{deflate}")
-        if not 0 <= comfort < math.inf:
-            raise ReproError(
-                f"comfort must be non-negative and finite: {comfort}")
+                f"min_samples must be a non-negative int: {min_samples!r}")
         self.probe = probe
         self.epoch_ms = float(epoch_ms)
-        self.min_samples = int(min_samples)
-        self.inflate = float(inflate)
-        self.deflate = float(deflate)
-        self.comfort = float(comfort)
+        self.min_samples = min_samples
         self.classes: Dict[str, SloClassState] = {}
         self.epochs = 0
         #: One row per (epoch, class) decision, in control order.
         self.history: List[Dict[str, Any]] = []
 
     def add_class(self, name: str, target_p99_ms: float,
-                  levers: List[Ticket],
-                  floor: Optional[float] = None,
-                  ceiling: Optional[float] = None) -> None:
-        """Register a class: its SLO target and its lever tickets."""
+                  levers: List[Ticket]) -> None:
+        """Register a class: its SLO target and its lever tickets.  The
+        levers' current amount is the class's floor."""
         if name in self.classes:
             raise ReproError(f"class {name!r} already registered")
-        base = levers[0].amount if levers else 0.0
-        self.classes[name] = SloClassState(
-            name, target_p99_ms, levers,
-            floor=base if floor is None else floor,
-            ceiling=base * 16.0 if ceiling is None else ceiling)
+        self.classes[name] = SloClassState(name, target_p99_ms, levers)
 
     def control(self, now_ms: float) -> None:
         """Run one control epoch over all registered classes."""
@@ -254,11 +243,11 @@ class SloController:
                 p99 = window.percentile(99.0)
                 if p99 > state.target_p99_ms:
                     action = "inflate"
-                    new = min(state.ceiling, old * self.inflate)
-                elif (p99 < state.target_p99_ms * self.comfort
+                    new = min(state.ceiling, old * INFLATE)
+                elif (p99 < state.target_p99_ms * COMFORT
                       and old > state.floor):
                     action = "deflate"
-                    new = max(state.floor, old * self.deflate)
+                    new = max(state.floor, old * DEFLATE)
                 else:
                     action, new = "hold", old
             if new != old:
@@ -307,9 +296,11 @@ class SloController:
             "epoch_ms": self.epoch_ms,
             "epochs": self.epochs,
             "min_samples": self.min_samples,
-            "inflate": self.inflate,
-            "deflate": self.deflate,
-            "comfort": self.comfort,
+            # Constants; the keys stay because pinned state trees
+            # contain them.
+            "inflate": INFLATE,
+            "deflate": DEFLATE,
+            "comfort": COMFORT,
             "classes": {name: state.snapshot_state()
                         for name, state in sorted(self.classes.items())},
             "decisions": len(self.history),

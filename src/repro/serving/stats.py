@@ -12,9 +12,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.metrics.histogram import Histogram, checked_width
+from repro.metrics.histogram import Histogram
 
 __all__ = ["ServingStats", "digest_state"]
+
+#: Bin width (ms) of every serving latency digest: the stats' ``e2e``
+#: and ``wake`` digests and the latency probe's, which share them.
+BIN_MS = 5.0
 
 
 def digest_state(digest: Histogram) -> Dict[str, Any]:
@@ -40,8 +44,7 @@ class ServingStats:
     expected to grow without bound under overload).
     """
 
-    def __init__(self, bin_ms: float = 5.0) -> None:
-        self.bin_ms = checked_width(float(bin_ms), "serving stats")
+    def __init__(self) -> None:
         self.offered: Dict[str, int] = {}
         self.shed: Dict[str, int] = {}
         self.completed: Dict[str, int] = {}
@@ -56,8 +59,8 @@ class ServingStats:
             self.offered[name] = 0
             self.shed[name] = 0
             self.completed[name] = 0
-            self.e2e[name] = Histogram(self.bin_ms, f"e2e:{name}")
-            self.wake[name] = Histogram(self.bin_ms, f"wake:{name}")
+            self.e2e[name] = Histogram(BIN_MS, f"e2e:{name}")
+            self.wake[name] = Histogram(BIN_MS, f"wake:{name}")
 
     # -- recording hooks --------------------------------------------------
 
@@ -119,7 +122,9 @@ class ServingStats:
     def snapshot_state(self) -> Dict[str, Any]:
         """Typed state tree for checkpointing (see ``repro.checkpoint``)."""
         return {
-            "bin_ms": self.bin_ms,
+            # A constant; the key stays because pinned state trees
+            # contain it.
+            "bin_ms": BIN_MS,
             "classes": {
                 name: {
                     "offered": self.offered[name],

@@ -23,10 +23,13 @@ builders, inside :class:`~repro.shard.core.ShardCore` workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Tuple, TYPE_CHECKING
 
+from repro.errors import ReproError
 from repro.kernel.syscalls import Call, Compute, Receive, Reply, Send, Sleep
+from repro.serving.slo_controller import ClassLatencyProbe
 from repro.serving.stats import ServingStats
 from repro.workloads.arrivals import ArrivalProcess
 
@@ -65,6 +68,28 @@ class ServiceClassSpec:
     frontends: int = 2
     arrival_params: Tuple[Tuple[str, Any], ...] = ()
 
+    def __post_init__(self) -> None:
+        def refuse(field: str, rule: str) -> None:
+            raise ReproError(f"service class {self.name!r}: {field} must "
+                             f"be {rule}: {getattr(self, field)!r}")
+
+        def check(field: str, positive: bool) -> None:
+            value = getattr(self, field)
+            # ``nan < inf`` is false, so NaN fails too.
+            if not (isinstance(value, (int, float)) and value < math.inf
+                    and (value > 0 if positive else value >= 0)):
+                refuse(field, "finite and positive" if positive
+                       else "finite and non-negative")
+
+        for field in ("tickets", "weight", "target_p99_ms"):
+            check(field, True)
+        check("front_ms", False)
+        check("back_ms", False)
+        frontends = self.frontends
+        if not (isinstance(frontends, int) and not isinstance(frontends, bool)
+                and frontends >= 1):
+            refuse("frontends", "a positive int")
+
     def request_cpu_ms(self) -> float:
         """CPU milliseconds one request of this class consumes."""
         return self.front_ms + self.back_ms
@@ -92,6 +117,19 @@ DEFAULT_CLASSES: Tuple[ServiceClassSpec, ...] = (
 )
 
 
+#: Base funding of the tier threads: every arrival pump (and the SLO
+#: controller) and every backend worker hold this many base tickets; a
+#: single-kernel frontend holds ``FRONTEND_TICKETS`` in its class
+#: currency.  The arena and the sharded plan read the same values.
+PUMP_TICKETS = 50.0
+BACKEND_TICKETS = 50.0
+FRONTEND_TICKETS = 100.0
+
+#: Per-class arrival streams are decorrelated from each other, from
+#: other cores' and from the kernels' own seeds by this prime stride.
+ARRIVAL_SEED_STRIDE = 7919
+
+
 def capacity_rps(classes: Tuple[ServiceClassSpec, ...] = DEFAULT_CLASSES,
                  cores: int = 1) -> float:
     """Sustainable requests/second: CPU budget over mean request cost.
@@ -109,19 +147,19 @@ def capacity_rps(classes: Tuple[ServiceClassSpec, ...] = DEFAULT_CLASSES,
 class ServingRuntime:
     """Shared mutable context the tier bodies record into.
 
-    One per kernel (the arena's, or one per shard core).  Completion
-    recording also forwards to an attached telemetry hub's
-    ``on_request_complete`` so the class-keyed end-to-end histogram
-    (``repro_request_e2e_ms``) fills without the arena depending on
-    telemetry being present.
+    One per kernel (the arena's, or one per shard core), with the
+    class latency probe attached to that kernel's recorder and folding
+    into these stats.  Completion recording also forwards to an
+    attached telemetry hub's ``on_request_complete`` so the class-keyed
+    end-to-end histogram (``repro_request_e2e_ms``) fills without the
+    arena depending on telemetry being present.
     """
 
-    def __init__(self, kernel: "Kernel",
-                 stats: Optional[ServingStats] = None) -> None:
+    def __init__(self, kernel: "Kernel") -> None:
         self.kernel = kernel
-        self.stats = stats if stats is not None else ServingStats()
-        #: Optional ClassLatencyProbe; owned by whoever attached it.
-        self.probe = None
+        self.stats = ServingStats()
+        self.probe = ClassLatencyProbe(self.stats)
+        kernel.attach_recorder(self.probe)
 
     def complete(self, service_class: str, e2e_ms: float) -> None:
         self.stats.record_completion(service_class, e2e_ms)
@@ -133,7 +171,7 @@ class ServingRuntime:
 
 def pump_body(runtime: ServingRuntime, service_class: str,
               process: ArrivalProcess, ingress: Any, count: int,
-              admit: Optional[Callable[[float], bool]] = None):
+              admit: Callable[[float], bool]):
     """Open-loop arrival pump for one class: replay, shed, send.
 
     ``admit`` is called with each request's *scheduled* arrival
@@ -147,7 +185,7 @@ def pump_body(runtime: ServingRuntime, service_class: str,
         for _ in range(count):
             scheduled_ms = process.next_arrival_ms()
             runtime.stats.record_offered(service_class)
-            if admit is not None and not admit(scheduled_ms):
+            if not admit(scheduled_ms):
                 runtime.stats.record_shed(service_class)
                 continue
             wait = scheduled_ms - ctx.now

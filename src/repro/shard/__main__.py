@@ -46,7 +46,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.checkpoint.statetree import tree_checksum
+from repro.checkpoint.statetree import canonical_json, tree_checksum
 from repro.errors import ReproError, ShardError
 from repro.shard.hostfaults import HostFaultPlan, load_host_faults
 from repro.shard.plan import PLANS, ShardPlan
@@ -145,9 +145,7 @@ def _write_obs_outputs(args: argparse.Namespace,
         write_checksummed(args.trace_out, trace)
         print(f"stitched trace written to {args.trace_out}")
     if args.report_out:
-        write_checksummed(args.report_out,
-                          json.dumps(report, sort_keys=True,
-                                     separators=(",", ":")) + "\n")
+        write_checksummed(args.report_out, canonical_json(report) + "\n")
         print(f"obs report written to {args.report_out}")
     if args.report_md:
         write_checksummed(args.report_md, render_markdown(report))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from importlib import import_module
 from typing import Any, Callable, Dict, Union
 
-from repro.errors import ShardError
+from repro.errors import ReproError, ShardError
 
 __all__ = ["BODY_REGISTRY", "body_factory", "build_body", "register_body"]
 
@@ -51,8 +51,13 @@ def body_factory(name: Any) -> Callable[..., Any]:
 
 
 def build_body(core: Any, spec: Dict[str, Any]) -> Callable[..., Any]:
-    """Instantiate the body of a thread spec for ``core``."""
-    return body_factory(spec.get("body"))(core, dict(spec.get("args") or {}))
+    """Instantiate the body of a thread spec for ``core``; a factory's
+    refusal of its args is re-raised naming the thread."""
+    factory = body_factory(spec.get("body"))
+    try:
+        return factory(core, dict(spec.get("args") or {}))
+    except ReproError as exc:
+        raise ShardError(f"thread {spec.get('name')!r}: {exc}") from exc
 
 
 # -- built-in bodies ---------------------------------------------------------

@@ -18,11 +18,10 @@ receives, never of shard placement or execution backend.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set
 
+from repro.checkpoint.statetree import tree_checksum
 from repro.errors import ShardError
 from repro.shard.builders import BODY_REGISTRY
 
@@ -353,9 +352,7 @@ class ShardPlan:
 
     def checksum(self) -> str:
         """sha256 over the canonical JSON form (plan identity)."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return tree_checksum(self.to_dict())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<ShardPlan seed={self.seed} cores={self.cores} "

@@ -32,6 +32,7 @@ import os
 import re
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.checkpoint.statetree import canonical_json, tree_checksum
 from repro.errors import ReproError
 from repro.telemetry.registry import MetricRegistry, parse_full_name
 from repro.telemetry.spans import Span, SpanTracer
@@ -56,17 +57,12 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _dumps(obj: Any) -> str:
-    """Canonical one-line JSON: sorted keys, compact separators."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 # -- JSONL --------------------------------------------------------------------
 
 def export_jsonl(tracer: SpanTracer,
                  registry: Optional[MetricRegistry] = None) -> str:
     """Serialize spans (and optionally metrics) as checksummed JSONL."""
-    lines = [_dumps({
+    lines = [canonical_json({
         "kind": "header",
         "format": JSONL_FORMAT,
         "version": JSONL_VERSION,
@@ -74,13 +70,14 @@ def export_jsonl(tracer: SpanTracer,
         "dropped_spans": tracer.dropped_spans,
     })]
     for span in tracer:
-        lines.append(_dumps({"kind": "span", **span.to_dict()}))
+        lines.append(canonical_json({"kind": "span", **span.to_dict()}))
     if registry is not None:
         for name, snapshot in registry.as_dict().items():
-            lines.append(_dumps({"kind": "metric", "name": name,
-                                 "data": snapshot}))
+            lines.append(canonical_json({"kind": "metric", "name": name,
+                                         "data": snapshot}))
     body = "\n".join(lines)
-    lines.append(_dumps({"kind": "checksum", "sha256": sha256_text(body)}))
+    lines.append(canonical_json({"kind": "checksum",
+                                 "sha256": sha256_text(body)}))
     return "\n".join(lines) + "\n"
 
 
@@ -152,7 +149,7 @@ def _chrome_events(tracer: SpanTracer) -> List[Dict[str, Any]]:
 def export_chrome(tracer: SpanTracer) -> str:
     """Serialize the trace as Chrome trace-event JSON (Perfetto-ready)."""
     events = _chrome_events(tracer)
-    checksum = sha256_text(_dumps(events))
+    checksum = tree_checksum(events)
     payload = {
         "displayTimeUnit": "ms",
         "metadata": {
@@ -163,7 +160,7 @@ def export_chrome(tracer: SpanTracer) -> str:
         },
         "traceEvents": events,
     }
-    return _dumps(payload) + "\n"
+    return canonical_json(payload) + "\n"
 
 
 def parse_chrome(text: str) -> List[Span]:
@@ -175,7 +172,7 @@ def parse_chrome(text: str) -> List[Span]:
     metadata = payload.get("metadata", {})
     expected = metadata.get("sha256")
     if expected is not None:
-        actual = sha256_text(_dumps(events))
+        actual = tree_checksum(events)
         if actual != expected:
             raise ReproError(
                 f"Chrome trace checksum mismatch: metadata {expected!r}, "

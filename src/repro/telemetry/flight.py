@@ -26,12 +26,12 @@ inside it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import traceback
 from typing import Any, Dict, Optional
 
+from repro.checkpoint.statetree import canonical_json, tree_checksum
 from repro.errors import ReproError
 
 __all__ = ["BUNDLE_FORMAT", "BUNDLE_VERSION", "build_bundle",
@@ -39,14 +39,6 @@ __all__ = ["BUNDLE_FORMAT", "BUNDLE_VERSION", "build_bundle",
 
 BUNDLE_FORMAT = "repro-flight-bundle"
 BUNDLE_VERSION = 1
-
-
-def _dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _digest(body: Dict[str, Any]) -> str:
-    return hashlib.sha256(_dumps(body).encode("utf-8")).hexdigest()
 
 
 def build_bundle(error: BaseException, *,
@@ -73,8 +65,9 @@ def build_bundle(error: BaseException, *,
         "recovery": recovery or {},
         "context": context or {},
     }
-    body["sha256"] = _digest({key: value for key, value in body.items()
-                              if key != "sha256"})
+    body["sha256"] = tree_checksum({key: value
+                                    for key, value in body.items()
+                                    if key != "sha256"})
     return body
 
 
@@ -85,7 +78,7 @@ def write_bundle(directory: str, bundle: Dict[str, Any]) -> str:
     name = f"flight-{stamp}-{bundle['sha256'][:12]}.json"
     path = os.path.join(directory, name)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_dumps(bundle) + "\n")
+        handle.write(canonical_json(bundle) + "\n")
     return path
 
 
@@ -105,8 +98,8 @@ def load_bundle(path: str) -> Dict[str, Any]:
             f"{path}: not a {BUNDLE_FORMAT} file "
             f"(format={bundle.get('format')!r})")
     expected = bundle.get("sha256")
-    actual = _digest({key: value for key, value in bundle.items()
-                      if key != "sha256"})
+    actual = tree_checksum({key: value for key, value in bundle.items()
+                            if key != "sha256"})
     if actual != expected:
         raise ReproError(
             f"{path}: flight bundle checksum mismatch: recorded "

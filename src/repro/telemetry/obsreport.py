@@ -19,19 +19,15 @@ is:
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Any, Dict, List, Optional
+
+from repro.checkpoint.statetree import tree_checksum
 
 __all__ = ["REPORT_FORMAT", "REPORT_VERSION", "build_report",
            "render_markdown"]
 
 REPORT_FORMAT = "repro-obs-report"
 REPORT_VERSION = 1
-
-
-def _dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _round6(value: float) -> float:
@@ -63,8 +59,7 @@ def build_report(*, plan_checksum: str, time: float,
     }
     document = {
         "canonical": canonical,
-        "canonical_sha256": hashlib.sha256(
-            _dumps(canonical).encode("utf-8")).hexdigest(),
+        "canonical_sha256": tree_checksum(canonical),
         "recovery": recovery or {"degraded": False,
                                  "degrade_reason": None, "restarts": [],
                                  "retries": [], "faults_armed": 0,

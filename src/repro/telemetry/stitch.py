@@ -32,10 +32,9 @@ trace-event payload:
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.telemetry.exporters import sha256_text
+from repro.checkpoint.statetree import canonical_json, tree_checksum
 
 __all__ = ["STITCH_FORMAT", "STITCH_VERSION", "stitch_trace",
            "stitched_chrome"]
@@ -45,10 +44,6 @@ STITCH_VERSION = 1
 
 #: pid layout: 0 = run-global tracks, 1..N = cores, N+1 = recovery.
 _GLOBAL_PID = 0
-
-
-def _dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _flow_id(src: int, seq: int) -> int:
@@ -214,8 +209,8 @@ def stitch_trace(dumps: List[Dict[str, Any]], *,
             "format": STITCH_FORMAT,
             "version": STITCH_VERSION,
             "cores": len(dumps),
-            "sha256": sha256_text(_dumps(canonical)),
-            "recovery_sha256": sha256_text(_dumps(annex)),
+            "sha256": tree_checksum(canonical),
+            "recovery_sha256": tree_checksum(annex),
         },
         "traceEvents": canonical + annex,
     }
@@ -223,4 +218,4 @@ def stitch_trace(dumps: List[Dict[str, Any]], *,
 
 def stitched_chrome(dumps: List[Dict[str, Any]], **kwargs: Any) -> str:
     """:func:`stitch_trace` serialized as canonical one-line JSON."""
-    return _dumps(stitch_trace(dumps, **kwargs)) + "\n"
+    return canonical_json(stitch_trace(dumps, **kwargs)) + "\n"

@@ -59,9 +59,12 @@ class ArrivalProcess:
     kind = "abstract"
 
     def __init__(self, seed: int, rate_per_s: float) -> None:
-        if rate_per_s <= 0:
+        # ``nan < inf`` is false, so NaN fails too: a NaN rate made NaN
+        # instants (Poisson) or never returned (MMPP, diurnal), and an
+        # infinite one made 0 ms gaps.
+        if not 0 < rate_per_s < math.inf:
             raise ReproError(
-                f"arrival rate must be positive: {rate_per_s}")
+                f"arrival rate must be positive and finite: {rate_per_s}")
         self.rate_per_s = float(rate_per_s)
         self.prng = ParkMillerPRNG(seed)
         #: Virtual time of the last generated arrival (ms).
@@ -143,12 +146,12 @@ class MMPPArrivals(ArrivalProcess):
                  burst_factor: float = 4.0,
                  mean_dwell_ms: float = 2_000.0) -> None:
         super().__init__(seed, rate_per_s)
-        if burst_factor <= 1.0:
+        if not 1.0 < burst_factor < math.inf:
             raise ReproError(
-                f"burst factor must exceed 1: {burst_factor}")
-        if mean_dwell_ms <= 0:
+                f"burst factor must exceed 1 and be finite: {burst_factor}")
+        if not 0 < mean_dwell_ms < math.inf:
             raise ReproError(
-                f"mean dwell must be positive: {mean_dwell_ms}")
+                f"mean dwell must be positive and finite: {mean_dwell_ms}")
         self.burst_factor = float(burst_factor)
         self.mean_dwell_ms = float(mean_dwell_ms)
         self._calm_rate = (rate_per_s * (burst_factor + 1.0)
@@ -215,8 +218,9 @@ class DiurnalArrivals(ArrivalProcess):
                  period_ms: float = 60_000.0,
                  amplitude: float = 0.8) -> None:
         super().__init__(seed, rate_per_s)
-        if period_ms <= 0:
-            raise ReproError(f"period must be positive: {period_ms}")
+        if not 0 < period_ms < math.inf:
+            raise ReproError(
+                f"period must be positive and finite: {period_ms}")
         if not 0.0 <= amplitude < 1.0:
             raise ReproError(
                 f"amplitude must be in [0, 1): {amplitude}")

@@ -1,10 +1,11 @@
 """The paper's section 5.6 primitives priced as exact work counts.
 
-A draw (list and tree), a currency conversion and an RPC with its
-ticket transfer, plus the two serializers nothing else prices: a
-checkpoint capture and a Chrome-trace export.  Each workload is built
-at a fixed seed and size, warmed up by one operation, then driven
-under :func:`tests.conftest.count_work`: Python calls
+A draw (list and tree), a currency conversion (inflated at the leaf of
+a 20-level chain and at its root) and an RPC with its ticket transfer,
+plus the two serializers nothing else prices: a checkpoint capture and
+a Chrome-trace export.  Each workload is built at a fixed seed and
+size, warmed up by one operation, then driven under
+:func:`tests.conftest.count_work`: Python calls
 (``sys.setprofile``) and line events (``sys.settrace``) per unit of
 work (a draw, a revaluation, an RPC, a captured thread, an exported
 span).  Line events are there because the list draw's scan is one
@@ -19,10 +20,12 @@ less.  docs/PERFORMANCE.md section 2 has the readings and the planted
 duplicates that fail them.
 
 ``PYTHONPATH=src:. python -m tests.perf.test_work_counts`` prints the
-six readings as a markdown table.
+seven readings as a markdown table.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import pytest
 
@@ -73,14 +76,16 @@ def _draw_tree():
                                  "next": lottery.draw(prng)}
 
 
-def _currency_deep():
+def _currency_chain(at_root):
     from repro.core.tickets import Ledger, TicketHolder
 
     ledger = Ledger()
     previous = ledger.base
+    backing = []
     for level in range(20):
         currency = ledger.create_currency(f"level{level}")
-        ledger.create_ticket(1000.0, currency=previous, fund=currency)
+        backing.append(
+            ledger.create_ticket(1000.0, currency=previous, fund=currency))
         previous = currency
     holder = TicketHolder("leaf")
     leaf_ticket = ledger.create_ticket(100.0, currency=previous, fund=holder)
@@ -88,13 +93,15 @@ def _currency_deep():
     ledger.create_ticket(300.0, currency=previous, fund=sibling)
     holder.start_competing()
     sibling.start_competing()
+    # At the leaf, every set_amount clears the leaf currency's value and
+    # both fundings, and the funding() calls recompute only those -- the
+    # 19 levels above stay cached.  At the root (the base ticket backing
+    # level0) it clears all 20 currencies, and the reads revalue each.
+    lever, amount = (backing[0], 1000.0) if at_root else (leaf_ticket, 100.0)
 
     def rounds(count):
-        # Inflate and revalue: every set_amount clears the leaf
-        # currency's value and both fundings, and the funding() calls
-        # recompute only those -- the 19 levels above stay cached.
         for index in range(count):
-            leaf_ticket.set_amount(100.0 + (index % 7))
+            lever.set_amount(amount + (index % 7))
             holder.funding()
             sibling.funding()
 
@@ -196,8 +203,11 @@ ROWS = {
         _draw_tree, "draw", 5.001, 162.83,
         {"draws": 1_001, "levels": 13_679, "next": 3_565}),
     "currency.deep.20": (
-        _currency_deep, "revaluation", 15.00, 112.0,
+        partial(_currency_chain, False), "revaluation", 15.00, 112.0,
         {"epoch": 1_088, "leaf": 253.7313432835821}),
+    "currency.root.20": (
+        partial(_currency_chain, True), "revaluation", 52.00, 524.0,
+        {"epoch": 1_088, "leaf": 250.5}),
     "ipc.pingpong": (
         _ipc_pingpong, "RPC", 120.02, 941.15,
         {"rpcs": 399, "transfers": 399, "dispatches": 803, "epoch": 8_810}),

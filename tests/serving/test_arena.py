@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -11,15 +12,16 @@ from repro.checkpoint.statetree import tree_checksum
 from repro.errors import ExperimentError, ReproError
 from repro.experiments.common import build_machine
 from repro.serving.arena import ArenaConfig, build_arena
+from repro.serving.tiers import DEFAULT_CLASSES
 from tests.conftest import count_work
 
 _QUANTUM = 20.0
 
 
-def _run(policy="lottery", seed=2026, load=1.5, requests=150, **overrides):
+def _run(policy="lottery", seed=2026, load=1.5, requests=150):
     machine = build_machine(seed=seed, quantum=_QUANTUM, policy=policy)
     config = ArenaConfig(seed=seed, load_factor=load,
-                         requests_per_class=requests, **overrides)
+                         requests_per_class=requests)
     arena = build_arena(machine.kernel, config)
     arena.run()
     return arena
@@ -372,10 +374,40 @@ class TestConfigRefusals:
         ("seed", "x"),
         # Accepted, and seeded the arrivals with a float.
         ("seed", 1.5),
-        # Ran and completed none of the offered requests.
-        ("backends", 0),
-        # Accepted; ``transfer_funding`` takes only (0, 1].
-        ("transfer_fraction", -1.0)])
+        # ``int()`` truncated it in the SLO controller.
+        ("slo_min_samples", 2.5)])
     def test_a_malformed_field_names_itself(self, field, value):
         with pytest.raises(ExperimentError, match=f"^{field} must be"):
             ArenaConfig(**{field: value})
+
+
+class TestServiceClassRefusals:
+    """A malformed service class is refused by its field's name at
+    construction.  A NaN weight or ``front_ms`` surfaced only as "run
+    horizon 'until' must be finite"; a negative ``back_ms`` and a NaN
+    SLO target ran silently."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("weight", math.nan), ("front_ms", math.nan), ("back_ms", -2.0),
+        ("target_p99_ms", math.nan), ("tickets", math.inf),
+        ("frontends", 0)])
+    def test_a_bad_field_names_itself(self, field, value):
+        with pytest.raises(ReproError,
+                           match=f"^service class 'gold': {field} must be"):
+            replace(DEFAULT_CLASSES[0], **{field: value})
+
+    def test_a_nan_burst_factor_is_refused_at_build(self):
+        """An arena whose class carried a NaN MMPP burst factor never
+        finished its run: the arrival pump's phase walk looped."""
+        from dataclasses import replace
+
+        from repro.serving.tiers import DEFAULT_CLASSES
+
+        classes = tuple(
+            replace(spec, arrival_params=(("burst_factor", math.nan),))
+            if spec.arrival_kind == "mmpp" else spec
+            for spec in DEFAULT_CLASSES)
+        machine = build_machine(seed=1, quantum=_QUANTUM, policy="lottery")
+        with pytest.raises(ReproError, match="^burst factor must"):
+            build_arena(machine.kernel, ArenaConfig(
+                seed=1, requests_per_class=10, classes=classes))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import statistics
 
 import pytest
@@ -127,3 +128,25 @@ class TestValidation:
     def test_diurnal_rejects_full_amplitude(self):
         with pytest.raises(ReproError, match="amplitude"):
             DiurnalArrivals(1, RATE, amplitude=1.0)
+
+    # A NaN rate used to make NaN instants (Poisson) or never return
+    # from ``take()`` (MMPP, diurnal: the phase and thinning loops test
+    # against NaN); an infinite one made 0 ms gaps.  Refused at
+    # construction, so no stream here is ever advanced.
+    @pytest.mark.parametrize("kind", sorted(ARRIVAL_KINDS))
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
+    def test_a_non_finite_rate_is_refused(self, kind, rate):
+        with pytest.raises(ReproError, match="arrival rate must be"):
+            make_arrivals(kind, 1, rate)
+
+    @pytest.mark.parametrize("kind, param, value, name", [
+        # MMPP with a NaN burst factor never returned from ``take()``.
+        ("mmpp", "burst_factor", math.nan, "burst factor"),
+        ("mmpp", "burst_factor", math.inf, "burst factor"),
+        ("mmpp", "mean_dwell_ms", math.nan, "mean dwell"),
+        ("diurnal", "period_ms", math.nan, "period"),
+        ("diurnal", "amplitude", math.nan, "amplitude")])
+    def test_a_non_finite_shape_parameter_is_refused(self, kind, param,
+                                                     value, name):
+        with pytest.raises(ReproError, match=f"^{name} must"):
+            make_arrivals(kind, 1, RATE, **{param: value})

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import math
+import re
+
+import pytest
+
 from repro.checkpoint.statetree import tree_checksum
+from repro.errors import ShardError
 from repro.serving.shardplan import serving_plan
 from repro.shard.engine import ShardedEngine
 from repro.shard.plan import ShardPlan
@@ -49,3 +55,30 @@ class TestBackendEquivalence:
 
     def test_same_backend_replays_identically(self):
         assert _checksums("inline", 2) == _checksums("inline", 2)
+
+
+class TestMalformedThreadArgs:
+    """Thread args are plan data; a malformed one is refused when the
+    core builds the thread, by field and thread name.  Each case was
+    accepted (``count=-1``, NaN rates and times, a negative
+    ``back_ms``) or raised a bare ``ValueError`` (a string count)."""
+
+    @pytest.mark.parametrize("thread, field, value", [
+        ("pump:gold@c0", "count", -1),
+        ("pump:gold@c0", "count", "x"),
+        ("pump:silver@c0", "admit_rate_per_s", math.nan),
+        ("pump:silver@c0", "rate_per_s", math.inf),
+        ("fe:gold:c0w0", "front_ms", math.nan),
+        ("fe:bronze:c0w1", "back_ms", -3.0),
+        ("slo:c0", "min_samples", "x"),
+        ("slo:c0", "epoch_ms", math.nan)])
+    def test_a_bad_arg_names_its_field_and_thread(self, thread, field,
+                                                  value):
+        plan = serving_plan(seed=31, cores=1, requests_per_class=10,
+                            slo=True)
+        spec, = (spec for spec in plan.threads if spec["name"] == thread)
+        spec["args"][field] = value
+        with pytest.raises(ShardError,
+                           match=f"^thread '{re.escape(thread)}': {field} "
+                                 f"must be"):
+            ShardedEngine(plan, shards=1, backend="single").close()

@@ -38,13 +38,6 @@ class TestClassLatencyProbe:
         assert stats.wake["gold"].count == 2
         assert "be" not in probe.window
 
-    def test_watch_overrides_name_parsing(self):
-        probe = ClassLatencyProbe()
-        thread = _FakeThread("worker-7", 0.0)
-        probe.watch(thread, "silver")
-        probe.on_dispatch(thread, 12.0)
-        assert probe.digest("silver").count == 1
-
     def test_a_class_has_one_wake_digest(self):
         """With stats, the probe's window is the stats' wake digest of
         the class: a sample is recorded once, and the controller's
@@ -59,17 +52,6 @@ class TestClassLatencyProbe:
         assert (stats.wake["gold"].count, stats.wake["gold"].total) \
             == (2, 55.0)
 
-    @pytest.mark.parametrize("bin_ms", [math.nan, math.inf, 0.0])
-    def test_a_bad_width_is_refused_at_construction(self, bin_ms):
-        with pytest.raises(ReproError, match="class latency probe"):
-            ClassLatencyProbe(bin_ms=bin_ms)
-        with pytest.raises(ReproError, match="serving stats"):
-            ServingStats(bin_ms=bin_ms)
-
-    def test_a_width_other_than_the_stats_is_refused(self):
-        with pytest.raises(ReproError, match="share the wake digests"):
-            ClassLatencyProbe(ServingStats(bin_ms=5.0), bin_ms=10.0)
-
     def test_exit_drops_the_id_cache(self):
         probe = ClassLatencyProbe()
         thread = _FakeThread("fe:gold:0", 0.0)
@@ -78,12 +60,12 @@ class TestClassLatencyProbe:
         assert id(thread) not in probe._by_tid
 
 
-def _controller(target=50.0, **kwargs):
+def _controller(target=50.0):
     ledger = Ledger()
     currency = ledger.create_currency("gold")
     lever = ledger.create_ticket(100.0, fund=currency, tag="lever")
     probe = ClassLatencyProbe()
-    controller = SloController(probe, min_samples=5, **kwargs)
+    controller = SloController(probe, min_samples=5)
     controller.add_class("gold", target, [lever])
     return controller, probe, lever
 
@@ -144,13 +126,34 @@ class TestSloController:
         controller.control(200.0)  # met target after breach
         assert controller.recovery_epoch("gold") == 2
 
-    @pytest.mark.parametrize("parameter", ["epoch_ms", "inflate", "comfort"])
+    @pytest.mark.parametrize("parameter", ["epoch_ms"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_a_non_finite_parameter_is_refused_by_name(self, parameter,
                                                        value):
         # ``nan <= 0`` is false: NaN used to pass every check.
         with pytest.raises(ReproError, match=parameter):
             SloController(ClassLatencyProbe(), **{parameter: value})
+
+    # ``int()`` truncated a fractional count and raised a bare
+    # ValueError on a string.
+    @pytest.mark.parametrize("value", [2.5, "x", -1])
+    def test_a_malformed_min_samples_is_refused_by_name(self, value):
+        with pytest.raises(ReproError, match="^min_samples must be"):
+            SloController(ClassLatencyProbe(), min_samples=value)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, 0.0])
+    def test_a_malformed_target_is_refused(self, target):
+        controller, _, _ = _controller()
+        lever = Ledger().create_ticket(1.0, tag="x")
+        with pytest.raises(ReproError, match="SLO target"):
+            controller.add_class("silver", target, [lever])
+
+    def test_state_tree_keeps_the_constants_keys(self):
+        state = _controller()[0].snapshot_state()
+        assert (state["inflate"], state["deflate"], state["comfort"]) \
+            == (1.3, 0.85, 0.5)
+        assert (state["classes"]["gold"]["floor"],
+                state["classes"]["gold"]["ceiling"]) == (100.0, 1600.0)
 
     def test_duplicate_class_is_an_error(self):
         controller, _, _ = _controller()

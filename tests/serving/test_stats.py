@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.errors import ReproError
 from repro.serving.stats import ServingStats
 
 
-def _fed(events, bin_ms=5.0):
-    stats = ServingStats(bin_ms=bin_ms)
+def _fed(events):
+    stats = ServingStats()
     for name, wake_ms, e2e_ms in events:
         stats.record_offered(name)
         stats.record_wake(name, wake_ms)
@@ -36,11 +33,3 @@ def test_merge_of_per_core_stats_equals_one_stats_fed_everything():
     merged.merge(_fed(_EVENTS[2:]))
     assert merged.snapshot_state() == whole.snapshot_state()
     assert merged.rows() == whole.rows()
-
-
-def test_merge_refuses_another_bin_width():
-    """Counts used to be added index by index, whatever the width."""
-    mine, theirs = _fed(_EVENTS), _fed(_EVENTS, bin_ms=10.0)
-    with pytest.raises(ReproError,
-                       match="'e2e:bronze' has 5-wide.*'e2e:bronze' 10-wide"):
-        mine.merge(theirs)

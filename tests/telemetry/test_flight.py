@@ -6,11 +6,11 @@ import json
 
 import pytest
 
+from repro.checkpoint.statetree import tree_checksum
 from repro.errors import ReproError, ShardError
 from repro.telemetry.flight import (
     BUNDLE_FORMAT,
     BUNDLE_VERSION,
-    _digest,
     build_bundle,
     load_bundle,
     summarize_bundle,
@@ -83,7 +83,7 @@ def _resealed(**changes):
     """A bundle edited and re-digested: passes load_bundle's checksum."""
     body = {key: value for key, value in {**_bundle(), **changes}.items()
             if key != "sha256" and value is not None}
-    return {**body, "sha256": _digest(body)}
+    return {**body, "sha256": tree_checksum(body)}
 
 
 @pytest.mark.parametrize("content, complaint", [

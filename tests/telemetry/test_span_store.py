@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ReproError
+from repro.errors import CheckpointError, ReproError
 from repro.telemetry import spans as spans_module
 from repro.telemetry.exporters import export_chrome, export_jsonl
 from repro.telemetry.spans import Span, SpanTracer
@@ -204,6 +204,15 @@ def _apply(tracer, begun, op):
         return "ReproError"
 
 
+def _export(exporter, tracer):
+    """The export's text, or its refusal: the canonical encoding takes
+    no NaN or infinity, so a span holding one in its attrs is refused."""
+    try:
+        return exporter(tracer)
+    except CheckpointError as exc:
+        return f"refused: {exc}"
+
+
 def _views(tracer):
     return {
         "spans": _exact(tracer.spans),
@@ -215,8 +224,8 @@ def _views(tracer):
         "tracks": tracer.tracks(),
         "counts": list(tracer.counts().items()),
         "open": _exact(tracer.open_spans()),
-        "jsonl": export_jsonl(tracer),
-        "chrome": export_chrome(tracer),
+        "jsonl": _export(export_jsonl, tracer),
+        "chrome": _export(export_chrome, tracer),
     }
 
 
@@ -256,8 +265,22 @@ def test_nan_and_signed_zero_survive_a_seal():
         old, new = tracers
         assert len(new._chunks) == 1
         assert _exact(new.spans) == _exact(old.spans)
-        assert export_jsonl(new) == export_jsonl(old)
-        assert export_chrome(new) == export_chrome(old)
+        for exporter in (export_jsonl, export_chrome):
+            assert _export(exporter, new) == _export(exporter, old)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("exporter", [export_jsonl, export_chrome])
+def test_a_non_finite_attr_is_refused_by_the_canonical_encoding(exporter,
+                                                                value):
+    """Exports go through ``canonical_json``, which has no NaN or
+    Infinity: once written as the bare tokens ``NaN`` / ``Infinity``,
+    which no strict JSON reader takes back."""
+    tracer = SpanTracer()
+    tracer.event("k", "e", "kernel", 0.0, {"v": value})
+    with pytest.raises(CheckpointError,
+                       match="not canonically serializable: Out of range"):
+        exporter(tracer)
 
 
 class _Name(str):
