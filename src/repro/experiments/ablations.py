@@ -84,11 +84,9 @@ def run_lottery_vs_stride(
     total = sum(tickets.values())
     for policy in ("lottery", "stride"):
         machine = build_machine(seed=seed, policy=policy, quantum=quantum)
-        workloads = {}
         for name, amount in sorted(tickets.items()):
-            workload = DhrystoneTask(name)
-            workloads[name] = workload
-            machine.kernel.spawn(workload.body, name, tickets=amount)
+            machine.kernel.spawn(DhrystoneTask(name).body, name,
+                                 tickets=amount)
         for checkpoint in sorted(checkpoints_ms):
             machine.run_until(checkpoint)
             # Max absolute error in quanta between observed CPU and the
@@ -111,12 +109,13 @@ def run_lottery_vs_stride(
                       if r["policy"] == "lottery"]
     stride_errors = [r["max_error_quanta"] for r in result.rows
                      if r["policy"] == "stride"]
+    stride_max = result.measures["stride_max_error"] = max(stride_errors)
     result.summary["lottery error growth"] = (
         f"{lottery_errors[0]:.1f} -> {lottery_errors[-1]:.1f} quanta"
         " (grows ~sqrt(n))"
     )
     result.summary["stride error"] = (
-        f"max {max(stride_errors):.1f} quanta (stays O(1))"
+        f"max {stride_max:.1f} quanta (stays O(1))"
     )
     return result
 
@@ -150,7 +149,10 @@ def run_compensation(duration_ms: float = 300_000.0, burst_ms: float = 20.0,
                 "cpu_ratio": ratio,
             }
         )
-    expected_distortion = quantum / burst_ms
+    result.measures["cpu_ratio"] = {row["policy"]: row["cpu_ratio"]
+                                    for row in result.rows}
+    expected_distortion = result.measures["expected_distortion"] = (
+        quantum / burst_ms)
     result.summary["expected"] = (
         "with compensation ~1:1;"
         f" without ~{expected_distortion:.0f}:1 (paper's 1:5 example"

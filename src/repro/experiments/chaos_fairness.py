@@ -85,8 +85,8 @@ def run_variant(seed: int = 2718, cores: int = 3,
     The result dict holds the ``plan`` plus: ``rows`` (windowed error
     samples), ``windows`` (one record per fairness window with its
     reconvergence time), ``fault_log`` (one line per op, with what it
-    did), ``counters`` (crashes, restarts, evacuations, casualties and
-    migrations) and the final window error.
+    did), ``counters`` (crashes, restarts, evacuations, casualties,
+    migrations), ``crashed_cores`` (in order) and the final window error.
     """
     plan = chaos_plan(seed=seed, cores=cores)
     transitions = {op["at"]: op for op in plan.ops if op["at"] < duration_ms}
@@ -100,6 +100,7 @@ def run_variant(seed: int = 2718, cores: int = 3,
     ]
     fault_log: List[str] = []
     counters = {"crashes": 0, "restarts": 0}
+    crashed_cores: List[int] = []
     with ShardedEngine(plan) as engine:
         threads, before = census(engine)
         baseline = {name: row["cpu_ms"] for name, row in threads.items()}
@@ -112,6 +113,7 @@ def run_variant(seed: int = 2718, cores: int = 3,
                 was, now = before[core]["crashed"], after[core]["crashed"]
                 if op["op"] == "crash" and now and not was:
                     counters["crashes"] += 1
+                    crashed_cores.append(core)
                     detail = " ".join(
                         f"{key}={after[core][key] - before[core][key]}"
                         for key in ("evacuations", "casualties"))
@@ -150,6 +152,7 @@ def run_variant(seed: int = 2718, cores: int = 3,
         "windows": windows,
         "fault_log": fault_log,
         "counters": counters,
+        "crashed_cores": crashed_cores,
         "final_error": rows[-1]["max_rel_err"] if rows else 0.0,
     }
 
@@ -171,6 +174,9 @@ def run(seed: int = 2718, cores: int = 3, duration_ms: float = 240_000.0,
         },
     )
     result.rows = list(data["rows"])
+    m = result.measures
+    m.update(counters, crashed_cores=data["crashed_cores"],
+             final_error=data["final_error"], reconverged_after_ms={})
     for line in data["fault_log"]:
         result.summary.setdefault("faults applied", []).append(line)
     for window in data["windows"]:
@@ -180,13 +186,10 @@ def run(seed: int = 2718, cores: int = 3, duration_ms: float = 240_000.0,
             continue
         label = f"window @{window['start_ms']:g}ms ({window['cause']})"
         reconverged = window["reconverged_at_ms"]
-        if reconverged is None:
-            result.summary[label] = "did not reconverge"
-        else:
-            result.summary[label] = (
-                f"reconverged after "
-                f"{reconverged - window['start_ms']:g} ms"
-            )
+        after = m["reconverged_after_ms"][label] = (
+            None if reconverged is None else reconverged - window["start_ms"])
+        result.summary[label] = ("did not reconverge" if after is None
+                                 else f"reconverged after {after:g} ms")
     result.summary["migrations"] = counters["migrations_out"]
     result.summary["evacuations"] = counters["evacuations"]
     result.summary["casualties"] = counters["casualties"]
@@ -194,7 +197,7 @@ def run(seed: int = 2718, cores: int = 3, duration_ms: float = 240_000.0,
         f"{counters['crashes']}/{counters['restarts']}"
     )
     result.summary["final window max relative error"] = (
-        f"{data['final_error']:.3f}"
+        f"{m['final_error']:.3f}"
     )
     return result
 

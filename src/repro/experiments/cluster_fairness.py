@@ -143,6 +143,8 @@ def run(duration_ms: float = 200_000.0, cores: int = 3,
         label = "rebalancing" if rebalance else "static placement"
         for row in data["rows"]:
             result.rows.append({**row, "variant": label})
+        result.measures[label] = {key: data[key] for key in
+                                  ("max_relative_error", "migrations")}
         result.summary[f"max relative error ({label})"] = (
             f"{data['max_relative_error']:.3f}"
         )

@@ -19,7 +19,8 @@ from repro.schedulers.base import SchedulingPolicy
 from repro.schedulers.lottery_policy import LotteryPolicy
 from repro.sim.engine import Engine
 
-__all__ = ["ExperimentResult", "Machine", "build_machine", "format_table"]
+__all__ = ["ExperimentResult", "Machine", "build_machine", "cumulative_rows",
+           "format_table"]
 
 
 @dataclass
@@ -27,14 +28,17 @@ class ExperimentResult:
     """Outcome of one experiment run.
 
     ``rows`` hold the table/series the paper's figure reports;
-    ``summary`` holds the headline numbers (ratios, means) the paper's
-    prose quotes; ``params`` records the configuration for EXPERIMENTS.md.
+    ``measures`` the headline numbers verdicts and tests read, with the
+    allocation each is judged against; ``summary`` renders them as the
+    paper's prose quotes them, for reading only; ``params`` records the
+    configuration for EXPERIMENTS.md.
     """
 
     name: str
     params: Dict[str, Any] = field(default_factory=dict)
     rows: List[Dict[str, Any]] = field(default_factory=list)
     summary: Dict[str, Any] = field(default_factory=dict)
+    measures: Dict[str, Any] = field(default_factory=dict)
 
     def print_report(self) -> None:
         """Human-readable report (used by every experiment's main())."""
@@ -107,6 +111,18 @@ def build_machine(seed: int = 1, quantum: float = 100.0,
         context_switch_cost=context_switch_cost,
     )
     return Machine(engine, ledger, policy_obj, kernel)
+
+
+def cumulative_rows(counters: Dict[str, Any], duration_ms: float,
+                    every_ms: float) -> List[Dict[str, Any]]:
+    """Each named counter's running total every ``every_ms`` virtual ms
+    from 0 to ``duration_ms``, beside the time in seconds."""
+    rows, t = [], 0.0
+    while t <= duration_ms + 1e-9:
+        rows.append({"time_s": t / 1000.0, **{
+            name: count.total_until(t) for name, count in counters.items()}})
+        t += every_ms
+    return rows
 
 
 def format_table(rows: Sequence[Dict[str, Any]], precision: int = 3) -> str:

@@ -101,13 +101,16 @@ def run(seed: int = 2024) -> ExperimentResult:
                 "Z_share": shares.get("Z", 0.0),
             }
         )
+    m = result.measures
+    m["disk_ratio"] = disk_lottery["A"] / max(disk_lottery["B"], 1e-9)
+    m["link_ratio"] = [link_lottery[name] / max(link_lottery["Z"], 1e-9)
+                       for name in "XY"]
     result.summary["disk lottery A:B"] = (
-        f"{disk_lottery['A'] / max(disk_lottery['B'], 1e-9):.2f} : 1"
+        f"{m['disk_ratio']:.2f} : 1"
         " (allocated 3 : 1; round-robin gives ~1 : 1)"
     )
     result.summary["link lottery X:Y:Z"] = (
-        f"{link_lottery['X'] / max(link_lottery['Z'], 1e-9):.2f} :"
-        f" {link_lottery['Y'] / max(link_lottery['Z'], 1e-9):.2f} : 1"
+        f"{m['link_ratio'][0]:.2f} : {m['link_ratio'][1]:.2f} : 1"
         " (allocated 4 : 2 : 1)"
     )
     return result

@@ -87,16 +87,19 @@ def run(duration_ms: float = 120_000.0, group_size: int = 4,
                 }
             )
 
+    m = result.measures
     if acquisitions[1]:
+        m["acquisition_ratio"] = acquisitions[0] / acquisitions[1]
         result.summary["acquisition ratio A:B"] = (
-            f"{acquisitions[0] / acquisitions[1]:.2f} : 1"
-            " (paper: 1.80 : 1)"
+            f"{m['acquisition_ratio']:.2f} : 1 (paper: 1.80 : 1)"
         )
     if waits[0]:
+        m["wait_ratio"] = waits[1] / waits[0]
         result.summary["waiting time ratio A:B"] = (
-            f"1 : {waits[1] / waits[0]:.2f} (paper: 1 : 2.11)"
+            f"1 : {m['wait_ratio']:.2f} (paper: 1 : 2.11)"
         )
-    result.summary["release lotteries"] = mutex.release_lotteries
+    m["release_lotteries"] = mutex.release_lotteries
+    result.summary["release lotteries"] = m["release_lotteries"]
     return result
 
 

@@ -68,6 +68,7 @@ def run(draws: int = 100_000, seed: int = 15) -> ExperimentResult:
     )
     winner, rows = walk()
     result.rows.extend(rows)
+    result.measures["winner"] = winner + 1
     result.summary["winner"] = (
         f"client {winner + 1} (the paper's third client wins on ticket 15)"
     )
@@ -83,9 +84,10 @@ def run(draws: int = 100_000, seed: int = 15) -> ExperimentResult:
     for _ in range(draws):
         wins[lottery.draw(prng)] += 1
     total = sum(FIGURE1_TICKETS)
+    rates = result.measures["win_rate"] = [wins[i] / draws for i in values]
     for index, amount in values.items():
         result.summary[f"client {index + 1} win rate"] = (
-            f"{wins[index] / draws:.4f} (expected {amount / total:.4f})"
+            f"{rates[index]:.4f} (expected {amount / total:.4f})"
         )
     return result
 

@@ -64,6 +64,7 @@ def run(ratios: Optional[Sequence[float]] = None, runs: int = 3,
         result.summary[f"ratio {ratio}:1"] = (
             f"mean {mean(observed):.2f}, sd {stdev(observed):.2f}"
         )
+    result.measures["worst_error"] = worst_error
     result.summary["worst relative error"] = f"{worst_error:.3f}"
     return result
 

@@ -47,10 +47,11 @@ def run(duration_ms: float = 200_000.0, window_ms: float = 8_000.0,
         )
     overall_a = task_a.iterations / (duration_ms / 1000.0)
     overall_b = task_b.iterations / (duration_ms / 1000.0)
+    result.measures.update(ratio=overall_a / overall_b, allocated=ratio)
     result.summary["overall A iters/sec"] = f"{overall_a:.0f}"
     result.summary["overall B iters/sec"] = f"{overall_b:.0f}"
     result.summary["overall ratio"] = (
-        f"{overall_a / overall_b:.3f} : 1 (allocated {ratio:g} : 1)"
+        f"{result.measures['ratio']:.3f} : 1 (allocated {ratio:g} : 1)"
     )
     return result
 

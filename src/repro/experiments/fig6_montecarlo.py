@@ -16,7 +16,8 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.inflation import ErrorDrivenInflator
-from repro.experiments.common import ExperimentResult, build_machine
+from repro.experiments.common import (ExperimentResult, build_machine,
+                                      cumulative_rows)
 from repro.workloads.montecarlo import MonteCarloTask
 
 __all__ = ["run", "main"]
@@ -75,23 +76,22 @@ def run(duration_ms: float = 1_000_000.0, stagger_ms: float = 120_000.0,
             "ticket_rule": "scale * relative_error^2",
         },
     )
-    t = 0.0
-    while t <= duration_ms + 1e-9:
-        row = {"time_s": t / 1000.0}
-        for task in mc_tasks:
-            row[f"{task.name}_trials"] = task.counter.total_until(t)
-        result.rows.append(row)
-        t += sample_every_ms
+    result.rows = cumulative_rows(
+        {f"{task.name}_trials": task.counter for task in mc_tasks},
+        duration_ms, sample_every_ms)
 
-    finals = [task.trials for task in mc_tasks]
-    spread = (max(finals) - min(finals)) / max(finals) if max(finals) else 0.0
-    for task in mc_tasks:
+    m = result.measures
+    finals = m["final_trials"] = [task.trials for task in mc_tasks]
+    m["estimate"] = [task.estimator.estimate for task in mc_tasks]
+    m["spread"] = ((max(finals) - min(finals)) / max(finals)
+                   if max(finals) else 0.0)
+    for task, estimate in zip(mc_tasks, m["estimate"]):
         result.summary[f"{task.name} final trials"] = task.trials
         result.summary[f"{task.name} estimate"] = (
-            f"{task.estimator.estimate:.6f} (pi/4 = 0.785398)"
+            f"{estimate:.6f} (pi/4 = 0.785398)"
         )
     result.summary["final spread"] = (
-        f"{spread:.3%} (staggered tasks converge toward equal totals)"
+        f"{m['spread']:.3%} (staggered tasks converge toward equal totals)"
     )
     return result
 

@@ -12,7 +12,8 @@ requests between them, and the overall throughput ratio was
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, build_machine
+from repro.experiments.common import (ExperimentResult, build_machine,
+                                      cumulative_rows)
 from repro.workloads.database import DatabaseClient, DatabaseServer
 
 __all__ = ["run", "main"]
@@ -57,17 +58,10 @@ def run(duration_ms: float = 800_000.0, allocation=(8, 3, 1),
             "workers": workers,
         },
     )
-    t = 0.0
-    while t <= duration_ms + 1e-9:
-        result.rows.append(
-            {
-                "time_s": t / 1000.0,
-                "A_queries": client_a.counter.total_until(t),
-                "B_queries": client_b.counter.total_until(t),
-                "C_queries": client_c.counter.total_until(t),
-            }
-        )
-        t += sample_every_ms
+    result.rows = cumulative_rows(
+        {f"{client.name}_queries": client.counter
+         for client in (client_a, client_b, client_c)},
+        duration_ms, sample_every_ms)
 
     # When the high-funded client finished its 20 queries, how far were
     # the others (the paper: "the other clients have completed a total
@@ -85,10 +79,12 @@ def run(duration_ms: float = 800_000.0, allocation=(8, 3, 1),
         result.summary["A finished at (s)"] = f"{a_done_time / 1000.0:.1f}"
         result.summary["B+C queries when A finished"] = int(others)
 
-    counts = (client_b.completed, client_c.completed)
-    if counts[1]:
+    m = result.measures
+    m["bc_allocated"] = allocation[1] / allocation[2]
+    if client_c.completed:
+        m["bc_ratio"] = client_b.completed / client_c.completed
         result.summary["B:C throughput ratio"] = (
-            f"{counts[0] / counts[1]:.2f} : 1 (allocated 3 : 1)"
+            f"{m['bc_ratio']:.2f} : 1 (allocated 3 : 1)"
         )
 
     # Response-time ratios are only meaningful while all three compete,
@@ -111,13 +107,14 @@ def run(duration_ms: float = 800_000.0, allocation=(8, 3, 1),
         f"A={responses[0]:.0f}, B={responses[1]:.0f}, C={responses[2]:.0f}"
     )
     if responses[0] > 0 and responses[1] > 0 and responses[2] > 0:
+        ratio = m["response_ratio"] = [r / responses[0] for r in responses]
         result.summary["response time ratio"] = (
-            f"1 : {responses[1] / responses[0]:.2f} : "
-            f"{responses[2] / responses[0]:.2f} (allocated 1 : 8/3 : 8;"
+            f"1 : {ratio[1]:.2f} : {ratio[2]:.2f} (allocated 1 : 8/3 : 8;"
             " paper observed 1 : 2.51 : 7.69)"
         )
+    m["query_results"] = sorted(set(client_b.results))
     result.summary["query result (occurrences)"] = (
-        f"{sorted(set(client_b.results))} (corpus plants 8)"
+        f"{m['query_results']} (corpus plants 8)"
     )
     return result
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.core.inflation import set_share
-from repro.experiments.common import ExperimentResult, build_machine
+from repro.experiments.common import (ExperimentResult, build_machine,
+                                      cumulative_rows)
 from repro.workloads.mpeg import MpegViewer
 
 __all__ = ["run", "main"]
@@ -67,27 +68,22 @@ def run(duration_ms: float = 300_000.0,
             "decode_ms": decode_ms,
         },
     )
-    t = 0.0
-    while t <= duration_ms + 1e-9:
-        row = {"time_s": t / 1000.0}
-        for viewer in viewers:
-            row[f"{viewer.name}_frames"] = viewer.counter.total_until(t)
-        result.rows.append(row)
-        t += sample_every_ms
+    result.rows = cumulative_rows(
+        {f"{viewer.name}_frames": viewer.counter for viewer in viewers},
+        duration_ms, sample_every_ms)
 
-    def ratio_string(start: float, end: float) -> str:
+    def ratios(start: float, end: float) -> List[float]:
         rates = [v.frame_rate(start, end) for v in viewers]
         floor = min(r for r in rates if r > 0) if any(rates) else 1.0
-        return " : ".join(f"{r / floor:.2f}" for r in rates)
+        return [r / floor for r in rates]
 
-    result.summary["frame-rate ratio before"] = (
-        f"{ratio_string(0, switch_at)} (allocated "
-        + ":".join(f"{s:g}" for s in before) + ")"
-    )
-    result.summary["frame-rate ratio after"] = (
-        f"{ratio_string(switch_at, duration_ms)} (allocated "
-        + ":".join(f"{s:g}" for s in after) + ")"
-    )
+    m = result.measures
+    m.update(before=ratios(0, switch_at), after=ratios(switch_at, duration_ms))
+    for when, allocated in (("before", before), ("after", after)):
+        result.summary[f"frame-rate ratio {when}"] = (
+            " : ".join(f"{r:.2f}" for r in m[when]) + " (allocated "
+            + ":".join(f"{s:g}" for s in allocated) + ")"
+        )
     for viewer in viewers:
         result.summary[f"{viewer.name} total frames"] = int(viewer.frames)
     return result

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.experiments.common import ExperimentResult, build_machine
+from repro.experiments.common import (ExperimentResult, build_machine,
+                                      cumulative_rows)
 from repro.workloads.dhrystone import DhrystoneTask
 
 __all__ = ["run", "main"]
@@ -59,30 +60,27 @@ def run(duration_ms: float = 300_000.0, seed: int = 31415,
             "tasks": "A1=100.A A2=200.A B1=100.B B2=200.B (+B3=300.B at T/2)",
         },
     )
-    t = 0.0
-    while t <= duration_ms + 1e-9:
-        row = {"time_s": t / 1000.0}
-        for name in ("A1", "A2", "B1", "B2", "B3"):
-            task = tasks.get(name)
-            row[f"{name}_iters"] = task.counter.total_until(t) if task else 0.0
-        result.rows.append(row)
-        t += sample_every_ms
+    result.rows = cumulative_rows(
+        {f"{name}_iters": task.counter for name, task in tasks.items()},
+        duration_ms, sample_every_ms)
 
-    def rate(name: str, start_t: float, end_t: float) -> float:
-        task = tasks.get(name)
-        return task.rate_per_second(start_t, end_t) if task else 0.0
-
+    factors = result.measures["rate_factor"] = {}
     for name in ("A1", "A2", "B1", "B2"):
-        first = rate(name, 0, switch_at)
-        second = rate(name, switch_at, duration_ms)
+        first = tasks[name].rate_per_second(0, switch_at)
+        second = tasks[name].rate_per_second(switch_at, duration_ms)
+        if first:
+            factors[name] = second / first
         result.summary[f"{name} rate (before -> after B3)"] = (
             f"{first:.0f} -> {second:.0f} iters/s"
-            f" ({second / first:.2f}x)" if first else "n/a"
+            f" ({factors[name]:.2f}x)" if first else "n/a"
         )
     total_a = tasks["A1"].iterations + tasks["A2"].iterations
     total_b = sum(tasks[n].iterations for n in ("B1", "B2", "B3") if n in tasks)
+    if total_b:
+        result.measures["aggregate_ratio"] = total_a / total_b
     result.summary["aggregate A:B iterations"] = (
-        f"{total_a / total_b:.3f} : 1 (funded 1 : 1)" if total_b else "n/a"
+        f"{result.measures['aggregate_ratio']:.3f} : 1 (funded 1 : 1)"
+        if total_b else "n/a"
     )
     return result
 

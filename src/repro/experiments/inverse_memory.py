@@ -87,6 +87,8 @@ def run(tickets: Optional[Dict[str, float]] = None, frames: int = 90,
                 "fault_rate": manager.fault_rate(client),
             }
         )
+    result.measures["eviction_share"] = {
+        row["client"]: row["observed_share"] for row in result.rows}
 
     # -- ticket-blind baselines ---------------------------------------------------
     for baseline_name, baseline in (
@@ -97,11 +99,11 @@ def run(tickets: Optional[Dict[str, float]] = None, frames: int = 90,
         base_manager = MemoryManager(base_pool, baseline)
         _drive(base_manager, tickets, references, pages_per_client,
                ParkMillerPRNG(seed + 1))
-        shares = ", ".join(
-            f"{c}={base_manager.eviction_share(c):.2f}" for c in sorted(tickets)
-        )
+        shares = result.measures[f"{baseline_name}_eviction_share"] = {
+            c: base_manager.eviction_share(c) for c in sorted(tickets)}
         result.summary[f"baseline {baseline_name} eviction shares"] = (
-            f"{shares} (ticket-blind: roughly uniform)"
+            ", ".join(f"{c}={share:.2f}" for c, share in shares.items())
+            + " (ticket-blind: roughly uniform)"
         )
 
     best_funded = max(tickets, key=tickets.get)

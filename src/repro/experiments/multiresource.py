@@ -193,16 +193,16 @@ def run(duration_ms: float = 400_000.0, seed: int = 4242) -> ExperimentResult:
                 "rebalances": outcome["rebalances"],
             }
         )
-    best_static = max(
-        outcomes[p]["items"] for p in ("static-50", "static-disk",
-                                       "static-cpu")
-    )
-    result.summary["manager items"] = outcomes["manager"]["items"]
+    m = result.measures
+    items = m["items"] = {policy: outcome["items"]
+                          for policy, outcome in outcomes.items()}
+    best_static = m["best_static_items"] = max(
+        items[p] for p in ("static-50", "static-disk", "static-cpu"))
+    m["manager_gain"] = items["manager"] / best_static
+    final = m["final_split"] = outcomes["manager"]["final_allocation"]
+    result.summary["manager items"] = items["manager"]
     result.summary["best static items"] = best_static
-    result.summary["manager vs best static"] = (
-        f"{outcomes['manager']['items'] / best_static:.2f}x"
-    )
-    final = outcomes["manager"]["final_allocation"]
+    result.summary["manager vs best static"] = f"{m['manager_gain']:.2f}x"
     result.summary["manager final split"] = (
         f"cpu={final['cpu']:.0f}, disk={final['disk']:.0f}"
         " (tracked the CPU-bound phase)"

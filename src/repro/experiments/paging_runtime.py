@@ -97,7 +97,8 @@ def run(duration_ms: float = 120_000.0, seed: int = 515) -> ExperimentResult:
         f"{baseline['worker_steps']:.0f} steps"
     )
     for policy in ("inverse-lottery", "lru"):
-        row = run_variant(policy, duration_ms=duration_ms, seed=seed)
+        row = result.measures[policy] = run_variant(
+            policy, duration_ms=duration_ms, seed=seed)
         result.rows.append(row)
         retained = row["worker_steps"] / baseline["worker_steps"]
         result.summary[f"worker throughput retained [{policy}]"] = (

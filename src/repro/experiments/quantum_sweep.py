@@ -18,13 +18,12 @@ count per window), i.e. halve for every 4x quantum reduction.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from repro.experiments.common import ExperimentResult, build_machine
 from repro.kernel.syscalls import Compute
 from repro.metrics.recorder import KernelRecorder
-from repro.metrics.stats import mean, stdev
+from repro.metrics.stats import mean, stdev, win_proportion_cv
 
 __all__ = ["run", "run_quantum", "main"]
 
@@ -57,9 +56,7 @@ def run_quantum(quantum_ms: float, duration_ms: float = 120_000.0,
         "window_share_cv": cv,
         "dispatches_per_s": machine.kernel.dispatch_count
         / (duration_ms / 1000.0),
-        "predicted_cv": math.sqrt(
-            (1 - 2 / 3) / ((window_ms / quantum_ms) * (2 / 3))
-        ),
+        "predicted_cv": win_proportion_cv(window_ms / quantum_ms, 2 / 3),
     }
 
 
@@ -80,6 +77,13 @@ def run(quanta: Sequence[float] = (10.0, 25.0, 50.0, 100.0, 200.0),
         )
     smallest = result.rows[0]
     largest = result.rows[-1]
+    m = result.measures
+    m["window_share_cv"] = [row["window_share_cv"] for row in result.rows]
+    # How far the sweep strays from section 2's CV law and the 2:1 share.
+    m["cv_law_error"] = max(abs(row["window_share_cv"] / row["predicted_cv"]
+                                - 1.0) for row in result.rows)
+    m["share_error"] = max(abs(row["window_share_mean"] - 2 / 3)
+                           for row in result.rows)
     result.summary["CV at smallest quantum"] = (
         f"{smallest['window_share_cv']:.3f} at {smallest['quantum_ms']:g} ms"
     )

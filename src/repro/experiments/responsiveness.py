@@ -83,6 +83,8 @@ def run(duration_ms: float = 120_000.0, hogs: int = 5,
                          seed=seed)
         result.rows.append(row)
     by_policy = {row["policy"]: row for row in result.rows}
+    result.measures["mean_latency_ms"] = {
+        policy: row["mean_latency_ms"] for policy, row in by_policy.items()}
     with_comp = by_policy["lottery"]["mean_latency_ms"]
     without = by_policy["lottery-no-compensation"]["mean_latency_ms"]
     result.summary["lottery mean latency (ms)"] = f"{with_comp:.0f}"

@@ -93,7 +93,6 @@ def run(duration_ms: float = 600_000.0, seed: int = 2025) -> ExperimentResult:
             "classes": "gold=400, silver=200, bronze=100 tickets",
         },
     )
-    trace = build_trace(seed=seed)
     for policy in ("lottery", "stride", "round-robin"):
         replayer, means = run_stream(policy, duration_ms=duration_ms,
                                      trace=build_trace(seed=seed))
@@ -103,6 +102,8 @@ def run(duration_ms: float = 600_000.0, seed: int = 2025) -> ExperimentResult:
         result.rows.append(row)
     lottery_row = next(r for r in result.rows if r["policy"] == "lottery")
     rr_row = next(r for r in result.rows if r["policy"] == "round-robin")
+    result.measures["lottery_slowdown"] = [
+        lottery_row[f"{c}_slowdown"] for c in ("gold", "silver", "bronze")]
     result.summary["lottery class spread"] = (
         f"gold {lottery_row['gold_slowdown']:.2f}x < silver "
         f"{lottery_row['silver_slowdown']:.2f}x < bronze "

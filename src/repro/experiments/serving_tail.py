@@ -153,6 +153,11 @@ def run(quick: bool = True, seed: int = 2026,
 
     lottery_ordered = _ordered_with_spread(wake_p99["lottery"])
     timesharing_ordered = _ordered_with_spread(wake_p99["timesharing"])
+    measures = dict(lottery_ordered=lottery_ordered,
+                    timesharing_ordered=timesharing_ordered,
+                    recovery_epoch=recovery, shard_rows=shard_rows,
+                    passed=(lottery_ordered and not timesharing_ordered
+                            and recovery is not None and shard_agreement))
     summary = {
         "lottery wake-p99 share-ordered at 1.5x":
             "yes" if lottery_ordered else "NO",
@@ -164,10 +169,7 @@ def run(quick: bool = True, seed: int = 2026,
         "slo bronze final lever": round(bronze_final, 3),
         "sharded backends agree":
             "yes" if shard_agreement else "NO",
-        "verdict": ("PASS" if lottery_ordered
-                    and not timesharing_ordered
-                    and recovery is not None
-                    and shard_agreement else "FAIL"),
+        "verdict": "PASS" if measures["passed"] else "FAIL",
     }
     return ExperimentResult(
         name="serving_tail",
@@ -176,7 +178,8 @@ def run(quick: bool = True, seed: int = 2026,
                 "loads": "/".join(str(load) for load in LOADS),
                 "policies": ",".join(POLICIES)},
         rows=rows,
-        summary={**summary, "shard_rows": shard_rows},
+        summary=summary,
+        measures=measures,
     )
 
 
@@ -189,12 +192,9 @@ def report_text(result: ExperimentResult) -> str:
     lines.append(format_table(result.rows))
     lines.append("")
     lines.append("-- sharded equivalence --")
-    lines.append(format_table(result.summary["shard_rows"]))
+    lines.append(format_table(result.measures["shard_rows"]))
     lines.append("")
-    for key, value in result.summary.items():
-        if key == "shard_rows":
-            continue
-        lines.append(f"{key}: {value}")
+    lines.extend(f"{key}: {value}" for key, value in result.summary.items())
     return "\n".join(lines) + "\n"
 
 

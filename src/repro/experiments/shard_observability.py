@@ -97,6 +97,9 @@ def run(until: float = 2000.0, cores: int = 4,
                         for o in outcomes if o["restarts"] == 0}
     faulted_recovery = {o["recovery_sha"]
                         for o in outcomes if o["restarts"] > 0}
+    result.measures.update(
+        canonical_sha=sorted(canonical), trace_sha=sorted(traces),
+        slo_ok=all(o["slo_ok"] for o in outcomes), backends=len(outcomes))
     result.summary["canonical reports agree"] = (
         "yes" if len(canonical) == 1 else f"NO ({len(canonical)} distinct)"
     )
@@ -109,8 +112,7 @@ def run(until: float = 2000.0, cores: int = 4,
         else "NO"
     )
     result.summary["slo verdict"] = (
-        "PASS everywhere" if all(o["slo_ok"] for o in outcomes)
-        else "FAIL somewhere"
+        "PASS everywhere" if result.measures["slo_ok"] else "FAIL somewhere"
     )
     return result
 

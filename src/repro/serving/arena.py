@@ -69,10 +69,11 @@ class ArenaConfig:
             raise ExperimentError(
                 f"load_factor must be finite and positive: {load!r}")
         if not (isinstance(self.classes, tuple) and self.classes and all(
-                isinstance(spec, ServiceClassSpec) for spec in self.classes)):
+                isinstance(spec, ServiceClassSpec) for spec in self.classes)
+                and any(spec.request_cpu_ms() > 0 for spec in self.classes)):
             raise ExperimentError(
-                f"classes must be a non-empty tuple of ServiceClassSpec: "
-                f"{self.classes!r}")
+                f"classes must be a non-empty tuple of ServiceClassSpec, "
+                f"one with front_ms + back_ms > 0: {self.classes!r}")
         if not is_int(self.slo_min_samples) or self.slo_min_samples < 0:
             raise ExperimentError(
                 f"slo_min_samples must be a non-negative int: "

@@ -11,10 +11,10 @@ to force it off; ``REPRO_SANITIZE_STRIDE=N`` checks every Nth quantum.
 
 from __future__ import annotations
 
-import gc
+import contextlib
+import hashlib
+import io
 import os
-import sys
-from collections import Counter
 
 import pytest
 
@@ -138,53 +138,6 @@ def race_tracker():
         previous.activate()
 
 
-def count_work(run, *args, lines=False, within=None, qualname=False):
-    """Call ``run(*args)`` and count the Python-level work it does.
-
-    Calls are counted through ``sys.setprofile``, by ``co_name`` (by
-    ``co_qualname`` with ``qualname``), only in files whose path
-    contains ``within`` when that is given.  With ``lines``, line events
-    are counted too, through ``sys.settrace``: a loop inside one frame
-    is invisible to the call count.  Whatever profiler and tracer were
-    installed are put back.  Returns ``(calls, line_events)``.
-
-    The count is a pure function of the code under ``run``: garbage
-    left by earlier code is collected first, and the cyclic collector
-    is paused while ``run`` runs (then restored as found), so no
-    finalizer of an unrelated object -- ``MpBackend.__del__``, say --
-    is counted with it.
-    """
-    calls = Counter()
-    line_events = [0]
-    attribute = "co_qualname" if qualname else "co_name"
-
-    def profile(frame, event, arg):
-        if event == "call" and (within is None
-                                or within in frame.f_code.co_filename):
-            calls[getattr(frame.f_code, attribute)] += 1
-
-    def local(frame, event, arg):
-        if event == "line":
-            line_events[0] += 1
-        return local
-
-    previous = sys.getprofile(), sys.gettrace()
-    collecting = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    sys.setprofile(profile)
-    if lines:
-        sys.settrace(lambda frame, event, arg: local)
-    try:
-        run(*args)
-    finally:
-        sys.settrace(previous[1])
-        sys.setprofile(previous[0])
-        if collecting:
-            gc.enable()
-    return calls, line_events[0]
-
-
 def make_lottery_kernel(seed: int = 1, quantum: float = 100.0,
                         engine=None, **policy_kwargs):
     """Engine + ledger + lottery kernel, wired together (on ``engine``
@@ -222,6 +175,14 @@ def census_at(plan, *stops):
 def lottery_kernel():
     """A ready-to-use kernel with the lottery policy."""
     return make_lottery_kernel()
+
+
+def report_sha(result) -> str:
+    """The first 16 hex digits of the sha256 of ``result.print_report()``."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        result.print_report()
+    return hashlib.sha256(buffer.getvalue().encode()).hexdigest()[:16]
 
 
 def spin_body(chunk_ms: float = 10.0):

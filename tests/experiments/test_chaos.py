@@ -14,6 +14,7 @@ from repro.analysis.sanitizer import InvariantSanitizer
 from repro.experiments import chaos_fairness
 from repro.experiments.chaos_fairness import RECONVERGENCE_THRESHOLD
 from repro.kernel import kernel as kernel_module
+from tests.conftest import report_sha
 
 #: Reconvergence must happen within this much virtual time of a fault.
 BOUNDED_WINDOW_MS = 30_000.0
@@ -88,12 +89,9 @@ class TestChaosRecovery:
 
     def test_report_summarises_every_fault_window(self):
         result = chaos_fairness.run(duration_ms=80_000.0)
-        window_keys = [key for key in result.summary
-                       if key.startswith("window @")]
-        assert len(window_keys) == 2  # crash @30s + restart @60s
-        assert all("reconverged after" in result.summary[key]
-                   for key in window_keys)
-        assert "migrations" in result.summary
-        faults = result.summary["faults applied"]
-        crash_lines = [line for line in faults if " crash " in line]
-        assert crash_lines and all("core1" in line for line in crash_lines)
+        assert report_sha(result) == "9cd1d5939c33c17d"
+        reconverged = result.measures["reconverged_after_ms"]
+        assert len(reconverged) == 2  # crash @30s + restart @60s
+        assert None not in reconverged.values()
+        assert "migrations_out" in result.measures
+        assert result.measures["crashed_cores"] == [1]

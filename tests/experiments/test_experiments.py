@@ -11,6 +11,7 @@ import pytest
 import repro.experiments as ex
 from repro.experiments.common import ExperimentResult, build_machine
 from repro.errors import ExperimentError
+from tests.conftest import report_sha
 
 
 class TestCommon:
@@ -41,6 +42,7 @@ class TestFig4:
         result = ex.fig4_rate_accuracy.run(
             ratios=[1, 3, 7], runs=2, duration_ms=60_000
         )
+        assert report_sha(result) == "e0617534b5056aa1"
         for row in result.rows:
             assert row["observed"] == pytest.approx(row["allocated"],
                                                     rel=0.25)
@@ -59,6 +61,7 @@ class TestFig5:
     def test_windows_scatter_around_two_to_one(self):
         result = ex.fig5_fairness_over_time.run(duration_ms=100_000,
                                                 window_ms=8_000)
+        assert report_sha(result) == "57f3b4e5d9b1a85b"
         ratios = [row["ratio"] for row in result.rows]
         assert sum(ratios) / len(ratios) == pytest.approx(2.0, rel=0.2)
         # Randomized allocation: windows must visibly vary.
@@ -71,17 +74,14 @@ class TestFig6:
         result = ex.fig6_montecarlo.run(
             duration_ms=240_000, stagger_ms=40_000, sample_every_ms=40_000
         )
-        finals = [
-            value for key, value in result.summary.items()
-            if key.endswith("final trials")
-        ]
+        assert report_sha(result) == "be5ac2c02596669a"
+        finals = result.measures["final_trials"]
         assert len(finals) == 3
         # Later-started tasks caught most of the way up.
         assert min(finals) > 0.5 * max(finals)
         # All estimates converge to pi/4.
-        for key, value in result.summary.items():
-            if key.endswith("estimate"):
-                assert "0.78" in str(value)
+        for estimate in result.measures["estimate"]:
+            assert 0.78 <= estimate < 0.79
 
 
 class TestFig7:
@@ -89,24 +89,21 @@ class TestFig7:
         result = ex.fig7_query_rates.run(
             duration_ms=300_000, corpus_kb=1000, scan_ms_per_kb=2.0
         )
-        ratio_text = result.summary["B:C throughput ratio"]
-        ratio = float(ratio_text.split(":")[0])
-        assert ratio == pytest.approx(3.0, rel=0.35)
+        assert report_sha(result) == "ac9f81f2d1f99744"
+        assert result.measures["bc_ratio"] == pytest.approx(3.0, rel=0.35)
         # Response times are ordered by funding: A < B < C.
-        response = result.summary["response time ratio"].split("(")[0]
-        _, b_over_a, c_over_a = (float(part) for part in response.split(":"))
+        _, b_over_a, c_over_a = result.measures["response_ratio"]
         assert 1.0 < b_over_a < c_over_a
         # Query results are the true planted count.
-        assert "[8]" in result.summary["query result (occurrences)"]
+        assert result.measures["query_results"] == [8]
 
 
 class TestFig8:
     def test_reallocation_changes_rates(self):
         result = ex.fig8_video_rates.run(duration_ms=200_000)
-        before = result.summary["frame-rate ratio before"]
-        after = result.summary["frame-rate ratio after"]
-        b = [float(x) for x in before.split("(")[0].split(":")]
-        a = [float(x) for x in after.split("(")[0].split(":")]
+        assert report_sha(result) == "07291a3017137976"
+        b = result.measures["before"]
+        a = result.measures["after"]
         # Before: A > B > C; after: A > C > B (3:1:2).
         assert b[0] > b[1] > b[2]
         assert a[0] > a[2] > a[1]
@@ -115,42 +112,35 @@ class TestFig8:
 class TestFig9:
     def test_insulation(self):
         result = ex.fig9_load_insulation.run(duration_ms=160_000)
-        aggregate = result.summary["aggregate A:B iterations"]
-        value = float(aggregate.split(":")[0])
-        assert value == pytest.approx(1.0, abs=0.15)
+        assert report_sha(result) == "952ddc67ee3334d8"
+        assert result.measures["aggregate_ratio"] == pytest.approx(
+            1.0, abs=0.15)
         # B tasks slow to about half after B3 starts; A tasks do not.
-        def factor(task):
-            text = result.summary[f"{task} rate (before -> after B3)"]
-            return float(text.split("(")[1].split("x")[0])
-
-        assert factor("B1") == pytest.approx(0.5, abs=0.15)
-        assert factor("B2") == pytest.approx(0.5, abs=0.15)
-        assert factor("A1") == pytest.approx(1.0, abs=0.2)
-        assert factor("A2") == pytest.approx(1.0, abs=0.2)
+        factor = result.measures["rate_factor"]
+        assert factor["B1"] == pytest.approx(0.5, abs=0.15)
+        assert factor["B2"] == pytest.approx(0.5, abs=0.15)
+        assert factor["A1"] == pytest.approx(1.0, abs=0.2)
+        assert factor["A2"] == pytest.approx(1.0, abs=0.2)
 
 
 class TestFig11:
     def test_mutex_ratios(self):
         result = ex.fig11_mutex.run(duration_ms=120_000)
-        acq = result.summary["acquisition ratio A:B"]
-        ratio = float(acq.split(":")[0])
-        assert 1.4 < ratio < 2.6  # paper: 1.80
-        wait = result.summary["waiting time ratio A:B"]
-        wait_ratio = float(wait.split(":")[1].split("(")[0])
-        assert 1.4 < wait_ratio < 3.0  # paper: 2.11
-        assert result.summary["release lotteries"] > 200
+        assert report_sha(result) == "e9b0e591f5096429"
+        assert 1.4 < result.measures["acquisition_ratio"] < 2.6  # paper: 1.80
+        assert 1.4 < result.measures["wait_ratio"] < 3.0  # paper: 2.11
+        assert result.measures["release_lotteries"] > 200
         # Both groups' waiting-time histograms have mass (Figure 11).
         assert {row["group"] for row in result.rows} \
             == {"group-A", "group-B"}
 
 
 class TestOverhead:
-    def test_lottery_cost_comparable_to_timesharing(self):
+    def test_lottery_cost_comparable_to_timesharing(self, race_tracker_off):
         result = ex.overhead.run(duration_ms=30_000)
-        text = result.summary["lottery/timesharing dispatch cost"]
-        factor = float(text.split("x")[0])
-        # "Comparable": within 5x either way on the host.
-        assert 0.2 < factor < 5.0
+        # "Comparable": a lottery dispatch takes at most the bound's
+        # multiple of a timesharing dispatch's exact work (calls).
+        assert result.measures["work_ratio"] <= ex.overhead.WORK_RATIO_BOUND
         # Both policies deliver the same virtual CPU to the workload.
         iterations = {row["policy"]: row["iterations"]
                       for row in result.rows}
@@ -158,9 +148,16 @@ class TestOverhead:
             iterations["timesharing"], rel=0.05)
 
 
+    @pytest.mark.parametrize("duration_ms", [1_000.0, 500.0, float("nan")])
+    def test_a_run_inside_the_warm_up_is_refused(self, duration_ms):
+        with pytest.raises(ExperimentError, match="^duration_ms must"):
+            ex.overhead.run_dhrystone_work("lottery", duration_ms)
+
+
 class TestInverseMemory:
     def test_eviction_shares_track_prediction(self):
         result = ex.inverse_memory.run(references=15_000)
+        assert report_sha(result) == "7f8b69346f746ca8"
         for row in result.rows:
             assert row["observed_share"] == pytest.approx(
                 row["predicted_share"], abs=0.06
@@ -169,19 +166,16 @@ class TestInverseMemory:
                     for row in result.rows}
         assert observed["A"] < observed["B"] < observed["C"]
         # The ticket-blind baseline victimizes uniformly.
-        lru = result.summary["baseline lru eviction shares"]
-        shares = [float(part.split("=")[1])
-                  for part in lru.split("(")[0].strip().split(", ")]
+        shares = result.measures["lru_eviction_share"].values()
         assert max(shares) - min(shares) < 0.05
 
 
 class TestDiverseResources:
     def test_disk_and_link_shares(self):
         result = ex.diverse_resources.run()
-        disk = result.summary["disk lottery A:B"]
-        assert float(disk.split(":")[0]) == pytest.approx(3.0, rel=0.2)
-        link = result.summary["link lottery X:Y:Z"]
-        x_over_z, y_over_z = (float(part) for part in link.split(":")[:2])
+        assert report_sha(result) == "76724fd79f636068"
+        assert result.measures["disk_ratio"] == pytest.approx(3.0, rel=0.2)
+        x_over_z, y_over_z = result.measures["link_ratio"]
         assert x_over_z == pytest.approx(4.0, rel=0.2)
         assert y_over_z == pytest.approx(2.0, rel=0.2)
         # Round-robin baselines split evenly.
@@ -196,6 +190,7 @@ class TestAblations:
         result = ex.ablations.run_quantum_accuracy(
             lottery_counts=(100, 400), trials=80
         )
+        assert report_sha(result) == "86ba2e2cbb57d705"
         for row in result.rows:
             assert 0.5 < row["ratio"] < 2.0
         # 4x the lotteries (half the quantum, twice over) ~halves the CV.
@@ -206,6 +201,7 @@ class TestAblations:
         result = ex.ablations.run_lottery_vs_stride(
             checkpoints_ms=(5_000, 50_000)
         )
+        assert report_sha(result) == "7154cd2d4f6784d2"
         stride_rows = [r for r in result.rows if r["policy"] == "stride"]
         lottery_rows = [r for r in result.rows if r["policy"] == "lottery"]
         assert max(r["max_error_quanta"] for r in stride_rows) <= 1.5
@@ -217,6 +213,7 @@ class TestAblations:
 
     def test_compensation_ablation(self):
         result = ex.ablations.run_compensation(duration_ms=150_000)
+        assert report_sha(result) == "d1b23c8537c78a08"
         with_comp = next(r for r in result.rows if r["policy"] == "lottery")
         without = next(r for r in result.rows
                        if r["policy"] == "lottery-no-compensation")

@@ -2,11 +2,13 @@
 
 
 from repro.experiments import cluster_fairness, multiresource, responsiveness
+from tests.conftest import report_sha
 
 
 class TestResponsiveness:
     def test_compensation_dominates_no_compensation(self):
         result = responsiveness.run(duration_ms=60_000)
+        assert report_sha(result) == "efa7368c5f967ea7"
         rows = {row["policy"]: row for row in result.rows}
         assert (rows["lottery"]["mean_latency_ms"]
                 < rows["lottery-no-compensation"]["mean_latency_ms"] / 3)
@@ -30,6 +32,7 @@ class TestResponsiveness:
 class TestMultiresource:
     def test_manager_tracks_phase(self):
         result = multiresource.run(duration_ms=200_000)
+        assert report_sha(result) == "75864d1ef71a62c5"
         items = {row["policy"]: row["items"] for row in result.rows}
         assert items["manager"] >= 0.9 * max(items.values())
         # Each lopsided static split is wrong for one of the two phases.
@@ -39,10 +42,8 @@ class TestMultiresource:
                            if r["policy"] == "manager")
         assert manager_row["rebalances"] > 10
         # It ended in the CPU-bound phase's allocation.
-        final = result.summary["manager final split"]
-        cpu = float(final.split("cpu=")[1].split(",")[0])
-        disk = float(final.split("disk=")[1].split(" ")[0])
-        assert cpu > disk
+        final = result.measures["final_split"]
+        assert final["cpu"] > final["disk"]
 
     def test_variant_diagnostics(self):
         outcome = multiresource.run_variant("static-50",
@@ -55,22 +56,21 @@ class TestMultiresource:
 class TestClusterFairness:
     def test_migration_beats_static(self):
         result = cluster_fairness.run(duration_ms=100_000)
-        static = float(
-            result.summary["max relative error (static placement)"]
-        )
-        balanced = float(
-            result.summary["max relative error (rebalancing)"]
-        )
+        assert report_sha(result) == "6c2308298f458839"
+        static = result.measures["static placement"]
+        balanced = result.measures["rebalancing"]
         # Worst-case placement defeats independent node lotteries;
         # funding-balancing migration restores the global shares.
-        assert static > 0.4
-        assert balanced < 0.25
-        assert balanced < static / 2
-        assert result.summary["migrations (rebalancing)"] > 0
-        assert result.summary["migrations (static placement)"] == 0
+        assert static["max_relative_error"] > 0.4
+        assert balanced["max_relative_error"] < 0.25
+        assert (balanced["max_relative_error"]
+                < static["max_relative_error"] / 2)
+        assert balanced["migrations"] > 0
+        assert static["migrations"] == 0
 
     def test_report_rows_cover_both_variants(self):
         result = cluster_fairness.run(duration_ms=50_000)
+        assert report_sha(result) == "0912ed443bc8ef7d"
         variants = {row["variant"] for row in result.rows}
         assert variants == {"static placement", "rebalancing"}
         for row in result.rows:

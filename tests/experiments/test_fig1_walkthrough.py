@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import fig1_walkthrough
+from tests.conftest import report_sha
 
 
 class TestWalk:
@@ -34,8 +35,8 @@ class TestWalk:
 class TestRun:
     def test_frequencies_match_shares(self):
         result = fig1_walkthrough.run(draws=50_000)
-        assert "client 3" in result.summary["winner"]
-        for index, tickets in enumerate(fig1_walkthrough.FIGURE1_TICKETS):
-            rate_text = result.summary[f"client {index + 1} win rate"]
-            rate = float(rate_text.split()[0])
+        assert report_sha(result) == "9c0a1827206a387f"
+        assert result.measures["winner"] == 3
+        for rate, tickets in zip(result.measures["win_rate"],
+                                 fig1_walkthrough.FIGURE1_TICKETS):
             assert rate == pytest.approx(tickets / 20.0, abs=0.01)

@@ -7,11 +7,12 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import reproduce_all
+from repro.experiments.common import ExperimentResult
 
 
 class TestChecks:
     def test_check_registry_covers_all_figures(self):
-        labels = [label for label, _ in reproduce_all.CHECKS]
+        labels = [check.label for check in reproduce_all.CHECKS]
         for figure in ("Figure 1", "Figure 4", "Figure 5", "Figure 6",
                        "Figure 7", "Figure 8", "Figure 9", "Figure 11"):
             assert any(label.startswith(figure) for label in labels)
@@ -19,23 +20,29 @@ class TestChecks:
         assert len(labels) == 21
 
     def test_individual_cheap_checks_pass(self):
-        ok, detail = reproduce_all._fig1(quick=True)
-        assert ok and "client 3" in detail
-        ok, detail = reproduce_all._stride(quick=True)
+        checks = {check.label.split()[-1]: check
+                  for check in reproduce_all.CHECKS}
+        ok, detail = checks["walkthrough"](quick=True)
+        assert ok and detail.startswith("client 3 ")
+        ok, detail = checks["determinism"](quick=True)
         assert ok
-        ok, detail = reproduce_all._diverse(quick=True)
+        ok, detail = checks["lotteries"](quick=True)
         assert ok
 
     def test_reproduce_reports_failures_without_raising(self, monkeypatch,
                                                         capsys):
         # Patch in one passing and one crashing check: the driver must
         # survive and count the failure.
+        def boom():
+            raise RuntimeError("nope")
+
         monkeypatch.setattr(
             reproduce_all, "CHECKS",
             [
-                ("ok", lambda quick: (True, "fine")),
-                ("boom", lambda quick: (_ for _ in ()).throw(
-                    RuntimeError("nope"))),
+                reproduce_all.Check(
+                    "ok", lambda: ExperimentResult("ok", measures={"x": 1}),
+                    {}, {}, lambda m: m["x"] == 1, "fine".format_map),
+                reproduce_all.Check("boom", boom, {}, {}, bool, str),
             ],
         )
         failures = reproduce_all.reproduce(quick=True)

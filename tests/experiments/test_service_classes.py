@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import service_classes
+from tests.conftest import report_sha
 
 
 class TestBuildTrace:
@@ -42,6 +43,7 @@ class TestRunStream:
 class TestRun:
     def test_summary_shapes(self):
         result = service_classes.run(duration_ms=250_000)
+        assert report_sha(result) == "ae9b8f0ae9b3cfe1"
         assert len(result.rows) == 3
         assert "lottery class spread" in result.summary
         rows = {row["policy"]: row for row in result.rows}

@@ -20,9 +20,10 @@ from repro.errors import SimulationError
 from repro.kernel.ipc import Port
 from repro.kernel.kernel import Kernel
 from repro.kernel.syscalls import Compute, Receive, Send, Sleep, YieldCPU
+from repro.perf import count_work
 from repro.schedulers.lottery_policy import LotteryPolicy
 from repro.sim.engine import Engine
-from tests.conftest import count_work, make_lottery_kernel, spin_body
+from tests.conftest import make_lottery_kernel, spin_body
 
 QUANTA = (10.0, 7.5, 100.0 / 3)
 #: Compute chunks as multiples of the quantum: exact multiples and

@@ -1,13 +1,14 @@
 """The paper's section 5.6 primitives priced as exact work counts.
 
 A draw (list and tree), a currency conversion (inflated at the leaf of
-a 20-level chain and at its root) and an RPC with its ticket transfer,
-plus the two serializers nothing else prices: a checkpoint capture and
-a Chrome-trace export.  Each workload is built at a fixed seed and
-size, warmed up by one operation, then driven under
-:func:`tests.conftest.count_work`: Python calls
-(``sys.setprofile``) and line events (``sys.settrace``) per unit of
-work (a draw, a revaluation, an RPC, a captured thread, an exported
+a 20-level chain and at its root), an RPC with its ticket transfer and
+a dispatch of section 5.6's three Dhrystones under the lottery and
+under timesharing, plus the two serializers nothing else prices: a
+checkpoint capture and a Chrome-trace export.  Each workload is built
+at a fixed seed and size, warmed up, then driven under
+:func:`repro.perf.count_work`: Python calls (``sys.setprofile``) and
+line events (``sys.settrace``) per unit of work (a draw, a
+revaluation, an RPC, a dispatch, a captured thread, an exported
 span).  Line events are there because the list draw's scan is one
 frame: a second scan shows in its lines and leaves its calls alone.
 
@@ -16,11 +17,13 @@ wall-clock one could not resolve its own band.  ``ROWS`` holds the
 CPython 3.11 readings and a gate fails above 1.2 times either; each
 workload's facts (draws held, RPCs completed, threads captured, spans
 exported, digests) are pinned exactly, so no change passes by doing
-less.  docs/PERFORMANCE.md section 2 has the readings and the planted
+less.  The two dispatch rows are section 5.6's comparison, whose ratio
+``repro.experiments.overhead.WORK_RATIO_BOUND`` bounds tighter than
+1.2.  docs/PERFORMANCE.md section 2 has the readings and the planted
 duplicates that fail them.
 
 ``PYTHONPATH=src:. python -m tests.perf.test_work_counts`` prints the
-seven readings as a markdown table.
+nine readings as a markdown table.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from functools import partial
 import pytest
 
 from repro.core.prng import ParkMillerPRNG
-from tests.conftest import count_work
+from repro.perf import count_work
 
 #: How far a count may drift above its CPython 3.11 reading before the
 #: gate fails: headroom for the other interpreters CI runs.
@@ -148,6 +151,14 @@ def _ipc_pingpong():
                                 "epoch": ledger.snapshot_state()["epoch"]}
 
 
+def _dhrystone(policy):
+    from repro.experiments.overhead import run_dhrystone_work
+
+    work = run_dhrystone_work(policy)
+    return work["dispatches"], work["calls"], work["lines"], {
+        "dispatches": work["dispatches"], "iterations": work["iterations"]}
+
+
 def _checkpoint_capture():
     from repro.checkpoint.capture import capture_tree
     from repro.checkpoint.registry import build_recipe
@@ -211,6 +222,12 @@ ROWS = {
     "ipc.pingpong": (
         _ipc_pingpong, "RPC", 120.02, 941.15,
         {"rpcs": 399, "transfers": 399, "dispatches": 803, "epoch": 8_810}),
+    "dispatch.dhrystone.lottery": (
+        partial(_dhrystone, "lottery"), "dispatch", 84.03, 652.98,
+        {"dispatches": 290, "iterations": 599_600.0}),
+    "dispatch.dhrystone.timesharing": (
+        partial(_dhrystone, "timesharing"), "dispatch", 77.83, 550.91,
+        {"dispatches": 290, "iterations": 599_600.0}),
     "checkpoint.capture.300": (
         _checkpoint_capture, "captured thread", 15.12, 70.64,
         {"threads": 903, "sha256": "07d5b9d1f834ec25"}),

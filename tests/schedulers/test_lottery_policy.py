@@ -5,9 +5,10 @@ import pytest
 from repro.core.prng import ParkMillerPRNG
 from repro.core.tickets import Ledger
 from repro.kernel.kernel import Kernel
+from repro.perf import count_work
 from repro.schedulers.lottery_policy import LotteryPolicy
 from repro.sim.engine import Engine
-from tests.conftest import count_work, make_lottery_kernel, spin_body
+from tests.conftest import make_lottery_kernel, spin_body
 
 
 class TestProportionalShares:

@@ -11,9 +11,9 @@ from repro.analysis.sanitizer import check_run_queue
 from repro.checkpoint.statetree import tree_checksum
 from repro.errors import ExperimentError, ReproError
 from repro.experiments.common import build_machine
+from repro.perf import count_work
 from repro.serving.arena import ArenaConfig, build_arena
 from repro.serving.tiers import DEFAULT_CLASSES
-from tests.conftest import count_work
 
 _QUANTUM = 20.0
 
@@ -370,6 +370,9 @@ class TestConfigRefusals:
     @pytest.mark.parametrize("field, value", [
         # A bare ZeroDivisionError from ``capacity_rps``.
         ("classes", ()),
+        # Also one: no class costs any CPU.
+        ("classes", tuple(replace(spec, front_ms=0.0, back_ms=0.0)
+                          for spec in DEFAULT_CLASSES)),
         # A bare TypeError from the arrival seeds.
         ("seed", "x"),
         # Accepted, and seeded the arrivals with a float.

@@ -45,7 +45,7 @@ class TestExperiment:
     def test_report_embeds_shard_checksums(self):
         result = serving_tail.run(quick=True, requests=80)
         text = serving_tail.report_text(result)
-        for row in result.summary["shard_rows"]:
+        for row in result.measures["shard_rows"]:
             assert row["stream_sha"] in text
             assert row["state_sha"] in text
         assert text.endswith("\n")
