@@ -25,7 +25,9 @@ when the thread joins the run queue and deactivate when it leaves; when
 a currency's active amount transitions zero <-> non-zero, the
 (de)activation propagates to each of its backing tickets (section 4.4,
 footnote 3's behaviour for blocked threads is implemented by the kernel
-via ticket transfers).
+via ticket transfers).  One body, :meth:`Ticket._move`, applies every
+change to an active amount -- a (de)activation, or ``set_amount`` on an
+active ticket -- and invalidates what the change moves.
 
 The :class:`Ledger` facade owns the base currency, enforces acyclicity
 of the funding graph, assigns unique names, and provides the
@@ -157,7 +159,8 @@ class TicketHolder:
             return
         self._competing = True
         for ticket in self.tickets:
-            ticket.activate()
+            if not ticket._active:
+                ticket._move(True, ticket._amount)
 
     def stop_competing(self) -> None:
         """Deactivate all held tickets (thread left the run queue)."""
@@ -166,7 +169,7 @@ class TicketHolder:
         self._competing = False
         for ticket in self.tickets:
             if ticket._active:
-                ticket.deactivate()
+                ticket._move(False, -ticket._amount)
 
     # -- valuation ----------------------------------------------------------
 
@@ -284,19 +287,23 @@ class Ticket:
         # Amounts are real-valued by design (fractional transfers and
         # inflation); the sanitizer checks conservation with tolerances.
         amount = float(amount)  # repro: noqa[RPR004] -- real-valued by design
-        currency = self.currency
+        delta = amount - self._amount
+        self._amount = amount
         # On each side every sibling's share moved (the currency's walk)
         # and our own value too, which that walk misses where the
         # currency caches nothing -- always under the base currency.
         if self._active:
-            currency._adjust_active(amount - self._amount)
-        self._amount = amount
-        if self._active:
-            self._invalidate_target()
+            self._move(True, delta)
+        currency = self.currency
         currency._issued_total = None
         if currency._nominal_value is not None:
             currency._invalidate_downstream(True)
-        self._invalidate_target(nominal=True)
+        target = self.target
+        if isinstance(target, Currency):
+            if target._nominal_value is not None:
+                target._invalidate_downstream(True)
+        elif target is not None:
+            target._nominal_value = None
         currency._ledger._epoch += 1
 
     # -- funding edges -------------------------------------------------------
@@ -325,16 +332,16 @@ class Ticket:
                 target._invalidate_downstream()
             # A backing ticket is active iff the funded currency has
             # active consumers (paper section 4.4).
-            if target._active_amount > 0:
-                self.activate()
+            if target._active_amount > 0 and not self._active:
+                self._move(True, self._amount)
         else:
             self.target = target
             target.tickets.append(self)
             target._nominal_value = None
             if target._funding is not None:
                 target._invalidate_funding()
-            if target._competing:
-                self.activate()
+            if target._competing and not self._active:
+                self._move(True, self._amount)
         ledger._epoch += 1
 
     def unfund(self) -> None:
@@ -345,7 +352,7 @@ class Ticket:
         if isinstance(target, Currency):
             target._backing.remove(self)
             if self._active:
-                self.deactivate()
+                self._move(False, -self._amount)
             # As in fund: the last term gone turns 0.0 back into int 0.
             if target._nominal_value is not None:
                 target._invalidate_downstream(True)
@@ -359,7 +366,7 @@ class Ticket:
             if target._funding is not None:
                 target._invalidate_funding()
             if self._active:
-                self.deactivate()
+                self._move(False, -self._amount)
         self.currency._ledger._epoch += 1
 
     # -- activation ----------------------------------------------------------
@@ -370,87 +377,51 @@ class Ticket:
         return self._active
 
     def activate(self) -> None:
-        """Mark this ticket active and propagate into its denomination.
-
-        Carries :meth:`Currency._adjust_active`'s body for a positive
-        change: the active amount only grows here, so only the
-        zero -> non-zero edge can fire (an amount is ``0`` or at least
-        ``1e-9`` after every adjustment).  ``deactivate`` is the mirror.
-        """
+        """Mark this ticket active and propagate into its denomination."""
         if self._destroyed:
             raise TicketError("cannot activate a destroyed ticket")
         if not self._active:
-            self._active = True
-            currency = self.currency
-            was_active = currency._active_amount > 0
-            amount = currency._active_amount + self._amount
-            if amount < 1e-9:
-                amount = 0.0
-            currency._active_amount = amount
-            if amount > 0 and not was_active:
-                for ticket in currency._backing:
-                    ticket.activate()
-            if currency._value is not None:
-                currency._invalidate_downstream()
-            currency._ledger._epoch += 1
-            # _invalidate_target(), fused: this and deactivate are the
-            # two mutations every block and wake makes.
-            target = self.target
-            if target is not None:
-                if isinstance(target, Currency):
-                    if target._value is not None:
-                        target._invalidate_downstream()
-                elif target._funding is not None:
-                    target._invalidate_funding()
+            self._move(True, self._amount)
 
     def deactivate(self) -> None:
         """Mark this ticket inactive and propagate into its denomination."""
         if self._destroyed:
             raise TicketError("cannot deactivate a destroyed ticket")
         if self._active:
-            self._active = False
-            currency = self.currency
-            was_active = currency._active_amount > 0
-            amount = currency._active_amount - self._amount
-            if amount < 1e-9:
-                amount = 0.0
-            currency._active_amount = amount
-            if was_active and not amount > 0:
-                for ticket in currency._backing:
-                    ticket.deactivate()
-            if currency._value is not None:
-                currency._invalidate_downstream()
-            currency._ledger._epoch += 1
-            target = self.target
-            if target is not None:
-                if isinstance(target, Currency):
-                    if target._value is not None:
-                        target._invalidate_downstream()
-                elif target._funding is not None:
-                    target._invalidate_funding()
+            self._move(False, -self._amount)
 
-    def _invalidate_target(self, nominal: bool = False) -> None:
-        """Invalidate whatever this ticket's value flows into.
+    def _move(self, active: bool, delta: float) -> None:
+        """Set this ticket's flag to ``active`` and add ``delta`` to its
+        denomination's active amount (paper section 4.4).
 
-        A holder target's cached funding goes stale directly; a currency
-        target's value changed, which cascades to everything funded
-        downstream of it -- if it caches a value on that side (module
-        docstring).  ``nominal`` selects the side that moved: the
-        as-if-active valuation (structural mutations) instead of the
-        active one.
+        The ledger calls this directly, so a (de)activation opens one
+        frame.  An active amount is ``0`` or at least ``1e-9`` after
+        every move, and a zero <-> non-zero edge (de)activates each
+        backing ticket with it.  Then the currency's per-unit value moved
+        (its walk, gated on its cache) and so did this ticket's own
+        value, which that walk misses where the currency caches nothing
+        -- always under the base currency.
         """
+        self._active = active
+        currency = self.currency
+        was_active = currency._active_amount > 0
+        amount = currency._active_amount + delta
+        if amount < 1e-9:
+            amount = 0.0
+        currency._active_amount = amount
+        if (amount > 0) is not was_active:
+            for ticket in currency._backing:
+                if ticket._active is was_active:
+                    ticket._move(not was_active, -ticket._amount if was_active
+                                 else ticket._amount)
+        if currency._value is not None:
+            currency._invalidate_downstream()
+        currency._ledger._epoch += 1
         target = self.target
-        if target is None:
-            return
         if isinstance(target, Currency):
-            if nominal:
-                if target._nominal_value is not None:
-                    target._invalidate_downstream(True)
-            elif target._value is not None:
+            if target._value is not None:
                 target._invalidate_downstream()
-        elif nominal:
-            target._nominal_value = None
-        elif target._funding is not None:
+        elif target is not None and target._funding is not None:
             target._invalidate_funding()
 
     # -- valuation -----------------------------------------------------------
@@ -500,7 +471,7 @@ class Ticket:
         if self._active:
             # Activated by hand while funding nothing: unfund had no
             # edge to deactivate through.
-            self.deactivate()
+            self._move(False, -self._amount)
         currency = self.currency
         if not self._destroyed:
             currency._issued.remove(self)
@@ -562,27 +533,6 @@ class Currency:
         """Denominations of this currency's backing tickets."""
         for ticket in self._backing:
             yield ticket.currency
-
-    # -- activation propagation -----------------------------------------------
-
-    def _adjust_active(self, delta: float) -> None:
-        """Apply an active-amount change, propagating 0 <-> non-zero edges."""
-        was_active = self._active_amount > 0
-        self._active_amount += delta
-        if self._active_amount < 1e-9:
-            self._active_amount = 0.0
-        now_active = self._active_amount > 0
-        if now_active and not was_active:
-            for ticket in self._backing:
-                ticket.activate()
-        elif was_active and not now_active:
-            for ticket in self._backing:
-                ticket.deactivate()
-        if self._value is not None:
-            # A derived currency's per-unit value just moved, so every
-            # issued ticket's base value moved with it.
-            self._invalidate_downstream()
-        self._ledger._epoch += 1
 
     def _invalidate_downstream(self, nominal: bool = False) -> None:
         """Invalidate every holder funded (transitively) by this currency.

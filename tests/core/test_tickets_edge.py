@@ -81,6 +81,32 @@ class TestZeroAmountTickets:
         assert holder.funding() == pytest.approx(75)
         assert ledger.base.active_amount == pytest.approx(75)
 
+    def test_deflating_a_currencys_only_active_issue_moves_its_backing(
+            self, ledger):
+        """``set_amount`` on an active ticket is the one mutation that
+        can cross a currency's zero <-> non-zero edge in either
+        direction: to 0 the backing ticket leaves the base active
+        amount, and back up it rejoins it."""
+        from repro.analysis.sanitizer import sanitize_ledger
+
+        team = ledger.create_currency("team")
+        backing = ledger.create_ticket(100, fund=team)
+        holder = TicketHolder("h")
+        ticket = ledger.create_ticket(10, currency=team, fund=holder)
+        holder.start_competing()
+        assert backing.active and holder.funding() == 100
+        ticket.set_amount(0)
+        assert ticket.active and team.active_amount == 0
+        assert not backing.active
+        assert ledger.base.active_amount == 0
+        assert holder.funding() == 0
+        assert sanitize_ledger(ledger) == []
+        ticket.set_amount(75)
+        assert backing.active
+        assert ledger.base.active_amount == 100
+        assert holder.funding() == 100
+        assert sanitize_ledger(ledger) == []
+
 
 class TestRefunding:
     def test_ticket_can_move_between_holders(self, ledger):

@@ -214,16 +214,16 @@ ROWS = {
         _draw_tree, "draw", 5.001, 162.83,
         {"draws": 1_001, "levels": 13_679, "next": 3_565}),
     "currency.deep.20": (
-        partial(_currency_chain, False), "revaluation", 15.00, 112.0,
+        partial(_currency_chain, False), "revaluation", 13.00, 108.0,
         {"epoch": 1_088, "leaf": 253.7313432835821}),
     "currency.root.20": (
-        partial(_currency_chain, True), "revaluation", 52.00, 524.0,
+        partial(_currency_chain, True), "revaluation", 50.00, 519.0,
         {"epoch": 1_088, "leaf": 250.5}),
     "ipc.pingpong": (
-        _ipc_pingpong, "RPC", 120.02, 941.15,
+        _ipc_pingpong, "RPC", 120.02, 916.15,
         {"rpcs": 399, "transfers": 399, "dispatches": 803, "epoch": 8_810}),
     "dispatch.dhrystone.lottery": (
-        partial(_dhrystone, "lottery"), "dispatch", 84.03, 652.98,
+        partial(_dhrystone, "lottery"), "dispatch", 84.03, 647.98,
         {"dispatches": 290, "iterations": 599_600.0}),
     "dispatch.dhrystone.timesharing": (
         partial(_dhrystone, "timesharing"), "dispatch", 77.83, 550.91,
