@@ -466,19 +466,21 @@ class Ticket:
         return value * (self._amount / issued)
 
     def destroy(self) -> None:
-        """Remove this ticket from the system entirely (terminal)."""
+        """Remove this ticket from the system entirely (terminal; a
+        second destroy changes nothing)."""
+        if self._destroyed:
+            return
         self.unfund()
         if self._active:
             # Activated by hand while funding nothing: unfund had no
             # edge to deactivate through.
             self._move(False, -self._amount)
         currency = self.currency
-        if not self._destroyed:
-            currency._issued.remove(self)
-            currency._issued_total = None
-            if currency._nominal_value is not None:
-                currency._invalidate_downstream(True)
-            self._destroyed = True
+        currency._issued.remove(self)
+        currency._issued_total = None
+        if currency._nominal_value is not None:
+            currency._invalidate_downstream(True)
+        self._destroyed = True
         currency._ledger._epoch += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

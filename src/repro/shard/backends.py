@@ -222,13 +222,12 @@ class _Backend:
         as the plan's lookahead allows)."""
         return None
 
-    def _run_slice(self, horizon: float, epoch_ms: Optional[float],
-                   inclusive: bool,
+    def _run_slice(self, horizon: float, inclusive: bool,
                    meanwhile: Optional[Callable[[], None]]) -> None:
         message = {
             "cmd": "epoch", "start": self._now, "barrier": self._due,
             "horizon": horizon, "inclusive": inclusive,
-            "epoch_ms": self.plan.epoch_ms if epoch_ms is None else epoch_ms}
+            "epoch_ms": self.plan.epoch_ms}
         rebalance = self.plan.rebalance_ms
         if rebalance and not inclusive and on_grid(horizon, rebalance):
             message["loads"] = True
@@ -244,19 +243,19 @@ class _Backend:
             self._obs_frames.append(
                 [frame for frames in shard_frames for frame in frames])
 
-    def run_epoch(self, horizon: float, epoch_ms: Optional[float] = None,
+    def run_epoch(self, horizon: float,
                   meanwhile: Optional[Callable[[], None]] = None) -> None:
         """Run every core to just before ``horizon`` -- one command and
-        one reply however many ``epoch_ms`` instants lie between (the
-        plan's grid when not given); the barrier there is then due.
-        ``meanwhile`` is work to overlap with the command (``_overlap``)."""
-        self._run_slice(horizon, epoch_ms, False, meanwhile)
+        one reply however many instants of the plan's ``epoch_ms`` grid
+        lie between; the barrier there is then due.  ``meanwhile`` is
+        work to overlap with the command (``_overlap``)."""
+        self._run_slice(horizon, False, meanwhile)
 
-    def run_inclusive(self, until: float, epoch_ms: Optional[float] = None,
+    def run_inclusive(self, until: float,
                       meanwhile: Optional[Callable[[], None]] = None) -> None:
         """Stop point: as ``run_epoch``, then the events at exactly
         ``until`` behind a barrier of the cores' own."""
-        self._run_slice(until, epoch_ms, True, meanwhile)
+        self._run_slice(until, True, meanwhile)
 
     def collect(self) -> List[Dict[str, Any]]:
         """What the last slice's final epoch (or stop) emitted."""
@@ -688,14 +687,12 @@ class MpBackend(_Backend):
     def __init__(self, plan: ShardPlan, topology: ShardTopology,
                  obs: bool = False, flight: bool = False,
                  policy: Optional[SupervisorPolicy] = None,
-                 host_faults: Optional[HostFaultPlan] = None,
-                 telemetry: Any = None) -> None:
+                 host_faults: Optional[HostFaultPlan] = None) -> None:
         super().__init__(plan, topology, obs=obs, flight=flight)
         if host_faults is not None:
             host_faults.validate_for(topology.shards)
         self.policy = policy if policy is not None else SupervisorPolicy()
         self.schedule = HostFaultSchedule(host_faults)
-        self.telemetry = telemetry
         #: Committed (fully acknowledged) slice commands, in issue order
         #: -- the recovery log, one entry per window.  Each keeps the
         #: *full* payload list of the barrier it carried, so both
@@ -772,22 +769,9 @@ class MpBackend(_Backend):
 
     def _event(self, kind: str, shard: Optional[int] = None,
                **attrs: Any) -> None:
-        entry: Dict[str, Any] = {
-            "kind": kind, "time": self._time, "epoch": self._epoch_index,
-            "shard": shard,
-        }
-        entry.update(attrs)
-        self.events.append(entry)
-        if self.telemetry is not None:
-            labels = None if shard is None else {"shard": str(shard)}
-            self.telemetry.registry.counter(
-                f"shard.{kind}", labels,
-                help="mp shard backend recovery event").inc()
-            self.telemetry.tracer.event(
-                track="supervisor", name=f"shard.{kind}", category="shard",
-                time=self._time,
-                attrs={key: value for key, value in entry.items()
-                       if key not in ("kind", "time")})
+        self.events.append({"kind": kind, "time": self._time,
+                            "epoch": self._epoch_index, "shard": shard,
+                            **attrs})
 
     def recovery_summary(self) -> Dict[str, Any]:
         # A per-shard counter is listed only once a shard counted one,

@@ -136,43 +136,25 @@ class ShardedEngine:
         ``core_id % shards`` unless the plan pins them.
     backend:
         ``"single"`` (the oracle), ``"inline"`` (default), or ``"mp"``.
-    epoch_ms:
-        Barrier grid; defaults to the plan's ``epoch_ms``.
     policy:
         A :class:`repro.shard.backends.SupervisorPolicy` overriding the
         mp backend's retry budget, exchange deadline and backoff.
     host_faults:
         A :class:`repro.shard.hostfaults.HostFaultPlan` of host-level
         faults to inject deliberately into the mp workers.
-    telemetry:
-        A :class:`repro.telemetry.Telemetry` hub for the mp backend's
-        recovery counters and trace events.
-    slo_policy:
-        A :class:`repro.telemetry.slo.SloPolicy` for the watchdogs that
-        judge every slice as it is observed (obs runs only; default
-        thresholds when omitted).
     """
 
     def __init__(self, plan: Any, shards: int = 1,
                  backend: str = "inline",
-                 epoch_ms: Optional[float] = None,
                  policy: Any = None,
                  host_faults: Any = None,
-                 telemetry: Any = None,
                  obs: bool = False,
-                 flight_dir: Optional[str] = None,
-                 slo_policy: Any = None) -> None:
+                 flight_dir: Optional[str] = None) -> None:
         self.plan = (plan if isinstance(plan, ShardPlan)
                      else ShardPlan.from_dict(plan))
-        self.epoch_ms = finite("epoch_ms", epoch_ms if epoch_ms is not None
-                               else self.plan.epoch_ms)
-        if self.epoch_ms <= 0:
-            raise ShardError(f"epoch_ms must be positive: {self.epoch_ms}")
-        rebalance_ms = self.plan.rebalance_ms
-        if rebalance_ms and not on_grid(rebalance_ms, self.epoch_ms):
-            raise ShardError(
-                f"plan rebalance_ms {rebalance_ms} is not on the "
-                f"{self.epoch_ms}ms epoch grid")
+        #: The barrier grid (the plan validated it, and its rebalance
+        #: instants' place on it).
+        self.epoch_ms = self.plan.epoch_ms
         self.topology = ShardTopology(self.plan.cores, shards,
                                       self.plan.placement)
         self.backend_name = backend
@@ -182,8 +164,7 @@ class ShardedEngine:
         options: Dict[str, Any] = {"obs": self.obs_enabled,
                                    "flight": bool(flight_dir)}
         if backend == "mp":
-            options.update(policy=policy, host_faults=host_faults,
-                           telemetry=telemetry)
+            options.update(policy=policy, host_faults=host_faults)
         elif policy is not None or host_faults is not None:
             raise ShardError(
                 f"policy/host_faults apply to backend='mp' only (got "
@@ -198,13 +179,12 @@ class ShardedEngine:
         if self.obs_enabled:
             from repro.telemetry.aggregate import ObsAggregator
 
-            self._obs: Any = ObsAggregator(slo_policy)
+            self._obs: Any = ObsAggregator()
         else:
             self._obs = None
         self._time = 0.0
         self._barriers = 0
         self._pending: List[Dict[str, Any]] = []
-        self._tracer: Any = None
         #: ``(end, payloads)`` of the epochs run but not yet folded into
         #: the obs plane, oldest first: the next command's ``meanwhile``.
         self._unobserved: List[Tuple[float, int]] = []
@@ -262,7 +242,7 @@ class ShardedEngine:
             else:
                 horizon = self.plan.quiet_horizon(self._time, until,
                                                   self.epoch_ms, limit)
-            self._backend.run_epoch(horizon, self.epoch_ms, self._observe)
+            self._backend.run_epoch(horizon, self._observe)
             ordered = self._canonical(self._pending
                                       + self._backend.collect()
                                       + self._moves(horizon))
@@ -274,14 +254,12 @@ class ShardedEngine:
             for end in grid_instants(self._time, horizon, self.epoch_ms):
                 payloads = len(ordered) if end >= horizon - GRID_EPS else 0
                 self._barriers += 1
-                if self._tracer is not None:
-                    self._trace_epoch(self._time, end, payloads)
                 if self._obs is not None:
                     self._unobserved.append((end, payloads))
                 self._time = end
         # Stop point: fire barrier applications and events at exactly
         # ``until``; hold what they emit for the next epoch's barrier.
-        self._backend.run_inclusive(until, self.epoch_ms, self._observe)
+        self._backend.run_inclusive(until, self._observe)
         self._pending = self._canonical(self._pending
                                         + self._backend.collect())
         if self._obs is not None:
@@ -455,23 +433,6 @@ class ShardedEngine:
             exc.flight_bundle = write_bundle(self.flight_dir, bundle)
         except Exception:  # pragma: no cover - recorder must not mask
             pass
-
-    # -- telemetry --------------------------------------------------------------
-
-    def attach_telemetry(self, tracer: Any) -> None:
-        """Emit per-shard epoch spans and barrier instants into a
-        :class:`repro.telemetry.spans.SpanTracer` (observation-only)."""
-        self._tracer = tracer
-
-    def _trace_epoch(self, start: float, end: float, payloads: int) -> None:
-        for shard in range(self.topology.shards):
-            self._tracer.complete(
-                track=f"shard{shard}", name="epoch", category="shard",
-                start=start, end=end,
-                attrs={"cores": self.topology.cores_of(shard)})
-        self._tracer.event(
-            track="barrier", name="shard.barrier", category="shard",
-            time=end, attrs={"payloads": payloads})
 
     # -- lifecycle ---------------------------------------------------------------
 

@@ -33,7 +33,6 @@ __all__ = [
     "MetricRegistry",
     "ObsAggregator",
     "SloEvaluator",
-    "SloPolicy",
     "Span",
     "SpanTracer",
     "Telemetry",
@@ -74,7 +73,7 @@ __getattr__ = lazy_exports(globals(), {
     "Counter": ".registry", "Gauge": ".registry",
     "HistogramInstrument": ".registry", "MetricRegistry": ".registry",
     "parse_full_name": ".registry",
-    "SloEvaluator": ".slo", "SloPolicy": ".slo", "evaluate_slo": ".slo",
+    "SloEvaluator": ".slo", "evaluate_slo": ".slo",
     "Span": ".spans", "SpanTracer": ".spans",
     "stitch_trace": ".stitch", "stitched_chrome": ".stitch",
 })

@@ -25,10 +25,15 @@ view at every epoch barrier:
   degradation) hands a retried command the same delta.
 * :class:`ObsAggregator` folds each frame into **one running
   cumulative frame per core** and drops it, keeping a four-field index
-  row per slice and feeding the online SLO watchdogs
-  (:mod:`repro.telemetry.slo`), which hold their own short window.
-  The running frames merge into a global registry view: counters and
-  gauges sum, histograms come back as the same
+  row per slice.  The fold is the only reader of a frame: while it
+  replaces a grown ``repro_wake_to_dispatch_ms`` bin it adds the bin's
+  gain to one digest per share band, merged across cores, and the
+  online SLO watchdogs (:mod:`repro.telemetry.slo`) sample the running
+  frames and those digests, holding their own short window.  The slice
+  index is the run's one record of barrier instants (with payload
+  counts), which the stitched trace draws.  The running frames merge
+  into a global registry view: counters and gauges sum, histograms
+  come back as the same
   :class:`~repro.metrics.histogram.Histogram` digest the cores
   recorded into and merge bin-wise (one percentile rule, per-core and
   merged), and derived gauges -- global fairness error and
@@ -47,7 +52,7 @@ from typing import Any, Dict, List, Optional
 from repro.errors import ReproError
 from repro.metrics.histogram import Histogram
 from repro.telemetry.registry import HistogramInstrument
-from repro.telemetry.slo import SloEvaluator, SloPolicy
+from repro.telemetry.slo import SloEvaluator
 
 __all__ = [
     "FRAME_FORMAT",
@@ -67,6 +72,10 @@ FRAME_VERSION = 1
 #: what was added since the previous frame, at most this many).
 RING_ENTRIES = 32
 RING_SPANS = 16
+
+#: Base name of the per-band latency histogram the kernel probe records
+#: (the one the SLO watchdogs read merged across cores).
+_LATENCY_METRIC = "repro_wake_to_dispatch_ms"
 
 
 class MergedScalar:
@@ -267,8 +276,9 @@ class ObsAggregator:
     watchdogs, all fed by :meth:`observe`.
 
     Frames are folded in and dropped: retained are one cumulative
-    frame per core, one ``{seq, time, kind, payloads}`` row per slice,
-    and the evaluator's window.  Inside a running frame a changed
+    frame per core, one merged latency digest per share band, one
+    ``{seq, time, kind, payloads}`` row per slice, and the evaluator's
+    window.  Inside a running frame a changed
     thread row or instrument snapshot is *replaced*, never mutated, so
     the copies :meth:`latest_frames` hands out stay what they were.
 
@@ -281,13 +291,16 @@ class ObsAggregator:
     barrier's), and a stop point's own row lasts until time moves on.
     """
 
-    def __init__(self, slo_policy: Optional[SloPolicy] = None) -> None:
+    def __init__(self) -> None:
         self._rows: List[Dict[str, Any]] = []
         #: core -> its cumulative frame; thread rows keyed by tid (in
         #: the core's thread order: threads are only ever appended).
         self._frames: Dict[int, Dict[str, Any]] = {}
+        #: latency band full name -> its bins merged over the cores
+        #: (counts only: no verdict reads a total or a max).
+        self._latency: Dict[str, Histogram] = {}
         #: The online watchdogs (``slo.report()`` is the SLO report).
-        self.slo = SloEvaluator(slo_policy)
+        self.slo = SloEvaluator(self._frames, self._latency)
 
     # -- recording ------------------------------------------------------------
 
@@ -304,22 +317,26 @@ class ObsAggregator:
         elif kind == "epoch" or last["kind"] == "stop":
             row["seq"] = last["seq"]
             self._rows[-1] = row
-        for frame in frames:
+        for frame in sorted(frames, key=lambda frame: frame["core"]):
             self._fold(frame)
-        self.slo.observe(row["time"], frames, barrier=kind == "epoch")
+        self.slo.observe(row["time"], barrier=kind == "epoch")
 
     def _fold(self, delta: Dict[str, Any]) -> None:
+        core = delta["core"]
         frame = self._frames.setdefault(
-            delta["core"], {"metrics": {}, "threads": {}, "shard": {}})
+            core, {"metrics": {}, "threads": {}, "shard": {}})
         for key in ("format", "version", "core", "time"):
             if key in delta:
                 frame[key] = delta[key]
         metrics = frame["metrics"]
         for full_name, snapshot in delta.get("metrics", {}).items():
             before = metrics.get(full_name)
-            if before is not None and snapshot["kind"] == "histogram":
-                snapshot = {**snapshot, "bins": _fold_bins(
-                    before.get("bins", []), snapshot["bins"])}
+            if snapshot["kind"] == "histogram":
+                digest = self._digest(full_name, snapshot["bins"])
+                if before is not None or digest is not None:
+                    snapshot = {**snapshot, "bins": _fold_bins(
+                        before["bins"] if before is not None else [],
+                        snapshot["bins"], digest, core)}
             metrics[full_name] = snapshot
         for thread in delta.get("threads", ()):
             frame["threads"][thread["tid"]] = thread
@@ -332,6 +349,17 @@ class ObsAggregator:
                 "spans": (ring["spans"]
                           + delta["ring"]["spans"])[-RING_SPANS:],
             }
+
+    def _digest(self, full_name: str,
+                bins: List[List[Any]]) -> Optional[Histogram]:
+        """The cross-core digest a latency band's bins merge into (None
+        for any other histogram), made on the first bins seen."""
+        digest = self._latency.get(full_name)
+        if (digest is None and bins
+                and full_name.partition("{")[0] == _LATENCY_METRIC):
+            digest = self._latency[full_name] = Histogram(
+                bins[0][1] - bins[0][0], full_name)
+        return digest
 
     # -- views ----------------------------------------------------------------
 
@@ -377,15 +405,30 @@ class ObsAggregator:
                 f"cores={len(self._frames)}>")
 
 
-def _fold_bins(bins: List[List[Any]], grown: List[List[Any]]
-               ) -> List[List[Any]]:
+def _fold_bins(bins: List[List[Any]], grown: List[List[Any]],
+               digest: Optional[Histogram], core: int) -> List[List[Any]]:
     """A copy of the sorted ``[start, end, n]`` list ``bins`` with each
-    bin of ``grown`` replacing the one at its start, or inserted."""
+    bin of ``grown`` replacing the one at its start, or inserted.  What
+    each bin gained is added to ``digest`` too, when there is one: the
+    cross-core digest, on whose grid core ``core``'s bins must lie."""
     folded = list(bins)
     for grown_bin in grown:
+        start, end, n = grown_bin
         at = bisect_left(folded, grown_bin[:1])
-        if at < len(folded) and folded[at][0] == grown_bin[0]:
+        if at < len(folded) and folded[at][0] == start:
+            gained = n - folded[at][2]
             folded[at] = grown_bin
         else:
+            gained = n
             folded.insert(at, grown_bin)
+        if digest is not None:
+            width = digest.bin_width
+            index = round(start / width)
+            if index * width != start or (index + 1) * width != end:
+                raise ReproError(
+                    f"histogram {digest.name!r}: core {core}'s bin "
+                    f"[{start:g}, {end:g}) is not on the {width:g}-wide "
+                    f"grid the other cores use")
+            digest.counts[index] = digest.counts.get(index, 0) + gained
+            digest.count += gained
     return folded

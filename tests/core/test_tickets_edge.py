@@ -25,7 +25,9 @@ class TestDestroyedTickets:
     def test_double_destroy_harmless(self, ledger):
         ticket = ledger.create_ticket(10)
         ticket.destroy()
+        epoch = ledger.snapshot_state()["epoch"]
         ticket.destroy()
+        assert ledger.snapshot_state()["epoch"] == epoch
 
     @pytest.mark.parametrize("operation, call", [
         ("activate", lambda ticket: ticket.activate()),

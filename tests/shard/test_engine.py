@@ -31,7 +31,7 @@ def test_advance_rejects_horizons_that_are_not_finite_numbers(until):
 @pytest.mark.parametrize("epoch_ms", [float("nan"), float("inf"), "100"])
 def test_engine_rejects_an_epoch_that_is_not_a_finite_number(epoch_ms):
     with pytest.raises(ShardError, match="epoch_ms must be a finite"):
-        ShardedEngine(spin_plan(cores=2), epoch_ms=epoch_ms)
+        ShardedEngine(spin_plan(cores=2, epoch_ms=epoch_ms))
 
 
 def test_advance_rejects_going_backwards():
@@ -131,8 +131,8 @@ def test_mp_stream_equals_inline_entry_for_entry():
 
 
 def test_epoch_ms_override_changes_barrier_cadence():
-    plan = mix_plan(seed=11, cores=4)  # plan grid: 500ms
-    with ShardedEngine(plan, shards=2, epoch_ms=250.0) as engine:
+    plan = mix_plan(seed=11, cores=4, epoch_ms=250.0)  # default: 500ms
+    with ShardedEngine(plan, shards=2) as engine:
         engine.advance(1_000.0)
         assert engine._barriers == 4
         with pytest.raises(ShardError, match="epoch grid"):

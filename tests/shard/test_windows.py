@@ -26,7 +26,6 @@ from repro.shard.backends import SupervisorPolicy
 from repro.shard.engine import ShardedEngine
 from repro.shard.hostfaults import HostFault, HostFaultPlan, kill_every_epoch
 from repro.shard.plan import ShardPlan, mix_plan, spin_plan
-from repro.telemetry.spans import SpanTracer
 
 FAST = SupervisorPolicy(max_retries=3, deadline_s=15.0,
                         backoff_base_s=0.01, backoff_max_s=0.05)
@@ -140,7 +139,7 @@ def test_a_payload_inside_a_window_called_quiet_is_an_error(monkeypatch):
 def test_a_slice_horizon_off_the_command_grid_is_an_error():
     with ShardedEngine(spin_plan(cores=2), shards=2) as engine:
         with pytest.raises(ShardError, match="not on the 100.0ms epoch grid"):
-            engine._backend.run_epoch(250.0, 100.0)
+            engine._backend.run_epoch(250.0)
 
 
 def test_a_barrier_is_due_only_where_the_cores_stand():
@@ -176,16 +175,6 @@ def test_quiet_plan_obs_outputs_are_the_per_epoch_protocols(backend, shards,
         assert engine.obs_report()["canonical_sha256"] == SPIN_OBS_REPORT
         trace = json.loads(engine.stitched_trace())
         assert trace["metadata"]["sha256"] == SPIN_OBS_TRACE
-
-
-def test_attached_tracer_sees_every_epoch_of_a_window():
-    tracer = SpanTracer()
-    with ShardedEngine(spin_plan(cores=2), shards=2) as engine:
-        engine.attach_telemetry(tracer)
-        engine.advance(1_000.0)
-    barriers = [span.start for span in tracer.spans
-                if span.track == "barrier"]
-    assert barriers == [100.0 * k for k in range(1, 11)]
 
 
 def _supervised(plan, until, host_faults=None):

@@ -216,6 +216,20 @@ def test_aggregator_orders_frames_and_replaces_same_time_slice():
     assert agg.barrier_instants() == [{"time": 500.0, "payloads": 3}]
 
 
+def test_aggregator_refuses_a_latency_band_off_the_other_cores_grid():
+    """The cross-core wake-to-dispatch digest takes its bin width from
+    the first core that binned the band; a core on another grid would
+    smear its counts into the wrong bins."""
+    name = 'repro_wake_to_dispatch_ms{share="0-5%"}'
+    agg = ObsAggregator()
+    with pytest.raises(ReproError, match=(
+            r"core 1's bin \[0, 10\) is not on the 5-wide grid")):
+        agg.observe(500.0, [
+            _frame(0, metrics={name: _hist([[0.0, 5.0, 3]], 3, 2.5)}),
+            _frame(1, metrics={name: _hist([[0.0, 10.0, 2]], 2, 5.0)}),
+        ])
+
+
 def test_aggregator_barrier_instants_skip_stop_slices():
     agg = ObsAggregator()
     agg.observe(500.0, [_frame(0)], payloads=3)
