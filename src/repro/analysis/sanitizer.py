@@ -44,11 +44,11 @@ checks every Nth quantum when that matters.
 from __future__ import annotations
 
 import math
-from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
-                    Tuple)
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 from repro.core.tickets import Currency, Ledger, Ticket, TicketHolder
 from repro.errors import InvariantViolation
+from repro.oracle_ref import fresh_valuation
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
@@ -158,164 +158,49 @@ def check_currency_graph(ledger: Ledger) -> List[str]:
 
 # -- family 1: ticket conservation ----------------------------------------
 
+#: Per side (``nominal``): a currency's cache slot and what it holds, a
+#: holder's, then what a currency read through lacks and the walk skipped.
+_SIDES = {
+    False: ("_value", "base value", "_funding", "funding", "value",
+            "active-side walk"),
+    True: ("_nominal_value", "nominal value", "_nominal_value",
+           "nominal funding", "nominal value", "nominal walk"),
+}
 
-def _check_nominal_caches(ledger: Ledger,
-                          holders: Iterable[TicketHolder]) -> List[str]:
-    """Whatever the nominal caches serve must be the bit-identical float
-    the defining sums produce (no tolerance: that is their contract),
-    and every currency a cached value was read through must still cache
-    its own nominal value, or the next structural mutation there skips
-    the walk that would have cleared it.
 
-    The caches are peeked, not called: a call would recompute and
-    cache, hiding exactly the walks a run skips.  The reference walk below
-    reads none of the audited caches; it only remembers each currency's
-    two sums for the length of this one audit, during which nothing
-    mutates.
-    """
-    issued: Dict[int, float] = {}
-    nominal: Dict[int, float] = {}
-
-    def ticket_value(ticket: Ticket) -> float:
-        currency = ticket.currency
-        if currency.is_base:
-            return ticket.amount
-        key = id(currency)
-        if key not in issued:
-            issued[key] = sum(t.amount for t in currency.issued)
-        if issued[key] <= 0:
-            return 0.0
-        return currency_value(currency) * (ticket.amount / issued[key])
-
-    def currency_value(currency: Currency) -> float:
-        key = id(currency)
-        if key not in nominal:
-            nominal[key] = sum(ticket_value(t) for t in currency.backing)
-        return nominal[key]
-
-    def uncached(what: str, tickets: Iterable[Ticket]) -> List[str]:
-        return [f"{what} caches a nominal value read through currency "
-                f"{t.currency.name!r}, whose nominal value is not cached "
-                f"(its next nominal walk would be skipped)"
-                for t in tickets
-                if t.currency._nominal_value is None
-                and not t.currency.is_base]
-
+def _check_caches(ledger: Ledger, holders: Iterable[TicketHolder],
+                  nominal: bool) -> List[str]:
+    """One side's caches, peeked (a call would fill them and hide the
+    walks a run skips): each cached value must be the bit-identical
+    float of :func:`~repro.oracle_ref.fresh_valuation`, and the
+    denomination of every ticket it sums (active ones only, on the
+    active side) must still cache its own, or a mutation there walks
+    nowhere and leaves this cache stale."""
+    value_slot, value_noun, funding_slot, funding_noun, lacks, walk = \
+        _SIDES[nominal]
+    funding, currency_value = fresh_valuation(nominal)
     violations: List[str] = []
-    for currency in ledger.currencies():
-        cached = currency._nominal_value
-        if currency.is_base or cached is None:
-            continue
-        if cached != currency_value(currency):
-            violations.append(
-                f"currency {currency.name!r} cached nominal value "
-                f"{cached!r} != recomputed "
-                f"{currency_value(currency)!r} (stale valuation cache)"
-            )
-        violations.extend(uncached(f"currency {currency.name!r}",
-                                   currency.backing))
-    for holder in holders:
-        cached = holder._nominal_value
-        if cached is None:
-            continue
-        recomputed = sum(ticket_value(t) for t in holder.tickets)
-        if cached != recomputed:
-            violations.append(
-                f"holder {holder.name!r} cached nominal funding "
-                f"{cached!r} != recomputed "
-                f"{recomputed!r} (stale valuation cache)"
-            )
-        violations.extend(uncached(f"holder {holder.name!r}",
-                                   holder.tickets))
-    return violations
-
-
-def _fresh_valuation() -> Tuple[Callable[[TicketHolder], float],
-                                Callable[[Currency], float]]:
-    """``TicketHolder.funding`` and ``Currency.base_value`` from their
-    definitions, for one audit.
-
-    Reads no valuation cache and -- unlike either method on a stale
-    cache -- fills none, so auditing a run leaves every walk it would
-    skip to be skipped.  Sums are added in the order the cached paths
-    add them; each currency's backing sum is remembered for the length
-    of the audit only.
-    """
-    backing: Dict[int, float] = {}
-
-    def currency_value(currency: Currency) -> float:
-        key = id(currency)
-        if key not in backing:
-            backing[key] = sum(ticket_value(t) for t in currency.backing)
-        return backing[key]
-
-    def ticket_value(ticket: Ticket) -> float:
-        if not ticket.active:
-            return 0.0
-        currency = ticket.currency
-        if currency.is_base:
-            return ticket.amount
-        if currency.active_amount <= 0:
-            return 0.0
-        return currency_value(currency) * (ticket.amount
-                                           / currency.active_amount)
-
-    def funding(holder: TicketHolder) -> float:
-        total = 0
-        for ticket in holder.tickets:
-            if ticket.active:
-                total = total + ticket_value(ticket)
-        return total
-
-    return funding, currency_value
-
-
-def _check_active_caches(ledger: Ledger, holders: Iterable[TicketHolder],
-                         fresh: Dict[int, float],
-                         currency_value: Callable[[Currency], float]
-                         ) -> List[str]:
-    """The active side of the valuation caches, audited by peeking.
-
-    A cached currency value or holder funding must be the bit-identical
-    float of the from-scratch walk (``fresh`` by holder id, and
-    ``currency_value``), and the denomination of every active non-base
-    ticket it sums must still cache its value: a mutation at an
-    uncached currency walks nowhere, so it would leave this cache
-    stale.  Stale caches promise nothing and are left stale.
-    """
-    def uncached(what: str, tickets: Iterable[Ticket]) -> List[str]:
-        return [f"{what} read through currency {t.currency.name!r}, "
-                f"whose value is not cached (its next active-side walk "
-                f"would be skipped)"
-                for t in tickets
-                if t.active and t.currency._value is None
-                and not t.currency.is_base]
-
-    violations: List[str] = []
-    for currency in ledger.currencies():
-        cached = currency._value
-        if cached is None:
-            continue
-        if cached != currency_value(currency):
-            violations.append(
-                f"currency {currency.name!r} cached base value "
-                f"{cached!r} != recomputed "
-                f"{currency_value(currency)!r} (stale valuation cache)"
-            )
-        violations.extend(uncached(
-            f"currency {currency.name!r} caches a base value",
-            currency.backing))
-    for holder in holders:
-        cached = holder._funding
-        if cached is None:
-            continue
-        if cached != fresh[id(holder)]:
-            violations.append(
-                f"holder {holder.name!r} cached funding {cached!r} != "
-                f"recomputed {fresh[id(holder)]!r} (stale valuation cache)"
-            )
-        violations.extend(uncached(f"holder {holder.name!r} caches a funding",
-                                   holder.tickets))
+    for kind, owners, slot, noun, fresh, terms in (
+            ("currency", ledger.currencies(), value_slot, value_noun,
+             currency_value, "backing"),
+            ("holder", holders, funding_slot, funding_noun, funding,
+             "tickets")):
+        for owner in owners:
+            cached = getattr(owner, slot)
+            if cached is None:
+                continue
+            what = f"{kind} {owner.name!r}"
+            if cached != fresh(owner):
+                violations.append(
+                    f"{what} cached {noun} {cached!r} != recomputed "
+                    f"{fresh(owner)!r} (stale valuation cache)")
+            violations.extend(
+                f"{what} caches a {noun} read through currency "
+                f"{t.currency.name!r}, whose {lacks} is not cached "
+                f"(its next {walk} would be skipped)"
+                for t in getattr(owner, terms)
+                if (nominal or t.active) and not t.currency.is_base
+                and getattr(t.currency, value_slot) is None)
     return violations
 
 
@@ -336,7 +221,7 @@ def check_ticket_conservation(ledger: Ledger) -> List[str]:
                     )
 
     try:
-        violations.extend(_check_nominal_caches(ledger, holders.values()))
+        violations.extend(_check_caches(ledger, holders.values(), True))
     except RecursionError:
         # Nominal valuation ignores activation, so unlike base_value()
         # it never bottoms out on a (tampered-in) funding cycle.
@@ -359,13 +244,10 @@ def check_ticket_conservation(ledger: Ledger) -> List[str]:
                     f"{'active' if ticket.active else 'inactive'}"
                 )
 
-    # From scratch, not through funding() or base_value(): those would
-    # fill stale caches, and so open walk gates, behind the run's back.
-    fresh_funding, currency_value = _fresh_valuation()
-    fresh = {key: fresh_funding(h) for key, h in holders.items()}
-    violations.extend(_check_active_caches(ledger, holders.values(), fresh,
-                                           currency_value))
-    total_funding = sum(fresh.values())
+    violations.extend(_check_caches(ledger, holders.values(), False))
+    # From scratch, not through funding(): that would fill stale caches,
+    # and so open walk gates, behind the run's back.
+    total_funding = sum(map(fresh_valuation()[0], holders.values()))
     active_base = ledger.base.active_amount
     if not _close(total_funding, active_base):
         violations.append(
@@ -454,7 +336,7 @@ def _check_tree_lottery(tree, dirty, queued: Iterable["Thread"]) -> List[str]:
     the one slot the tree lets lag included (``TreeLottery.audit``).
     """
     violations: List[str] = []
-    fresh_funding = _fresh_valuation()[0]
+    fresh_funding = fresh_valuation()[0]
     for thread in queued:
         if thread not in tree:
             violations.append(

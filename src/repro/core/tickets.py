@@ -179,9 +179,10 @@ class TicketHolder:
         Served from the holder's cache while it holds a value; the
         recomputation below is the defining sum, and invalidation is
         exact, so the cached and recomputed values are bit-identical
-        (checked after every generated mutation against a from-scratch
-        walk in ``tests/test_properties_graph.py``, and end to end by
-        the pinned replay checksums of the perf equivalence suite).
+        (checked after every generated mutation against
+        :func:`repro.oracle_ref.fresh_valuation` in
+        ``tests/test_properties_graph.py``, and end to end by the pinned
+        replay checksums of the perf equivalence suite).
         """
         if self._funding is None:
             # Starts from int 0 exactly like the historical

@@ -30,7 +30,7 @@ in what interleaving core events execute:
 One command advances history -- the **slice command** ``epoch``: it
 carries the barrier due where the cores stand (``barrier``: this
 shard's payloads, or None when none is due), a ``horizon`` that may lie
-several instants of the ``epoch_ms`` grid away, and whether to stop
+several instants of the plan's ``epoch_ms`` grid away, and whether to stop
 there ``inclusive``-ly.  The cores apply the carried barrier, then run
 epoch by epoch, barriering *themselves* at every instant the parent
 will not -- which is legal only while nothing is emitted there, and is
@@ -100,7 +100,7 @@ def _group_payloads(payloads: List[Dict[str, Any]],
 
 
 def _execute_command(cores: Dict[int, ShardCore], router: ShardRouter,
-                     message: Dict[str, Any],
+                     message: Dict[str, Any], epoch_ms: float,
                      obs: bool = False) -> Dict[str, Any]:
     """Run one command against the cores living in this process.
 
@@ -109,11 +109,13 @@ def _execute_command(cores: Dict[int, ShardCore], router: ShardRouter,
     -- and therefore the produced histories -- cannot drift between
     the in-process and the worker protocol.  ``epoch`` is the slice
     command (module docstring) and the only one that advances history,
-    hence the only one the mp backend logs for replay.  With ``obs`` its reply piggybacks one list of delta-state
-    obs frames (:meth:`ShardCore.obs_frame`, one per core) per epoch it
-    ran, plus one for an inclusive stop; each frame moves its core's
-    delta baseline, which recovery rebuilds with the rest of the core
-    by replaying the log.  ``collect`` is not logged and must therefore
+    hence the only one the mp backend logs for replay; it runs on the
+    plan's ``epoch_ms`` grid, which every process holds.  With ``obs``
+    its reply piggybacks one list of delta-state obs frames
+    (:meth:`ShardCore.obs_frame`, one per core) per epoch it ran, plus
+    one for an inclusive stop; each frame moves its core's delta
+    baseline, which recovery rebuilds with the rest of the core by
+    replaying the log.  ``collect`` is not logged and must therefore
     stay a pure read; it answers one question per call -- ``want``
     names the single per-core view (``snapshot`` / ``stream`` / ``obs``
     span dump) the reply carries.
@@ -121,7 +123,7 @@ def _execute_command(cores: Dict[int, ShardCore], router: ShardRouter,
     command = message["cmd"]
     mine = [cores[core_id] for core_id in sorted(cores)]
     if command == "epoch":
-        return _execute_slice(mine, router, message, obs)
+        return _execute_slice(mine, router, message, epoch_ms, obs)
     if command == "collect":
         want = message["want"]
         read = _COLLECT_VIEWS[want]
@@ -133,23 +135,24 @@ def _execute_command(cores: Dict[int, ShardCore], router: ShardRouter,
 
 
 def _execute_slice(mine: List[ShardCore], router: ShardRouter,
-                   message: Dict[str, Any], obs: bool) -> Dict[str, Any]:
+                   message: Dict[str, Any], epoch_ms: float,
+                   obs: bool) -> Dict[str, Any]:
     """The slice command: carried barrier, epochs to the horizon with a
     barrier of the cores' own wherever the parent holds none, then the
     inclusive stop if asked for one."""
     start, horizon = message["start"], message["horizon"]
-    step, inclusive = message["epoch_ms"], message["inclusive"]
-    if not on_grid(horizon, step):
+    inclusive = message["inclusive"]
+    if not on_grid(horizon, epoch_ms):
         raise ShardError(
-            f"slice horizon {horizon} is not on the {step}ms epoch grid "
-            f"the command carries")
+            f"slice horizon {horizon} is not on the {epoch_ms}ms epoch "
+            f"grid of the plan")
     if message["barrier"] is not None:
         grouped = _group_payloads(message["barrier"])
         for core in mine:
             core.apply_barrier(start, grouped.get(core.core_id, []))
     emitted: List[Dict[str, Any]] = []
     frames: List[List[Dict[str, Any]]] = []
-    for end in grid_instants(start, horizon, step):
+    for end in grid_instants(start, horizon, epoch_ms):
         for core in mine:
             core.run_epoch(end)
         emitted = router.drain()
@@ -226,8 +229,7 @@ class _Backend:
                    meanwhile: Optional[Callable[[], None]]) -> None:
         message = {
             "cmd": "epoch", "start": self._now, "barrier": self._due,
-            "horizon": horizon, "inclusive": inclusive,
-            "epoch_ms": self.plan.epoch_ms}
+            "horizon": horizon, "inclusive": inclusive}
         rebalance = self.plan.rebalance_ms
         if rebalance and not inclusive and on_grid(horizon, rebalance):
             message["loads"] = True
@@ -348,7 +350,7 @@ class InlineBackend(_Backend):
         self._overlap()
         self.router.install()
         reply = _execute_command(self.router.cores, self.router, message,
-                                 obs=self.obs)
+                                 self.plan.epoch_ms, obs=self.obs)
         # Obs data is JSON-round-tripped like barrier payloads, so
         # in-process and mp runs aggregate byte-identical data.
         if "obs" in reply:
@@ -629,7 +631,8 @@ def _worker_main(conn: Any, plan_dict: Dict[str, Any],
         while True:
             message = _recv_command(conn)
             command = message.get("cmd")
-            reply = _execute_command(cores, router, message, obs=obs)
+            reply = _execute_command(cores, router, message,
+                                     plan_dict["epoch_ms"], obs=obs)
             _send_reply(conn, message, reply)
             if reply.get("stop"):
                 break
@@ -945,7 +948,7 @@ class MpBackend(_Backend):
             self._log.append(message)
             # The command's slices after its first: epochs, then a stop.
             epochs = sum(1 for _ in grid_instants(
-                message["start"], message["horizon"], message["epoch_ms"]))
+                message["start"], message["horizon"], self.plan.epoch_ms))
             self._epoch_index += epochs + message["inclusive"] - 1
         return replies
 

@@ -213,7 +213,11 @@ def test_read_gate_audit_detects_broken_clear_on_visit(monkeypatch):
         "'upper', whose value is not cached" in messages
 
 
-def test_nominal_audit_peeks_and_detects_a_dropped_mark():
+@pytest.mark.parametrize("dropped, reads_it", [
+    ("upper", "currency 'lower' caches a nominal value"),
+    ("lower", "holder 'reader' caches a nominal funding"),
+], ids=["currency", "holder"])
+def test_nominal_audit_peeks_and_detects_a_dropped_mark(dropped, reads_it):
     """The nominal walk gate: a cached nominal value is audited without
     being read (an unread chain stays uncached), and one read through a
     currency whose own nominal value was dropped behind its back is
@@ -224,14 +228,15 @@ def test_nominal_audit_peeks_and_detects_a_dropped_mark():
     assert reader.nominal_funding() == 10.0
     assert upper._nominal_value == 100.0 and lower._nominal_value == 40.0
     assert sanitize_ledger(ledger) == []
-    upper._nominal_value = None
+    ledger.currency(dropped)._nominal_value = None
     messages = "\n".join(check_ticket_conservation(ledger))
-    assert "currency 'lower' caches a nominal value read through " \
-        "currency 'upper', whose nominal value is not cached" in messages
+    assert f"{reads_it} read through currency {dropped!r}, whose " \
+        "nominal value is not cached" in messages
     ledger.create_ticket(100, currency=upper)  # upper's issue doubles
     messages = "\n".join(check_ticket_conservation(ledger))
-    assert "currency 'lower' cached nominal value 40.0 != recomputed " \
-        "20.0" in messages
+    if dropped == "upper":  # lower's own value went stale with it
+        assert "currency 'lower' cached nominal value 40.0 != recomputed " \
+            "20.0" in messages
     assert "holder 'reader' cached nominal funding 10.0 != recomputed " \
         "5.0" in messages
 

@@ -18,8 +18,7 @@ from repro.shard.frames import (
 
 def test_round_trip_is_identity():
     message = {"cmd": "epoch", "start": 0.0, "barrier": None,
-               "horizon": 500.0, "epoch_ms": 500.0, "inclusive": False,
-               "faults": []}
+               "horizon": 500.0, "inclusive": False, "faults": []}
     assert decode_frame(encode_frame(message)) == message
 
 
@@ -27,7 +26,7 @@ def test_frames_are_deterministic():
     """A logged command reframes byte-identically when it is replayed,
     and its body is what ``Connection.send`` would have written."""
     logged = {"cmd": "epoch", "start": 500.0, "horizon": 1_000.0,
-              "inclusive": False, "epoch_ms": 500.0,
+              "inclusive": False,
               "barrier": [{"kind": "spawn", "target": 1, "src": 0,
                            "seq": 1, "args": {"n": 3}}]}
     frame = encode_frame(logged)

@@ -284,7 +284,7 @@ def test_collect_answers_only_what_was_asked():
         for want in ("snapshot", "stream", "obs"):
             reply = _execute_command(backend.router.cores, backend.router,
                                      {"cmd": "collect", "want": want},
-                                     obs=True)
+                                     backend.plan.epoch_ms, obs=True)
             assert [sorted(entry) for entry in reply["cores"]] == \
                 [sorted(["core", want])] * 2
         assert sorted(backend.obs_dumps()[0]) == ["core", "open_spans",

@@ -17,6 +17,7 @@ import pytest
 from repro.analysis.sanitizer import sanitize_ledger
 from repro.core.tickets import Ledger, TicketHolder
 from repro.errors import CurrencyCycleError
+from repro.oracle_ref import fresh_valuation
 
 amounts = st.floats(min_value=1.0, max_value=1000.0, allow_nan=False)
 
@@ -140,37 +141,6 @@ class TestRandomGraphs:
         assert math.isclose(a_total, values["A"], rel_tol=1e-6)
 
 
-def naive_nominal_value(ticket):
-    """``Ticket.nominal_value`` straight from its definition: every sum
-    re-added, nothing remembered (the reference the caches must match
-    bit for bit)."""
-    currency = ticket.currency
-    if currency.is_base:
-        return ticket.amount
-    issued = sum(t.amount for t in currency.issued)
-    if issued <= 0:
-        return 0.0
-    backing = sum(naive_nominal_value(t) for t in currency.backing)
-    return backing * (ticket.amount / issued)
-
-
-def naive_active_value(ticket):
-    """``Ticket.base_value`` straight from its definition (paper section
-    4.4): nothing if inactive, the face amount in base, else the
-    denominating currency's backing value times this ticket's share of
-    its active amount -- every backing sum re-added, no epoch cache and
-    no holder cache consulted."""
-    if not ticket.active:
-        return 0.0
-    currency = ticket.currency
-    if currency.is_base:
-        return ticket.amount
-    if currency.active_amount <= 0:
-        return 0.0
-    backing = sum(naive_active_value(t) for t in currency.backing)
-    return backing * (ticket.amount / currency.active_amount)
-
-
 ACTIONS = ("create", "destroy", "set_amount", "unfund", "fund",
            "retarget", "start", "stop")
 
@@ -221,21 +191,10 @@ def build_mutable_graph(sizes, data):
     return ledger, holders, list(depth), mutate
 
 
-def naive_funding(holder):
-    """The active tickets' values, added left to right as ``funding()``
-    does: ``sum()`` is compensated on CPython >= 3.12 and may differ in
-    the last bit, and a holder with no active ticket is funded int 0."""
-    active = 0
-    for ticket in holder.tickets:
-        if ticket.active:
-            active = active + naive_active_value(ticket)
-    return active
-
-
-def assert_exact(cached, naive):
+def assert_exact(cached, fresh):
     """Bit for bit, and int 0 apart from 0.0: canonical state trees
     tell them apart."""
-    assert repr(cached) == repr(naive)
+    assert repr(cached) == repr(fresh)
 
 
 class TestNominalCacheDifferential:
@@ -251,14 +210,15 @@ class TestNominalCacheDifferential:
         ledger, holders, currencies, mutate = build_mutable_graph(sizes, data)
 
         def check():
+            funding = fresh_valuation()[0]
+            nominal_funding, nominal_value = fresh_valuation(nominal=True)
             for holder in holders:
-                assert holder.nominal_funding() == sum(
-                    naive_nominal_value(t) for t in holder.tickets)
-                assert holder.funding() == naive_funding(holder)
+                assert holder.nominal_funding() == nominal_funding(holder)
+                assert holder.funding() == funding(holder)
             for currency in currencies:
                 if not currency.is_base:
-                    assert currency.nominal_base_value() == sum(
-                        naive_nominal_value(t) for t in currency.backing)
+                    assert currency.nominal_base_value() \
+                        == nominal_value(currency)
                 assert currency.issued_amount() == sum(
                     t.amount for t in currency.issued)
 
@@ -286,7 +246,7 @@ class TestSparseReadDifferential:
             holder.funding_watcher = fired.append
 
         def read(holder):
-            assert holder.funding() == naive_funding(holder)
+            assert holder.funding() == fresh_valuation()[0](holder)
 
         for _ in range(data.draw(st.integers(1, 25))):
             cached = [h for h in holders if h._funding is not None]
@@ -321,12 +281,12 @@ class TestSparseNominalReadDifferential:
         derived = [c for c in currencies if not c.is_base]
 
         def read_holder(holder):
-            assert holder.nominal_funding() == sum(
-                naive_nominal_value(t) for t in holder.tickets)
+            assert holder.nominal_funding() \
+                == fresh_valuation(nominal=True)[0](holder)
 
         def read_currency(currency):
-            assert currency.nominal_base_value() == sum(
-                naive_nominal_value(t) for t in currency.backing)
+            assert currency.nominal_base_value() \
+                == fresh_valuation(nominal=True)[1](currency)
 
         for _ in range(data.draw(st.integers(1, 25))):
             mutate()
@@ -374,17 +334,18 @@ class TestLedgerCacheDifferential:
 
         def read(active_holders, nominal_holders, active_currencies,
                  nominal_currencies):
+            funding, value = fresh_valuation()
+            nominal_funding, nominal_value = fresh_valuation(nominal=True)
             for holder in active_holders:
-                assert_exact(holder.funding(), naive_funding(holder))
+                assert_exact(holder.funding(), funding(holder))
             for holder in nominal_holders:
-                assert_exact(holder.nominal_funding(), sum(
-                    naive_nominal_value(t) for t in holder.tickets))
+                assert_exact(holder.nominal_funding(),
+                             nominal_funding(holder))
             for currency in active_currencies:
-                assert_exact(currency.base_value(), sum(
-                    naive_active_value(t) for t in currency.backing))
+                assert_exact(currency.base_value(), value(currency))
             for currency in nominal_currencies:
-                assert_exact(currency.nominal_base_value(), sum(
-                    naive_nominal_value(t) for t in currency.backing))
+                assert_exact(currency.nominal_base_value(),
+                             nominal_value(currency))
                 assert_exact(currency.issued_amount(), sum(
                     t.amount for t in currency.issued))
 
@@ -401,3 +362,36 @@ class TestLedgerCacheDifferential:
             read(subset(holders), subset(holders), subset(derived),
                  subset(derived))
         read(holders, holders, derived, derived)
+
+
+class TestReferenceContract:
+    @given(layer_sizes, st.data())
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_reference_reads_and_fills_no_cache(self, sizes, data):
+        """With a wrong sentinel in every valuation slot, the reference
+        still returns on both sides what it returned before, and every
+        slot still holds its sentinel: it reads the structure only and
+        fills nothing, so a sanitized run opens no walk gate."""
+        ledger, holders, currencies, mutate = build_mutable_graph(sizes, data)
+        for _ in range(data.draw(st.integers(0, 6))):
+            mutate()
+        sentinel = -1.5
+
+        def both_sides():
+            values = []
+            for nominal in (False, True):
+                funding, currency_value = fresh_valuation(nominal)
+                values += [repr(funding(h)) for h in holders]
+                values += [repr(currency_value(c)) for c in currencies]
+            return values
+
+        clean = both_sides()
+        slots = [(h, slot) for h in holders
+                 for slot in ("_funding", "_nominal_value")]
+        slots += [(c, slot) for c in currencies
+                  for slot in ("_value", "_nominal_value", "_issued_total")]
+        for owner, slot in slots:
+            setattr(owner, slot, sentinel)
+        assert both_sides() == clean
+        assert all(getattr(owner, slot) is sentinel for owner, slot in slots)
