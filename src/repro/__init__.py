@@ -25,7 +25,6 @@ __version__ = "1.0.0"
 __all__ = [
     "CompensationManager",
     "Compute",
-    "Condition",
     "Currency",
     "Engine",
     "ErrorDrivenInflator",
@@ -41,7 +40,6 @@ __all__ = [
     "Port",
     "RoundRobinPolicy",
     "SchedulingPolicy",
-    "Semaphore",
     "StridePolicy",
     "Task",
     "Thread",
@@ -76,8 +74,7 @@ __getattr__ = lazy_exports(globals(), {
     "RoundRobinPolicy": ".schedulers.round_robin",
     "StridePolicy": ".schedulers.stride",
     "TimesharingPolicy": ".schedulers.timesharing", "Engine": ".sim.engine",
-    "Condition": ".sync.condition", "LotteryMutex": ".sync.mutex",
-    "Mutex": ".sync.mutex", "Semaphore": ".sync.semaphore",
+    "LotteryMutex": ".sync.mutex", "Mutex": ".sync.mutex",
 })
 
 

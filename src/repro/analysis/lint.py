@@ -272,8 +272,13 @@ def _self_assignments(node: ast.ClassDef) -> Dict[str, ast.AST]:
                 targets = list(sub.targets)
             elif isinstance(sub, (ast.AnnAssign, ast.AugAssign)):
                 targets = [sub.target]
-            for target in targets:
-                if isinstance(target, ast.Attribute) and \
+            while targets:
+                target = targets.pop(0)
+                if isinstance(target, (ast.Tuple, ast.List)):
+                    targets[:0] = target.elts
+                elif isinstance(target, ast.Starred):
+                    targets.insert(0, target.value)
+                elif isinstance(target, ast.Attribute) and \
                         isinstance(target.value, ast.Name) and \
                         target.value.id == "self":
                     assigned.setdefault(target.attr, target)

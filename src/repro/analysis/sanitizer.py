@@ -44,7 +44,8 @@ checks every Nth quantum when that matters.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
+                    Tuple)
 
 from repro.core.tickets import Currency, Ledger, Ticket, TicketHolder
 from repro.errors import InvariantViolation
@@ -169,16 +170,18 @@ _SIDES = {
 
 
 def _check_caches(ledger: Ledger, holders: Iterable[TicketHolder],
-                  nominal: bool) -> List[str]:
+                  nominal: bool, valuation: Tuple[Callable, Callable]
+                  ) -> List[str]:
     """One side's caches, peeked (a call would fill them and hide the
     walks a run skips): each cached value must be the bit-identical
-    float of :func:`~repro.oracle_ref.fresh_valuation`, and the
+    float of ``valuation`` (that side's
+    :func:`~repro.oracle_ref.fresh_valuation` pair), and the
     denomination of every ticket it sums (active ones only, on the
     active side) must still cache its own, or a mutation there walks
     nowhere and leaves this cache stale."""
     value_slot, value_noun, funding_slot, funding_noun, lacks, walk = \
         _SIDES[nominal]
-    funding, currency_value = fresh_valuation(nominal)
+    funding, currency_value = valuation
     violations: List[str] = []
     for kind, owners, slot, noun, fresh, terms in (
             ("currency", ledger.currencies(), value_slot, value_noun,
@@ -221,7 +224,8 @@ def check_ticket_conservation(ledger: Ledger) -> List[str]:
                     )
 
     try:
-        violations.extend(_check_caches(ledger, holders.values(), True))
+        violations.extend(_check_caches(ledger, holders.values(), True,
+                                        fresh_valuation(nominal=True)))
     except RecursionError:
         # Nominal valuation ignores activation, so unlike base_value()
         # it never bottoms out on a (tampered-in) funding cycle.
@@ -244,10 +248,12 @@ def check_ticket_conservation(ledger: Ledger) -> List[str]:
                     f"{'active' if ticket.active else 'inactive'}"
                 )
 
-    violations.extend(_check_caches(ledger, holders.values(), False))
     # From scratch, not through funding(): that would fill stale caches,
-    # and so open walk gates, behind the run's back.
-    total_funding = sum(map(fresh_valuation()[0], holders.values()))
+    # and so open walk gates, behind the run's back.  One valuation
+    # serves the audit and the sum.
+    active = fresh_valuation()
+    violations.extend(_check_caches(ledger, holders.values(), False, active))
+    total_funding = sum(map(active[0], holders.values()))
     active_base = ledger.base.active_amount
     if not _close(total_funding, active_base):
         violations.append(

@@ -177,19 +177,17 @@ def _conforms(value: Any, hint: Any) -> bool:
 SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
     "repro.sim.engine.Engine": {
         "covered": {"events_processed", "_next_tid"},
-        # clock/_queue are captured through their own seams; trace_hook
-        # is an observer, not state; _bound/_stop describe only the run
-        # in progress.
-        "transient": {"clock", "_queue", "trace_hook", "_running",
-                      "_bound", "_stop"},
+        # clock/_queue are captured through their own seams; _bound/_stop
+        # describe only the run in progress.
+        "transient": {"clock", "_queue", "_running", "_bound", "_stop"},
     },
     "repro.sim.engine.LoopCore": {
         # The mechanics Engine inherits; same coverage story.  core_id
         # is construction-time identity (the snapshot's position in the
         # sharded engine's core list encodes it), not evolving state.
         "covered": {"events_processed", "_next_tid"},
-        "transient": {"clock", "_queue", "trace_hook", "_running",
-                      "_bound", "_stop", "core_id"},
+        "transient": {"clock", "_queue", "_running", "_bound", "_stop",
+                      "core_id"},
     },
     "repro.sim.events.EventQueue": {
         "covered": {"_seq", "_heap"},
@@ -197,7 +195,7 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
     },
     "repro.core.prng.ParkMillerPRNG": {
         "covered": {"_state", "_initial_seed"},
-        "transient": {"draws"},
+        "transient": set(),
     },
     "repro.kernel.kernel.Kernel": {
         "covered": {"quantum", "context_switch_cost", "running",
@@ -207,11 +205,10 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
                     "ports", "policy", "ledger", "engine"},
         # Observers and hooks are re-wired by the recipe, not restored
         # from data (the _on_* events are resolved from the recorder);
-        # the instant-syscall handler table is a pure function of the
-        # kernel's bound methods; clock is the engine's (captured there).
+        # clock is the engine's (captured there).
         "transient": {"recorder", "_recorder", "_on_dispatch", "_on_cpu",
                       "_on_block", "_on_wake", "_on_exit", "invariant_hooks",
-                      "telemetry", "_instant_handlers", "clock"},
+                      "telemetry", "clock"},
     },
     "repro.kernel.thread.Thread": {
         "covered": {"tid", "task", "state", "priority", "funding_currency",
@@ -230,7 +227,7 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
                     "_tickets_of"},
         # _heap/_removed are the lazy-deletion pair over _entries; the
         # snapshot captures the canonical (pass, seq) table instead.
-        "transient": {"kernel", "_heap", "_removed"},
+        "transient": {"_heap", "_removed"},
     },
     "repro.schedulers.lottery_policy.LotteryPolicy": {
         "covered": {"prng", "_use_tree", "_zero_funding_fallback",
@@ -241,8 +238,8 @@ SNAPSHOT_COVERAGE: Dict[str, Dict[str, Iterable[str]]] = {
         # pending revaluations), _mark_dirty is _dirty's bound add;
         # draw_hook is a telemetry observer, forbidden from mutating
         # scheduling state.
-        "transient": {"kernel", "ledger", "_members", "_dirty",
-                      "_mark_dirty", "draw_hook"},
+        "transient": {"ledger", "_members", "_dirty", "_mark_dirty",
+                      "draw_hook"},
     },
     "repro.iosched.disk.Disk": {
         "covered": {"scheduler", "prng", "tickets", "_head_sector", "_busy",

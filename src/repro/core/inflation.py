@@ -22,7 +22,7 @@ This module provides:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.core.tickets import Currency, Ticket, TicketHolder
 from repro.errors import InsufficientTicketsError, TicketError
@@ -120,20 +120,3 @@ class ErrorDrivenInflator:
     def last_error(self, holder: TicketHolder) -> Optional[float]:
         """Most recent error reported for the holder (None if never)."""
         return self._errors.get(id(holder))
-
-
-def make_periodic_updater(
-    inflator: ErrorDrivenInflator,
-    holder: TicketHolder,
-    error_fn: Callable[[], float],
-) -> Callable[[], float]:
-    """Bind an inflator, holder, and error source into a zero-arg callback.
-
-    Workload threads schedule the returned callable at their update
-    period; it samples the current error and re-funds the holder.
-    """
-
-    def update() -> float:
-        return inflator.update(holder, error_fn())
-
-    return update

@@ -14,8 +14,6 @@ __all__ = [
     "ReleaseMutex",
     "Reply",
     "Request",
-    "SemaphoreDown",
-    "SemaphoreUp",
     "Send",
     "Sleep",
     "Syscall",
@@ -31,8 +29,7 @@ __getattr__ = lazy_exports(globals(), {
     "BLOCK": ".kernel", "Kernel": ".kernel",
     "AcquireMutex": ".syscalls", "Call": ".syscalls", "Compute": ".syscalls",
     "Exit": ".syscalls", "Receive": ".syscalls", "ReleaseMutex": ".syscalls",
-    "Reply": ".syscalls", "SemaphoreDown": ".syscalls",
-    "SemaphoreUp": ".syscalls", "Send": ".syscalls", "Sleep": ".syscalls",
+    "Reply": ".syscalls", "Send": ".syscalls", "Sleep": ".syscalls",
     "Syscall": ".syscalls", "YieldCPU": ".syscalls",
     "Task": ".thread", "Thread": ".thread", "ThreadContext": ".thread",
     "ThreadState": ".thread",

@@ -97,19 +97,60 @@ _MAX_INSTANT_SYSCALLS = 100_000
 
 _EPS = 1e-9
 
-#: Fallback resolution order for syscall subclasses (matches the
-#: historical isinstance chain); exact types hit the handler table.
-_INSTANT_SYSCALL_ORDER = (
-    sc.Sleep, sc.Send, sc.Call, sc.Receive, sc.Reply,
-    sc.AcquireMutex, sc.ReleaseMutex, sc.SemaphoreDown, sc.SemaphoreUp,
-    sc.WaitCondition, sc.SignalCondition, sc.BroadcastCondition,
-)
-
 
 def _timer_wake_owner(thread: Thread) -> None:
     """Sleep-wakeup trampoline: route through the thread's own kernel,
     resolved when the timer fires."""
     thread.kernel.timer_wake(thread)
+
+
+# -- instantaneous syscall handlers ------------------------------------------
+# Each returns the value sent back into the body, or BLOCK.
+
+
+def _sys_sleep(kernel: Kernel, syscall: sc.Sleep, thread: Thread) -> Any:
+    kernel.engine.call_after(syscall.duration, _timer_wake_owner,
+                             label="sleep-wakeup", args=(thread,))
+    return BLOCK
+
+
+def _sys_send(kernel: Kernel, syscall: sc.Send, thread: Thread) -> None:
+    syscall.port.send(thread, syscall.message)
+
+
+def _sys_call(kernel: Kernel, syscall: sc.Call, thread: Thread) -> Any:
+    return syscall.port.call(thread, syscall.message,
+                             syscall.transfer_fraction)
+
+
+def _sys_receive(kernel: Kernel, syscall: sc.Receive, thread: Thread) -> Any:
+    return syscall.port.receive(thread)
+
+
+def _sys_reply(kernel: Kernel, syscall: sc.Reply, thread: Thread) -> None:
+    syscall.request.reply(syscall.value)
+
+
+def _sys_acquire_mutex(kernel: Kernel, syscall: sc.AcquireMutex,
+                       thread: Thread) -> Any:
+    return syscall.mutex.acquire(thread)
+
+
+def _sys_release_mutex(kernel: Kernel, syscall: sc.ReleaseMutex,
+                       thread: Thread) -> None:
+    syscall.mutex.release(thread)
+
+
+#: The zero-CPU syscalls by exact type; a subclass of one is unknown.
+_INSTANT_HANDLERS = {  # shard: barrier-shared -- constant dispatch table, never mutated
+    sc.Sleep: _sys_sleep,
+    sc.Send: _sys_send,
+    sc.Call: _sys_call,
+    sc.Receive: _sys_receive,
+    sc.Reply: _sys_reply,
+    sc.AcquireMutex: _sys_acquire_mutex,
+    sc.ReleaseMutex: _sys_release_mutex,
+}
 
 
 class Kernel:
@@ -174,7 +215,6 @@ class Kernel:
         self._quantum_left = 0.0
         self._dispatch_pending = False
         self._instant_syscalls = 0
-        self._instant_handlers = self._build_instant_handlers()
         #: The pending engine event of the current dispatch (context
         #: switch or compute completion); cancelled when the running
         #: thread is killed or forcibly preempted by a fault.
@@ -546,13 +586,9 @@ class Kernel:
             syscall = thread.current_syscall
             if syscall is None:
                 syscall = thread.advance()
-            # The exact class first: a plain Compute (the common case)
-            # skips the isinstance chain, whose order is unchanged.
-            plain_compute = syscall.__class__ is sc.Compute
-            if not plain_compute and (syscall is None
-                                      or isinstance(syscall, sc.Exit)):
-                return self._end_dispatch(thread, "exit")
-            if plain_compute or isinstance(syscall, sc.Compute):
+            # Exact classes only; a plain Compute (the common case) first.
+            kind = syscall.__class__
+            if kind is sc.Compute:
                 thread.current_syscall = syscall
                 if self._quantum_left <= _EPS:
                     return self._end_dispatch(thread, "preempt")
@@ -569,17 +605,21 @@ class Kernel:
                     return False
                 done = syscall
                 continue
-            if isinstance(syscall, sc.YieldCPU):
+            if syscall is None or kind is sc.Exit:
+                return self._end_dispatch(thread, "exit")
+            if kind is sc.YieldCPU:
                 thread.voluntary_yields += 1
                 return self._end_dispatch(thread, "yield")
-            # Instantaneous (zero-CPU) syscalls.
+            handler = _INSTANT_HANDLERS.get(kind)
+            if handler is None:
+                raise KernelError(f"unknown syscall {syscall!r}")
             self._instant_syscalls += 1
             if self._instant_syscalls > _MAX_INSTANT_SYSCALLS:
                 raise SimulationError(
                     f"thread {thread.name!r} issued {_MAX_INSTANT_SYSCALLS} "
                     "syscalls without consuming CPU; body is livelocked"
                 )
-            result = self._handle_instant(syscall, thread)
+            result = handler(self, syscall, thread)
             if result is BLOCK:
                 return self._end_dispatch(thread, "block")
             thread.deliver(result)
@@ -635,104 +675,6 @@ class Kernel:
         for hook in self.invariant_hooks:
             hook(self, thread, outcome)
         return again
-
-    # -- instantaneous syscall handlers ----------------------------------------------------
-
-    def _handle_instant(self, syscall: sc.Syscall, thread: Thread) -> Any:
-        """Execute a zero-CPU syscall; BLOCK means the thread blocked.
-
-        Dispatches on the syscall's exact type through a per-kernel
-        handler table (one dict lookup instead of a dozen isinstance
-        checks); subclasses of the known syscalls resolve through the
-        declaration-ordered isinstance walk once and are then memoized
-        under their own type.
-        """
-        handler = self._instant_handlers.get(syscall.__class__)
-        if handler is None:
-            for known in _INSTANT_SYSCALL_ORDER:
-                if isinstance(syscall, known):
-                    handler = self._instant_handlers[known]
-                    break
-            if handler is None:
-                raise KernelError(f"unknown syscall {syscall!r}")
-            self._instant_handlers[syscall.__class__] = handler
-        return handler(syscall, thread)
-
-    def _sys_sleep(self, syscall: sc.Sleep, thread: Thread) -> Any:
-        # timer_wake (not wake) so the timer fizzles if a fault kills
-        # the sleeper before it fires.
-        self.engine.call_after(
-            syscall.duration,
-            _timer_wake_owner,
-            label="sleep-wakeup",
-            args=(thread,),
-        )
-        return BLOCK
-
-    def _sys_send(self, syscall: sc.Send, thread: Thread) -> Any:
-        syscall.port.send(thread, syscall.message)
-        return None
-
-    def _sys_call(self, syscall: sc.Call, thread: Thread) -> Any:
-        return syscall.port.call(
-            thread, syscall.message, syscall.transfer_fraction
-        )
-
-    def _sys_receive(self, syscall: sc.Receive, thread: Thread) -> Any:
-        return syscall.port.receive(thread)
-
-    def _sys_reply(self, syscall: sc.Reply, thread: Thread) -> Any:
-        syscall.request.reply(syscall.value)
-        return None
-
-    def _sys_acquire_mutex(self, syscall: sc.AcquireMutex,
-                           thread: Thread) -> Any:
-        return syscall.mutex.acquire(thread)
-
-    def _sys_release_mutex(self, syscall: sc.ReleaseMutex,
-                           thread: Thread) -> Any:
-        syscall.mutex.release(thread)
-        return None
-
-    def _sys_semaphore_down(self, syscall: sc.SemaphoreDown,
-                            thread: Thread) -> Any:
-        return syscall.semaphore.down(thread)
-
-    def _sys_semaphore_up(self, syscall: sc.SemaphoreUp,
-                          thread: Thread) -> Any:
-        syscall.semaphore.up(thread)
-        return None
-
-    def _sys_wait_condition(self, syscall: sc.WaitCondition,
-                            thread: Thread) -> Any:
-        return syscall.condition.wait(thread)
-
-    def _sys_signal_condition(self, syscall: sc.SignalCondition,
-                              thread: Thread) -> Any:
-        syscall.condition.signal(thread)
-        return None
-
-    def _sys_broadcast_condition(self, syscall: sc.BroadcastCondition,
-                                 thread: Thread) -> Any:
-        syscall.condition.broadcast(thread)
-        return None
-
-    def _build_instant_handlers(self) -> dict:
-        """Exact-type handler table for zero-CPU syscalls."""
-        return {
-            sc.Sleep: self._sys_sleep,
-            sc.Send: self._sys_send,
-            sc.Call: self._sys_call,
-            sc.Receive: self._sys_receive,
-            sc.Reply: self._sys_reply,
-            sc.AcquireMutex: self._sys_acquire_mutex,
-            sc.ReleaseMutex: self._sys_release_mutex,
-            sc.SemaphoreDown: self._sys_semaphore_down,
-            sc.SemaphoreUp: self._sys_semaphore_up,
-            sc.WaitCondition: self._sys_wait_condition,
-            sc.SignalCondition: self._sys_signal_condition,
-            sc.BroadcastCondition: self._sys_broadcast_condition,
-        }
 
     # -- introspection --------------------------------------------------------------------------
 

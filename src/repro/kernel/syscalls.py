@@ -19,6 +19,7 @@ Example body::
 
 from __future__ import annotations
 
+import math
 from typing import Any, TYPE_CHECKING
 
 from repro.errors import KernelError
@@ -26,7 +27,6 @@ from repro.errors import KernelError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.kernel.ipc import Port
     from repro.sync.mutex import MutexBase
-    from repro.sync.semaphore import Semaphore
 
 __all__ = [
     "Syscall",
@@ -40,11 +40,6 @@ __all__ = [
     "Reply",
     "AcquireMutex",
     "ReleaseMutex",
-    "SemaphoreDown",
-    "SemaphoreUp",
-    "WaitCondition",
-    "SignalCondition",
-    "BroadcastCondition",
 ]
 
 
@@ -65,8 +60,10 @@ class Compute(Syscall):
     __slots__ = ("duration", "remaining")
 
     def __init__(self, duration: float) -> None:
-        if duration < 0:
-            raise KernelError(f"compute duration must be non-negative: {duration}")
+        # Written so that NaN fails too; inf is a spinner that never ends.
+        if not 0 <= duration <= math.inf:
+            raise KernelError(
+                f"compute duration must be non-negative, got {duration!r}")
         self.duration = float(duration)
         self.remaining = float(duration)
 
@@ -87,8 +84,11 @@ class Sleep(Syscall):
     __slots__ = ("duration",)
 
     def __init__(self, duration: float) -> None:
-        if duration < 0:
-            raise KernelError(f"sleep duration must be non-negative: {duration}")
+        # Written so that NaN fails too: ``nan < 0`` is false.
+        if not 0 <= duration < math.inf:
+            raise KernelError(
+                f"sleep duration must be non-negative and finite, "
+                f"got {duration!r}")
         self.duration = float(duration)
 
 
@@ -171,54 +171,3 @@ class ReleaseMutex(Syscall):
 
     def __init__(self, mutex: "MutexBase") -> None:
         self.mutex = mutex
-
-
-class SemaphoreDown(Syscall):
-    """P operation: decrement or block until positive."""
-
-    __slots__ = ("semaphore",)
-
-    def __init__(self, semaphore: "Semaphore") -> None:
-        self.semaphore = semaphore
-
-
-class SemaphoreUp(Syscall):
-    """V operation: increment, waking one waiter.  Never blocks."""
-
-    __slots__ = ("semaphore",)
-
-    def __init__(self, semaphore: "Semaphore") -> None:
-        self.semaphore = semaphore
-
-
-class WaitCondition(Syscall):
-    """Atomically release the condition's mutex and block until signalled.
-
-    On wake-up the mutex has been *re-acquired on the thread's behalf*
-    (the signal path routes the waiter through the mutex's acquisition
-    queue), so the body resumes holding the lock, as with POSIX
-    condition variables.
-    """
-
-    __slots__ = ("condition",)
-
-    def __init__(self, condition: Any) -> None:
-        self.condition = condition
-
-
-class SignalCondition(Syscall):
-    """Wake one thread waiting on the condition.  Never blocks."""
-
-    __slots__ = ("condition",)
-
-    def __init__(self, condition: Any) -> None:
-        self.condition = condition
-
-
-class BroadcastCondition(Syscall):
-    """Wake every thread waiting on the condition.  Never blocks."""
-
-    __slots__ = ("condition",)
-
-    def __init__(self, condition: Any) -> None:
-        self.condition = condition

@@ -2,10 +2,8 @@
 
 from repro._exports import lazy_exports
 
-__all__ = ["Condition", "LotteryMutex", "Mutex", "MutexBase", "Semaphore"]
+__all__ = ["LotteryMutex", "Mutex", "MutexBase"]
 
 __getattr__ = lazy_exports(globals(), {
-    "Condition": ".condition",
     "LotteryMutex": ".mutex", "Mutex": ".mutex", "MutexBase": ".mutex",
-    "Semaphore": ".semaphore",
 })

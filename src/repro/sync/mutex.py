@@ -84,9 +84,6 @@ class MutexBase:
     def _on_released(self, thread: "Thread") -> None:
         """Funding hand-off hook."""
 
-    def _has_waiters(self) -> bool:
-        raise NotImplementedError
-
     # -- operations (called by the kernel's syscall interpreter) --------------------
 
     def acquire(self, thread: "Thread") -> Any:
@@ -168,9 +165,6 @@ class Mutex(MutexBase):
             return None
         return self._waiters.popleft()
 
-    def _has_waiters(self) -> bool:
-        return bool(self._waiters)
-
 
 class LotteryMutex(MutexBase):
     """Lottery-scheduled mutex with waiter funding inheritance.
@@ -241,9 +235,6 @@ class LotteryMutex(MutexBase):
             self._waiters.remove(winner)
         self.release_lotteries += 1
         return winner
-
-    def _has_waiters(self) -> bool:
-        return bool(self._waiters)
 
     def waiter_funding(self) -> float:
         """Aggregate funding currently backing the mutex currency."""

@@ -8,11 +8,16 @@ fixture.  That the repo's own sources lint clean is checked once, by
 
 from __future__ import annotations
 
+import ast
+import importlib
+import inspect
 import textwrap
 
 import pytest
 
-from repro.analysis.lint import RULES, lint_paths, lint_source, zone_of
+from repro.analysis.lint import (RULES, _self_assignments, lint_paths,
+                                 lint_source, zone_of)
+from repro.checkpoint.registry import SNAPSHOT_COVERAGE
 
 KERNEL_PATH = "repro/kernel/fixture.py"
 SCHED_PATH = "repro/schedulers/fixture.py"
@@ -352,6 +357,57 @@ def test_rpr006_noqa_suppresses():
         time.sleep(1)  # repro: noqa[RPR006] -- host warm-up, not sim
     """
     assert ids(src) == []
+
+
+# -- RPR007 (b): the snapshot-coverage audit --------------------------------
+
+
+def test_rpr007_sees_tuple_list_and_starred_targets():
+    # Kernel's registry entry knows "running"; the other three are new.
+    src = """
+    class Kernel:
+        def wire(self, parts):
+            (self.running, [self._new_a, *self._new_b]) = parts
+            self._new_c, = parts
+    """
+    findings = lint_source(textwrap.dedent(src), "repro/kernel/kernel.py")
+    assert [f.rule_id for f in findings] == ["RPR007"] * 3
+    assert sorted(f.message.split()[1] for f in findings) == [
+        "self._new_a", "self._new_b", "self._new_c"]
+
+
+def _stale_coverage_names(coverage):
+    """(class path, name) for each registry name its class never holds:
+    no ``self.<name> = ...`` in the class or a base, no slot of it."""
+    stale = []
+    for path, entry in sorted(coverage.items()):
+        module, _, name = path.rpartition(".")
+        cls = getattr(importlib.import_module(module), name)
+        held = set()
+        for klass in cls.__mro__:
+            if klass.__module__.split(".")[0] != "repro":
+                continue
+            tree = ast.parse(textwrap.dedent(inspect.getsource(klass)))
+            held |= set(_self_assignments(tree.body[0]))
+            slots = klass.__dict__.get("__slots__", ())
+            held |= {slots} if isinstance(slots, str) else set(slots)
+        stale.extend((path, attr) for attr in sorted(
+            (set(entry["covered"]) | set(entry["transient"])) - held))
+    return stale
+
+
+def test_snapshot_coverage_names_only_live_attributes():
+    assert _stale_coverage_names(SNAPSHOT_COVERAGE) == []
+
+
+def test_snapshot_coverage_audit_catches_a_stale_name():
+    # Engine once declared a trace_hook that nothing assigned.
+    engine = "repro.sim.engine.Engine"
+    planted = dict(SNAPSHOT_COVERAGE)
+    planted[engine] = {
+        "covered": planted[engine]["covered"],
+        "transient": {*planted[engine]["transient"], "trace_hook"}}
+    assert _stale_coverage_names(planted) == [(engine, "trace_hook")]
 
 
 # -- RPR008: print in library zones -----------------------------------------

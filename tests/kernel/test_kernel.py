@@ -1,5 +1,7 @@
 """Integration tests for the simulated microkernel dispatch loop."""
 
+import re
+
 import pytest
 
 from repro.core.prng import ParkMillerPRNG
@@ -91,6 +93,18 @@ class TestBasicDispatch:
         policy = LotteryPolicy(ledger, prng=ParkMillerPRNG(1))
         with pytest.raises(KernelError, match="context_switch_cost"):
             Kernel(Engine(), policy, ledger=ledger, context_switch_cost=cost)
+
+    @pytest.mark.parametrize("syscall, duration", [
+        (Compute, float("nan")), (Compute, -1.0),
+        (Sleep, float("nan")), (Sleep, float("inf")), (Sleep, -1.0)])
+    def test_bad_duration_is_refused_at_construction(self, syscall, duration):
+        # NaN passed ``duration < 0`` and failed later, deep in the
+        # engine's call_after.
+        with pytest.raises(KernelError, match=re.escape(repr(duration))):
+            syscall(duration)
+
+    def test_infinite_compute_is_a_spinner(self):
+        assert Compute(float("inf")).remaining == float("inf")
 
 
 class TestYieldAndSleep:
@@ -190,6 +204,27 @@ class TestRunaways:
 
         kernel.spawn(spammer, "spam", tickets=10)
         with pytest.raises(SimulationError):
+            kernel.run_until(100)
+
+
+class _Subcompute(Compute):
+    __slots__ = ()
+
+
+class TestUnknownSyscalls:
+    @pytest.mark.parametrize("yielded", [5, _Subcompute(1.0)],
+                             ids=["int", "compute-subclass"])
+    def test_only_exact_syscall_types_are_interpreted(self, yielded):
+        # Dispatch is by exact type: a subclass of a known syscall is as
+        # unknown as any other object.
+        kernel = make_lottery_kernel()
+
+        def body(ctx):
+            yield yielded
+
+        kernel.spawn(body, "odd", tickets=10)
+        with pytest.raises(KernelError,
+                           match=f"unknown syscall {re.escape(repr(yielded))}"):
             kernel.run_until(100)
 
 

@@ -158,12 +158,14 @@ class TestCallsPerRequest:
     sections 4.4-4.6: activation on every block and wake, compensation
     on every short quantum, a transfer ticket on every RPC): Python-level
     calls per offered request on the arena above, counted with
-    ``sys.setprofile`` over ``arena.run()``: 211.3.  341 while the heap
+    ``sys.setprofile`` over ``arena.run()``: 206.2.  341 while the heap
     ordered events with ``Event.__lt__``, ticket mint and activation went
     through helpers of their own and every wake opened a no-op race
     seam; 229.6 while the latency probe heard the events it ignores and
     recorded every wake sample twice; 213.0 while a funding recompute
-    marked the currencies it read through.  docs/PERFORMANCE.md section 1
+    marked the currencies it read through; 211.3 while a zero-CPU
+    syscall passed through a dispatch frame before its handler's.
+    docs/PERFORMANCE.md section 1
     names the frames left and why.  The bound holds on the oldest
     CPython CI runs: 3.12 inlines comprehensions and reads lower."""
 
